@@ -14,17 +14,21 @@ one-step Bellman residual:
              + (1 - sum_t mu P(t|s,a)) [M - alpha*sc + sum_i w_i(gamma g_i - beta_i(s))]
 
 with g_i(s, a) the backprojection of basis i through the (deterministic)
-transition: g_i(s, a) = beta_i(a[B_i]).
+transition: g_i(s, a) = beta_i(a[B_i]).  The two branch weights sum to one,
+so each row's coefficients are gamma g_i - beta_i(s) whatever the belief, and
+a new belief moves only the right-hand side.  Re-planning therefore reuses
+the previous program and starts the LP from its optimal basis.
 
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * sum_i w_i g_i(s, a) ], ties broken by
-the lowest action index.
+the lowest action index; scores within ``TIE_TOL`` (relative) of the best
+count as tied.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +41,8 @@ from .domain import (
     success_prob_table,
 )
 from .lp import INFEASIBLE, LPProblem, UNBOUNDED, solve_lp
+
+TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
 
 
 @dataclass(frozen=True)
@@ -124,10 +130,24 @@ class ALProblem:
     lp: LPProblem
     activations: np.ndarray  # (S, k)
     pairs: list[tuple[int, int]]  # row order: (state, action)
+    start: tuple[int, ...] | None = None  # LP basis the solve starts from
+    final_basis: tuple[int, ...] | None = None  # LP basis the last solve ended on
 
 
 def uniform_theta(space: ConfigSpace) -> np.ndarray:
     return np.full(space.n_configs, 1.0 / space.n_configs)
+
+
+def _alp_bounds(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
+    """Right-hand sides -const(s, a), one per (state, action) row."""
+    M, alpha = domain.M, domain.alpha
+    p1 = success_prob_table(domain, posterior_table)  # (S, A)
+    al = expected_attack_loss_table(domain, posterior_table)  # (S, A)
+    # phi = 1 branch: success mass times [M - l - alpha sc]; phi = 0 branch:
+    # the remaining mass times [M - alpha sc].
+    succ_const = p1 * (M - alpha * domain.sc) - al
+    fail_const = (1.0 - p1) * (M - alpha * domain.sc)
+    return -(succ_const + fail_const).reshape(-1)
 
 
 def build_alp(
@@ -135,14 +155,32 @@ def build_alp(
     posterior_table: np.ndarray,
     basis: BasisSet | None = None,
     theta: np.ndarray | None = None,
+    previous: ALProblem | None = None,
 ) -> ALProblem:
     """Assemble the constraint system for one belief snapshot.
 
-    One constraint per (state, action) pair, built as the sum of the phi=1
-    and phi=0 branch terms.  The objective weighs each basis function by its
-    expected activation under ``theta`` (uniform over configurations by
-    default, which factors over scopes).
+    One constraint per (state, action) pair.  The belief weights the phi=1
+    and phi=0 branches, whose bracket coefficients are both D = gamma g - beta
+    and so sum to D itself: only the right-hand side depends on the belief.
+    The objective weighs each basis function by its expected activation under
+    ``theta`` (uniform over configurations by default, which factors over
+    scopes).
+
+    ``previous``, a problem built for the same domain, basis and theta, lends
+    its activations, rows, objective and pairs, so only the bounds are
+    computed; the new problem starts its solve from the basis on which
+    ``previous``'s solve ended.
     """
+    if previous is not None:
+        if (
+            previous.domain is not domain
+            or basis not in (None, previous.basis)
+            or (theta is not None and not np.array_equal(theta, previous.theta))
+        ):
+            raise DomainError("previous problem was built for another domain, basis or theta")
+        lp = replace(previous.lp, bounds=_alp_bounds(domain, posterior_table))
+        return replace(previous, lp=lp, start=previous.final_basis, final_basis=None)
+
     space = domain.space
     basis = basis or build_basis(space)
     theta_vec = uniform_theta(space) if theta is None else np.asarray(theta, dtype=float)
@@ -154,38 +192,27 @@ def build_alp(
     B = activation_matrix(basis, space)  # (S, k)
     k = B.shape[1]
     S = space.n_configs
-    gamma, M, alpha = domain.gamma, domain.M, domain.alpha
-
-    p1 = success_prob_table(domain, posterior_table)  # (S, A)
-    al = expected_attack_loss_table(domain, posterior_table)  # (S, A)
 
     # Bracket coefficients sum_i w_i (gamma g_i(s,a) - beta_i(s)); under the
     # deterministic kernel g_i(s, a) = beta_i at configuration a.
-    D = gamma * B[None, :, :] - B[:, None, :]  # (S, A, k)
+    D = domain.gamma * B[None, :, :] - B[:, None, :]  # (S, A, k)
 
-    # phi = 1 branch: success mass times [M - l - alpha sc + w.D]
-    succ_const = p1 * (M - alpha * domain.sc) - al
-    succ_coef = p1[:, :, None] * D
-    # phi = 0 branch: remaining mass times [M - alpha sc + w.D]
-    fail_const = (1.0 - p1) * (M - alpha * domain.sc)
-    fail_coef = (1.0 - p1)[:, :, None] * D
-
-    const = succ_const + fail_const  # (S, A)
-    coef = succ_coef + fail_coef  # (S, A, k)
-
-    # 0 >= C(s,a;w)  <=>  coef . w <= -const
-    rows = coef.reshape(S * S, k)
-    bounds = -const.reshape(S * S)
+    # 0 >= C(s,a;w)  <=>  D . w <= -const
+    rows = D.reshape(S * S, k)
     pairs = [(s, a) for s in range(S) for a in range(S)]
 
     objective = theta_vec @ B  # E_theta[beta_i] per basis function
-    lp = LPProblem(c=objective, rows=rows, bounds=bounds)
+    lp = LPProblem(c=objective, rows=rows, bounds=_alp_bounds(domain, posterior_table))
     return ALProblem(domain, basis, theta_vec, lp, B, pairs)
 
 
 def solve_alp(alp: ALProblem, max_iter: int = 100_000) -> np.ndarray:
-    """Solve for the basis weights; raises if the program is degenerate."""
-    sol = solve_lp(alp.lp, max_iter=max_iter)
+    """Solve for the basis weights, starting from ``alp.start``.
+
+    Records the basis the solve ended on in ``alp.final_basis``; raises if
+    the program is degenerate.
+    """
+    sol = solve_lp(alp.lp, max_iter=max_iter, start=alp.start)
     if sol.status == UNBOUNDED:
         raise RuntimeError(
             "approximate LP unbounded - the constraint system is malformed "
@@ -193,6 +220,7 @@ def solve_alp(alp: ALProblem, max_iter: int = 100_000) -> np.ndarray:
         )
     if sol.status == INFEASIBLE:
         raise RuntimeError("approximate LP infeasible - constraint assembly bug")
+    alp.final_basis = sol.basis
     return sol.x
 
 
@@ -201,18 +229,34 @@ def value_estimates(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
     return alp.activations @ weights
 
 
+def greedy_actions(scores: np.ndarray) -> np.ndarray:
+    """Row-wise argmax that takes the lowest index among tied actions.
+
+    Actions whose score lies within ``TIE_TOL * (1 + |max|)`` of the row
+    maximum count as tied, so rounding noise in the scores never picks the
+    action.
+    """
+    best = scores.max(axis=1, keepdims=True)
+    return np.argmax(scores >= best - TIE_TOL * (1.0 + np.abs(best)), axis=1)
+
+
 def extract_policy(
     domain: DomainInfo,
     weights: np.ndarray,
     posterior_table: np.ndarray,
     basis: BasisSet | None = None,
+    activations: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Greedy policy: argmax_a R(s,a) + gamma * V(a; w), lowest index on ties."""
-    basis = basis or build_basis(domain.space)
-    B = activation_matrix(basis, domain.space)
-    values = B @ weights  # (A,) successor values, successor == action
+    """Greedy policy: argmax_a R(s,a) + gamma * V(a; w), lowest index on ties.
+
+    ``activations`` is ``activation_matrix(basis, space)`` when the caller
+    already holds it (``ALProblem.activations``); ``basis`` is then unused.
+    """
+    if activations is None:
+        activations = activation_matrix(basis or build_basis(domain.space), domain.space)
+    values = activations @ weights  # (A,) successor values, successor == action
     scores = expected_reward_table(domain, posterior_table) + domain.gamma * values[None, :]
-    return np.argmax(scores, axis=1)
+    return greedy_actions(scores)
 
 
 def exact_value(domain: DomainInfo, policy: np.ndarray, posterior_table: np.ndarray) -> np.ndarray:
@@ -247,7 +291,7 @@ def value_iteration(
             break
         V = V_new
     Q = R + domain.gamma * V[None, :]
-    return V, np.argmax(Q, axis=1)
+    return V, greedy_actions(Q)
 
 
 def alp_to_dict(alp: ALProblem) -> dict:

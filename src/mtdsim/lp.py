@@ -6,10 +6,15 @@ Pivoting follows Bland's rule (lowest eligible index enters; ties in the
 ratio test leave by lowest basis index), which makes the solver deterministic
 and immune to cycling.  Intended for the small programs produced by the
 planners here, not for large-scale use.
+
+A solve may start from the optimal basis of an earlier, similar problem.  If
+that basis is still primal and dual feasible the solver returns its vertex
+after one small linear solve; if not, it falls back to the two-phase method.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +78,55 @@ class LPSolution:
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
+    # Basic columns of the optimal standard-form basis, ascending (see
+    # ``_standard_form``); None when redundant rows were dropped.
+    basis: tuple[int, ...] | None = None
+    warm: bool = False  # the start basis was certified optimal; no pivot ran
+
+
+def _standard_form(problem: LPProblem):
+    """Rewrite ``problem`` as: minimize c @ u  s.t.  A u + s = b,  u >= 0,  s >= 0.
+
+    Returns ``(A, b, c, T, offset)`` with x = offset + T @ u.  Columns
+    0..n_u-1 of the standard form are the structural variables u, columns
+    n_u..n_u+m-1 the slacks s, one per row of A.  Finite lower bounds shift,
+    upper-bounded-only variables flip, free variables split into a +/- pair,
+    and a variable with both bounds finite adds a range row
+    ``u_i <= upper - lower`` after the problem's own rows.
+    """
+    n = problem.n_vars
+    lo, up = problem.lower, problem.upper
+    lo_fin, up_fin = np.isfinite(lo), np.isfinite(up)
+    free = ~(lo_fin | up_fin)
+    var = np.repeat(np.arange(n), np.where(free, 2, 1))  # u column -> variable
+    n_u = var.size
+    sign = np.where(up_fin & ~lo_fin, -1.0, 1.0)[var]
+    sign[1:][var[1:] == var[:-1]] = -1.0  # second column of a free split
+    T = np.zeros((n, n_u))
+    T[var, np.arange(n_u)] = sign
+    offset = np.where(lo_fin, lo, np.where(up_fin, up, 0.0))
+    A = problem.rows @ T
+    b = problem.bounds - problem.rows @ offset
+    ranged = np.nonzero(lo_fin & up_fin)[0]
+    if ranged.size:
+        add = np.zeros((ranged.size, n_u))
+        add[np.arange(ranged.size), np.searchsorted(var, ranged)] = 1.0
+        A = np.vstack([A, add])
+        b = np.concatenate([b, up[ranged] - lo[ranged]])
+    return A, b, problem.c @ T, T, offset
+
+
+def _optimal(
+    problem: LPProblem,
+    T: np.ndarray,
+    offset: np.ndarray,
+    u: np.ndarray,
+    basis: Sequence[int] | None,
+    warm: bool = False,
+) -> LPSolution:
+    x = offset + T @ u
+    basis = None if basis is None else tuple(sorted(basis))
+    return LPSolution(OPTIMAL, x, float(problem.c @ x), basis, warm)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -109,55 +163,84 @@ def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> str:
     raise RuntimeError("simplex exceeded its iteration limit")
 
 
-def solve_lp(problem: LPProblem, max_iter: int = 100_000) -> LPSolution:
-    """Two-phase simplex; returns status optimal/infeasible/unbounded."""
-    n = problem.n_vars
-    lo, up = problem.lower, problem.upper
-    if np.any(lo > up):
-        return LPSolution(INFEASIBLE)
+def _check_start(start: Sequence[int], n_columns: int, m: int) -> np.ndarray:
+    """Boolean mask of the start basis over the standard-form columns."""
+    idx = np.asarray(start)
+    if idx.shape != (m,) or (
+        m and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_columns)
+    ):
+        raise ValueError(f"start basis must list {m} standard-form columns in [0, {n_columns})")
+    basic = np.zeros(n_columns, dtype=bool)
+    basic[idx] = True
+    if np.count_nonzero(basic) != m:
+        raise ValueError("start basis columns must be distinct")
+    return basic
 
-    # Rewrite onto nonnegative variables u: x = offset + T @ u.  Finite lower
-    # bounds shift, upper-bounded-only variables flip, free variables split.
-    cols: list[np.ndarray] = []
-    offset = np.zeros(n)
-    range_rows: list[tuple[int, float]] = []  # (u column, width) for lo <= x <= up
 
-    def unit(i: int, sign: float) -> np.ndarray:
-        col = np.zeros(n)
-        col[i] = sign
-        return col
+def _warm_vertex(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basic: np.ndarray
+) -> np.ndarray | None:
+    """The structural values u of the start basis if it is optimal here, else None.
 
-    for i in range(n):
-        if np.isfinite(lo[i]):
-            offset[i] = lo[i]
-            cols.append(unit(i, 1.0))
-            if np.isfinite(up[i]):
-                range_rows.append((len(cols) - 1, up[i] - lo[i]))
-        elif np.isfinite(up[i]):
-            offset[i] = up[i]
-            cols.append(unit(i, -1.0))
-        else:
-            cols.append(unit(i, 1.0))
-            cols.append(unit(i, -1.0))
+    Rows whose slack is nonbasic are tight, so the basic structural columns J
+    solve the q x q system A[tight, J] u_J = b[tight]; the row duals pi solve
+    its transpose against c_J.  The vertex is returned only when it is primal
+    feasible (u_J and every slack >= -FEAS_TOL) and dual feasible (pi <=
+    FEAS_TOL on the tight rows, every reduced cost >= -FEAS_TOL) for this very
+    problem, which certifies it optimal whatever changed since the start basis
+    was found.
+    """
+    n_u = c.size
+    J = np.nonzero(basic[:n_u])[0]
+    tight = np.nonzero(~basic[n_u:])[0]
+    A_tight = A[tight]
+    square = A_tight[:, J]
+    try:
+        u_J = np.linalg.solve(square, b[tight])
+        pi = np.linalg.solve(square.T, c[J])
+    except np.linalg.LinAlgError:  # singular: the start is no basis of this problem
+        return None
+    slack = b - A[:, J] @ u_J
+    reduced = c - A_tight.T @ pi
+    if not (
+        (u_J >= -FEAS_TOL).all()
+        and (slack >= -FEAS_TOL).all()
+        and (pi <= FEAS_TOL).all()
+        and (reduced >= -FEAS_TOL).all()
+    ):  # written so that a NaN fails too
+        return None
+    u = np.zeros(n_u)
+    u[J] = u_J
+    return u
 
-    T = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
-    n_u = T.shape[1]
-    A = problem.rows @ T
-    b = problem.bounds - problem.rows @ offset
-    if range_rows:
-        add = np.zeros((len(range_rows), n_u))
-        for r, (u_index, _) in enumerate(range_rows):
-            add[r, u_index] = 1.0
-        A = np.vstack([A, add])
-        b = np.concatenate([b, [width for _, width in range_rows]])
-    c_u = problem.c @ T
 
+def solve_lp(
+    problem: LPProblem, max_iter: int = 100_000, start: Sequence[int] | None = None
+) -> LPSolution:
+    """Two-phase simplex; returns status optimal/infeasible/unbounded.
+
+    ``start`` is an optional basis, usually ``LPSolution.basis`` of an earlier
+    solve of a problem of the same shape.  When it is still optimal for this
+    problem the solver returns its vertex without pivoting (``warm`` is set);
+    otherwise, or when the start is singular here, it solves cold.  A start of
+    the wrong length, or with out-of-range or repeated columns, raises
+    ``ValueError``.
+    """
+    A, b, c_u, T, offset = _standard_form(problem)
+    n_u = c_u.size
     m = A.shape[0]
+    basic = None if start is None else _check_start(start, n_u + m, m)
+    if np.any(problem.lower > problem.upper):
+        return LPSolution(INFEASIBLE)
+    if m and basic is not None:
+        u = _warm_vertex(A, b, c_u, basic)
+        if u is not None:
+            return _optimal(problem, T, offset, u, np.nonzero(basic)[0].tolist(), warm=True)
+
     if m == 0:
         if np.any(c_u < -FEAS_TOL):
             return LPSolution(UNBOUNDED)
-        x = offset.copy()
-        return LPSolution(OPTIMAL, x, float(problem.c @ x))
+        return _optimal(problem, T, offset, np.zeros(n_u), ())
 
     # Slack form A u + s = b with b >= 0; flipped rows get artificials.
     flip = b < 0
@@ -186,6 +269,7 @@ def solve_lp(problem: LPProblem, max_iter: int = 100_000) -> LPSolution:
         tab[-1] -= tab[r]
     tab[-1, n_u + m : n_total] += 1.0
 
+    dropped = False
     if n_art:
         status = _run_simplex(tab, basis, max_iter)
         if status != OPTIMAL:  # phase 1 cannot be unbounded; defensive
@@ -208,6 +292,7 @@ def solve_lp(problem: LPProblem, max_iter: int = 100_000) -> LPSolution:
             tab = np.vstack([tab[keep], tab[-1:]])
             basis = [basis[r] for r in keep]
             m = len(basis)
+            dropped = True
 
     # Phase 2: real objective over structural + slack columns.
     tab = np.hstack([tab[:, : n_u + m], tab[:, -1:]])
@@ -225,5 +310,4 @@ def solve_lp(problem: LPProblem, max_iter: int = 100_000) -> LPSolution:
     u = np.zeros(n_u + m)
     for r, bv in enumerate(basis):
         u[bv] = tab[r, -1]
-    x = offset + T @ u[:n_u]
-    return LPSolution(OPTIMAL, x, float(problem.c @ x))
+    return _optimal(problem, T, offset, u[:n_u], None if dropped else basis)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alp import BasisSet, build_alp, build_basis, extract_policy, solve_alp
+from .alp import ALProblem, BasisSet, build_alp, build_basis, extract_policy, solve_alp
 from .domain import DomainError, DomainInfo
 from .environments import MTDEnvironment, StepRecord
 from .estimator import ThreatEstimator
@@ -35,20 +35,23 @@ def ata_fmdp_run(
 
     Every ``reopt_period`` steps (``None`` = plan once at t=0 and never
     again) the current attacker-type belief is frozen into an approximate LP,
-    solved, and turned into a greedy policy.  After each step the belief is
-    updated with the observed (type, success) outcome.
+    solved, and turned into a greedy policy.  Each re-plan rebuilds only the
+    bounds of the previous program and starts from its optimal basis.  After
+    each step the belief is updated with the observed (type, success) outcome.
     """
     if reopt_period is not None and reopt_period < 1:
         raise DomainError("reopt_period must be >= 1 (or None to plan only once)")
     basis = basis or build_basis(domain.space)
     estimator = ThreatEstimator(domain, beta=beta)
+    problem: ALProblem | None = None
     policy: np.ndarray | None = None
     records: list[StepRecord] = []
     for t in range(T):
         if policy is None or (reopt_period is not None and t % reopt_period == 0):
             posterior = estimator.posterior_table()
-            weights = solve_alp(build_alp(domain, posterior, basis, theta))
-            policy = extract_policy(domain, weights, posterior, basis)
+            problem = build_alp(domain, posterior, basis, theta, previous=problem)
+            weights = solve_alp(problem)
+            policy = extract_policy(domain, weights, posterior, activations=problem.activations)
         state = env.state
         action = int(policy[state])
         record = env.step(action, rng)

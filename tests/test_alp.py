@@ -24,6 +24,7 @@ from mtdsim.alp import (
     dump_alp_json,
     exact_value,
     extract_policy,
+    greedy_actions,
     solve_alp,
     uniform_theta,
     value_estimates,
@@ -37,9 +38,13 @@ from mtdsim.domain import (
     FactorSpec,
     expected_reward_table,
 )
-from mtdsim.environments import make_web_app_domain
-from mtdsim.harness import cold_posterior_table, random_posterior_table
-from mtdsim.lp import LPProblem
+from mtdsim.environments import make_network_domain, make_web_app_domain
+from mtdsim.harness import (
+    cold_posterior_table,
+    perturb_posterior_table,
+    random_posterior_table,
+)
+from mtdsim.lp import LPProblem, solve_lp
 
 
 def small_space(sizes=(2, 3, 2)) -> ConfigSpace:
@@ -391,3 +396,91 @@ def test_alp_dict_round_trips_rows_and_labels(tmp_path):
     np.testing.assert_allclose(first["coefficients"], alp.lp.rows[0])
     np.testing.assert_allclose(first["bound"], alp.lp.bounds[0])
     assert alp_to_dict(alp) == data
+
+
+# ---------------------------------------------------------------------------
+# ties and warm re-planning
+# ---------------------------------------------------------------------------
+
+
+def test_greedy_actions_treat_rounding_noise_as_a_tie():
+    scores = np.array(
+        [
+            [5.0, 5.0 + 2.3e-13, 1.0],  # noise: lowest index wins
+            [5.0, 5.0 + 1e-6, 1.0],  # a real gap
+            [-3.0, -3.0, -3.0],
+        ]
+    )
+    np.testing.assert_array_equal(greedy_actions(scores), [0, 1, 0])
+
+
+def test_build_alp_rows_are_the_belief_free_bracket_coefficients():
+    web = make_web_app_domain(alpha=1.0)
+    alp = build_alp(web, random_posterior_table(web, np.random.default_rng(4)))
+    B = activation_matrix(build_basis(web.space), web.space)
+    for i, (s, a) in enumerate(alp.pairs):
+        np.testing.assert_array_equal(alp.lp.rows[i], web.gamma * B[a] - B[s])
+
+
+def test_build_alp_from_previous_recomputes_only_the_bounds():
+    web = make_web_app_domain(alpha=1.0)
+    rng = np.random.default_rng(6)
+    first = build_alp(web, random_posterior_table(web, rng))
+    solve_alp(first)
+    posterior = random_posterior_table(web, rng)
+    again = build_alp(web, posterior, previous=first)
+    fresh = build_alp(web, posterior)
+    assert np.shares_memory(again.lp.rows, first.lp.rows)
+    assert np.shares_memory(again.lp.c, first.lp.c)
+    assert again.activations is first.activations and again.pairs is first.pairs
+    assert again.basis is first.basis and again.theta is first.theta
+    np.testing.assert_array_equal(again.lp.bounds, fresh.lp.bounds)
+    assert again.start == first.final_basis is not None
+    assert again.final_basis is None and fresh.start is None
+
+
+def test_build_alp_from_previous_rejects_another_domain_basis_or_theta():
+    web = make_web_app_domain(alpha=1.0)
+    post = cold_posterior_table(web)
+    first = build_alp(web, post)
+    with pytest.raises(DomainError):
+        build_alp(make_web_app_domain(alpha=1.0), post, previous=first)
+    with pytest.raises(DomainError):
+        build_alp(web, post, basis=build_state_basis(web.space), previous=first)
+    with pytest.raises(DomainError):
+        build_alp(web, post, theta=np.array([0.7, 0.1, 0.1, 0.1]), previous=first)
+    build_alp(web, post, basis=first.basis, theta=first.theta, previous=first)
+
+
+@pytest.mark.parametrize("name", ["web", "net2", "net3"])
+def test_warm_replan_matches_a_cold_replan(name):
+    rng = np.random.default_rng(12)
+    if name == "web":
+        domain = make_web_app_domain(alpha=1.0)
+    else:
+        domain = make_network_domain(rng, n_nodes=int(name[-1]))
+    posterior = random_posterior_table(domain, rng)
+    previous = build_alp(domain, posterior)
+    solve_alp(previous)
+    warm_hits = 0
+    for step in range(12):
+        # Alternate small belief drifts, as between two steps of a run, with
+        # jumps to an unrelated belief.
+        if step % 3 == 2:
+            posterior = random_posterior_table(domain, rng)
+        else:
+            posterior = perturb_posterior_table(posterior, rng, scale=0.01)
+        warm = build_alp(domain, posterior, previous=previous)
+        warm_hits += solve_lp(warm.lp, start=warm.start).warm
+        w_warm = solve_alp(warm)
+        cold = build_alp(domain, posterior)
+        w_cold = solve_alp(cold)
+        np.testing.assert_allclose(
+            value_estimates(warm, w_warm), value_estimates(cold, w_cold), rtol=0, atol=1e-9
+        )
+        np.testing.assert_array_equal(
+            extract_policy(domain, w_warm, posterior, activations=warm.activations),
+            extract_policy(domain, w_cold, posterior),
+        )
+        previous = warm
+    assert warm_hits > 0

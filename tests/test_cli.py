@@ -1,12 +1,15 @@
 """Tests for the command-line interface.
 
 Most tests call ``main`` in-process and inspect stdout/stderr via capsys;
-one subprocess test covers the installed console script.
+one subprocess test covers the installed console script, or ``python -m
+mtdsim`` where the package is importable but not installed.
 """
 
 import argparse
 import json
+import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,8 +165,9 @@ def test_bad_reopt_period_is_an_argparse_error():
 
 
 def test_console_script_entry_point():
+    command = ["mtdsim"] if shutil.which("mtdsim") else [sys.executable, "-m", "mtdsim"]
     proc = subprocess.run(
-        ["mtdsim", "run", "--strategy", "urs", "--timesteps", "3", "--iterations", "1"],
+        [*command, "run", "--strategy", "urs", "--timesteps", "3", "--iterations", "1"],
         capture_output=True,
         text=True,
         check=False,

@@ -12,7 +12,7 @@ from mtdsim.lp import (
     LPSolution,
     solve_lp,
 )
-from oracles import compare_simplex_to_vertices
+from oracles import compare_simplex_to_vertices, enumerate_vertices, random_box_lp
 
 
 def test_single_variable_upper_bound():
@@ -193,3 +193,106 @@ def test_solution_dataclass_defaults():
     sol = LPSolution(INFEASIBLE)
     assert sol.x is None and sol.objective_value is None
     assert FEAS_TOL < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# warm start from an earlier optimal basis
+# ---------------------------------------------------------------------------
+
+
+def test_optimal_solution_reports_its_standard_form_basis():
+    # Free x splits into two columns; one row adds one slack column.
+    sol = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]))
+    assert sol.basis == (1,)  # the "minus" half of x is basic, the slack is not
+    assert not sol.warm
+    again = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]), start=sol.basis)
+    assert again.warm and again.basis == sol.basis
+    assert again.x == pytest.approx(sol.x, abs=1e-12)
+
+
+def test_warm_start_after_bound_changes_matches_cold_solve_and_vertices():
+    rng = np.random.default_rng(21)
+    warm_hits = compared = 0
+    while compared < 60:
+        problem = random_box_lp(rng)
+        first = solve_lp(problem)
+        if first.status != OPTIMAL:
+            continue
+        bounds = problem.bounds + rng.uniform(-0.1, 0.1, problem.n_rows)
+        moved = LPProblem(problem.c, problem.rows, bounds, problem.lower, problem.upper)
+        warm = solve_lp(moved, start=first.basis)
+        cold = solve_lp(moved)
+        oracle = enumerate_vertices(moved)
+        compared += 1
+        warm_hits += warm.warm
+        assert warm.status == cold.status == oracle.status
+        if oracle.status == OPTIMAL:
+            assert warm.objective_value == pytest.approx(oracle.objective_value, abs=1e-7)
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+            assert np.all(moved.rows @ warm.x <= moved.bounds + 1e-7)
+            assert np.all((moved.lower - 1e-9 <= warm.x) & (warm.x <= moved.upper + 1e-9))
+    # Small moves keep most bases optimal; the rest must have fallen back.
+    assert 0 < warm_hits < compared
+
+
+def test_warm_start_that_lost_dual_feasibility_falls_back_to_cold():
+    rng = np.random.default_rng(22)
+    fallbacks = 0
+    for _ in range(40):
+        problem = random_box_lp(rng)
+        first = solve_lp(problem)
+        if first.status != OPTIMAL:
+            continue
+        flipped = LPProblem(-problem.c, problem.rows, problem.bounds, problem.lower, problem.upper)
+        sol = solve_lp(flipped, start=first.basis)
+        fallbacks += not sol.warm
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(
+            enumerate_vertices(flipped).objective_value, abs=1e-7
+        )
+    assert fallbacks > 0
+
+
+def test_warm_start_with_a_cheaper_nonbasic_column_falls_back_to_cold():
+    # Lowering the cost of a variable whose column is nonbasic leaves the row
+    # duals alone but makes that column's reduced cost negative.
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 20:
+        problem = random_box_lp(rng)
+        first = solve_lp(problem)
+        if first.status != OPTIMAL:
+            continue
+        # Box-bounded variables map one to one onto the first standard-form columns.
+        nonbasic = [j for j in range(problem.n_vars) if j not in first.basis]
+        if not nonbasic:
+            continue
+        c = problem.c.copy()
+        c[nonbasic[0]] -= 10.0
+        cheaper = LPProblem(c, problem.rows, problem.bounds, problem.lower, problem.upper)
+        sol = solve_lp(cheaper, start=first.basis)
+        assert sol.status == OPTIMAL and not sol.warm
+        assert sol.objective_value == pytest.approx(
+            enumerate_vertices(cheaper).objective_value, abs=1e-7
+        )
+        checked += 1
+
+
+def test_singular_start_falls_back_to_cold():
+    # Both halves of the split free variable are linearly dependent columns.
+    problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
+    sol = solve_lp(problem, start=(0, 1))
+    assert sol.status == OPTIMAL and not sol.warm
+    assert sol.x[0] == pytest.approx(-7.0)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [(0,), (0, 1, 2), (0, 4), (-1, 2), (2, 2), np.array([0.0, 2.0])],
+    ids=["short", "long", "out-of-range", "negative", "duplicate", "not-integer"],
+)
+def test_malformed_start_raises(start):
+    # Two rows over one free variable: 2 split columns + 2 slacks, basis size 2.
+    problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
+    with pytest.raises(ValueError):
+        solve_lp(problem, start=start)
