@@ -36,7 +36,7 @@ def show(domain, posterior, title):
         alp = build_alp(domain, posterior, basis)
         weights = solve_alp(alp)
         values[name] = value_estimates(alp, weights)
-        policies[name] = extract_policy(domain, weights, posterior, basis)
+        policies[name] = extract_policy(domain, weights, posterior, alp.activations)
     for s in range(space.n_configs):
         print(
             f"{space.label(s):<16} {v_star[s]:>12.4f} {values['state'][s]:>12.4f} "

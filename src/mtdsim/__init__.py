@@ -8,136 +8,45 @@ baselines, two simulated environments, and a seeded experiment harness.
 """
 
 from .alp import (
-    ALProblem,
-    BasisFunction,
-    BasisSet,
     build_alp,
     build_basis,
     build_state_basis,
-    dump_alp_json,
-    exact_value,
     extract_policy,
     solve_alp,
-    uniform_theta,
     value_estimates,
     value_iteration,
 )
-from .domain import (
-    AttackerTypeSpec,
-    ConfigSpace,
-    DomainError,
-    DomainInfo,
-    FactorSpec,
-    attack_loss_given_success,
-    attacker_types_from_cvss_csv,
-    cvss_to_params,
-    expected_attack_loss,
-    expected_attack_loss_table,
-    expected_reward,
-    expected_reward_table,
-    load_domain,
-    save_domain,
-    success_prob_table,
-)
-from .environments import (
-    BUILTIN_SCENARIOS,
-    AttackerView,
-    MTDEnvironment,
-    Scenario,
-    ScenarioPhase,
-    StepRecord,
-    builtin_scenario,
-    load_scenario,
-    make_network_domain,
-    make_web_app_domain,
-    most_adverse_select,
-    sample_attack,
-    save_scenario,
-)
-from .estimator import ThreatEstimator, attack_success_prob
+from .domain import DomainError, attacker_types_from_cvss_csv, save_domain
+from .environments import make_web_app_domain, save_scenario
 from .harness import (
     ExperimentConfig,
-    LinearityReport,
-    RunResult,
-    alp_exactness_check,
-    avg_regret_bound_check,
-    estimator_unbiasedness_check,
-    hindsight_bounds,
-    policy_regret,
+    cold_posterior_table,
+    random_posterior_table,
     run_experiment,
     theorem1_regret_experiment,
 )
-from .lp import LPProblem, LPSolution, solve_lp
-from .strategies import (
-    EpsGreedyStrategy,
-    FplMtdStrategy,
-    ata_fmdp_run,
-    run_strategy,
-    urs_select,
-)
+from .lp import LPSolution, solve_lp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALProblem",
-    "AttackerTypeSpec",
-    "AttackerView",
-    "BUILTIN_SCENARIOS",
-    "BasisFunction",
-    "BasisSet",
-    "ConfigSpace",
     "DomainError",
-    "DomainInfo",
-    "EpsGreedyStrategy",
     "ExperimentConfig",
-    "FactorSpec",
-    "FplMtdStrategy",
-    "LPProblem",
     "LPSolution",
-    "LinearityReport",
-    "MTDEnvironment",
-    "RunResult",
-    "Scenario",
-    "ScenarioPhase",
-    "StepRecord",
-    "ThreatEstimator",
-    "alp_exactness_check",
-    "ata_fmdp_run",
-    "attack_loss_given_success",
-    "attack_success_prob",
     "attacker_types_from_cvss_csv",
-    "avg_regret_bound_check",
     "build_alp",
     "build_basis",
     "build_state_basis",
-    "builtin_scenario",
-    "cvss_to_params",
-    "dump_alp_json",
-    "estimator_unbiasedness_check",
-    "exact_value",
-    "expected_attack_loss",
-    "expected_attack_loss_table",
-    "expected_reward",
-    "expected_reward_table",
+    "cold_posterior_table",
     "extract_policy",
-    "hindsight_bounds",
-    "load_domain",
-    "load_scenario",
-    "make_network_domain",
     "make_web_app_domain",
-    "most_adverse_select",
-    "policy_regret",
+    "random_posterior_table",
     "run_experiment",
-    "run_strategy",
-    "sample_attack",
     "save_domain",
     "save_scenario",
     "solve_alp",
     "solve_lp",
-    "success_prob_table",
     "theorem1_regret_experiment",
-    "uniform_theta",
-    "urs_select",
     "value_estimates",
     "value_iteration",
 ]

@@ -5,41 +5,31 @@ V(s; w) = sum_i w_i * beta_i(s[B_i]), each scoped to a subset of factors.
 The weights solve
 
     min_w   sum_i w_i * E_theta[beta_i]
-    s.t.    0 >= C(s, a; w)   for every state-action pair,
+    s.t.    V(s; w) >= R(s, a) + gamma * V(a; w)   for every state-action pair,
 
-where C collects the success (phi=1) and failure (phi=0) branches of the
-one-step Bellman residual:
-
-    C(s,a;w) = sum_t mu P(t|s,a) [M - l - alpha*sc + sum_i w_i(gamma g_i - beta_i(s))]
-             + (1 - sum_t mu P(t|s,a)) [M - alpha*sc + sum_i w_i(gamma g_i - beta_i(s))]
-
-with g_i(s, a) the backprojection of basis i through the (deterministic)
-transition: g_i(s, a) = beta_i(a[B_i]).  The two branch weights sum to one,
-so each row's coefficients are gamma g_i - beta_i(s) whatever the belief, and
-a new belief moves only the right-hand side.  Re-planning therefore reuses
-the previous program and starts the LP from its optimal basis.
+since the successor of (s, a) is a.  The success (phi=1) and failure (phi=0)
+branches of the Bellman residual sum to the expected reward R(s, a) of
+``domain.expected_reward_table``, so each row is D(s, a) . w <= -R(s, a) with
+D(s, a) = gamma * beta(a) - beta(s).  A new belief moves only the right-hand
+side; re-planning therefore reuses the previous program and starts the LP
+from its optimal basis.
 
 The greedy policy of a solved program is
-pi(s) = argmax_a [ R(s, a) + gamma * sum_i w_i g_i(s, a) ], ties broken by
+pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], ties broken by
 the lowest action index; scores within ``TIE_TOL`` (relative) of the best
 count as tied.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import (
-    ConfigSpace,
-    DomainError,
-    DomainInfo,
-    expected_attack_loss_table,
-    expected_reward_table,
-    success_prob_table,
-)
+from .domain import ConfigSpace, DomainError, DomainInfo, expected_reward_table
+
+# Not called here; the benchmark's tracer wraps these names in this module.
+from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
 from .lp import INFEASIBLE, LPProblem, UNBOUNDED, solve_lp
 
 TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
@@ -113,13 +103,6 @@ def activation_matrix(basis: BasisSet, space: ConfigSpace) -> np.ndarray:
     )
 
 
-def backprojection(basis_fn: BasisFunction, space: ConfigSpace, state: int, action: int) -> float:
-    """g_i(s, a): the basis activation at the successor, which is ``action``."""
-    if not 0 <= state < space.n_configs:
-        raise DomainError(f"state index {state} out of range")
-    return basis_fn.activation(space.config_at(action))
-
-
 @dataclass
 class ALProblem:
     """An assembled approximate-LP instance plus its bookkeeping."""
@@ -139,15 +122,8 @@ def uniform_theta(space: ConfigSpace) -> np.ndarray:
 
 
 def _alp_bounds(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
-    """Right-hand sides -const(s, a), one per (state, action) row."""
-    M, alpha = domain.M, domain.alpha
-    p1 = success_prob_table(domain, posterior_table)  # (S, A)
-    al = expected_attack_loss_table(domain, posterior_table)  # (S, A)
-    # phi = 1 branch: success mass times [M - l - alpha sc]; phi = 0 branch:
-    # the remaining mass times [M - alpha sc].
-    succ_const = p1 * (M - alpha * domain.sc) - al
-    fail_const = (1.0 - p1) * (M - alpha * domain.sc)
-    return -(succ_const + fail_const).reshape(-1)
+    """Right-hand sides -R(s, a), one per (state, action) row."""
+    return -expected_reward_table(domain, posterior_table).reshape(-1)
 
 
 def build_alp(
@@ -159,12 +135,10 @@ def build_alp(
 ) -> ALProblem:
     """Assemble the constraint system for one belief snapshot.
 
-    One constraint per (state, action) pair.  The belief weights the phi=1
-    and phi=0 branches, whose bracket coefficients are both D = gamma g - beta
-    and so sum to D itself: only the right-hand side depends on the belief.
-    The objective weighs each basis function by its expected activation under
-    ``theta`` (uniform over configurations by default, which factors over
-    scopes).
+    One constraint per (state, action) pair, D . w <= -R(s, a); only the
+    right-hand side depends on the belief.  The objective weighs each basis
+    function by its expected activation under ``theta`` (uniform over
+    configurations by default, which factors over scopes).
 
     ``previous``, a problem built for the same domain, basis and theta, lends
     its activations, rows, objective and pairs, so only the bounds are
@@ -193,11 +167,8 @@ def build_alp(
     k = B.shape[1]
     S = space.n_configs
 
-    # Bracket coefficients sum_i w_i (gamma g_i(s,a) - beta_i(s)); under the
-    # deterministic kernel g_i(s, a) = beta_i at configuration a.
+    # The successor of (s, a) is a: D(s, a) = gamma * beta(a) - beta(s).
     D = domain.gamma * B[None, :, :] - B[:, None, :]  # (S, A, k)
-
-    # 0 >= C(s,a;w)  <=>  D . w <= -const
     rows = D.reshape(S * S, k)
     pairs = [(s, a) for s in range(S) for a in range(S)]
 
@@ -244,16 +215,12 @@ def extract_policy(
     domain: DomainInfo,
     weights: np.ndarray,
     posterior_table: np.ndarray,
-    basis: BasisSet | None = None,
-    activations: np.ndarray | None = None,
+    activations: np.ndarray,
 ) -> np.ndarray:
     """Greedy policy: argmax_a R(s,a) + gamma * V(a; w), lowest index on ties.
 
-    ``activations`` is ``activation_matrix(basis, space)`` when the caller
-    already holds it (``ALProblem.activations``); ``basis`` is then unused.
+    ``activations`` is the problem's ``ALProblem.activations``.
     """
-    if activations is None:
-        activations = activation_matrix(basis or build_basis(domain.space), domain.space)
     values = activations @ weights  # (A,) successor values, successor == action
     scores = expected_reward_table(domain, posterior_table) + domain.gamma * values[None, :]
     return greedy_actions(scores)
@@ -311,9 +278,3 @@ def alp_to_dict(alp: ALProblem) -> dict:
             for i, (s, a) in enumerate(alp.pairs)
         ],
     }
-
-
-def dump_alp_json(alp: ALProblem, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(alp_to_dict(alp), fh, indent=2)
-        fh.write("\n")

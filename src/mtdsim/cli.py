@@ -3,28 +3,30 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-
-import numpy as np
 
 from .alp import alp_to_dict, build_alp, build_basis, build_state_basis, uniform_theta
 from .domain import DomainError
 from .estimator import ThreatEstimator
 from .harness import (
+    CHECK_PERTURBATIONS,
+    CHECK_RUNS,
+    CHECK_SAMPLES,
     ExperimentConfig,
-    alp_exactness_check,
-    avg_regret_bound_check,
+    check_alp_vs_value_iteration,
+    check_estimator_recovery,
+    check_linear_regret,
+    check_value_loss_bound,
     cold_posterior_table,
-    estimator_unbiasedness_check,
     hindsight_bounds,
-    perturb_posterior_table,
-    random_posterior_table,
     resolve_domain,
     resolve_scenario,
     run_experiment,
-    theorem1_regret_experiment,
 )
+
+DEFAULTS = ExperimentConfig()
 
 
 def _parse_reopt_period(text: str) -> int | None:
@@ -42,16 +44,16 @@ def _parse_reopt_period(text: str) -> int | None:
 
 
 def _add_selector_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--domain", default="web",
-                        help="'web', 'network', or a domain JSON file (default: web)")
-    parser.add_argument("--scenario", default="web-evolving",
+    parser.add_argument("--domain", default=DEFAULTS.domain,
+                        help="'web', 'network', or a domain JSON file (default: %(default)s)")
+    parser.add_argument("--scenario", default=DEFAULTS.scenario,
                         help="built-in scenario name or a scenario JSON file")
-    parser.add_argument("--alpha", type=float, default=1.0,
-                        help="switching-cost weight (default: 1.0)")
-    parser.add_argument("--timesteps", type=int, default=None,
+    parser.add_argument("--alpha", type=float, default=DEFAULTS.alpha,
+                        help="switching-cost weight (default: %(default)s)")
+    parser.add_argument("--timesteps", type=int, default=DEFAULTS.timesteps,
                         help="steps per iteration (default: the scenario horizon)")
-    parser.add_argument("--iterations", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=10)
+    parser.add_argument("--iterations", type=int, default=DEFAULTS.iterations)
+    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
     parser.add_argument("--start-state", default=None, metavar="LABEL",
                         help="starting configuration label (default: first enumerated)")
 
@@ -112,7 +114,6 @@ def cmd_hindsight(args: argparse.Namespace) -> int:
         print(f"static:{label} mean_avg_reward={value:.3f}")
     print(f"best_static={best:.3f} worst_static={worst:.3f}")
     if args.out is not None:
-        import csv
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["config", "mean_avg_reward"])
@@ -123,69 +124,17 @@ def cmd_hindsight(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-    rng = np.random.default_rng(args.seed)
-
-    # Exact-basis planner against value iteration.
-    from .environments import make_web_app_domain
-
-    web = make_web_app_domain(alpha=1.0)
-    worst_err, all_match = 0.0, True
-    posteriors = [cold_posterior_table(web)] + [
-        random_posterior_table(web, rng) for _ in range(3)
+    results = [
+        check_alp_vs_value_iteration(args.seed),
+        check_estimator_recovery(args.seed, args.samples),
+        check_value_loss_bound(args.seed, args.perturbations),
+        check_linear_regret(args.seed, args.runs),
     ]
-    for table in posteriors:
-        err, match, _ = alp_exactness_check(web, table)
-        worst_err = max(worst_err, err)
-        all_match = all_match and match
-    report(
-        "alp-vs-value-iteration",
-        worst_err <= 1e-5 and all_match,
-        f"max value error {worst_err:.2e} over {len(posteriors)} posteriors, "
-        f"policies {'match' if all_match else 'differ'}",
-    )
-
-    # Estimator recovers the attacker-type distribution.
-    err, ok = estimator_unbiasedness_check(
-        np.array([0.6, 0.4]), np.array([0.5, 1.0]), samples=args.samples, beta=1.0,
-        rng=np.random.default_rng(args.seed),
-    )
-    report("estimator-unbiasedness", ok, f"max componentwise error {err:.4f} (tol 0.05)")
-
-    # Planning under a perturbed posterior stays within the value-loss bound.
-    worst_ratio, all_ok = 0.0, True
-    base = cold_posterior_table(web)
-    for k in range(args.perturbations):
-        true_table = base if k % 2 == 0 else random_posterior_table(web, rng)
-        est_table = perturb_posterior_table(true_table, rng)
-        gap, bound, ok = avg_regret_bound_check(web, true_table, est_table)
-        all_ok = all_ok and ok
-        if bound > 0:
-            worst_ratio = max(worst_ratio, gap / bound)
-    report(
-        "value-loss-bound",
-        all_ok,
-        f"max gap/bound ratio {worst_ratio:.3f} over {args.perturbations} perturbations",
-    )
-
-    # Linear-regret adversary: slope matches the first-pick probability.
-    fit = theorem1_regret_experiment(n_runs=args.runs, seed=args.seed)
-    ok = fit.r_squared >= 0.99 and fit.slope_relative_error <= 0.2
-    report(
-        "linear-regret-adversary",
-        ok,
-        f"slope {fit.slope:.4f} vs p={fit.first_action_prob} "
-        f"(rel err {fit.slope_relative_error:.3f}), R^2 {fit.r_squared:.5f}",
-    )
-
-    print(f"{4 - failures}/4 checks passed")
-    return 0 if failures == 0 else 1
+    for result in results:
+        print(result.line())
+    passed = sum(result.ok for result in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def cmd_dump_lp(args: argparse.Namespace) -> int:
@@ -216,16 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one strategy over a scenario and summarize")
     _add_selector_args(p_run)
-    p_run.add_argument("--strategy", default="ata-fmdp",
+    p_run.add_argument("--strategy", default=DEFAULTS.strategy,
                        help="ata-fmdp, fpl, eps-greedy, urs, or static:<config-label>")
-    p_run.add_argument("--reopt-period", type=_parse_reopt_period, default=1,
-                       help="re-plan every N steps, or 'never' (default: 1)")
-    p_run.add_argument("--out", default=None, help="directory for CSV/JSON outputs")
-    p_run.add_argument("--beta", type=float, default=2.0, help="count decay (default: 2)")
-    p_run.add_argument("--epsilon", type=float, default=0.2)
-    p_run.add_argument("--fpl-explore", type=float, default=0.007)
-    p_run.add_argument("--fpl-rate", type=float, default=0.1)
-    p_run.add_argument("--fpl-lmax", type=int, default=1000)
+    p_run.add_argument("--reopt-period", type=_parse_reopt_period, default=DEFAULTS.reopt_period,
+                       help="re-plan every N steps, or 'never' (default: %(default)s)")
+    p_run.add_argument("--out", default=DEFAULTS.out_dir, help="directory for CSV/JSON outputs")
+    p_run.add_argument("--beta", type=float, default=DEFAULTS.beta,
+                       help="count decay (default: %(default)s)")
+    p_run.add_argument("--epsilon", type=float, default=DEFAULTS.epsilon)
+    p_run.add_argument("--fpl-explore", type=float, default=DEFAULTS.fpl_explore)
+    p_run.add_argument("--fpl-rate", type=float, default=DEFAULTS.fpl_rate)
+    p_run.add_argument("--fpl-lmax", type=int, default=DEFAULTS.fpl_lmax)
     p_run.set_defaults(func=cmd_run)
 
     p_hind = sub.add_parser("hindsight", help="average reward of every static configuration")
@@ -235,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the property-check suite")
     p_verify.add_argument("--seed", type=int, default=10)
-    p_verify.add_argument("--samples", type=int, default=10_000,
+    p_verify.add_argument("--samples", type=int, default=CHECK_SAMPLES,
                           help="estimator Monte-Carlo samples")
-    p_verify.add_argument("--perturbations", type=int, default=100,
+    p_verify.add_argument("--perturbations", type=int, default=CHECK_PERTURBATIONS,
                           help="posterior perturbations for the value-loss bound")
-    p_verify.add_argument("--runs", type=int, default=400,
+    p_verify.add_argument("--runs", type=int, default=CHECK_RUNS,
                           help="runs per horizon for the linear-regret fit")
     p_verify.set_defaults(func=cmd_verify)
 

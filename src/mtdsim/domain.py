@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -90,15 +91,6 @@ class ConfigSpace:
 
     def labels(self) -> list[str]:
         return [LABEL_SEP.join(c) for c in self.configs]
-
-
-def next_state(space: ConfigSpace, state: int, action: int) -> int:
-    """Deterministic transition: the action names the successor configuration."""
-    if not 0 <= state < space.n_configs:
-        raise DomainError(f"state index {state} out of range")
-    if not 0 <= action < space.n_configs:
-        raise DomainError(f"action index {action} out of range")
-    return action
 
 
 @dataclass(frozen=True)
@@ -265,48 +257,8 @@ def attacker_types_from_cvss_csv(space: ConfigSpace, path: str) -> list[Attacker
 # ---------------------------------------------------------------------------
 
 
-def _as_posterior(domain: DomainInfo, posterior: np.ndarray) -> np.ndarray:
-    p = np.asarray(posterior, dtype=float)
-    if p.shape != (domain.n_types,):
-        raise DomainError(f"posterior must have one entry per type ({domain.n_types})")
-    return p
-
-
-def attack_loss_given_success(
-    domain: DomainInfo, posterior: np.ndarray, state: int, action: int
-) -> float:
-    """Expected loss conditioned on the attack succeeding.
-
-    al(s, a, phi=1) = sum_t P(t|s,a) mu(t, a) l(t, a) / sum_t P(t|s,a) mu(t, a);
-    0 when no believed type can succeed against the target configuration.
-    """
-    p = _as_posterior(domain, posterior)
-    target = next_state(domain.space, state, action)
-    num = float(np.sum(p * domain.mu_table[:, target] * domain.loss_table[:, target]))
-    den = float(np.sum(p * domain.mu_table[:, target]))
-    return num / den if den > 0.0 else 0.0
-
-
-def expected_attack_loss(
-    domain: DomainInfo, posterior: np.ndarray, state: int, action: int
-) -> float:
-    """Unconditional expected loss: al(s, a) = sum_t P(t|s,a) mu(t, a) l(t, a)."""
-    p = _as_posterior(domain, posterior)
-    target = next_state(domain.space, state, action)
-    return float(np.sum(p * domain.mu_table[:, target] * domain.loss_table[:, target]))
-
-
-def expected_reward(domain: DomainInfo, posterior: np.ndarray, state: int, action: int) -> float:
-    """R(s, a) = M - al(s, a) - alpha * sc(s, a)."""
-    return float(
-        domain.M
-        - expected_attack_loss(domain, posterior, state, action)
-        - domain.alpha * domain.sc[state, action]
-    )
-
-
 def expected_attack_loss_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
-    """Vectorized al(s, a) for a full (n_types, S, A) belief table."""
+    """al(s, a) = sum_t P(t|s,a) mu(t, a) l(t, a) for a full (n_types, S, A) belief table."""
     p = np.asarray(posterior_table, dtype=float)
     n, s = domain.n_types, domain.n_configs
     if p.shape != (n, s, s):
@@ -317,12 +269,14 @@ def expected_attack_loss_table(domain: DomainInfo, posterior_table: np.ndarray) 
 
 
 def expected_reward_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
-    """Vectorized R(s, a) table."""
+    """R(s, a) = M - al(s, a) - alpha * sc(s, a): the one reward model."""
     return domain.M - expected_attack_loss_table(domain, posterior_table) - domain.alpha * domain.sc
 
 
+# No caller in the package; kept for the benchmark's tracer, which wraps
+# alp.success_prob_table (bench/tracing.py).
 def success_prob_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
-    """Vectorized attack success probability sum_t P(t|s,a) mu(t, a), clamped to [0,1]."""
+    """Attack success probability sum_t P(t|s,a) mu(t, a), clamped to [0, 1]."""
     p = np.asarray(posterior_table, dtype=float)
     return np.clip(np.einsum("tsa,ta->sa", p, domain.mu_table), 0.0, 1.0)
 
@@ -354,8 +308,21 @@ def domain_to_dict(domain: DomainInfo) -> dict:
     }
 
 
-def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
+@contextmanager
+def json_errors(what: str):
+    """Raise what reading a malformed ``what`` throws (missing key, wrong type) as DomainError."""
     try:
+        yield
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"{what} missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {what}: {exc}") from None
+
+
+def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
+    with json_errors("domain JSON"):
         factors = tuple(
             FactorSpec(f["name"], tuple(f["values"])) for f in data["factors"]
         )
@@ -377,8 +344,6 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
                     raise DomainError(f"switching_cost missing pair ({s_lab!r}, {a_lab!r})")
                 sc[i, j] = float(sc_map[s_lab][a_lab])
         return DomainInfo(space, types, sc, float(data["M"]), float(data["gamma"]), alpha)
-    except KeyError as exc:
-        raise DomainError(f"domain JSON missing field {exc}") from None
 
 
 def save_domain(domain: DomainInfo, path: str) -> None:
@@ -388,5 +353,6 @@ def save_domain(domain: DomainInfo, path: str) -> None:
 
 
 def load_domain(path: str, alpha: float = 1.0) -> DomainInfo:
-    with open(path, encoding="utf-8") as fh:
-        return domain_from_dict(json.load(fh), alpha=alpha)
+    with open(path, encoding="utf-8") as fh, json_errors("domain JSON"):
+        data = json.load(fh)
+    return domain_from_dict(data, alpha=alpha)

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AttackerTypeSpec, ConfigSpace, DomainError, DomainInfo, FactorSpec
+from .domain import (
+    AttackerTypeSpec,
+    ConfigSpace,
+    DomainError,
+    DomainInfo,
+    FactorSpec,
+    json_errors,
+)
 
 STATIC_DIST = "static_dist"
 MOST_ADVERSE = "most_adverse"
@@ -260,15 +267,13 @@ class Scenario:
 
 
 class AttackerView:
-    """Append-only attacker knowledge: the defender's (state, action) history."""
+    """Attacker knowledge: counts of the defender's past (state, action) pairs."""
 
     def __init__(self, space: ConfigSpace):
         self.space = space
-        self.history: list[tuple[int, int]] = []
         self.counts = np.zeros((space.n_configs, space.n_configs), dtype=int)
 
     def record(self, state: int, action: int) -> None:
-        self.history.append((state, action))
         self.counts[state, action] += 1
 
     def policy_estimate(self, state: int) -> np.ndarray:
@@ -338,7 +343,6 @@ class MTDEnvironment:
         self.state = start_state
         self.t = 0
         self.view = AttackerView(domain.space)
-        self.records: list[StepRecord] = []
 
     def step(self, action: int, rng: np.random.Generator) -> StepRecord:
         if self.t >= self.scenario.horizon:
@@ -359,19 +363,9 @@ class MTDEnvironment:
             reward=reward,
         )
         self.view.record(s, action)
-        self.records.append(record)
         self.state = target
         self.t += 1
         return record
-
-
-def theorem1_reward(first_state: int, t: int, y: int) -> float:
-    """Adversarial reward family with provably linear policy regret.
-
-    The whole trajectory's rewards hinge on the first configuration: once the
-    play starts at ``y``, every later step pays nothing.
-    """
-    return 0.0 if (first_state == y and t > 1) else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +445,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
-    try:
+    with json_errors("scenario JSON"):
         phases = tuple(
             ScenarioPhase(
                 int(p["start"]),
@@ -469,14 +463,13 @@ def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
             sc_multiplier=float(data.get("sc_multiplier", 1.0)),
             domain_variant=data.get("domain_variant"),
         )
-    except KeyError as exc:
-        raise DomainError(f"scenario JSON missing field {exc}") from None
 
 
 def load_scenario(path: str) -> Scenario:
     name = os.path.splitext(os.path.basename(path))[0]
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh), name=name)
+    with open(path, encoding="utf-8") as fh, json_errors("scenario JSON"):
+        data = json.load(fh)
+    return scenario_from_dict(data, name=name)
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:

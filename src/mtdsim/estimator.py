@@ -18,15 +18,16 @@ import json
 
 import numpy as np
 
-from .domain import DomainError, DomainInfo
+from .domain import DomainError, DomainInfo, json_errors
 
 COUNT_FLOOR = 1e-12
+DEFAULT_BETA = 2.0
 
 
 class ThreatEstimator:
     """Decayed success counts and the derived attacker-type posterior."""
 
-    def __init__(self, domain: DomainInfo, beta: float = 2.0):
+    def __init__(self, domain: DomainInfo, beta: float = DEFAULT_BETA):
         if not beta >= 1.0:
             raise DomainError("decay factor beta must be >= 1")
         self.domain = domain
@@ -95,10 +96,11 @@ class ThreatEstimator:
 
     @classmethod
     def from_dict(cls, domain: DomainInfo, data: dict) -> "ThreatEstimator":
-        est = cls(domain, beta=float(data["beta"]))
-        if data.get("type_ids") != domain.type_ids():
-            raise DomainError("estimator checkpoint does not match the domain's types")
-        counts = np.asarray(data["counts"], dtype=float)
+        with json_errors("estimator JSON"):
+            est = cls(domain, beta=float(data["beta"]))
+            if data.get("type_ids") != domain.type_ids():
+                raise DomainError("estimator checkpoint does not match the domain's types")
+            counts = np.asarray(data["counts"], dtype=float)
         if counts.shape != est.counts.shape:
             raise DomainError("estimator checkpoint count table has the wrong shape")
         if np.any(counts < 0) or np.any(~np.isfinite(counts)):
@@ -108,18 +110,6 @@ class ThreatEstimator:
 
     @classmethod
     def load(cls, domain: DomainInfo, path: str) -> "ThreatEstimator":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(domain, json.load(fh))
-
-
-def attack_success_prob(domain: DomainInfo, posterior: np.ndarray, state: int, action: int) -> float:
-    """Believed probability that an attack on the pair's target succeeds.
-
-    sum_t P(t|s,a) mu(t, target), clamped to [0, 1]; uses the catalogued
-    (true) rates, including the unknown type's.
-    """
-    p = np.asarray(posterior, dtype=float)
-    if p.shape != (domain.n_types,):
-        raise DomainError(f"posterior must have one entry per type ({domain.n_types})")
-    target = action
-    return float(np.clip(np.sum(p * domain.mu_table[:, target]), 0.0, 1.0))
+        with open(path, encoding="utf-8") as fh, json_errors("estimator JSON"):
+            data = json.load(fh)
+        return cls.from_dict(domain, data)

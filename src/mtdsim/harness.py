@@ -44,7 +44,7 @@ from .environments import (
     make_network_domain,
     make_web_app_domain,
 )
-from .estimator import ThreatEstimator
+from .estimator import DEFAULT_BETA, ThreatEstimator
 from .strategies import (
     DEFAULT_EPSILON,
     DEFAULT_FPL_EXPLORE,
@@ -56,6 +56,10 @@ from .strategies import (
 )
 
 ROLLING_WINDOW = 50
+# Default sizes of the property checks, shared with `mtdsim verify`.
+CHECK_SAMPLES = 10_000
+CHECK_PERTURBATIONS = 100
+CHECK_RUNS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,7 @@ class ExperimentConfig:
     out_dir: str | None = None
     start_state: int = 0
     include_hindsight: bool = True
-    beta: float = 2.0
+    beta: float = DEFAULT_BETA
     epsilon: float = DEFAULT_EPSILON
     fpl_explore: float = DEFAULT_FPL_EXPLORE
     fpl_rate: float = DEFAULT_FPL_RATE
@@ -148,10 +152,19 @@ def _records_rewards(records: list[StepRecord]) -> np.ndarray:
     return np.array([rec.reward for rec in records])
 
 
+def _check_sizes(scenario: Scenario, timesteps: int, iterations: int) -> None:
+    """Reject run sizes that ``scenario`` cannot play."""
+    if iterations < 1:
+        raise DomainError("iterations must be >= 1")
+    if not 1 <= timesteps <= scenario.horizon:
+        raise DomainError(
+            f"timesteps must lie in [1, {scenario.horizon}] (the scenario horizon), "
+            f"got {timesteps}"
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run one strategy across ``iterations`` seeded iterations and summarize."""
-    if config.iterations < 1:
-        raise DomainError("iterations must be >= 1")
     if config.alpha < 0:
         raise DomainError("alpha must be >= 0")
     if not (
@@ -163,12 +176,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         )
     scenario = resolve_scenario(config.scenario)
     timesteps = scenario.horizon if config.timesteps is None else config.timesteps
-    if timesteps < 1:
-        raise DomainError("timesteps must be >= 1")
-    if timesteps > scenario.horizon:
-        raise DomainError(
-            f"timesteps {timesteps} exceeds the scenario horizon {scenario.horizon}"
-        )
+    _check_sizes(scenario, timesteps, config.iterations)
     domain = resolve_domain(config.domain, scenario, config.alpha, config.seed)
 
     iteration_records: list[list[StepRecord]] = []
@@ -225,6 +233,7 @@ def hindsight_bounds(
     start_state: int = 0,
 ) -> tuple[float, float, dict[str, float]]:
     """Average reward of every static configuration under the same seed schedule."""
+    _check_sizes(scenario, timesteps, iterations)
     table: dict[str, float] = {}
     for c in range(domain.n_configs):
         avgs = np.zeros(iterations)
@@ -236,31 +245,6 @@ def hindsight_bounds(
         table[domain.space.label(c)] = float(avgs.mean())
     values = list(table.values())
     return max(values), min(values), table
-
-
-def policy_regret(
-    run_rewards: np.ndarray,
-    static_runs: dict[str, np.ndarray] | list[np.ndarray] | np.ndarray,
-    sc_series: np.ndarray,
-) -> float:
-    """Best constant-sequence total reward minus the algorithm's net total.
-
-    ``run_rewards`` must exclude switching costs; the costs actually incurred
-    go in ``sc_series`` and are subtracted from the algorithm's side only —
-    constant sequences never switch, so the comparator pays none.
-    """
-    if isinstance(static_runs, dict):
-        streams = list(static_runs.values())
-    else:
-        streams = list(static_runs)
-    if not streams:
-        raise DomainError("need at least one constant competitor sequence")
-    run_rewards = np.asarray(run_rewards, dtype=float)
-    sc_series = np.asarray(sc_series, dtype=float)
-    if sc_series.shape != run_rewards.shape:
-        raise DomainError("switching-cost series must align with the reward series")
-    best_static = max(float(np.sum(np.asarray(s, dtype=float))) for s in streams)
-    return best_static - (float(run_rewards.sum()) - float(sc_series.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +398,16 @@ def alp_exactness_check(
     alp = build_alp(domain, posterior_table, basis, uniform_theta(domain.space))
     weights = solve_alp(alp)
     v_alp = value_estimates(alp, weights)
-    policy_alp = extract_policy(domain, weights, posterior_table, basis)
+    policy_alp = extract_policy(domain, weights, posterior_table, alp.activations)
     v_vi, policy_vi = value_iteration(domain, posterior_table, tol=1e-10)
     max_err = float(np.max(np.abs(v_alp - v_vi)))
     policies_match = bool(np.array_equal(policy_alp, policy_vi))
     return max_err, policies_match, max_err <= tol and policies_match
 
 
-def cold_posterior_table(domain: DomainInfo, beta: float = 2.0) -> np.ndarray:
+def cold_posterior_table(domain: DomainInfo) -> np.ndarray:
     """The zero-observation posterior (uniform over capable types)."""
-    return ThreatEstimator(domain, beta=beta).posterior_table()
+    return ThreatEstimator(domain).posterior_table()
 
 
 def random_posterior_table(domain: DomainInfo, rng: np.random.Generator) -> np.ndarray:
@@ -443,6 +427,91 @@ def perturb_posterior_table(
         noisy = np.where(zero, 1.0, noisy)
         totals = noisy.sum(axis=0, keepdims=True)
     return noisy / totals
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """A property check's verdict and the measured numbers behind it."""
+
+    name: str
+    ok: bool
+    detail: str
+
+    def line(self) -> str:
+        return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
+
+
+def check_alp_vs_value_iteration(seed: int = 10) -> CheckResult:
+    """The exact-basis planner reproduces value iteration on the web domain.
+
+    Posteriors: the cold one plus three random ones drawn from ``seed``.
+    """
+    web = make_web_app_domain(alpha=1.0)
+    rng = np.random.default_rng(seed)
+    posteriors = [cold_posterior_table(web)] + [
+        random_posterior_table(web, rng) for _ in range(3)
+    ]
+    results = [alp_exactness_check(web, table) for table in posteriors]
+    worst = max(err for err, _, _ in results)
+    all_match = all(match for _, match, _ in results)
+    return CheckResult(
+        "alp-vs-value-iteration",
+        all(ok for _, _, ok in results),
+        f"max value error {worst:.2e} (tol 1e-5) over {len(posteriors)} posteriors, "
+        f"policies {'match' if all_match else 'differ'}",
+    )
+
+
+def check_estimator_recovery(seed: int = 10, samples: int = CHECK_SAMPLES) -> CheckResult:
+    """The undecayed estimator recovers a two-type attack distribution."""
+    err, ok = estimator_unbiasedness_check(
+        np.array([0.6, 0.4]), np.array([0.5, 1.0]), samples=samples, beta=1.0,
+        rng=np.random.default_rng(seed),
+    )
+    return CheckResult(
+        "estimator-unbiasedness",
+        ok,
+        f"max componentwise error {err:.4f} at {samples} samples, beta=1 (tol 0.05)",
+    )
+
+
+def check_value_loss_bound(
+    seed: int = 10, perturbations: int = CHECK_PERTURBATIONS
+) -> CheckResult:
+    """Planning under a perturbed posterior loses at most 2*eps/(1-gamma).
+
+    Even perturbations start from the cold posterior, odd ones from a random
+    posterior; both draw from ``seed``.
+    """
+    web = make_web_app_domain(alpha=1.0)
+    rng = np.random.default_rng(seed)
+    base = cold_posterior_table(web)
+    worst_ratio, all_ok = 0.0, True
+    for k in range(perturbations):
+        true_table = base if k % 2 == 0 else random_posterior_table(web, rng)
+        est_table = perturb_posterior_table(true_table, rng)
+        gap, bound, ok = avg_regret_bound_check(web, true_table, est_table)
+        all_ok = all_ok and ok
+        worst_ratio = max(worst_ratio, gap / bound)
+    return CheckResult(
+        "value-loss-bound",
+        all_ok,
+        f"max gap/bound ratio {worst_ratio:.3f} over {perturbations} perturbations "
+        f"(gamma={web.gamma})",
+    )
+
+
+def check_linear_regret(seed: int = 10, runs: int = CHECK_RUNS) -> CheckResult:
+    """Policy regret against the punishing adversary grows linearly, slope p."""
+    fit = theorem1_regret_experiment(n_runs=runs, seed=seed)
+    ok = fit.r_squared >= 0.99 and fit.slope_relative_error <= 0.2
+    return CheckResult(
+        "linear-regret-adversary",
+        ok,
+        f"slope {fit.slope:.4f} vs p={fit.first_action_prob} "
+        f"(rel err {fit.slope_relative_error:.1%}, tol 20%), "
+        f"R^2 {fit.r_squared:.5f} (need 0.99) over T={fit.horizons}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,6 @@ class LPProblem:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
-    def debug_dump(self) -> str:
-        """Plain-text rendering of the program, for eyeballing."""
-        lines = ["min " + " + ".join(f"{v:g}*x{i}" for i, v in enumerate(self.c))]
-        for row, b in zip(self.rows, self.bounds):
-            terms = " + ".join(f"{v:g}*x{i}" for i, v in enumerate(row) if v != 0) or "0"
-            lines.append(f"  {terms} <= {b:g}")
-        for i, (lo, up) in enumerate(zip(self.lower, self.upper)):
-            if np.isfinite(lo) or np.isfinite(up):
-                lines.append(f"  {lo:g} <= x{i} <= {up:g}")
-        return "\n".join(lines)
-
 
 @dataclass
 class LPSolution:

@@ -13,12 +13,15 @@ import numpy as np
 from .alp import ALProblem, BasisSet, build_alp, build_basis, extract_policy, solve_alp
 from .domain import DomainError, DomainInfo
 from .environments import MTDEnvironment, StepRecord
-from .estimator import ThreatEstimator
+from .estimator import DEFAULT_BETA, ThreatEstimator
 
 DEFAULT_EPSILON = 0.2
 DEFAULT_FPL_EXPLORE = 0.007
 DEFAULT_FPL_RATE = 0.1
 DEFAULT_FPL_LMAX = 1000
+# Perturbation rows drawn per geometric-resampling round; it sets the RNG draw
+# pattern, so changing it changes every fpl run.
+RESAMPLE_CHUNK = 32
 
 
 def ata_fmdp_run(
@@ -27,7 +30,7 @@ def ata_fmdp_run(
     T: int,
     rng: np.random.Generator,
     reopt_period: int | None = 1,
-    beta: float = 2.0,
+    beta: float = DEFAULT_BETA,
     basis: BasisSet | None = None,
     theta: np.ndarray | None = None,
 ) -> list[StepRecord]:
@@ -51,7 +54,7 @@ def ata_fmdp_run(
             posterior = estimator.posterior_table()
             problem = build_alp(domain, posterior, basis, theta, previous=problem)
             weights = solve_alp(problem)
-            policy = extract_policy(domain, weights, posterior, activations=problem.activations)
+            policy = extract_policy(domain, weights, posterior, problem.activations)
         state = env.state
         action = int(policy[state])
         record = env.step(action, rng)
@@ -105,7 +108,6 @@ class FplMtdStrategy:
         explore_prob: float = DEFAULT_FPL_EXPLORE,
         perturb_rate: float = DEFAULT_FPL_RATE,
         l_max: int = DEFAULT_FPL_LMAX,
-        resample_chunk: int = 32,
     ):
         if not 0.0 <= explore_prob <= 1.0:
             raise DomainError("exploration probability must lie in [0, 1]")
@@ -114,7 +116,6 @@ class FplMtdStrategy:
         self.explore_prob = explore_prob
         self.perturb_rate = perturb_rate
         self.l_max = l_max
-        self.resample_chunk = resample_chunk
         self.cumulative = np.zeros(domain.n_configs)
 
     def _leader(self, z: np.ndarray) -> int:
@@ -131,7 +132,7 @@ class FplMtdStrategy:
         n = self.cumulative.shape[0]
         trials = 0
         while trials < self.l_max:
-            chunk = min(self.resample_chunk, self.l_max - trials)
+            chunk = min(RESAMPLE_CHUNK, self.l_max - trials)
             z = rng.exponential(scale=1.0 / self.perturb_rate, size=(chunk, n))
             winners = np.argmax(self.cumulative[None, :] + z, axis=1)
             hits = np.nonzero(winners == action)[0]
@@ -148,11 +149,6 @@ class FplMtdStrategy:
 def urs_select(n_actions: int, rng: np.random.Generator) -> int:
     """Uniform random switching."""
     return int(rng.integers(n_actions))
-
-
-def static_select(config_index: int) -> int:
-    """Always deploy the same configuration."""
-    return config_index
 
 
 def run_eps_greedy(
@@ -200,7 +196,7 @@ def run_urs(
 def run_static(
     domain: DomainInfo, env: MTDEnvironment, T: int, rng: np.random.Generator, config_index: int
 ) -> list[StepRecord]:
-    return [env.step(static_select(config_index), rng) for _ in range(T)]
+    return [env.step(config_index, rng) for _ in range(T)]
 
 
 STRATEGY_NAMES = ("ata-fmdp", "fpl", "eps-greedy", "urs")
@@ -213,7 +209,7 @@ def run_strategy(
     T: int,
     rng: np.random.Generator,
     reopt_period: int | None = 1,
-    beta: float = 2.0,
+    beta: float = DEFAULT_BETA,
     epsilon: float = DEFAULT_EPSILON,
     fpl_explore: float = DEFAULT_FPL_EXPLORE,
     fpl_rate: float = DEFAULT_FPL_RATE,

@@ -6,24 +6,22 @@ not every criterion holds on this build.
 
 Reward-comparison criteria (1-5) use 10 iterations x 1000 steps with the
 default hyperparameters (seed 10, beta 2, reopt every step); property criteria
-(6-10) are exact oracle checks; criterion 11 is byte-level reproducibility.
+(6-10) are exact oracle checks, and 6, 8, 9 and 10 are the ``harness.check_*``
+definitions that ``mtdsim verify`` also runs; criterion 11 is byte-level
+reproducibility.
 """
 
 import time
 
 import numpy as np
 
-from mtdsim.environments import make_web_app_domain
 from mtdsim.harness import (
     ExperimentConfig,
-    alp_exactness_check,
-    avg_regret_bound_check,
-    cold_posterior_table,
-    estimator_unbiasedness_check,
-    perturb_posterior_table,
-    random_posterior_table,
+    check_alp_vs_value_iteration,
+    check_estimator_recovery,
+    check_linear_regret,
+    check_value_loss_bound,
     run_experiment,
-    theorem1_regret_experiment,
 )
 
 from oracles import compare_simplex_to_vertices
@@ -163,26 +161,11 @@ def test_criterion_05_tripled_switching_costs_separate_urs():
 
 
 def test_criterion_06_alp_matches_value_iteration():
-    web = make_web_app_domain(alpha=1.0)
-    rng = np.random.default_rng(10)
-    posteriors = [cold_posterior_table(web)] + [
-        random_posterior_table(web, rng) for _ in range(3)
-    ]
     start = time.perf_counter()
-    worst = 0.0
-    all_match = True
-    for table in posteriors:
-        err, match, _ = alp_exactness_check(web, table, tol=1e-5)
-        worst = max(worst, err)
-        all_match = all_match and match
+    check = check_alp_vs_value_iteration()
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-5 and all_match and elapsed < 1.0
-    detail = (
-        f"max per-state error {worst:.2e} (need 1e-5), policies "
-        f"{'match' if all_match else 'DIFFER'}, {elapsed*1e3:.0f} ms for "
-        f"{len(posteriors)} posteriors (need <1s)"
-    )
-    assert _line(ok, "criterion-06 exact-basis planner", detail)
+    detail = f"{check.detail}, {elapsed*1e3:.0f} ms (need <1s)"
+    assert _line(check.ok and elapsed < 1.0, "criterion-06 exact-basis planner", detail)
 
 
 def test_criterion_07_simplex_agrees_with_vertex_enumeration():
@@ -195,39 +178,18 @@ def test_criterion_07_simplex_agrees_with_vertex_enumeration():
 
 
 def test_criterion_08_estimator_recovers_attack_distribution():
-    err, ok = estimator_unbiasedness_check(
-        np.array([0.6, 0.4]), np.array([0.5, 1.0]), samples=10_000, beta=1.0
-    )
-    detail = f"max componentwise error {err:.4f} at 10000 samples, beta=1 (need 0.05)"
-    assert _line(ok, "criterion-08 estimator recovery", detail)
+    check = check_estimator_recovery()
+    assert _line(check.ok, "criterion-08 estimator recovery", check.detail)
 
 
 def test_criterion_09_value_loss_within_reward_gap_bound():
-    web = make_web_app_domain(alpha=1.0)
-    rng = np.random.default_rng(10)
-    base = cold_posterior_table(web)
-    worst_ratio = 0.0
-    all_ok = True
-    for k in range(100):
-        true_table = base if k % 2 == 0 else random_posterior_table(web, rng)
-        est_table = perturb_posterior_table(true_table, rng)
-        gap, bound, ok = avg_regret_bound_check(web, true_table, est_table)
-        all_ok = all_ok and ok
-        if bound > 0:
-            worst_ratio = max(worst_ratio, gap / bound)
-    detail = f"max gap/bound ratio {worst_ratio:.3f} over 100 perturbations (gamma=0.9)"
-    assert _line(all_ok, "criterion-09 value-loss bound", detail)
+    check = check_value_loss_bound()
+    assert _line(check.ok, "criterion-09 value-loss bound", check.detail)
 
 
 def test_criterion_10_policy_regret_grows_linearly():
-    fit = theorem1_regret_experiment()
-    ok = fit.r_squared >= 0.99 and fit.slope_relative_error <= 0.20
-    detail = (
-        f"slope {fit.slope:.4f} vs p={fit.first_action_prob} "
-        f"(rel err {fit.slope_relative_error:.1%}, need 20%), "
-        f"R^2 {fit.r_squared:.5f} (need 0.99) over T={fit.horizons}"
-    )
-    assert _line(ok, "criterion-10 linear policy regret", detail)
+    check = check_linear_regret()
+    assert _line(check.ok, "criterion-10 linear policy regret", check.detail)
 
 
 def test_criterion_11_identical_configs_are_byte_identical(tmp_path):

@@ -17,11 +17,9 @@ from mtdsim.alp import (
     BasisSet,
     activation_matrix,
     alp_to_dict,
-    backprojection,
     build_alp,
     build_basis,
     build_state_basis,
-    dump_alp_json,
     exact_value,
     extract_policy,
     greedy_actions,
@@ -30,6 +28,7 @@ from mtdsim.alp import (
     value_estimates,
     value_iteration,
 )
+from mtdsim.cli import main
 from mtdsim.domain import (
     AttackerTypeSpec,
     ConfigSpace,
@@ -133,17 +132,6 @@ def test_state_basis_activation_matrix_is_identity_plus_bias():
     np.testing.assert_array_equal(B[:, 1:], np.eye(4))
 
 
-def test_backprojection_evaluates_basis_at_the_action_config():
-    web = make_web_app_domain()
-    fn = BasisFunction((0,), ("Python",))
-    assert backprojection(fn, web.space, state=0, action=2) == 1.0
-    assert backprojection(fn, web.space, state=0, action=1) == 0.0
-    with pytest.raises(DomainError):
-        backprojection(fn, web.space, state=-1, action=0)
-    with pytest.raises(DomainError):
-        backprojection(fn, web.space, state=0, action=4)
-
-
 # ---------------------------------------------------------------------------
 # constraint assembly
 # ---------------------------------------------------------------------------
@@ -231,7 +219,7 @@ def test_state_basis_reproduces_value_iteration():
         w = solve_alp(alp)
         V_star, pi_star = value_iteration(web, posterior)
         np.testing.assert_allclose(value_estimates(alp, w), V_star, atol=1e-6)
-        np.testing.assert_array_equal(extract_policy(web, w, posterior, basis=basis), pi_star)
+        np.testing.assert_array_equal(extract_policy(web, w, posterior, alp.activations), pi_star)
 
 
 def test_approximate_values_upper_bound_the_optimum():
@@ -306,7 +294,7 @@ def test_policy_flees_to_the_resistant_config_under_unknown_pressure():
     post[2] = 1.0
     alp = build_alp(web, post)
     w = solve_alp(alp)
-    np.testing.assert_array_equal(extract_policy(web, w, post), [3, 3, 3, 3])
+    np.testing.assert_array_equal(extract_policy(web, w, post, alp.activations), [3, 3, 3, 3])
     _, pi_star = value_iteration(web, post)
     np.testing.assert_array_equal(pi_star, [3, 3, 3, 3])
 
@@ -314,7 +302,8 @@ def test_policy_flees_to_the_resistant_config_under_unknown_pressure():
 def test_policy_ties_break_to_the_lowest_action_index():
     dom = no_attack_domain(3, gamma=0.9, M=10.0)
     post = ones_posterior(dom)
-    policy = extract_policy(dom, np.zeros(len(build_basis(dom.space))), post)
+    B = activation_matrix(build_basis(dom.space), dom.space)
+    policy = extract_policy(dom, np.zeros(B.shape[1]), post, B)
     np.testing.assert_array_equal(policy, [0, 0, 0])
 
 
@@ -326,7 +315,7 @@ def test_gamma_zero_policy_is_myopic_reward_argmax():
     alp = build_alp(myopic, posterior)
     w = solve_alp(alp)
     expected = np.argmax(expected_reward_table(myopic, posterior), axis=1)
-    np.testing.assert_array_equal(extract_policy(myopic, w, posterior), expected)
+    np.testing.assert_array_equal(extract_policy(myopic, w, posterior, alp.activations), expected)
 
 
 def test_exact_value_of_self_loop_policy_is_reward_over_one_minus_gamma():
@@ -381,11 +370,11 @@ def test_value_iteration_fixed_point_satisfies_bellman_equation():
 # ---------------------------------------------------------------------------
 
 
-def test_alp_dict_round_trips_rows_and_labels(tmp_path):
+def test_alp_dict_round_trips_rows_and_labels(tmp_path, capsys):
     web = make_web_app_domain(alpha=1.0)
     alp = build_alp(web, cold_posterior_table(web))
     path = tmp_path / "program.json"
-    dump_alp_json(alp, str(path))
+    assert main(["dump-lp", "--out", str(path)]) == 0
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"objective", "basis", "theta", "rows"}
     assert data["basis"][0] == "bias"
@@ -479,8 +468,8 @@ def test_warm_replan_matches_a_cold_replan(name):
             value_estimates(warm, w_warm), value_estimates(cold, w_cold), rtol=0, atol=1e-9
         )
         np.testing.assert_array_equal(
-            extract_policy(domain, w_warm, posterior, activations=warm.activations),
-            extract_policy(domain, w_cold, posterior),
+            extract_policy(domain, w_warm, posterior, warm.activations),
+            extract_policy(domain, w_cold, posterior, cold.activations),
         )
         previous = warm
     assert warm_hits > 0

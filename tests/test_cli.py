@@ -6,6 +6,7 @@ mtdsim`` where the package is importable but not installed.
 """
 
 import argparse
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -14,9 +15,11 @@ import sys
 import numpy as np
 import pytest
 
-from mtdsim.cli import _parse_reopt_period, main
-from mtdsim.environments import make_web_app_domain
+from mtdsim.cli import _parse_reopt_period, build_parser, main
+from mtdsim.domain import domain_to_dict
+from mtdsim.environments import builtin_scenario, make_web_app_domain, scenario_to_dict
 from mtdsim.estimator import ThreatEstimator
+from mtdsim.harness import ExperimentConfig
 
 
 def test_reopt_period_parsing():
@@ -156,6 +159,53 @@ def test_unknown_domain_exits_with_a_domain_error(capsys):
     code = main(["hindsight", "--domain", "mainframe"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_parser_defaults_are_the_experiment_config_defaults():
+    args = vars(build_parser().parse_args(["run"]))
+    args["out_dir"] = args.pop("out")
+    config = dataclasses.asdict(ExperimentConfig())
+    shared = sorted(set(args) & set(config) - {"start_state"})  # a label vs an index
+    assert len(shared) == 14
+    assert {k: args[k] for k in shared} == {k: config[k] for k in shared}
+
+
+def _malformed_inputs():
+    scenario = scenario_to_dict(builtin_scenario("web-evolving"))
+    domain = domain_to_dict(make_web_app_domain())
+    estimator = ThreatEstimator(make_web_app_domain()).to_dict()
+    no_beta = {k: v for k, v in estimator.items() if k != "beta"}
+    no_counts = {k: v for k, v in estimator.items() if k != "counts"}
+    bad_phase = {"start": 0, "end": scenario["T"], "dist": 5}
+    return {
+        "scenario-T-not-a-number": ("run", "--scenario", {**scenario, "T": "abc"}),
+        "scenario-not-json": ("run", "--scenario", "{not json"),
+        "scenario-dist-not-a-map": ("run", "--scenario", {**scenario, "phases": [bad_phase]}),
+        "domain-M-not-a-number": ("run", "--domain", {**domain, "M": "abc"}),
+        "domain-factors-not-a-list": ("run", "--domain", {**domain, "factors": 5}),
+        "estimator-without-beta": ("dump-lp", "--estimator", no_beta),
+        "estimator-without-counts": ("dump-lp", "--estimator", no_counts),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_inputs()))
+def test_malformed_json_input_exits_with_a_domain_error(case, tmp_path, capsys):
+    command, option, content = _malformed_inputs()[case]
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main([command, option, str(path), "--timesteps", "1", "--iterations", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "sizes", [("--iterations", "0"), ("--timesteps", "0"), ("--timesteps", "1001")]
+)
+def test_hindsight_rejects_sizes_that_run_rejects(sizes, capsys):
+    assert main(["run", "--strategy", "urs", *sizes]) == 2
+    run_error = capsys.readouterr().err
+    assert main(["hindsight", *sizes]) == 2
+    assert capsys.readouterr().err == run_error
 
 
 def test_bad_reopt_period_is_an_argparse_error():

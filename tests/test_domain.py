@@ -12,17 +12,13 @@ from mtdsim.domain import (
     DomainError,
     DomainInfo,
     FactorSpec,
-    attack_loss_given_success,
     attacker_types_from_cvss_csv,
     cvss_to_params,
     domain_from_dict,
     domain_to_dict,
-    expected_attack_loss,
     expected_attack_loss_table,
-    expected_reward,
     expected_reward_table,
     load_domain,
-    next_state,
     save_domain,
     success_prob_table,
 )
@@ -101,20 +97,10 @@ def test_space_validation():
         FactorSpec("x", ("a", "a"))
 
 
-def test_next_state_is_the_action(space):
-    for s in range(4):
-        for a in range(4):
-            assert next_state(space, s, a) == a
-    with pytest.raises(DomainError):
-        next_state(space, 4, 0)
-    with pytest.raises(DomainError):
-        next_state(space, 0, -1)
-
-
 def test_singleton_space():
     sp = ConfigSpace((FactorSpec("only", ("v",)),))
     assert sp.n_configs == 1
-    assert next_state(sp, 0, 0) == 0
+    assert sp.labels() == ["v"]
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +210,36 @@ def test_cvss_csv_rejects_bad_input(space, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def belief(domain, posterior):
+    """The (n_types, S, A) table holding ``posterior`` at every (state, action) cell."""
+    shape = (domain.n_types, domain.n_configs, domain.n_configs)
+    return np.broadcast_to(np.asarray(posterior, dtype=float)[:, None, None], shape)
+
+
 def test_expected_attack_loss_known_values(web):
-    dh_only = np.array([0.0, 1.0, 0.0])
+    dh_only = expected_attack_loss_table(web, belief(web, [0.0, 1.0, 0.0]))
     # target PHP|MySQL: 0.7 * 43
-    assert expected_attack_loss(web, dh_only, 0, 0) == pytest.approx(30.1)
-    half = np.array([0.5, 0.5, 0.0])
+    assert dh_only[0, 0] == pytest.approx(30.1)
+    half = expected_attack_loss_table(web, belief(web, [0.5, 0.5, 0.0]))
     # 0.5*0.32*61 + 0.5*0.7*43 = 24.81 against PHP|MySQL
-    assert expected_attack_loss(web, half, 3, 0) == pytest.approx(24.81)
-    unk_only = np.array([0.0, 0.0, 1.0])
+    assert half[3, 0] == pytest.approx(24.81)
+    unk_only = expected_attack_loss_table(web, belief(web, [0.0, 0.0, 1.0]))
     # unknown cannot touch Python|Postgres
-    assert expected_attack_loss(web, unk_only, 0, 3) == 0.0
-
-
-def test_attack_loss_given_success_conditions_on_success(web):
-    dh_only = np.array([0.0, 1.0, 0.0])
-    assert attack_loss_given_success(web, dh_only, 0, 0) == pytest.approx(43.0)
-    half = np.array([0.5, 0.5, 0.0])
-    assert attack_loss_given_success(web, half, 0, 0) == pytest.approx(24.81 / 0.51)
-    nobody = np.array([0.0, 0.0, 1.0])
-    assert attack_loss_given_success(web, nobody, 0, 3) == 0.0  # no capable mass
+    assert unk_only[0, 3] == 0.0
 
 
 def test_expected_reward_subtracts_loss_and_weighted_cost(web):
-    dh_only = np.array([0.0, 1.0, 0.0])
+    dh_only = belief(web, [0.0, 1.0, 0.0])
     # s=PHP|MySQL, a=Python|MySQL: 200 - 0.7*43 - 1.0*20
-    assert expected_reward(web, dh_only, 0, 2) == pytest.approx(149.9)
+    assert expected_reward_table(web, dh_only)[0, 2] == pytest.approx(149.9)
     free = make_web_app_domain(alpha=0.0)
-    assert expected_reward(free, dh_only, 0, 2) == pytest.approx(169.9)
+    assert expected_reward_table(free, dh_only)[0, 2] == pytest.approx(169.9)
 
 
-def test_expected_reward_monotone_in_alpha():
-    dh_only = np.array([0.0, 1.0, 0.0])
+def test_expected_reward_monotone_in_alpha(web):
+    dh_only = belief(web, [0.0, 1.0, 0.0])
     rewards = [
-        expected_reward(make_web_app_domain(alpha=a), dh_only, 0, 3)
+        expected_reward_table(make_web_app_domain(alpha=a), dh_only)[0, 3]
         for a in (0.0, 0.5, 1.0)
     ]
     assert rewards[0] > rewards[1] > rewards[2]
@@ -273,16 +256,18 @@ def test_tables_match_scalar_helpers(web):
     for s in range(4):
         for a in range(4):
             post = table[:, s, a]
-            assert al[s, a] == pytest.approx(expected_attack_loss(web, post, s, a))
-            assert rw[s, a] == pytest.approx(expected_reward(web, post, s, a))
+            loss = float(np.sum(post * web.mu_table[:, a] * web.loss_table[:, a]))
+            assert al[s, a] == pytest.approx(loss)
+            assert rw[s, a] == pytest.approx(web.M - loss - web.alpha * web.sc[s, a])
             assert pr[s, a] == pytest.approx(float(np.sum(post * web.mu_table[:, a])))
-    with pytest.raises(DomainError):
-        expected_attack_loss_table(web, table[:2])
 
 
 def test_posterior_shape_is_checked(web):
+    table = belief(web, [1.0, 0.0, 0.0])
     with pytest.raises(DomainError):
-        expected_attack_loss(web, np.array([1.0, 0.0]), 0, 0)
+        expected_attack_loss_table(web, table[:2])
+    with pytest.raises(DomainError):
+        expected_reward_table(web, table[:, :2])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from mtdsim.domain import AttackerTypeSpec, ConfigSpace, DomainError, DomainInfo, FactorSpec
+from mtdsim.domain import (
+    AttackerTypeSpec,
+    ConfigSpace,
+    DomainError,
+    DomainInfo,
+    FactorSpec,
+    success_prob_table,
+)
 from mtdsim.environments import make_web_app_domain
-from mtdsim.estimator import COUNT_FLOOR, ThreatEstimator, attack_success_prob
+from mtdsim.estimator import COUNT_FLOOR, ThreatEstimator
 
 
 def one_cell_domain():
@@ -126,12 +133,12 @@ def test_web_cold_posterior_counts_unknown_everywhere():
 
 def test_attack_success_prob_uses_catalogued_rates():
     web = make_web_app_domain()
-    dh_only = np.array([0.0, 1.0, 0.0])
-    assert attack_success_prob(web, dh_only, 3, 0) == pytest.approx(0.7)
-    heavy = np.array([0.0, 0.0, 2.0])  # badly scaled belief still clamps
-    assert attack_success_prob(web, heavy, 0, 1) == 1.0
-    with pytest.raises(DomainError):
-        attack_success_prob(web, np.array([1.0]), 0, 0)
+    dh_only = np.zeros((3, 4, 4))
+    dh_only[1] = 1.0
+    assert success_prob_table(web, dh_only)[3, 0] == pytest.approx(0.7)
+    heavy = np.zeros((3, 4, 4))
+    heavy[2] = 2.0  # badly scaled belief still clamps
+    assert success_prob_table(web, heavy)[0, 1] == 1.0
 
 
 def test_serialization_round_trip(tmp_path):

@@ -36,7 +36,6 @@ from mtdsim.harness import (
     estimator_unbiasedness_check,
     hindsight_bounds,
     perturb_posterior_table,
-    policy_regret,
     random_posterior_table,
     resolve_domain,
     resolve_scenario,
@@ -171,26 +170,6 @@ def test_hindsight_identifies_the_resistant_config_as_best():
     assert best == table["Python|Postgres"]
     assert worst == min(table.values())
     assert best >= worst
-
-
-def test_policy_regret_matches_a_hand_computed_case():
-    run_rewards = np.array([5.0, 7.0, 9.0])
-    sc_series = np.array([1.0, 0.0, 2.0])
-    statics = {
-        "a": np.array([6.0, 6.0, 6.0]),  # total 18
-        "b": np.array([1.0, 1.0, 20.0]),  # total 22 <- best
-    }
-    # Net algorithm total: 21 - 3 = 18; regret 22 - 18 = 4.
-    assert policy_regret(run_rewards, statics, sc_series) == pytest.approx(4.0)
-    # List-of-arrays competitors work the same way.
-    assert policy_regret(run_rewards, list(statics.values()), sc_series) == pytest.approx(4.0)
-
-
-def test_policy_regret_validation():
-    with pytest.raises(DomainError):
-        policy_regret(np.ones(3), {}, np.zeros(3))
-    with pytest.raises(DomainError):
-        policy_regret(np.ones(3), {"a": np.ones(3)}, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

@@ -183,12 +183,6 @@ def test_problem_shape_validation():
         LPProblem(c=[1.0], rows=[[1.0]], bounds=[1.0], lower=[0.0, 0.0])
 
 
-def test_debug_dump_mentions_rows_and_bounds():
-    problem = LPProblem(c=[1.0], rows=[[2.0]], bounds=[3.0], lower=[0.0], upper=[9.0])
-    text = problem.debug_dump()
-    assert "min" in text and "<= 3" in text and "x0 <= 9" in text
-
-
 def test_solution_dataclass_defaults():
     sol = LPSolution(INFEASIBLE)
     assert sol.x is None and sol.objective_value is None

@@ -26,7 +26,6 @@ from mtdsim.strategies import (
     FplMtdStrategy,
     ata_fmdp_run,
     run_strategy,
-    static_select,
     urs_select,
 )
 
@@ -162,11 +161,6 @@ def test_urs_is_uniform_over_actions():
     freqs = np.bincount(draws, minlength=4) / draws.size
     np.testing.assert_allclose(freqs, np.full(4, 0.25), atol=0.02)
     assert urs_select(1, rng) == 0
-
-
-def test_static_select_returns_its_configuration():
-    assert static_select(2) == 2
-    assert static_select(0) == 0
 
 
 def test_full_exploration_matches_urs_in_distribution():
