@@ -15,9 +15,9 @@ side; re-planning therefore reuses the previous program and starts the LP
 from its optimal basis.
 
 The greedy policy of a solved program is
-pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], ties broken by
-the lowest action index; scores within ``TIE_TOL`` (relative) of the best
-count as tied.
+pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
+the bounds were built from (``ALProblem.rewards``), ties broken by the lowest
+action index; scores within ``TIE_TOL`` (relative) of the best count as tied.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
 from .lp import INFEASIBLE, LPProblem, UNBOUNDED, solve_lp
 
 TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
+VI_TOL = 1e-10  # value iteration stops once no value moves by this much
+VI_MAX_SWEEPS = 100_000  # ... or after this many sweeps
 
 
 @dataclass(frozen=True)
@@ -113,17 +115,12 @@ class ALProblem:
     lp: LPProblem
     activations: np.ndarray  # (S, k)
     pairs: list[tuple[int, int]]  # row order: (state, action)
-    start: tuple[int, ...] | None = None  # LP basis the solve starts from
-    final_basis: tuple[int, ...] | None = None  # LP basis the last solve ended on
+    rewards: np.ndarray  # (S, A) expected rewards R(s, a); lp.bounds is -rewards
+    lp_basis: tuple[int, ...] | None = None  # LP basis the next solve starts from
 
 
 def uniform_theta(space: ConfigSpace) -> np.ndarray:
     return np.full(space.n_configs, 1.0 / space.n_configs)
-
-
-def _alp_bounds(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
-    """Right-hand sides -R(s, a), one per (state, action) row."""
-    return -expected_reward_table(domain, posterior_table).reshape(-1)
 
 
 def build_alp(
@@ -141,10 +138,10 @@ def build_alp(
     configurations by default, which factors over scopes).
 
     ``previous``, a problem built for the same domain, basis and theta, lends
-    its activations, rows, objective and pairs, so only the bounds are
-    computed; the new problem starts its solve from the basis on which
-    ``previous``'s solve ended.
+    its activations, rows, objective, pairs and LP basis, so only the rewards
+    and the bounds are computed.
     """
+    rewards = expected_reward_table(domain, posterior_table)
     if previous is not None:
         if (
             previous.domain is not domain
@@ -152,8 +149,8 @@ def build_alp(
             or (theta is not None and not np.array_equal(theta, previous.theta))
         ):
             raise DomainError("previous problem was built for another domain, basis or theta")
-        lp = replace(previous.lp, bounds=_alp_bounds(domain, posterior_table))
-        return replace(previous, lp=lp, start=previous.final_basis, final_basis=None)
+        lp = replace(previous.lp, bounds=-rewards.reshape(-1))
+        return replace(previous, lp=lp, rewards=rewards)
 
     space = domain.space
     basis = basis or build_basis(space)
@@ -173,17 +170,17 @@ def build_alp(
     pairs = [(s, a) for s in range(S) for a in range(S)]
 
     objective = theta_vec @ B  # E_theta[beta_i] per basis function
-    lp = LPProblem(c=objective, rows=rows, bounds=_alp_bounds(domain, posterior_table))
-    return ALProblem(domain, basis, theta_vec, lp, B, pairs)
+    lp = LPProblem(c=objective, rows=rows, bounds=-rewards.reshape(-1))
+    return ALProblem(domain, basis, theta_vec, lp, B, pairs, rewards)
 
 
-def solve_alp(alp: ALProblem, max_iter: int = 100_000) -> np.ndarray:
-    """Solve for the basis weights, starting from ``alp.start``.
+def solve_alp(alp: ALProblem) -> np.ndarray:
+    """Solve for the basis weights, starting from ``alp.lp_basis``.
 
-    Records the basis the solve ended on in ``alp.final_basis``; raises if
+    Overwrites ``alp.lp_basis`` with the basis the solve ended on; raises if
     the program is degenerate.
     """
-    sol = solve_lp(alp.lp, max_iter=max_iter, start=alp.start)
+    sol = solve_lp(alp.lp, start=alp.lp_basis)
     if sol.status == UNBOUNDED:
         raise RuntimeError(
             "approximate LP unbounded - the constraint system is malformed "
@@ -191,7 +188,7 @@ def solve_alp(alp: ALProblem, max_iter: int = 100_000) -> np.ndarray:
         )
     if sol.status == INFEASIBLE:
         raise RuntimeError("approximate LP infeasible - constraint assembly bug")
-    alp.final_basis = sol.basis
+    alp.lp_basis = sol.basis
     return sol.x
 
 
@@ -211,19 +208,13 @@ def greedy_actions(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores >= best - TIE_TOL * (1.0 + np.abs(best)), axis=1)
 
 
-def extract_policy(
-    domain: DomainInfo,
-    weights: np.ndarray,
-    posterior_table: np.ndarray,
-    activations: np.ndarray,
-) -> np.ndarray:
+def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
     """Greedy policy: argmax_a R(s,a) + gamma * V(a; w), lowest index on ties.
 
-    ``activations`` is the problem's ``ALProblem.activations``.
+    R is the problem's own reward table, the one its bounds come from.
     """
-    values = activations @ weights  # (A,) successor values, successor == action
-    scores = expected_reward_table(domain, posterior_table) + domain.gamma * values[None, :]
-    return greedy_actions(scores)
+    values = alp.activations @ weights  # (A,) successor values, successor == action
+    return greedy_actions(alp.rewards + alp.domain.gamma * values[None, :])
 
 
 def exact_value(domain: DomainInfo, policy: np.ndarray, posterior_table: np.ndarray) -> np.ndarray:
@@ -242,18 +233,15 @@ def exact_value(domain: DomainInfo, policy: np.ndarray, posterior_table: np.ndar
 
 
 def value_iteration(
-    domain: DomainInfo,
-    posterior_table: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    domain: DomainInfo, posterior_table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact optimal values and greedy policy (lowest action index on ties)."""
     R = expected_reward_table(domain, posterior_table)
     V = np.zeros(domain.n_configs)
-    for _ in range(max_iter):
+    for _ in range(VI_MAX_SWEEPS):
         Q = R + domain.gamma * V[None, :]
         V_new = Q.max(axis=1)
-        if np.max(np.abs(V_new - V)) < tol:
+        if np.max(np.abs(V_new - V)) < VI_TOL:
             V = V_new
             break
         V = V_new

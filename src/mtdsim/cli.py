@@ -7,7 +7,7 @@ import csv
 import json
 import sys
 
-from .alp import alp_to_dict, build_alp, build_basis, build_state_basis, uniform_theta
+from .alp import alp_to_dict, build_alp, build_state_basis
 from .domain import DomainError
 from .estimator import ThreatEstimator
 from .harness import (
@@ -24,23 +24,30 @@ from .harness import (
     resolve_domain,
     resolve_scenario,
     run_experiment,
+    start_state_index,
 )
 
 DEFAULTS = ExperimentConfig()
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_reopt_period(text: str) -> int | None:
-    if text.lower() in ("never", "none", "inf"):
-        return None
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            "reopt-period must be a positive integer or 'never'"
-        ) from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("reopt-period must be >= 1 (or 'never')")
-    return value
+    """A period of at least 1, or 'never' (also 'none'/'inf') to plan only once."""
+    return None if text.lower() in ("never", "none", "inf") else _int_at_least(1)(text)
 
 
 def _add_selector_args(parser: argparse.ArgumentParser) -> None:
@@ -53,20 +60,12 @@ def _add_selector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timesteps", type=int, default=DEFAULTS.timesteps,
                         help="steps per iteration (default: the scenario horizon)")
     parser.add_argument("--iterations", type=int, default=DEFAULTS.iterations)
-    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    parser.add_argument("--start-state", default=None, metavar="LABEL",
+    parser.add_argument("--seed", type=_int_at_least(0), default=DEFAULTS.seed)
+    parser.add_argument("--start-state", default=DEFAULTS.start_state, metavar="LABEL",
                         help="starting configuration label (default: first enumerated)")
 
 
-def _start_state_index(domain, label: str | None) -> int:
-    if label is None:
-        return 0
-    return domain.space.index_of_label(label)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(args.scenario)
-    domain = resolve_domain(args.domain, scenario, args.alpha, args.seed)
     config = ExperimentConfig(
         domain=args.domain,
         scenario=args.scenario,
@@ -77,7 +76,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         reopt_period=args.reopt_period,
         out_dir=args.out,
-        start_state=_start_state_index(domain, args.start_state),
+        start_state=args.start_state,
         beta=args.beta,
         epsilon=args.epsilon,
         fpl_explore=args.fpl_explore,
@@ -108,7 +107,7 @@ def cmd_hindsight(args: argparse.Namespace) -> int:
     timesteps = scenario.horizon if args.timesteps is None else args.timesteps
     best, worst, table = hindsight_bounds(
         domain, scenario, timesteps, args.iterations, args.seed,
-        _start_state_index(domain, args.start_state),
+        start_state_index(domain, args.start_state),
     )
     for label, value in table.items():
         print(f"static:{label} mean_avg_reward={value:.3f}")
@@ -144,8 +143,8 @@ def cmd_dump_lp(args: argparse.Namespace) -> int:
         posterior = ThreatEstimator.load(domain, args.estimator).posterior_table()
     else:
         posterior = cold_posterior_table(domain)
-    basis = build_state_basis(domain.space) if args.basis == "state" else build_basis(domain.space)
-    alp = build_alp(domain, posterior, basis, uniform_theta(domain.space))
+    basis = build_state_basis(domain.space) if args.basis == "state" else None  # None: factored
+    alp = build_alp(domain, posterior, basis)
     payload = json.dumps(alp_to_dict(alp), indent=2, sort_keys=True)
     if args.out == "-":
         print(payload)
@@ -184,12 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_hind.set_defaults(func=cmd_hindsight)
 
     p_verify = sub.add_parser("verify", help="run the property-check suite")
-    p_verify.add_argument("--seed", type=int, default=10)
-    p_verify.add_argument("--samples", type=int, default=CHECK_SAMPLES,
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=10)
+    p_verify.add_argument("--samples", type=_int_at_least(1), default=CHECK_SAMPLES,
                           help="estimator Monte-Carlo samples")
-    p_verify.add_argument("--perturbations", type=int, default=CHECK_PERTURBATIONS,
+    p_verify.add_argument("--perturbations", type=_int_at_least(1), default=CHECK_PERTURBATIONS,
                           help="posterior perturbations for the value-loss bound")
-    p_verify.add_argument("--runs", type=int, default=CHECK_RUNS,
+    p_verify.add_argument("--runs", type=_int_at_least(1), default=CHECK_RUNS,
                           help="runs per horizon for the linear-regret fit")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -209,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

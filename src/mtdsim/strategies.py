@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alp import ALProblem, BasisSet, build_alp, build_basis, extract_policy, solve_alp
+from .alp import ALProblem, build_alp, extract_policy, solve_alp
 from .domain import DomainError, DomainInfo
 from .environments import MTDEnvironment, StepRecord
 from .estimator import DEFAULT_BETA, ThreatEstimator
@@ -31,8 +31,6 @@ def ata_fmdp_run(
     rng: np.random.Generator,
     reopt_period: int | None = 1,
     beta: float = DEFAULT_BETA,
-    basis: BasisSet | None = None,
-    theta: np.ndarray | None = None,
 ) -> list[StepRecord]:
     """Adaptive threat-aware defender: estimate, re-plan, act, observe.
 
@@ -44,7 +42,6 @@ def ata_fmdp_run(
     """
     if reopt_period is not None and reopt_period < 1:
         raise DomainError("reopt_period must be >= 1 (or None to plan only once)")
-    basis = basis or build_basis(domain.space)
     estimator = ThreatEstimator(domain, beta=beta)
     problem: ALProblem | None = None
     policy: np.ndarray | None = None
@@ -52,9 +49,8 @@ def ata_fmdp_run(
     for t in range(T):
         if policy is None or (reopt_period is not None and t % reopt_period == 0):
             posterior = estimator.posterior_table()
-            problem = build_alp(domain, posterior, basis, theta, previous=problem)
-            weights = solve_alp(problem)
-            policy = extract_policy(domain, weights, posterior, problem.activations)
+            problem = build_alp(domain, posterior, previous=problem)
+            policy = extract_policy(problem, solve_alp(problem))
         state = env.state
         action = int(policy[state])
         record = env.step(action, rng)

@@ -34,7 +34,7 @@ def _line(ok: bool, name: str, detail: str) -> bool:
     return ok
 
 
-def _mean(scenario: str, strategy: str, alpha: float, start_state: int = 0) -> float:
+def _mean(scenario: str, strategy: str, alpha: float, start_state: str | None = None) -> float:
     config = ExperimentConfig(
         scenario=scenario,
         strategy=strategy,
@@ -47,7 +47,7 @@ def _mean(scenario: str, strategy: str, alpha: float, start_state: int = 0) -> f
     return run_experiment(config).mean_avg_reward
 
 
-def _records(scenario: str, alpha: float, start_state: int = 0):
+def _records(scenario: str, alpha: float, start_state: str | None = None):
     config = ExperimentConfig(
         scenario=scenario,
         strategy="ata-fmdp",
@@ -124,7 +124,7 @@ def test_criterion_03_network_evolving_margins_and_node0_shutdown():
 def test_criterion_04_database_switches_all_go_to_mysql():
     # PostgreSQL-only attacker in the unknown slot; start at PHP|Postgres.
     db_switches = to_mysql = python_steps = steps = 0
-    for records in _records("web-dh-postgres", 0.5, start_state=1):
+    for records in _records("web-dh-postgres", 0.5, start_state="PHP|Postgres"):
         for rec in records:
             if rec.t < 100:
                 continue

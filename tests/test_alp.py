@@ -219,7 +219,7 @@ def test_state_basis_reproduces_value_iteration():
         w = solve_alp(alp)
         V_star, pi_star = value_iteration(web, posterior)
         np.testing.assert_allclose(value_estimates(alp, w), V_star, atol=1e-6)
-        np.testing.assert_array_equal(extract_policy(web, w, posterior, alp.activations), pi_star)
+        np.testing.assert_array_equal(extract_policy(alp, w), pi_star)
 
 
 def test_approximate_values_upper_bound_the_optimum():
@@ -273,12 +273,14 @@ def test_solve_alp_raises_on_degenerate_programs():
     B = activation_matrix(basis, web.space)
     unbounded = LPProblem(c=np.array([-1.0]), rows=np.zeros((1, 1)), bounds=np.zeros(1))
     with pytest.raises(RuntimeError, match="unbounded"):
-        solve_alp(ALProblem(web, basis, theta, unbounded, B, [(0, 0)]))
+        solve_alp(ALProblem(web, basis, theta, unbounded, B, [(0, 0)], np.zeros((4, 4))))
     infeasible = LPProblem(
         c=np.array([1.0]), rows=np.array([[1.0], [-1.0]]), bounds=np.array([-1.0, -1.0])
     )
     with pytest.raises(RuntimeError, match="infeasible"):
-        solve_alp(ALProblem(web, basis, theta, infeasible, B, [(0, 0), (0, 1)]))
+        solve_alp(
+            ALProblem(web, basis, theta, infeasible, B, [(0, 0), (0, 1)], np.zeros((4, 4)))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +296,15 @@ def test_policy_flees_to_the_resistant_config_under_unknown_pressure():
     post[2] = 1.0
     alp = build_alp(web, post)
     w = solve_alp(alp)
-    np.testing.assert_array_equal(extract_policy(web, w, post, alp.activations), [3, 3, 3, 3])
+    np.testing.assert_array_equal(extract_policy(alp, w), [3, 3, 3, 3])
     _, pi_star = value_iteration(web, post)
     np.testing.assert_array_equal(pi_star, [3, 3, 3, 3])
 
 
 def test_policy_ties_break_to_the_lowest_action_index():
     dom = no_attack_domain(3, gamma=0.9, M=10.0)
-    post = ones_posterior(dom)
-    B = activation_matrix(build_basis(dom.space), dom.space)
-    policy = extract_policy(dom, np.zeros(B.shape[1]), post, B)
+    alp = build_alp(dom, ones_posterior(dom))
+    policy = extract_policy(alp, np.zeros(len(alp.basis)))
     np.testing.assert_array_equal(policy, [0, 0, 0])
 
 
@@ -315,7 +316,7 @@ def test_gamma_zero_policy_is_myopic_reward_argmax():
     alp = build_alp(myopic, posterior)
     w = solve_alp(alp)
     expected = np.argmax(expected_reward_table(myopic, posterior), axis=1)
-    np.testing.assert_array_equal(extract_policy(myopic, w, posterior, alp.activations), expected)
+    np.testing.assert_array_equal(extract_policy(alp, w), expected)
 
 
 def test_exact_value_of_self_loop_policy_is_reward_over_one_minus_gamma():
@@ -423,9 +424,9 @@ def test_build_alp_from_previous_recomputes_only_the_bounds():
     assert np.shares_memory(again.lp.c, first.lp.c)
     assert again.activations is first.activations and again.pairs is first.pairs
     assert again.basis is first.basis and again.theta is first.theta
+    np.testing.assert_array_equal(again.rewards, fresh.rewards)
     np.testing.assert_array_equal(again.lp.bounds, fresh.lp.bounds)
-    assert again.start == first.final_basis is not None
-    assert again.final_basis is None and fresh.start is None
+    assert again.lp_basis == first.lp_basis is not None and fresh.lp_basis is None
 
 
 def test_build_alp_from_previous_rejects_another_domain_basis_or_theta():
@@ -460,7 +461,7 @@ def test_warm_replan_matches_a_cold_replan(name):
         else:
             posterior = perturb_posterior_table(posterior, rng, scale=0.01)
         warm = build_alp(domain, posterior, previous=previous)
-        warm_hits += solve_lp(warm.lp, start=warm.start).warm
+        warm_hits += solve_lp(warm.lp, start=warm.lp_basis).warm
         w_warm = solve_alp(warm)
         cold = build_alp(domain, posterior)
         w_cold = solve_alp(cold)
@@ -468,8 +469,7 @@ def test_warm_replan_matches_a_cold_replan(name):
             value_estimates(warm, w_warm), value_estimates(cold, w_cold), rtol=0, atol=1e-9
         )
         np.testing.assert_array_equal(
-            extract_policy(domain, w_warm, posterior, warm.activations),
-            extract_policy(domain, w_cold, posterior, cold.activations),
+            extract_policy(warm, w_warm), extract_policy(cold, w_cold)
         )
         previous = warm
     assert warm_hits > 0

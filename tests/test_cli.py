@@ -165,8 +165,8 @@ def test_run_parser_defaults_are_the_experiment_config_defaults():
     args = vars(build_parser().parse_args(["run"]))
     args["out_dir"] = args.pop("out")
     config = dataclasses.asdict(ExperimentConfig())
-    shared = sorted(set(args) & set(config) - {"start_state"})  # a label vs an index
-    assert len(shared) == 14
+    shared = sorted(set(args) & set(config))
+    assert len(shared) == 15
     assert {k: args[k] for k in shared} == {k: config[k] for k in shared}
 
 
@@ -208,10 +208,39 @@ def test_hindsight_rejects_sizes_that_run_rejects(sizes, capsys):
     assert capsys.readouterr().err == run_error
 
 
-def test_bad_reopt_period_is_an_argparse_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--reopt-period", "0"])
-    assert exc.value.code == 2
+def test_bad_reopt_period_is_an_argparse_error(capsys):
+    for argv in (
+        ["run", "--reopt-period", "0"],
+        ["run", "--seed", "-1"],
+        ["hindsight", "--seed", "-1"],
+        ["dump-lp", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--samples", "0"],
+        ["verify", "--perturbations", "0"],
+        ["verify", "--runs", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"error: argument {argv[1]}:" in capsys.readouterr().err, argv
+
+
+UNUSABLE_PATHS = {  # argv for a scratch directory d that holds one empty file d/file
+    "dump-lp-estimator-missing": lambda d: ["dump-lp", "--estimator", f"{d}/missing.json"],
+    "run-scenario-is-a-directory": lambda d: ["run", "--scenario", d],
+    "run-domain-is-a-directory": lambda d: ["run", "--domain", d],
+    "run-out-is-a-file": lambda d: ["run", "--strategy", "urs", "--out", f"{d}/file"],
+    "hindsight-out-in-a-missing-directory": lambda d: ["hindsight", "--out", f"{d}/no/x.csv"],
+    "dump-lp-out-in-a-missing-directory": lambda d: ["dump-lp", "--out", f"{d}/no/x.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
+def test_unusable_paths_exit_with_an_error_message(case, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = UNUSABLE_PATHS[case](str(tmp_path))
+    assert main([*argv, "--timesteps", "1", "--iterations", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_console_script_entry_point():

@@ -138,6 +138,8 @@ def test_domain_validation(space):
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "gamma": 1.0})
     with pytest.raises(DomainError):
+        DomainInfo(**{**good, "gamma": -0.1})
+    with pytest.raises(DomainError):
         DomainInfo(**{**good, "alpha": -0.5})
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "types": (ok, ok)})  # duplicate ids

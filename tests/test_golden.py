@@ -1,15 +1,19 @@
-"""Byte-identity of the adaptive planner's step log on every built-in scenario.
+"""Byte-identity of the program's output files.
 
-Each hash pins ``steps.csv`` of an ``ata-fmdp`` run (seed 10, 2 iterations,
-no hindsight).  A change to the planner or the LP solver that is meant to
-leave behaviour alone must leave these hashes alone; a change that is meant
-to alter behaviour updates them and says why.
+Each hash in ``GOLDEN_STEPS_SHA256`` pins ``steps.csv`` of an ``ata-fmdp`` run
+(seed 10, 2 iterations, no hindsight) on one built-in scenario.
+``GOLDEN_CLI_SHA256`` pins every file that ``mtdsim run`` and
+``mtdsim hindsight`` write for one baseline run with a non-default start
+state.  A change that is meant to leave behaviour alone must leave these
+hashes alone; a change that is meant to alter behaviour updates them and
+says why.
 """
 
 import hashlib
 
 import pytest
 
+from mtdsim.cli import main
 from mtdsim.harness import ExperimentConfig, run_experiment
 
 GOLDEN_STEPS_SHA256 = {
@@ -38,3 +42,24 @@ def test_ata_fmdp_steps_csv_is_byte_identical(tmp_path, scenario):
     )
     digest = hashlib.sha256((tmp_path / "steps.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_STEPS_SHA256[scenario]
+
+
+GOLDEN_CLI_SHA256 = {
+    "run/steps.csv": "067fd3c1c262d205f1de405986bc103fba67c8b80eb772c6e184707479956a9c",
+    "run/rolling.csv": "95d54537c5347409f29eb7c29b29a77b7a0a1e34acedc020d45530ef8bd117fb",
+    "run/summary.csv": "257ac36d4a64e2a2513ec2a911b4dbc8c5d076bdf67953a1ad85e35b5df2e757",
+    "run/meta.json": "53a51c0a820d7185845a1f0cbbe9ae7302ccbce871bd3b4ac7fdf645a31f25ea",
+    "hindsight.csv": "0630a6658ea18090b2ea3455d9748bb208ce6dde7b4bb489b1ec5b848ac4b9d2",
+}
+
+
+def test_cli_output_files_are_byte_identical(tmp_path, capsys):
+    assert main(["run", "--strategy", "fpl", "--start-state", "Python|MySQL",
+                 "--iterations", "2", "--seed", "10", "--out", str(tmp_path / "run")]) == 0
+    assert main(["hindsight", "--iterations", "2",
+                 "--out", str(tmp_path / "hindsight.csv")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_CLI_SHA256
+    }
+    assert digests == GOLDEN_CLI_SHA256
