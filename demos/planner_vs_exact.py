@@ -65,9 +65,8 @@ def main() -> None:
 
     alp = build_alp(web, cold_posterior_table(web))
     print("one assembled constraint (state PHP|MySQL, action Python|Postgres):")
-    i = alp.pairs.index((0, 3))
-    names = [f.describe(web.space) for f in alp.basis.functions]
-    terms = ", ".join(f"{c:+.3f}*w[{n}]" for c, n in zip(alp.lp.rows[i], names))
+    i = 0 * web.n_configs + 3  # row of the pair (state 0, action 3)
+    terms = ", ".join(f"{c:+.3f}*w[{n}]" for c, n in zip(alp.lp.rows[i], alp.basis.names))
     print(f"  {terms} <= {alp.lp.bounds[i]:.3f}")
 
 

@@ -1,8 +1,9 @@
 """Approximate linear programming for the factored defender MDP.
 
-The value function is approximated as a weighted sum of basis functions,
-V(s; w) = sum_i w_i * beta_i(s[B_i]), each scoped to a subset of factors.
-The weights solve
+The value function is approximated as a weighted sum of indicator basis
+functions, V(s; w) = sum_i w_i * beta_i(s): a bias plus one indicator per
+factor value (``build_basis``) or per configuration (``build_state_basis``).
+With theta uniform over configurations the weights solve
 
     min_w   sum_i w_i * E_theta[beta_i]
     s.t.    V(s; w) >= R(s, a) + gamma * V(a; w)   for every state-action pair,
@@ -37,141 +38,82 @@ VI_TOL = 1e-10  # value iteration stops once no value moves by this much
 VI_MAX_SWEEPS = 100_000  # ... or after this many sweeps
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """Indicator basis over a factor subset; empty scope is the constant bias.
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Indicator basis functions, held as their activations.
 
-    ``scope`` lists factor indices, ``values`` the required value of each.
-    Activation at a configuration is 1 when every scoped factor matches.
+    ``activations[s, i]`` is 1 when function ``i`` is active at configuration
+    ``s`` and 0 otherwise; ``names[i]`` describes function ``i``.  Function 0
+    is the constant bias.
     """
 
-    scope: tuple[int, ...]
-    values: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.scope) != len(self.values):
-            raise DomainError("basis scope and values must align")
-        if len(set(self.scope)) != len(self.scope):
-            raise DomainError("basis scope factors must be distinct")
-
-    @property
-    def is_bias(self) -> bool:
-        return not self.scope
-
-    def activation(self, config: tuple[str, ...]) -> float:
-        return 1.0 if all(config[f] == v for f, v in zip(self.scope, self.values)) else 0.0
-
-    def describe(self, space: ConfigSpace) -> str:
-        if self.is_bias:
-            return "bias"
-        return ",".join(
-            f"{space.factors[f].name}={v}" for f, v in zip(self.scope, self.values)
-        )
+    names: tuple[str, ...]
+    activations: np.ndarray  # (S, k)
 
 
-@dataclass(frozen=True)
-class BasisSet:
-    functions: tuple[BasisFunction, ...]
-
-    def __post_init__(self) -> None:
-        if sum(f.is_bias for f in self.functions) != 1:
-            raise DomainError("basis set must contain exactly one bias function")
-
-    def __len__(self) -> int:
-        return len(self.functions)
-
-
-def build_basis(space: ConfigSpace) -> BasisSet:
+def build_basis(space: ConfigSpace) -> Basis:
     """Default factored basis: one bias plus one indicator per (factor, value)."""
-    funcs = [BasisFunction((), ())]
-    for f_idx, factor in enumerate(space.factors):
+    names = ["bias"]
+    columns = [np.ones(space.n_configs)]
+    for f, factor in enumerate(space.factors):
         for value in factor.values:
-            funcs.append(BasisFunction((f_idx,), (value,)))
-    return BasisSet(tuple(funcs))
+            names.append(f"{factor.name}={value}")
+            columns.append(np.array([float(config[f] == value) for config in space.configs]))
+    return Basis(tuple(names), np.column_stack(columns))
 
 
-def build_state_basis(space: ConfigSpace) -> BasisSet:
+def build_state_basis(space: ConfigSpace) -> Basis:
     """Exact basis: one bias plus one indicator per full configuration."""
-    all_factors = tuple(range(space.n_factors))
-    funcs = [BasisFunction((), ())]
-    funcs.extend(BasisFunction(all_factors, config) for config in space.configs)
-    return BasisSet(tuple(funcs))
-
-
-def activation_matrix(basis: BasisSet, space: ConfigSpace) -> np.ndarray:
-    """(n_configs, n_basis) matrix of basis activations."""
-    return np.array(
-        [[f.activation(config) for f in basis.functions] for config in space.configs]
-    )
+    names = ["bias"]
+    for config in space.configs:
+        names.append(",".join(f"{f.name}={v}" for f, v in zip(space.factors, config)))
+    S = space.n_configs
+    return Basis(tuple(names), np.hstack([np.ones((S, 1)), np.eye(S)]))
 
 
 @dataclass
 class ALProblem:
-    """An assembled approximate-LP instance plus its bookkeeping."""
+    """An assembled approximate-LP instance; row i is the pair (s, a) = divmod(i, S)."""
 
     domain: DomainInfo
-    basis: BasisSet
-    theta: np.ndarray  # state-relevance distribution over configurations
+    basis: Basis
     lp: LPProblem
-    activations: np.ndarray  # (S, k)
-    pairs: list[tuple[int, int]]  # row order: (state, action)
     rewards: np.ndarray  # (S, A) expected rewards R(s, a); lp.bounds is -rewards
     lp_basis: tuple[int, ...] | None = None  # LP basis the next solve starts from
-
-
-def uniform_theta(space: ConfigSpace) -> np.ndarray:
-    return np.full(space.n_configs, 1.0 / space.n_configs)
 
 
 def build_alp(
     domain: DomainInfo,
     posterior_table: np.ndarray,
-    basis: BasisSet | None = None,
-    theta: np.ndarray | None = None,
+    basis: Basis | None = None,
     previous: ALProblem | None = None,
 ) -> ALProblem:
     """Assemble the constraint system for one belief snapshot.
 
     One constraint per (state, action) pair, D . w <= -R(s, a); only the
     right-hand side depends on the belief.  The objective weighs each basis
-    function by its expected activation under ``theta`` (uniform over
-    configurations by default, which factors over scopes).
+    function by its mean activation over configurations (uniform theta).
 
-    ``previous``, a problem built for the same domain, basis and theta, lends
-    its activations, rows, objective, pairs and LP basis, so only the rewards
-    and the bounds are computed.
+    ``previous``, a problem built for the same domain and basis, lends its
+    basis, rows, objective and LP basis, so only the rewards and the bounds
+    are computed.
     """
     rewards = expected_reward_table(domain, posterior_table)
     if previous is not None:
-        if (
-            previous.domain is not domain
-            or basis not in (None, previous.basis)
-            or (theta is not None and not np.array_equal(theta, previous.theta))
-        ):
-            raise DomainError("previous problem was built for another domain, basis or theta")
+        if previous.domain is not domain or basis not in (None, previous.basis):
+            raise DomainError("previous problem was built for another domain or basis")
         lp = replace(previous.lp, bounds=-rewards.reshape(-1))
         return replace(previous, lp=lp, rewards=rewards)
 
-    space = domain.space
-    basis = basis or build_basis(space)
-    theta_vec = uniform_theta(space) if theta is None else np.asarray(theta, dtype=float)
-    if theta_vec.shape != (space.n_configs,):
-        raise DomainError("theta must be a distribution over configurations")
-    if np.any(theta_vec < 0) or not np.isclose(theta_vec.sum(), 1.0):
-        raise DomainError("theta must be a probability distribution")
-
-    B = activation_matrix(basis, space)  # (S, k)
-    k = B.shape[1]
-    S = space.n_configs
+    basis = build_basis(domain.space) if basis is None else basis
+    B = basis.activations  # (S, k)
+    S, k = B.shape
 
     # The successor of (s, a) is a: D(s, a) = gamma * beta(a) - beta(s).
     D = domain.gamma * B[None, :, :] - B[:, None, :]  # (S, A, k)
-    rows = D.reshape(S * S, k)
-    pairs = [(s, a) for s in range(S) for a in range(S)]
-
-    objective = theta_vec @ B  # E_theta[beta_i] per basis function
-    lp = LPProblem(c=objective, rows=rows, bounds=-rewards.reshape(-1))
-    return ALProblem(domain, basis, theta_vec, lp, B, pairs, rewards)
+    objective = np.full(S, 1.0 / S) @ B  # E_theta[beta_i] per basis function
+    lp = LPProblem(c=objective, rows=D.reshape(S * S, k), bounds=-rewards.reshape(-1))
+    return ALProblem(domain, basis, lp, rewards)
 
 
 def solve_alp(alp: ALProblem) -> np.ndarray:
@@ -184,7 +126,7 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
     if sol.status == UNBOUNDED:
         raise RuntimeError(
             "approximate LP unbounded - the constraint system is malformed "
-            f"({len(alp.pairs)} rows, {len(alp.basis)} basis functions)"
+            f"({alp.lp.n_rows} rows, {alp.lp.n_vars} basis functions)"
         )
     if sol.status == INFEASIBLE:
         raise RuntimeError("approximate LP infeasible - constraint assembly bug")
@@ -194,7 +136,7 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
 
 def value_estimates(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
     """V(s; w) for every configuration."""
-    return alp.activations @ weights
+    return alp.basis.activations @ weights
 
 
 def greedy_actions(scores: np.ndarray) -> np.ndarray:
@@ -213,7 +155,7 @@ def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
 
     R is the problem's own reward table, the one its bounds come from.
     """
-    values = alp.activations @ weights  # (A,) successor values, successor == action
+    values = alp.basis.activations @ weights  # (A,) successor values, successor == action
     return greedy_actions(alp.rewards + alp.domain.gamma * values[None, :])
 
 
@@ -252,10 +194,11 @@ def value_iteration(
 def alp_to_dict(alp: ALProblem) -> dict:
     """JSON-friendly dump of the assembled program for debugging/diffing."""
     space = alp.domain.space
+    S = space.n_configs
     return {
         "objective": [float(v) for v in alp.lp.c],
-        "basis": [f.describe(space) for f in alp.basis.functions],
-        "theta": [float(v) for v in alp.theta],
+        "basis": list(alp.basis.names),
+        "theta": [1.0 / S] * S,
         "rows": [
             {
                 "state": space.label(s),
@@ -263,6 +206,6 @@ def alp_to_dict(alp: ALProblem) -> dict:
                 "coefficients": [float(v) for v in alp.lp.rows[i]],
                 "bound": float(alp.lp.bounds[i]),
             }
-            for i, (s, a) in enumerate(alp.pairs)
+            for i, (s, a) in enumerate(np.ndindex(S, S))
         ],
     }

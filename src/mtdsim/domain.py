@@ -87,7 +87,12 @@ class ConfigSpace:
         return LABEL_SEP.join(self.config_at(index))
 
     def index_of_label(self, label: str) -> int:
-        return self.index_of(tuple(label.split(LABEL_SEP)))
+        labels = self.labels()
+        if label not in labels:
+            raise DomainError(
+                f"unknown configuration label {label!r}; expected one of {', '.join(labels)}"
+            )
+        return labels.index(label)
 
     def labels(self) -> list[str]:
         return [LABEL_SEP.join(c) for c in self.configs]

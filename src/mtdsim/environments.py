@@ -231,7 +231,8 @@ class ScenarioPhase:
                 raise DomainError("static_dist phase needs a type distribution")
             for d in [self.dist, *(self.per_state_dist or {}).values()]:
                 total = sum(d.values())
-                if any(v < 0 for v in d.values()) or abs(total - 1.0) > 1e-9:
+                # Written so that a NaN weight fails too.
+                if not (all(v >= 0 for v in d.values()) and abs(total - 1.0) <= 1e-9):
                     raise DomainError("phase distributions must sum to 1")
 
 
@@ -338,6 +339,16 @@ class MTDEnvironment:
     def __init__(self, domain: DomainInfo, scenario: Scenario, start_state: int = 0):
         if not 0 <= start_state < domain.n_configs:
             raise DomainError(f"start state index {start_state} out of range")
+        labels, type_ids = domain.space.labels(), domain.type_ids()
+        for phase in scenario.phases:
+            per_state = phase.per_state_dist or {}
+            for label in per_state:
+                if label not in labels:
+                    raise DomainError(f"scenario per_state_dist names unknown label {label!r}")
+            for dist in [phase.dist or {}, *per_state.values()]:
+                for type_id in dist:
+                    if type_id not in type_ids:
+                        raise DomainError(f"scenario names unknown attacker type {type_id!r}")
         self.domain = domain
         self.scenario = scenario
         self.state = start_state

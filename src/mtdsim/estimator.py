@@ -100,6 +100,8 @@ class ThreatEstimator:
             est = cls(domain, beta=float(data["beta"]))
             if data.get("type_ids") != domain.type_ids():
                 raise DomainError("estimator checkpoint does not match the domain's types")
+            if data.get("state_labels") != domain.space.labels():
+                raise DomainError("estimator checkpoint does not match the domain's labels")
             counts = np.asarray(data["counts"], dtype=float)
         if counts.shape != est.counts.shape:
             raise DomainError("estimator checkpoint count table has the wrong shape")

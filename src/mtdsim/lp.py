@@ -21,6 +21,7 @@ import numpy as np
 
 FEAS_TOL = 1e-9  # pivot / feasibility tolerance
 SOL_TOL = 1e-7  # phase-1 residual above this means infeasible
+MAX_ITER = 100_000  # pivots per simplex phase before giving up
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -203,9 +204,7 @@ def _warm_vertex(
     return u
 
 
-def solve_lp(
-    problem: LPProblem, max_iter: int = 100_000, start: Sequence[int] | None = None
-) -> LPSolution:
+def solve_lp(problem: LPProblem, start: Sequence[int] | None = None) -> LPSolution:
     """Two-phase simplex; returns status optimal/infeasible/unbounded.
 
     ``start`` is an optional basis, usually ``LPSolution.basis`` of an earlier
@@ -260,7 +259,7 @@ def solve_lp(
 
     dropped = False
     if n_art:
-        status = _run_simplex(tab, basis, max_iter)
+        status = _run_simplex(tab, basis, MAX_ITER)
         if status != OPTIMAL:  # phase 1 cannot be unbounded; defensive
             return LPSolution(INFEASIBLE)
         if -tab[-1, -1] > SOL_TOL:
@@ -292,7 +291,7 @@ def solve_lp(
             zrow -= c_full[bv] * tab[r]
     tab[-1] = zrow
 
-    status = _run_simplex(tab, basis, max_iter)
+    status = _run_simplex(tab, basis, MAX_ITER)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 

@@ -13,9 +13,6 @@ import pytest
 
 from mtdsim.alp import (
     ALProblem,
-    BasisFunction,
-    BasisSet,
-    activation_matrix,
     alp_to_dict,
     build_alp,
     build_basis,
@@ -24,7 +21,6 @@ from mtdsim.alp import (
     extract_policy,
     greedy_actions,
     solve_alp,
-    uniform_theta,
     value_estimates,
     value_iteration,
 )
@@ -69,54 +65,41 @@ def ones_posterior(domain: DomainInfo) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# basis functions and sets
+# bases
 # ---------------------------------------------------------------------------
 
 
 def test_factored_basis_counts_one_indicator_per_factor_value():
     web = make_web_app_domain()
-    assert len(build_basis(web.space)) == 1 + 2 + 2
-    assert len(build_basis(small_space())) == 1 + 2 + 3 + 2
+    assert build_basis(web.space).activations.shape == (4, 1 + 2 + 2)
+    basis = build_basis(small_space())
+    assert len(basis.names) == 1 + 2 + 3 + 2
+    assert basis.activations.shape == (12, len(basis.names))
 
 
 def test_state_basis_counts_one_indicator_per_configuration():
     web = make_web_app_domain()
-    assert len(build_state_basis(web.space)) == 1 + 4
-    assert len(build_state_basis(small_space())) == 1 + 12
-
-
-def test_basis_function_validation():
-    with pytest.raises(DomainError):
-        BasisFunction((0, 1), ("a",))
-    with pytest.raises(DomainError):
-        BasisFunction((0, 0), ("a", "b"))
-
-
-def test_basis_set_requires_exactly_one_bias():
-    ind = BasisFunction((0,), ("PHP",))
-    with pytest.raises(DomainError):
-        BasisSet((ind,))
-    with pytest.raises(DomainError):
-        BasisSet((BasisFunction((), ()), BasisFunction((), ())))
+    assert build_state_basis(web.space).activations.shape == (4, 1 + 4)
+    basis = build_state_basis(small_space())
+    assert len(basis.names) == 1 + 12
+    assert basis.activations.shape == (12, len(basis.names))
 
 
 def test_basis_describe_names_factor_and_value():
     web = make_web_app_domain()
-    basis = build_basis(web.space)
-    assert basis.functions[0].describe(web.space) == "bias"
-    assert basis.functions[0].is_bias
-    labels = [f.describe(web.space) for f in basis.functions[1:]]
-    assert labels == [
+    assert build_basis(web.space).names == (
+        "bias",
         "language=PHP",
         "language=Python",
         "database=MySQL",
         "database=Postgres",
-    ]
+    )
+    assert build_state_basis(web.space).names[:2] == ("bias", "language=PHP,database=MySQL")
 
 
 def test_activation_matrix_rows_mark_matching_factor_values():
     web = make_web_app_domain()
-    B = activation_matrix(build_basis(web.space), web.space)
+    B = build_basis(web.space).activations
     assert B.shape == (4, 5)
     # PHP|MySQL activates bias, language=PHP, database=MySQL.
     np.testing.assert_array_equal(B[0], [1, 1, 0, 1, 0])
@@ -127,7 +110,7 @@ def test_activation_matrix_rows_mark_matching_factor_values():
 
 def test_state_basis_activation_matrix_is_identity_plus_bias():
     web = make_web_app_domain()
-    B = activation_matrix(build_state_basis(web.space), web.space)
+    B = build_state_basis(web.space).activations
     np.testing.assert_array_equal(B[:, 0], np.ones(4))
     np.testing.assert_array_equal(B[:, 1:], np.eye(4))
 
@@ -142,9 +125,7 @@ def test_build_alp_one_row_per_state_action_pair():
     alp = build_alp(web, cold_posterior_table(web))
     assert alp.lp.rows.shape == (16, 5)
     assert alp.lp.bounds.shape == (16,)
-    assert alp.pairs == [(s, a) for s in range(4) for a in range(4)]
-    np.testing.assert_allclose(alp.theta, np.full(4, 0.25))
-    # Objective is the mean activation of each basis function.
+    # Objective is the mean activation of each basis function (uniform theta).
     np.testing.assert_allclose(alp.lp.c, [1.0, 0.5, 0.5, 0.5, 0.5])
 
 
@@ -157,12 +138,12 @@ def test_build_alp_row_matches_hand_computed_constraint():
     post = np.zeros((3, 4, 4))
     post[1] = 1.0
     alp = build_alp(web, post)
-    row0 = alp.pairs.index((0, 0))
+    row0 = 0 * 4 + 0  # row of the pair (s, a) is s * S + a
     np.testing.assert_allclose(alp.lp.bounds[row0], -169.9)
     np.testing.assert_allclose(alp.lp.rows[row0], -0.1 * np.array([1, 1, 0, 1, 0]))
     # A move (0 -> 3) pays sc=100 and faces loss 50 at the target:
     # const = 200 - 100 - 0.65*50 = 67.5, coefficients 0.9*beta(3) - beta(0).
-    row3 = alp.pairs.index((0, 3))
+    row3 = 0 * 4 + 3
     np.testing.assert_allclose(alp.lp.bounds[row3], -67.5)
     np.testing.assert_allclose(
         alp.lp.rows[row3],
@@ -173,20 +154,9 @@ def test_build_alp_row_matches_hand_computed_constraint():
 def test_build_alp_gamma_zero_rows_are_negated_state_activations():
     dom = no_attack_domain(3, gamma=0.0, M=10.0)
     alp = build_alp(dom, ones_posterior(dom))
-    B = activation_matrix(build_basis(dom.space), dom.space)
-    for i, (s, _a) in enumerate(alp.pairs):
+    B = build_basis(dom.space).activations
+    for i, (s, _a) in enumerate(np.ndindex(3, 3)):
         np.testing.assert_allclose(alp.lp.rows[i], -B[s])
-
-
-def test_build_alp_theta_validation():
-    web = make_web_app_domain()
-    post = cold_posterior_table(web)
-    with pytest.raises(DomainError):
-        build_alp(web, post, theta=np.full(3, 1 / 3))
-    with pytest.raises(DomainError):
-        build_alp(web, post, theta=np.array([0.5, 0.5, 0.5, -0.5]))
-    with pytest.raises(DomainError):
-        build_alp(web, post, theta=np.full(4, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +206,7 @@ def test_approximate_values_upper_bound_the_optimum():
     obj_f = float(alp_f.lp.c @ w_f)
     obj_s = float(alp_s.lp.c @ w_s)
     assert obj_f >= obj_s - 1e-7
-    np.testing.assert_allclose(obj_s, uniform_theta(web.space) @ V_star, rtol=1e-7)
+    np.testing.assert_allclose(obj_s, np.full(4, 0.25) @ V_star, rtol=1e-7)
 
 
 def test_solution_satisfies_every_constraint():
@@ -269,18 +239,14 @@ def test_reward_offset_shifts_objective_by_geometric_factor():
 def test_solve_alp_raises_on_degenerate_programs():
     web = make_web_app_domain()
     basis = build_basis(web.space)
-    theta = uniform_theta(web.space)
-    B = activation_matrix(basis, web.space)
     unbounded = LPProblem(c=np.array([-1.0]), rows=np.zeros((1, 1)), bounds=np.zeros(1))
     with pytest.raises(RuntimeError, match="unbounded"):
-        solve_alp(ALProblem(web, basis, theta, unbounded, B, [(0, 0)], np.zeros((4, 4))))
+        solve_alp(ALProblem(web, basis, unbounded, np.zeros((4, 4))))
     infeasible = LPProblem(
         c=np.array([1.0]), rows=np.array([[1.0], [-1.0]]), bounds=np.array([-1.0, -1.0])
     )
     with pytest.raises(RuntimeError, match="infeasible"):
-        solve_alp(
-            ALProblem(web, basis, theta, infeasible, B, [(0, 0), (0, 1)], np.zeros((4, 4)))
-        )
+        solve_alp(ALProblem(web, basis, infeasible, np.zeros((4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +270,7 @@ def test_policy_flees_to_the_resistant_config_under_unknown_pressure():
 def test_policy_ties_break_to_the_lowest_action_index():
     dom = no_attack_domain(3, gamma=0.9, M=10.0)
     alp = build_alp(dom, ones_posterior(dom))
-    policy = extract_policy(alp, np.zeros(len(alp.basis)))
+    policy = extract_policy(alp, np.zeros(len(alp.basis.names)))
     np.testing.assert_array_equal(policy, [0, 0, 0])
 
 
@@ -407,8 +373,8 @@ def test_greedy_actions_treat_rounding_noise_as_a_tie():
 def test_build_alp_rows_are_the_belief_free_bracket_coefficients():
     web = make_web_app_domain(alpha=1.0)
     alp = build_alp(web, random_posterior_table(web, np.random.default_rng(4)))
-    B = activation_matrix(build_basis(web.space), web.space)
-    for i, (s, a) in enumerate(alp.pairs):
+    B = build_basis(web.space).activations
+    for i, (s, a) in enumerate(np.ndindex(4, 4)):
         np.testing.assert_array_equal(alp.lp.rows[i], web.gamma * B[a] - B[s])
 
 
@@ -422,14 +388,13 @@ def test_build_alp_from_previous_recomputes_only_the_bounds():
     fresh = build_alp(web, posterior)
     assert np.shares_memory(again.lp.rows, first.lp.rows)
     assert np.shares_memory(again.lp.c, first.lp.c)
-    assert again.activations is first.activations and again.pairs is first.pairs
-    assert again.basis is first.basis and again.theta is first.theta
+    assert again.basis is first.basis
     np.testing.assert_array_equal(again.rewards, fresh.rewards)
     np.testing.assert_array_equal(again.lp.bounds, fresh.lp.bounds)
     assert again.lp_basis == first.lp_basis is not None and fresh.lp_basis is None
 
 
-def test_build_alp_from_previous_rejects_another_domain_basis_or_theta():
+def test_build_alp_from_previous_rejects_another_domain_or_basis():
     web = make_web_app_domain(alpha=1.0)
     post = cold_posterior_table(web)
     first = build_alp(web, post)
@@ -437,9 +402,7 @@ def test_build_alp_from_previous_rejects_another_domain_basis_or_theta():
         build_alp(make_web_app_domain(alpha=1.0), post, previous=first)
     with pytest.raises(DomainError):
         build_alp(web, post, basis=build_state_basis(web.space), previous=first)
-    with pytest.raises(DomainError):
-        build_alp(web, post, theta=np.array([0.7, 0.1, 0.1, 0.1]), previous=first)
-    build_alp(web, post, basis=first.basis, theta=first.theta, previous=first)
+    build_alp(web, post, basis=first.basis, previous=first)
 
 
 @pytest.mark.parametrize("name", ["web", "net2", "net3"])

@@ -11,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+from math import nan
 
 import numpy as np
 import pytest
@@ -66,6 +67,9 @@ def test_run_adaptive_planner_with_plan_once_and_start_state(capsys):
     )
     assert code == 0
     assert "strategy=ata-fmdp" in capsys.readouterr().out
+    assert main(["run", "--start-state", "foo", "--timesteps", "1", "--iterations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err and "PHP|MySQL, PHP|Postgres, Python|MySQL, Python|Postgres" in err
 
 
 def test_run_static_strategy_label(capsys):
@@ -79,6 +83,9 @@ def test_run_static_strategy_label(capsys):
     )
     assert code == 0
     assert "strategy=static:Python|Postgres" in capsys.readouterr().out
+    assert main(["run", "--strategy", "static:foo", "--timesteps", "1", "--iterations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err and "PHP|MySQL, PHP|Postgres, Python|MySQL, Python|Postgres" in err
 
 
 def test_hindsight_prints_and_writes_the_table(tmp_path, capsys):
@@ -177,10 +184,20 @@ def _malformed_inputs():
     no_beta = {k: v for k, v in estimator.items() if k != "beta"}
     no_counts = {k: v for k, v in estimator.items() if k != "counts"}
     bad_phase = {"start": 0, "end": scenario["T"], "dist": 5}
+    mix = {"mainstream-hacker": 0.5, "database-hacker": 0.5}
+
+    def one_phase(**fields):
+        return {**scenario, "phases": [{"start": 0, "end": scenario["T"], **fields}]}
+
     return {
         "scenario-T-not-a-number": ("run", "--scenario", {**scenario, "T": "abc"}),
         "scenario-not-json": ("run", "--scenario", "{not json"),
         "scenario-dist-not-a-map": ("run", "--scenario", {**scenario, "phases": [bad_phase]}),
+        "scenario-nan-weight": ("run", "--scenario", one_phase(dist={**mix, "unknown": nan})),
+        "scenario-unknown-type": ("run", "--scenario", one_phase(dist={**mix, "nobody": 0.0})),
+        "scenario-unknown-label": (
+            "run", "--scenario", one_phase(dist=mix, per_state_dist={"PHP|MySQl": mix}),
+        ),
         "domain-M-not-a-number": ("run", "--domain", {**domain, "M": "abc"}),
         "domain-factors-not-a-list": ("run", "--domain", {**domain, "factors": 5}),
         "estimator-without-beta": ("dump-lp", "--estimator", no_beta),
@@ -195,6 +212,12 @@ def test_malformed_json_input_exits_with_a_domain_error(case, tmp_path, capsys):
     path.write_text(content if isinstance(content, str) else json.dumps(content))
     code = main([command, option, str(path), "--timesteps", "1", "--iterations", "1"])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_nan_fpl_rate_exits_with_a_domain_error(capsys):
+    argv = ["run", "--strategy", "fpl", "--fpl-rate", "nan", "--timesteps", "1"]
+    assert main([*argv, "--iterations", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

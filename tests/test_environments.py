@@ -177,6 +177,8 @@ def test_phase_validation_rejects_malformed_windows_and_dists():
         ScenarioPhase(0, 5, STATIC_DIST, {"a": -0.1, "b": 1.1})
     with pytest.raises(DomainError):
         ScenarioPhase(0, 5, STATIC_DIST, {"a": 1.0}, {"1|1": {"a": 0.4}})
+    with pytest.raises(DomainError):
+        ScenarioPhase(0, 5, STATIC_DIST, {"a": 0.5, "b": float("nan")})
 
 
 def test_scenario_phases_must_partition_the_horizon():
@@ -380,6 +382,10 @@ def test_step_range_and_horizon_errors():
     web = make_web_app_domain()
     with pytest.raises(DomainError):
         MTDEnvironment(web, unknown_only_scenario(), start_state=4)
+    for per_state in ({"PHP|MySQl": {"unknown": 1.0}}, {"PHP|MySQL": {"nobody": 1.0}}):
+        phase = ScenarioPhase(0, 2, STATIC_DIST, {"unknown": 1.0}, per_state)
+        with pytest.raises(DomainError):  # checked before any step draws from it
+            MTDEnvironment(web, Scenario("typo", 2, (phase,)))
     env = MTDEnvironment(web, unknown_only_scenario(horizon=2))
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):

@@ -166,3 +166,8 @@ def test_from_dict_validates_checkpoint():
     negative = dict(good, counts=np.full((3, 1, 1), -1.0).tolist())
     with pytest.raises(DomainError):
         ThreatEstimator.from_dict(dom, negative)
+    # Same types and shape, other configuration labels.
+    renamed = ConfigSpace((web.space.factors[0], FactorSpec("database", ("MariaDB", "Postgres"))))
+    other = DomainInfo(renamed, web.types, web.sc, web.M, web.gamma, web.alpha)
+    with pytest.raises(DomainError):
+        ThreatEstimator.from_dict(other, ThreatEstimator(web).to_dict())

@@ -4,16 +4,21 @@ Each hash in ``GOLDEN_STEPS_SHA256`` pins ``steps.csv`` of an ``ata-fmdp`` run
 (seed 10, 2 iterations, no hindsight) on one built-in scenario.
 ``GOLDEN_CLI_SHA256`` pins every file that ``mtdsim run`` and
 ``mtdsim hindsight`` write for one baseline run with a non-default start
-state.  A change that is meant to leave behaviour alone must leave these
-hashes alone; a change that is meant to alter behaviour updates them and
-says why.
+state.  ``GOLDEN_DUMP_LP_SHA256`` pins the stdout of ``mtdsim dump-lp`` for
+both bases on one web and one network scenario, and for the factored basis
+under a seeded estimator checkpoint.  A change that is meant to leave
+behaviour alone must leave these hashes alone; a change that is meant to
+alter behaviour updates them and says why.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from mtdsim.cli import main
+from mtdsim.environments import make_web_app_domain
+from mtdsim.estimator import ThreatEstimator
 from mtdsim.harness import ExperimentConfig, run_experiment
 
 GOLDEN_STEPS_SHA256 = {
@@ -63,3 +68,36 @@ def test_cli_output_files_are_byte_identical(tmp_path, capsys):
         for name in GOLDEN_CLI_SHA256
     }
     assert digests == GOLDEN_CLI_SHA256
+
+
+GOLDEN_DUMP_LP_SHA256 = {
+    "web-factored": "98d7d043a6a7e958da66078e63f1b036bf6080425828648e7f70317cc755753a",
+    "web-state": "8f6351766453a38ac16183cc37af0aeb673dd9149a1ea1100f352adbd9499813",
+    "net-factored": "c3864ad548a66b74d9c94d175e14b474f985504064728d1c8881927c134769a8",
+    "net-state": "4b72eeafb39c03abb9bc791d6c9bbe73d2a49f7d52be6a3867822dc354b83c3f",
+    "web-factored-estimator": "4bbe2f3b038945c9f2951c1dbaf5a81844a5518df7a1dfe451550f869093f8fc",
+}
+
+
+def _dump_lp_argv(case: str, tmp_path) -> list[str]:
+    argv = ["dump-lp", "--basis", "state" if case.endswith("-state") else "factored"]
+    if case.startswith("net-"):
+        argv += ["--domain", "network", "--scenario", "net-evolving"]
+    else:
+        argv += ["--domain", "web", "--scenario", "web-evolving"]
+    if case.endswith("-estimator"):
+        estimator = ThreatEstimator(make_web_app_domain())
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            tau, state, action = (int(v) for v in rng.integers((3, 4, 4)))
+            estimator.update(tau, state, action, int(rng.random() < 0.6))
+        estimator.save(str(tmp_path / "estimator.json"))
+        argv += ["--estimator", str(tmp_path / "estimator.json")]
+    return argv
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DUMP_LP_SHA256))
+def test_dump_lp_stdout_is_byte_identical(tmp_path, capsys, case):
+    assert main(_dump_lp_argv(case, tmp_path)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_DUMP_LP_SHA256[case]

@@ -133,6 +133,8 @@ def test_fpl_constructor_validation():
     with pytest.raises(DomainError):
         FplMtdStrategy(web, perturb_rate=0.0)
     with pytest.raises(DomainError):
+        FplMtdStrategy(web, perturb_rate=float("nan"))
+    with pytest.raises(DomainError):
         FplMtdStrategy(web, l_max=0)
     assert DEFAULT_FPL_EXPLORE == 0.007
 
