@@ -57,10 +57,13 @@ def _add_selector_args(parser: argparse.ArgumentParser) -> None:
                         help="built-in scenario name or a scenario JSON file")
     parser.add_argument("--alpha", type=float, default=DEFAULTS.alpha,
                         help="switching-cost weight (default: %(default)s)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=DEFAULTS.seed)
+
+
+def _add_episode_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timesteps", type=int, default=DEFAULTS.timesteps,
                         help="steps per iteration (default: the scenario horizon)")
     parser.add_argument("--iterations", type=int, default=DEFAULTS.iterations)
-    parser.add_argument("--seed", type=_int_at_least(0), default=DEFAULTS.seed)
     parser.add_argument("--start-state", default=DEFAULTS.start_state, metavar="LABEL",
                         help="starting configuration label (default: first enumerated)")
 
@@ -164,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one strategy over a scenario and summarize")
     _add_selector_args(p_run)
+    _add_episode_args(p_run)
     p_run.add_argument("--strategy", default=DEFAULTS.strategy,
                        help="ata-fmdp, fpl, eps-greedy, urs, or static:<config-label>")
     p_run.add_argument("--reopt-period", type=_parse_reopt_period, default=DEFAULTS.reopt_period,
@@ -179,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hind = sub.add_parser("hindsight", help="average reward of every static configuration")
     _add_selector_args(p_hind)
+    _add_episode_args(p_hind)
     p_hind.add_argument("--out", default=None, help="CSV file for the per-config table")
     p_hind.set_defaults(func=cmd_hindsight)
 

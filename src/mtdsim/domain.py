@@ -42,6 +42,8 @@ class FactorSpec:
             raise DomainError(f"factor {self.name!r} has no values")
         if len(set(self.values)) != len(self.values):
             raise DomainError(f"factor {self.name!r} has duplicate values")
+        if any(LABEL_SEP in v for v in self.values):
+            raise DomainError(f"factor {self.name!r}: values may not contain {LABEL_SEP!r}")
 
 
 @dataclass(frozen=True)
@@ -332,12 +334,12 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
             FactorSpec(f["name"], tuple(f["values"])) for f in data["factors"]
         )
         space = ConfigSpace(factors)
-        types = tuple(
-            AttackerTypeSpec.from_maps(
-                space, t["id"], bool(t.get("unknown", False)), t["mu"], t["loss"]
-            )
-            for t in data["attacker_types"]
-        )
+        types = []
+        for t in data["attacker_types"]:
+            unknown = t.get("unknown", False)
+            if not isinstance(unknown, bool):
+                raise DomainError(f"type {t['id']!r}: 'unknown' must be true or false")
+            types.append(AttackerTypeSpec.from_maps(space, t["id"], unknown, t["mu"], t["loss"]))
         labels = space.labels()
         sc_map = data["switching_cost"]
         sc = np.zeros((space.n_configs, space.n_configs))
@@ -348,7 +350,7 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
                 if a_lab not in sc_map[s_lab]:
                     raise DomainError(f"switching_cost missing pair ({s_lab!r}, {a_lab!r})")
                 sc[i, j] = float(sc_map[s_lab][a_lab])
-        return DomainInfo(space, types, sc, float(data["M"]), float(data["gamma"]), alpha)
+        return DomainInfo(space, tuple(types), sc, float(data["M"]), float(data["gamma"]), alpha)
 
 
 def save_domain(domain: DomainInfo, path: str) -> None:

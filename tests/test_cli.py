@@ -8,10 +8,12 @@ mtdsim`` where the package is importable but not installed.
 import argparse
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
 from math import nan
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from mtdsim.domain import domain_to_dict
 from mtdsim.environments import builtin_scenario, make_web_app_domain, scenario_to_dict
 from mtdsim.estimator import ThreatEstimator
 from mtdsim.harness import ExperimentConfig
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_reopt_period_parsing():
@@ -185,6 +189,11 @@ def _malformed_inputs():
     no_counts = {k: v for k, v in estimator.items() if k != "counts"}
     bad_phase = {"start": 0, "end": scenario["T"], "dist": 5}
     mix = {"mainstream-hacker": 0.5, "database-hacker": 0.5}
+    # Only a string flag marks a catch-all type, and bool("false") is True.
+    string_unknown = [
+        {**t, "unknown": "false" if t["id"] == "mainstream-hacker" else False}
+        for t in domain["attacker_types"]
+    ]
 
     def one_phase(**fields):
         return {**scenario, "phases": [{"start": 0, "end": scenario["T"], **fields}]}
@@ -200,6 +209,9 @@ def _malformed_inputs():
         ),
         "domain-M-not-a-number": ("run", "--domain", {**domain, "M": "abc"}),
         "domain-factors-not-a-list": ("run", "--domain", {**domain, "factors": 5}),
+        "domain-unknown-not-a-boolean": (
+            "run", "--domain", {**domain, "attacker_types": string_unknown},
+        ),
         "estimator-without-beta": ("dump-lp", "--estimator", no_beta),
         "estimator-without-counts": ("dump-lp", "--estimator", no_counts),
     }
@@ -210,8 +222,8 @@ def test_malformed_json_input_exits_with_a_domain_error(case, tmp_path, capsys):
     command, option, content = _malformed_inputs()[case]
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
-    code = main([command, option, str(path), "--timesteps", "1", "--iterations", "1"])
-    assert code == 2
+    sizes = ["--timesteps", "1", "--iterations", "1"] if command == "run" else []
+    assert main([command, option, str(path), *sizes]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -248,6 +260,16 @@ def test_bad_reopt_period_is_an_argparse_error(capsys):
         assert f"error: argument {argv[1]}:" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize(
+    "option", [("--timesteps", "0"), ("--iterations", "-3"), ("--start-state", "nope")]
+)
+def test_dump_lp_rejects_the_episode_options_it_does_not_read(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-lp", *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 UNUSABLE_PATHS = {  # argv for a scratch directory d that holds one empty file d/file
     "dump-lp-estimator-missing": lambda d: ["dump-lp", "--estimator", f"{d}/missing.json"],
     "run-scenario-is-a-directory": lambda d: ["run", "--scenario", d],
@@ -262,16 +284,19 @@ UNUSABLE_PATHS = {  # argv for a scratch directory d that holds one empty file d
 def test_unusable_paths_exit_with_an_error_message(case, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     argv = UNUSABLE_PATHS[case](str(tmp_path))
-    assert main([*argv, "--timesteps", "1", "--iterations", "1"]) == 2
+    sizes = ["--timesteps", "1", "--iterations", "1"] if argv[0] != "dump-lp" else []
+    assert main([*argv, *sizes]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
 def test_console_script_entry_point():
     command = ["mtdsim"] if shutil.which("mtdsim") else [sys.executable, "-m", "mtdsim"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [*command, "run", "--strategy", "urs", "--timesteps", "3", "--iterations", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
         check=False,
     )
     assert proc.returncode == 0

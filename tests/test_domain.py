@@ -95,6 +95,8 @@ def test_space_validation():
         FactorSpec("x", ())
     with pytest.raises(DomainError):
         FactorSpec("x", ("a", "a"))
+    with pytest.raises(DomainError):  # labels x|y|z would name two configurations
+        ConfigSpace((FactorSpec("f", ("x|y", "x")), FactorSpec("g", ("z", "y|z"))))
 
 
 def test_singleton_space():

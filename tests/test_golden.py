@@ -6,7 +6,10 @@ Each hash in ``GOLDEN_STEPS_SHA256`` pins ``steps.csv`` of an ``ata-fmdp`` run
 ``mtdsim hindsight`` write for one baseline run with a non-default start
 state.  ``GOLDEN_DUMP_LP_SHA256`` pins the stdout of ``mtdsim dump-lp`` for
 both bases on one web and one network scenario, and for the factored basis
-under a seeded estimator checkpoint.  A change that is meant to leave
+under a seeded estimator checkpoint.  ``GOLDEN_SOLVE_LP_SHA256`` pins the
+status, ``x`` bytes and basis of a cold ``solve_lp`` on the cold-posterior ALP
+of the web domain (both bases) and of 2-, 3- and 4-node networks, and of a
+warm re-solve from that basis after a perturbed posterior.  A change that is meant to leave
 behaviour alone must leave these hashes alone; a change that is meant to
 alter behaviour updates them and says why.
 """
@@ -16,10 +19,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from mtdsim.alp import build_alp, build_state_basis
 from mtdsim.cli import main
-from mtdsim.environments import make_web_app_domain
+from mtdsim.environments import make_network_domain, make_web_app_domain
 from mtdsim.estimator import ThreatEstimator
-from mtdsim.harness import ExperimentConfig, run_experiment
+from mtdsim.harness import (
+    ExperimentConfig,
+    cold_posterior_table,
+    perturb_posterior_table,
+    run_experiment,
+)
+from mtdsim.lp import solve_lp
 
 GOLDEN_STEPS_SHA256 = {
     "net-evolving": "00bf2e629d48d6060b1ceb0cd79fe39bece7616624d7f4991a3709e998f51111",
@@ -101,3 +111,61 @@ def test_dump_lp_stdout_is_byte_identical(tmp_path, capsys, case):
     assert main(_dump_lp_argv(case, tmp_path)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN_DUMP_LP_SHA256[case]
+
+
+def _solver_pin_problem(case: str):
+    """The cold-posterior ALP of ``case`` and the same ALP under a perturbed posterior.
+
+    The perturbation keeps the cold optimal basis on three cases and forces a
+    cold fallback on web-state and net4, so both paths of a warm solve are pinned.
+    """
+    if case.startswith("web-"):
+        domain = make_web_app_domain()
+        basis = build_state_basis(domain.space) if case == "web-state" else None
+    else:
+        domain = make_network_domain(np.random.default_rng(0), n_nodes=int(case[-1]))
+        basis = None
+    cold = build_alp(domain, cold_posterior_table(domain), basis)
+    rng = np.random.default_rng(1)
+    posterior = perturb_posterior_table(cold_posterior_table(domain), rng, 0.2)
+    return cold.lp, build_alp(domain, posterior, previous=cold).lp
+
+
+def _solution_digest(solution) -> str:
+    h = hashlib.sha256()
+    h.update(solution.status.encode())
+    h.update(solution.x.tobytes())
+    h.update(repr((solution.basis, solution.warm)).encode())
+    return h.hexdigest()
+
+
+GOLDEN_SOLVE_LP_SHA256 = {
+    "net2": [
+        "a0bcb9e449768678ee12fc2057bff73302e2a065898ca9f1fb1d365de0700f5c",
+        "6a07a784886ec2cac2daf19355c06a60fd30414e23e9f40328640c4b8c9bb679",
+    ],
+    "net3": [
+        "95696dbd79e3b249630397331470a15209baabae4908d71abbfb6000a803a7b4",
+        "dbd66fd752693a23772875d0f2a5c1537c3ed1d21686d90837f86ddcaac52214",
+    ],
+    "net4": [
+        "6f0a919daac483bca8cfceea45fb61314a1b85724fd53ff601bba3714b3bb646",
+        "cbd9f8ac70b3ca44e4bd21c346ee22274258ae583730844ecc2bf2da30b1e408",
+    ],
+    "web-factored": [
+        "fdf077cc235373dc4fe6e82f332c55a5ed65cf77f7666d1079e6192ade3e681b",
+        "ababc41a3c482a07bfefc6a31084d9aeee3d03887654fc28269f07e03f594b3e",
+    ],
+    "web-state": [
+        "8461cf1e1d9b1328f34af9332e33a341beb146b60b3141a4418581dfa1be338a",
+        "6b74e51feb135ad8cb6862475c4f12caddecad71a45ff60e6a7650f578b8e781",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLVE_LP_SHA256))
+def test_solve_lp_solutions_are_byte_identical(case):
+    cold_lp, perturbed_lp = _solver_pin_problem(case)
+    cold = solve_lp(cold_lp)
+    warm = solve_lp(perturbed_lp, start=cold.basis)
+    assert [_solution_digest(cold), _solution_digest(warm)] == GOLDEN_SOLVE_LP_SHA256[case]

@@ -12,12 +12,11 @@ from mtdsim.lp import (
     LPSolution,
     solve_lp,
 )
-from oracles import compare_simplex_to_vertices, enumerate_vertices, random_box_lp
-
+from oracles import box_rows, compare_simplex_to_vertices, enumerate_vertices, random_box_lp
 
 def test_single_variable_upper_bound():
-    # max x s.t. x <= 5  ==  min -x
-    sol = solve_lp(LPProblem(c=[-1.0], rows=[[1.0]], bounds=[5.0], lower=[0.0]))
+    # max x s.t. x <= 5, x >= 0  ==  min -x
+    sol = solve_lp(LPProblem(c=[-1.0], rows=[[1.0], [-1.0]], bounds=[5.0, 0.0]))
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(5.0, abs=1e-9)
@@ -26,7 +25,7 @@ def test_single_variable_upper_bound():
 def test_two_variable_simplex_face():
     # max x + y s.t. x + y <= 1, x, y >= 0
     sol = solve_lp(
-        LPProblem(c=[-1.0, -1.0], rows=[[1.0, 1.0]], bounds=[1.0], lower=[0.0, 0.0])
+        LPProblem(c=[-1.0, -1.0], rows=[[1.0, 1.0], *-np.eye(2)], bounds=[1.0, 0.0, 0.0])
     )
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
@@ -35,7 +34,7 @@ def test_two_variable_simplex_face():
 
 def test_infeasible_sign_conflict():
     # x <= -1 with x >= 0 has no solution (phase-1 optimum exactly 1).
-    sol = solve_lp(LPProblem(c=[1.0], rows=[[1.0]], bounds=[-1.0], lower=[0.0]))
+    sol = solve_lp(LPProblem(c=[1.0], rows=[[1.0], [-1.0]], bounds=[-1.0, 0.0]))
     assert sol.status == INFEASIBLE
     assert sol.x is None
 
@@ -48,7 +47,7 @@ def test_infeasible_between_rows():
 
 def test_unbounded_ray():
     # min -x with x >= 0 and no ceiling.
-    sol = solve_lp(LPProblem(c=[-1.0], rows=[[0.0]], bounds=[1.0], lower=[0.0]))
+    sol = solve_lp(LPProblem(c=[-1.0], rows=[[0.0], [-1.0]], bounds=[1.0, 0.0]))
     assert sol.status == UNBOUNDED
 
 
@@ -57,16 +56,17 @@ def test_unbounded_without_rows():
     assert sol.status == UNBOUNDED
 
 
+def test_no_rows_and_no_cost_is_optimal_at_the_origin():
+    problem = LPProblem(c=[0.0, 0.0], rows=np.zeros((0, 2)), bounds=np.zeros(0))
+    sol = solve_lp(problem)
+    assert sol.status == OPTIMAL and sol.basis == ()
+    assert sol.x == pytest.approx([0.0, 0.0]) and sol.objective_value == 0.0
+    assert solve_lp(problem, start=sol.basis).warm
+
+
 def test_no_rows_with_finite_bounds_sits_at_best_corner():
-    sol = solve_lp(
-        LPProblem(
-            c=[1.0, -2.0],
-            rows=np.zeros((0, 2)),
-            bounds=np.zeros(0),
-            lower=[-2.0, -2.0],
-            upper=[3.0, 3.0],
-        )
-    )
+    # No rows besides the box [-2, 3]^2.
+    sol = solve_lp(LPProblem([1.0, -2.0], *box_rows([-2.0, -2.0], [3.0, 3.0])))
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([-2.0, 3.0])
     assert sol.objective_value == pytest.approx(-8.0)
@@ -81,13 +81,12 @@ def test_free_variable_reaches_negative_optimum():
 
 def test_equality_via_paired_inequalities():
     # x + y = 2 (two rows), min x with x, y in [0, 3].
+    box, box_bounds = box_rows([0.0, 0.0], [3.0, 3.0])
     sol = solve_lp(
         LPProblem(
             c=[1.0, 0.0],
-            rows=[[1.0, 1.0], [-1.0, -1.0]],
-            bounds=[2.0, -2.0],
-            lower=[0.0, 0.0],
-            upper=[3.0, 3.0],
+            rows=[[1.0, 1.0], [-1.0, -1.0], *box],
+            bounds=[2.0, -2.0, *box_bounds],
         )
     )
     assert sol.status == OPTIMAL
@@ -97,28 +96,16 @@ def test_equality_via_paired_inequalities():
 
 def test_upper_bound_only_variable_flips():
     # min x with x <= 4 only: unbounded below; min -x is optimal at 4.
-    assert solve_lp(LPProblem(c=[1.0], rows=np.zeros((0, 1)), bounds=[], upper=[4.0])).status == UNBOUNDED
-    sol = solve_lp(LPProblem(c=[-1.0], rows=np.zeros((0, 1)), bounds=[], upper=[4.0]))
+    assert solve_lp(LPProblem(c=[1.0], rows=[[1.0]], bounds=[4.0])).status == UNBOUNDED
+    sol = solve_lp(LPProblem(c=[-1.0], rows=[[1.0]], bounds=[4.0]))
     assert sol.status == OPTIMAL
     assert sol.x[0] == pytest.approx(4.0)
 
 
-def test_crossed_variable_bounds_are_infeasible():
-    sol = solve_lp(LPProblem(c=[1.0], rows=[[1.0]], bounds=[1.0], lower=[2.0], upper=[1.0]))
-    assert sol.status == INFEASIBLE
-
-
 def test_negative_lower_bound_shift():
     # min x + y over the box [-5, -1]^2 with x + y >= -7.
-    sol = solve_lp(
-        LPProblem(
-            c=[1.0, 1.0],
-            rows=[[-1.0, -1.0]],
-            bounds=[7.0],
-            lower=[-5.0, -5.0],
-            upper=[-1.0, -1.0],
-        )
-    )
+    box, box_bounds = box_rows([-5.0, -5.0], [-1.0, -1.0])
+    sol = solve_lp(LPProblem(c=[1.0, 1.0], rows=[[-1.0, -1.0], *box], bounds=[7.0, *box_bounds]))
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(-7.0, abs=1e-9)
 
@@ -132,9 +119,9 @@ def test_beale_cycling_example_terminates():
             [0.25, -60.0, -0.04, 9.0],
             [0.5, -90.0, -0.02, 3.0],
             [0.0, 0.0, 1.0, 0.0],
+            *-np.eye(4),  # x >= 0
         ],
-        bounds=[0.0, 0.0, 1.0],
-        lower=[0.0, 0.0, 0.0, 0.0],
+        bounds=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
     )
     sol = solve_lp(problem)
     assert sol.status == OPTIMAL
@@ -144,8 +131,7 @@ def test_beale_cycling_example_terminates():
 def test_duplicate_rows_are_harmless():
     row = [1.0, 2.0]
     sol = solve_lp(
-        LPProblem(c=[-1.0, -1.0], rows=[row, row, row], bounds=[4.0, 4.0, 4.0],
-                  lower=[0.0, 0.0])
+        LPProblem(c=[-1.0, -1.0], rows=[row, row, row, *-np.eye(2)], bounds=[4.0] * 3 + [0.0] * 2)
     )
     assert sol.status == OPTIMAL
     assert np.dot(row, sol.x) <= 4.0 + 1e-9
@@ -158,15 +144,16 @@ def test_solution_feasibility_certificate():
         rows = rng.normal(size=(6, n))
         x0 = rng.uniform(-1, 1, size=n)
         bounds = rows @ x0 + np.abs(rng.normal(size=6))
+        box, box_bounds = box_rows(np.full(n, -4.0), np.full(n, 4.0))
         problem = LPProblem(
-            c=rng.normal(size=n), rows=rows, bounds=bounds,
-            lower=np.full(n, -4.0), upper=np.full(n, 4.0),
+            c=rng.normal(size=n),
+            rows=np.vstack([rows, box]),
+            bounds=np.concatenate([bounds, box_bounds]),
         )
         sol = solve_lp(problem)
         assert sol.status == OPTIMAL  # anchored at x0, so always feasible
         assert np.all(problem.rows @ sol.x <= problem.bounds + 1e-7)
-        assert np.all(sol.x >= problem.lower - 1e-9)
-        assert np.all(sol.x <= problem.upper + 1e-9)
+        assert np.all(np.abs(sol.x) <= 4.0 + 1e-9)
         assert sol.objective_value <= problem.c @ x0 + 1e-7
 
 
@@ -179,8 +166,6 @@ def test_matches_vertex_enumeration_on_random_boxes():
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         LPProblem(c=[1.0, 2.0], rows=[[1.0, 0.0]], bounds=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        LPProblem(c=[1.0], rows=[[1.0]], bounds=[1.0], lower=[0.0, 0.0])
 
 
 def test_solution_dataclass_defaults():
@@ -213,7 +198,7 @@ def test_warm_start_after_bound_changes_matches_cold_solve_and_vertices():
         if first.status != OPTIMAL:
             continue
         bounds = problem.bounds + rng.uniform(-0.1, 0.1, problem.n_rows)
-        moved = LPProblem(problem.c, problem.rows, bounds, problem.lower, problem.upper)
+        moved = LPProblem(problem.c, problem.rows, bounds)
         warm = solve_lp(moved, start=first.basis)
         cold = solve_lp(moved)
         oracle = enumerate_vertices(moved)
@@ -224,7 +209,6 @@ def test_warm_start_after_bound_changes_matches_cold_solve_and_vertices():
             assert warm.objective_value == pytest.approx(oracle.objective_value, abs=1e-7)
             assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
             assert np.all(moved.rows @ warm.x <= moved.bounds + 1e-7)
-            assert np.all((moved.lower - 1e-9 <= warm.x) & (warm.x <= moved.upper + 1e-9))
     # Small moves keep most bases optimal; the rest must have fallen back.
     assert 0 < warm_hits < compared
 
@@ -237,7 +221,7 @@ def test_warm_start_that_lost_dual_feasibility_falls_back_to_cold():
         first = solve_lp(problem)
         if first.status != OPTIMAL:
             continue
-        flipped = LPProblem(-problem.c, problem.rows, problem.bounds, problem.lower, problem.upper)
+        flipped = LPProblem(-problem.c, problem.rows, problem.bounds)
         sol = solve_lp(flipped, start=first.basis)
         fallbacks += not sol.warm
         assert sol.status == OPTIMAL
@@ -249,27 +233,18 @@ def test_warm_start_that_lost_dual_feasibility_falls_back_to_cold():
 
 def test_warm_start_with_a_cheaper_nonbasic_column_falls_back_to_cold():
     # Lowering the cost of a variable whose column is nonbasic leaves the row
-    # duals alone but makes that column's reduced cost negative.
-    rng = np.random.default_rng(23)
-    checked = 0
-    while checked < 20:
-        problem = random_box_lp(rng)
-        first = solve_lp(problem)
-        if first.status != OPTIMAL:
-            continue
-        # Box-bounded variables map one to one onto the first standard-form columns.
-        nonbasic = [j for j in range(problem.n_vars) if j not in first.basis]
-        if not nonbasic:
-            continue
-        c = problem.c.copy()
-        c[nonbasic[0]] -= 10.0
-        cheaper = LPProblem(c, problem.rows, problem.bounds, problem.lower, problem.upper)
-        sol = solve_lp(cheaper, start=first.basis)
-        assert sol.status == OPTIMAL and not sol.warm
-        assert sol.objective_value == pytest.approx(
-            enumerate_vertices(cheaper).objective_value, abs=1e-7
-        )
-        checked += 1
+    # duals alone but makes that column's reduced cost negative.  min x over
+    # x >= -1, |y| <= 2: y costs nothing, so both halves of its split
+    # (columns 2 and 3) stay nonbasic at y = 0.
+    rows, bounds = [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 2.0, 2.0]
+    first = solve_lp(LPProblem([1.0, 0.0], rows, bounds))
+    assert first.status == OPTIMAL and first.x == pytest.approx([-1.0, 0.0])
+    assert 2 not in first.basis and 3 not in first.basis
+    cheaper = LPProblem([1.0, -10.0], rows, bounds)
+    sol = solve_lp(cheaper, start=first.basis)
+    assert sol.status == OPTIMAL and not sol.warm
+    assert sol.x == pytest.approx([-1.0, 2.0])
+    assert sol.objective_value == pytest.approx(-21.0)
 
 
 def test_singular_start_falls_back_to_cold():
