@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -25,6 +24,7 @@ from .harness import (
     resolve_scenario,
     run_experiment,
     start_state_index,
+    write_hindsight_csv,
 )
 
 DEFAULTS = ExperimentConfig()
@@ -116,11 +116,7 @@ def cmd_hindsight(args: argparse.Namespace) -> int:
         print(f"static:{label} mean_avg_reward={value:.3f}")
     print(f"best_static={best:.3f} worst_static={worst:.3f}")
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["config", "mean_avg_reward"])
-            for label, value in table.items():
-                writer.writerow([label, repr(float(value))])
+        write_hindsight_csv(args.out, table)
         print(f"wrote {args.out}")
     return 0
 

@@ -178,6 +178,8 @@ class DomainInfo:
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise DomainError("alpha must be finite and >= 0")
         ids = [t.id for t in self.types]
+        if not ids:
+            raise DomainError("a domain needs at least one attacker type")
         if len(set(ids)) != len(ids):
             raise DomainError("attacker type ids must be unique")
         if sum(t.is_unknown for t in self.types) > 1:
@@ -186,10 +188,8 @@ class DomainInfo:
             if t.mu.shape != (n,):
                 raise DomainError(f"type {t.id!r}: tables must cover all {n} configurations")
         # Dense views used by the solvers; types indexed in declaration order.
-        self.mu_table = np.stack([t.mu for t in self.types]) if self.types else np.zeros((0, n))
-        self.loss_table = (
-            np.stack([t.loss for t in self.types]) if self.types else np.zeros((0, n))
-        )
+        self.mu_table = np.stack([t.mu for t in self.types])
+        self.loss_table = np.stack([t.loss for t in self.types])
         unknowns = [i for i, t in enumerate(self.types) if t.is_unknown]
         self.unknown_index = unknowns[0] if unknowns else None
 
@@ -235,7 +235,7 @@ def attacker_types_from_cvss_csv(space: ConfigSpace, path: str) -> list[Attacker
     ``unknown`` becomes the catch-all unknown type.
     """
     sums: dict[str, dict[str, list[float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, input_errors("CVSS CSV"):
         reader = csv.DictReader(fh)
         required = {"config_label", "attacker_type", "ES", "IS"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -316,7 +316,7 @@ def domain_to_dict(domain: DomainInfo) -> dict:
 
 
 @contextmanager
-def json_errors(what: str):
+def input_errors(what: str):
     """Raise what reading a malformed ``what`` throws (missing key, wrong type) as DomainError."""
     try:
         yield
@@ -329,7 +329,7 @@ def json_errors(what: str):
 
 
 def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
-    with json_errors("domain JSON"):
+    with input_errors("domain JSON"):
         factors = tuple(
             FactorSpec(f["name"], tuple(f["values"])) for f in data["factors"]
         )
@@ -360,6 +360,6 @@ def save_domain(domain: DomainInfo, path: str) -> None:
 
 
 def load_domain(path: str, alpha: float = 1.0) -> DomainInfo:
-    with open(path, encoding="utf-8") as fh, json_errors("domain JSON"):
+    with open(path, encoding="utf-8") as fh, input_errors("domain JSON"):
         data = json.load(fh)
     return domain_from_dict(data, alpha=alpha)

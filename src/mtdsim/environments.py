@@ -27,7 +27,7 @@ from .domain import (
     DomainError,
     DomainInfo,
     FactorSpec,
-    json_errors,
+    input_errors,
 )
 
 STATIC_DIST = "static_dist"
@@ -122,11 +122,7 @@ def _types_from_tuples(space: ConfigSpace, table: dict) -> tuple[AttackerTypeSpe
     return tuple(types)
 
 
-def make_web_app_domain(
-    alpha: float = 1.0,
-    sc_multiplier: float = 1.0,
-    unknown_variant: str | None = None,
-) -> DomainInfo:
+def make_web_app_domain(alpha: float = 1.0, unknown_variant: str | None = None) -> DomainInfo:
     """The two-factor web stack domain with its three attacker types.
 
     ``unknown_variant="pg-only-dh"`` swaps the unknown type's tables for the
@@ -143,7 +139,7 @@ def make_web_app_domain(
     for s_cfg, row in _WEB_SC.items():
         for a_cfg, cost in row.items():
             sc[space.index_of(s_cfg), space.index_of(a_cfg)] = cost
-    return DomainInfo(space, types, sc * sc_multiplier, WEB_M, WEB_GAMMA, alpha)
+    return DomainInfo(space, types, sc, WEB_M, WEB_GAMMA, alpha)
 
 
 NODE_ONLINE = "1"
@@ -152,10 +148,7 @@ OFFLINE_COST = 50.0
 
 
 def make_network_domain(
-    rng: np.random.Generator,
-    alpha: float = 1.0,
-    sc_multiplier: float = 1.0,
-    n_nodes: int = 2,
+    rng: np.random.Generator, alpha: float = 1.0, n_nodes: int = 2
 ) -> DomainInfo:
     """A network of binary nodes (online/offline) under source/target attackers.
 
@@ -166,8 +159,7 @@ def make_network_domain(
     any configuration with node 0 online, and nothing otherwise.
 
     Taking a node offline costs 50: sc(s, a) = 50 * (number of nodes online in
-    ``s`` and offline in ``a``), times the multiplier.  Parameters are drawn
-    once, at construction.
+    ``s`` and offline in ``a``).  Parameters are drawn once, at construction.
     """
     space = ConfigSpace(
         tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
@@ -198,7 +190,7 @@ def make_network_domain(
     )
     going_offline = online[:, None, :] & ~online[None, :, :]  # (S, A, nodes)
     sc = OFFLINE_COST * going_offline.sum(axis=2).astype(float)
-    return DomainInfo(space, tuple(types), sc * sc_multiplier, WEB_M, WEB_GAMMA, alpha)
+    return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,8 @@ class ScenarioPhase:
 
     ``static_dist`` draws the type from ``dist`` (optionally overridden per
     current state via ``per_state_dist``); ``most_adverse`` picks the type
-    adversarially from the defender's observed behaviour.
+    adversarially from the defender's observed behaviour, by the rule that
+    ``MTDEnvironment`` states.
     """
 
     t_start: int
@@ -234,6 +227,8 @@ class ScenarioPhase:
                 # Written so that a NaN weight fails too.
                 if not (all(v >= 0 for v in d.values()) and abs(total - 1.0) <= 1e-9):
                     raise DomainError("phase distributions must sum to 1")
+        elif self.dist or self.per_state_dist:
+            raise DomainError("most_adverse phase takes no type distribution")
 
 
 @dataclass(frozen=True)
@@ -260,68 +255,6 @@ class Scenario:
             raise DomainError(f"phases must cover [0, {self.horizon}) exactly")
         object.__setattr__(self, "phases", tuple(ordered))
 
-    def phase_at(self, t: int) -> ScenarioPhase:
-        for phase in self.phases:
-            if phase.t_start <= t < phase.t_end:
-                return phase
-        raise DomainError(f"timestep {t} outside scenario horizon [0, {self.horizon})")
-
-
-class AttackerView:
-    """Attacker knowledge: counts of the defender's past (state, action) pairs."""
-
-    def __init__(self, space: ConfigSpace):
-        self.space = space
-        self.counts = np.zeros((space.n_configs, space.n_configs), dtype=int)
-
-    def record(self, state: int, action: int) -> None:
-        self.counts[state, action] += 1
-
-    def policy_estimate(self, state: int) -> np.ndarray:
-        """Add-one-smoothed estimate of the defender's action distribution."""
-        smoothed = self.counts[state] + 1.0
-        return smoothed / smoothed.sum()
-
-
-def most_adverse_select(view: AttackerView, state: int, domain: DomainInfo) -> int:
-    """The type expected to do the most damage against the predicted switch.
-
-    Scores each type by sum_a pi_hat(a|s) * mu(t, a) * l(t, a) using the
-    attacker's smoothed estimate of the defender's policy; ties resolve to
-    the earliest declared type.  Deterministic given the view.
-    """
-    pi_hat = view.policy_estimate(state)
-    scores = (domain.mu_table * domain.loss_table) @ pi_hat
-    return int(np.argmax(scores))
-
-
-def sample_attack(
-    scenario: Scenario,
-    t: int,
-    state: int,
-    target: int,
-    view: AttackerView,
-    domain: DomainInfo,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Pick the step's attacker type and roll the success flag.
-
-    Returns (type index, phi).  Success probability is the type's rate
-    against the configuration that results from the switch.
-    """
-    phase = scenario.phase_at(t)
-    if phase.mode == MOST_ADVERSE:
-        tau = most_adverse_select(view, state, domain)
-    else:
-        dist = phase.dist
-        if phase.per_state_dist:
-            dist = phase.per_state_dist.get(domain.space.label(state), dist)
-        ids = list(dist.keys())
-        probs = np.array([dist[i] for i in ids])
-        tau = domain.type_index(ids[rng.choice(len(ids), p=probs)])
-    phi = int(rng.random() < domain.mu_table[tau, target])
-    return tau, phi
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -334,47 +267,86 @@ class StepRecord:
 
 
 class MTDEnvironment:
-    """Stateful simulator tying a domain, a scenario, and an attacker view."""
+    """Stateful simulator: one iteration of a domain played against a scenario.
+
+    The scenario is resolved against the domain once, here: a ``static_dist``
+    phase becomes, for each state, the type indices and weights of its
+    distribution in the distribution's own key order (a ``per_state_dist`` row
+    replaces ``dist`` in its state), and unknown labels and type ids are
+    rejected.  A step of such a phase draws the type, then the success flag.
+
+    A ``most_adverse`` step draws only the success flag.  The attacker counts
+    the defender's past (state, action) pairs in ``moves``, estimates its
+    policy at the current state with add-one smoothing,
+    pi_hat(a|s) = (n(s, a) + 1) / (n(s) + S), and plays the type with the most
+    expected damage sum_a pi_hat(a|s) * mu(t, a) * l(t, a); ties go to the
+    earliest declared type.
+    """
 
     def __init__(self, domain: DomainInfo, scenario: Scenario, start_state: int = 0):
         if not 0 <= start_state < domain.n_configs:
             raise DomainError(f"start state index {start_state} out of range")
-        labels, type_ids = domain.space.labels(), domain.type_ids()
+        self._labels, self._type_ids = domain.space.labels(), domain.type_ids()
+        type_index = {type_id: i for i, type_id in enumerate(self._type_ids)}
+
+        def draw_table(dist: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+            for type_id in dist:
+                if type_id not in type_index:
+                    raise DomainError(f"scenario names unknown attacker type {type_id!r}")
+            return np.array([type_index[i] for i in dist]), np.array(list(dist.values()))
+
+        # Per phase: its end, and None (most adverse) or one draw table per state.
+        self._phase_ends, self._phase_draws = [], []
         for phase in scenario.phases:
+            self._phase_ends.append(phase.t_end)
+            if phase.mode == MOST_ADVERSE:
+                self._phase_draws.append(None)
+                continue
             per_state = phase.per_state_dist or {}
             for label in per_state:
-                if label not in labels:
+                if label not in self._labels:
                     raise DomainError(f"scenario per_state_dist names unknown label {label!r}")
-            for dist in [phase.dist or {}, *per_state.values()]:
-                for type_id in dist:
-                    if type_id not in type_ids:
-                        raise DomainError(f"scenario names unknown attacker type {type_id!r}")
+            default = draw_table(phase.dist)
+            self._phase_draws.append(
+                [draw_table(per_state[lab]) if lab in per_state else default
+                 for lab in self._labels]
+            )
+        self._phase = 0
+        self._damage = domain.mu_table * domain.loss_table
+        self.moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
         self.domain = domain
         self.scenario = scenario
         self.state = start_state
         self.t = 0
-        self.view = AttackerView(domain.space)
 
     def step(self, action: int, rng: np.random.Generator) -> StepRecord:
         if self.t >= self.scenario.horizon:
             raise DomainError("scenario horizon exhausted")
         domain, s = self.domain, self.state
-        target = action
         if not 0 <= action < domain.n_configs:
             raise DomainError(f"action index {action} out of range")
-        tau, phi = sample_attack(self.scenario, self.t, s, target, self.view, domain, rng)
-        loss = domain.loss_table[tau, target] if phi else 0.0
+        if self.t == self._phase_ends[self._phase]:
+            self._phase += 1
+        draws = self._phase_draws[self._phase]
+        if draws is None:
+            smoothed = self.moves[s] + 1.0
+            tau = int(np.argmax(self._damage @ (smoothed / smoothed.sum())))
+        else:
+            types, weights = draws[s]
+            tau = int(types[rng.choice(len(types), p=weights)])
+        phi = int(rng.random() < domain.mu_table[tau, action])
+        loss = domain.loss_table[tau, action] if phi else 0.0
         reward = float(domain.M - loss - domain.alpha * domain.sc[s, action])
         record = StepRecord(
             t=self.t,
-            state=domain.space.label(s),
-            action=domain.space.label(action),
-            attacker_type=domain.types[tau].id,
+            state=self._labels[s],
+            action=self._labels[action],
+            attacker_type=self._type_ids[tau],
             phi=phi,
             reward=reward,
         )
-        self.view.record(s, action)
-        self.state = target
+        self.moves[s, action] += 1
+        self.state = action
         self.t += 1
         return record
 
@@ -456,7 +428,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
-    with json_errors("scenario JSON"):
+    with input_errors("scenario JSON"):
         phases = tuple(
             ScenarioPhase(
                 int(p["start"]),
@@ -478,7 +450,7 @@ def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     name = os.path.splitext(os.path.basename(path))[0]
-    with open(path, encoding="utf-8") as fh, json_errors("scenario JSON"):
+    with open(path, encoding="utf-8") as fh, input_errors("scenario JSON"):
         data = json.load(fh)
     return scenario_from_dict(data, name=name)
 

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .domain import DomainError, DomainInfo, json_errors
+from .domain import DomainError, DomainInfo, input_errors
 
 COUNT_FLOOR = 1e-12
 DEFAULT_BETA = 2.0
@@ -96,7 +96,7 @@ class ThreatEstimator:
 
     @classmethod
     def from_dict(cls, domain: DomainInfo, data: dict) -> "ThreatEstimator":
-        with json_errors("estimator JSON"):
+        with input_errors("estimator JSON"):
             est = cls(domain, beta=float(data["beta"]))
             if data.get("type_ids") != domain.type_ids():
                 raise DomainError("estimator checkpoint does not match the domain's types")
@@ -112,6 +112,6 @@ class ThreatEstimator:
 
     @classmethod
     def load(cls, domain: DomainInfo, path: str) -> "ThreatEstimator":
-        with open(path, encoding="utf-8") as fh, json_errors("estimator JSON"):
+        with open(path, encoding="utf-8") as fh, input_errors("estimator JSON"):
             data = json.load(fh)
         return cls.from_dict(domain, data)

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,33 +121,24 @@ def resolve_scenario(ref: str) -> Scenario:
 
 
 def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> DomainInfo:
-    """Build or load the domain, applying the scenario's domain adjustments.
+    """Build or load the domain, then apply the scenario's domain adjustments.
 
-    The network domain's attacker parameters are drawn once from ``seed`` and
-    then frozen, so every iteration (and every strategy) sees the same domain.
+    Only the web domain has variants; every domain's switching costs are
+    scaled by the scenario's multiplier.  The network domain's attacker
+    parameters are drawn once from ``seed`` and then frozen, so every
+    iteration (and every strategy) sees the same domain.
     """
     if ref == "web":
-        return make_web_app_domain(
-            alpha=alpha,
-            sc_multiplier=scenario.sc_multiplier,
-            unknown_variant=scenario.domain_variant,
-        )
-    if ref == "network":
-        if scenario.domain_variant is not None:
-            raise DomainError(f"network domain has no variant {scenario.domain_variant!r}")
-        return make_network_domain(
-            np.random.default_rng(seed), alpha=alpha, sc_multiplier=scenario.sc_multiplier
-        )
-    if os.path.exists(ref):
-        if scenario.domain_variant is not None:
-            raise DomainError("file-based domains do not support scenario domain variants")
-        dom = load_domain(ref, alpha=alpha)
-        if scenario.sc_multiplier != 1.0:
-            dom = DomainInfo(
-                dom.space, dom.types, dom.sc * scenario.sc_multiplier, dom.M, dom.gamma, alpha
-            )
-        return dom
-    raise DomainError(f"unknown domain {ref!r}; expected 'web', 'network', or a file path")
+        domain = make_web_app_domain(alpha=alpha, unknown_variant=scenario.domain_variant)
+    elif ref == "network":
+        domain = make_network_domain(np.random.default_rng(seed), alpha=alpha)
+    elif os.path.exists(ref):
+        domain = load_domain(ref, alpha=alpha)
+    else:
+        raise DomainError(f"unknown domain {ref!r}; expected 'web', 'network', or a file path")
+    if ref != "web" and scenario.domain_variant is not None:
+        raise DomainError(f"only the web domain has variants, not {scenario.domain_variant!r}")
+    return replace(domain, sc=domain.sc * scenario.sc_multiplier)
 
 
 def start_state_index(domain: DomainInfo, label: str | None) -> int:
@@ -525,6 +516,15 @@ def write_steps_csv(path: str, iteration_records: list[list[StepRecord]]) -> Non
                     [i, rec.t, rec.state, rec.action, rec.attacker_type,
                      int(rec.phi), repr(float(rec.reward))]
                 )
+
+
+def write_hindsight_csv(path: str, table: dict[str, float]) -> None:
+    """The mean average reward of every static configuration, one row each."""
+    with _open_csv(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["config", "mean_avg_reward"])
+        for label, value in table.items():
+            writer.writerow([label, repr(float(value))])
 
 
 def write_rolling_csv(path: str, iteration_records: list[list[StepRecord]]) -> None:

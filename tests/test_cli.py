@@ -212,6 +212,10 @@ def _malformed_inputs():
         "domain-unknown-not-a-boolean": (
             "run", "--domain", {**domain, "attacker_types": string_unknown},
         ),
+        "domain-no-attacker-types": (
+            "run", "--domain", {**domain, "attacker_types": []},
+            "--scenario", "web-most-adverse", "--strategy", "urs",
+        ),
         "estimator-without-beta": ("dump-lp", "--estimator", no_beta),
         "estimator-without-counts": ("dump-lp", "--estimator", no_counts),
     }
@@ -219,11 +223,11 @@ def _malformed_inputs():
 
 @pytest.mark.parametrize("case", sorted(_malformed_inputs()))
 def test_malformed_json_input_exits_with_a_domain_error(case, tmp_path, capsys):
-    command, option, content = _malformed_inputs()[case]
+    command, option, content, *extra = _malformed_inputs()[case]
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
     sizes = ["--timesteps", "1", "--iterations", "1"] if command == "run" else []
-    assert main([command, option, str(path), *sizes]) == 2
+    assert main([command, option, str(path), *extra, *sizes]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -145,6 +145,8 @@ def test_domain_validation(space):
         DomainInfo(**{**good, "alpha": -0.5})
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "types": (ok, ok)})  # duplicate ids
+    with pytest.raises(DomainError):
+        DomainInfo(**{**good, "types": ()})  # nobody to attack with
     unk = AttackerTypeSpec("u", True, np.zeros(4), np.zeros(4))
     unk2 = AttackerTypeSpec("u2", True, np.zeros(4), np.zeros(4))
     with pytest.raises(DomainError):
@@ -207,6 +209,14 @@ def test_cvss_csv_rejects_bad_input(space, tmp_path):
     unknown_cfg.write_text("config_label,attacker_type,ES,IS\nRust|MySQL,a,1,1\n")
     with pytest.raises(DomainError):
         attacker_types_from_cvss_csv(space, str(unknown_cfg))
+    not_a_number = tmp_path / "nan.csv"
+    not_a_number.write_text("config_label,attacker_type,ES,IS\nPHP|MySQL,a,high,1\n")
+    with pytest.raises(DomainError):
+        attacker_types_from_cvss_csv(space, str(not_a_number))
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("config_label,attacker_type,ES,IS\nPHP|MySQL,a,1\n")
+    with pytest.raises(DomainError):
+        attacker_types_from_cvss_csv(space, str(short_row))
 
 
 # ---------------------------------------------------------------------------

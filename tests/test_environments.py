@@ -6,6 +6,8 @@ ranges and structural zeros.  Sampling behaviour is verified by seeded
 Monte-Carlo against analytic probabilities.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from mtdsim.environments import (
     BUILTIN_SCENARIOS,
     MOST_ADVERSE,
     STATIC_DIST,
-    AttackerView,
     MTDEnvironment,
     Scenario,
     ScenarioPhase,
@@ -22,20 +23,21 @@ from mtdsim.environments import (
     load_scenario,
     make_network_domain,
     make_web_app_domain,
-    most_adverse_select,
-    sample_attack,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+from mtdsim.harness import resolve_domain
 
 WEB_MIX = {"mainstream-hacker": 0.5, "database-hacker": 0.35, "unknown": 0.15}
 
 
 def unknown_only_scenario(horizon: int = 10) -> Scenario:
-    return Scenario(
-        "unknown-only", horizon, (ScenarioPhase(0, horizon, STATIC_DIST, {"unknown": 1.0}),)
-    )
+    return single_phase_scenario(horizon, STATIC_DIST, {"unknown": 1.0})
+
+
+def single_phase_scenario(horizon: int, mode: str, dist: dict | None = None, per_state=None):
+    return Scenario("one-phase", horizon, (ScenarioPhase(0, horizon, mode, dist, per_state),))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_web_pg_only_variant_swaps_the_unknown_tables():
 
 
 def test_web_alpha_and_sc_multiplier_pass_through():
-    web = make_web_app_domain(alpha=0.5, sc_multiplier=3.0)
+    web = resolve_domain("web", builtin_scenario("web-evolving-3xsc"), alpha=0.5, seed=10)
     assert web.alpha == 0.5
     np.testing.assert_array_equal(web.sc, 3.0 * make_web_app_domain().sc)
 
@@ -179,6 +181,8 @@ def test_phase_validation_rejects_malformed_windows_and_dists():
         ScenarioPhase(0, 5, STATIC_DIST, {"a": 1.0}, {"1|1": {"a": 0.4}})
     with pytest.raises(DomainError):
         ScenarioPhase(0, 5, STATIC_DIST, {"a": 0.5, "b": float("nan")})
+    with pytest.raises(DomainError):  # a most-adverse attacker draws from no distribution
+        ScenarioPhase(0, 5, MOST_ADVERSE, {"a": 1.0})
 
 
 def test_scenario_phases_must_partition_the_horizon():
@@ -197,13 +201,17 @@ def test_scenario_phases_must_partition_the_horizon():
 
 
 def test_phase_lookup_uses_half_open_windows():
-    scen = builtin_scenario("web-evolving")
-    assert scen.phase_at(0).t_start == 0
-    assert scen.phase_at(329).t_end == 330
-    assert scen.phase_at(330).t_start == 330
-    assert scen.phase_at(999).t_end == 1000
+    windows = ((0, 330, "mainstream-hacker"), (330, 660, "unknown"), (660, 1000, "database-hacker"))
+    phases = tuple(ScenarioPhase(lo, hi, STATIC_DIST, {tid: 1.0}) for lo, hi, tid in windows)
+    env = MTDEnvironment(make_web_app_domain(), Scenario("windows", 1000, phases))
+    rng = np.random.default_rng(0)
+    types = [env.step(0, rng).attacker_type for _ in range(1000)]
+    assert types[0] == types[329] == "mainstream-hacker"
+    assert types[330] == types[659] == "unknown"
+    assert types[660] == types[999] == "database-hacker"
+    assert [types.count(tid) for _, _, tid in windows] == [330, 330, 340]
     with pytest.raises(DomainError):
-        scen.phase_at(1000)
+        env.step(0, rng)  # t = 1000 lies outside [0, 1000)
 
 
 def test_builtin_scenarios_cover_both_domains():
@@ -272,78 +280,92 @@ def test_scenario_json_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_attacker_view_smooths_action_counts():
+def alternate(env: MTDEnvironment, away: int, steps: int, rng) -> list:
+    """Records of a defender that starts in state 0 and alternates 0 -> away -> 0 ..."""
+    return [env.step(away if t % 2 == 0 else 0, rng) for t in range(steps)]
+
+
+def test_most_adverse_estimate_is_add_one_smoothed():
     web = make_web_app_domain()
-    view = AttackerView(web.space)
-    np.testing.assert_allclose(view.policy_estimate(0), np.full(4, 0.25))
-    view.record(0, 2)
-    np.testing.assert_allclose(view.policy_estimate(0), np.array([1, 1, 2, 1]) / 5)
-    np.testing.assert_allclose(view.policy_estimate(1), np.full(4, 0.25))
+    env = MTDEnvironment(web, single_phase_scenario(20, MOST_ADVERSE))
+    records = alternate(env, 3, 20, np.random.default_rng(0))
+    # After k moves PHP|MySQL -> Python|Postgres the estimate at PHP|MySQL is
+    # (1, 1, 1, k + 1) / (k + 4): the unknown's expected damage 235 / (k + 4)
+    # stays above the database hacker's (125.2 + 32.5 k) / (k + 4) up to k = 3.
+    # Without smoothing the switch would come at k = 1, with add-half at k = 2.
+    at_start = [r.attacker_type for r in records[0::2]]
+    assert at_start == ["unknown"] * 4 + ["database-hacker"] * 6
+    # Counts are kept per state: Python|Postgres only ever saw moves back to
+    # PHP|MySQL, where the unknown does the most damage.
+    assert {r.attacker_type for r in records[1::2]} == {"unknown"}
+    np.testing.assert_array_equal(env.moves[0], [0, 0, 0, 10])
+    np.testing.assert_array_equal(env.moves[3], [10, 0, 0, 0])
 
 
 def test_most_adverse_picks_the_expected_damage_maximiser():
     web = make_web_app_domain()
-    view = AttackerView(web.space)
-    # Fresh view: uniform policy estimate, expected damages 16.87 / 31.3 / 58.75.
-    assert most_adverse_select(view, 0, web) == 2
+    env = MTDEnvironment(web, single_phase_scenario(401, MOST_ADVERSE))
+    rng = np.random.default_rng(0)
+    records = alternate(env, 3, 401, rng)
+    # Fresh estimate: uniform policy, expected damages 16.87 / 31.3 / 58.75.
+    assert records[0].attacker_type == web.type_ids()[2]
     # A defender observed to always run to Python|Postgres neutralises the
     # unknown type; the database hacker (10.44 / 32.5 / 0 at that target)
     # becomes the worst threat.
-    for _ in range(200):
-        view.record(0, 3)
-    assert most_adverse_select(view, 0, web) == 1
+    assert env.moves[0, 3] == 201 and records[-1].state == "PHP|MySQL"
+    assert records[-1].attacker_type == web.type_ids()[1]
+    # A most-adverse step draws only the success flag.
+    twin = np.random.default_rng(0)
+    twin.random(401)
+    assert rng.random() == twin.random()
 
 
-def test_sample_attack_type_frequencies_match_the_phase_dist():
+def test_step_type_frequencies_match_the_phase_dist():
     web = make_web_app_domain()
-    scen = builtin_scenario("web-evolving")
-    view = AttackerView(web.space)
-    rng = np.random.default_rng(10)
     n = 10_000
-    draws = np.array([sample_attack(scen, 0, 0, 0, view, web, rng)[0] for _ in range(n)])
+    env = MTDEnvironment(web, single_phase_scenario(n, STATIC_DIST, WEB_MIX))
+    rng = np.random.default_rng(10)
+    draws = np.array([web.type_index(env.step(0, rng).attacker_type) for _ in range(n)])
     freqs = np.bincount(draws, minlength=3) / n
     np.testing.assert_allclose(freqs, [0.5, 0.35, 0.15], atol=0.02)
 
 
-def test_sample_attack_success_rate_matches_the_mixture():
+def test_step_success_rate_matches_the_mixture():
     web = make_web_app_domain()
-    scen = builtin_scenario("web-evolving")
-    view = AttackerView(web.space)
-    rng = np.random.default_rng(11)
     n = 10_000
-    phis = [sample_attack(scen, 0, 0, 0, view, web, rng)[1] for _ in range(n)]
+    surge = builtin_scenario("web-evolving").phases[1].dist
+    phases = (
+        ScenarioPhase(0, n, STATIC_DIST, WEB_MIX),
+        ScenarioPhase(n, n + 2_000, STATIC_DIST, surge),
+    )
+    env = MTDEnvironment(web, Scenario("mix-then-surge", n + 2_000, phases))
+    rng = np.random.default_rng(11)
+    phis = [env.step(0, rng).phi for _ in range(n)]
     analytic = 0.5 * 0.32 + 0.35 * 0.70 + 0.15 * 0.78
     assert np.mean(phis) == pytest.approx(analytic, abs=0.02)
     # Against Python|Postgres the unknown type never succeeds.
-    hits = [
-        phi
-        for tau, phi in (
-            sample_attack(scen, 400, 0, 3, view, web, rng) for _ in range(2_000)
-        )
-        if tau == 2
-    ]
+    records = [env.step(3, rng) for _ in range(2_000)]
+    hits = [r.phi for r in records if r.attacker_type == "unknown"]
     assert hits and not any(hits)
 
 
-def test_sample_attack_per_state_override_changes_the_dist():
+def test_step_per_state_override_changes_the_dist():
     web = make_web_app_domain()
-    scen = Scenario(
-        "split",
-        10,
-        (
-            ScenarioPhase(
-                0,
-                10,
-                STATIC_DIST,
-                {"mainstream-hacker": 1.0},
-                {"PHP|Postgres": {"unknown": 1.0}},
-            ),
-        ),
+    scen = single_phase_scenario(
+        40, STATIC_DIST, {"mainstream-hacker": 1.0}, {"PHP|Postgres": {"unknown": 1.0}}
     )
-    view = AttackerView(web.space)
+    env = MTDEnvironment(web, scen)
+    records = alternate(env, 1, 40, np.random.default_rng(0))
+    assert {r.attacker_type for r in records[0::2]} == {"mainstream-hacker"}
+    assert {r.attacker_type for r in records[1::2]} == {"unknown"}
+
+
+def test_a_long_horizon_costs_nothing_until_stepped():
+    start = time.perf_counter()
+    env = MTDEnvironment(make_web_app_domain(), single_phase_scenario(10**9, STATIC_DIST, WEB_MIX))
     rng = np.random.default_rng(0)
-    assert all(sample_attack(scen, 0, 0, 3, view, web, rng)[0] == 0 for _ in range(20))
-    assert all(sample_attack(scen, 0, 1, 3, view, web, rng)[0] == 2 for _ in range(20))
+    assert [env.step(0, rng).t for _ in range(3)] == [0, 1, 2]
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +385,7 @@ def test_step_reward_arithmetic_and_labels_on_the_web_domain():
     rec = env.step(3, rng)
     assert rec.reward == 200.0 and rec.state == "Python|Postgres"
     assert env.state == 3 and env.t == 2
-    assert env.view.counts[0, 3] == 1 and env.view.counts[3, 3] == 1
+    assert env.moves[0, 3] == 1 and env.moves[3, 3] == 1
 
 
 def test_step_reward_arithmetic_on_the_network_domain():

@@ -1,7 +1,9 @@
 """Byte-identity of the program's output files.
 
 Each hash in ``GOLDEN_STEPS_SHA256`` pins ``steps.csv`` of an ``ata-fmdp`` run
-(seed 10, 2 iterations, no hindsight) on one built-in scenario.
+(seed 10, 2 iterations, no hindsight) on one built-in scenario;
+``GOLDEN_CUSTOM_STEPS_SHA256`` pins the same file for ``ata-fmdp`` and ``fpl``
+on ``CUSTOM_SCENARIO``, a scenario JSON the test writes.
 ``GOLDEN_CLI_SHA256`` pins every file that ``mtdsim run`` and
 ``mtdsim hindsight`` write for one baseline run with a non-default start
 state.  ``GOLDEN_DUMP_LP_SHA256`` pins the stdout of ``mtdsim dump-lp`` for
@@ -15,6 +17,7 @@ alter behaviour updates them and says why.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -57,6 +60,55 @@ def test_ata_fmdp_steps_csv_is_byte_identical(tmp_path, scenario):
     )
     digest = hashlib.sha256((tmp_path / "steps.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_STEPS_SHA256[scenario]
+
+
+# Reaches what no built-in scenario does: type keys out of domain order, a
+# per-state override, a static phase followed by a most-adverse one, and a
+# non-integer switching-cost multiplier.
+CUSTOM_SCENARIO = {
+    "T": 300,
+    "phases": [
+        {
+            "start": 0,
+            "end": 150,
+            "mode": "static_dist",
+            "dist": {"unknown": 0.2, "database-hacker": 0.3, "mainstream-hacker": 0.5},
+            "per_state_dist": {
+                "Python|Postgres": {
+                    "unknown": 0.5, "mainstream-hacker": 0.3, "database-hacker": 0.2,
+                },
+                "PHP|Postgres": {
+                    "database-hacker": 0.6, "unknown": 0.1, "mainstream-hacker": 0.3,
+                },
+            },
+        },
+        {"start": 150, "end": 300, "mode": "most_adverse"},
+    ],
+    "sc_multiplier": 2.5,
+}
+
+GOLDEN_CUSTOM_STEPS_SHA256 = {
+    "ata-fmdp": "dafdd156212ad22fab918ff4f8d0af471ccae8a4a56dfc5e2dc905ea606539ec",
+    "fpl": "9e034c7a0217f0583ebafb8a56f5df9302a233f1f7b0a65e421508ad538d4c2c",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_CUSTOM_STEPS_SHA256))
+def test_custom_scenario_steps_csv_is_byte_identical(tmp_path, strategy):
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(CUSTOM_SCENARIO))
+    run_experiment(
+        ExperimentConfig(
+            scenario=str(path),
+            strategy=strategy,
+            iterations=2,
+            seed=10,
+            include_hindsight=False,
+            out_dir=str(tmp_path / "out"),
+        )
+    )
+    digest = hashlib.sha256((tmp_path / "out" / "steps.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CUSTOM_STEPS_SHA256[strategy]
 
 
 GOLDEN_CLI_SHA256 = {
