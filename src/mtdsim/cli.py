@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .alp import alp_to_dict, build_alp, build_state_basis
-from .domain import DomainError
+from .domain import DomainError, write_json
 from .estimator import ThreatEstimator
 from .harness import (
     CHECK_PERTURBATIONS,
@@ -69,23 +70,8 @@ def _add_episode_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        domain=args.domain,
-        scenario=args.scenario,
-        strategy=args.strategy,
-        alpha=args.alpha,
-        timesteps=args.timesteps,
-        iterations=args.iterations,
-        seed=args.seed,
-        reopt_period=args.reopt_period,
-        out_dir=args.out,
-        start_state=args.start_state,
-        beta=args.beta,
-        epsilon=args.epsilon,
-        fpl_explore=args.fpl_explore,
-        fpl_rate=args.fpl_rate,
-        fpl_lmax=args.fpl_lmax,
-    )
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
     result = run_experiment(config)
     print(
         f"strategy={config.strategy} alpha={config.alpha} "
@@ -99,8 +85,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"hindsight: best_static={result.best_static:.3f} ({best_label}) "
             f"worst_static={result.worst_static:.3f} ({worst_label})"
         )
-    if args.out is not None:
-        print(f"wrote steps.csv, rolling.csv, summary.csv, meta.json to {args.out}")
+    if config.out_dir is not None:
+        print(f"wrote steps.csv, rolling.csv, summary.csv, meta.json to {config.out_dir}")
     return 0
 
 
@@ -143,13 +129,11 @@ def cmd_dump_lp(args: argparse.Namespace) -> int:
     else:
         posterior = cold_posterior_table(domain)
     basis = build_state_basis(domain.space) if args.basis == "state" else None  # None: factored
-    alp = build_alp(domain, posterior, basis)
-    payload = json.dumps(alp_to_dict(alp), indent=2, sort_keys=True)
+    data = alp_to_dict(build_alp(domain, posterior, basis))
     if args.out == "-":
-        print(payload)
+        print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload + "\n")
+        write_json(args.out, data, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
     return 0
 
@@ -168,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ata-fmdp, fpl, eps-greedy, urs, or static:<config-label>")
     p_run.add_argument("--reopt-period", type=_parse_reopt_period, default=DEFAULTS.reopt_period,
                        help="re-plan every N steps, or 'never' (default: %(default)s)")
-    p_run.add_argument("--out", default=DEFAULTS.out_dir, help="directory for CSV/JSON outputs")
+    p_run.add_argument("--out", dest="out_dir", default=DEFAULTS.out_dir,
+                       help="directory for CSV/JSON outputs")
     p_run.add_argument("--beta", type=float, default=DEFAULTS.beta,
                        help="count decay (default: %(default)s)")
     p_run.add_argument("--epsilon", type=float, default=DEFAULTS.epsilon)

@@ -52,10 +52,13 @@ class ConfigSpace:
 
     Configurations are enumerated in C order (last factor varies fastest);
     the flat index of a configuration is its position in that enumeration.
+    The labels and the label -> index map are built once, here.
     """
 
     factors: tuple[FactorSpec, ...]
     configs: tuple[tuple[str, ...], ...] = field(init=False)
+    _labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _label_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.factors:
@@ -64,40 +67,28 @@ class ConfigSpace:
         if len(set(names)) != len(names):
             raise DomainError("factor names must be unique")
         configs = tuple(product(*(f.values for f in self.factors)))
+        labels = tuple(LABEL_SEP.join(c) for c in configs)
         object.__setattr__(self, "configs", configs)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_label_index", {lab: i for i, lab in enumerate(labels)})
 
     @property
     def n_configs(self) -> int:
         return len(self.configs)
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
-
-    def index_of(self, config: tuple[str, ...]) -> int:
-        try:
-            return self.configs.index(tuple(config))
-        except ValueError:
-            raise DomainError(f"unknown configuration {config!r}") from None
-
-    def config_at(self, index: int) -> tuple[str, ...]:
-        if not 0 <= index < self.n_configs:
-            raise DomainError(f"configuration index {index} out of range")
-        return self.configs[index]
-
     def label(self, index: int) -> str:
-        return LABEL_SEP.join(self.config_at(index))
+        return self._labels[index]
 
     def index_of_label(self, label: str) -> int:
-        labels = self.labels()
-        if label not in labels:
+        try:
+            return self._label_index[label]
+        except KeyError:
             raise DomainError(
-                f"unknown configuration label {label!r}; expected one of {', '.join(labels)}"
-            )
-        return labels.index(label)
+                f"unknown configuration label {label!r}; expected one of {', '.join(self._labels)}"
+            ) from None
 
     def labels(self) -> list[str]:
-        return [LABEL_SEP.join(c) for c in self.configs]
+        return list(self._labels)
 
 
 @dataclass(frozen=True)
@@ -137,13 +128,10 @@ class AttackerTypeSpec:
         loss_map: dict[str, float],
     ) -> "AttackerTypeSpec":
         """Build from label-keyed maps; missing labels mean no capability (0)."""
-        labels = space.labels()
-        for m in (mu_map, loss_map):
-            for key in m:
-                if key not in labels:
-                    raise DomainError(f"type {type_id!r}: unknown configuration label {key!r}")
-        mu = np.array([float(mu_map.get(lab, 0.0)) for lab in labels])
-        loss = np.array([float(loss_map.get(lab, 0.0)) for lab in labels])
+        mu, loss = np.zeros(space.n_configs), np.zeros(space.n_configs)
+        for table, values in ((mu, mu_map), (loss, loss_map)):
+            for label, value in values.items():
+                table[space.index_of_label(label)] = float(value)
         return cls(type_id, is_unknown, mu, loss)
 
 
@@ -153,7 +141,8 @@ class DomainInfo:
 
     Immutable by convention after construction.  ``sc[s, a]`` is the switching
     cost of taking action ``a`` in state ``s``; ``alpha`` weights it in the
-    reward.  ``gamma`` is the discount used by planning components.
+    reward.  ``gamma`` is the discount used by planning components.  The type
+    ids and the id -> index map are built once, here.
     """
 
     space: ConfigSpace
@@ -177,10 +166,11 @@ class DomainInfo:
             raise DomainError("gamma must lie in [0, 1)")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise DomainError("alpha must be finite and >= 0")
-        ids = [t.id for t in self.types]
-        if not ids:
+        self._type_ids = tuple(t.id for t in self.types)
+        self._type_index = {type_id: i for i, type_id in enumerate(self._type_ids)}
+        if not self._type_ids:
             raise DomainError("a domain needs at least one attacker type")
-        if len(set(ids)) != len(ids):
+        if len(self._type_index) != len(self._type_ids):
             raise DomainError("attacker type ids must be unique")
         if sum(t.is_unknown for t in self.types) > 1:
             raise DomainError("at most one unknown attacker type")
@@ -202,13 +192,13 @@ class DomainInfo:
         return self.space.n_configs
 
     def type_index(self, type_id: str) -> int:
-        for i, t in enumerate(self.types):
-            if t.id == type_id:
-                return i
-        raise DomainError(f"unknown attacker type {type_id!r}")
+        try:
+            return self._type_index[type_id]
+        except KeyError:
+            raise DomainError(f"unknown attacker type {type_id!r}") from None
 
     def type_ids(self) -> list[str]:
-        return [t.id for t in self.types]
+        return list(self._type_ids)
 
 
 def cvss_to_params(exploitability_score: float, impact_score: float) -> tuple[float, float]:
@@ -231,8 +221,9 @@ def attacker_types_from_cvss_csv(space: ConfigSpace, path: str) -> list[Attacker
     Columns: config_label, attacker_type, ES, IS — one row per
     (configuration, type, vulnerability).  A type's mu/loss against a
     configuration are the averages of 0.1*ES and 10*IS over its rows for that
-    configuration; absent pairs mean no capability.  A type with id
-    ``unknown`` becomes the catch-all unknown type.
+    configuration; absent pairs mean no capability, and ``from_maps`` rejects
+    an unknown configuration label.  A type with id ``unknown`` becomes the
+    catch-all unknown type.
     """
     sums: dict[str, dict[str, list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh, input_errors("CVSS CSV"):
@@ -241,11 +232,10 @@ def attacker_types_from_cvss_csv(space: ConfigSpace, path: str) -> list[Attacker
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DomainError(f"CVSS CSV must have columns {sorted(required)}")
         for row in reader:
-            label = row["config_label"]
-            if label not in space.labels():
-                raise DomainError(f"CVSS CSV references unknown configuration {label!r}")
             mu, loss = cvss_to_params(float(row["ES"]), float(row["IS"]))
-            cell = sums.setdefault(row["attacker_type"], {}).setdefault(label, [0.0, 0.0, 0])
+            cell = sums.setdefault(row["attacker_type"], {}).setdefault(
+                row["config_label"], [0.0, 0.0, 0]
+            )
             cell[0] += mu
             cell[1] += loss
             cell[2] += 1
@@ -315,6 +305,17 @@ def domain_to_dict(domain: DomainInfo) -> dict:
     }
 
 
+def write_json(path: str, data, **json_options) -> None:
+    """Write ``data`` as JSON in UTF-8 with LF line endings and a trailing newline.
+
+    Every JSON file the program writes goes through here; ``json_options``
+    (indent, key order) pass to ``json.dump``.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(data, fh, **json_options)
+        fh.write("\n")
+
+
 @contextmanager
 def input_errors(what: str):
     """Raise what reading a malformed ``what`` throws (missing key, wrong type) as DomainError."""
@@ -354,9 +355,7 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
 
 
 def save_domain(domain: DomainInfo, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(domain_to_dict(domain), fh, indent=2)
-        fh.write("\n")
+    write_json(path, domain_to_dict(domain), indent=2)
 
 
 def load_domain(path: str, alpha: float = 1.0) -> DomainInfo:

@@ -28,6 +28,7 @@ from .domain import (
     DomainInfo,
     FactorSpec,
     input_errors,
+    write_json,
 )
 
 STATIC_DIST = "static_dist"
@@ -43,83 +44,46 @@ _WEB_FACTORS = (
     FactorSpec("language", ("PHP", "Python")),
     FactorSpec("database", ("MySQL", "Postgres")),
 )
-# Keyed by configuration tuples to stay independent of enumeration order.
+# Keyed by configuration labels to stay independent of enumeration order.
 _WEB_SC = {
-    ("PHP", "MySQL"): {
-        ("PHP", "MySQL"): 0,
-        ("Python", "MySQL"): 20,
-        ("PHP", "Postgres"): 60,
-        ("Python", "Postgres"): 100,
+    "PHP|MySQL": {
+        "PHP|MySQL": 0, "Python|MySQL": 20, "PHP|Postgres": 60, "Python|Postgres": 100,
     },
-    ("Python", "MySQL"): {
-        ("PHP", "MySQL"): 20,
-        ("Python", "MySQL"): 0,
-        ("PHP", "Postgres"): 90,
-        ("Python", "Postgres"): 50,
+    "Python|MySQL": {
+        "PHP|MySQL": 20, "Python|MySQL": 0, "PHP|Postgres": 90, "Python|Postgres": 50,
     },
-    ("PHP", "Postgres"): {
-        ("PHP", "MySQL"): 60,
-        ("Python", "MySQL"): 90,
-        ("PHP", "Postgres"): 0,
-        ("Python", "Postgres"): 20,
+    "PHP|Postgres": {
+        "PHP|MySQL": 60, "Python|MySQL": 90, "PHP|Postgres": 0, "Python|Postgres": 20,
     },
-    ("Python", "Postgres"): {
-        ("PHP", "MySQL"): 100,
-        ("Python", "MySQL"): 50,
-        ("PHP", "Postgres"): 20,
-        ("Python", "Postgres"): 0,
+    "Python|Postgres": {
+        "PHP|MySQL": 100, "Python|MySQL": 50, "PHP|Postgres": 20, "Python|Postgres": 0,
     },
 }
+# type id -> (is_unknown, mu by label, loss by label), in declaration order.
 _WEB_TYPES = {
     "mainstream-hacker": (
         False,
-        {
-            ("PHP", "MySQL"): (0.32, 61.0),
-            ("Python", "MySQL"): (0.32, 43.0),
-            ("PHP", "Postgres"): (0.36, 66.0),
-            ("Python", "Postgres"): (0.36, 29.0),
-        },
+        {"PHP|MySQL": 0.32, "Python|MySQL": 0.32, "PHP|Postgres": 0.36, "Python|Postgres": 0.36},
+        {"PHP|MySQL": 61.0, "Python|MySQL": 43.0, "PHP|Postgres": 66.0, "Python|Postgres": 29.0},
     ),
     "database-hacker": (
         False,
-        {
-            ("PHP", "MySQL"): (0.70, 43.0),
-            ("Python", "MySQL"): (0.70, 43.0),
-            ("PHP", "Postgres"): (0.65, 50.0),
-            ("Python", "Postgres"): (0.65, 50.0),
-        },
+        {"PHP|MySQL": 0.70, "Python|MySQL": 0.70, "PHP|Postgres": 0.65, "Python|Postgres": 0.65},
+        {"PHP|MySQL": 43.0, "Python|MySQL": 43.0, "PHP|Postgres": 50.0, "Python|Postgres": 50.0},
     ),
     "unknown": (
         True,
-        {
-            ("PHP", "MySQL"): (0.78, 100.0),
-            ("Python", "MySQL"): (0.70, 100.0),
-            ("PHP", "Postgres"): (0.87, 100.0),
-            ("Python", "Postgres"): (0.0, 0.0),
-        },
+        {"PHP|MySQL": 0.78, "Python|MySQL": 0.70, "PHP|Postgres": 0.87, "Python|Postgres": 0.0},
+        {"PHP|MySQL": 100.0, "Python|MySQL": 100.0, "PHP|Postgres": 100.0, "Python|Postgres": 0.0},
     ),
 }
 # Variant for the PostgreSQL-only database hacker landscape: the unknown slot
 # holds a DH-like attacker that can only exploit Postgres deployments.
-_WEB_UNKNOWN_PG_ONLY = {
-    ("PHP", "MySQL"): (0.0, 0.0),
-    ("Python", "MySQL"): (0.0, 0.0),
-    ("PHP", "Postgres"): (0.65, 50.0),
-    ("Python", "Postgres"): (0.65, 50.0),
-}
-
-
-def _types_from_tuples(space: ConfigSpace, table: dict) -> tuple[AttackerTypeSpec, ...]:
-    types = []
-    for type_id, (is_unknown, entries) in table.items():
-        mu = np.zeros(space.n_configs)
-        loss = np.zeros(space.n_configs)
-        for config, (m, l) in entries.items():
-            idx = space.index_of(config)
-            mu[idx] = m
-            loss[idx] = l
-        types.append(AttackerTypeSpec(type_id, is_unknown, mu, loss))
-    return tuple(types)
+_WEB_UNKNOWN_PG_ONLY = (
+    True,
+    {"PHP|Postgres": 0.65, "Python|Postgres": 0.65},
+    {"PHP|Postgres": 50.0, "Python|Postgres": 50.0},
+)
 
 
 def make_web_app_domain(alpha: float = 1.0, unknown_variant: str | None = None) -> DomainInfo:
@@ -131,14 +95,12 @@ def make_web_app_domain(alpha: float = 1.0, unknown_variant: str | None = None) 
     space = ConfigSpace(_WEB_FACTORS)
     table = dict(_WEB_TYPES)
     if unknown_variant == "pg-only-dh":
-        table["unknown"] = (True, _WEB_UNKNOWN_PG_ONLY)
+        table["unknown"] = _WEB_UNKNOWN_PG_ONLY
     elif unknown_variant is not None:
         raise DomainError(f"unknown web variant {unknown_variant!r}")
-    types = _types_from_tuples(space, table)
-    sc = np.zeros((space.n_configs, space.n_configs))
-    for s_cfg, row in _WEB_SC.items():
-        for a_cfg, cost in row.items():
-            sc[space.index_of(s_cfg), space.index_of(a_cfg)] = cost
+    types = [AttackerTypeSpec.from_maps(space, i, *spec) for i, spec in table.items()]
+    labels = space.labels()
+    sc = np.array([[_WEB_SC[s][a] for a in labels] for s in labels], dtype=float)
     return DomainInfo(space, types, sc, WEB_M, WEB_GAMMA, alpha)
 
 
@@ -223,6 +185,8 @@ class ScenarioPhase:
             if not self.dist:
                 raise DomainError("static_dist phase needs a type distribution")
             for d in [self.dist, *(self.per_state_dist or {}).values()]:
+                if any(isinstance(v, bool) for v in d.values()):
+                    raise DomainError("phase weights must be numbers, not booleans")
                 total = sum(d.values())
                 # Written so that a NaN weight fails too.
                 if not (all(v >= 0 for v in d.values()) and abs(total - 1.0) <= 1e-9):
@@ -287,13 +251,9 @@ class MTDEnvironment:
         if not 0 <= start_state < domain.n_configs:
             raise DomainError(f"start state index {start_state} out of range")
         self._labels, self._type_ids = domain.space.labels(), domain.type_ids()
-        type_index = {type_id: i for i, type_id in enumerate(self._type_ids)}
 
         def draw_table(dist: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-            for type_id in dist:
-                if type_id not in type_index:
-                    raise DomainError(f"scenario names unknown attacker type {type_id!r}")
-            return np.array([type_index[i] for i in dist]), np.array(list(dist.values()))
+            return np.array([domain.type_index(i) for i in dist]), np.array(list(dist.values()))
 
         # Per phase: its end, and None (most adverse) or one draw table per state.
         self._phase_ends, self._phase_draws = [], []
@@ -302,15 +262,10 @@ class MTDEnvironment:
             if phase.mode == MOST_ADVERSE:
                 self._phase_draws.append(None)
                 continue
-            per_state = phase.per_state_dist or {}
-            for label in per_state:
-                if label not in self._labels:
-                    raise DomainError(f"scenario per_state_dist names unknown label {label!r}")
-            default = draw_table(phase.dist)
-            self._phase_draws.append(
-                [draw_table(per_state[lab]) if lab in per_state else default
-                 for lab in self._labels]
-            )
+            draws = [draw_table(phase.dist)] * domain.n_configs
+            for label, dist in (phase.per_state_dist or {}).items():
+                draws[domain.space.index_of_label(label)] = draw_table(dist)
+            self._phase_draws.append(draws)
         self._phase = 0
         self._damage = domain.mu_table * domain.loss_table
         self.moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
@@ -427,12 +382,19 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; int() would truncate 10.9 and accept true and "10"."""
+    if type(value) is not int:
+        raise DomainError(f"scenario {what} must be an integer, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
     with input_errors("scenario JSON"):
         phases = tuple(
             ScenarioPhase(
-                int(p["start"]),
-                int(p["end"]),
+                _integer(p["start"], "phase start"),
+                _integer(p["end"], "phase end"),
                 p.get("mode", STATIC_DIST),
                 p.get("dist"),
                 p.get("per_state_dist"),
@@ -441,7 +403,7 @@ def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
         )
         return Scenario(
             name,
-            int(data["T"]),
+            _integer(data["T"], "T"),
             phases,
             sc_multiplier=float(data.get("sc_multiplier", 1.0)),
             domain_variant=data.get("domain_variant"),
@@ -456,6 +418,4 @@ def load_scenario(path: str) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
+    write_json(path, scenario_to_dict(scenario), indent=2)

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .domain import DomainError, DomainInfo, input_errors
+from .domain import DomainError, DomainInfo, input_errors, write_json
 
 COUNT_FLOOR = 1e-12
 DEFAULT_BETA = 2.0
@@ -90,9 +90,7 @@ class ThreatEstimator:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, domain: DomainInfo, data: dict) -> "ThreatEstimator":

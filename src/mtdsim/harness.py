@@ -3,17 +3,17 @@
 Everything here is deterministic given the configuration: iteration ``i`` of
 a run, and of each static replay behind the hindsight bounds, plays a fresh
 environment at the start state with the generator ``seed + i``; floats are
-written with ``repr`` (the shortest round-trip form), and CSV/JSON outputs use
-UTF-8 with LF line endings, so identical configurations produce
-byte-identical files.
+written with ``repr`` (the shortest round-trip form), and every CSV goes
+through ``_write_csv`` and every JSON file through ``domain.write_json``, both
+UTF-8 with LF line endings, so identical configurations produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +35,7 @@ from .domain import (
     FactorSpec,
     expected_reward_table,
     load_domain,
+    write_json,
 )
 from .environments import (
     BUILTIN_SCENARIOS,
@@ -502,55 +503,58 @@ def check_linear_regret(seed: int = 10, runs: int = CHECK_RUNS) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _open_csv(path: str):
-    return open(path, "w", encoding="utf-8", newline="")
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    """Write a header and rows as CSV in UTF-8 with LF line endings; every CSV goes here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_steps_csv(path: str, iteration_records: list[list[StepRecord]]) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "t", "state", "action", "attacker_type", "phi", "reward"])
-        for i, records in enumerate(iteration_records):
-            for rec in records:
-                writer.writerow(
-                    [i, rec.t, rec.state, rec.action, rec.attacker_type,
-                     int(rec.phi), repr(float(rec.reward))]
-                )
+    _write_csv(
+        path,
+        ["iteration", "t", "state", "action", "attacker_type", "phi", "reward"],
+        (
+            [i, rec.t, rec.state, rec.action, rec.attacker_type, int(rec.phi),
+             repr(float(rec.reward))]
+            for i, records in enumerate(iteration_records)
+            for rec in records
+        ),
+    )
 
 
 def write_hindsight_csv(path: str, table: dict[str, float]) -> None:
     """The mean average reward of every static configuration, one row each."""
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["config", "mean_avg_reward"])
-        for label, value in table.items():
-            writer.writerow([label, repr(float(value))])
+    _write_csv(
+        path,
+        ["config", "mean_avg_reward"],
+        ([label, repr(float(value))] for label, value in table.items()),
+    )
 
 
 def write_rolling_csv(path: str, iteration_records: list[list[StepRecord]]) -> None:
     """Trailing ``ROLLING_WINDOW`` reward means (warm-up windows average what is available)."""
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "t", "rolling_reward"])
+
+    def rows() -> Iterator[list]:
         for i, records in enumerate(iteration_records):
-            rewards = _records_rewards(records)
-            csum = np.concatenate([[0.0], np.cumsum(rewards)])
-            for t in range(rewards.size):
+            csum = np.concatenate([[0.0], np.cumsum(_records_rewards(records))])
+            for t in range(len(records)):
                 lo = max(0, t - ROLLING_WINDOW + 1)
-                mean = (csum[t + 1] - csum[lo]) / (t + 1 - lo)
-                writer.writerow([i, t, repr(float(mean))])
+                yield [i, t, repr(float((csum[t + 1] - csum[lo]) / (t + 1 - lo)))]
+
+    _write_csv(path, ["iteration", "t", "rolling_reward"], rows())
 
 
 def write_summary_csv(path: str, result: RunResult) -> None:
     """One row of summary statistics; the hindsight columns stay empty without hindsight."""
     stats = (float(result.config.alpha), result.mean_avg_reward, result.std_avg_reward,
              result.best_static, result.worst_static)
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "alpha", "mean_avg_reward", "std_avg_reward",
-                         "best_static", "worst_static"])
-        writer.writerow([result.config.strategy]
-                        + ["" if v is None else repr(v) for v in stats])
+    _write_csv(
+        path,
+        ["strategy", "alpha", "mean_avg_reward", "std_avg_reward", "best_static", "worst_static"],
+        [[result.config.strategy] + ["" if v is None else repr(v) for v in stats]],
+    )
 
 
 def write_meta_json(path: str, result: RunResult) -> None:
@@ -574,9 +578,7 @@ def write_meta_json(path: str, result: RunResult) -> None:
         },
         "static_table": result.static_table,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, meta, indent=2, sort_keys=True)
 
 
 def write_outputs(out_dir: str, result: RunResult) -> None:

@@ -174,7 +174,6 @@ def test_unknown_domain_exits_with_a_domain_error(capsys):
 
 def test_run_parser_defaults_are_the_experiment_config_defaults():
     args = vars(build_parser().parse_args(["run"]))
-    args["out_dir"] = args.pop("out")
     config = dataclasses.asdict(ExperimentConfig())
     shared = sorted(set(args) & set(config))
     assert len(shared) == 15
@@ -198,12 +197,19 @@ def _malformed_inputs():
     def one_phase(**fields):
         return {**scenario, "phases": [{"start": 0, "end": scenario["T"], **fields}]}
 
+    def window(T, start, end):  # a scenario that is valid once its numbers are truncated
+        return {"T": T, "phases": [{"start": start, "end": end, "dist": mix}]}
+
     return {
         "scenario-T-not-a-number": ("run", "--scenario", {**scenario, "T": "abc"}),
         "scenario-not-json": ("run", "--scenario", "{not json"),
         "scenario-dist-not-a-map": ("run", "--scenario", {**scenario, "phases": [bad_phase]}),
         "scenario-nan-weight": ("run", "--scenario", one_phase(dist={**mix, "unknown": nan})),
         "scenario-unknown-type": ("run", "--scenario", one_phase(dist={**mix, "nobody": 0.0})),
+        "scenario-T-not-an-integer": ("run", "--scenario", window(10.9, 0, 10)),
+        "scenario-start-not-an-integer": ("run", "--scenario", window(10, 0.7, 10)),
+        "scenario-end-not-an-integer": ("run", "--scenario", window(10, 0, 10.2)),
+        "scenario-boolean-weight": ("run", "--scenario", one_phase(dist={"unknown": True})),
         "scenario-unknown-label": (
             "run", "--scenario", one_phase(dist=mix, per_state_dist={"PHP|MySQl": mix}),
         ),

@@ -118,7 +118,7 @@ def test_network_rates_fall_in_documented_ranges():
     assert net.space.labels() == ["1|1", "1|0", "0|1", "0|0"]
     for idx, (src, tgt) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
         lo, hi = (0.5, 0.6) if src == tgt else (0.2, 0.3)
-        online = [c for c in range(4) if net.space.config_at(c)[tgt] == "1"]
+        online = [c for c in range(4) if net.space.configs[c][tgt] == "1"]
         offline = [c for c in range(4) if c not in online]
         rates = net.mu_table[idx, online]
         assert np.all((rates >= lo) & (rates <= hi))

@@ -11,7 +11,9 @@ both bases on one web and one network scenario, and for the factored basis
 under a seeded estimator checkpoint.  ``GOLDEN_SOLVE_LP_SHA256`` pins the
 status, ``x`` bytes and basis of a cold ``solve_lp`` on the cold-posterior ALP
 of the web domain (both bases) and of 2-, 3- and 4-node networks, and of a
-warm re-solve from that basis after a perturbed posterior.  A change that is meant to leave
+warm re-solve from that basis after a perturbed posterior.  ``GOLDEN_SAVED_SHA256``
+pins the files that ``save_domain``, ``save_scenario``, ``ThreatEstimator.save``
+and ``mtdsim dump-lp --out`` write.  A change that is meant to leave
 behaviour alone must leave these hashes alone; a change that is meant to
 alter behaviour updates them and says why.
 """
@@ -24,7 +26,14 @@ import pytest
 
 from mtdsim.alp import build_alp, build_state_basis
 from mtdsim.cli import main
-from mtdsim.environments import make_network_domain, make_web_app_domain
+from mtdsim.domain import save_domain
+from mtdsim.environments import (
+    builtin_scenario,
+    make_network_domain,
+    make_web_app_domain,
+    save_scenario,
+    scenario_from_dict,
+)
 from mtdsim.estimator import ThreatEstimator
 from mtdsim.harness import (
     ExperimentConfig,
@@ -141,6 +150,16 @@ GOLDEN_DUMP_LP_SHA256 = {
 }
 
 
+def _seeded_estimator() -> ThreatEstimator:
+    """A web-domain estimator after 40 seeded updates."""
+    estimator = ThreatEstimator(make_web_app_domain())
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        tau, state, action = (int(v) for v in rng.integers((3, 4, 4)))
+        estimator.update(tau, state, action, int(rng.random() < 0.6))
+    return estimator
+
+
 def _dump_lp_argv(case: str, tmp_path) -> list[str]:
     argv = ["dump-lp", "--basis", "state" if case.endswith("-state") else "factored"]
     if case.startswith("net-"):
@@ -148,12 +167,7 @@ def _dump_lp_argv(case: str, tmp_path) -> list[str]:
     else:
         argv += ["--domain", "web", "--scenario", "web-evolving"]
     if case.endswith("-estimator"):
-        estimator = ThreatEstimator(make_web_app_domain())
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            tau, state, action = (int(v) for v in rng.integers((3, 4, 4)))
-            estimator.update(tau, state, action, int(rng.random() < 0.6))
-        estimator.save(str(tmp_path / "estimator.json"))
+        _seeded_estimator().save(str(tmp_path / "estimator.json"))
         argv += ["--estimator", str(tmp_path / "estimator.json")]
     return argv
 
@@ -163,6 +177,36 @@ def test_dump_lp_stdout_is_byte_identical(tmp_path, capsys, case):
     assert main(_dump_lp_argv(case, tmp_path)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN_DUMP_LP_SHA256[case]
+
+
+SAVERS = {  # case -> writer of the file at the given path
+    "domain-web": lambda path: save_domain(make_web_app_domain(), path),
+    "domain-net2": lambda path: save_domain(
+        make_network_domain(np.random.default_rng(0), n_nodes=2), path
+    ),
+    "scenario-web-dh-postgres": lambda path: save_scenario(
+        builtin_scenario("web-dh-postgres"), path
+    ),
+    "scenario-custom": lambda path: save_scenario(scenario_from_dict(CUSTOM_SCENARIO), path),
+    "estimator": lambda path: _seeded_estimator().save(path),
+    "dump-lp-out": lambda path: main(["dump-lp", "--out", path]),
+}
+
+GOLDEN_SAVED_SHA256 = {
+    "domain-net2": "0c95f1dc08005b4e36cc337a5755be73b55719d8e580cef2c6404cfaa083e2bf",
+    "domain-web": "255515fa9748c885d6a21655f37431d9f74050e767d0691f74675c574512df20",
+    "dump-lp-out": "98d7d043a6a7e958da66078e63f1b036bf6080425828648e7f70317cc755753a",
+    "estimator": "c0d0981c4faac7d46f3e18810b04b9dcba33ce8e9a1dd0fe45e756ae2c50dc64",
+    "scenario-custom": "80bb0172dede8f4c2cdb720f8d7144ea6e249b6961370457885388dd09d46ca3",
+    "scenario-web-dh-postgres": "3556e218719792784828f3dfadddb1e4de0dedbd55abd38c675f23f0acfd3b63",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVERS))
+def test_saved_files_are_byte_identical(tmp_path, capsys, case):
+    path = tmp_path / "saved.json"
+    SAVERS[case](str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAVED_SHA256[case]
 
 
 def _solver_pin_problem(case: str):
