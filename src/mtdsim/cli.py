@@ -22,9 +22,9 @@ from .harness import (
     cold_posterior_table,
     hindsight_bounds,
     resolve_domain,
+    resolve_run,
     resolve_scenario,
     run_experiment,
-    start_state_index,
     write_hindsight_csv,
 )
 
@@ -69,9 +69,14 @@ def _add_episode_args(parser: argparse.ArgumentParser) -> None:
                         help="starting configuration label (default: first enumerated)")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment configuration named by the parsed arguments, field by field."""
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _config(args)
     result = run_experiment(config)
     print(
         f"strategy={config.strategy} alpha={config.alpha} "
@@ -91,18 +96,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_hindsight(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(args.scenario)
-    domain = resolve_domain(args.domain, scenario, args.alpha, args.seed)
-    timesteps = scenario.horizon if args.timesteps is None else args.timesteps
-    best, worst, table = hindsight_bounds(
-        domain, scenario, timesteps, args.iterations, args.seed,
-        start_state_index(domain, args.start_state),
-    )
-    for label, value in table.items():
+    run = resolve_run(_config(args))
+    run.static_table = hindsight_bounds(run)
+    for label, value in run.static_table.items():
         print(f"static:{label} mean_avg_reward={value:.3f}")
-    print(f"best_static={best:.3f} worst_static={worst:.3f}")
+    print(f"best_static={run.best_static:.3f} worst_static={run.worst_static:.3f}")
     if args.out is not None:
-        write_hindsight_csv(args.out, table)
+        write_hindsight_csv(args.out, run.static_table)
         print(f"wrote {args.out}")
     return 0
 

@@ -129,9 +129,9 @@ class AttackerTypeSpec:
     ) -> "AttackerTypeSpec":
         """Build from label-keyed maps; missing labels mean no capability (0)."""
         mu, loss = np.zeros(space.n_configs), np.zeros(space.n_configs)
-        for table, values in ((mu, mu_map), (loss, loss_map)):
+        for name, table, values in (("mu", mu, mu_map), ("loss", loss, loss_map)):
             for label, value in values.items():
-                table[space.index_of_label(label)] = float(value)
+                table[space.index_of_label(label)] = json_number(value, f"{type_id} {name}")
         return cls(type_id, is_unknown, mu, loss)
 
 
@@ -180,6 +180,8 @@ class DomainInfo:
         # Dense views used by the solvers; types indexed in declaration order.
         self.mu_table = np.stack([t.mu for t in self.types])
         self.loss_table = np.stack([t.loss for t in self.types])
+        # Expected damage mu(t, a) * l(t, a) of an attack by t on configuration a.
+        self.damage_table = self.mu_table * self.loss_table
         unknowns = [i for i, t in enumerate(self.types) if t.is_unknown]
         self.unknown_index = unknowns[0] if unknowns else None
 
@@ -260,9 +262,8 @@ def expected_attack_loss_table(domain: DomainInfo, posterior_table: np.ndarray) 
     n, s = domain.n_types, domain.n_configs
     if p.shape != (n, s, s):
         raise DomainError(f"posterior table must have shape ({n}, {s}, {s})")
-    # target configuration of (s, a) is a, so weight by mu/loss at column a
-    weights = domain.mu_table * domain.loss_table  # (n_types, A)
-    return np.einsum("tsa,ta->sa", p, weights)
+    # target configuration of (s, a) is a, so weight by the damage at column a
+    return np.einsum("tsa,ta->sa", p, domain.damage_table)
 
 
 def expected_reward_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
@@ -316,6 +317,20 @@ def write_json(path: str, data, **json_options) -> None:
         fh.write("\n")
 
 
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; float() would also take true and "0.9"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_integer(value, what: str) -> int:
+    """A JSON integer; int() would also truncate 10.9 and take true and "10"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @contextmanager
 def input_errors(what: str):
     """Raise what reading a malformed ``what`` throws (missing key, wrong type) as DomainError."""
@@ -350,8 +365,9 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
             for j, a_lab in enumerate(labels):
                 if a_lab not in sc_map[s_lab]:
                     raise DomainError(f"switching_cost missing pair ({s_lab!r}, {a_lab!r})")
-                sc[i, j] = float(sc_map[s_lab][a_lab])
-        return DomainInfo(space, tuple(types), sc, float(data["M"]), float(data["gamma"]), alpha)
+                sc[i, j] = json_number(sc_map[s_lab][a_lab], f"switching cost {s_lab}->{a_lab}")
+        M, gamma = json_number(data["M"], "M"), json_number(data["gamma"], "gamma")
+        return DomainInfo(space, tuple(types), sc, M, gamma, alpha)
 
 
 def save_domain(domain: DomainInfo, path: str) -> None:

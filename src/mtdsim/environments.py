@@ -28,6 +28,8 @@ from .domain import (
     DomainInfo,
     FactorSpec,
     input_errors,
+    json_integer,
+    json_number,
     write_json,
 )
 
@@ -267,7 +269,6 @@ class MTDEnvironment:
                 draws[domain.space.index_of_label(label)] = draw_table(dist)
             self._phase_draws.append(draws)
         self._phase = 0
-        self._damage = domain.mu_table * domain.loss_table
         self.moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
         self.domain = domain
         self.scenario = scenario
@@ -285,7 +286,7 @@ class MTDEnvironment:
         draws = self._phase_draws[self._phase]
         if draws is None:
             smoothed = self.moves[s] + 1.0
-            tau = int(np.argmax(self._damage @ (smoothed / smoothed.sum())))
+            tau = int(np.argmax(domain.damage_table @ (smoothed / smoothed.sum())))
         else:
             types, weights = draws[s]
             tau = int(types[rng.choice(len(types), p=weights)])
@@ -382,19 +383,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; int() would truncate 10.9 and accept true and "10"."""
-    if type(value) is not int:
-        raise DomainError(f"scenario {what} must be an integer, got {value!r}")
-    return value
-
-
 def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
     with input_errors("scenario JSON"):
         phases = tuple(
             ScenarioPhase(
-                _integer(p["start"], "phase start"),
-                _integer(p["end"], "phase end"),
+                json_integer(p["start"], "scenario phase start"),
+                json_integer(p["end"], "scenario phase end"),
                 p.get("mode", STATIC_DIST),
                 p.get("dist"),
                 p.get("per_state_dist"),
@@ -403,9 +397,9 @@ def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
         )
         return Scenario(
             name,
-            _integer(data["T"], "T"),
+            json_integer(data["T"], "scenario T"),
             phases,
-            sc_multiplier=float(data.get("sc_multiplier", 1.0)),
+            sc_multiplier=json_number(data.get("sc_multiplier", 1.0), "scenario sc_multiplier"),
             domain_variant=data.get("domain_variant"),
         )
 

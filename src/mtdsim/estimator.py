@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .domain import DomainError, DomainInfo, input_errors, write_json
+from .domain import DomainError, DomainInfo, input_errors, json_number, write_json
 
 COUNT_FLOOR = 1e-12
 DEFAULT_BETA = 2.0
@@ -40,6 +40,12 @@ class ThreatEstimator:
         if domain.unknown_index is not None:
             eff[domain.unknown_index, :] = 1.0
         self._eff_mu = eff  # (n_types, A); rate against the pair's target a
+        # The belief where no type scores: uniform over the types capable
+        # against the target a, or all zeros if none is.
+        capable = eff > 0.0
+        n_capable = capable.sum(axis=0)  # (A,)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._fallback = np.where(n_capable > 0, capable / n_capable, 0.0)  # (n_types, A)
 
     def update(self, tau: int, state: int, action: int, phi: int) -> None:
         """Decay all counts by beta, then credit the cell on a success.
@@ -67,19 +73,11 @@ class ThreatEstimator:
 
     def posterior_table(self) -> np.ndarray:
         """Full (n_types, S, A) belief table; see :meth:`posterior`."""
-        capable = self._eff_mu > 0.0  # (n_types, A)
-        n_types, n = self.counts.shape[0], self.counts.shape[1]
-        cap = np.broadcast_to(capable[:, None, :], (n_types, n, n))
+        eff = self._eff_mu[:, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(cap, self.counts / self._eff_mu[:, None, :], 0.0)
-        totals = scores.sum(axis=0)  # (S, A)
-        out = np.zeros_like(scores)
-        seen = totals > 0.0
-        out[:, seen] = scores[:, seen] / totals[seen]
-        n_capable = cap.sum(axis=0)  # (S, A)
-        fallback = (~seen) & (n_capable > 0)
-        out[:, fallback] = cap[:, fallback] / n_capable[fallback]
-        return out
+            scores = np.where(eff > 0.0, self.counts / eff, 0.0)
+            totals = scores.sum(axis=0)  # (S, A)
+            return np.where(totals > 0.0, scores / totals, self._fallback[:, None, :])
 
     def to_dict(self) -> dict:
         return {
@@ -95,12 +93,14 @@ class ThreatEstimator:
     @classmethod
     def from_dict(cls, domain: DomainInfo, data: dict) -> "ThreatEstimator":
         with input_errors("estimator JSON"):
-            est = cls(domain, beta=float(data["beta"]))
+            est = cls(domain, beta=json_number(data["beta"], "estimator beta"))
             if data.get("type_ids") != domain.type_ids():
                 raise DomainError("estimator checkpoint does not match the domain's types")
             if data.get("state_labels") != domain.space.labels():
                 raise DomainError("estimator checkpoint does not match the domain's labels")
-            counts = np.asarray(data["counts"], dtype=float)
+            cells = np.asarray(data["counts"], dtype=object)
+            counts = np.array([json_number(v, "estimator count") for v in cells.flat])
+            counts = counts.reshape(cells.shape)
         if counts.shape != est.counts.shape:
             raise DomainError("estimator checkpoint count table has the wrong shape")
         if np.any(counts < 0) or np.any(~np.isfinite(counts)):

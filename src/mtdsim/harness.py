@@ -1,12 +1,13 @@
 """Experiment harness: seeded scenario runs, hindsight bounds, and property checks.
 
-Everything here is deterministic given the configuration: iteration ``i`` of
-a run, and of each static replay behind the hindsight bounds, plays a fresh
-environment at the start state with the generator ``seed + i``; floats are
-written with ``repr`` (the shortest round-trip form), and every CSV goes
-through ``_write_csv`` and every JSON file through ``domain.write_json``, both
-UTF-8 with LF line endings, so identical configurations produce byte-identical
-files.
+Everything here is deterministic given the configuration: ``resolve_run``
+fixes a run before its first step, and ``_play`` plays iteration ``i`` of the
+run's strategy, and of each static configuration behind the hindsight bounds,
+on a fresh environment at the start state with the generator ``seed + i``;
+floats are written with ``repr`` (the shortest round-trip form), and every
+CSV goes through ``_write_csv`` and every JSON file through
+``domain.write_json``, both UTF-8 with LF line endings, so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .strategies import (
     DEFAULT_FPL_EXPLORE,
     DEFAULT_FPL_LMAX,
     DEFAULT_FPL_RATE,
-    run_static,
     run_strategy,
 )
 
@@ -93,21 +93,41 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """Per-iteration logs plus the cross-iteration summary statistics."""
+    """A resolved run, its per-iteration step records and its hindsight table.
+
+    ``resolve_run`` fills the first five fields; ``run_experiment`` plays the
+    records and the table.  The statistics are derived from those two.
+    """
 
     config: ExperimentConfig
     domain: DomainInfo
     scenario: Scenario
     timesteps: int
     start_state: int  # index of the configuration every iteration starts in
-    iteration_records: list[list[StepRecord]]
-    avg_rewards: np.ndarray  # (iterations,)
-    mean_avg_reward: float
-    std_avg_reward: float
-    cumulative_rewards: np.ndarray  # (iterations, T)
+    iteration_records: list[list[StepRecord]] = field(default_factory=list)
     static_table: dict[str, float] = field(default_factory=dict)
-    best_static: float | None = None
-    worst_static: float | None = None
+
+    @property
+    def avg_rewards(self) -> np.ndarray:
+        """The average reward of each iteration, shape (iterations,)."""
+        rewards = [[rec.reward for rec in records] for records in self.iteration_records]
+        return np.array(rewards).mean(axis=1)
+
+    @property
+    def mean_avg_reward(self) -> float:
+        return float(self.avg_rewards.mean())
+
+    @property
+    def std_avg_reward(self) -> float:
+        return float(self.avg_rewards.std())
+
+    @property
+    def best_static(self) -> float | None:
+        return max(self.static_table.values()) if self.static_table else None
+
+    @property
+    def worst_static(self) -> float | None:
+        return min(self.static_table.values()) if self.static_table else None
 
 
 def resolve_scenario(ref: str) -> Scenario:
@@ -142,50 +162,38 @@ def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> Dom
     return replace(domain, sc=domain.sc * scenario.sc_multiplier)
 
 
-def start_state_index(domain: DomainInfo, label: str | None) -> int:
-    """Index of the start configuration ``label``; no label means the first one."""
-    return 0 if label is None else domain.space.index_of_label(label)
+def resolve_run(config: ExperimentConfig) -> RunResult:
+    """Everything a run fixes before its first step: scenario, sizes, domain, start state.
 
-
-def _records_rewards(records: list[StepRecord]) -> np.ndarray:
-    return np.array([rec.reward for rec in records])
-
-
-def _seed_schedule(
-    domain: DomainInfo, scenario: Scenario, iterations: int, seed: int, start_state: int
-) -> Iterator[tuple[MTDEnvironment, np.random.Generator]]:
-    """The (environment, generator) of each iteration: iteration ``i`` plays a
-    fresh environment at ``start_state`` with ``default_rng(seed + i)``."""
-    for i in range(iterations):
-        yield MTDEnvironment(domain, scenario, start_state), np.random.default_rng(seed + i)
-
-
-def _check_sizes(scenario: Scenario, timesteps: int, iterations: int) -> None:
-    """Reject run sizes that ``scenario`` cannot play."""
-    if iterations < 1:
+    ``timesteps`` None means the scenario horizon; sizes the scenario cannot
+    play are rejected.
+    """
+    scenario = resolve_scenario(config.scenario)
+    timesteps = scenario.horizon if config.timesteps is None else config.timesteps
+    if config.iterations < 1:
         raise DomainError("iterations must be >= 1")
     if not 1 <= timesteps <= scenario.horizon:
         raise DomainError(
             f"timesteps must lie in [1, {scenario.horizon}] (the scenario horizon), "
             f"got {timesteps}"
         )
-
-
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Run one strategy across ``iterations`` seeded iterations and summarize."""
-    scenario = resolve_scenario(config.scenario)
-    timesteps = scenario.horizon if config.timesteps is None else config.timesteps
-    _check_sizes(scenario, timesteps, config.iterations)
     domain = resolve_domain(config.domain, scenario, config.alpha, config.seed)
-    start_state = start_state_index(domain, config.start_state)
+    label = config.start_state
+    start_state = 0 if label is None else domain.space.index_of_label(label)
+    return RunResult(config, domain, scenario, timesteps, start_state)
 
-    iteration_records = [
+
+def _play(run: RunResult, strategy: str) -> list[list[StepRecord]]:
+    """The seed schedule: iteration ``i`` plays ``strategy`` on a fresh environment
+    at the start state with ``default_rng(seed + i)``."""
+    config = run.config
+    return [
         run_strategy(
-            config.strategy,
-            domain,
-            env,
-            timesteps,
-            rng,
+            strategy,
+            run.domain,
+            MTDEnvironment(run.domain, run.scenario, run.start_state),
+            run.timesteps,
+            np.random.default_rng(config.seed + i),
             reopt_period=config.reopt_period,
             beta=config.beta,
             epsilon=config.epsilon,
@@ -193,56 +201,28 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             fpl_rate=config.fpl_rate,
             fpl_lmax=config.fpl_lmax,
         )
-        for env, rng in _seed_schedule(
-            domain, scenario, config.iterations, config.seed, start_state
-        )
+        for i in range(config.iterations)
     ]
-    reward_matrix = np.array([_records_rewards(records) for records in iteration_records])
-    avg_rewards = reward_matrix.mean(axis=1)
-    result = RunResult(
-        config=config,
-        domain=domain,
-        scenario=scenario,
-        timesteps=timesteps,
-        start_state=start_state,
-        iteration_records=iteration_records,
-        avg_rewards=avg_rewards,
-        mean_avg_reward=float(avg_rewards.mean()),
-        std_avg_reward=float(avg_rewards.std()),
-        cumulative_rewards=np.cumsum(reward_matrix, axis=1),
-    )
+
+
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """Run one strategy across ``iterations`` seeded iterations and summarize."""
+    run = resolve_run(config)
+    run.iteration_records = _play(run, config.strategy)
     if config.include_hindsight:
-        best, worst, table = hindsight_bounds(
-            domain, scenario, timesteps, config.iterations, config.seed, start_state
-        )
-        result.static_table = table
-        result.best_static = best
-        result.worst_static = worst
+        run.static_table = hindsight_bounds(run)
     if config.out_dir is not None:
-        write_outputs(config.out_dir, result)
-    return result
+        write_outputs(config.out_dir, run)
+    return run
 
 
-def hindsight_bounds(
-    domain: DomainInfo,
-    scenario: Scenario,
-    timesteps: int,
-    iterations: int,
-    base_seed: int,
-    start_state: int = 0,
-) -> tuple[float, float, dict[str, float]]:
-    """Average reward of every static configuration under the same seed schedule."""
-    _check_sizes(scenario, timesteps, iterations)
-    table: dict[str, float] = {}
-    for c in range(domain.n_configs):
-        schedule = _seed_schedule(domain, scenario, iterations, base_seed, start_state)
-        avgs = np.array([
-            _records_rewards(run_static(domain, env, timesteps, rng, c)).mean()
-            for env, rng in schedule
-        ])
-        table[domain.space.label(c)] = float(avgs.mean())
-    values = list(table.values())
-    return max(values), min(values), table
+def hindsight_bounds(run: RunResult) -> dict[str, float]:
+    """Mean average reward of every static configuration: the ``mean_avg_reward``
+    of ``run`` played as ``static:<label>``."""
+    return {
+        label: replace(run, iteration_records=_play(run, f"static:{label}")).mean_avg_reward
+        for label in run.domain.space.labels()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +518,7 @@ def write_rolling_csv(path: str, iteration_records: list[list[StepRecord]]) -> N
 
     def rows() -> Iterator[list]:
         for i, records in enumerate(iteration_records):
-            csum = np.concatenate([[0.0], np.cumsum(_records_rewards(records))])
+            csum = np.concatenate([[0.0], np.cumsum([rec.reward for rec in records])])
             for t in range(len(records)):
                 lo = max(0, t - ROLLING_WINDOW + 1)
                 yield [i, t, repr(float((csum[t + 1] - csum[lo]) / (t + 1 - lo)))]

@@ -2,7 +2,8 @@
 
 The LP oracle solves min c@x over {rows@x <= bounds} by brute-force vertex
 enumeration, so it shares no code path with the simplex implementation under
-test.
+test.  The posterior oracle is the estimator's belief table computed cell by
+cell, with the capability mask and fallback rebuilt from the domain.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from mtdsim.estimator import ThreatEstimator
 from mtdsim.lp import INFEASIBLE, OPTIMAL, LPProblem, solve_lp
 
 
@@ -93,3 +95,28 @@ def compare_simplex_to_vertices(n_cases: int, seed: int, tol: float = 1e-6) -> l
             if np.any(problem.rows @ got.x > problem.bounds + 1e-7):
                 mismatches.append(f"case {idx}: reported optimum violates constraints")
     return mismatches
+
+
+def reference_posterior_table(estimator: ThreatEstimator) -> np.ndarray:
+    """The (n_types, S, A) belief of ``estimator``, rebuilt from its counts and domain.
+
+    Scores are count / rate where the rate against the target is positive (the
+    unknown type scores with rate 1); a cell where no type scores falls back to
+    uniform over the types capable against its target, or all zeros if none is.
+    """
+    domain, counts = estimator.domain, estimator.counts
+    eff_mu = domain.mu_table.copy()
+    if domain.unknown_index is not None:
+        eff_mu[domain.unknown_index, :] = 1.0
+    n_types, n = counts.shape[0], counts.shape[1]
+    cap = np.broadcast_to((eff_mu > 0.0)[:, None, :], (n_types, n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(cap, counts / eff_mu[:, None, :], 0.0)
+    totals = scores.sum(axis=0)  # (S, A)
+    out = np.zeros_like(scores)
+    seen = totals > 0.0
+    out[:, seen] = scores[:, seen] / totals[seen]
+    n_capable = cap.sum(axis=0)  # (S, A)
+    fallback = (~seen) & (n_capable > 0)
+    out[:, fallback] = cap[:, fallback] / n_capable[fallback]
+    return out

@@ -200,6 +200,25 @@ def _malformed_inputs():
     def window(T, start, end):  # a scenario that is valid once its numbers are truncated
         return {"T": T, "phases": [{"start": start, "end": end, "dist": mix}]}
 
+    # float() reads a JSON true as 1.0 and a string "0.9" as 0.9; a number must be a number.
+    def first_mu(value):
+        first, *rest = domain["attacker_types"]
+        first = {**first, "mu": {**first["mu"], "PHP|MySQL": value}}
+        return {**domain, "attacker_types": [first, *rest]}
+
+    def first_switching_cost(value):
+        costs = domain["switching_cost"]
+        row = {**costs["PHP|MySQL"], "PHP|Postgres": value}
+        return {**domain, "switching_cost": {**costs, "PHP|MySQL": row}}
+
+    def multiplier(value):
+        return {**scenario, "sc_multiplier": value}
+
+    def first_count(value):
+        counts = estimator["counts"]
+        cell = [[[value, *counts[0][0][1:]], *counts[0][1:]], *counts[1:]]
+        return {**estimator, "counts": cell}
+
     return {
         "scenario-T-not-a-number": ("run", "--scenario", {**scenario, "T": "abc"}),
         "scenario-not-json": ("run", "--scenario", "{not json"),
@@ -210,10 +229,16 @@ def _malformed_inputs():
         "scenario-start-not-an-integer": ("run", "--scenario", window(10, 0.7, 10)),
         "scenario-end-not-an-integer": ("run", "--scenario", window(10, 0, 10.2)),
         "scenario-boolean-weight": ("run", "--scenario", one_phase(dist={"unknown": True})),
+        "scenario-sc-multiplier-boolean": ("run", "--scenario", multiplier(True)),
+        "scenario-sc-multiplier-string": ("run", "--scenario", multiplier("2.5")),
         "scenario-unknown-label": (
             "run", "--scenario", one_phase(dist=mix, per_state_dist={"PHP|MySQl": mix}),
         ),
         "domain-M-not-a-number": ("run", "--domain", {**domain, "M": "abc"}),
+        "domain-M-boolean": ("run", "--domain", {**domain, "M": True}),
+        "domain-gamma-string": ("run", "--domain", {**domain, "gamma": "0.9"}),
+        "domain-mu-boolean": ("run", "--domain", first_mu(True)),
+        "domain-switching-cost-boolean": ("run", "--domain", first_switching_cost(True)),
         "domain-factors-not-a-list": ("run", "--domain", {**domain, "factors": 5}),
         "domain-unknown-not-a-boolean": (
             "run", "--domain", {**domain, "attacker_types": string_unknown},
@@ -224,6 +249,9 @@ def _malformed_inputs():
         ),
         "estimator-without-beta": ("dump-lp", "--estimator", no_beta),
         "estimator-without-counts": ("dump-lp", "--estimator", no_counts),
+        "estimator-beta-string": ("dump-lp", "--estimator", {**estimator, "beta": "3"}),
+        "estimator-count-boolean": ("dump-lp", "--estimator", first_count(True)),
+        "estimator-count-string": ("dump-lp", "--estimator", first_count("1.5")),
     }
 
 

@@ -11,8 +11,9 @@ from mtdsim.domain import (
     FactorSpec,
     success_prob_table,
 )
-from mtdsim.environments import make_web_app_domain
+from mtdsim.environments import make_network_domain, make_web_app_domain
 from mtdsim.estimator import COUNT_FLOOR, ThreatEstimator
+from oracles import reference_posterior_table
 
 
 def one_cell_domain():
@@ -121,6 +122,39 @@ def test_posterior_table_matches_cellwise_posterior():
     for s in range(4):
         for a in range(4):
             np.testing.assert_allclose(est.posterior(s, a), table[:, s, a])
+
+
+REFERENCE_DOMAINS = {
+    "web": make_web_app_domain,
+    "pg-only-dh": lambda: make_web_app_domain(unknown_variant="pg-only-dh"),
+    "net3": lambda: make_network_domain(np.random.default_rng(0), n_nodes=3),
+}
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_posterior_table_is_bitwise_the_reference_formula(name, beta):
+    domain = REFERENCE_DOMAINS[name]()
+    est = ThreatEstimator(domain, beta=beta)
+    rng = np.random.default_rng(10)
+    n, s = domain.n_types, domain.n_configs
+    for _ in range(250):
+        # Any type may be credited, also where it is not capable.
+        tau, state, action = (int(v) for v in rng.integers((n, s, s)))
+        est.update(tau, state, action, int(rng.random() < 0.6))
+        assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
+
+
+def test_posterior_table_of_a_checkpoint_is_bitwise_the_reference_formula():
+    # Counts in every cell, where a type is not capable too, and some empty cells.
+    domain = make_web_app_domain(unknown_variant="pg-only-dh")
+    assert np.any(domain.mu_table == 0.0)
+    rng = np.random.default_rng(10)
+    counts = rng.random((domain.n_types, domain.n_configs, domain.n_configs))
+    counts[:, 0, :] = 0.0
+    data = {**ThreatEstimator(domain).to_dict(), "counts": counts.tolist()}
+    est = ThreatEstimator.from_dict(domain, data)
+    assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
 
 
 def test_web_cold_posterior_counts_unknown_everywhere():

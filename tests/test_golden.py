@@ -6,7 +6,9 @@ Each hash in ``GOLDEN_STEPS_SHA256`` pins ``steps.csv`` of an ``ata-fmdp`` run
 on ``CUSTOM_SCENARIO``, a scenario JSON the test writes.
 ``GOLDEN_CLI_SHA256`` pins every file that ``mtdsim run`` and
 ``mtdsim hindsight`` write for one baseline run with a non-default start
-state.  ``GOLDEN_DUMP_LP_SHA256`` pins the stdout of ``mtdsim dump-lp`` for
+state; ``GOLDEN_HINDSIGHT_SHA256`` pins the stdout and ``--out`` CSV of
+``mtdsim hindsight`` on the network with a non-default start state and size.
+``GOLDEN_DUMP_LP_SHA256`` pins the stdout of ``mtdsim dump-lp`` for
 both bases on one web and one network scenario, and for the factored basis
 under a seeded estimator checkpoint.  ``GOLDEN_SOLVE_LP_SHA256`` pins the
 status, ``x`` bytes and basis of a cold ``solve_lp`` on the cold-posterior ALP
@@ -139,6 +141,26 @@ def test_cli_output_files_are_byte_identical(tmp_path, capsys):
         for name in GOLDEN_CLI_SHA256
     }
     assert digests == GOLDEN_CLI_SHA256
+
+
+GOLDEN_HINDSIGHT_SHA256 = {
+    "stdout": "067c27e1cbc3dc5302e1c23bd1d4e9be03e507a888f7c378fdbce7273dae08b3",
+    "hindsight.csv": "92ec44aa3d2e10722d5c1ad7f2fd59005b9e5a4f7f0b95186245dab2f6f9dfb2",
+}
+
+
+def test_hindsight_with_a_start_state_and_size_is_byte_identical(tmp_path, capsys):
+    path = tmp_path / "hindsight.csv"
+    assert main(["hindsight", "--domain", "network", "--scenario", "net-evolving",
+                 "--start-state", "0|1", "--timesteps", "200", "--iterations", "2",
+                 "--out", str(path)]) == 0
+    *table, wrote = capsys.readouterr().out.splitlines(keepends=True)
+    assert wrote == f"wrote {path}\n"  # the one line that names the temporary path
+    digests = {
+        "stdout": hashlib.sha256("".join(table).encode()).hexdigest(),
+        "hindsight.csv": hashlib.sha256(path.read_bytes()).hexdigest(),
+    }
+    assert digests == GOLDEN_HINDSIGHT_SHA256
 
 
 GOLDEN_DUMP_LP_SHA256 = {

@@ -7,6 +7,7 @@ promise for identical configurations.
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from mtdsim.harness import (
     perturb_posterior_table,
     random_posterior_table,
     resolve_domain,
+    resolve_run,
     resolve_scenario,
     run_experiment,
     theorem1_regret_experiment,
@@ -73,7 +75,6 @@ def test_single_step_average_is_the_step_reward():
     assert result.avg_rewards.shape == (1,)
     assert result.avg_rewards[0] == result.iteration_records[0][0].reward
     assert result.mean_avg_reward == result.avg_rewards[0]
-    assert result.cumulative_rewards.shape == (1, 1)
     assert result.best_static is None and result.static_table == {}
 
 
@@ -161,30 +162,37 @@ def test_file_domain_round_trip_with_harmless_attacker(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "domain, scenario", [("web", "web-evolving"), ("network", "net-evolving")]
+    "domain, scenario, start_state",
+    [
+        ("web", "web-evolving", None),
+        ("network", "net-evolving", None),
+        ("web", "web-most-adverse", "Python|Postgres"),
+    ],
+    ids=["web-web-evolving", "network-net-evolving", "web-web-most-adverse-Python|Postgres"],
 )
-def test_hindsight_replays_the_seed_schedule_of_a_run(domain, scenario):
-    scen = resolve_scenario(scenario)
-    dom = resolve_domain(domain, scen, 1.0, 7)
-    _, _, table = hindsight_bounds(dom, scen, 200, iterations=3, base_seed=7)
+def test_hindsight_replays_the_seed_schedule_of_a_run(domain, scenario, start_state):
+    config = ExperimentConfig(
+        domain=domain, scenario=scenario, timesteps=200, iterations=3, seed=7,
+        start_state=start_state, include_hindsight=False,
+    )
+    table = hindsight_bounds(resolve_run(config))
     for label, value in table.items():
-        config = ExperimentConfig(
-            domain=domain, scenario=scenario, strategy=f"static:{label}", timesteps=200,
-            iterations=3, seed=7, include_hindsight=False,
-        )
-        assert run_experiment(config).mean_avg_reward == value, label
+        static = replace(config, strategy=f"static:{label}")
+        assert run_experiment(static).mean_avg_reward == value, label
 
 
-def test_hindsight_identifies_the_resistant_config_as_best():
-    web = make_web_app_domain(alpha=1.0)
-    scen = unknown_only_scenario(30)
-    best, worst, table = hindsight_bounds(web, scen, 30, iterations=4, base_seed=10)
+def test_hindsight_identifies_the_resistant_config_as_best(tmp_path):
+    path = tmp_path / "unknown-only.json"
+    save_scenario(unknown_only_scenario(30), str(path))
+    run = resolve_run(ExperimentConfig(scenario=str(path), iterations=4, seed=10))
+    run.static_table = hindsight_bounds(run)
+    table = run.static_table
     assert sorted(table) == ["PHP|MySQL", "PHP|Postgres", "Python|MySQL", "Python|Postgres"]
     # Python|Postgres pays sc=100 once and is untouchable afterwards.
     assert table["Python|Postgres"] == pytest.approx((100.0 + 29 * 200.0) / 30)
-    assert best == table["Python|Postgres"]
-    assert worst == min(table.values())
-    assert best >= worst
+    assert run.best_static == table["Python|Postgres"]
+    assert run.worst_static == min(table.values())
+    assert run.best_static >= run.worst_static
 
 
 # ---------------------------------------------------------------------------
