@@ -13,7 +13,8 @@ branches of the Bellman residual sum to the expected reward R(s, a) of
 ``domain.expected_reward_table``, so each row is D(s, a) . w <= -R(s, a) with
 D(s, a) = gamma * beta(a) - beta(s).  A new belief moves only the right-hand
 side; re-planning therefore reuses the previous program and starts the LP
-from its optimal basis.
+from its last solution, whose certified basis then needs only a primal
+feasibility re-check (see ``lp``).
 
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
@@ -31,7 +32,7 @@ from .domain import ConfigSpace, DomainError, DomainInfo, expected_reward_table
 
 # Not called here; the benchmark's tracer wraps these names in this module.
 from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
-from .lp import INFEASIBLE, LPProblem, UNBOUNDED, solve_lp
+from .lp import INFEASIBLE, LPProblem, LPSolution, UNBOUNDED, solve_lp
 
 TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
 VI_TOL = 1e-10  # value iteration stops once no value moves by this much
@@ -79,7 +80,7 @@ class ALProblem:
     basis: Basis
     lp: LPProblem
     rewards: np.ndarray  # (S, A) expected rewards R(s, a); lp.bounds is -rewards
-    lp_basis: tuple[int, ...] | None = None  # LP basis the next solve starts from
+    lp_solution: LPSolution | None = None  # last LP solution; the next solve starts from it
 
 
 def build_alp(
@@ -95,8 +96,8 @@ def build_alp(
     function by its mean activation over configurations (uniform theta).
 
     ``previous``, a problem built for the same domain and basis, lends its
-    basis, rows, objective and LP basis, so only the rewards and the bounds
-    are computed.
+    basis, rows, objective and last LP solution, so only the rewards and the
+    bounds are computed.
     """
     rewards = expected_reward_table(domain, posterior_table)
     if previous is not None:
@@ -117,12 +118,13 @@ def build_alp(
 
 
 def solve_alp(alp: ALProblem) -> np.ndarray:
-    """Solve for the basis weights, starting from ``alp.lp_basis``.
+    """Solve for the basis weights, starting from ``alp.lp_solution``.
 
-    Overwrites ``alp.lp_basis`` with the basis the solve ended on; raises if
-    the program is degenerate.
+    Overwrites ``alp.lp_solution`` with the solution the solve ended on, so a
+    certified basis is only re-checked for primal feasibility next time;
+    raises if the program is degenerate.
     """
-    sol = solve_lp(alp.lp, start=alp.lp_basis)
+    sol = solve_lp(alp.lp, start=alp.lp_solution)
     if sol.status == UNBOUNDED:
         raise RuntimeError(
             "approximate LP unbounded - the constraint system is malformed "
@@ -130,7 +132,7 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
         )
     if sol.status == INFEASIBLE:
         raise RuntimeError("approximate LP infeasible - constraint assembly bug")
-    alp.lp_basis = sol.basis
+    alp.lp_solution = sol
     return sol.x
 
 

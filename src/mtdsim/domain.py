@@ -346,12 +346,16 @@ def input_errors(what: str):
 
 def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
     with input_errors("domain JSON"):
-        factors = tuple(
-            FactorSpec(f["name"], tuple(f["values"])) for f in data["factors"]
-        )
-        space = ConfigSpace(factors)
+        factors = []
+        for f in data["factors"]:
+            if not isinstance(f["values"], list):  # tuple() would split a string into letters
+                raise DomainError(f"factor {f['name']!r}: values must be a list")
+            factors.append(FactorSpec(f["name"], tuple(f["values"])))
+        space = ConfigSpace(tuple(factors))
         types = []
         for t in data["attacker_types"]:
+            if not isinstance(t["id"], str):  # scenarios name types by string key
+                raise DomainError(f"attacker type id must be a string, got {t['id']!r}")
             unknown = t.get("unknown", False)
             if not isinstance(unknown, bool):
                 raise DomainError(f"type {t['id']!r}: 'unknown' must be true or false")

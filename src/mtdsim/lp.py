@@ -9,13 +9,23 @@ not for large-scale use.
 
 A solve may start from the optimal basis of an earlier, similar problem.  If
 that basis is still primal and dual feasible the solver returns its vertex
-after one small linear solve; if not, it falls back to the two-phase method.
+after two small linear solves; if not, it falls back to the two-phase method.
+Only that full check issues a ``Certificate``, carried by the solution it
+returns; a two-phase result carries none.  Dual feasibility depends on the
+objective, the rows and the basis, never on the bounds.  So when a later solve
+starts from that solution and its ``c`` and ``rows`` equal the certified ones,
+the basis is still dual feasible and only primal feasibility is re-checked:
+the tight system is solved for the new bounds, and the vertex is returned if
+its basic values and every slack are nonnegative.  That is the same
+arithmetic as the full check, so the vertex is bitwise the one it would give.
+If the re-check fails, the full check would fail too, and the solver goes
+straight to the two-phase method.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +71,22 @@ class LPProblem:
         return np.full(self.n_vars, np.inf)
 
 
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """A basis proven dual feasible for one objective and one set of rows.
+
+    Holds copies of the ``c`` and ``rows`` it was proven for, and the parts of
+    the standard form (see ``_standard_form``) that the primal re-check reads.
+    """
+
+    c: np.ndarray
+    rows: np.ndarray
+    J: np.ndarray  # basic structural columns
+    tight: np.ndarray  # rows whose slack is nonbasic
+    square: np.ndarray  # A[tight, J]
+    columns: np.ndarray  # A[:, J]
+
+
 @dataclass
 class LPSolution:
     status: str
@@ -69,7 +95,12 @@ class LPSolution:
     # Basic columns of the optimal standard-form basis, ascending (see
     # ``_standard_form``); set on every optimal solution.
     basis: tuple[int, ...] | None = None
-    warm: bool = False  # the start basis was certified optimal; no pivot ran
+    # Set when the start basis was certified optimal and no pivot ran.
+    certificate: Certificate | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def warm(self) -> bool:
+        return self.certificate is not None
 
 
 def _standard_form(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -88,10 +119,13 @@ def _standard_form(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _optimal(
-    problem: LPProblem, u: np.ndarray, basis: Sequence[int], warm: bool = False
+    problem: LPProblem,
+    u: np.ndarray,
+    basis: Sequence[int],
+    certificate: Certificate | None = None,
 ) -> LPSolution:
     x = u[0::2] - u[1::2]
-    return LPSolution(OPTIMAL, x, float(problem.c @ x), tuple(sorted(basis)), warm)
+    return LPSolution(OPTIMAL, x, float(problem.c @ x), tuple(sorted(basis)), certificate)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -142,62 +176,87 @@ def _check_start(start: Sequence[int], n_columns: int, m: int) -> np.ndarray:
     return basic
 
 
+def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
+    """The structural values u of the certified basis under bounds ``b``, if feasible.
+
+    The basic structural columns J solve A[tight, J] u_J = b[tight]; the
+    vertex is returned only when u_J and every slack are >= -FEAS_TOL.
+    """
+    u_J = np.linalg.solve(cert.square, b[cert.tight])
+    slack = b - cert.columns @ u_J
+    if not ((u_J >= -FEAS_TOL).all() and (slack >= -FEAS_TOL).all()):  # a NaN fails too
+        return None
+    u = np.zeros(2 * cert.c.size)
+    u[cert.J] = u_J
+    return u
+
+
 def _warm_vertex(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, basic: np.ndarray
-) -> np.ndarray | None:
-    """The structural values u of the start basis if it is optimal here, else None.
+    problem: LPProblem, A: np.ndarray, c: np.ndarray, basic: np.ndarray
+) -> LPSolution | None:
+    """The vertex of the start basis, with its certificate, if it is optimal here.
 
     Rows whose slack is nonbasic are tight, so the basic structural columns J
     solve the q x q system A[tight, J] u_J = b[tight]; the row duals pi solve
     its transpose against c_J.  The vertex is returned only when it is primal
-    feasible (u_J and every slack >= -FEAS_TOL) and dual feasible (pi <=
-    FEAS_TOL on the tight rows, every reduced cost >= -FEAS_TOL) for this very
-    problem, which certifies it optimal whatever changed since the start basis
-    was found.
+    feasible (``_primal_vertex``) and dual feasible (pi <= FEAS_TOL on the
+    tight rows, every reduced cost >= -FEAS_TOL) for this very problem, which
+    certifies it optimal whatever changed since the start basis was found.
     """
     n_u = c.size
     J = np.nonzero(basic[:n_u])[0]
     tight = np.nonzero(~basic[n_u:])[0]
     A_tight = A[tight]
-    square = A_tight[:, J]
+    cert = Certificate(problem.c.copy(), problem.rows.copy(), J, tight, A_tight[:, J], A[:, J])
     try:
-        u_J = np.linalg.solve(square, b[tight])
-        pi = np.linalg.solve(square.T, c[J])
+        u = _primal_vertex(cert, problem.bounds)
+        if u is None:
+            return None
+        pi = np.linalg.solve(cert.square.T, c[J])
     except np.linalg.LinAlgError:  # singular: the start is no basis of this problem
         return None
-    slack = b - A[:, J] @ u_J
     reduced = c - A_tight.T @ pi
-    if not (
-        (u_J >= -FEAS_TOL).all()
-        and (slack >= -FEAS_TOL).all()
-        and (pi <= FEAS_TOL).all()
-        and (reduced >= -FEAS_TOL).all()
-    ):  # written so that a NaN fails too
+    if not ((pi <= FEAS_TOL).all() and (reduced >= -FEAS_TOL).all()):
         return None
-    u = np.zeros(n_u)
-    u[J] = u_J
-    return u
+    return _optimal(problem, u, np.nonzero(basic)[0].tolist(), cert)
 
 
-def solve_lp(problem: LPProblem, start: Sequence[int] | None = None) -> LPSolution:
+def solve_lp(
+    problem: LPProblem, start: Sequence[int] | LPSolution | None = None
+) -> LPSolution:
     """Two-phase simplex; returns status optimal/infeasible/unbounded.
 
     ``start`` is an optional basis, usually ``LPSolution.basis`` of an earlier
-    solve of a problem of the same shape.  When it is still optimal for this
-    problem the solver returns its vertex without pivoting (``warm`` is set);
-    otherwise, or when the start is singular here, it solves cold.  A start of
-    the wrong length, or with out-of-range or repeated columns, raises
-    ``ValueError``.
+    solve of a problem of the same shape, or that earlier ``LPSolution``
+    itself.  When the start basis is still optimal for this problem the solver
+    returns its vertex without pivoting (``warm`` is set); otherwise, or when
+    the start is singular here, it solves cold.  A solution whose certificate
+    was issued for this ``c`` and these ``rows`` is re-checked for primal
+    feasibility only; any other solution starts from its ``basis``.  A start
+    basis of the wrong length, or with out-of-range or repeated columns,
+    raises ``ValueError``.
     """
+    if isinstance(start, LPSolution):
+        cert = start.certificate
+        if (
+            cert is not None
+            and np.array_equal(cert.c, problem.c)
+            and np.array_equal(cert.rows, problem.rows)
+        ):
+            u = _primal_vertex(cert, problem.bounds)
+            if u is not None:
+                return _optimal(problem, u, start.basis, cert)
+            start = None  # the full check would reject the basis for the same reason
+        else:
+            start = start.basis
     A, c_u = _standard_form(problem)
     b = problem.bounds
     n_u = c_u.size
     m = A.shape[0]
     if start is not None:
-        basic = _check_start(start, n_u + m, m)
-        u = _warm_vertex(A, b, c_u, basic)
-        if u is not None:
-            return _optimal(problem, u, np.nonzero(basic)[0].tolist(), warm=True)
+        warm = _warm_vertex(problem, A, c_u, _check_start(start, n_u + m, m))
+        if warm is not None:
+            return warm
 
     # Slack form A u + s = b with b >= 0; flipped rows get artificials.
     flip = b < 0

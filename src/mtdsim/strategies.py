@@ -37,7 +37,7 @@ def ata_fmdp_run(
     Every ``reopt_period`` steps (``None`` = plan once at t=0 and never
     again) the current attacker-type belief is frozen into an approximate LP,
     solved, and turned into a greedy policy.  Each re-plan rebuilds only the
-    bounds of the previous program and starts from its optimal basis.  After
+    bounds of the previous program and starts from its last LP solution.  After
     each step the belief is updated with the observed (type, success) outcome.
     """
     if reopt_period is not None and reopt_period < 1:

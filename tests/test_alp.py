@@ -391,7 +391,7 @@ def test_build_alp_from_previous_recomputes_only_the_bounds():
     assert again.basis is first.basis
     np.testing.assert_array_equal(again.rewards, fresh.rewards)
     np.testing.assert_array_equal(again.lp.bounds, fresh.lp.bounds)
-    assert again.lp_basis == first.lp_basis is not None and fresh.lp_basis is None
+    assert again.lp_solution is first.lp_solution is not None and fresh.lp_solution is None
 
 
 def test_build_alp_from_previous_rejects_another_domain_or_basis():
@@ -424,7 +424,7 @@ def test_warm_replan_matches_a_cold_replan(name):
         else:
             posterior = perturb_posterior_table(posterior, rng, scale=0.01)
         warm = build_alp(domain, posterior, previous=previous)
-        warm_hits += solve_lp(warm.lp, start=warm.lp_basis).warm
+        warm_hits += solve_lp(warm.lp, start=warm.lp_solution).warm
         w_warm = solve_alp(warm)
         cold = build_alp(domain, posterior)
         w_cold = solve_alp(cold)

@@ -308,3 +308,19 @@ def test_domain_from_dict_reports_missing_fields(web):
     del data["switching_cost"]["PHP|MySQL"]
     with pytest.raises(DomainError):
         domain_from_dict(data)
+
+
+def test_domain_from_dict_rejects_factor_values_that_are_not_a_list(web):
+    # tuple("PY") would read as the two values "P" and "Y".
+    data = domain_to_dict(web)
+    data["factors"][0]["values"] = "PY"
+    with pytest.raises(DomainError, match="values must be a list"):
+        domain_from_dict(data)
+
+
+def test_domain_from_dict_rejects_an_attacker_type_id_that_is_not_a_string(web):
+    # Scenarios name types by JSON object key, so a numeric id could never be named.
+    data = domain_to_dict(web)
+    data["attacker_types"][0]["id"] = 7
+    with pytest.raises(DomainError, match="id must be a string"):
+        domain_from_dict(data)

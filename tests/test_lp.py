@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from mtdsim.alp import build_alp
+from mtdsim.environments import make_network_domain, make_web_app_domain
+from mtdsim.harness import perturb_posterior_table, random_posterior_table
 from mtdsim.lp import (
     FEAS_TOL,
     INFEASIBLE,
@@ -265,3 +268,122 @@ def test_malformed_start_raises(start):
     problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
     with pytest.raises(ValueError):
         solve_lp(problem, start=start)
+
+
+# ---------------------------------------------------------------------------
+# certified re-check: a warm solution as the start of the next solve
+# ---------------------------------------------------------------------------
+
+
+def assert_same_solution(got, want):
+    """Bitwise equal: status, x, objective, basis and warm."""
+    assert got.status == want.status
+    assert (got.x is None) == (want.x is None)
+    if want.x is not None:
+        assert got.x.tobytes() == want.x.tobytes()
+    assert got.objective_value == want.objective_value
+    assert got.basis == want.basis and got.warm == want.warm
+
+
+def test_certified_recheck_matches_the_full_check_and_vertices_on_random_boxes():
+    rng = np.random.default_rng(23)
+    rechecked = fallbacks = compared = 0
+    while compared < 80:
+        problem = random_box_lp(rng)
+        prev = solve_lp(problem)
+        if prev.status != OPTIMAL:
+            continue
+        for _ in range(5):  # a chain of bound moves, each starting from the last solution
+            problem = LPProblem(
+                problem.c, problem.rows, problem.bounds + rng.uniform(-0.4, 0.4, problem.n_rows)
+            )
+            got = solve_lp(problem, start=prev)
+            assert_same_solution(got, solve_lp(problem, start=prev.basis))
+            oracle = enumerate_vertices(problem)
+            assert got.status == oracle.status
+            if got.status != OPTIMAL:
+                break
+            assert got.objective_value == pytest.approx(oracle.objective_value, abs=1e-7)
+            compared += 1
+            if prev.warm and got.warm:
+                rechecked += 1
+                assert got.certificate is prev.certificate  # re-checked, not re-certified
+            elif prev.warm:
+                fallbacks += 1
+            prev = got
+    assert rechecked > 0 and fallbacks > 0
+
+
+@pytest.mark.parametrize("name", ["web", "net2", "net3"])
+def test_certified_recheck_matches_the_full_check_on_replanned_alps(name):
+    rng = np.random.default_rng(13)
+    if name == "web":
+        domain = make_web_app_domain(alpha=1.0)
+    else:
+        domain = make_network_domain(rng, n_nodes=int(name[-1]))
+    posterior = random_posterior_table(domain, rng)
+    alp = build_alp(domain, posterior)
+    prev = solve_lp(alp.lp)
+    rechecked = 0
+    for step in range(15):
+        # Small belief drifts, as between two steps of a run, and jumps to an unrelated belief.
+        if step % 5 == 4:
+            posterior = random_posterior_table(domain, rng)
+        else:
+            posterior = perturb_posterior_table(posterior, rng, scale=0.01)
+        alp = build_alp(domain, posterior, previous=alp)  # new views of the same c and rows
+        got = solve_lp(alp.lp, start=prev)
+        assert_same_solution(got, solve_lp(alp.lp, start=prev.basis))
+        rechecked += prev.warm and got.certificate is prev.certificate
+        prev = got
+    assert rechecked > 0
+
+
+def test_a_certificate_for_another_c_or_rows_is_not_rechecked():
+    # min x over x >= -1, |y| <= 2 (the cheaper-column example above).
+    rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
+    first = solve_lp(LPProblem([1.0, 0.0], rows, bounds))
+    sol = solve_lp(LPProblem([1.0, 0.0], rows, bounds + 0.5), start=first.basis)
+    assert sol.warm
+    # Another c: the bounds alone would pass the primal re-check, but the
+    # basis is no longer dual feasible.
+    cheaper = LPProblem([1.0, -10.0], rows, bounds)
+    got = solve_lp(cheaper, start=sol)
+    assert not got.warm
+    assert_same_solution(got, solve_lp(cheaper, start=sol.basis))
+    # Other rows (one scaled, same region): certified afresh, not re-checked.
+    scaled = LPProblem([1.0, 0.0], rows * [[2.0], [1.0], [1.0]], bounds * [2.0, 1.0, 1.0])
+    got = solve_lp(scaled, start=sol)
+    assert got.warm and got.certificate is not sol.certificate
+    assert_same_solution(got, solve_lp(scaled, start=sol.basis))
+    # Another shape: the basis path rejects the start as before.
+    with pytest.raises(ValueError):
+        solve_lp(LPProblem([1.0, 0.0], rows[:2], bounds[:2]), start=sol)
+
+
+def test_a_failed_recheck_ends_on_the_cold_solution():
+    # max x + y over x + y <= 1, x, y >= 0; moving the bound of a tight
+    # nonnegativity row past zero makes the certified vertex infeasible.
+    rows, bounds = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0])
+    c = [-1.0, -2.0]
+    first = solve_lp(LPProblem(c, rows, bounds))
+    sol = solve_lp(LPProblem(c, rows, bounds * 2.0), start=first.basis)
+    assert sol.warm and sol.x == pytest.approx([0.0, 2.0])
+    moved = LPProblem(c, rows, [1.0, -0.5, 0.0])  # x >= 0.5
+    got = solve_lp(moved, start=sol)
+    assert not got.warm and got.x == pytest.approx([0.5, 0.5])
+    assert_same_solution(got, solve_lp(moved, start=sol.basis))
+    assert_same_solution(got, solve_lp(moved))
+
+
+def test_a_cold_solve_carries_no_certificate():
+    problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
+    cold = solve_lp(problem)
+    assert cold.status == OPTIMAL and cold.certificate is None and not cold.warm
+    # Starting from it runs the full check, which issues the certificate.
+    again = solve_lp(problem, start=cold)
+    assert again.warm and again.certificate is not None
+    assert_same_solution(again, solve_lp(problem, start=cold.basis))
+    assert solve_lp(problem, start=again).certificate is again.certificate
+    # A solution without a basis starts nothing.
+    assert_same_solution(solve_lp(problem, start=LPSolution(UNBOUNDED)), cold)
