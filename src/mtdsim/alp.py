@@ -120,9 +120,9 @@ def build_alp(
 def solve_alp(alp: ALProblem) -> np.ndarray:
     """Solve for the basis weights, starting from ``alp.lp_solution``.
 
-    Overwrites ``alp.lp_solution`` with the solution the solve ended on, so a
-    certified basis is only re-checked for primal feasibility next time;
-    raises if the program is degenerate.
+    Overwrites ``alp.lp_solution`` with the solution the solve ended on; the
+    next solve certifies its basis at most once and otherwise only re-checks
+    primal feasibility.  Raises if the program is degenerate.
     """
     sol = solve_lp(alp.lp, start=alp.lp_solution)
     if sol.status == UNBOUNDED:

@@ -310,11 +310,15 @@ def write_json(path: str, data, **json_options) -> None:
     """Write ``data`` as JSON in UTF-8 with LF line endings and a trailing newline.
 
     Every JSON file the program writes goes through here; ``json_options``
-    (indent, key order) pass to ``json.dump``.
+    (indent, key order) pass to ``json.dumps``.  A NaN or infinity, which is
+    not JSON, raises ``DomainError`` before the file is opened.
     """
+    try:
+        text = json.dumps(data, allow_nan=False, **json_options)
+    except ValueError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, **json_options)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def json_number(value, what: str) -> float:
@@ -362,14 +366,20 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
             types.append(AttackerTypeSpec.from_maps(space, t["id"], unknown, t["mu"], t["loss"]))
         labels = space.labels()
         sc_map = data["switching_cost"]
-        sc = np.zeros((space.n_configs, space.n_configs))
-        for i, s_lab in enumerate(labels):
+        for s_lab in labels:
             if s_lab not in sc_map:
                 raise DomainError(f"switching_cost missing state {s_lab!r}")
-            for j, a_lab in enumerate(labels):
-                if a_lab not in sc_map[s_lab]:
-                    raise DomainError(f"switching_cost missing pair ({s_lab!r}, {a_lab!r})")
-                sc[i, j] = json_number(sc_map[s_lab][a_lab], f"switching cost {s_lab}->{a_lab}")
+        sc = np.zeros((space.n_configs, space.n_configs))
+        given = np.zeros(sc.shape, dtype=bool)
+        for s_lab, row in sc_map.items():  # an unknown label raises, as in the type maps
+            i = space.index_of_label(s_lab)
+            for a_lab, value in row.items():
+                j = space.index_of_label(a_lab)
+                sc[i, j] = json_number(value, f"switching cost {s_lab}->{a_lab}")
+                given[i, j] = True
+        if not given.all():
+            i, j = np.argwhere(~given)[0]
+            raise DomainError(f"switching_cost missing pair ({labels[i]!r}, {labels[j]!r})")
         M, gamma = json_number(data["M"], "M"), json_number(data["gamma"], "gamma")
         return DomainInfo(space, tuple(types), sc, M, gamma, alpha)
 

@@ -211,6 +211,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.horizon <= 0:
             raise DomainError("scenario horizon must be positive")
+        variant = self.domain_variant
+        if variant is not None and not (isinstance(variant, str) and variant):
+            raise DomainError(f"domain variant must be a non-empty string, got {variant!r}")
         ordered = sorted(self.phases, key=lambda p: p.t_start)
         cursor = 0
         for phase in ordered:
@@ -378,7 +381,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
     if scenario.sc_multiplier != 1.0:
         data["sc_multiplier"] = scenario.sc_multiplier
-    if scenario.domain_variant:
+    if scenario.domain_variant is not None:
         data["domain_variant"] = scenario.domain_variant
     return data
 

@@ -28,8 +28,8 @@ class ThreatEstimator:
     """Decayed success counts and the derived attacker-type posterior."""
 
     def __init__(self, domain: DomainInfo, beta: float = DEFAULT_BETA):
-        if not beta >= 1.0:
-            raise DomainError("decay factor beta must be >= 1")
+        if not 1.0 <= beta < np.inf:  # a NaN fails too
+            raise DomainError("decay factor beta must be finite and >= 1")
         self.domain = domain
         self.beta = float(beta)
         n, s = domain.n_types, domain.n_configs

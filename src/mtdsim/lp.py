@@ -7,19 +7,16 @@ leave by lowest basis index), which makes the solver deterministic and immune
 to cycling.  Intended for the small programs produced by the planners here,
 not for large-scale use.
 
-A solve may start from the optimal basis of an earlier, similar problem.  If
-that basis is still primal and dual feasible the solver returns its vertex
-after two small linear solves; if not, it falls back to the two-phase method.
-Only that full check issues a ``Certificate``, carried by the solution it
-returns; a two-phase result carries none.  Dual feasibility depends on the
-objective, the rows and the basis, never on the bounds.  So when a later solve
-starts from that solution and its ``c`` and ``rows`` equal the certified ones,
-the basis is still dual feasible and only primal feasibility is re-checked:
-the tight system is solved for the new bounds, and the vertex is returned if
-its basic values and every slack are nonnegative.  That is the same
-arithmetic as the full check, so the vertex is bitwise the one it would give.
-If the re-check fails, the full check would fail too, and the solver goes
-straight to the two-phase method.
+A solve may start from an earlier solution of a problem of the same shape.
+Its basis is certified first: the row duals of its tight rows must be dual
+feasible for this objective and these rows, which depends on the basis, ``c``
+and ``rows`` but never on the bounds.  The ``Certificate`` rides on the
+solution returned, so a later start whose ``c`` and ``rows`` equal the
+certified ones skips straight to the one primal check: the tight system is
+solved for the current bounds, and the vertex is returned if its basic values
+and every slack are nonnegative.  When the basis is not dual feasible, or the
+primal check fails, the solver runs the two-phase method from scratch; a
+two-phase result carries no certificate.
 """
 
 from __future__ import annotations
@@ -48,7 +45,9 @@ class LPProblem:
 
     def __post_init__(self) -> None:
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, self.c.shape[0])
+        self.rows = np.asarray(self.rows, dtype=float)
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.c.shape[0]:
+            raise ValueError("rows must be an (m, n) array, one column per variable")
         self.bounds = np.atleast_1d(np.asarray(self.bounds, dtype=float))
         if self.bounds.shape != (self.rows.shape[0],):
             raise ValueError("one bound per constraint row required")
@@ -162,18 +161,40 @@ def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> str:
     raise RuntimeError("simplex exceeded its iteration limit")
 
 
-def _check_start(start: Sequence[int], n_columns: int, m: int) -> np.ndarray:
-    """Boolean mask of the start basis over the standard-form columns."""
-    idx = np.asarray(start)
+def _certify(problem: LPProblem, basis: Sequence[int]) -> Certificate | None:
+    """A certificate for ``basis`` if it is dual feasible for ``problem``.
+
+    Rows whose slack is nonbasic are tight; over the basic structural columns
+    J their row duals pi solve A[tight, J]^T pi = c_J.  The basis is certified
+    when pi <= FEAS_TOL and every reduced cost is >= -FEAS_TOL, which does not
+    depend on the bounds: its vertex is optimal under any bounds for which
+    ``_primal_vertex`` finds it feasible.  A basis of the wrong length, or
+    with out-of-range or repeated columns, raises ``ValueError``; a singular
+    one is no basis of this problem.
+    """
+    A, c = _standard_form(problem)
+    n_u, m = c.size, A.shape[0]
+    idx = np.asarray(basis)
     if idx.shape != (m,) or (
-        m and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_columns)
+        m and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_u + m)
     ):
-        raise ValueError(f"start basis must list {m} standard-form columns in [0, {n_columns})")
-    basic = np.zeros(n_columns, dtype=bool)
-    basic[idx.astype(int)] = True  # an empty start reads as float
+        raise ValueError(f"start basis must list {m} standard-form columns in [0, {n_u + m})")
+    basic = np.zeros(n_u + m, dtype=bool)
+    basic[idx.astype(int)] = True  # an empty basis reads as float
     if np.count_nonzero(basic) != m:
         raise ValueError("start basis columns must be distinct")
-    return basic
+    J = np.nonzero(basic[:n_u])[0]
+    tight = np.nonzero(~basic[n_u:])[0]
+    A_tight = A[tight]
+    square = A_tight[:, J]
+    try:
+        pi = np.linalg.solve(square.T, c[J])
+    except np.linalg.LinAlgError:
+        return None
+    reduced = c - A_tight.T @ pi
+    if not ((pi <= FEAS_TOL).all() and (reduced >= -FEAS_TOL).all()):
+        return None
+    return Certificate(problem.c.copy(), problem.rows.copy(), J, tight, square, A[:, J])
 
 
 def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
@@ -182,7 +203,10 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     The basic structural columns J solve A[tight, J] u_J = b[tight]; the
     vertex is returned only when u_J and every slack are >= -FEAS_TOL.
     """
-    u_J = np.linalg.solve(cert.square, b[cert.tight])
+    try:
+        u_J = np.linalg.solve(cert.square, b[cert.tight])
+    except np.linalg.LinAlgError:
+        return None
     slack = b - cert.columns @ u_J
     if not ((u_J >= -FEAS_TOL).all() and (slack >= -FEAS_TOL).all()):  # a NaN fails too
         return None
@@ -191,72 +215,32 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     return u
 
 
-def _warm_vertex(
-    problem: LPProblem, A: np.ndarray, c: np.ndarray, basic: np.ndarray
-) -> LPSolution | None:
-    """The vertex of the start basis, with its certificate, if it is optimal here.
-
-    Rows whose slack is nonbasic are tight, so the basic structural columns J
-    solve the q x q system A[tight, J] u_J = b[tight]; the row duals pi solve
-    its transpose against c_J.  The vertex is returned only when it is primal
-    feasible (``_primal_vertex``) and dual feasible (pi <= FEAS_TOL on the
-    tight rows, every reduced cost >= -FEAS_TOL) for this very problem, which
-    certifies it optimal whatever changed since the start basis was found.
-    """
-    n_u = c.size
-    J = np.nonzero(basic[:n_u])[0]
-    tight = np.nonzero(~basic[n_u:])[0]
-    A_tight = A[tight]
-    cert = Certificate(problem.c.copy(), problem.rows.copy(), J, tight, A_tight[:, J], A[:, J])
-    try:
-        u = _primal_vertex(cert, problem.bounds)
-        if u is None:
-            return None
-        pi = np.linalg.solve(cert.square.T, c[J])
-    except np.linalg.LinAlgError:  # singular: the start is no basis of this problem
-        return None
-    reduced = c - A_tight.T @ pi
-    if not ((pi <= FEAS_TOL).all() and (reduced >= -FEAS_TOL).all()):
-        return None
-    return _optimal(problem, u, np.nonzero(basic)[0].tolist(), cert)
-
-
-def solve_lp(
-    problem: LPProblem, start: Sequence[int] | LPSolution | None = None
-) -> LPSolution:
+def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
     """Two-phase simplex; returns status optimal/infeasible/unbounded.
 
-    ``start`` is an optional basis, usually ``LPSolution.basis`` of an earlier
-    solve of a problem of the same shape, or that earlier ``LPSolution``
-    itself.  When the start basis is still optimal for this problem the solver
-    returns its vertex without pivoting (``warm`` is set); otherwise, or when
-    the start is singular here, it solves cold.  A solution whose certificate
-    was issued for this ``c`` and these ``rows`` is re-checked for primal
-    feasibility only; any other solution starts from its ``basis``.  A start
+    ``start`` is an optional earlier solution of a problem of the same shape.
+    Its certificate is reused when it was issued for this ``c`` and these
+    ``rows``; otherwise its basis is certified here.  When the certified
+    basis is primal feasible under these bounds the solver returns its vertex
+    without pivoting (``warm`` is set); otherwise it solves cold.  A start
     basis of the wrong length, or with out-of-range or repeated columns,
-    raises ``ValueError``.
+    raises ``ValueError``; a start without a basis is ignored.
     """
-    if isinstance(start, LPSolution):
+    if start is not None and start.basis is not None:
         cert = start.certificate
-        if (
+        if not (
             cert is not None
             and np.array_equal(cert.c, problem.c)
             and np.array_equal(cert.rows, problem.rows)
         ):
-            u = _primal_vertex(cert, problem.bounds)
-            if u is not None:
-                return _optimal(problem, u, start.basis, cert)
-            start = None  # the full check would reject the basis for the same reason
-        else:
-            start = start.basis
+            cert = _certify(problem, start.basis)
+        u = None if cert is None else _primal_vertex(cert, problem.bounds)
+        if u is not None:
+            return _optimal(problem, u, start.basis, cert)
     A, c_u = _standard_form(problem)
     b = problem.bounds
     n_u = c_u.size
     m = A.shape[0]
-    if start is not None:
-        warm = _warm_vertex(problem, A, c_u, _check_start(start, n_u + m, m))
-        if warm is not None:
-            return warm
 
     # Slack form A u + s = b with b >= 0; flipped rows get artificials.
     flip = b < 0

@@ -107,8 +107,8 @@ class FplMtdStrategy:
     ):
         if not 0.0 <= explore_prob <= 1.0:
             raise DomainError("exploration probability must lie in [0, 1]")
-        if not perturb_rate > 0 or l_max < 1:  # written so that a NaN rate fails too
-            raise DomainError("perturbation rate must be > 0 and the cap >= 1")
+        if not 0 < perturb_rate < np.inf or l_max < 1:  # written so that a NaN rate fails too
+            raise DomainError("perturbation rate must be finite and > 0, and the cap >= 1")
         self.explore_prob = explore_prob
         self.perturb_rate = perturb_rate
         self.l_max = l_max

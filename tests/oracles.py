@@ -8,13 +8,18 @@ cell, with the capability mask and fallback rebuilt from the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from mtdsim.estimator import ThreatEstimator
-from mtdsim.lp import INFEASIBLE, OPTIMAL, LPProblem, solve_lp
+from mtdsim.lp import INFEASIBLE, OPTIMAL, LPProblem, LPSolution, solve_lp
+
+
+def uncertified(solution: LPSolution) -> LPSolution:
+    """``solution`` without its certificate, so a solve started from it certifies its basis."""
+    return replace(solution, certificate=None)
 
 
 @dataclass

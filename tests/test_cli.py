@@ -58,6 +58,23 @@ def test_run_writes_outputs_and_prints_the_summary(tmp_path, capsys):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--beta", "inf"],
+        ["--strategy", "fpl", "--fpl-rate", "inf"],
+        ["--strategy", "urs", "--fpl-rate", "inf"],  # unused by urs, but meta.json records it
+    ],
+    ids=["beta-inf", "fpl-rate-inf", "unused-fpl-rate-inf"],
+)
+def test_run_rejects_non_finite_hyperparameters(flags, tmp_path, capsys):
+    out = tmp_path / "runout"
+    argv = ["run", *flags, "--timesteps", "2", "--iterations", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "meta.json").exists()
+
+
 def test_run_adaptive_planner_with_plan_once_and_start_state(capsys):
     code = main(
         [

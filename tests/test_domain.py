@@ -306,7 +306,11 @@ def test_domain_from_dict_reports_missing_fields(web):
         domain_from_dict(data)
     data = domain_to_dict(web)
     del data["switching_cost"]["PHP|MySQL"]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"missing state 'PHP\|MySQL'"):
+        domain_from_dict(data)
+    data = domain_to_dict(web)
+    del data["switching_cost"]["PHP|MySQL"]["Python|MySQL"]
+    with pytest.raises(DomainError, match=r"missing pair \('PHP\|MySQL', 'Python\|MySQL'\)"):
         domain_from_dict(data)
 
 
@@ -315,6 +319,18 @@ def test_domain_from_dict_rejects_factor_values_that_are_not_a_list(web):
     data = domain_to_dict(web)
     data["factors"][0]["values"] = "PY"
     with pytest.raises(DomainError, match="values must be a list"):
+        domain_from_dict(data)
+
+
+@pytest.mark.parametrize("where", ["state", "action"])
+def test_domain_from_dict_rejects_unknown_switching_cost_labels(web, where):
+    # A typo'd key next to the full table, as the mu and loss maps already reject.
+    data = domain_to_dict(web)
+    if where == "state":
+        data["switching_cost"]["PHP|MySQ"] = dict(data["switching_cost"]["PHP|MySQL"])
+    else:
+        data["switching_cost"]["PHP|MySQL"]["Pyton|MySQL"] = 1.0
+    with pytest.raises(DomainError, match="unknown configuration label"):
         domain_from_dict(data)
 
 

@@ -271,8 +271,12 @@ def test_scenario_json_round_trip(tmp_path):
     assert loaded.name == "mix"
     assert loaded.phases == scen.phases
     assert loaded.sc_multiplier == 2.5
+    assert loaded.domain_variant == "pg-only-dh"
     with pytest.raises(DomainError):
         scenario_from_dict({"phases": []})
+    for variant in (7, ""):  # "" would be dropped on save and fail to resolve until then
+        with pytest.raises(DomainError, match="non-empty string"):
+            scenario_from_dict(dict(data, domain_variant=variant))
 
 
 # ---------------------------------------------------------------------------

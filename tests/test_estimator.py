@@ -28,8 +28,9 @@ def one_cell_domain():
 
 
 def test_beta_validation():
-    with pytest.raises(DomainError):
-        ThreatEstimator(one_cell_domain(), beta=0.5)
+    for beta in (0.5, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            ThreatEstimator(one_cell_domain(), beta=beta)
     ThreatEstimator(one_cell_domain(), beta=1.0)  # no decay is allowed
 
 
@@ -200,6 +201,8 @@ def test_from_dict_validates_checkpoint():
     negative = dict(good, counts=np.full((3, 1, 1), -1.0).tolist())
     with pytest.raises(DomainError):
         ThreatEstimator.from_dict(dom, negative)
+    with pytest.raises(DomainError):  # json.load reads the non-standard Infinity as inf
+        ThreatEstimator.from_dict(dom, dict(good, beta=np.inf))
     # Same types and shape, other configuration labels.
     renamed = ConfigSpace((web.space.factors[0], FactorSpec("database", ("MariaDB", "Postgres"))))
     other = DomainInfo(renamed, web.types, web.sc, web.M, web.gamma, web.alpha)

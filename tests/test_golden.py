@@ -44,6 +44,7 @@ from mtdsim.harness import (
     run_experiment,
 )
 from mtdsim.lp import solve_lp
+from oracles import uncertified
 
 GOLDEN_STEPS_SHA256 = {
     "net-evolving": "00bf2e629d48d6060b1ceb0cd79fe39bece7616624d7f4991a3709e998f51111",
@@ -285,5 +286,5 @@ GOLDEN_SOLVE_LP_SHA256 = {
 def test_solve_lp_solutions_are_byte_identical(case):
     cold_lp, perturbed_lp = _solver_pin_problem(case)
     cold = solve_lp(cold_lp)
-    warm = solve_lp(perturbed_lp, start=cold.basis)
+    warm = solve_lp(perturbed_lp, start=uncertified(cold))
     assert [_solution_digest(cold), _solution_digest(warm)] == GOLDEN_SOLVE_LP_SHA256[case]

@@ -15,7 +15,13 @@ from mtdsim.lp import (
     LPSolution,
     solve_lp,
 )
-from oracles import box_rows, compare_simplex_to_vertices, enumerate_vertices, random_box_lp
+from oracles import (
+    box_rows,
+    compare_simplex_to_vertices,
+    enumerate_vertices,
+    random_box_lp,
+    uncertified,
+)
 
 def test_single_variable_upper_bound():
     # max x s.t. x <= 5, x >= 0  ==  min -x
@@ -64,7 +70,7 @@ def test_no_rows_and_no_cost_is_optimal_at_the_origin():
     sol = solve_lp(problem)
     assert sol.status == OPTIMAL and sol.basis == ()
     assert sol.x == pytest.approx([0.0, 0.0]) and sol.objective_value == 0.0
-    assert solve_lp(problem, start=sol.basis).warm
+    assert solve_lp(problem, start=uncertified(sol)).warm
 
 
 def test_no_rows_with_finite_bounds_sits_at_best_corner():
@@ -167,8 +173,15 @@ def test_matches_vertex_enumeration_on_random_boxes():
 
 
 def test_problem_shape_validation():
-    with pytest.raises(ValueError):
-        LPProblem(c=[1.0, 2.0], rows=[[1.0, 0.0]], bounds=[1.0, 2.0])
+    cases = [
+        ([1.0, 2.0], [[1.0, 0.0]], [1.0, 2.0]),  # two bounds for one row
+        ([1.0, 2.0], np.ones((3, 4)), np.ones(6)),  # a reshape would read 6 rows of 2
+        ([1.0, 2.0, 3.0], np.ones((3, 2)), np.ones(2)),  # ... or 2 scrambled rows of 3
+        ([1.0], [1.0], [1.0]),  # one row, but not a 2-D array
+    ]
+    for c, rows, bounds in cases:
+        with pytest.raises(ValueError):
+            LPProblem(c=c, rows=rows, bounds=bounds)
 
 
 def test_solution_dataclass_defaults():
@@ -178,7 +191,7 @@ def test_solution_dataclass_defaults():
 
 
 # ---------------------------------------------------------------------------
-# warm start from an earlier optimal basis
+# warm start from an earlier solution's basis
 # ---------------------------------------------------------------------------
 
 
@@ -187,7 +200,7 @@ def test_optimal_solution_reports_its_standard_form_basis():
     sol = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]))
     assert sol.basis == (1,)  # the "minus" half of x is basic, the slack is not
     assert not sol.warm
-    again = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]), start=sol.basis)
+    again = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]), start=uncertified(sol))
     assert again.warm and again.basis == sol.basis
     assert again.x == pytest.approx(sol.x, abs=1e-12)
 
@@ -202,7 +215,7 @@ def test_warm_start_after_bound_changes_matches_cold_solve_and_vertices():
             continue
         bounds = problem.bounds + rng.uniform(-0.1, 0.1, problem.n_rows)
         moved = LPProblem(problem.c, problem.rows, bounds)
-        warm = solve_lp(moved, start=first.basis)
+        warm = solve_lp(moved, start=uncertified(first))
         cold = solve_lp(moved)
         oracle = enumerate_vertices(moved)
         compared += 1
@@ -225,7 +238,7 @@ def test_warm_start_that_lost_dual_feasibility_falls_back_to_cold():
         if first.status != OPTIMAL:
             continue
         flipped = LPProblem(-problem.c, problem.rows, problem.bounds)
-        sol = solve_lp(flipped, start=first.basis)
+        sol = solve_lp(flipped, start=uncertified(first))
         fallbacks += not sol.warm
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(
@@ -244,7 +257,7 @@ def test_warm_start_with_a_cheaper_nonbasic_column_falls_back_to_cold():
     assert first.status == OPTIMAL and first.x == pytest.approx([-1.0, 0.0])
     assert 2 not in first.basis and 3 not in first.basis
     cheaper = LPProblem([1.0, -10.0], rows, bounds)
-    sol = solve_lp(cheaper, start=first.basis)
+    sol = solve_lp(cheaper, start=uncertified(first))
     assert sol.status == OPTIMAL and not sol.warm
     assert sol.x == pytest.approx([-1.0, 2.0])
     assert sol.objective_value == pytest.approx(-21.0)
@@ -253,21 +266,21 @@ def test_warm_start_with_a_cheaper_nonbasic_column_falls_back_to_cold():
 def test_singular_start_falls_back_to_cold():
     # Both halves of the split free variable are linearly dependent columns.
     problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
-    sol = solve_lp(problem, start=(0, 1))
+    sol = solve_lp(problem, start=LPSolution(OPTIMAL, basis=(0, 1)))
     assert sol.status == OPTIMAL and not sol.warm
     assert sol.x[0] == pytest.approx(-7.0)
 
 
 @pytest.mark.parametrize(
-    "start",
+    "basis",
     [(0,), (0, 1, 2), (0, 4), (-1, 2), (2, 2), np.array([0.0, 2.0])],
     ids=["short", "long", "out-of-range", "negative", "duplicate", "not-integer"],
 )
-def test_malformed_start_raises(start):
+def test_malformed_start_raises(basis):
     # Two rows over one free variable: 2 split columns + 2 slacks, basis size 2.
     problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
     with pytest.raises(ValueError):
-        solve_lp(problem, start=start)
+        solve_lp(problem, start=LPSolution(OPTIMAL, basis=basis))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +311,7 @@ def test_certified_recheck_matches_the_full_check_and_vertices_on_random_boxes()
                 problem.c, problem.rows, problem.bounds + rng.uniform(-0.4, 0.4, problem.n_rows)
             )
             got = solve_lp(problem, start=prev)
-            assert_same_solution(got, solve_lp(problem, start=prev.basis))
+            assert_same_solution(got, solve_lp(problem, start=uncertified(prev)))
             oracle = enumerate_vertices(problem)
             assert got.status == oracle.status
             if got.status != OPTIMAL:
@@ -333,7 +346,7 @@ def test_certified_recheck_matches_the_full_check_on_replanned_alps(name):
             posterior = perturb_posterior_table(posterior, rng, scale=0.01)
         alp = build_alp(domain, posterior, previous=alp)  # new views of the same c and rows
         got = solve_lp(alp.lp, start=prev)
-        assert_same_solution(got, solve_lp(alp.lp, start=prev.basis))
+        assert_same_solution(got, solve_lp(alp.lp, start=uncertified(prev)))
         rechecked += prev.warm and got.certificate is prev.certificate
         prev = got
     assert rechecked > 0
@@ -343,20 +356,20 @@ def test_a_certificate_for_another_c_or_rows_is_not_rechecked():
     # min x over x >= -1, |y| <= 2 (the cheaper-column example above).
     rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
     first = solve_lp(LPProblem([1.0, 0.0], rows, bounds))
-    sol = solve_lp(LPProblem([1.0, 0.0], rows, bounds + 0.5), start=first.basis)
+    sol = solve_lp(LPProblem([1.0, 0.0], rows, bounds + 0.5), start=uncertified(first))
     assert sol.warm
     # Another c: the bounds alone would pass the primal re-check, but the
     # basis is no longer dual feasible.
     cheaper = LPProblem([1.0, -10.0], rows, bounds)
     got = solve_lp(cheaper, start=sol)
     assert not got.warm
-    assert_same_solution(got, solve_lp(cheaper, start=sol.basis))
+    assert_same_solution(got, solve_lp(cheaper, start=uncertified(sol)))
     # Other rows (one scaled, same region): certified afresh, not re-checked.
     scaled = LPProblem([1.0, 0.0], rows * [[2.0], [1.0], [1.0]], bounds * [2.0, 1.0, 1.0])
     got = solve_lp(scaled, start=sol)
     assert got.warm and got.certificate is not sol.certificate
-    assert_same_solution(got, solve_lp(scaled, start=sol.basis))
-    # Another shape: the basis path rejects the start as before.
+    assert_same_solution(got, solve_lp(scaled, start=uncertified(sol)))
+    # Another shape: certifying the basis rejects the start.
     with pytest.raises(ValueError):
         solve_lp(LPProblem([1.0, 0.0], rows[:2], bounds[:2]), start=sol)
 
@@ -367,12 +380,12 @@ def test_a_failed_recheck_ends_on_the_cold_solution():
     rows, bounds = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0])
     c = [-1.0, -2.0]
     first = solve_lp(LPProblem(c, rows, bounds))
-    sol = solve_lp(LPProblem(c, rows, bounds * 2.0), start=first.basis)
+    sol = solve_lp(LPProblem(c, rows, bounds * 2.0), start=uncertified(first))
     assert sol.warm and sol.x == pytest.approx([0.0, 2.0])
     moved = LPProblem(c, rows, [1.0, -0.5, 0.0])  # x >= 0.5
     got = solve_lp(moved, start=sol)
     assert not got.warm and got.x == pytest.approx([0.5, 0.5])
-    assert_same_solution(got, solve_lp(moved, start=sol.basis))
+    assert_same_solution(got, solve_lp(moved, start=uncertified(sol)))
     assert_same_solution(got, solve_lp(moved))
 
 
@@ -380,10 +393,10 @@ def test_a_cold_solve_carries_no_certificate():
     problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
     cold = solve_lp(problem)
     assert cold.status == OPTIMAL and cold.certificate is None and not cold.warm
-    # Starting from it runs the full check, which issues the certificate.
+    # Starting from it certifies its basis, and the warm solution carries that certificate.
     again = solve_lp(problem, start=cold)
     assert again.warm and again.certificate is not None
-    assert_same_solution(again, solve_lp(problem, start=cold.basis))
+    assert_same_solution(again, solve_lp(problem, start=uncertified(cold)))
     assert solve_lp(problem, start=again).certificate is again.certificate
     # A solution without a basis starts nothing.
     assert_same_solution(solve_lp(problem, start=LPSolution(UNBOUNDED)), cold)

@@ -132,6 +132,9 @@ def test_fpl_constructor_validation():
         FplMtdStrategy(web, explore_prob=1.01)
     with pytest.raises(DomainError):
         FplMtdStrategy(web, perturb_rate=0.0)
+    for rate in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            FplMtdStrategy(web, perturb_rate=rate)
     with pytest.raises(DomainError):
         FplMtdStrategy(web, perturb_rate=float("nan"))
     with pytest.raises(DomainError):
