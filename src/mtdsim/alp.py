@@ -11,10 +11,14 @@ With theta uniform over configurations the weights solve
 since the successor of (s, a) is a.  The success (phi=1) and failure (phi=0)
 branches of the Bellman residual sum to the expected reward R(s, a) of
 ``domain.expected_reward_table``, so each row is D(s, a) . w <= -R(s, a) with
-D(s, a) = gamma * beta(a) - beta(s).  A new belief moves only the right-hand
-side; re-planning therefore reuses the previous program and starts the LP
-from its last solution, whose certified basis then needs only a primal
-feasibility re-check (see ``lp``).
+D(s, a) = gamma * beta(a) - beta(s).  The basis, theta and the reward table
+fix the program, and the belief moves only the right-hand side.  Re-planning
+therefore reuses the previous program: under an equal belief ``build_alp``
+hands back the previous problem itself, whose weights and policy
+``solve_alp`` and ``extract_policy`` keep, so nothing is rebuilt or solved;
+under a new belief only the bounds are rebuilt and the LP starts from its
+last solution, whose certified basis then needs only a primal feasibility
+re-check (see ``lp``).
 
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
@@ -74,13 +78,25 @@ def build_state_basis(space: ConfigSpace) -> Basis:
 
 @dataclass
 class ALProblem:
-    """An assembled approximate-LP instance; row i is the pair (s, a) = divmod(i, S)."""
+    """An assembled approximate-LP instance; row i is the pair (s, a) = divmod(i, S).
+
+    A problem is solved once: it keeps its weights and the greedy policy
+    extracted from them, both read-only.
+    """
 
     domain: DomainInfo
     basis: Basis
     lp: LPProblem
     rewards: np.ndarray  # (S, A) expected rewards R(s, a); lp.bounds is -rewards
+    posterior: np.ndarray | None = None  # read-only copy of the belief the rewards come from
     lp_solution: LPSolution | None = None  # last LP solution; the next solve starts from it
+    weights: np.ndarray | None = None  # set by solve_alp
+    policy: np.ndarray | None = None  # set by extract_policy from ``weights``
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_alp(
@@ -95,16 +111,23 @@ def build_alp(
     right-hand side depends on the belief.  The objective weighs each basis
     function by its mean activation over configurations (uniform theta).
 
-    ``previous``, a problem built for the same domain and basis, lends its
-    basis, rows, objective and last LP solution, so only the rewards and the
-    bounds are computed.
+    ``previous``, a problem built for the same domain and basis, is returned
+    itself when ``posterior_table`` equals the belief it was built from: the
+    same belief gives the same program.  Otherwise it lends its basis, rows,
+    objective and last LP solution, so only the rewards and the bounds are
+    computed.
     """
-    rewards = expected_reward_table(domain, posterior_table)
     if previous is not None:
         if previous.domain is not domain or basis not in (None, previous.basis):
             raise DomainError("previous problem was built for another domain or basis")
+        if np.array_equal(posterior_table, previous.posterior):
+            return previous
+    posterior = _read_only(np.array(posterior_table, dtype=float))
+    rewards = expected_reward_table(domain, posterior)
+    if previous is not None:
         lp = replace(previous.lp, bounds=-rewards.reshape(-1))
-        return replace(previous, lp=lp, rewards=rewards)
+        return replace(previous, lp=lp, rewards=rewards, posterior=posterior,
+                       weights=None, policy=None)
 
     basis = build_basis(domain.space) if basis is None else basis
     B = basis.activations  # (S, k)
@@ -114,7 +137,7 @@ def build_alp(
     D = domain.gamma * B[None, :, :] - B[:, None, :]  # (S, A, k)
     objective = np.full(S, 1.0 / S) @ B  # E_theta[beta_i] per basis function
     lp = LPProblem(c=objective, rows=D.reshape(S * S, k), bounds=-rewards.reshape(-1))
-    return ALProblem(domain, basis, lp, rewards)
+    return ALProblem(domain, basis, lp, rewards, posterior)
 
 
 def solve_alp(alp: ALProblem) -> np.ndarray:
@@ -122,8 +145,12 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
 
     Overwrites ``alp.lp_solution`` with the solution the solve ended on; the
     next solve certifies its basis at most once and otherwise only re-checks
-    primal feasibility.  Raises if the program is degenerate.
+    primal feasibility.  A solved problem is not solved again: later calls
+    return the same read-only ``alp.weights``.  Raises if the program is
+    degenerate.
     """
+    if alp.weights is not None:
+        return alp.weights
     sol = solve_lp(alp.lp, start=alp.lp_solution)
     if sol.status == UNBOUNDED:
         raise RuntimeError(
@@ -133,7 +160,8 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
     if sol.status == INFEASIBLE:
         raise RuntimeError("approximate LP infeasible - constraint assembly bug")
     alp.lp_solution = sol
-    return sol.x
+    alp.weights = _read_only(sol.x)
+    return alp.weights
 
 
 def value_estimates(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
@@ -155,10 +183,17 @@ def greedy_actions(scores: np.ndarray) -> np.ndarray:
 def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
     """Greedy policy: argmax_a R(s,a) + gamma * V(a; w), lowest index on ties.
 
-    R is the problem's own reward table, the one its bounds come from.
+    R is the problem's own reward table, the one its bounds come from.  The
+    policy of the problem's own ``alp.weights`` is computed once and kept,
+    read-only, in ``alp.policy``.
     """
+    if alp.policy is not None and weights is alp.weights:
+        return alp.policy
     values = alp.basis.activations @ weights  # (A,) successor values, successor == action
-    return greedy_actions(alp.rewards + alp.domain.gamma * values[None, :])
+    policy = greedy_actions(alp.rewards + alp.domain.gamma * values[None, :])
+    if weights is alp.weights:
+        alp.policy = _read_only(policy)
+    return policy
 
 
 def exact_value(domain: DomainInfo, policy: np.ndarray, posterior_table: np.ndarray) -> np.ndarray:

@@ -24,12 +24,17 @@ COUNT_FLOOR = 1e-12
 DEFAULT_BETA = 2.0
 
 
+def check_beta(beta: float) -> None:
+    """Raise ``DomainError`` unless the decay factor is finite and >= 1."""
+    if not 1.0 <= beta < np.inf:  # a NaN fails too
+        raise DomainError("decay factor beta must be finite and >= 1")
+
+
 class ThreatEstimator:
     """Decayed success counts and the derived attacker-type posterior."""
 
     def __init__(self, domain: DomainInfo, beta: float = DEFAULT_BETA):
-        if not 1.0 <= beta < np.inf:  # a NaN fails too
-            raise DomainError("decay factor beta must be finite and >= 1")
+        check_beta(beta)
         self.domain = domain
         self.beta = float(beta)
         n, s = domain.n_types, domain.n_configs

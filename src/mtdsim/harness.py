@@ -48,12 +48,15 @@ from .environments import (
     make_network_domain,
     make_web_app_domain,
 )
-from .estimator import DEFAULT_BETA, ThreatEstimator
+from .estimator import DEFAULT_BETA, ThreatEstimator, check_beta
 from .strategies import (
     DEFAULT_EPSILON,
     DEFAULT_FPL_EXPLORE,
     DEFAULT_FPL_LMAX,
     DEFAULT_FPL_RATE,
+    check_epsilon,
+    check_fpl,
+    check_reopt_period,
     run_strategy,
 )
 
@@ -166,7 +169,8 @@ def resolve_run(config: ExperimentConfig) -> RunResult:
     """Everything a run fixes before its first step: scenario, sizes, domain, start state.
 
     ``timesteps`` None means the scenario horizon; sizes the scenario cannot
-    play are rejected.
+    play are rejected, and so is every invalid hyperparameter, whether or not
+    the strategy reads it (``meta.json`` records them all).
     """
     scenario = resolve_scenario(config.scenario)
     timesteps = scenario.horizon if config.timesteps is None else config.timesteps
@@ -177,6 +181,10 @@ def resolve_run(config: ExperimentConfig) -> RunResult:
             f"timesteps must lie in [1, {scenario.horizon}] (the scenario horizon), "
             f"got {timesteps}"
         )
+    check_reopt_period(config.reopt_period)
+    check_beta(config.beta)
+    check_epsilon(config.epsilon)
+    check_fpl(config.fpl_explore, config.fpl_rate, config.fpl_lmax)
     domain = resolve_domain(config.domain, scenario, config.alpha, config.seed)
     label = config.start_state
     start_state = 0 if label is None else domain.space.index_of_label(label)

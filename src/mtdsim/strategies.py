@@ -24,6 +24,27 @@ DEFAULT_FPL_LMAX = 1000
 RESAMPLE_CHUNK = 32
 
 
+# Each hyperparameter has one check: the strategy that reads it runs it, and
+# ``harness.resolve_run`` runs all of them before a run's first step.
+
+
+def check_reopt_period(reopt_period: int | None) -> None:
+    if reopt_period is not None and reopt_period < 1:
+        raise DomainError("reopt_period must be >= 1 (or None to plan only once)")
+
+
+def check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon <= 1.0:
+        raise DomainError("epsilon must lie in [0, 1]")
+
+
+def check_fpl(explore_prob: float, perturb_rate: float, l_max: int) -> None:
+    if not 0.0 <= explore_prob <= 1.0:
+        raise DomainError("exploration probability must lie in [0, 1]")
+    if not 0 < perturb_rate < np.inf or l_max < 1:  # written so that a NaN rate fails too
+        raise DomainError("perturbation rate must be finite and > 0, and the cap >= 1")
+
+
 def ata_fmdp_run(
     domain: DomainInfo,
     env: MTDEnvironment,
@@ -36,12 +57,15 @@ def ata_fmdp_run(
 
     Every ``reopt_period`` steps (``None`` = plan once at t=0 and never
     again) the current attacker-type belief is frozen into an approximate LP,
-    solved, and turned into a greedy policy.  Each re-plan rebuilds only the
-    bounds of the previous program and starts from its last LP solution.  After
-    each step the belief is updated with the observed (type, success) outcome.
+    solved, and turned into a greedy policy.  A re-plan whose posterior table
+    equals the last one's costs one comparison: ``build_alp`` hands back the
+    previous problem, and ``solve_alp`` and ``extract_policy`` return the
+    weights and policy it keeps.  A re-plan under a moved belief rebuilds only
+    the bounds of the previous program and starts from its last LP solution.
+    After each step the belief is updated with the observed (type, success)
+    outcome.
     """
-    if reopt_period is not None and reopt_period < 1:
-        raise DomainError("reopt_period must be >= 1 (or None to plan only once)")
+    check_reopt_period(reopt_period)
     estimator = ThreatEstimator(domain, beta=beta)
     problem: ALProblem | None = None
     policy: np.ndarray | None = None
@@ -70,8 +94,7 @@ class EpsGreedyStrategy:
     """
 
     def __init__(self, domain: DomainInfo, epsilon: float = DEFAULT_EPSILON):
-        if not 0.0 <= epsilon <= 1.0:
-            raise DomainError("epsilon must lie in [0, 1]")
+        check_epsilon(epsilon)
         self.epsilon = epsilon
         self.means = np.zeros(domain.n_configs)
         self.pulls = np.zeros(domain.n_configs, dtype=int)
@@ -105,10 +128,7 @@ class FplMtdStrategy:
         perturb_rate: float = DEFAULT_FPL_RATE,
         l_max: int = DEFAULT_FPL_LMAX,
     ):
-        if not 0.0 <= explore_prob <= 1.0:
-            raise DomainError("exploration probability must lie in [0, 1]")
-        if not 0 < perturb_rate < np.inf or l_max < 1:  # written so that a NaN rate fails too
-            raise DomainError("perturbation rate must be finite and > 0, and the cap >= 1")
+        check_fpl(explore_prob, perturb_rate, l_max)
         self.explore_prob = explore_prob
         self.perturb_rate = perturb_rate
         self.l_max = l_max

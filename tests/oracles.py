@@ -3,7 +3,9 @@
 The LP oracle solves min c@x over {rows@x <= bounds} by brute-force vertex
 enumeration, so it shares no code path with the simplex implementation under
 test.  The posterior oracle is the estimator's belief table computed cell by
-cell, with the capability mask and fallback rebuilt from the domain.
+cell, with the capability mask and fallback rebuilt from the domain.  The
+planner oracle is the adaptive defender's loop re-planning at every scheduled
+step, with nothing kept between re-plans but the last LP solution.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from itertools import combinations
 
 import numpy as np
 
-from mtdsim.estimator import ThreatEstimator
+from mtdsim.alp import build_alp, greedy_actions
+from mtdsim.domain import DomainInfo, expected_reward_table
+from mtdsim.environments import MTDEnvironment, StepRecord
+from mtdsim.estimator import DEFAULT_BETA, ThreatEstimator
 from mtdsim.lp import INFEASIBLE, OPTIMAL, LPProblem, LPSolution, solve_lp
 
 
@@ -125,3 +130,37 @@ def reference_posterior_table(estimator: ThreatEstimator) -> np.ndarray:
     fallback = (~seen) & (n_capable > 0)
     out[:, fallback] = cap[:, fallback] / n_capable[fallback]
     return out
+
+
+def reference_ata_fmdp_run(
+    domain: DomainInfo,
+    env: MTDEnvironment,
+    T: int,
+    rng: np.random.Generator,
+    reopt_period: int | None = 1,
+    beta: float = DEFAULT_BETA,
+) -> list[StepRecord]:
+    """``strategies.ata_fmdp_run`` re-planning at every scheduled step, moved belief or not.
+
+    Each re-plan rebuilds the rewards and bounds from the posterior table,
+    solves the LP starting from the last ``LPSolution`` and scores the greedy
+    policy; only the objective, rows and basis of the first program are reused.
+    """
+    estimator = ThreatEstimator(domain, beta=beta)
+    program = build_alp(domain, estimator.posterior_table())
+    solution: LPSolution | None = None
+    policy: np.ndarray | None = None
+    records: list[StepRecord] = []
+    for t in range(T):
+        if policy is None or (reopt_period is not None and t % reopt_period == 0):
+            rewards = expected_reward_table(domain, estimator.posterior_table())
+            lp = LPProblem(program.lp.c, program.lp.rows, -rewards.reshape(-1))
+            solution = solve_lp(lp, start=solution)
+            values = program.basis.activations @ solution.x
+            policy = greedy_actions(rewards + domain.gamma * values[None, :])
+        state = env.state
+        action = int(policy[state])
+        record = env.step(action, rng)
+        estimator.update(domain.type_index(record.attacker_type), state, action, record.phi)
+        records.append(record)
+    return records

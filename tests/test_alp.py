@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from mtdsim import alp as alp_module
 from mtdsim.alp import (
     ALProblem,
     alp_to_dict,
@@ -398,11 +399,79 @@ def test_build_alp_from_previous_rejects_another_domain_or_basis():
     web = make_web_app_domain(alpha=1.0)
     post = cold_posterior_table(web)
     first = build_alp(web, post)
+    # The posterior is equal, so these would otherwise hand back ``first``.
     with pytest.raises(DomainError):
         build_alp(make_web_app_domain(alpha=1.0), post, previous=first)
     with pytest.raises(DomainError):
-        build_alp(web, post, basis=build_state_basis(web.space), previous=first)
-    build_alp(web, post, basis=first.basis, previous=first)
+        build_alp(web, post.copy(), basis=build_state_basis(web.space), previous=first)
+    assert build_alp(web, post, basis=first.basis, previous=first) is first
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """The problems ``alp.solve_lp`` is called on, in call order."""
+    solves = []
+    solve = alp_module.solve_lp
+
+    def counted(problem, start=None):
+        solves.append(problem)
+        return solve(problem, start=start)
+
+    monkeypatch.setattr(alp_module, "solve_lp", counted)
+    return solves
+
+
+def test_an_equal_posterior_hands_back_the_solved_problem(lp_solves):
+    web = make_web_app_domain(alpha=1.0)
+    posterior = random_posterior_table(web, np.random.default_rng(7))
+    first = build_alp(web, posterior)
+    weights = solve_alp(first)
+    policy = extract_policy(first, weights)
+    again = build_alp(web, posterior.copy(), previous=first)
+    assert again is first
+    assert solve_alp(again) is weights
+    assert extract_policy(again, weights) is policy
+    assert len(lp_solves) == 1
+
+
+def test_a_posterior_one_ulp_away_is_a_new_problem(lp_solves):
+    web = make_web_app_domain(alpha=1.0)
+    posterior = random_posterior_table(web, np.random.default_rng(7))
+    first = build_alp(web, posterior)
+    extract_policy(first, solve_alp(first))
+    moved = posterior.copy()
+    moved[1, 2, 3] = np.nextafter(moved[1, 2, 3], np.inf)
+    again = build_alp(web, moved, previous=first)
+    assert again is not first and again.weights is None and again.policy is None
+    solve_alp(again)
+    assert len(lp_solves) == 2 and lp_solves[1] is again.lp
+
+
+def test_mutating_the_callers_posterior_in_place_misses_the_memo(lp_solves):
+    web = make_web_app_domain(alpha=1.0)
+    posterior = random_posterior_table(web, np.random.default_rng(7))
+    first = build_alp(web, posterior)
+    solve_alp(first)
+    posterior[0, 1, 2] += 0.25
+    again = build_alp(web, posterior, previous=first)
+    assert again is not first
+    np.testing.assert_array_equal(again.rewards, build_alp(web, posterior).rewards)
+    solve_alp(again)
+    assert len(lp_solves) == 2
+
+
+def test_kept_weights_policy_and_posterior_are_read_only():
+    web = make_web_app_domain(alpha=1.0)
+    problem = build_alp(web, cold_posterior_table(web))
+    weights = solve_alp(problem)
+    policy = extract_policy(problem, weights)
+    for kept in (weights, policy, problem.posterior):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0
+    # Weights the problem did not produce are scored afresh and not kept.
+    other = extract_policy(problem, weights.copy())
+    assert other is not policy and other.flags.writeable and problem.policy is policy
 
 
 @pytest.mark.parametrize("name", ["web", "net2", "net3"])

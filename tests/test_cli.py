@@ -64,15 +64,20 @@ def test_run_writes_outputs_and_prints_the_summary(tmp_path, capsys):
         ["--beta", "inf"],
         ["--strategy", "fpl", "--fpl-rate", "inf"],
         ["--strategy", "urs", "--fpl-rate", "inf"],  # unused by urs, but meta.json records it
+        ["--strategy", "urs", "--beta", "0.5"],
+        ["--strategy", "ata-fmdp", "--epsilon", "1.5"],
+        ["--strategy", "eps-greedy", "--fpl-lmax", "0"],
     ],
-    ids=["beta-inf", "fpl-rate-inf", "unused-fpl-rate-inf"],
+    ids=["beta-inf", "fpl-rate-inf", "unused-fpl-rate-inf", "unused-beta-below-one",
+         "unused-epsilon-above-one", "unused-fpl-lmax-zero"],
 )
 def test_run_rejects_non_finite_hyperparameters(flags, tmp_path, capsys):
+    # Every hyperparameter is checked before the first step, so nothing is written.
     out = tmp_path / "runout"
-    argv = ["run", *flags, "--timesteps", "2", "--iterations", "1", "--out", str(out)]
+    argv = ["run", *flags, "--timesteps", "50", "--iterations", "2", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert not (out / "meta.json").exists()
+    assert not out.exists()
 
 
 def test_run_adaptive_planner_with_plan_once_and_start_state(capsys):

@@ -2,12 +2,14 @@
 
 Bandit baselines are checked against hand-stepped updates and seeded
 Monte-Carlo frequencies; the adaptive planner is checked for determinism,
-argument validation, and its cold-start behaviour.
+argument validation, its cold-start behaviour, and against a reference loop
+that re-plans at every scheduled step (``oracles.reference_ata_fmdp_run``).
 """
 
 import numpy as np
 import pytest
 
+from mtdsim import alp
 from mtdsim.domain import DomainError
 from mtdsim.environments import (
     MTDEnvironment,
@@ -16,6 +18,7 @@ from mtdsim.environments import (
     builtin_scenario,
     make_web_app_domain,
 )
+from mtdsim.harness import ExperimentConfig, resolve_run
 from mtdsim.strategies import (
     DEFAULT_EPSILON,
     DEFAULT_FPL_EXPLORE,
@@ -28,6 +31,7 @@ from mtdsim.strategies import (
     run_strategy,
     urs_select,
 )
+from oracles import reference_ata_fmdp_run
 
 
 def unknown_only_scenario(horizon: int) -> Scenario:
@@ -209,6 +213,44 @@ def test_ata_cold_start_routes_to_the_resistant_config():
     assert all(r.phi == 0 for r in records[1:])
     assert records[1].reward == 150.0  # pays sc(Python|MySQL -> Python|Postgres)
     assert all(r.reward == 200.0 for r in records[2:])
+
+
+def digest_lines(records) -> list[str]:
+    """Step records as the lines ``bench/workloads.py::digest`` hashes (iteration 0)."""
+    return [
+        f"0,{r.t},{r.state},{r.action},{r.attacker_type},{r.phi},{float(r.reward)!r}"
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("reopt_period", [1, 3])
+@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
+@pytest.mark.parametrize("domain,scenario", [
+    ("web", "web-evolving"),
+    ("web", "web-dh-postgres"),
+    ("network", "net-evolving"),
+])
+def test_skipping_unmoved_beliefs_matches_replanning_every_step(
+    monkeypatch, domain, scenario, beta, reopt_period
+):
+    run = resolve_run(ExperimentConfig(domain=domain, scenario=scenario))
+    solves = []
+    solve_lp = alp.solve_lp
+
+    def counted_solve_lp(*args, **kwargs):
+        solves.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(alp, "solve_lp", counted_solve_lp)
+
+    def play(fn):
+        env = MTDEnvironment(run.domain, run.scenario, run.start_state)
+        return digest_lines(fn(run.domain, env, run.timesteps, np.random.default_rng(10),
+                               reopt_period=reopt_period, beta=beta))
+
+    assert play(ata_fmdp_run) == play(reference_ata_fmdp_run)
+    # The skip ran: fewer real solves than scheduled re-plans.
+    assert len(solves) < -(-run.timesteps // reopt_period)
 
 
 @pytest.mark.parametrize("name,kwargs", [
