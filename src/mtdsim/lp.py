@@ -7,6 +7,13 @@ leave by lowest basis index), which makes the solver deterministic and immune
 to cycling.  Intended for the small programs produced by the planners here,
 not for large-scale use.
 
+A pivot updates only the tableau columns in which the normalised pivot row is
+nonzero.  The ALP's rows are sparse (a pivot row of the 4-node network ALP has
+at most 19 nonzeros of 530), and a column whose pivot-row entry is zero would
+only have +-0 subtracted, which leaves its values unchanged: at most a -0.0
+would have become +0.0.  The solver divides only by entries above
+``FEAS_TOL``, so the sign of a zero never reaches a nonzero value.
+
 A solve may start from an earlier solution of a problem of the same shape.
 Its basis is certified first: the row duals of its tight rows must be dual
 feasible for this objective and these rows, which depends on the basis, ``c``
@@ -96,6 +103,8 @@ class LPSolution:
     basis: tuple[int, ...] | None = None
     # Set when the start basis was certified optimal and no pivot ran.
     certificate: Certificate | None = field(default=None, repr=False, compare=False)
+    # Phase-1 plus phase-2 pivots of the solve; 0 for a warm start.
+    pivots: int = 0
 
     @property
     def warm(self) -> bool:
@@ -122,35 +131,40 @@ def _optimal(
     u: np.ndarray,
     basis: Sequence[int],
     certificate: Certificate | None = None,
+    pivots: int = 0,
 ) -> LPSolution:
     x = u[0::2] - u[1::2]
-    return LPSolution(OPTIMAL, x, float(problem.c @ x), tuple(sorted(basis)), certificate)
+    return LPSolution(OPTIMAL, x, float(problem.c @ x), tuple(sorted(basis)), certificate, pivots)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``tab[row, col]``; only the columns the pivot row is nonzero in change."""
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    nz = tab[row].nonzero()[0]
+    cols = tab.take(nz, axis=1)  # take and a plain store beat an in-place fancy-index update
+    cols -= factors[:, None] * cols[row]
+    tab[:, nz] = cols
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> str:
-    """Iterate on a tableau whose last row holds reduced costs.
+def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int]:
+    """Iterate on a tableau whose last row holds reduced costs; returns (status, pivots).
 
     ``tab`` is (m+1, n+1): constraint rows with the rhs in the last column,
     then the reduced-cost row (objective negated in its last cell).
     """
     m = len(basis)
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
         rc = tab[-1, :-1]
         eligible = np.nonzero(rc < -FEAS_TOL)[0]
         if eligible.size == 0:
-            return OPTIMAL
+            return OPTIMAL, pivots
         col = int(eligible[0])  # Bland: lowest index enters
         colvals = tab[:m, col]
         positive = colvals > FEAS_TOL
         if not np.any(positive):
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         ratios = np.full(m, np.inf)
         ratios[positive] = tab[:m, -1][positive] / colvals[positive]
         best = float(ratios.min())
@@ -242,35 +256,30 @@ def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
     n_u = c_u.size
     m = A.shape[0]
 
-    # Slack form A u + s = b with b >= 0; flipped rows get artificials.
-    flip = b < 0
-    A_std = np.hstack([A, np.eye(m)])
-    A_std[flip] *= -1.0
-    b_std = np.where(flip, -b, b)
-    flip_rows = np.nonzero(flip)[0]
-    n_art = flip_rows.size
-    art_cols = np.zeros((m, n_art))
-    for k, r in enumerate(flip_rows):
-        art_cols[r, k] = 1.0
-    full = np.hstack([A_std, art_cols])
-    n_total = full.shape[1]
+    # Phase-1 tableau [A | I | artificials | b] with b >= 0: a row with a
+    # negative bound is flipped and starts on an artificial, any other on its slack.
+    sign = np.where(b < 0, -1.0, 1.0)
+    flip = np.flatnonzero(sign < 0)
+    n_art = flip.size
+    tab = np.zeros((m + 1, n_u + m + n_art + 1))
+    tab[:m, :n_u] = A * sign[:, None]
+    tab[:m, -1] = b * sign
+    # Cost 1 on each artificial, priced out for the starting basis by subtracting
+    # the flipped rows; their known slack (-1) and artificial (1) entries make
+    # those reduced costs 1 and 0, written directly.
+    for r in flip:
+        tab[-1, :n_u] -= tab[r, :n_u]
+        tab[-1, -1] -= tab[r, -1]
+    basis = np.arange(n_u, n_u + m)
+    tab[np.arange(m), basis] = sign
+    tab[-1, basis[flip]] = 1.0
+    basis[flip] = np.arange(n_u + m, n_u + m + n_art)
+    tab[flip, basis[flip]] = 1.0
+    basis = basis.tolist()
 
-    basis = [0] * m
-    for r in range(m):
-        basis[r] = n_u + r  # slack
-    for k, r in enumerate(flip_rows):
-        basis[r] = n_u + m + k  # artificial
-
-    tab = np.zeros((m + 1, n_total + 1))
-    tab[:m, :n_total] = full
-    tab[:m, -1] = b_std
-    # Phase-1 reduced costs: cost 1 on artificials, priced out for the basis.
-    for r in flip_rows:
-        tab[-1] -= tab[r]
-    tab[-1, n_u + m : n_total] += 1.0
-
+    pivots = 0
     if n_art:
-        status = _run_simplex(tab, basis, MAX_ITER)
+        status, pivots = _run_simplex(tab, basis, MAX_ITER)
         if status != OPTIMAL:  # phase 1 cannot be unbounded; defensive
             return LPSolution(INFEASIBLE)
         if -tab[-1, -1] > SOL_TOL:
@@ -283,6 +292,7 @@ def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
                 col = int(np.nonzero(np.abs(tab[r, : n_u + m]) > FEAS_TOL)[0][0])
                 _pivot(tab, r, col)
                 basis[r] = col
+                pivots += 1
 
     # Phase 2: real objective over structural + slack columns.
     tab = np.hstack([tab[:, : n_u + m], tab[:, -1:]])
@@ -293,11 +303,11 @@ def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
             zrow -= c_full[bv] * tab[r]
     tab[-1] = zrow
 
-    status = _run_simplex(tab, basis, MAX_ITER)
+    status, phase2 = _run_simplex(tab, basis, MAX_ITER)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
     u = np.zeros(n_u + m)
     for r, bv in enumerate(basis):
         u[bv] = tab[r, -1]
-    return _optimal(problem, u[:n_u], basis)
+    return _optimal(problem, u[:n_u], basis, pivots=pivots + phase2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alp import ALProblem, build_alp, extract_policy, solve_alp
-from .domain import DomainError, DomainInfo
+from .domain import DomainError, DomainInfo, json_integer
 from .environments import MTDEnvironment, StepRecord
 from .estimator import DEFAULT_BETA, ThreatEstimator
 
@@ -29,7 +29,7 @@ RESAMPLE_CHUNK = 32
 
 
 def check_reopt_period(reopt_period: int | None) -> None:
-    if reopt_period is not None and reopt_period < 1:
+    if reopt_period is not None and json_integer(reopt_period, "reopt_period") < 1:
         raise DomainError("reopt_period must be >= 1 (or None to plan only once)")
 
 
@@ -41,7 +41,8 @@ def check_epsilon(epsilon: float) -> None:
 def check_fpl(explore_prob: float, perturb_rate: float, l_max: int) -> None:
     if not 0.0 <= explore_prob <= 1.0:
         raise DomainError("exploration probability must lie in [0, 1]")
-    if not 0 < perturb_rate < np.inf or l_max < 1:  # written so that a NaN rate fails too
+    # Written so that a NaN rate fails too; a bool or non-integer cap raises in json_integer.
+    if not 0 < perturb_rate < np.inf or json_integer(l_max, "the resample cap") < 1:
         raise DomainError("perturbation rate must be finite and > 0, and the cap >= 1")
 
 

@@ -2,10 +2,12 @@
 
 The LP oracle solves min c@x over {rows@x <= bounds} by brute-force vertex
 enumeration, so it shares no code path with the simplex implementation under
-test.  The posterior oracle is the estimator's belief table computed cell by
-cell, with the capability mask and fallback rebuilt from the domain.  The
-planner oracle is the adaptive defender's loop re-planning at every scheduled
-step, with nothing kept between re-plans but the last LP solution.
+test; ``dense_pivot`` is the full rank-one tableau update that the solver's
+sparse pivot must reproduce bit for bit.  The posterior oracle is the
+estimator's belief table computed cell by cell, with the capability mask and
+fallback rebuilt from the domain.  The planner oracle is the adaptive
+defender's loop re-planning at every scheduled step, with nothing kept
+between re-plans but the last LP solution.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from mtdsim.lp import INFEASIBLE, OPTIMAL, LPProblem, LPSolution, solve_lp
 def uncertified(solution: LPSolution) -> LPSolution:
     """``solution`` without its certificate, so a solve started from it certifies its basis."""
     return replace(solution, certificate=None)
+
+
+def dense_pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``tab[row, col]`` with a rank-one update of every column."""
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
 
 
 @dataclass

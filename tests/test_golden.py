@@ -12,8 +12,9 @@ state; ``GOLDEN_HINDSIGHT_SHA256`` pins the stdout and ``--out`` CSV of
 both bases on one web and one network scenario, and for the factored basis
 under a seeded estimator checkpoint.  ``GOLDEN_SOLVE_LP_SHA256`` pins the
 status, ``x`` bytes and basis of a cold ``solve_lp`` on the cold-posterior ALP
-of the web domain (both bases) and of 2-, 3- and 4-node networks, and of a
-warm re-solve from that basis after a perturbed posterior.  ``GOLDEN_SAVED_SHA256``
+of the web domain (both bases) and of 2- to 5-node networks, and of a warm
+re-solve from that basis after a perturbed posterior; ``GOLDEN_SOLVE_LP_PIVOTS``
+pins the pivot counts of the same two solves.  ``GOLDEN_SAVED_SHA256``
 pins the files that ``save_domain``, ``save_scenario``, ``ThreatEstimator.save``
 and ``mtdsim dump-lp --out`` write.  A change that is meant to leave
 behaviour alone must leave these hashes alone; a change that is meant to
@@ -22,6 +23,7 @@ alter behaviour updates them and says why.
 
 import hashlib
 import json
+from functools import cache
 
 import numpy as np
 import pytest
@@ -250,6 +252,14 @@ def _solver_pin_problem(case: str):
     return cold.lp, build_alp(domain, posterior, previous=cold).lp
 
 
+@cache
+def _pinned_solutions(case: str):
+    """The cold solve of ``case`` and the warm re-solve started from its basis."""
+    cold_lp, perturbed_lp = _solver_pin_problem(case)
+    cold = solve_lp(cold_lp)
+    return cold, solve_lp(perturbed_lp, start=uncertified(cold))
+
+
 def _solution_digest(solution) -> str:
     h = hashlib.sha256()
     h.update(solution.status.encode())
@@ -271,6 +281,11 @@ GOLDEN_SOLVE_LP_SHA256 = {
         "6f0a919daac483bca8cfceea45fb61314a1b85724fd53ff601bba3714b3bb646",
         "cbd9f8ac70b3ca44e4bd21c346ee22274258ae583730844ecc2bf2da30b1e408",
     ],
+    # Recorded with the dense rank-one pivot, before pivots went sparse.
+    "net5": [
+        "16ea8791979d7f8c3444d27b846ddcad0f297b12ed145650a1d9cc72ed73b20a",
+        "38dbed07f22fc4ef5f9d7fae6075ab8037262d451e0901cf0b5cbc0e4022b912",
+    ],
     "web-factored": [
         "fdf077cc235373dc4fe6e82f332c55a5ed65cf77f7666d1079e6192ade3e681b",
         "ababc41a3c482a07bfefc6a31084d9aeee3d03887654fc28269f07e03f594b3e",
@@ -284,7 +299,24 @@ GOLDEN_SOLVE_LP_SHA256 = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_SOLVE_LP_SHA256))
 def test_solve_lp_solutions_are_byte_identical(case):
-    cold_lp, perturbed_lp = _solver_pin_problem(case)
-    cold = solve_lp(cold_lp)
-    warm = solve_lp(perturbed_lp, start=uncertified(cold))
+    cold, warm = _pinned_solutions(case)
     assert [_solution_digest(cold), _solution_digest(warm)] == GOLDEN_SOLVE_LP_SHA256[case]
+
+
+# Pivots of the cold solve and of the warm re-solve (0 when the start basis
+# held), counted with the dense rank-one pivot: equal counts mean the pivot
+# path did not move.
+GOLDEN_SOLVE_LP_PIVOTS = {
+    "net2": [23, 0],
+    "net3": [77, 0],
+    "net4": [291, 280],
+    "net5": [1051, 1092],
+    "web-factored": [20, 0],
+    "web-state": [29, 29],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLVE_LP_PIVOTS))
+def test_solve_lp_pivot_counts_are_pinned(case):
+    cold, warm = _pinned_solutions(case)
+    assert [cold.pivots, warm.pivots] == GOLDEN_SOLVE_LP_PIVOTS[case]

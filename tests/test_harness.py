@@ -111,6 +111,30 @@ def test_run_experiment_validation_errors():
         run_experiment(ExperimentConfig(domain="network", scenario="web-dh-postgres"))
 
 
+@pytest.mark.parametrize(
+    "strategy, field, value",
+    [
+        ("ata-fmdp", "reopt_period", 2.5),
+        ("ata-fmdp", "reopt_period", 2.0),
+        ("ata-fmdp", "reopt_period", True),
+        ("fpl", "fpl_lmax", 2.5),
+        ("fpl", "fpl_lmax", 1000.0),
+        ("fpl", "fpl_lmax", True),
+    ],
+)
+def test_non_integer_hyperparameters_are_rejected_before_the_first_step(
+    monkeypatch, strategy, field, value
+):
+    import mtdsim.harness as harness
+
+    monkeypatch.setattr(harness, "run_strategy", lambda *a, **k: pytest.fail("a step ran"))
+    config = ExperimentConfig(
+        strategy=strategy, timesteps=5, iterations=1, include_hindsight=False
+    )
+    with pytest.raises(DomainError, match="must be an integer"):
+        run_experiment(replace(config, **{field: value}))
+
+
 def test_resolve_scenario_prefers_builtins_and_rejects_junk(tmp_path):
     assert resolve_scenario("web-evolving").name == "web-evolving"
     with pytest.raises(DomainError):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from mtdsim.alp import build_alp
+from mtdsim import lp
+from mtdsim.alp import build_alp, build_state_basis
 from mtdsim.environments import make_network_domain, make_web_app_domain
-from mtdsim.harness import perturb_posterior_table, random_posterior_table
+from mtdsim.harness import cold_posterior_table, perturb_posterior_table, random_posterior_table
 from mtdsim.lp import (
     FEAS_TOL,
     INFEASIBLE,
@@ -18,6 +19,7 @@ from mtdsim.lp import (
 from oracles import (
     box_rows,
     compare_simplex_to_vertices,
+    dense_pivot,
     enumerate_vertices,
     random_box_lp,
     uncertified,
@@ -170,6 +172,35 @@ def test_matches_vertex_enumeration_on_random_boxes():
     # Acceptance runs 200 cases at seed 10; use a different seed here for
     # extra coverage at lower cost.
     assert compare_simplex_to_vertices(60, seed=11) == []
+
+
+def _perturbed_alps(name: str, rng: np.random.Generator, count: int) -> list[LPProblem]:
+    """ALPs of ``name`` (web-factored, web-state or netN) under perturbed cold posteriors."""
+    if name.startswith("web-"):
+        domain = make_web_app_domain()
+        basis = build_state_basis(domain.space) if name == "web-state" else None
+    else:
+        domain, basis = make_network_domain(np.random.default_rng(0), n_nodes=int(name[-1])), None
+    cold = cold_posterior_table(domain)
+    return [
+        build_alp(domain, perturb_posterior_table(cold, rng, 0.2), basis).lp for _ in range(count)
+    ]
+
+
+def test_sparse_pivot_matches_the_dense_update_bitwise(monkeypatch):
+    rng = np.random.default_rng(31)
+    problems = [random_box_lp(rng) for _ in range(600)]
+    for name in ["web-factored", "web-state", "net2", "net3"]:
+        problems += _perturbed_alps(name, rng, 8)
+    shipped = [solve_lp(problem) for problem in problems]
+    monkeypatch.setattr(lp, "_pivot", dense_pivot)
+    for problem, got in zip(problems, shipped):
+        want = solve_lp(problem)
+        assert (got.status, got.basis, got.pivots) == (want.status, want.basis, want.pivots)
+        assert (got.x is None) == (want.x is None)
+        if want.x is not None:
+            assert got.x.tobytes() == want.x.tobytes()
+    assert {sol.status for sol in shipped} == {OPTIMAL, INFEASIBLE}
 
 
 def test_problem_shape_validation():

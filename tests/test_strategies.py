@@ -141,8 +141,9 @@ def test_fpl_constructor_validation():
             FplMtdStrategy(web, perturb_rate=rate)
     with pytest.raises(DomainError):
         FplMtdStrategy(web, perturb_rate=float("nan"))
-    with pytest.raises(DomainError):
-        FplMtdStrategy(web, l_max=0)
+    for l_max in (0, 2.5, 1.0, True):
+        with pytest.raises(DomainError):
+            FplMtdStrategy(web, l_max=l_max)
     assert DEFAULT_FPL_EXPLORE == 0.007
 
 
@@ -191,13 +192,12 @@ def test_full_exploration_matches_urs_in_distribution():
 # ---------------------------------------------------------------------------
 
 
-def test_ata_rejects_nonpositive_reopt_periods():
+def test_ata_rejects_reopt_periods_that_are_not_positive_integers():
     web = make_web_app_domain()
     env = MTDEnvironment(web, unknown_only_scenario(10))
-    with pytest.raises(DomainError):
-        ata_fmdp_run(web, env, 10, np.random.default_rng(0), reopt_period=0)
-    with pytest.raises(DomainError):
-        ata_fmdp_run(web, env, 10, np.random.default_rng(0), reopt_period=-3)
+    for reopt_period in (0, -3, 2.5, 1.0, True):
+        with pytest.raises(DomainError):
+            ata_fmdp_run(web, env, 10, np.random.default_rng(0), reopt_period=reopt_period)
 
 
 def test_ata_cold_start_routes_to_the_resistant_config():
