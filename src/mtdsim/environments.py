@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,10 +240,16 @@ class MTDEnvironment:
     """Stateful simulator: one iteration of a domain played against a scenario.
 
     The scenario is resolved against the domain once, here: a ``static_dist``
-    phase becomes, for each state, the type indices and weights of its
-    distribution in the distribution's own key order (a ``per_state_dist`` row
-    replaces ``dist`` in its state), and unknown labels and type ids are
-    rejected.  A step of such a phase draws the type, then the success flag.
+    phase becomes, for each state, the type indices and the cumulative
+    distribution of its weights in the distribution's own key order (a
+    ``per_state_dist`` row replaces ``dist`` in its state), and unknown labels
+    and type ids are rejected.  A step of such a phase draws the type, then the
+    success flag.  The type draw inverts the state's CDF at one uniform, with
+    the CDF and the search ``Generator.choice(p=)`` uses, so a seed draws the
+    same types and leaves the generator in the same state as ``choice`` would.
+    The success rates, losses, switching costs, ``M`` and ``alpha`` are held
+    as Python floats, so a step's reward is the same IEEE arithmetic as on the
+    domain's arrays.
 
     A ``most_adverse`` step draws only the success flag.  The attacker counts
     the defender's past (state, action) pairs in ``moves``, estimates its
@@ -256,9 +263,13 @@ class MTDEnvironment:
         if not 0 <= start_state < domain.n_configs:
             raise DomainError(f"start state index {start_state} out of range")
         self._labels, self._type_ids = domain.space.labels(), domain.type_ids()
+        self._mu, self._loss = domain.mu_table.tolist(), domain.loss_table.tolist()
+        self._sc, self._M, self._alpha = domain.sc.tolist(), float(domain.M), float(domain.alpha)
 
-        def draw_table(dist: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-            return np.array([domain.type_index(i) for i in dist]), np.array(list(dist.values()))
+        def draw_table(dist: dict[str, float]) -> tuple[list[int], list[float]]:
+            cdf = np.array(list(dist.values()), dtype=float).cumsum()
+            cdf /= cdf[-1]  # as Generator.choice normalises its CDF
+            return [domain.type_index(i) for i in dist], cdf.tolist()
 
         # Per phase: its end, and None (most adverse) or one draw table per state.
         self._phase_ends, self._phase_draws = [], []
@@ -281,21 +292,23 @@ class MTDEnvironment:
     def step(self, action: int, rng: np.random.Generator) -> StepRecord:
         if self.t >= self.scenario.horizon:
             raise DomainError("scenario horizon exhausted")
-        domain, s = self.domain, self.state
-        if not 0 <= action < domain.n_configs:
+        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
+            raise DomainError(f"action must be an integer configuration index, got {action!r}")
+        s = self.state
+        if not 0 <= action < len(self._labels):
             raise DomainError(f"action index {action} out of range")
         if self.t == self._phase_ends[self._phase]:
             self._phase += 1
         draws = self._phase_draws[self._phase]
         if draws is None:
             smoothed = self.moves[s] + 1.0
-            tau = int(np.argmax(domain.damage_table @ (smoothed / smoothed.sum())))
+            tau = int(np.argmax(self.domain.damage_table @ (smoothed / smoothed.sum())))
         else:
-            types, weights = draws[s]
-            tau = int(types[rng.choice(len(types), p=weights)])
-        phi = int(rng.random() < domain.mu_table[tau, action])
-        loss = domain.loss_table[tau, action] if phi else 0.0
-        reward = float(domain.M - loss - domain.alpha * domain.sc[s, action])
+            types, cdf = draws[s]
+            tau = types[bisect_right(cdf, rng.random())]
+        phi = int(rng.random() < self._mu[tau][action])
+        loss = self._loss[tau][action] if phi else 0.0
+        reward = float(self._M - loss - self._alpha * self._sc[s][action])
         record = StepRecord(
             t=self.t,
             state=self._labels[s],

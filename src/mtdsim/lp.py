@@ -152,26 +152,33 @@ def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str,
     """Iterate on a tableau whose last row holds reduced costs; returns (status, pivots).
 
     ``tab`` is (m+1, n+1): constraint rows with the rhs in the last column,
-    then the reduced-cost row (objective negated in its last cell).
+    then the reduced-cost row (objective negated in its last cell).  ``tab``
+    and ``basis`` are updated in place.  The ratio test looks only at the rows
+    whose pivot-column entry exceeds ``FEAS_TOL``.
     """
     m = len(basis)
-    for pivots in range(max_iter):
-        rc = tab[-1, :-1]
-        eligible = np.nonzero(rc < -FEAS_TOL)[0]
-        if eligible.size == 0:
-            return OPTIMAL, pivots
-        col = int(eligible[0])  # Bland: lowest index enters
-        colvals = tab[:m, col]
-        positive = colvals > FEAS_TOL
-        if not np.any(positive):
-            return UNBOUNDED, pivots
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tab[:m, -1][positive] / colvals[positive]
-        best = float(ratios.min())
-        ties = np.nonzero(ratios <= best + FEAS_TOL * (1.0 + abs(best)))[0]
-        leave = int(ties[np.argmin(np.asarray(basis)[ties])])  # Bland: lowest basis index leaves
-        _pivot(tab, leave, col)
-        basis[leave] = col
+    rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
+    if rc.size == 0:  # no column can enter (and ``argmax`` needs one)
+        return OPTIMAL, 0
+    rows = np.array(basis, dtype=np.intp)
+    try:
+        for pivots in range(max_iter):
+            below = rc < -FEAS_TOL
+            col = int(below.argmax())  # Bland: lowest eligible index enters
+            if not below[col]:
+                return OPTIMAL, pivots
+            colvals = tab[:m, col]
+            pos = (colvals > FEAS_TOL).nonzero()[0]
+            if pos.size == 0:
+                return UNBOUNDED, pivots
+            ratios = rhs[pos] / colvals[pos]
+            best = float(ratios.min())
+            ties = pos[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
+            leave = int(ties[rows[ties].argmin()])  # Bland: lowest basis index leaves
+            _pivot(tab, leave, col)
+            rows[leave] = col
+    finally:
+        basis[:] = rows.tolist()
     raise RuntimeError("simplex exceeded its iteration limit")
 
 

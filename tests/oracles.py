@@ -3,7 +3,11 @@
 The LP oracle solves min c@x over {rows@x <= bounds} by brute-force vertex
 enumeration, so it shares no code path with the simplex implementation under
 test; ``dense_pivot`` is the full rank-one tableau update that the solver's
-sparse pivot must reproduce bit for bit.  The posterior oracle is the
+sparse pivot must reproduce bit for bit, and ``reference_run_simplex`` the
+simplex loop that scans every row and column per pivot, which the solver's
+loop must match pivot for pivot.  ``reference_step`` is the environment step
+that draws the type with ``Generator.choice(p=)`` and computes the reward on
+the domain's arrays.  The posterior oracle is the
 estimator's belief table computed cell by cell, with the capability mask and
 fallback rebuilt from the domain.  The planner oracle is the adaptive
 defender's loop re-planning at every scheduled step, with nothing kept
@@ -17,11 +21,12 @@ from itertools import combinations
 
 import numpy as np
 
+from mtdsim import lp
 from mtdsim.alp import build_alp, greedy_actions
-from mtdsim.domain import DomainInfo, expected_reward_table
-from mtdsim.environments import MTDEnvironment, StepRecord
+from mtdsim.domain import DomainError, DomainInfo, expected_reward_table
+from mtdsim.environments import MOST_ADVERSE, MTDEnvironment, StepRecord
 from mtdsim.estimator import DEFAULT_BETA, ThreatEstimator
-from mtdsim.lp import INFEASIBLE, OPTIMAL, LPProblem, LPSolution, solve_lp
+from mtdsim.lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, LPSolution, solve_lp
 
 
 def uncertified(solution: LPSolution) -> LPSolution:
@@ -35,6 +40,65 @@ def dense_pivot(tab: np.ndarray, row: int, col: int) -> None:
     factors = tab[:, col].copy()
     factors[row] = 0.0
     tab -= np.outer(factors, tab[row])
+
+
+def reference_run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int]:
+    """``lp._run_simplex`` scanning every reduced cost and every row's ratio per pivot.
+
+    Bland's rule: the lowest-index column with a reduced cost below
+    ``-FEAS_TOL`` enters, and among the rows whose ratio ties the minimum the
+    one with the lowest basis index leaves.  Pivots with ``lp._pivot``.
+    """
+    m = len(basis)
+    for pivots in range(max_iter):
+        rc = tab[-1, :-1]
+        eligible = np.nonzero(rc < -FEAS_TOL)[0]
+        if eligible.size == 0:
+            return OPTIMAL, pivots
+        col = int(eligible[0])
+        colvals = tab[:m, col]
+        positive = colvals > FEAS_TOL
+        if not np.any(positive):
+            return UNBOUNDED, pivots
+        ratios = np.full(m, np.inf)
+        ratios[positive] = tab[:m, -1][positive] / colvals[positive]
+        best = float(ratios.min())
+        ties = np.nonzero(ratios <= best + FEAS_TOL * (1.0 + abs(best)))[0]
+        leave = int(ties[np.argmin(np.asarray(basis)[ties])])
+        lp._pivot(tab, leave, col)
+        basis[leave] = col
+    raise RuntimeError("simplex exceeded its iteration limit")
+
+
+def reference_step(env: MTDEnvironment, action: int, rng: np.random.Generator) -> StepRecord:
+    """``env.step(action, rng)`` read from the scenario and domain as given.
+
+    The phase is looked up in ``env.scenario`` at ``env.t``; a ``static_dist``
+    type is drawn with ``rng.choice(p=)`` from the state's own distribution,
+    and the reward is computed on the domain's arrays.  Advances ``env.t``,
+    ``env.state`` and ``env.moves`` as a step does, and nothing else of ``env``.
+    """
+    domain, s, labels = env.domain, env.state, env.domain.space.labels()
+    if env.t >= env.scenario.horizon:
+        raise DomainError("scenario horizon exhausted")
+    if not 0 <= action < domain.n_configs:
+        raise DomainError(f"action index {action} out of range")
+    phase = next(p for p in env.scenario.phases if p.t_start <= env.t < p.t_end)
+    if phase.mode == MOST_ADVERSE:
+        smoothed = env.moves[s] + 1.0
+        tau = int(np.argmax(domain.damage_table @ (smoothed / smoothed.sum())))
+    else:
+        dist = (phase.per_state_dist or {}).get(labels[s], phase.dist)
+        types = np.array([domain.type_index(i) for i in dist])
+        tau = int(types[rng.choice(len(types), p=np.array(list(dist.values())))])
+    phi = int(rng.random() < domain.mu_table[tau, action])
+    loss = domain.loss_table[tau, action] if phi else 0.0
+    reward = float(domain.M - loss - domain.alpha * domain.sc[s, action])
+    record = StepRecord(env.t, labels[s], labels[action], domain.type_ids()[tau], phi, reward)
+    env.moves[s, action] += 1
+    env.state = action
+    env.t += 1
+    return record
 
 
 @dataclass

@@ -7,6 +7,7 @@ Monte-Carlo against analytic probabilities.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mtdsim.environments import (
     scenario_to_dict,
 )
 from mtdsim.harness import resolve_domain
+from oracles import reference_step
 
 WEB_MIX = {"mainstream-hacker": 0.5, "database-hacker": 0.35, "unknown": 0.15}
 
@@ -414,9 +416,133 @@ def test_step_range_and_horizon_errors():
             MTDEnvironment(web, Scenario("typo", 2, (phase,)))
     env = MTDEnvironment(web, unknown_only_scenario(horizon=2))
     rng = np.random.default_rng(0)
-    with pytest.raises(DomainError):
-        env.step(7, rng)
-    env.step(3, rng)
+    drawn = rng.bit_generator.state
+    # Out of range, not an integer, or a boolean: rejected before anything is drawn.
+    for action in (7, -1, 1.5, np.float64(2.0), True, np.bool_(True), "1", None):
+        with pytest.raises(DomainError):
+            env.step(action, rng)
+    assert rng.bit_generator.state == drawn
+    assert (env.t, env.state, env.moves.any()) == (0, 0, False)
+    env.step(np.int64(3), rng)  # the strategies pass numpy integers
     env.step(3, rng)
     with pytest.raises(DomainError):
         env.step(3, rng)
+
+
+# ---------------------------------------------------------------------------
+# the step against its reference (tests/oracles.py::reference_step)
+# ---------------------------------------------------------------------------
+
+
+def _random_dist(rng: np.random.Generator, type_ids: list[str], seen: set[str]) -> dict:
+    """Weights over a random subset of ``type_ids``, some of them zero."""
+    k = int(rng.integers(1, len(type_ids) + 1))
+    weights = rng.dirichlet(np.ones(k))
+    weights[rng.random(k) < 0.3] = 0.0
+    if not weights.any():
+        weights[-1] = 1.0
+    weights /= weights.sum()
+    if k == 1:
+        seen.add("single type")
+    if (weights == 0.0).any():
+        seen.add("zero weight")
+    chosen = rng.permutation(len(type_ids))[:k]
+    return {type_ids[i]: float(w) for i, w in zip(chosen, weights)}
+
+
+def _random_scenario(rng, domain, horizon: int, seen: set[str]) -> Scenario:
+    """Up to four phases, each most adverse or a distribution with per-state overrides."""
+    n_cuts = int(rng.integers(0, min(4, horizon)))
+    cuts = rng.choice(np.arange(1, horizon), size=n_cuts, replace=False)
+    edges = [0, *sorted(int(c) for c in cuts), horizon]
+    type_ids, labels = list(domain.type_ids()), domain.space.labels()
+    phases = []
+    for start, end in zip(edges, edges[1:]):
+        if rng.random() < 0.25:
+            seen.add("most adverse")
+            phases.append(ScenarioPhase(start, end, MOST_ADVERSE))
+            continue
+        overridden = rng.permutation(len(labels))[: int(rng.integers(0, len(labels) + 1))]
+        per_state = {labels[i]: _random_dist(rng, type_ids, seen) for i in overridden}
+        if per_state:
+            seen.add("per-state override")
+        dist = _random_dist(rng, type_ids, seen)
+        phases.append(ScenarioPhase(start, end, STATIC_DIST, dist, per_state or None))
+    if len(phases) > 1:
+        seen.add("phase boundary")
+    return Scenario("random", horizon, tuple(phases), sc_multiplier=float(rng.choice([0.5, 1, 3])))
+
+
+def test_step_matches_the_choice_reference_bitwise():
+    rng = np.random.default_rng(2024)
+    seen: set[str] = set()
+    for case in range(90):
+        kind, alpha = ("web", "net2", "net3")[case % 3], float(rng.choice([0.0, 0.5, 1.0, 2.5]))
+        if kind == "web":
+            domain = make_web_app_domain(alpha, ("pg-only-dh" if rng.random() < 0.3 else None))
+        else:
+            domain = make_network_domain(rng, alpha, n_nodes=int(kind[-1]))
+        scenario = _random_scenario(rng, domain, int(rng.integers(2, 60)), seen)
+        domain = replace(domain, sc=domain.sc * scenario.sc_multiplier)  # as the harness does
+        start = int(rng.integers(domain.n_configs))
+        env, ref = MTDEnvironment(domain, scenario, start), MTDEnvironment(domain, scenario, start)
+        seed = int(rng.integers(2**32))
+        env_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in range(scenario.horizon):
+            action = int(rng.integers(domain.n_configs))
+            action = np.int64(action) if t % 2 else action
+            got, want = env.step(action, env_rng), reference_step(ref, action, ref_rng)
+            assert got == want and got.reward.hex() == want.reward.hex()
+            assert env_rng.bit_generator.state == ref_rng.bit_generator.state
+        np.testing.assert_array_equal(env.moves, ref.moves)
+    assert seen == {
+        "single type", "zero weight", "most adverse", "per-state override", "phase boundary"
+    }
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word whose tempered output is ``y``."""
+
+    def undo(y: int, shift: int, mask: int = 0xFFFFFFFF) -> int:
+        x = y  # y = x ^ (x >> shift) for shift > 0, y = x ^ ((x << -shift) & mask) for < 0
+        for _ in range(32 // abs(shift) + 1):
+            x = y ^ ((x >> shift) if shift > 0 else ((x << -shift) & mask))
+        return x & 0xFFFFFFFF
+
+    return undo(undo(undo(undo(y, 18), -15, 0xEFC60000), -7, 0x9D2C5680), 11)
+
+
+def generator_drawing(uniforms: list[float]) -> np.random.Generator:
+    """A generator whose first ``random()`` calls return ``uniforms`` (multiples of 2**-53).
+
+    MT19937 makes a double from two tempered 32-bit outputs, the top 27 and
+    26 bits of the 53-bit numerator; the state words are set to produce them.
+    """
+    words = []
+    for u in uniforms:
+        high, low = divmod(int(u * 2**53), 2**26)
+        words += [high << 5, low << 6]
+    key = np.zeros(624, dtype=np.uint32)
+    key[: len(words)] = [_untemper(w) for w in words]
+    bits = np.random.MT19937(0)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bits)
+
+
+def test_a_uniform_on_a_cdf_step_draws_the_next_type_as_choice_does():
+    assert generator_drawing([0.5, 0.25, 0.0]).random(3).tolist() == [0.5, 0.25, 0.0]
+    web = make_web_app_domain()
+    # Generator.choice(p=) searches its CDF from the right: a uniform equal to a
+    # CDF value draws the next type with positive weight, never a zero-weight one.
+    cases = [
+        ({"database-hacker": 0.0, "unknown": 1.0}, 0.0),
+        ({"mainstream-hacker": 0.5, "unknown": 0.5}, 0.5),
+        ({"mainstream-hacker": 0.25, "database-hacker": 0.0, "unknown": 0.75}, 0.25),
+    ]
+    for dist, u in cases:
+        scenario = single_phase_scenario(1, STATIC_DIST, dist)
+        env, ref = MTDEnvironment(web, scenario), MTDEnvironment(web, scenario)
+        env_rng, ref_rng = generator_drawing([u, 0.5]), generator_drawing([u, 0.5])
+        got, want = env.step(3, env_rng), reference_step(ref, 3, ref_rng)
+        assert got == want and got.attacker_type == "unknown"
+        np.testing.assert_equal(env_rng.bit_generator.state, ref_rng.bit_generator.state)

@@ -22,6 +22,7 @@ from oracles import (
     dense_pivot,
     enumerate_vertices,
     random_box_lp,
+    reference_run_simplex,
     uncertified,
 )
 
@@ -201,6 +202,36 @@ def test_sparse_pivot_matches_the_dense_update_bitwise(monkeypatch):
         if want.x is not None:
             assert got.x.tobytes() == want.x.tobytes()
     assert {sol.status for sol in shipped} == {OPTIMAL, INFEASIBLE}
+
+
+def test_simplex_loop_matches_the_reference_loop_bitwise(monkeypatch):
+    rng = np.random.default_rng(31)
+    problems = [random_box_lp(rng) for _ in range(600)]
+    for name in ["web-factored", "web-state", "net2", "net3"]:
+        problems += _perturbed_alps(name, rng, 8)
+    # Without their box rows (the last 2n) some become unbounded.
+    problems += [
+        LPProblem(p.c, p.rows[: -2 * p.n_vars], p.bounds[: -2 * p.n_vars]) for p in problems[:100]
+    ]
+    run_simplex, phases = lp._run_simplex, []
+
+    def checked(tab, basis, max_iter):
+        want_tab, want_basis = tab.copy(), list(basis)
+        want = reference_run_simplex(want_tab, want_basis, max_iter)
+        got = run_simplex(tab, basis, max_iter)
+        assert got == want and basis == want_basis
+        assert all(type(col) is int for col in basis)
+        assert tab.tobytes() == want_tab.tobytes()
+        phases[-1] += 1
+        return got
+
+    monkeypatch.setattr(lp, "_run_simplex", checked)
+    statuses = set()
+    for problem in problems:
+        phases.append(0)
+        statuses.add(solve_lp(problem).status)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert set(phases) == {1, 2}  # solves with and without a phase 1
 
 
 def test_problem_shape_validation():
