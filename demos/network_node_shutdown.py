@@ -45,7 +45,6 @@ def main() -> None:
     results = {}
     for strategy in ("ata-fmdp", "fpl", "eps-greedy", "urs"):
         config = ExperimentConfig(
-            domain="network",
             scenario="net-evolving",
             strategy=strategy,
             iterations=args.iterations,

@@ -21,9 +21,7 @@ from .harness import (
     check_value_loss_bound,
     cold_posterior_table,
     hindsight_bounds,
-    resolve_domain,
     resolve_run,
-    resolve_scenario,
     run_experiment,
     write_hindsight_csv,
 )
@@ -53,7 +51,7 @@ def _parse_reopt_period(text: str) -> int | None:
 
 def _add_selector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--domain", default=DEFAULTS.domain,
-                        help="'web', 'network', or a domain JSON file (default: %(default)s)")
+                        help="'web', 'network', or a domain JSON file (default: the scenario's)")
     parser.add_argument("--scenario", default=DEFAULTS.scenario,
                         help="built-in scenario name or a scenario JSON file")
     parser.add_argument("--alpha", type=float, default=DEFAULTS.alpha,
@@ -122,8 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_lp(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(args.scenario)
-    domain = resolve_domain(args.domain, scenario, args.alpha, args.seed)
+    domain = resolve_run(_config(args)).domain
     if args.estimator is not None:
         posterior = ThreatEstimator.load(domain, args.estimator).posterior_table()
     else:

@@ -19,6 +19,7 @@ import json
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,32 +130,19 @@ def make_network_domain(
     space = ConfigSpace(
         tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
     )
+    # online[c, i]: node i is online in configuration c; every table derives from it.
+    online = np.array([[v == NODE_ONLINE for v in config] for config in space.configs])
     types = []
     for src in range(n_nodes):
         for tgt in range(n_nodes):
             low, high = (0.5, 0.6) if src == tgt else (0.2, 0.3)
             rate = float(rng.uniform(low, high))
-            loss_val = float(rng.uniform(60.0, 70.0))
-            mu = np.zeros(space.n_configs)
-            loss = np.zeros(space.n_configs)
-            for idx, config in enumerate(space.configs):
-                if config[tgt] == NODE_ONLINE:
-                    mu[idx] = rate
-                    loss[idx] = loss_val
-            types.append(AttackerTypeSpec(f"src{src}-tgt{tgt}", False, mu, loss))
-    mu = np.zeros(space.n_configs)
-    loss = np.zeros(space.n_configs)
-    for idx, config in enumerate(space.configs):
-        if config[0] == NODE_ONLINE:
-            mu[idx] = 1.0
-            loss[idx] = 100.0
-    types.append(AttackerTypeSpec("unknown", True, mu, loss))
-
-    online = np.array(
-        [[v == NODE_ONLINE for v in config] for config in space.configs], dtype=bool
-    )
-    going_offline = online[:, None, :] & ~online[None, :, :]  # (S, A, nodes)
-    sc = OFFLINE_COST * going_offline.sum(axis=2).astype(float)
+            loss = float(rng.uniform(60.0, 70.0))
+            hit = online[:, tgt]  # the type lands only where its target is online
+            types.append(AttackerTypeSpec(f"src{src}-tgt{tgt}", False, rate * hit, loss * hit))
+    types.append(AttackerTypeSpec("unknown", True, 1.0 * online[:, 0], 100.0 * online[:, 0]))
+    on = online.astype(float)
+    sc = OFFLINE_COST * (on @ (1.0 - on).T)  # nodes online in s and offline in a
     return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA, alpha)
 
 
@@ -226,8 +214,7 @@ class Scenario:
         object.__setattr__(self, "phases", tuple(ordered))
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     state: str
     action: str
@@ -310,12 +297,7 @@ class MTDEnvironment:
         loss = self._loss[tau][action] if phi else 0.0
         reward = float(self._M - loss - self._alpha * self._sc[s][action])
         record = StepRecord(
-            t=self.t,
-            state=self._labels[s],
-            action=self._labels[action],
-            attacker_type=self._type_ids[tau],
-            phi=phi,
-            reward=reward,
+            self.t, self._labels[s], self._labels[action], self._type_ids[tau], phi, reward
         )
         self.moves[s, action] += 1
         self.state = action
@@ -330,6 +312,7 @@ class MTDEnvironment:
 _WEB_MIX = {"mainstream-hacker": 0.5, "database-hacker": 0.35, "unknown": 0.15}
 _WEB_UNKNOWN_SURGE = {"mainstream-hacker": 0.1, "database-hacker": 0.0, "unknown": 0.9}
 _NET_MIX = {"src0-tgt0": 0.2, "src0-tgt1": 0.3, "src1-tgt0": 0.3, "src1-tgt1": 0.2}
+_NET_UNKNOWN_SURGE = {"unknown": 1.0}
 
 
 def _evolving(name: str, first: dict, middle: dict, **kw) -> Scenario:
@@ -345,37 +328,43 @@ def _evolving(name: str, first: dict, middle: dict, **kw) -> Scenario:
     )
 
 
-def _most_adverse(name: str, **kw) -> Scenario:
-    return Scenario(name, 1000, (ScenarioPhase(0, 1000, MOST_ADVERSE),), **kw)
+def _most_adverse(name: str) -> Scenario:
+    return Scenario(name, 1000, (ScenarioPhase(0, 1000, MOST_ADVERSE),))
 
 
+def _web_dh_postgres(name: str) -> Scenario:
+    phases = (ScenarioPhase(0, 1000, STATIC_DIST, _WEB_MIX),)
+    return Scenario(name, 1000, phases, domain_variant="pg-only-dh")
+
+
+WEB_DOMAIN = "web"
+NETWORK_DOMAIN = "network"
+
+# Each built-in scenario: the built-in domain it is written for, and the
+# factory that builds it from its name.
 BUILTIN_SCENARIOS = {
-    "web-evolving": lambda: _evolving("web-evolving", _WEB_MIX, _WEB_UNKNOWN_SURGE),
-    "web-most-adverse": lambda: _most_adverse("web-most-adverse"),
-    "web-evolving-3xsc": lambda: _evolving(
-        "web-evolving-3xsc", _WEB_MIX, _WEB_UNKNOWN_SURGE, sc_multiplier=3.0
+    "web-evolving": (WEB_DOMAIN, lambda n: _evolving(n, _WEB_MIX, _WEB_UNKNOWN_SURGE)),
+    "web-most-adverse": (WEB_DOMAIN, _most_adverse),
+    "web-evolving-3xsc": (
+        WEB_DOMAIN, lambda n: _evolving(n, _WEB_MIX, _WEB_UNKNOWN_SURGE, sc_multiplier=3.0)
     ),
-    "web-dh-postgres": lambda: Scenario(
-        "web-dh-postgres",
-        1000,
-        (ScenarioPhase(0, 1000, STATIC_DIST, _WEB_MIX),),
-        domain_variant="pg-only-dh",
-    ),
-    "net-evolving": lambda: _evolving("net-evolving", _NET_MIX, {"unknown": 1.0}),
-    "net-most-adverse": lambda: _most_adverse("net-most-adverse"),
-    "net-evolving-3xsc": lambda: _evolving(
-        "net-evolving-3xsc", _NET_MIX, {"unknown": 1.0}, sc_multiplier=3.0
+    "web-dh-postgres": (WEB_DOMAIN, _web_dh_postgres),
+    "net-evolving": (NETWORK_DOMAIN, lambda n: _evolving(n, _NET_MIX, _NET_UNKNOWN_SURGE)),
+    "net-most-adverse": (NETWORK_DOMAIN, _most_adverse),
+    "net-evolving-3xsc": (
+        NETWORK_DOMAIN, lambda n: _evolving(n, _NET_MIX, _NET_UNKNOWN_SURGE, sc_multiplier=3.0)
     ),
 }
 
 
 def builtin_scenario(name: str) -> Scenario:
     try:
-        return BUILTIN_SCENARIOS[name]()
+        _, make = BUILTIN_SCENARIOS[name]
     except KeyError:
         raise DomainError(
             f"unknown scenario {name!r}; built-ins: {sorted(BUILTIN_SCENARIOS)}"
         ) from None
+    return make(name)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

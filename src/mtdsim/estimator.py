@@ -25,8 +25,8 @@ DEFAULT_BETA = 2.0
 
 
 def check_beta(beta: float) -> None:
-    """Raise ``DomainError`` unless the decay factor is finite and >= 1."""
-    if not 1.0 <= beta < np.inf:  # a NaN fails too
+    """Raise ``DomainError`` unless the decay factor is a finite number >= 1."""
+    if not 1.0 <= json_number(beta, "decay factor beta") < np.inf:  # a NaN fails too
         raise DomainError("decay factor beta must be finite and >= 1")
 
 
@@ -64,6 +64,8 @@ class ThreatEstimator:
         if phi:
             if not 0 <= tau < self.domain.n_types:
                 raise DomainError(f"type index {tau} out of range")
+            if not (0 <= state < self.domain.n_configs and 0 <= action < self.domain.n_configs):
+                raise DomainError(f"cell ({state}, {action}) out of range")
             self.counts[tau, state, action] += 1.0
 
     def posterior(self, state: int, action: int) -> np.ndarray:

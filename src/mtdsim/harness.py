@@ -35,11 +35,15 @@ from .domain import (
     DomainInfo,
     FactorSpec,
     expected_reward_table,
+    json_integer,
+    json_number,
     load_domain,
     write_json,
 )
 from .environments import (
     BUILTIN_SCENARIOS,
+    NETWORK_DOMAIN,
+    WEB_DOMAIN,
     MTDEnvironment,
     Scenario,
     StepRecord,
@@ -65,6 +69,8 @@ ROLLING_WINDOW = 50
 CHECK_SAMPLES = 10_000
 CHECK_PERTURBATIONS = 100
 CHECK_RUNS = 400
+# Strategy hyperparameters: forwarded to ``run_strategy`` by name, recorded in meta.json.
+HYPERPARAMETERS = ("beta", "epsilon", "fpl_explore", "fpl_rate", "fpl_lmax")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ CHECK_RUNS = 400
 class ExperimentConfig:
     """Everything needed to reproduce a batch of runs."""
 
-    domain: str = "web"  # "web", "network", or a domain JSON path
+    domain: str | None = None  # "web", "network", or a domain JSON path; None -> the scenario's
     scenario: str = "web-evolving"  # built-in name or a scenario JSON path
     strategy: str = "ata-fmdp"
     alpha: float = 1.0
@@ -144,6 +150,21 @@ def resolve_scenario(ref: str) -> Scenario:
     )
 
 
+def resolve_domain_name(domain: str | None, scenario: str) -> str:
+    """The domain a run plays on: ``None`` names the one a built-in scenario is
+    written for, and ``web`` for a scenario file.  Naming the other built-in
+    domain for a built-in scenario raises ``DomainError``; a domain file goes
+    with any scenario."""
+    written_for = BUILTIN_SCENARIOS[scenario][0] if scenario in BUILTIN_SCENARIOS else None
+    if domain is None:
+        return written_for or WEB_DOMAIN
+    if written_for not in (None, domain) and domain in (WEB_DOMAIN, NETWORK_DOMAIN):
+        raise DomainError(
+            f"scenario {scenario!r} is written for the {written_for!r} domain, not {domain!r}"
+        )
+    return domain
+
+
 def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> DomainInfo:
     """Build or load the domain, then apply the scenario's domain adjustments.
 
@@ -152,15 +173,15 @@ def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> Dom
     parameters are drawn once from ``seed`` and then frozen, so every
     iteration (and every strategy) sees the same domain.
     """
-    if ref == "web":
+    if ref == WEB_DOMAIN:
         domain = make_web_app_domain(alpha=alpha, unknown_variant=scenario.domain_variant)
-    elif ref == "network":
+    elif ref == NETWORK_DOMAIN:
         domain = make_network_domain(np.random.default_rng(seed), alpha=alpha)
     elif os.path.exists(ref):
         domain = load_domain(ref, alpha=alpha)
     else:
         raise DomainError(f"unknown domain {ref!r}; expected 'web', 'network', or a file path")
-    if ref != "web" and scenario.domain_variant is not None:
+    if ref != WEB_DOMAIN and scenario.domain_variant is not None:
         raise DomainError(f"only the web domain has variants, not {scenario.domain_variant!r}")
     return replace(domain, sc=domain.sc * scenario.sc_multiplier)
 
@@ -170,12 +191,17 @@ def resolve_run(config: ExperimentConfig) -> RunResult:
 
     ``timesteps`` None means the scenario horizon; sizes the scenario cannot
     play are rejected, and so is every invalid hyperparameter, whether or not
-    the strategy reads it (``meta.json`` records them all).
+    the strategy reads it (``meta.json`` records them all).  The returned
+    config names the resolved domain.
     """
     scenario = resolve_scenario(config.scenario)
-    timesteps = scenario.horizon if config.timesteps is None else config.timesteps
-    if config.iterations < 1:
+    if json_integer(config.seed, "seed") < 0:
+        raise DomainError("seed must be >= 0")
+    json_number(config.alpha, "alpha")
+    if json_integer(config.iterations, "iterations") < 1:
         raise DomainError("iterations must be >= 1")
+    timesteps = config.timesteps
+    timesteps = scenario.horizon if timesteps is None else json_integer(timesteps, "timesteps")
     if not 1 <= timesteps <= scenario.horizon:
         raise DomainError(
             f"timesteps must lie in [1, {scenario.horizon}] (the scenario horizon), "
@@ -185,6 +211,7 @@ def resolve_run(config: ExperimentConfig) -> RunResult:
     check_beta(config.beta)
     check_epsilon(config.epsilon)
     check_fpl(config.fpl_explore, config.fpl_rate, config.fpl_lmax)
+    config = replace(config, domain=resolve_domain_name(config.domain, config.scenario))
     domain = resolve_domain(config.domain, scenario, config.alpha, config.seed)
     label = config.start_state
     start_state = 0 if label is None else domain.space.index_of_label(label)
@@ -203,11 +230,7 @@ def _play(run: RunResult, strategy: str) -> list[list[StepRecord]]:
             run.timesteps,
             np.random.default_rng(config.seed + i),
             reopt_period=config.reopt_period,
-            beta=config.beta,
-            epsilon=config.epsilon,
-            fpl_explore=config.fpl_explore,
-            fpl_rate=config.fpl_rate,
-            fpl_lmax=config.fpl_lmax,
+            **{name: getattr(config, name) for name in HYPERPARAMETERS},
         )
         for i in range(config.iterations)
     ]
@@ -362,21 +385,6 @@ def estimator_unbiasedness_check(
     return max_error, max_error <= 0.05
 
 
-def alp_exactness_check(
-    domain: DomainInfo, posterior_table: np.ndarray
-) -> tuple[float, bool, bool]:
-    """Per-state-indicator basis must reproduce value iteration (to 1e-5) and its policy."""
-    basis = build_state_basis(domain.space)
-    alp = build_alp(domain, posterior_table, basis)
-    weights = solve_alp(alp)
-    v_alp = value_estimates(alp, weights)
-    policy_alp = extract_policy(alp, weights)
-    v_vi, policy_vi = value_iteration(domain, posterior_table)
-    max_err = float(np.max(np.abs(v_alp - v_vi)))
-    policies_match = bool(np.array_equal(policy_alp, policy_vi))
-    return max_err, policies_match, max_err <= 1e-5 and policies_match
-
-
 def cold_posterior_table(domain: DomainInfo) -> np.ndarray:
     """The zero-observation posterior (uniform over capable types)."""
     return ThreatEstimator(domain).posterior_table()
@@ -416,19 +424,27 @@ class CheckResult:
 def check_alp_vs_value_iteration(seed: int = 10) -> CheckResult:
     """The exact-basis planner reproduces value iteration on the web domain.
 
-    Posteriors: the cold one plus three random ones drawn from ``seed``.
+    With the per-state-indicator basis, the ALP's values must match value
+    iteration to 1e-5 and its policy must be value iteration's.  Posteriors:
+    the cold one plus three random ones drawn from ``seed``.
     """
     web = make_web_app_domain(alpha=1.0)
+    basis = build_state_basis(web.space)
     rng = np.random.default_rng(seed)
     posteriors = [cold_posterior_table(web)] + [
         random_posterior_table(web, rng) for _ in range(3)
     ]
-    results = [alp_exactness_check(web, table) for table in posteriors]
-    worst = max(err for err, _, _ in results)
-    all_match = all(match for _, match, _ in results)
+    errors, all_match = [], True
+    for table in posteriors:
+        alp = build_alp(web, table, basis)
+        weights = solve_alp(alp)
+        v_vi, policy_vi = value_iteration(web, table)
+        errors.append(np.max(np.abs(value_estimates(alp, weights) - v_vi)))
+        all_match = all_match and np.array_equal(extract_policy(alp, weights), policy_vi)
+    worst = float(np.max(errors))  # a NaN error propagates and fails the check
     return CheckResult(
         "alp-vs-value-iteration",
-        all(ok for _, _, ok in results),
+        worst <= 1e-5 and all_match,
         f"max value error {worst:.2e} (tol 1e-5) over {len(posteriors)} posteriors, "
         f"policies {'match' if all_match else 'differ'}",
     )
@@ -557,13 +573,7 @@ def write_meta_json(path: str, result: RunResult) -> None:
         "seed": config.seed,
         "reopt_period": config.reopt_period,
         "start_state": result.domain.space.label(result.start_state),
-        "hyperparameters": {
-            "beta": config.beta,
-            "epsilon": config.epsilon,
-            "fpl_explore": config.fpl_explore,
-            "fpl_rate": config.fpl_rate,
-            "fpl_lmax": config.fpl_lmax,
-        },
+        "hyperparameters": {name: getattr(config, name) for name in HYPERPARAMETERS},
         "static_table": result.static_table,
     }
     write_json(path, meta, indent=2, sort_keys=True)

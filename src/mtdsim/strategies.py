@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alp import ALProblem, build_alp, extract_policy, solve_alp
-from .domain import DomainError, DomainInfo, json_integer
+from .domain import DomainError, DomainInfo, json_integer, json_number
 from .environments import MTDEnvironment, StepRecord
 from .estimator import DEFAULT_BETA, ThreatEstimator
 
@@ -34,15 +34,16 @@ def check_reopt_period(reopt_period: int | None) -> None:
 
 
 def check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon <= 1.0:
+    if not 0.0 <= json_number(epsilon, "epsilon") <= 1.0:
         raise DomainError("epsilon must lie in [0, 1]")
 
 
 def check_fpl(explore_prob: float, perturb_rate: float, l_max: int) -> None:
-    if not 0.0 <= explore_prob <= 1.0:
+    if not 0.0 <= json_number(explore_prob, "exploration probability") <= 1.0:
         raise DomainError("exploration probability must lie in [0, 1]")
-    # Written so that a NaN rate fails too; a bool or non-integer cap raises in json_integer.
-    if not 0 < perturb_rate < np.inf or json_integer(l_max, "the resample cap") < 1:
+    # Written so that a NaN rate fails too; json_number and json_integer reject booleans.
+    rate = json_number(perturb_rate, "perturbation rate")
+    if not 0 < rate < np.inf or json_integer(l_max, "the resample cap") < 1:
         raise DomainError("perturbation rate must be finite and > 0, and the cap >= 1")
 
 

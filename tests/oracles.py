@@ -11,7 +11,9 @@ the domain's arrays.  The posterior oracle is the
 estimator's belief table computed cell by cell, with the capability mask and
 fallback rebuilt from the domain.  The planner oracle is the adaptive
 defender's loop re-planning at every scheduled step, with nothing kept
-between re-plans but the last LP solution.
+between re-plans but the last LP solution.  ``reference_network_domain``
+builds the network domain configuration by configuration, with the switching
+costs counted from a (state, action, node) table.
 """
 
 from __future__ import annotations
@@ -23,10 +25,66 @@ import numpy as np
 
 from mtdsim import lp
 from mtdsim.alp import build_alp, greedy_actions
-from mtdsim.domain import DomainError, DomainInfo, expected_reward_table
-from mtdsim.environments import MOST_ADVERSE, MTDEnvironment, StepRecord
+from mtdsim.domain import (
+    AttackerTypeSpec,
+    ConfigSpace,
+    DomainError,
+    DomainInfo,
+    FactorSpec,
+    expected_reward_table,
+)
+from mtdsim.environments import (
+    MOST_ADVERSE,
+    NODE_OFFLINE,
+    NODE_ONLINE,
+    OFFLINE_COST,
+    WEB_GAMMA,
+    WEB_M,
+    MTDEnvironment,
+    StepRecord,
+)
 from mtdsim.estimator import DEFAULT_BETA, ThreatEstimator
 from mtdsim.lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, LPSolution, solve_lp
+
+
+def reference_network_domain(
+    rng: np.random.Generator, alpha: float = 1.0, n_nodes: int = 2
+) -> DomainInfo:
+    """``environments.make_network_domain`` with a loop over the configurations per type.
+
+    Draws the same parameters in the same order: for each source, for each
+    target, the rate and then the loss.
+    """
+    space = ConfigSpace(
+        tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
+    )
+    types = []
+    for src in range(n_nodes):
+        for tgt in range(n_nodes):
+            low, high = (0.5, 0.6) if src == tgt else (0.2, 0.3)
+            rate = float(rng.uniform(low, high))
+            loss_val = float(rng.uniform(60.0, 70.0))
+            mu = np.zeros(space.n_configs)
+            loss = np.zeros(space.n_configs)
+            for idx, config in enumerate(space.configs):
+                if config[tgt] == NODE_ONLINE:
+                    mu[idx] = rate
+                    loss[idx] = loss_val
+            types.append(AttackerTypeSpec(f"src{src}-tgt{tgt}", False, mu, loss))
+    mu = np.zeros(space.n_configs)
+    loss = np.zeros(space.n_configs)
+    for idx, config in enumerate(space.configs):
+        if config[0] == NODE_ONLINE:
+            mu[idx] = 1.0
+            loss[idx] = 100.0
+    types.append(AttackerTypeSpec("unknown", True, mu, loss))
+
+    online = np.array(
+        [[v == NODE_ONLINE for v in config] for config in space.configs], dtype=bool
+    )
+    going_offline = online[:, None, :] & ~online[None, :, :]  # (S, A, nodes)
+    sc = OFFLINE_COST * going_offline.sum(axis=2).astype(float)
+    return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA, alpha)
 
 
 def uncertified(solution: LPSolution) -> LPSolution:

@@ -42,8 +42,6 @@ def _mean(scenario: str, strategy: str, alpha: float, start_state: str | None = 
         start_state=start_state,
         include_hindsight=False,
     )
-    if scenario.startswith("net"):
-        config.domain = "network"
     return run_experiment(config).mean_avg_reward
 
 
@@ -55,8 +53,6 @@ def _records(scenario: str, alpha: float, start_state: str | None = None):
         start_state=start_state,
         include_hindsight=False,
     )
-    if scenario.startswith("net"):
-        config.domain = "network"
     return run_experiment(config).iteration_records
 
 

@@ -188,6 +188,23 @@ def test_unknown_scenario_exits_with_a_domain_error(capsys):
     assert err.startswith("error:") and "no-such-scenario" in err
 
 
+def test_run_plays_a_network_scenario_on_the_network_domain_by_default(tmp_path, capsys):
+    out = tmp_path / "net"
+    argv = ["run", "--scenario", "net-most-adverse", "--timesteps", "5", "--iterations", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = (out / "steps.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("0,0,1|1,")  # network labels, starting with every node online
+    labels = {"1|1", "1|0", "0|1", "0|0"}
+    assert all({row.split(",")[2], row.split(",")[3]} <= labels for row in lines[1:])
+    assert json.loads((out / "meta.json").read_text(encoding="utf-8"))["domain"] == "network"
+
+
+def test_a_builtin_scenario_with_the_other_domain_exits_with_a_domain_error(capsys):
+    assert main(["run", "--scenario", "net-evolving", "--domain", "web"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "written for the 'network' domain" in err
+
+
 def test_unknown_domain_exits_with_a_domain_error(capsys):
     code = main(["hindsight", "--domain", "mainframe"])
     assert code == 2

@@ -29,7 +29,7 @@ from mtdsim.environments import (
     scenario_to_dict,
 )
 from mtdsim.harness import resolve_domain
-from oracles import reference_step
+from oracles import reference_network_domain, reference_step
 
 WEB_MIX = {"mainstream-hacker": 0.5, "database-hacker": 0.35, "unknown": 0.15}
 
@@ -159,6 +159,21 @@ def test_network_three_nodes_scale_out():
     assert net.n_types == 10  # 9 src-tgt pairs plus the unknown
     # All three nodes offline from all online: 3 * 50.
     assert net.sc[net.space.index_of_label("1|1|1"), net.space.index_of_label("0|0|0")] == 150.0
+
+
+@pytest.mark.parametrize("n_nodes", range(1, 9))
+def test_network_domain_is_bitwise_the_per_configuration_builder(n_nodes):
+    for seed in (0, 7, 42):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        net = make_network_domain(rng, alpha=0.5, n_nodes=n_nodes)
+        ref = reference_network_domain(ref_rng, alpha=0.5, n_nodes=n_nodes)
+        assert net.type_ids() == ref.type_ids()
+        assert [t.is_unknown for t in net.types] == [t.is_unknown for t in ref.types]
+        for name in ("mu_table", "loss_table", "sc"):
+            ours, theirs = getattr(net, name), getattr(ref, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+            assert ours.tobytes() == theirs.tobytes(), name
+        assert rng.random() == ref_rng.random()  # the same draws, in the same order
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,15 @@ def test_update_rejects_bad_type_index():
     est.update(3, 0, 0, phi=0)  # no credit, no check needed
 
 
+@pytest.mark.parametrize("state, action", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+def test_update_rejects_a_credited_cell_out_of_range(state, action):
+    est = ThreatEstimator(make_web_app_domain())
+    with pytest.raises(DomainError, match="out of range"):
+        est.update(0, state, action, phi=1)  # -1 would credit state S-1 by negative indexing
+    est.update(0, state, action, phi=0)  # no credit, no check needed
+    assert not est.counts.any()
+
+
 def test_posterior_normalizes_capability_scores():
     est = ThreatEstimator(one_cell_domain())
     est.counts[0, 0, 0] = 2.0  # score 2 / 0.5 = 4

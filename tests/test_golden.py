@@ -63,7 +63,6 @@ GOLDEN_STEPS_SHA256 = {
 def test_ata_fmdp_steps_csv_is_byte_identical(tmp_path, scenario):
     run_experiment(
         ExperimentConfig(
-            domain="network" if scenario.startswith("net-") else "web",
             scenario=scenario,
             strategy="ata-fmdp",
             iterations=2,
@@ -154,7 +153,7 @@ GOLDEN_HINDSIGHT_SHA256 = {
 
 def test_hindsight_with_a_start_state_and_size_is_byte_identical(tmp_path, capsys):
     path = tmp_path / "hindsight.csv"
-    assert main(["hindsight", "--domain", "network", "--scenario", "net-evolving",
+    assert main(["hindsight", "--scenario", "net-evolving",
                  "--start-state", "0|1", "--timesteps", "200", "--iterations", "2",
                  "--out", str(path)]) == 0
     *table, wrote = capsys.readouterr().out.splitlines(keepends=True)
@@ -187,10 +186,7 @@ def _seeded_estimator() -> ThreatEstimator:
 
 def _dump_lp_argv(case: str, tmp_path) -> list[str]:
     argv = ["dump-lp", "--basis", "state" if case.endswith("-state") else "factored"]
-    if case.startswith("net-"):
-        argv += ["--domain", "network", "--scenario", "net-evolving"]
-    else:
-        argv += ["--domain", "web", "--scenario", "web-evolving"]
+    argv += ["--scenario", case.split("-")[0] + "-evolving"]  # web-evolving or net-evolving
     if case.endswith("-estimator"):
         _seeded_estimator().save(str(tmp_path / "estimator.json"))
         argv += ["--estimator", str(tmp_path / "estimator.json")]

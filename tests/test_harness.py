@@ -22,8 +22,11 @@ from mtdsim.domain import (
     save_domain,
 )
 from mtdsim.environments import (
+    BUILTIN_SCENARIOS,
     Scenario,
     ScenarioPhase,
+    builtin_scenario,
+    make_network_domain,
     make_web_app_domain,
     save_scenario,
 )
@@ -106,8 +109,7 @@ def test_run_experiment_validation_errors():
         run_experiment(ExperimentConfig(scenario="no-such-scenario"))
     with pytest.raises(DomainError):
         run_experiment(ExperimentConfig(domain="no-such-domain"))
-    with pytest.raises(DomainError):
-        # The network domain has no web variant.
+    with pytest.raises(DomainError, match="written for the 'web' domain"):
         run_experiment(ExperimentConfig(domain="network", scenario="web-dh-postgres"))
 
 
@@ -133,6 +135,70 @@ def test_non_integer_hyperparameters_are_rejected_before_the_first_step(
     )
     with pytest.raises(DomainError, match="must be an integer"):
         run_experiment(replace(config, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", True, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("iterations", True, "iterations must be an integer"),
+        ("iterations", 2.0, "iterations must be an integer"),
+        ("timesteps", True, "timesteps must be an integer"),
+        ("timesteps", 3.0, "timesteps must be an integer"),
+        ("alpha", True, "alpha must be a number"),
+        ("beta", True, "beta must be a number"),
+        ("epsilon", True, "epsilon must be a number"),
+        ("fpl_explore", True, "exploration probability must be a number"),
+        ("fpl_rate", True, "perturbation rate must be a number"),
+    ],
+)
+def test_booleans_and_non_integers_are_rejected_before_the_first_step(
+    monkeypatch, field, value, message
+):
+    import mtdsim.harness as harness
+
+    monkeypatch.setattr(harness, "run_strategy", lambda *a, **k: pytest.fail("a step ran"))
+    config = ExperimentConfig(timesteps=5, iterations=1, include_hindsight=False)
+    with pytest.raises(DomainError, match=message):
+        run_experiment(replace(config, **{field: value}))
+
+
+@pytest.mark.parametrize("scenario", sorted(BUILTIN_SCENARIOS))
+def test_a_builtin_scenario_defaults_to_the_domain_it_is_written_for(scenario):
+    written_for, _ = BUILTIN_SCENARIOS[scenario]
+    run = resolve_run(ExperimentConfig(scenario=scenario))
+    assert run.config.domain == written_for
+    named = resolve_run(ExperimentConfig(domain=written_for, scenario=scenario))
+    assert run.domain.type_ids() == named.domain.type_ids()
+    np.testing.assert_array_equal(run.domain.mu_table, named.domain.mu_table)
+    other = {"web": "network", "network": "web"}[written_for]
+    with pytest.raises(DomainError, match=f"written for the '{written_for}' domain"):
+        resolve_run(ExperimentConfig(domain=other, scenario=scenario))
+
+
+def test_a_scenario_file_defaults_to_web_and_takes_any_domain(tmp_path):
+    path = tmp_path / "net-evolving.json"
+    save_scenario(builtin_scenario("net-evolving"), str(path))
+    assert resolve_run(ExperimentConfig(scenario=str(path))).config.domain == "web"
+    config = ExperimentConfig(
+        domain="network", scenario=str(path), timesteps=5, iterations=1, include_hindsight=False
+    )
+    builtin = replace(config, scenario="net-evolving")
+    assert run_experiment(config).iteration_records == run_experiment(builtin).iteration_records
+
+
+def test_a_domain_file_goes_with_a_builtin_scenario(tmp_path):
+    path = tmp_path / "network.json"
+    save_domain(make_network_domain(np.random.default_rng(10)), str(path))
+    config = ExperimentConfig(
+        domain=str(path), scenario="net-evolving", timesteps=5, iterations=1,
+        include_hindsight=False,
+    )
+    run = run_experiment(config)
+    assert run.config.domain == str(path)
+    builtin = run_experiment(replace(config, domain=None))
+    assert run.iteration_records == builtin.iteration_records
 
 
 def test_resolve_scenario_prefers_builtins_and_rejects_junk(tmp_path):
