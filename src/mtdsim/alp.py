@@ -28,7 +28,7 @@ action index; scores within ``TIE_TOL`` (relative) of the best count as tied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,22 +122,20 @@ def build_alp(
             raise DomainError("previous problem was built for another domain or basis")
         if np.array_equal(posterior_table, previous.posterior):
             return previous
+        basis, objective, rows = previous.basis, previous.lp.c, previous.lp.rows
+        start = previous.lp_solution
+    else:
+        basis = build_basis(domain.space) if basis is None else basis
+        B = basis.activations  # (S, k)
+        S, k = B.shape
+        # The successor of (s, a) is a: D(s, a) = gamma * beta(a) - beta(s).
+        rows = (domain.gamma * B[None, :, :] - B[:, None, :]).reshape(S * S, k)
+        objective = np.full(S, 1.0 / S) @ B  # E_theta[beta_i] per basis function
+        start = None
     posterior = _read_only(np.array(posterior_table, dtype=float))
     rewards = expected_reward_table(domain, posterior)
-    if previous is not None:
-        lp = replace(previous.lp, bounds=-rewards.reshape(-1))
-        return replace(previous, lp=lp, rewards=rewards, posterior=posterior,
-                       weights=None, policy=None)
-
-    basis = build_basis(domain.space) if basis is None else basis
-    B = basis.activations  # (S, k)
-    S, k = B.shape
-
-    # The successor of (s, a) is a: D(s, a) = gamma * beta(a) - beta(s).
-    D = domain.gamma * B[None, :, :] - B[:, None, :]  # (S, A, k)
-    objective = np.full(S, 1.0 / S) @ B  # E_theta[beta_i] per basis function
-    lp = LPProblem(c=objective, rows=D.reshape(S * S, k), bounds=-rewards.reshape(-1))
-    return ALProblem(domain, basis, lp, rewards, posterior)
+    lp = LPProblem(c=objective, rows=rows, bounds=-rewards.reshape(-1))
+    return ALProblem(domain, basis, lp, rewards, posterior, lp_solution=start)
 
 
 def solve_alp(alp: ALProblem) -> np.ndarray:

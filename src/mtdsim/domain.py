@@ -107,6 +107,10 @@ class AttackerTypeSpec:
     loss: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):  # scenarios name types by string key
+            raise DomainError(f"attacker type id must be a string, got {self.id!r}")
+        if not isinstance(self.is_unknown, bool):
+            raise DomainError(f"type {self.id!r}: 'unknown' must be true or false")
         mu = np.asarray(self.mu, dtype=float)
         loss = np.asarray(self.loss, dtype=float)
         object.__setattr__(self, "mu", mu)
@@ -160,11 +164,11 @@ class DomainInfo:
             raise DomainError(f"switching cost table must be {n}x{n}")
         if np.any(~np.isfinite(self.sc)) or np.any(self.sc < 0):
             raise DomainError("switching costs must be finite and >= 0")
-        if not np.isfinite(self.M):
+        if not np.isfinite(json_number(self.M, "M")):
             raise DomainError("M must be finite")
-        if not 0.0 <= self.gamma < 1.0:
+        if not 0.0 <= json_number(self.gamma, "gamma") < 1.0:
             raise DomainError("gamma must lie in [0, 1)")
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+        if not (np.isfinite(json_number(self.alpha, "alpha")) and self.alpha >= 0):
             raise DomainError("alpha must be finite and >= 0")
         self._type_ids = tuple(t.id for t in self.types)
         self._type_index = {type_id: i for i, type_id in enumerate(self._type_ids)}
@@ -349,6 +353,8 @@ def input_errors(what: str):
 
 
 def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
+    """Map domain JSON onto the types, which check their own fields; only keys,
+    list-valued factor ``values``, labels and a cost for every pair are checked here."""
     with input_errors("domain JSON"):
         factors = []
         for f in data["factors"]:
@@ -356,14 +362,10 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
                 raise DomainError(f"factor {f['name']!r}: values must be a list")
             factors.append(FactorSpec(f["name"], tuple(f["values"])))
         space = ConfigSpace(tuple(factors))
-        types = []
-        for t in data["attacker_types"]:
-            if not isinstance(t["id"], str):  # scenarios name types by string key
-                raise DomainError(f"attacker type id must be a string, got {t['id']!r}")
-            unknown = t.get("unknown", False)
-            if not isinstance(unknown, bool):
-                raise DomainError(f"type {t['id']!r}: 'unknown' must be true or false")
-            types.append(AttackerTypeSpec.from_maps(space, t["id"], unknown, t["mu"], t["loss"]))
+        types = [
+            AttackerTypeSpec.from_maps(space, t["id"], t.get("unknown", False), t["mu"], t["loss"])
+            for t in data["attacker_types"]
+        ]
         labels = space.labels()
         sc_map = data["switching_cost"]
         for s_lab in labels:
@@ -380,8 +382,7 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
         if not given.all():
             i, j = np.argwhere(~given)[0]
             raise DomainError(f"switching_cost missing pair ({labels[i]!r}, {labels[j]!r})")
-        M, gamma = json_number(data["M"], "M"), json_number(data["gamma"], "gamma")
-        return DomainInfo(space, tuple(types), sc, M, gamma, alpha)
+        return DomainInfo(space, tuple(types), sc, data["M"], data["gamma"], alpha)
 
 
 def save_domain(domain: DomainInfo, path: str) -> None:

@@ -168,6 +168,8 @@ class ScenarioPhase:
     per_state_dist: dict[str, dict[str, float]] | None = None
 
     def __post_init__(self) -> None:
+        json_integer(self.t_start, "scenario phase start")
+        json_integer(self.t_end, "scenario phase end")
         if self.mode not in (STATIC_DIST, MOST_ADVERSE):
             raise DomainError(f"unknown phase mode {self.mode!r}")
         if self.t_end <= self.t_start or self.t_start < 0:
@@ -176,11 +178,9 @@ class ScenarioPhase:
             if not self.dist:
                 raise DomainError("static_dist phase needs a type distribution")
             for d in [self.dist, *(self.per_state_dist or {}).values()]:
-                if any(isinstance(v, bool) for v in d.values()):
-                    raise DomainError("phase weights must be numbers, not booleans")
-                total = sum(d.values())
+                weights = [json_number(v, "phase weight") for v in d.values()]
                 # Written so that a NaN weight fails too.
-                if not (all(v >= 0 for v in d.values()) and abs(total - 1.0) <= 1e-9):
+                if not (all(v >= 0 for v in weights) and abs(sum(weights) - 1.0) <= 1e-9):
                     raise DomainError("phase distributions must sum to 1")
         elif self.dist or self.per_state_dist:
             raise DomainError("most_adverse phase takes no type distribution")
@@ -198,8 +198,9 @@ class Scenario:
     domain_variant: str | None = None
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
+        if json_integer(self.horizon, "scenario T") <= 0:
             raise DomainError("scenario horizon must be positive")
+        json_number(self.sc_multiplier, "scenario sc_multiplier")
         variant = self.domain_variant
         if variant is not None and not (isinstance(variant, str) and variant):
             raise DomainError(f"domain variant must be a non-empty string, got {variant!r}")
@@ -247,8 +248,9 @@ class MTDEnvironment:
     """
 
     def __init__(self, domain: DomainInfo, scenario: Scenario, start_state: int = 0):
-        if not 0 <= start_state < domain.n_configs:
-            raise DomainError(f"start state index {start_state} out of range")
+        index = not isinstance(start_state, bool) and isinstance(start_state, (int, np.integer))
+        if not (index and 0 <= start_state < domain.n_configs):  # as step checks an action
+            raise DomainError(f"start state {start_state!r} is not a configuration index")
         self._labels, self._type_ids = domain.space.labels(), domain.type_ids()
         self._mu, self._loss = domain.mu_table.tolist(), domain.loss_table.tolist()
         self._sc, self._M, self._alpha = domain.sc.tolist(), float(domain.M), float(domain.alpha)
@@ -382,31 +384,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         ],
     }
     if scenario.sc_multiplier != 1.0:
-        data["sc_multiplier"] = scenario.sc_multiplier
+        data["sc_multiplier"] = float(scenario.sc_multiplier)
     if scenario.domain_variant is not None:
         data["domain_variant"] = scenario.domain_variant
     return data
 
 
 def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
+    """Map scenario JSON onto ``Scenario`` and its phases, which check their own fields."""
     with input_errors("scenario JSON"):
         phases = tuple(
-            ScenarioPhase(
-                json_integer(p["start"], "scenario phase start"),
-                json_integer(p["end"], "scenario phase end"),
-                p.get("mode", STATIC_DIST),
-                p.get("dist"),
-                p.get("per_state_dist"),
-            )
+            ScenarioPhase(p["start"], p["end"], p.get("mode", STATIC_DIST), p.get("dist"),
+                          p.get("per_state_dist"))
             for p in data["phases"]
         )
-        return Scenario(
-            name,
-            json_integer(data["T"], "scenario T"),
-            phases,
-            sc_multiplier=json_number(data.get("sc_multiplier", 1.0), "scenario sc_multiplier"),
-            domain_variant=data.get("domain_variant"),
-        )
+        return Scenario(name, data["T"], phases, data.get("sc_multiplier", 1.0),
+                        data.get("domain_variant"))
 
 
 def load_scenario(path: str) -> Scenario:

@@ -99,8 +99,9 @@ class ThreatEstimator:
 
     @classmethod
     def from_dict(cls, domain: DomainInfo, data: dict) -> "ThreatEstimator":
+        """Map a checkpoint onto an estimator; the constructor checks ``beta``."""
         with input_errors("estimator JSON"):
-            est = cls(domain, beta=json_number(data["beta"], "estimator beta"))
+            est = cls(domain, beta=data["beta"])
             if data.get("type_ids") != domain.type_ids():
                 raise DomainError("estimator checkpoint does not match the domain's types")
             if data.get("state_labels") != domain.space.labels():

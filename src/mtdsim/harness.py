@@ -36,7 +36,6 @@ from .domain import (
     FactorSpec,
     expected_reward_table,
     json_integer,
-    json_number,
     load_domain,
     write_json,
 )
@@ -197,7 +196,6 @@ def resolve_run(config: ExperimentConfig) -> RunResult:
     scenario = resolve_scenario(config.scenario)
     if json_integer(config.seed, "seed") < 0:
         raise DomainError("seed must be >= 0")
-    json_number(config.alpha, "alpha")
     if json_integer(config.iterations, "iterations") < 1:
         raise DomainError("iterations must be >= 1")
     timesteps = config.timesteps
@@ -298,6 +296,9 @@ def theorem1_regret_experiment(
         raise DomainError("the punishing adversary needs at least two configurations")
     if not 0.0 < switch_cost <= 1.0:
         raise DomainError("switch cost must lie in (0, 1]")
+    positive = all(json_integer(h, "horizon") >= 1 for h in horizons)
+    if json_integer(n_runs, "n_runs") < 1 or len(set(horizons)) < 2 or not positive:
+        raise DomainError("the linear fit needs n_runs >= 1 and two distinct horizons >= 1")
     rng = np.random.default_rng(seed)
     mean_regrets = np.zeros(len(horizons))
     for idx, horizon in enumerate(horizons):
@@ -368,6 +369,8 @@ def estimator_unbiasedness_check(
         raise DomainError("type distribution must be nonnegative and sum to 1")
     if np.any(mu <= 0) or np.any(mu > 1):
         raise DomainError("success rates must lie in (0, 1]")
+    if json_integer(samples, "samples") < 1:
+        raise DomainError("samples must be >= 1")
     p = p / p.sum()
     space = ConfigSpace((FactorSpec("cfg", ("only",)),))
     types = tuple(
@@ -471,6 +474,8 @@ def check_value_loss_bound(
     Even perturbations start from the cold posterior, odd ones from a random
     posterior; both draw from ``seed``.
     """
+    if json_integer(perturbations, "perturbations") < 1:
+        raise DomainError("perturbations must be >= 1")
     web = make_web_app_domain(alpha=1.0)
     rng = np.random.default_rng(seed)
     base = cold_posterior_table(web)

@@ -123,6 +123,10 @@ def test_type_validation(space):
         AttackerTypeSpec("bad", False, np.zeros(4), np.array([-1.0, 0, 0, 0]))
     with pytest.raises(DomainError):
         AttackerTypeSpec("bad", False, np.zeros(3), np.zeros(4))
+    with pytest.raises(DomainError, match="id must be a string"):
+        AttackerTypeSpec(5, False, np.zeros(4), np.zeros(4))
+    with pytest.raises(DomainError, match="'unknown' must be true or false"):
+        AttackerTypeSpec("bad", "yes", np.zeros(4), np.zeros(4))
 
 
 def test_domain_validation(space):
@@ -139,6 +143,9 @@ def test_domain_validation(space):
         DomainInfo(**{**good, "gamma": -0.1})
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "alpha": -0.5})
+    for name in ("M", "gamma", "alpha"):
+        with pytest.raises(DomainError, match=f"{name} must be a number"):
+            DomainInfo(**{**good, name: True})
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "types": (ok, ok)})  # duplicate ids
     with pytest.raises(DomainError):

@@ -200,6 +200,18 @@ def test_phase_validation_rejects_malformed_windows_and_dists():
         ScenarioPhase(0, 5, STATIC_DIST, {"a": 0.5, "b": float("nan")})
     with pytest.raises(DomainError):  # a most-adverse attacker draws from no distribution
         ScenarioPhase(0, 5, MOST_ADVERSE, {"a": 1.0})
+    # Bounds are Python integers, as in a scenario file: 10.5 would never end its
+    # phase, and a numpy integer could not be saved as JSON.
+    for bound in (10.5, True, np.int64(5)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            ScenarioPhase(0, bound, STATIC_DIST, {"a": 1.0})
+        with pytest.raises(DomainError, match="must be an integer"):
+            ScenarioPhase(bound, 20, STATIC_DIST, {"a": 1.0})
+    for weight in ("1.0", True):
+        with pytest.raises(DomainError, match="phase weight must be a number"):
+            ScenarioPhase(0, 5, STATIC_DIST, {"a": weight})
+        with pytest.raises(DomainError, match="phase weight must be a number"):
+            ScenarioPhase(0, 5, STATIC_DIST, {"a": 1.0}, {"1|1": {"a": weight}})
 
 
 def test_scenario_phases_must_partition_the_horizon():
@@ -215,6 +227,12 @@ def test_scenario_phases_must_partition_the_horizon():
         Scenario("short", 10, (ScenarioPhase(0, 9, STATIC_DIST, {"a": 1.0}),))
     with pytest.raises(DomainError):
         Scenario("empty", 0, ())
+    for horizon in (10.5, True, np.int64(10)):
+        with pytest.raises(DomainError, match="scenario T must be an integer"):
+            Scenario("odd", horizon, (full,))
+    for multiplier in (True, "2.5"):
+        with pytest.raises(DomainError, match="sc_multiplier must be a number"):
+            Scenario("odd", 10, (full,), sc_multiplier=multiplier)
 
 
 def test_phase_lookup_uses_half_open_windows():
@@ -425,6 +443,10 @@ def test_step_range_and_horizon_errors():
     web = make_web_app_domain()
     with pytest.raises(DomainError):
         MTDEnvironment(web, unknown_only_scenario(), start_state=4)
+    for start in (True, 1.5, "1"):  # the rule step applies to actions
+        with pytest.raises(DomainError, match="is not a configuration index"):
+            MTDEnvironment(web, unknown_only_scenario(), start_state=start)
+    assert MTDEnvironment(web, unknown_only_scenario(), start_state=np.int64(1)).state == 1
     for per_state in ({"PHP|MySQl": {"unknown": 1.0}}, {"PHP|MySQL": {"nobody": 1.0}}):
         phase = ScenarioPhase(0, 2, STATIC_DIST, {"unknown": 1.0}, per_state)
         with pytest.raises(DomainError):  # checked before any step draws from it

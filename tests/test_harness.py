@@ -36,6 +36,7 @@ from mtdsim.harness import (
     ExperimentConfig,
     LinearityReport,
     avg_regret_bound_check,
+    check_value_loss_bound,
     cold_posterior_table,
     estimator_unbiasedness_check,
     hindsight_bounds,
@@ -356,6 +357,12 @@ def test_estimator_unbiasedness_validation():
         estimator_unbiasedness_check(good_p, np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
         estimator_unbiasedness_check(good_p, np.array([0.5, 1.5]))
+    rng = np.random.default_rng(0)
+    drawn = rng.bit_generator.state
+    for samples in (0, -1):  # no sample to measure: the fallback belief is no estimate
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            estimator_unbiasedness_check(good_p, good_mu, samples=samples, rng=rng)
+    assert rng.bit_generator.state == drawn
 
 
 def test_punishing_adversary_regret_matches_the_analytic_mean():
@@ -376,6 +383,19 @@ def test_punishing_adversary_validation():
         theorem1_regret_experiment(switch_cost=0.0)
     with pytest.raises(DomainError):
         theorem1_regret_experiment(switch_cost=1.5)
+    with pytest.raises(DomainError, match="n_runs >= 1"):
+        theorem1_regret_experiment(n_runs=0)
+    for horizons in ((), (100,), (100, 100), (0, 100)):  # a line needs two distinct points
+        with pytest.raises(DomainError, match="two distinct horizons >= 1"):
+            theorem1_regret_experiment(horizons=horizons)
+    with pytest.raises(DomainError, match="horizon must be an integer"):
+        theorem1_regret_experiment(horizons=(10.5, 20))
+
+
+def test_value_loss_bound_check_needs_a_perturbation():
+    for perturbations in (0, -3):
+        with pytest.raises(DomainError, match="perturbations must be >= 1"):
+            check_value_loss_bound(perturbations=perturbations)
 
 
 def test_linearity_report_slope_relative_error():
