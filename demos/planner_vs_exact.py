@@ -55,7 +55,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=10)
     args = parser.parse_args()
 
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     show(web, cold_posterior_table(web), "cold-start belief (uniform over types)")
     show(
         web,

@@ -14,6 +14,7 @@ from .harness import (
     CHECK_PERTURBATIONS,
     CHECK_RUNS,
     CHECK_SAMPLES,
+    CHECK_SEED,
     ExperimentConfig,
     check_alp_vs_value_iteration,
     check_estimator_recovery,
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hind.set_defaults(func=cmd_hindsight)
 
     p_verify = sub.add_parser("verify", help="run the property-check suite")
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=10)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=CHECK_SEED)
     p_verify.add_argument("--samples", type=_int_at_least(1), default=CHECK_SAMPLES,
                           help="estimator Monte-Carlo samples")
     p_verify.add_argument("--perturbations", type=_int_at_least(1), default=CHECK_PERTURBATIONS,

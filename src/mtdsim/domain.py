@@ -7,10 +7,11 @@ deterministic: the successor of any state under action ``a`` is ``a``.
 
 The defender's per-step reward is
 
-    R(s, a) = M - al(s, a) - alpha * sc(s, a)
+    R(s, a) = M - al(s, a) - sc(s, a)
 
 where ``al`` is the expected attack loss under the current belief over
-attacker types and ``sc`` is the configuration switching cost.
+attacker types and ``sc`` is the configuration switching cost, which
+``harness.resolve_domain`` weights once for a run.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ class DomainInfo:
     """A complete defender problem: configurations, threats, costs, constants.
 
     Immutable by convention after construction.  ``sc[s, a]`` is the switching
-    cost of taking action ``a`` in state ``s``; ``alpha`` weights it in the
-    reward.  ``gamma`` is the discount used by planning components.  The type
-    ids and the id -> index map are built once, here.
+    cost of taking action ``a`` in state ``s``, as the reward charges it.
+    ``gamma`` is the discount used by planning components.  The type ids and
+    the id -> index map are built once, here.
     """
 
     space: ConfigSpace
@@ -154,7 +155,6 @@ class DomainInfo:
     sc: np.ndarray
     M: float
     gamma: float
-    alpha: float
 
     def __post_init__(self) -> None:
         self.types = tuple(self.types)
@@ -168,8 +168,6 @@ class DomainInfo:
             raise DomainError("M must be finite")
         if not 0.0 <= json_number(self.gamma, "gamma") < 1.0:
             raise DomainError("gamma must lie in [0, 1)")
-        if not (np.isfinite(json_number(self.alpha, "alpha")) and self.alpha >= 0):
-            raise DomainError("alpha must be finite and >= 0")
         self._type_ids = tuple(t.id for t in self.types)
         self._type_index = {type_id: i for i, type_id in enumerate(self._type_ids)}
         if not self._type_ids:
@@ -271,8 +269,8 @@ def expected_attack_loss_table(domain: DomainInfo, posterior_table: np.ndarray) 
 
 
 def expected_reward_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
-    """R(s, a) = M - al(s, a) - alpha * sc(s, a): the one reward model."""
-    return domain.M - expected_attack_loss_table(domain, posterior_table) - domain.alpha * domain.sc
+    """R(s, a) = M - al(s, a) - sc(s, a): the one reward model."""
+    return domain.M - expected_attack_loss_table(domain, posterior_table) - domain.sc
 
 
 # No caller in the package; kept for the benchmark's tracer, which wraps
@@ -352,7 +350,7 @@ def input_errors(what: str):
         raise DomainError(f"malformed {what}: {exc}") from None
 
 
-def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
+def domain_from_dict(data: dict) -> DomainInfo:
     """Map domain JSON onto the types, which check their own fields; only keys,
     list-valued factor ``values``, labels and a cost for every pair are checked here."""
     with input_errors("domain JSON"):
@@ -382,14 +380,14 @@ def domain_from_dict(data: dict, alpha: float = 1.0) -> DomainInfo:
         if not given.all():
             i, j = np.argwhere(~given)[0]
             raise DomainError(f"switching_cost missing pair ({labels[i]!r}, {labels[j]!r})")
-        return DomainInfo(space, tuple(types), sc, data["M"], data["gamma"], alpha)
+        return DomainInfo(space, tuple(types), sc, data["M"], data["gamma"])
 
 
 def save_domain(domain: DomainInfo, path: str) -> None:
     write_json(path, domain_to_dict(domain), indent=2)
 
 
-def load_domain(path: str, alpha: float = 1.0) -> DomainInfo:
+def load_domain(path: str) -> DomainInfo:
     with open(path, encoding="utf-8") as fh, input_errors("domain JSON"):
         data = json.load(fh)
-    return domain_from_dict(data, alpha=alpha)
+    return domain_from_dict(data)

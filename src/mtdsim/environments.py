@@ -7,7 +7,7 @@ adversarially), the attack is executed against the configuration that results
 from the switch, and the defender observes the type, the success flag, and
 the realized reward
 
-    r_t = M - 1[phi=1] * l(tau, target) - alpha * sc(s, a).
+    r_t = M - 1[phi=1] * l(tau, target) - sc(s, a)  (sc as the run weighted it).
 
 Attackers observe the defender's past (state, action) history only — the
 current step's action is simultaneous and hidden.
@@ -90,8 +90,8 @@ _WEB_UNKNOWN_PG_ONLY = (
 )
 
 
-def make_web_app_domain(alpha: float = 1.0, unknown_variant: str | None = None) -> DomainInfo:
-    """The two-factor web stack domain with its three attacker types.
+def make_web_app_domain(unknown_variant: str | None = None) -> DomainInfo:
+    """The two-factor web stack domain with its three attacker types, sc at weight 1.
 
     ``unknown_variant="pg-only-dh"`` swaps the unknown type's tables for the
     PostgreSQL-only database hacker.
@@ -105,7 +105,7 @@ def make_web_app_domain(alpha: float = 1.0, unknown_variant: str | None = None) 
     types = [AttackerTypeSpec.from_maps(space, i, *spec) for i, spec in table.items()]
     labels = space.labels()
     sc = np.array([[_WEB_SC[s][a] for a in labels] for s in labels], dtype=float)
-    return DomainInfo(space, types, sc, WEB_M, WEB_GAMMA, alpha)
+    return DomainInfo(space, types, sc, WEB_M, WEB_GAMMA)
 
 
 NODE_ONLINE = "1"
@@ -113,9 +113,7 @@ NODE_OFFLINE = "0"
 OFFLINE_COST = 50.0
 
 
-def make_network_domain(
-    rng: np.random.Generator, alpha: float = 1.0, n_nodes: int = 2
-) -> DomainInfo:
+def make_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> DomainInfo:
     """A network of binary nodes (online/offline) under source/target attackers.
 
     Known types are labeled src{i}-tgt{j}; local types (i == j) draw a success
@@ -125,7 +123,7 @@ def make_network_domain(
     any configuration with node 0 online, and nothing otherwise.
 
     Taking a node offline costs 50: sc(s, a) = 50 * (number of nodes online in
-    ``s`` and offline in ``a``).  Parameters are drawn once, at construction.
+    ``s`` and offline in ``a``) at weight 1.  Parameters are drawn once, at construction.
     """
     space = ConfigSpace(
         tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
@@ -143,7 +141,7 @@ def make_network_domain(
     types.append(AttackerTypeSpec("unknown", True, 1.0 * online[:, 0], 100.0 * online[:, 0]))
     on = online.astype(float)
     sc = OFFLINE_COST * (on @ (1.0 - on).T)  # nodes online in s and offline in a
-    return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA, alpha)
+    return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +175,12 @@ class ScenarioPhase:
         if self.mode == STATIC_DIST:
             if not self.dist:
                 raise DomainError("static_dist phase needs a type distribution")
-            for d in [self.dist, *(self.per_state_dist or {}).values()]:
+            per_state = {} if self.per_state_dist is None else self.per_state_dist
+            if not isinstance(per_state, dict):
+                raise DomainError(f"per_state_dist must be a map, got {per_state!r}")
+            for d in [self.dist, *per_state.values()]:
+                if not isinstance(d, dict):
+                    raise DomainError(f"phase distribution must be a map, got {d!r}")
                 weights = [json_number(v, "phase weight") for v in d.values()]
                 # Written so that a NaN weight fails too.
                 if not (all(v >= 0 for v in weights) and abs(sum(weights) - 1.0) <= 1e-9):
@@ -235,9 +238,9 @@ class MTDEnvironment:
     success flag.  The type draw inverts the state's CDF at one uniform, with
     the CDF and the search ``Generator.choice(p=)`` uses, so a seed draws the
     same types and leaves the generator in the same state as ``choice`` would.
-    The success rates, losses, switching costs, ``M`` and ``alpha`` are held
-    as Python floats, so a step's reward is the same IEEE arithmetic as on the
-    domain's arrays.
+    The success rates, losses, switching costs and ``M`` are held as Python
+    floats, so a step's reward is the same IEEE arithmetic as on the domain's
+    arrays.
 
     A ``most_adverse`` step draws only the success flag.  The attacker counts
     the defender's past (state, action) pairs in ``moves``, estimates its
@@ -253,7 +256,7 @@ class MTDEnvironment:
             raise DomainError(f"start state {start_state!r} is not a configuration index")
         self._labels, self._type_ids = domain.space.labels(), domain.type_ids()
         self._mu, self._loss = domain.mu_table.tolist(), domain.loss_table.tolist()
-        self._sc, self._M, self._alpha = domain.sc.tolist(), float(domain.M), float(domain.alpha)
+        self._sc, self._M = domain.sc.tolist(), float(domain.M)
 
         def draw_table(dist: dict[str, float]) -> tuple[list[int], list[float]]:
             cdf = np.array(list(dist.values()), dtype=float).cumsum()
@@ -297,7 +300,7 @@ class MTDEnvironment:
             tau = types[bisect_right(cdf, rng.random())]
         phi = int(rng.random() < self._mu[tau][action])
         loss = self._loss[tau][action] if phi else 0.0
-        reward = float(self._M - loss - self._alpha * self._sc[s][action])
+        reward = float(self._M - loss - self._sc[s][action])
         record = StepRecord(
             self.t, self._labels[s], self._labels[action], self._type_ids[tau], phi, reward
         )

@@ -36,6 +36,7 @@ from .domain import (
     FactorSpec,
     expected_reward_table,
     json_integer,
+    json_number,
     load_domain,
     write_json,
 )
@@ -64,10 +65,14 @@ from .strategies import (
 )
 
 ROLLING_WINDOW = 50
-# Default sizes of the property checks, shared with `mtdsim verify`.
+# Default seed and sizes of the property checks, shared with `mtdsim verify`.
+CHECK_SEED = 10
 CHECK_SAMPLES = 10_000
 CHECK_PERTURBATIONS = 100
 CHECK_RUNS = 400
+# The estimator-recovery check's two attacker types: attack mix and success rates.
+CHECK_TYPE_MIX = (0.6, 0.4)
+CHECK_SUCCESS_RATES = (0.5, 1.0)
 # Strategy hyperparameters: forwarded to ``run_strategy`` by name, recorded in meta.json.
 HYPERPARAMETERS = ("beta", "epsilon", "fpl_explore", "fpl_rate", "fpl_lmax")
 
@@ -84,7 +89,7 @@ class ExperimentConfig:
     domain: str | None = None  # "web", "network", or a domain JSON path; None -> the scenario's
     scenario: str = "web-evolving"  # built-in name or a scenario JSON path
     strategy: str = "ata-fmdp"
-    alpha: float = 1.0
+    alpha: float = 1.0  # switching-cost weight, applied to the domain by resolve_domain
     timesteps: int | None = None  # None -> scenario horizon
     iterations: int = 10
     seed: int = 10
@@ -165,34 +170,44 @@ def resolve_domain_name(domain: str | None, scenario: str) -> str:
 
 
 def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> DomainInfo:
-    """Build or load the domain, then apply the scenario's domain adjustments.
+    """Build or load the domain, then weight its switching costs for the run.
 
-    Only the web domain has variants; every domain's switching costs are
-    scaled by the scenario's multiplier.  The network domain's attacker
-    parameters are drawn once from ``seed`` and then frozen, so every
-    iteration (and every strategy) sees the same domain.
+    Only the web domain has variants.  Every switching cost is scaled by the
+    scenario's multiplier and then by ``alpha``, here and nowhere else.  The
+    network domain's attacker parameters are drawn once from ``seed`` and
+    then frozen, so every iteration (and every strategy) sees the same domain.
     """
+    if not (np.isfinite(json_number(alpha, "alpha")) and alpha >= 0):
+        raise DomainError("alpha must be finite and >= 0")
     if ref == WEB_DOMAIN:
-        domain = make_web_app_domain(alpha=alpha, unknown_variant=scenario.domain_variant)
+        domain = make_web_app_domain(unknown_variant=scenario.domain_variant)
     elif ref == NETWORK_DOMAIN:
-        domain = make_network_domain(np.random.default_rng(seed), alpha=alpha)
+        domain = make_network_domain(np.random.default_rng(seed))
     elif os.path.exists(ref):
-        domain = load_domain(ref, alpha=alpha)
+        domain = load_domain(ref)
     else:
         raise DomainError(f"unknown domain {ref!r}; expected 'web', 'network', or a file path")
     if ref != WEB_DOMAIN and scenario.domain_variant is not None:
         raise DomainError(f"only the web domain has variants, not {scenario.domain_variant!r}")
-    return replace(domain, sc=domain.sc * scenario.sc_multiplier)
+    return replace(domain, sc=alpha * (domain.sc * scenario.sc_multiplier))
 
 
 def resolve_run(config: ExperimentConfig) -> RunResult:
     """Everything a run fixes before its first step: scenario, sizes, domain, start state.
 
-    ``timesteps`` None means the scenario horizon; sizes the scenario cannot
-    play are rejected, and so is every invalid hyperparameter, whether or not
-    the strategy reads it (``meta.json`` records them all).  The returned
-    config names the resolved domain.
+    A field of the wrong type is rejected first.  ``timesteps`` None means the
+    scenario horizon; sizes the scenario cannot play are rejected, and so is
+    every invalid hyperparameter, whether or not the strategy reads it
+    (``meta.json`` records them all).  The returned config names the resolved
+    domain.
     """
+    for name in ("scenario", "strategy", "domain", "start_state", "out_dir"):
+        value, optional = getattr(config, name), name in ("domain", "start_state", "out_dir")
+        if not (isinstance(value, str) or optional and value is None):
+            kind = "a string or None" if optional else "a string"
+            raise DomainError(f"{name} must be {kind}, got {value!r}")
+    if not isinstance(config.include_hindsight, bool):
+        raise DomainError(f"include_hindsight must be a bool, got {config.include_hindsight!r}")
     scenario = resolve_scenario(config.scenario)
     if json_integer(config.seed, "seed") < 0:
         raise DomainError("seed must be >= 0")
@@ -347,47 +362,6 @@ def avg_regret_bound_check(
     return gap, bound, gap <= bound
 
 
-def estimator_unbiasedness_check(
-    p_att_true: np.ndarray,
-    mus: np.ndarray,
-    samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, bool]:
-    """Monte-Carlo check that the capability-normalized counts recover P_att.
-
-    Simulates ``samples`` attacks at one fixed (state, action) cell: a type is
-    drawn from ``p_att_true`` and succeeds with its own rate.  The undecayed
-    estimator's posterior (counts divided by success rates, normalized) must
-    match the true distribution componentwise within 0.05.
-    """
-    rng = np.random.default_rng(10) if rng is None else rng
-    p = np.asarray(p_att_true, dtype=float)
-    mu = np.asarray(mus, dtype=float)
-    if p.shape != mu.shape or p.ndim != 1 or p.size == 0:
-        raise DomainError("type distribution and success rates must be 1-D and aligned")
-    if np.any(p < 0) or not np.isclose(p.sum(), 1.0):
-        raise DomainError("type distribution must be nonnegative and sum to 1")
-    if np.any(mu <= 0) or np.any(mu > 1):
-        raise DomainError("success rates must lie in (0, 1]")
-    if json_integer(samples, "samples") < 1:
-        raise DomainError("samples must be >= 1")
-    p = p / p.sum()
-    space = ConfigSpace((FactorSpec("cfg", ("only",)),))
-    types = tuple(
-        AttackerTypeSpec(f"type{k}", False, np.array([mu[k]]), np.zeros(1))
-        for k in range(p.size)
-    )
-    tiny = DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9, 1.0)
-    estimator = ThreatEstimator(tiny, beta=1.0)
-    taus = rng.choice(p.size, size=samples, p=p)
-    hits = rng.random(samples) < mu[taus]
-    for tau, phi in zip(taus, hits):
-        estimator.update(int(tau), 0, 0, bool(phi))
-    posterior = estimator.posterior(0, 0)
-    max_error = float(np.max(np.abs(posterior - p)))
-    return max_error, max_error <= 0.05
-
-
 def cold_posterior_table(domain: DomainInfo) -> np.ndarray:
     """The zero-observation posterior (uniform over capable types)."""
     return ThreatEstimator(domain).posterior_table()
@@ -424,14 +398,14 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
-def check_alp_vs_value_iteration(seed: int = 10) -> CheckResult:
+def check_alp_vs_value_iteration(seed: int = CHECK_SEED) -> CheckResult:
     """The exact-basis planner reproduces value iteration on the web domain.
 
     With the per-state-indicator basis, the ALP's values must match value
     iteration to 1e-5 and its policy must be value iteration's.  Posteriors:
     the cold one plus three random ones drawn from ``seed``.
     """
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     basis = build_state_basis(web.space)
     rng = np.random.default_rng(seed)
     posteriors = [cold_posterior_table(web)] + [
@@ -453,21 +427,39 @@ def check_alp_vs_value_iteration(seed: int = 10) -> CheckResult:
     )
 
 
-def check_estimator_recovery(seed: int = 10, samples: int = CHECK_SAMPLES) -> CheckResult:
-    """The undecayed estimator recovers a two-type attack distribution."""
-    err, ok = estimator_unbiasedness_check(
-        np.array([0.6, 0.4]), np.array([0.5, 1.0]), samples=samples,
-        rng=np.random.default_rng(seed),
-    )
+def check_estimator_recovery(
+    seed: int = CHECK_SEED, samples: int = CHECK_SAMPLES
+) -> CheckResult:
+    """The undecayed estimator recovers a two-type attack distribution.
+
+    Simulates ``samples`` attacks at one fixed (state, action) cell: a type is
+    drawn from ``CHECK_TYPE_MIX`` and succeeds with its rate in
+    ``CHECK_SUCCESS_RATES``, both drawn from ``seed``.  The undecayed
+    estimator's posterior (counts divided by success rates, normalized) must
+    match the mix componentwise within 0.05.
+    """
+    if json_integer(samples, "samples") < 1:
+        raise DomainError("samples must be >= 1")
+    mix, rates = np.array(CHECK_TYPE_MIX), np.array(CHECK_SUCCESS_RATES)
+    space = ConfigSpace((FactorSpec("cfg", ("only",)),))
+    types = [AttackerTypeSpec(f"type{k}", False, [mu], [0.0]) for k, mu in enumerate(rates)]
+    tiny = DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9)
+    estimator = ThreatEstimator(tiny, beta=1.0)
+    rng = np.random.default_rng(seed)
+    taus = rng.choice(mix.size, size=samples, p=mix)
+    hits = rng.random(samples) < rates[taus]
+    for tau, phi in zip(taus, hits):
+        estimator.update(int(tau), 0, 0, bool(phi))
+    err = float(np.max(np.abs(estimator.posterior(0, 0) - mix)))
     return CheckResult(
         "estimator-unbiasedness",
-        ok,
+        err <= 0.05,
         f"max componentwise error {err:.4f} at {samples} samples, beta=1 (tol 0.05)",
     )
 
 
 def check_value_loss_bound(
-    seed: int = 10, perturbations: int = CHECK_PERTURBATIONS
+    seed: int = CHECK_SEED, perturbations: int = CHECK_PERTURBATIONS
 ) -> CheckResult:
     """Planning under a perturbed posterior loses at most 2*eps/(1-gamma).
 
@@ -476,7 +468,7 @@ def check_value_loss_bound(
     """
     if json_integer(perturbations, "perturbations") < 1:
         raise DomainError("perturbations must be >= 1")
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     rng = np.random.default_rng(seed)
     base = cold_posterior_table(web)
     worst_ratio, all_ok = 0.0, True
@@ -494,7 +486,7 @@ def check_value_loss_bound(
     )
 
 
-def check_linear_regret(seed: int = 10, runs: int = CHECK_RUNS) -> CheckResult:
+def check_linear_regret(seed: int = CHECK_SEED, runs: int = CHECK_RUNS) -> CheckResult:
     """Policy regret against the punishing adversary grows linearly, slope p."""
     fit = theorem1_regret_experiment(n_runs=runs, seed=seed)
     ok = fit.r_squared >= 0.99 and fit.slope_relative_error <= 0.2

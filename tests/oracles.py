@@ -47,9 +47,7 @@ from mtdsim.estimator import DEFAULT_BETA, ThreatEstimator
 from mtdsim.lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, LPSolution, solve_lp
 
 
-def reference_network_domain(
-    rng: np.random.Generator, alpha: float = 1.0, n_nodes: int = 2
-) -> DomainInfo:
+def reference_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> DomainInfo:
     """``environments.make_network_domain`` with a loop over the configurations per type.
 
     Draws the same parameters in the same order: for each source, for each
@@ -84,7 +82,7 @@ def reference_network_domain(
     )
     going_offline = online[:, None, :] & ~online[None, :, :]  # (S, A, nodes)
     sc = OFFLINE_COST * going_offline.sum(axis=2).astype(float)
-    return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA, alpha)
+    return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA)
 
 
 def uncertified(solution: LPSolution) -> LPSolution:
@@ -151,7 +149,7 @@ def reference_step(env: MTDEnvironment, action: int, rng: np.random.Generator) -
         tau = int(types[rng.choice(len(types), p=np.array(list(dist.values())))])
     phi = int(rng.random() < domain.mu_table[tau, action])
     loss = domain.loss_table[tau, action] if phi else 0.0
-    reward = float(domain.M - loss - domain.alpha * domain.sc[s, action])
+    reward = float(domain.M - loss - domain.sc[s, action])
     record = StepRecord(env.t, labels[s], labels[action], domain.type_ids()[tau], phi, reward)
     env.moves[s, action] += 1
     env.state = action

@@ -58,7 +58,7 @@ def no_attack_domain(n_values: int, gamma: float, sc=None, M: float = 0.0) -> Do
     n = space.n_configs
     dummy = AttackerTypeSpec("idle", False, np.zeros(n), np.zeros(n))
     sc = np.zeros((n, n)) if sc is None else np.asarray(sc, dtype=float)
-    return DomainInfo(space, (dummy,), sc, M, gamma, 1.0)
+    return DomainInfo(space, (dummy,), sc, M, gamma)
 
 
 def ones_posterior(domain: DomainInfo) -> np.ndarray:
@@ -135,7 +135,7 @@ def test_build_alp_row_matches_hand_computed_constraint():
     # success prob 0.70, loss 43, sc 0, so the constant term is
     # 0.7*(200-0) - 0.7*43 + 0.3*(200-0) = 169.9 and every branch carries the
     # same bracket coefficient gamma*beta(a) - beta(s) = -0.1 * beta(s).
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     post = np.zeros((3, 4, 4))
     post[1] = 1.0
     alp = build_alp(web, post)
@@ -180,7 +180,7 @@ def test_single_state_value_is_geometric_series():
 
 
 def test_state_basis_reproduces_value_iteration():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     basis = build_state_basis(web.space)
     for posterior in (
         cold_posterior_table(web),
@@ -196,7 +196,7 @@ def test_state_basis_reproduces_value_iteration():
 def test_approximate_values_upper_bound_the_optimum():
     # Any feasible point dominates the Bellman optimum pointwise, and the
     # richer basis can only tighten the minimised objective.
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     cold = cold_posterior_table(web)
     alp_f = build_alp(web, cold)
     w_f = solve_alp(alp_f)
@@ -211,7 +211,7 @@ def test_approximate_values_upper_bound_the_optimum():
 
 
 def test_solution_satisfies_every_constraint():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     rng = np.random.default_rng(5)
     for _ in range(3):
         posterior = random_posterior_table(web, rng)
@@ -221,10 +221,10 @@ def test_solution_satisfies_every_constraint():
 
 
 def test_reward_offset_shifts_objective_by_geometric_factor():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     cold = cold_posterior_table(web)
     base = solve_alp(build_alp(web, cold))
-    shifted_dom = DomainInfo(web.space, web.types, web.sc, web.M + 25.0, web.gamma, web.alpha)
+    shifted_dom = DomainInfo(web.space, web.types, web.sc, web.M + 25.0, web.gamma)
     alp0 = build_alp(web, cold)
     alp1 = build_alp(shifted_dom, cold)
     obj0 = float(alp0.lp.c @ base)
@@ -258,7 +258,7 @@ def test_solve_alp_raises_on_degenerate_programs():
 def test_policy_flees_to_the_resistant_config_under_unknown_pressure():
     # All belief mass on the unknown type, which Python|Postgres fully resists;
     # the discounted planner routes every state there despite sc up to 100.
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     post = np.zeros((3, 4, 4))
     post[2] = 1.0
     alp = build_alp(web, post)
@@ -276,8 +276,8 @@ def test_policy_ties_break_to_the_lowest_action_index():
 
 
 def test_gamma_zero_policy_is_myopic_reward_argmax():
-    web = make_web_app_domain(alpha=1.0)
-    myopic = DomainInfo(web.space, web.types, web.sc, web.M, 0.0, web.alpha)
+    web = make_web_app_domain()
+    myopic = DomainInfo(web.space, web.types, web.sc, web.M, 0.0)
     rng = np.random.default_rng(11)
     posterior = random_posterior_table(myopic, rng)
     alp = build_alp(myopic, posterior)
@@ -287,7 +287,7 @@ def test_gamma_zero_policy_is_myopic_reward_argmax():
 
 
 def test_exact_value_of_self_loop_policy_is_reward_over_one_minus_gamma():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     posterior = cold_posterior_table(web)
     R = expected_reward_table(web, posterior)
     policy = np.arange(4)
@@ -306,7 +306,7 @@ def test_exact_value_of_two_cycle_matches_closed_form():
 
 
 def test_exact_value_matches_long_discounted_rollout():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     posterior = random_posterior_table(web, np.random.default_rng(9))
     R = expected_reward_table(web, posterior)
     policy = np.array([2, 0, 3, 1])
@@ -322,7 +322,7 @@ def test_exact_value_matches_long_discounted_rollout():
 
 
 def test_value_iteration_fixed_point_satisfies_bellman_equation():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     posterior = cold_posterior_table(web)
     V, policy = value_iteration(web, posterior)
     R = expected_reward_table(web, posterior)
@@ -339,7 +339,7 @@ def test_value_iteration_fixed_point_satisfies_bellman_equation():
 
 
 def test_alp_dict_round_trips_rows_and_labels(tmp_path, capsys):
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     alp = build_alp(web, cold_posterior_table(web))
     path = tmp_path / "program.json"
     assert main(["dump-lp", "--out", str(path)]) == 0
@@ -372,7 +372,7 @@ def test_greedy_actions_treat_rounding_noise_as_a_tie():
 
 
 def test_build_alp_rows_are_the_belief_free_bracket_coefficients():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     alp = build_alp(web, random_posterior_table(web, np.random.default_rng(4)))
     B = build_basis(web.space).activations
     for i, (s, a) in enumerate(np.ndindex(4, 4)):
@@ -380,7 +380,7 @@ def test_build_alp_rows_are_the_belief_free_bracket_coefficients():
 
 
 def test_build_alp_from_previous_recomputes_only_the_bounds():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     rng = np.random.default_rng(6)
     first = build_alp(web, random_posterior_table(web, rng))
     solve_alp(first)
@@ -396,12 +396,12 @@ def test_build_alp_from_previous_recomputes_only_the_bounds():
 
 
 def test_build_alp_from_previous_rejects_another_domain_or_basis():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     post = cold_posterior_table(web)
     first = build_alp(web, post)
     # The posterior is equal, so these would otherwise hand back ``first``.
     with pytest.raises(DomainError):
-        build_alp(make_web_app_domain(alpha=1.0), post, previous=first)
+        build_alp(make_web_app_domain(), post, previous=first)
     with pytest.raises(DomainError):
         build_alp(web, post.copy(), basis=build_state_basis(web.space), previous=first)
     assert build_alp(web, post, basis=first.basis, previous=first) is first
@@ -422,7 +422,7 @@ def lp_solves(monkeypatch):
 
 
 def test_an_equal_posterior_hands_back_the_solved_problem(lp_solves):
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     posterior = random_posterior_table(web, np.random.default_rng(7))
     first = build_alp(web, posterior)
     weights = solve_alp(first)
@@ -435,7 +435,7 @@ def test_an_equal_posterior_hands_back_the_solved_problem(lp_solves):
 
 
 def test_a_posterior_one_ulp_away_is_a_new_problem(lp_solves):
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     posterior = random_posterior_table(web, np.random.default_rng(7))
     first = build_alp(web, posterior)
     extract_policy(first, solve_alp(first))
@@ -448,7 +448,7 @@ def test_a_posterior_one_ulp_away_is_a_new_problem(lp_solves):
 
 
 def test_mutating_the_callers_posterior_in_place_misses_the_memo(lp_solves):
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     posterior = random_posterior_table(web, np.random.default_rng(7))
     first = build_alp(web, posterior)
     solve_alp(first)
@@ -461,7 +461,7 @@ def test_mutating_the_callers_posterior_in_place_misses_the_memo(lp_solves):
 
 
 def test_kept_weights_policy_and_posterior_are_read_only():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     problem = build_alp(web, cold_posterior_table(web))
     weights = solve_alp(problem)
     policy = extract_policy(problem, weights)
@@ -478,7 +478,7 @@ def test_kept_weights_policy_and_posterior_are_read_only():
 def test_warm_replan_matches_a_cold_replan(name):
     rng = np.random.default_rng(12)
     if name == "web":
-        domain = make_web_app_domain(alpha=1.0)
+        domain = make_web_app_domain()
     else:
         domain = make_network_domain(rng, n_nodes=int(name[-1]))
     posterior = random_posterior_table(domain, rng)

@@ -22,12 +22,13 @@ from mtdsim.domain import (
     save_domain,
     success_prob_table,
 )
-from mtdsim.environments import make_web_app_domain
+from mtdsim.environments import builtin_scenario, make_web_app_domain
+from mtdsim.harness import resolve_domain
 
 
 @pytest.fixture
 def web():
-    return make_web_app_domain(alpha=1.0)
+    return make_web_app_domain()
 
 
 @pytest.fixture
@@ -131,7 +132,7 @@ def test_type_validation(space):
 
 def test_domain_validation(space):
     ok = AttackerTypeSpec("t", False, np.full(4, 0.5), np.full(4, 10.0))
-    good = dict(space=space, types=(ok,), sc=np.zeros((4, 4)), M=200.0, gamma=0.9, alpha=1.0)
+    good = dict(space=space, types=(ok,), sc=np.zeros((4, 4)), M=200.0, gamma=0.9)
     DomainInfo(**good)
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "sc": np.zeros((3, 3))})
@@ -141,9 +142,7 @@ def test_domain_validation(space):
         DomainInfo(**{**good, "gamma": 1.0})
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "gamma": -0.1})
-    with pytest.raises(DomainError):
-        DomainInfo(**{**good, "alpha": -0.5})
-    for name in ("M", "gamma", "alpha"):
+    for name in ("M", "gamma"):
         with pytest.raises(DomainError, match=f"{name} must be a number"):
             DomainInfo(**{**good, name: True})
     with pytest.raises(DomainError):
@@ -245,20 +244,21 @@ def test_expected_attack_loss_known_values(web):
     assert unk_only[0, 3] == 0.0
 
 
+def weighted(alpha: float):
+    """The web domain as a run at switching-cost weight ``alpha`` resolves it."""
+    return resolve_domain("web", builtin_scenario("web-evolving"), alpha, 10)
+
+
 def test_expected_reward_subtracts_loss_and_weighted_cost(web):
     dh_only = belief(web, [0.0, 1.0, 0.0])
     # s=PHP|MySQL, a=Python|MySQL: 200 - 0.7*43 - 1.0*20
     assert expected_reward_table(web, dh_only)[0, 2] == pytest.approx(149.9)
-    free = make_web_app_domain(alpha=0.0)
-    assert expected_reward_table(free, dh_only)[0, 2] == pytest.approx(169.9)
+    assert expected_reward_table(weighted(0.0), dh_only)[0, 2] == pytest.approx(169.9)
 
 
 def test_expected_reward_monotone_in_alpha(web):
     dh_only = belief(web, [0.0, 1.0, 0.0])
-    rewards = [
-        expected_reward_table(make_web_app_domain(alpha=a), dh_only)[0, 3]
-        for a in (0.0, 0.5, 1.0)
-    ]
+    rewards = [expected_reward_table(weighted(a), dh_only)[0, 3] for a in (0.0, 0.5, 1.0)]
     assert rewards[0] > rewards[1] > rewards[2]
     assert rewards[0] - rewards[2] == pytest.approx(100.0)  # alpha * sc(0, 3)
 
@@ -275,7 +275,7 @@ def test_tables_match_scalar_helpers(web):
             post = table[:, s, a]
             loss = float(np.sum(post * web.mu_table[:, a] * web.loss_table[:, a]))
             assert al[s, a] == pytest.approx(loss)
-            assert rw[s, a] == pytest.approx(web.M - loss - web.alpha * web.sc[s, a])
+            assert rw[s, a] == pytest.approx(web.M - loss - web.sc[s, a])
             assert pr[s, a] == pytest.approx(float(np.sum(post * web.mu_table[:, a])))
 
 
@@ -295,10 +295,9 @@ def test_posterior_shape_is_checked(web):
 def test_domain_json_round_trip(web, tmp_path):
     path = tmp_path / "web.json"
     save_domain(web, str(path))
-    loaded = load_domain(str(path), alpha=0.5)
+    loaded = load_domain(str(path))
     assert loaded.space.labels() == web.space.labels()
     assert loaded.type_ids() == web.type_ids()
-    assert loaded.alpha == 0.5  # alpha is a load-time parameter, not stored
     np.testing.assert_allclose(loaded.sc, web.sc)
     np.testing.assert_allclose(loaded.mu_table, web.mu_table)
     np.testing.assert_allclose(loaded.loss_table, web.loss_table)

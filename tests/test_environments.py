@@ -7,12 +7,11 @@ Monte-Carlo against analytic probabilities.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mtdsim.domain import DomainError
+from mtdsim.domain import DomainError, save_domain
 from mtdsim.environments import (
     BUILTIN_SCENARIOS,
     MOST_ADVERSE,
@@ -93,9 +92,17 @@ def test_web_pg_only_variant_swaps_the_unknown_tables():
 
 
 def test_web_alpha_and_sc_multiplier_pass_through():
-    web = resolve_domain("web", builtin_scenario("web-evolving-3xsc"), alpha=0.5, seed=10)
-    assert web.alpha == 0.5
-    np.testing.assert_array_equal(web.sc, 3.0 * make_web_app_domain().sc)
+    scenario, base = builtin_scenario("web-evolving-3xsc"), make_web_app_domain()
+    for alpha in (0.0, 0.5, 2.5):
+        web = resolve_domain("web", scenario, alpha=alpha, seed=10)
+        # The multiplier product first, then the weight: the products the reward formed.
+        assert web.sc.tobytes() == (alpha * (base.sc * 3.0)).tobytes()
+    for alpha in (True, "0.5"):
+        with pytest.raises(DomainError, match="alpha must be a number"):
+            resolve_domain("web", scenario, alpha=alpha, seed=10)
+    for alpha in (-0.5, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
+            resolve_domain("web", scenario, alpha=alpha, seed=10)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +172,8 @@ def test_network_three_nodes_scale_out():
 def test_network_domain_is_bitwise_the_per_configuration_builder(n_nodes):
     for seed in (0, 7, 42):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        net = make_network_domain(rng, alpha=0.5, n_nodes=n_nodes)
-        ref = reference_network_domain(ref_rng, alpha=0.5, n_nodes=n_nodes)
+        net = make_network_domain(rng, n_nodes=n_nodes)
+        ref = reference_network_domain(ref_rng, n_nodes=n_nodes)
         assert net.type_ids() == ref.type_ids()
         assert [t.is_unknown for t in net.types] == [t.is_unknown for t in ref.types]
         for name in ("mu_table", "loss_table", "sc"):
@@ -200,6 +207,11 @@ def test_phase_validation_rejects_malformed_windows_and_dists():
         ScenarioPhase(0, 5, STATIC_DIST, {"a": 0.5, "b": float("nan")})
     with pytest.raises(DomainError):  # a most-adverse attacker draws from no distribution
         ScenarioPhase(0, 5, MOST_ADVERSE, {"a": 1.0})
+    for dist, per_state in (([0.5, 0.5], None), ({"a": 1.0}, {"x": [1.0]})):
+        with pytest.raises(DomainError, match="phase distribution must be a map"):
+            ScenarioPhase(0, 5, STATIC_DIST, dist, per_state)
+    with pytest.raises(DomainError, match="per_state_dist must be a map"):
+        ScenarioPhase(0, 5, STATIC_DIST, {"a": 1.0}, [1])
     # Bounds are Python integers, as in a scenario file: 10.5 would never end its
     # phase, and a numpy integer could not be saved as JSON.
     for bound in (10.5, True, np.int64(5)):
@@ -413,7 +425,7 @@ def test_a_long_horizon_costs_nothing_until_stepped():
 
 
 def test_step_reward_arithmetic_and_labels_on_the_web_domain():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     env = MTDEnvironment(web, unknown_only_scenario(), start_state=0)
     rng = np.random.default_rng(1)
     rec = env.step(3, rng)
@@ -428,7 +440,7 @@ def test_step_reward_arithmetic_and_labels_on_the_web_domain():
 
 
 def test_step_reward_arithmetic_on_the_network_domain():
-    net = make_network_domain(np.random.default_rng(7), alpha=1.0)
+    net = make_network_domain(np.random.default_rng(7))
     env = MTDEnvironment(net, unknown_only_scenario(), start_state=0)
     rng = np.random.default_rng(1)
     rec = env.step(0, rng)  # stay fully online: certain 100 loss, no sc
@@ -510,17 +522,19 @@ def _random_scenario(rng, domain, horizon: int, seen: set[str]) -> Scenario:
     return Scenario("random", horizon, tuple(phases), sc_multiplier=float(rng.choice([0.5, 1, 3])))
 
 
-def test_step_matches_the_choice_reference_bitwise():
+def test_step_matches_the_choice_reference_bitwise(tmp_path):
     rng = np.random.default_rng(2024)
     seen: set[str] = set()
+    path = str(tmp_path / "domain.json")
     for case in range(90):
         kind, alpha = ("web", "net2", "net3")[case % 3], float(rng.choice([0.0, 0.5, 1.0, 2.5]))
         if kind == "web":
-            domain = make_web_app_domain(alpha, ("pg-only-dh" if rng.random() < 0.3 else None))
+            domain = make_web_app_domain("pg-only-dh" if rng.random() < 0.3 else None)
         else:
-            domain = make_network_domain(rng, alpha, n_nodes=int(kind[-1]))
+            domain = make_network_domain(rng, n_nodes=int(kind[-1]))
         scenario = _random_scenario(rng, domain, int(rng.integers(2, 60)), seen)
-        domain = replace(domain, sc=domain.sc * scenario.sc_multiplier)  # as the harness does
+        save_domain(domain, path)
+        domain = resolve_domain(path, scenario, alpha, 0)  # weighted as a run's domain is
         start = int(rng.integers(domain.n_configs))
         env, ref = MTDEnvironment(domain, scenario, start), MTDEnvironment(domain, scenario, start)
         seed = int(rng.integers(2**32))

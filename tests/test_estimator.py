@@ -24,7 +24,7 @@ def one_cell_domain():
         AttackerTypeSpec("unknown", True, np.array([0.9]), np.array([100.0])),
         AttackerTypeSpec("incapable", False, np.array([0.0]), np.array([50.0])),
     )
-    return DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9, 1.0)
+    return DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9)
 
 
 def test_beta_validation():
@@ -101,7 +101,7 @@ def test_cold_posterior_is_uniform_over_capable():
 def test_posterior_zero_when_no_type_is_capable():
     space = ConfigSpace((FactorSpec("cfg", ("only",)),))
     types = (AttackerTypeSpec("harmless", False, np.array([0.0]), np.array([0.0])),)
-    dom = DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9, 1.0)
+    dom = DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9)
     np.testing.assert_allclose(ThreatEstimator(dom).posterior(0, 0), [0.0])
 
 
@@ -214,6 +214,6 @@ def test_from_dict_validates_checkpoint():
         ThreatEstimator.from_dict(dom, dict(good, beta=np.inf))
     # Same types and shape, other configuration labels.
     renamed = ConfigSpace((web.space.factors[0], FactorSpec("database", ("MariaDB", "Postgres"))))
-    other = DomainInfo(renamed, web.types, web.sc, web.M, web.gamma, web.alpha)
+    other = DomainInfo(renamed, web.types, web.sc, web.M, web.gamma)
     with pytest.raises(DomainError):
         ThreatEstimator.from_dict(other, ThreatEstimator(web).to_dict())

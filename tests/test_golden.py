@@ -6,15 +6,18 @@ Each hash in ``GOLDEN_STEPS_SHA256`` pins ``steps.csv`` of an ``ata-fmdp`` run
 on ``CUSTOM_SCENARIO``, a scenario JSON the test writes.
 ``GOLDEN_CLI_SHA256`` pins every file that ``mtdsim run`` and
 ``mtdsim hindsight`` write for one baseline run with a non-default start
-state; ``GOLDEN_HINDSIGHT_SHA256`` pins the stdout and ``--out`` CSV of
+state; ``GOLDEN_ALPHA_RUN_SHA256`` pins ``steps.csv``, ``summary.csv`` and
+``meta.json`` of two ``mtdsim run`` calls at a switching-cost weight other
+than 1. ``GOLDEN_HINDSIGHT_SHA256`` pins the stdout and ``--out`` CSV of
 ``mtdsim hindsight`` on the network with a non-default start state and size.
 ``GOLDEN_DUMP_LP_SHA256`` pins the stdout of ``mtdsim dump-lp`` for
-both bases on one web and one network scenario, and for the factored basis
-under a seeded estimator checkpoint.  ``GOLDEN_SOLVE_LP_SHA256`` pins the
-status, ``x`` bytes and basis of a cold ``solve_lp`` on the cold-posterior ALP
-of the web domain (both bases) and of 2- to 5-node networks, and of a warm
-re-solve from that basis after a perturbed posterior; ``GOLDEN_SOLVE_LP_PIVOTS``
-pins the pivot counts of the same two solves.  ``GOLDEN_SAVED_SHA256``
+both bases on one web and one network scenario, for the factored basis
+under a seeded estimator checkpoint, and at alpha 0.5 on ``web-dh-postgres``.
+``GOLDEN_SOLVE_LP_SHA256`` pins the status, ``x`` bytes and basis of a cold
+``solve_lp`` on the cold-posterior ALP of the web domain (both bases) and of
+2- to 5-node networks, and of a warm re-solve from that basis after a perturbed
+posterior; ``GOLDEN_SOLVE_LP_PIVOTS`` pins the pivot counts of the same two
+solves.  ``GOLDEN_SAVED_SHA256``
 pins the files that ``save_domain``, ``save_scenario``, ``ThreatEstimator.save``
 and ``mtdsim dump-lp --out`` write.  A change that is meant to leave
 behaviour alone must leave these hashes alone; a change that is meant to
@@ -145,6 +148,32 @@ def test_cli_output_files_are_byte_identical(tmp_path, capsys):
     assert digests == GOLDEN_CLI_SHA256
 
 
+GOLDEN_ALPHA_RUN_SHA256 = {
+    "web/steps.csv": "32413744be183095c76b3f59547447f62088cfb237da68670e2cb14c8ce14444",
+    "web/summary.csv": "8eb851f96bcc1af5a527e9a3253e65169e54c47fe71e4ef868050c30c373b51f",
+    "web/meta.json": "e2781a6ef816daf4598bfbf028ddff23c1c89bd221c0b149ef7ac66c4b4b8d3d",
+    "net/steps.csv": "1a904a2cd907bd3d4c89e73b238748cf8873667ee6fe26e9d592a39f26bf0643",
+    "net/summary.csv": "9561e393e1dc7c110de479084f86c089060bff0393e4504172d00806ae8f574b",
+    "net/meta.json": "535b260c622df63212a415cf4589580bead1d55773b8776064778e5753241f70",
+}
+# case -> (scenario, alpha, strategy); alpha != 1, where a misplaced weight shows.
+ALPHA_RUNS = {
+    "web": ("web-evolving-3xsc", "0.5", "ata-fmdp"),
+    "net": ("net-evolving", "2.5", "fpl"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALPHA_RUNS))
+def test_run_at_alpha_other_than_one_is_byte_identical(tmp_path, capsys, case):
+    scenario, alpha, strategy = ALPHA_RUNS[case]
+    out = tmp_path / case
+    assert main(["run", "--scenario", scenario, "--alpha", alpha, "--strategy", strategy,
+                 "--timesteps", "300", "--iterations", "2", "--out", str(out)]) == 0
+    for name in ("steps.csv", "summary.csv", "meta.json"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_ALPHA_RUN_SHA256[f"{case}/{name}"], name
+
+
 GOLDEN_HINDSIGHT_SHA256 = {
     "stdout": "067c27e1cbc3dc5302e1c23bd1d4e9be03e507a888f7c378fdbce7273dae08b3",
     "hindsight.csv": "92ec44aa3d2e10722d5c1ad7f2fd59005b9e5a4f7f0b95186245dab2f6f9dfb2",
@@ -171,6 +200,7 @@ GOLDEN_DUMP_LP_SHA256 = {
     "net-factored": "c3864ad548a66b74d9c94d175e14b474f985504064728d1c8881927c134769a8",
     "net-state": "4b72eeafb39c03abb9bc791d6c9bbe73d2a49f7d52be6a3867822dc354b83c3f",
     "web-factored-estimator": "4bbe2f3b038945c9f2951c1dbaf5a81844a5518df7a1dfe451550f869093f8fc",
+    "web-dh-postgres-alpha": "f288eaace4f2ae2f88cf19d025fbe1f0935d7cb4ded8759ea77b11fc8fd939da",
 }
 
 
@@ -186,6 +216,8 @@ def _seeded_estimator() -> ThreatEstimator:
 
 def _dump_lp_argv(case: str, tmp_path) -> list[str]:
     argv = ["dump-lp", "--basis", "state" if case.endswith("-state") else "factored"]
+    if case.endswith("-alpha"):
+        return argv + ["--scenario", case.removesuffix("-alpha"), "--alpha", "0.5"]
     argv += ["--scenario", case.split("-")[0] + "-evolving"]  # web-evolving or net-evolving
     if case.endswith("-estimator"):
         _seeded_estimator().save(str(tmp_path / "estimator.json"))

@@ -36,9 +36,9 @@ from mtdsim.harness import (
     ExperimentConfig,
     LinearityReport,
     avg_regret_bound_check,
+    check_estimator_recovery,
     check_value_loss_bound,
     cold_posterior_table,
-    estimator_unbiasedness_check,
     hindsight_bounds,
     perturb_posterior_table,
     random_posterior_table,
@@ -62,7 +62,7 @@ def harmless_domain() -> DomainInfo:
     space = ConfigSpace((FactorSpec("slot", ("a", "b")),))
     ghost = AttackerTypeSpec("ghost", False, np.zeros(2), np.zeros(2))
     sc = np.array([[0.0, 7.0], [7.0, 0.0]])
-    return DomainInfo(space, (ghost,), sc, 200.0, 0.9, 1.0)
+    return DomainInfo(space, (ghost,), sc, 200.0, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,13 @@ def test_non_integer_hyperparameters_are_rejected_before_the_first_step(
         ("epsilon", True, "epsilon must be a number"),
         ("fpl_explore", True, "exploration probability must be a number"),
         ("fpl_rate", True, "perturbation rate must be a number"),
+        ("strategy", 5, "strategy must be a string, got 5"),
+        ("strategy", None, "strategy must be a string, got None"),
+        ("scenario", None, "scenario must be a string, got None"),
+        ("domain", ["web"], "domain must be a string or None"),
+        ("start_state", ["PHP|MySQL"], "start_state must be a string or None"),
+        ("out_dir", 5, "out_dir must be a string or None"),
+        ("include_hindsight", "no", "include_hindsight must be a bool"),
     ],
 )
 def test_booleans_and_non_integers_are_rejected_before_the_first_step(
@@ -292,7 +299,7 @@ def test_hindsight_identifies_the_resistant_config_as_best(tmp_path):
 
 
 def test_value_loss_is_zero_for_the_true_posterior():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     cold = cold_posterior_table(web)
     gap, bound, ok = avg_regret_bound_check(web, cold, cold)
     assert ok and gap <= 1e-9
@@ -300,7 +307,7 @@ def test_value_loss_is_zero_for_the_true_posterior():
 
 
 def test_value_loss_bound_uses_the_reward_sup_norm():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     cold = cold_posterior_table(web)
     est = perturb_posterior_table(cold, np.random.default_rng(4), scale=0.2)
     gap, bound, ok = avg_regret_bound_check(web, cold, est)
@@ -314,7 +321,7 @@ def test_value_loss_bound_uses_the_reward_sup_norm():
 
 
 def test_value_loss_bound_holds_across_seeded_perturbations():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     rng = np.random.default_rng(12)
     for _ in range(20):
         true = random_posterior_table(web, rng)
@@ -324,8 +331,8 @@ def test_value_loss_bound_holds_across_seeded_perturbations():
 
 
 def test_value_loss_gamma_override():
-    web = make_web_app_domain(alpha=1.0)
-    half = DomainInfo(web.space, web.types, web.sc, web.M, 0.5, web.alpha)
+    web = make_web_app_domain()
+    half = DomainInfo(web.space, web.types, web.sc, web.M, 0.5)
     cold = cold_posterior_table(web)
     est = perturb_posterior_table(cold, np.random.default_rng(5))
     _, bound_05, ok = avg_regret_bound_check(half, cold, est)
@@ -337,32 +344,14 @@ def test_value_loss_gamma_override():
 
 
 def test_estimator_recovers_the_attack_distribution():
-    max_err, ok = estimator_unbiasedness_check(
-        np.array([0.6, 0.4]), np.array([0.5, 1.0])
-    )
-    assert ok and max_err <= 0.05
+    check = check_estimator_recovery()
+    assert check.ok, check.line()
 
 
 def test_estimator_unbiasedness_validation():
-    good_p, good_mu = np.array([0.6, 0.4]), np.array([0.5, 1.0])
-    with pytest.raises(DomainError):
-        estimator_unbiasedness_check(good_p, np.array([0.5, 1.0, 0.9]))
-    with pytest.raises(DomainError):
-        estimator_unbiasedness_check(np.array([[0.6, 0.4]]), np.array([[0.5, 1.0]]))
-    with pytest.raises(DomainError):
-        estimator_unbiasedness_check(np.array([0.7, 0.4]), good_mu)
-    with pytest.raises(DomainError):
-        estimator_unbiasedness_check(np.array([-0.1, 1.1]), good_mu)
-    with pytest.raises(DomainError):
-        estimator_unbiasedness_check(good_p, np.array([0.0, 1.0]))
-    with pytest.raises(DomainError):
-        estimator_unbiasedness_check(good_p, np.array([0.5, 1.5]))
-    rng = np.random.default_rng(0)
-    drawn = rng.bit_generator.state
     for samples in (0, -1):  # no sample to measure: the fallback belief is no estimate
         with pytest.raises(DomainError, match="samples must be >= 1"):
-            estimator_unbiasedness_check(good_p, good_mu, samples=samples, rng=rng)
-    assert rng.bit_generator.state == drawn
+            check_estimator_recovery(samples=samples)
 
 
 def test_punishing_adversary_regret_matches_the_analytic_mean():

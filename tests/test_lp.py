@@ -393,7 +393,7 @@ def test_certified_recheck_matches_the_full_check_and_vertices_on_random_boxes()
 def test_certified_recheck_matches_the_full_check_on_replanned_alps(name):
     rng = np.random.default_rng(13)
     if name == "web":
-        domain = make_web_app_domain(alpha=1.0)
+        domain = make_web_app_domain()
     else:
         domain = make_network_domain(rng, n_nodes=int(name[-1]))
     posterior = random_posterior_table(domain, rng)

@@ -205,7 +205,7 @@ def test_ata_cold_start_routes_to_the_resistant_config():
     # Python|Postgres (immune to the unknown type) is the planner's sink.
     # The cheapest way there from PHP|MySQL is via Python|MySQL (20 + 50
     # beats the direct 100 switch).
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     env = MTDEnvironment(web, unknown_only_scenario(6))
     records = ata_fmdp_run(web, env, 6, np.random.default_rng(0), reopt_period=None)
     assert [r.action for r in records] == ["Python|MySQL"] + ["Python|Postgres"] * 5
@@ -260,7 +260,7 @@ def test_skipping_unmoved_beliefs_matches_replanning_every_step(
     ("urs", {}),
 ])
 def test_strategies_are_deterministic_given_the_seed(name, kwargs):
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     scen = builtin_scenario("web-evolving")
     runs = []
     for _ in range(2):
@@ -270,7 +270,7 @@ def test_strategies_are_deterministic_given_the_seed(name, kwargs):
 
 
 def test_dispatcher_handles_static_labels_and_rejects_unknown_names():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     env = MTDEnvironment(web, unknown_only_scenario(5))
     records = run_strategy("static:Python|Postgres", web, env, 5, np.random.default_rng(0))
     assert all(r.action == "Python|Postgres" for r in records)
@@ -288,7 +288,7 @@ def test_dispatcher_handles_static_labels_and_rejects_unknown_names():
     "does not materialise (see the repository decision notes)",
 )
 def test_replanning_every_step_beats_planning_once_on_the_evolving_web():
-    web = make_web_app_domain(alpha=1.0)
+    web = make_web_app_domain()
     scen = builtin_scenario("web-evolving")
     means = {}
     for period in (1, None):
