@@ -203,7 +203,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if json_integer(self.horizon, "scenario T") <= 0:
             raise DomainError("scenario horizon must be positive")
-        json_number(self.sc_multiplier, "scenario sc_multiplier")
+        if not 0.0 <= json_number(self.sc_multiplier, "scenario sc_multiplier") < np.inf:
+            raise DomainError(
+                f"scenario sc_multiplier must be finite and >= 0, got {self.sc_multiplier!r}"
+            )
         variant = self.domain_variant
         if variant is not None and not (isinstance(variant, str) and variant):
             raise DomainError(f"domain variant must be a non-empty string, got {variant!r}")

@@ -189,6 +189,13 @@ def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> Dom
         raise DomainError(f"unknown domain {ref!r}; expected 'web', 'network', or a file path")
     if ref != WEB_DOMAIN and scenario.domain_variant is not None:
         raise DomainError(f"only the web domain has variants, not {scenario.domain_variant!r}")
+    # Costs are >= 0, so the largest scaled cost is the product of the largest
+    # cost and the two scalings; Python floats overflow to inf without a warning.
+    if not np.isfinite(alpha * (float(domain.sc.max(initial=0.0)) * scenario.sc_multiplier)):
+        raise DomainError(
+            f"alpha {alpha!r} times the switching costs scaled by sc_multiplier "
+            f"{scenario.sc_multiplier!r} is not finite"
+        )
     return replace(domain, sc=alpha * (domain.sc * scenario.sc_multiplier))
 
 

@@ -81,8 +81,10 @@ class LPProblem:
 class Certificate:
     """A basis proven dual feasible for one objective and one set of rows.
 
-    Holds copies of the ``c`` and ``rows`` it was proven for, and the parts of
-    the standard form (see ``_standard_form``) that the primal re-check reads.
+    Holds read-only copies of the ``c`` and ``rows`` it was proven for, and
+    the parts of the standard form (see ``_standard_form``) that the primal
+    re-check reads.  A problem built on those very arrays needs no comparison
+    to be re-checked; one with arrays of its own is compared entry by entry.
     """
 
     c: np.ndarray
@@ -215,7 +217,9 @@ def _certify(problem: LPProblem, basis: Sequence[int]) -> Certificate | None:
     reduced = c - A_tight.T @ pi
     if not ((pi <= FEAS_TOL).all() and (reduced >= -FEAS_TOL).all()):
         return None
-    return Certificate(problem.c.copy(), problem.rows.copy(), J, tight, square, A[:, J])
+    c_copy, rows_copy = problem.c.copy(), problem.rows.copy()
+    c_copy.flags.writeable = rows_copy.flags.writeable = False
+    return Certificate(c_copy, rows_copy, J, tight, square, A[:, J])
 
 
 def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
@@ -241,7 +245,8 @@ def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
 
     ``start`` is an optional earlier solution of a problem of the same shape.
     Its certificate is reused when it was issued for this ``c`` and these
-    ``rows``; otherwise its basis is certified here.  When the certified
+    ``rows`` (no comparison runs when the problem holds the certificate's own
+    arrays); otherwise its basis is certified here.  When the certified
     basis is primal feasible under these bounds the solver returns its vertex
     without pivoting (``warm`` is set); otherwise it solves cold.  A start
     basis of the wrong length, or with out-of-range or repeated columns,
@@ -251,8 +256,8 @@ def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
         cert = start.certificate
         if not (
             cert is not None
-            and np.array_equal(cert.c, problem.c)
-            and np.array_equal(cert.rows, problem.rows)
+            and (cert.c is problem.c or np.array_equal(cert.c, problem.c))
+            and (cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows))
         ):
             cert = _certify(problem, start.basis)
         u = None if cert is None else _primal_vertex(cert, problem.bounds)

@@ -63,7 +63,8 @@ def ata_fmdp_run(
     equals the last one's costs one comparison: ``build_alp`` hands back the
     previous problem, and ``solve_alp`` and ``extract_policy`` return the
     weights and policy it keeps.  A re-plan under a moved belief rebuilds only
-    the bounds of the previous program and starts from its last LP solution.
+    the bounds of the previous program and starts on its working set of rows,
+    from its last LP solution.
     After each step the belief is updated with the observed (type, success)
     outcome.
     """

@@ -40,7 +40,8 @@ from mtdsim.harness import (
     perturb_posterior_table,
     random_posterior_table,
 )
-from mtdsim.lp import LPProblem, solve_lp
+from mtdsim.estimator import ThreatEstimator
+from mtdsim.lp import FEAS_TOL, OPTIMAL, LPProblem, solve_lp
 
 
 def small_space(sizes=(2, 3, 2)) -> ConfigSpace:
@@ -393,6 +394,7 @@ def test_build_alp_from_previous_recomputes_only_the_bounds():
     np.testing.assert_array_equal(again.rewards, fresh.rewards)
     np.testing.assert_array_equal(again.lp.bounds, fresh.lp.bounds)
     assert again.lp_solution is first.lp_solution is not None and fresh.lp_solution is None
+    assert again.working_set is first.working_set is not None and fresh.working_set is None
 
 
 def test_build_alp_from_previous_rejects_another_domain_or_basis():
@@ -427,11 +429,12 @@ def test_an_equal_posterior_hands_back_the_solved_problem(lp_solves):
     first = build_alp(web, posterior)
     weights = solve_alp(first)
     policy = extract_policy(first, weights)
+    solved = len(lp_solves)
     again = build_alp(web, posterior.copy(), previous=first)
     assert again is first
     assert solve_alp(again) is weights
     assert extract_policy(again, weights) is policy
-    assert len(lp_solves) == 1
+    assert solved >= 1 and len(lp_solves) == solved  # a hand-back solves nothing
 
 
 def test_a_posterior_one_ulp_away_is_a_new_problem(lp_solves):
@@ -439,12 +442,16 @@ def test_a_posterior_one_ulp_away_is_a_new_problem(lp_solves):
     posterior = random_posterior_table(web, np.random.default_rng(7))
     first = build_alp(web, posterior)
     extract_policy(first, solve_alp(first))
+    solved = len(lp_solves)
     moved = posterior.copy()
     moved[1, 2, 3] = np.nextafter(moved[1, 2, 3], np.inf)
     again = build_alp(web, moved, previous=first)
     assert again is not first and again.weights is None and again.policy is None
     solve_alp(again)
-    assert len(lp_solves) == 2 and lp_solves[1] is again.lp
+    # The re-solve starts on the carried working set, under the new bounds.
+    assert len(lp_solves) > solved
+    np.testing.assert_array_equal(lp_solves[solved].rows, again.lp.rows[first.working_set])
+    np.testing.assert_array_equal(lp_solves[solved].bounds, again.lp.bounds[first.working_set])
 
 
 def test_mutating_the_callers_posterior_in_place_misses_the_memo(lp_solves):
@@ -452,12 +459,13 @@ def test_mutating_the_callers_posterior_in_place_misses_the_memo(lp_solves):
     posterior = random_posterior_table(web, np.random.default_rng(7))
     first = build_alp(web, posterior)
     solve_alp(first)
+    solved = len(lp_solves)
     posterior[0, 1, 2] += 0.25
     again = build_alp(web, posterior, previous=first)
     assert again is not first
     np.testing.assert_array_equal(again.rewards, build_alp(web, posterior).rewards)
     solve_alp(again)
-    assert len(lp_solves) == 2
+    assert len(lp_solves) > solved
 
 
 def test_kept_weights_policy_and_posterior_are_read_only():
@@ -493,8 +501,8 @@ def test_warm_replan_matches_a_cold_replan(name):
         else:
             posterior = perturb_posterior_table(posterior, rng, scale=0.01)
         warm = build_alp(domain, posterior, previous=previous)
-        warm_hits += solve_lp(warm.lp, start=warm.lp_solution).warm
         w_warm = solve_alp(warm)
+        warm_hits += warm.lp_solution.warm  # the carried set's basis held: no pivot, no new row
         cold = build_alp(domain, posterior)
         w_cold = solve_alp(cold)
         np.testing.assert_allclose(
@@ -505,3 +513,94 @@ def test_warm_replan_matches_a_cold_replan(name):
         )
         previous = warm
     assert warm_hits > 0
+
+
+# ---------------------------------------------------------------------------
+# constraint generation against the full program
+# ---------------------------------------------------------------------------
+
+
+def oracle_domain(name: str, seed: int = 0) -> DomainInfo:
+    if name == "web":
+        return make_web_app_domain()
+    return make_network_domain(np.random.default_rng(seed), n_nodes=int(name[-1]))
+
+
+def sparse_posterior_table(domain: DomainInfo, rng: np.random.Generator) -> np.ndarray:
+    """A belief as a run holds it: a few credited (type, state, action) cells."""
+    estimator = ThreatEstimator(domain)
+    S = domain.n_configs
+    for _ in range(8):
+        cell = rng.integers(domain.n_types), rng.integers(S), rng.integers(S)
+        estimator.counts[cell] += rng.uniform(0.1, 2.0)
+    return estimator.posterior_table()
+
+
+@pytest.mark.parametrize("name", ["web", "net2", "net3", "net4", "net5"])
+@pytest.mark.parametrize("state_basis", [False, True], ids=["factored", "state"])
+def test_generated_solve_matches_the_full_program(name, state_basis):
+    domain = oracle_domain(name)
+    basis = (build_state_basis if state_basis else build_basis)(domain.space)
+    rng = np.random.default_rng(19)
+    posteriors = [cold_posterior_table(domain)]
+    if not (state_basis and name == "net5"):  # that full program alone takes seconds
+        posteriors += [sparse_posterior_table(domain, rng) for _ in range(3)]
+    for posterior in posteriors:
+        problem = build_alp(domain, posterior, basis=basis)
+        full = solve_lp(problem.lp)
+        weights = solve_alp(problem)
+        assert full.status == problem.lp_solution.status == OPTIMAL
+        np.testing.assert_allclose(problem.lp.c @ weights, full.objective_value, rtol=1e-7)
+        assert np.max(problem.lp.rows @ weights - problem.lp.bounds) <= FEAS_TOL
+        if state_basis:
+            V_star, _ = value_iteration(domain, posterior)
+            np.testing.assert_allclose(value_estimates(problem, weights), V_star, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("web", 0)] + [(f"net{n}", seed) for n in (2, 3, 4) for seed in range(4)]
+)
+def test_generated_solve_keeps_the_full_programs_cold_policy(name, seed):
+    # Only the cold belief: under other beliefs the program can have several
+    # optimal vertices at one objective, whose greedy policies differ.
+    domain = oracle_domain(name, seed)
+    problem = build_alp(domain, cold_posterior_table(domain))
+    full = solve_lp(problem.lp)
+    np.testing.assert_array_equal(
+        extract_policy(problem, solve_alp(problem)), extract_policy(problem, full.x)
+    )
+
+
+def test_generation_starts_on_the_stay_rows_and_adds_the_most_violated(lp_solves):
+    domain = oracle_domain("net3")
+    problem = build_alp(domain, cold_posterior_table(domain))
+    weights = solve_alp(problem)
+    full = problem.lp
+    S = domain.n_configs
+    # Replay the rounds: each solved program is the expected working set, and
+    # the next adds the S rows outside it that its solution violates most.
+    expected = [s * S + s for s in range(S)]
+    crowded = 0
+    for program in lp_solves:
+        np.testing.assert_array_equal(program.rows, full.rows[expected])
+        np.testing.assert_array_equal(program.bounds, full.bounds[expected])
+        violation = full.rows @ solve_lp(program).x - full.bounds
+        outside = [i for i in range(full.n_rows) if i not in expected]
+        violated = sorted((i for i in outside if violation[i] > FEAS_TOL),
+                          key=lambda i: -violation[i])
+        crowded += len(violated) > S
+        expected = sorted(expected + violated[:S])
+    assert not violated and crowded
+    np.testing.assert_array_equal(problem.working_set, expected)
+    assert problem.working_set.size < full.n_rows and not problem.working_set.flags.writeable
+    np.testing.assert_array_equal(weights, problem.lp_solution.x)
+
+
+def test_an_unbounded_round_is_followed_by_one_over_every_row(lp_solves):
+    # min -x with x <= 0 only in row 1: the one stay row (row 0) leaves x unbounded.
+    web = make_web_app_domain()
+    program = LPProblem(c=np.array([-1.0]), rows=np.array([[0.0], [1.0]]), bounds=np.zeros(2))
+    problem = ALProblem(web, build_basis(web.space), program, np.zeros((4, 4)))
+    np.testing.assert_allclose(solve_alp(problem), [0.0])
+    assert [p.n_rows for p in lp_solves] == [1, 2]
+    np.testing.assert_array_equal(problem.working_set, [0, 1])

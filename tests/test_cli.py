@@ -270,6 +270,8 @@ def _malformed_inputs():
         "scenario-boolean-weight": ("run", "--scenario", one_phase(dist={"unknown": True})),
         "scenario-sc-multiplier-boolean": ("run", "--scenario", multiplier(True)),
         "scenario-sc-multiplier-string": ("run", "--scenario", multiplier("2.5")),
+        "scenario-sc-multiplier-negative": ("run", "--scenario", multiplier(-1.0)),
+        "scenario-sc-multiplier-infinite": ("run", "--scenario", multiplier(float("inf"))),
         "scenario-unknown-label": (
             "run", "--scenario", one_phase(dist=mix, per_state_dist={"PHP|MySQl": mix}),
         ),

@@ -103,6 +103,10 @@ def test_web_alpha_and_sc_multiplier_pass_through():
     for alpha in (-0.5, float("inf"), float("nan")):
         with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
             resolve_domain("web", scenario, alpha=alpha, seed=10)
+    # A finite alpha whose product with the costs overflows is named, with no
+    # overflow warning from the product.
+    with pytest.raises(DomainError, match=r"alpha 1e\+307 .* sc_multiplier 3\.0 is not finite"):
+        resolve_domain("web", scenario, alpha=1e307, seed=10)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +249,12 @@ def test_scenario_phases_must_partition_the_horizon():
     for multiplier in (True, "2.5"):
         with pytest.raises(DomainError, match="sc_multiplier must be a number"):
             Scenario("odd", 10, (full,), sc_multiplier=multiplier)
+    for multiplier in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="sc_multiplier must be finite and >= 0"):
+            Scenario("odd", 10, (full,), sc_multiplier=multiplier)
+        with pytest.raises(DomainError, match="sc_multiplier must be finite and >= 0"):
+            scenario_from_dict({**scenario_to_dict(Scenario("odd", 10, (full,))),
+                                "sc_multiplier": multiplier})
 
 
 def test_phase_lookup_uses_half_open_windows():

@@ -462,3 +462,36 @@ def test_a_cold_solve_carries_no_certificate():
     assert solve_lp(problem, start=again).certificate is again.certificate
     # A solution without a basis starts nothing.
     assert_same_solution(solve_lp(problem, start=LPSolution(UNBOUNDED)), cold)
+
+
+def test_a_problem_on_the_certificates_own_arrays_is_rechecked_without_comparing(monkeypatch):
+    rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
+    first = solve_lp(LPProblem([1.0, 0.0], rows, bounds))
+    sol = solve_lp(LPProblem([1.0, 0.0], rows, bounds + 0.5), start=first)
+    cert = sol.certificate
+    assert sol.warm and not (cert.c.flags.writeable or cert.rows.flags.writeable)
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(
+        lp.np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b)
+    )
+    got = solve_lp(LPProblem(cert.c, cert.rows, bounds + 0.25), start=sol)
+    assert got.certificate is cert and compared == []
+    # Equal arrays of the problem's own are compared, then re-checked.
+    got = solve_lp(LPProblem(cert.c.copy(), cert.rows.copy(), bounds + 0.25), start=sol)
+    assert got.certificate is cert and len(compared) == 2
+
+
+def test_rows_mutated_in_place_after_certification_are_certified_afresh():
+    # min x over x >= -1, |y| <= 2; scaling the first row in place keeps the
+    # region, so the basis stays optimal but its certificate no longer applies.
+    rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
+    problem = LPProblem([1.0, 0.0], rows, bounds)
+    sol = solve_lp(problem, start=solve_lp(problem))
+    assert sol.warm
+    problem.rows[0] *= 2.0
+    problem.bounds[0] *= 2.0
+    got = solve_lp(problem, start=sol)
+    assert got.warm and got.certificate is not sol.certificate
+    np.testing.assert_array_equal(got.certificate.rows, problem.rows)
+    assert_same_solution(got, solve_lp(problem, start=uncertified(sol)))
