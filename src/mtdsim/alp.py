@@ -176,10 +176,9 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
     if rows is None:
         rows = np.arange(0, full.n_rows, S + 1)  # row s * S + s is the pair (s, s)
     start = alp.lp_solution
-    cert = None if start is None else start.certificate
     while True:
-        if cert is not None:  # the carried set's own arrays: the re-check compares nothing
-            program = LPProblem(cert.c, cert.rows, full.bounds[rows])
+        if start is not None:  # the carried set's own arrays: the re-check compares nothing
+            program = LPProblem(start.certificate.c, start.certificate.rows, full.bounds[rows])
         else:
             program = LPProblem(full.c, full.rows[rows], full.bounds[rows])
         sol = solve_lp(program, start=start)
@@ -191,20 +190,16 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
                     "approximate LP unbounded - the constraint system is malformed "
                     f"({full.n_rows} rows, {full.n_vars} basis functions)"
                 )
-            rows, start, cert = np.arange(full.n_rows), None, None
+            rows, start = np.arange(full.n_rows), None
             continue
         violation = full.rows @ sol.x - full.bounds
         violation[rows] = -np.inf
         violated = (violation > FEAS_TOL).nonzero()[0]
         if not violated.size:
             break
-        if violated.size > S:  # the S most violated; a stable sort keeps the lowest of tied rows
-            amount = violation[violated].tolist()
-            order = sorted(range(len(amount)), key=amount.__getitem__, reverse=True)
-            violated = violated[order[:S]]
-        member = np.zeros(full.n_rows, dtype=bool)
-        member[rows] = member[violated] = True
-        rows, start, cert = member.nonzero()[0], None, None
+        # The S most violated; a stable sort keeps the lowest of tied rows first.
+        violated = violated[np.argsort(-violation[violated], kind="stable")[:S]]
+        rows, start = np.sort(np.concatenate([rows, violated])), None  # disjoint: rows were masked
     alp.working_set = _read_only(rows)
     alp.lp_solution = sol
     alp.weights = _read_only(sol.x)

@@ -33,12 +33,23 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One state factor: a name and its ordered value labels."""
+    """One state factor: a name and its ordered value labels (a list is kept as a tuple)."""
 
     name: str
     values: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise DomainError(f"factor name must be a string, got {self.name!r}")
+        # tuple() would split a string into letters
+        if not isinstance(self.values, (list, tuple)) or not all(
+            isinstance(v, str) for v in self.values
+        ):
+            raise DomainError(
+                f"factor {self.name!r}: values must be a list or tuple of strings, "
+                f"got {self.values!r}"
+            )
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise DomainError(f"factor {self.name!r} has no values")
         if len(set(self.values)) != len(self.values):
@@ -352,14 +363,9 @@ def input_errors(what: str):
 
 def domain_from_dict(data: dict) -> DomainInfo:
     """Map domain JSON onto the types, which check their own fields; only keys,
-    list-valued factor ``values``, labels and a cost for every pair are checked here."""
+    labels and a cost for every pair are checked here."""
     with input_errors("domain JSON"):
-        factors = []
-        for f in data["factors"]:
-            if not isinstance(f["values"], list):  # tuple() would split a string into letters
-                raise DomainError(f"factor {f['name']!r}: values must be a list")
-            factors.append(FactorSpec(f["name"], tuple(f["values"])))
-        space = ConfigSpace(tuple(factors))
+        space = ConfigSpace(tuple(FactorSpec(f["name"], f["values"]) for f in data["factors"]))
         types = [
             AttackerTypeSpec.from_maps(space, t["id"], t.get("unknown", False), t["mu"], t["loss"])
             for t in data["attacker_types"]

@@ -199,6 +199,12 @@ def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> Dom
     return replace(domain, sc=alpha * (domain.sc * scenario.sc_multiplier))
 
 
+def check_seed(seed) -> None:
+    """A run's or a property check's seed must be a JSON integer >= 0."""
+    if json_integer(seed, "seed") < 0:
+        raise DomainError("seed must be >= 0")
+
+
 def resolve_run(config: ExperimentConfig) -> RunResult:
     """Everything a run fixes before its first step: scenario, sizes, domain, start state.
 
@@ -216,8 +222,7 @@ def resolve_run(config: ExperimentConfig) -> RunResult:
     if not isinstance(config.include_hindsight, bool):
         raise DomainError(f"include_hindsight must be a bool, got {config.include_hindsight!r}")
     scenario = resolve_scenario(config.scenario)
-    if json_integer(config.seed, "seed") < 0:
-        raise DomainError("seed must be >= 0")
+    check_seed(config.seed)
     if json_integer(config.iterations, "iterations") < 1:
         raise DomainError("iterations must be >= 1")
     timesteps = config.timesteps
@@ -314,9 +319,10 @@ def theorem1_regret_experiment(
     sequence grows like p·T (plus the small switching-cost drag, which is why
     ``switch_cost`` must stay well below 1).
     """
-    if n_configs < 2:
+    check_seed(seed)
+    if json_integer(n_configs, "n_configs") < 2:
         raise DomainError("the punishing adversary needs at least two configurations")
-    if not 0.0 < switch_cost <= 1.0:
+    if not 0.0 < json_number(switch_cost, "switch_cost") <= 1.0:
         raise DomainError("switch cost must lie in (0, 1]")
     positive = all(json_integer(h, "horizon") >= 1 for h in horizons)
     if json_integer(n_runs, "n_runs") < 1 or len(set(horizons)) < 2 or not positive:
@@ -412,6 +418,7 @@ def check_alp_vs_value_iteration(seed: int = CHECK_SEED) -> CheckResult:
     iteration to 1e-5 and its policy must be value iteration's.  Posteriors:
     the cold one plus three random ones drawn from ``seed``.
     """
+    check_seed(seed)
     web = make_web_app_domain()
     basis = build_state_basis(web.space)
     rng = np.random.default_rng(seed)
@@ -445,6 +452,7 @@ def check_estimator_recovery(
     estimator's posterior (counts divided by success rates, normalized) must
     match the mix componentwise within 0.05.
     """
+    check_seed(seed)
     if json_integer(samples, "samples") < 1:
         raise DomainError("samples must be >= 1")
     mix, rates = np.array(CHECK_TYPE_MIX), np.array(CHECK_SUCCESS_RATES)
@@ -473,6 +481,7 @@ def check_value_loss_bound(
     Even perturbations start from the cold posterior, odd ones from a random
     posterior; both draw from ``seed``.
     """
+    check_seed(seed)
     if json_integer(perturbations, "perturbations") < 1:
         raise DomainError("perturbations must be >= 1")
     web = make_web_app_domain()
@@ -494,7 +503,10 @@ def check_value_loss_bound(
 
 
 def check_linear_regret(seed: int = CHECK_SEED, runs: int = CHECK_RUNS) -> CheckResult:
-    """Policy regret against the punishing adversary grows linearly, slope p."""
+    """Policy regret against the punishing adversary grows linearly, slope p.
+
+    ``theorem1_regret_experiment`` checks ``seed`` and ``runs``.
+    """
     fit = theorem1_regret_experiment(n_runs=runs, seed=seed)
     ok = fit.r_squared >= 0.99 and fit.slope_relative_error <= 0.2
     return CheckResult(

@@ -14,21 +14,19 @@ only have +-0 subtracted, which leaves its values unchanged: at most a -0.0
 would have become +0.0.  The solver divides only by entries above
 ``FEAS_TOL``, so the sign of a zero never reaches a nonzero value.
 
-A solve may start from an earlier solution of a problem of the same shape.
-Its basis is certified first: the row duals of its tight rows must be dual
-feasible for this objective and these rows, which depends on the basis, ``c``
-and ``rows`` but never on the bounds.  The ``Certificate`` rides on the
-solution returned, so a later start whose ``c`` and ``rows`` equal the
-certified ones skips straight to the one primal check: the tight system is
-solved for the current bounds, and the vertex is returned if its basic values
-and every slack are nonnegative.  When the basis is not dual feasible, or the
-primal check fails, the solver runs the two-phase method from scratch; a
-two-phase result carries no certificate.
+Every optimal two-phase solve issues a ``Certificate`` for its final basis.
+Phase 2 stops only once every reduced cost is >= -``FEAS_TOL``, so that basis
+is dual feasible for the problem's ``c`` and ``rows``, which does not depend
+on the bounds.  A later solve may start from the solution: when the problem's
+``c`` and ``rows`` equal the certified ones, one primal check decides.  The
+tight system is solved for the current bounds, and the vertex is returned if
+its basic values and every slack are nonnegative.  Any other start (no
+certificate, another objective, other or differently shaped rows), or a
+failed primal check, solves with the two-phase method.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,16 +77,18 @@ class LPProblem:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """A basis proven dual feasible for one objective and one set of rows.
+    """The optimal basis of a two-phase solve, dual feasible for its ``c`` and ``rows``.
 
-    Holds read-only copies of the ``c`` and ``rows`` it was proven for, and
-    the parts of the standard form (see ``_standard_form``) that the primal
-    re-check reads.  A problem built on those very arrays needs no comparison
-    to be re-checked; one with arrays of its own is compared entry by entry.
+    Holds read-only copies of the ``c`` and ``rows`` it was solved for, the
+    basis, and the parts of the standard form (see ``_standard_form``) that
+    the primal re-check reads.  A problem built on those very arrays needs no
+    comparison to be re-checked; one with arrays of its own is compared entry
+    by entry.
     """
 
     c: np.ndarray
     rows: np.ndarray
+    basis: tuple[int, ...]  # basic standard-form columns, ascending
     J: np.ndarray  # basic structural columns
     tight: np.ndarray  # rows whose slack is nonbasic
     square: np.ndarray  # A[tight, J]
@@ -103,14 +103,12 @@ class LPSolution:
     # Basic columns of the optimal standard-form basis, ascending (see
     # ``_standard_form``); set on every optimal solution.
     basis: tuple[int, ...] | None = None
-    # Set when the start basis was certified optimal and no pivot ran.
+    # The basis's certificate; set on every optimal solution.
     certificate: Certificate | None = field(default=None, repr=False, compare=False)
     # Phase-1 plus phase-2 pivots of the solve; 0 for a warm start.
     pivots: int = 0
-
-    @property
-    def warm(self) -> bool:
-        return self.certificate is not None
+    # Set when the start's certificate held under these bounds and no pivot ran.
+    warm: bool = False
 
 
 def _standard_form(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -129,14 +127,10 @@ def _standard_form(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _optimal(
-    problem: LPProblem,
-    u: np.ndarray,
-    basis: Sequence[int],
-    certificate: Certificate | None = None,
-    pivots: int = 0,
+    problem: LPProblem, u: np.ndarray, cert: Certificate, pivots: int = 0, warm: bool = False
 ) -> LPSolution:
     x = u[0::2] - u[1::2]
-    return LPSolution(OPTIMAL, x, float(problem.c @ x), tuple(sorted(basis)), certificate, pivots)
+    return LPSolution(OPTIMAL, x, float(problem.c @ x), cert.basis, cert, pivots, warm)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -184,46 +178,24 @@ def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str,
     raise RuntimeError("simplex exceeded its iteration limit")
 
 
-def _certify(problem: LPProblem, basis: Sequence[int]) -> Certificate | None:
-    """A certificate for ``basis`` if it is dual feasible for ``problem``.
+def _certificate(problem: LPProblem, A: np.ndarray, basis: list[int]) -> Certificate:
+    """The certificate of ``basis``, an optimal basis of ``problem`` in standard form ``A``.
 
-    Rows whose slack is nonbasic are tight; over the basic structural columns
-    J their row duals pi solve A[tight, J]^T pi = c_J.  The basis is certified
-    when pi <= FEAS_TOL and every reduced cost is >= -FEAS_TOL, which does not
-    depend on the bounds: its vertex is optimal under any bounds for which
-    ``_primal_vertex`` finds it feasible.  A basis of the wrong length, or
-    with out-of-range or repeated columns, raises ``ValueError``; a singular
-    one is no basis of this problem.
+    Rows whose slack is nonbasic are tight, and the basic structural columns
+    J over them form the square system A[tight, J] that the re-check solves.
     """
-    A, c = _standard_form(problem)
-    n_u, m = c.size, A.shape[0]
-    idx = np.asarray(basis)
-    if idx.shape != (m,) or (
-        m and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_u + m)
-    ):
-        raise ValueError(f"start basis must list {m} standard-form columns in [0, {n_u + m})")
-    basic = np.zeros(n_u + m, dtype=bool)
-    basic[idx.astype(int)] = True  # an empty basis reads as float
-    if np.count_nonzero(basic) != m:
-        raise ValueError("start basis columns must be distinct")
+    n_u = A.shape[1]
+    basic = np.zeros(n_u + A.shape[0], dtype=bool)
+    basic[basis] = True
     J = np.nonzero(basic[:n_u])[0]
     tight = np.nonzero(~basic[n_u:])[0]
-    A_tight = A[tight]
-    square = A_tight[:, J]
-    try:
-        pi = np.linalg.solve(square.T, c[J])
-    except np.linalg.LinAlgError:
-        return None
-    reduced = c - A_tight.T @ pi
-    if not ((pi <= FEAS_TOL).all() and (reduced >= -FEAS_TOL).all()):
-        return None
-    c_copy, rows_copy = problem.c.copy(), problem.rows.copy()
-    c_copy.flags.writeable = rows_copy.flags.writeable = False
-    return Certificate(c_copy, rows_copy, J, tight, square, A[:, J])
+    c, rows = problem.c.copy(), problem.rows.copy()
+    c.flags.writeable = rows.flags.writeable = False
+    return Certificate(c, rows, tuple(sorted(basis)), J, tight, A[tight][:, J], A[:, J])
 
 
 def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
-    """The structural values u of the certified basis under bounds ``b``, if feasible.
+    """The structural values u of the certificate's basis under bounds ``b``, if feasible.
 
     The basic structural columns J solve A[tight, J] u_J = b[tight]; the
     vertex is returned only when u_J and every slack are >= -FEAS_TOL.
@@ -243,26 +215,23 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
 def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
     """Two-phase simplex; returns status optimal/infeasible/unbounded.
 
-    ``start`` is an optional earlier solution of a problem of the same shape.
-    Its certificate is reused when it was issued for this ``c`` and these
-    ``rows`` (no comparison runs when the problem holds the certificate's own
-    arrays); otherwise its basis is certified here.  When the certified
-    basis is primal feasible under these bounds the solver returns its vertex
-    without pivoting (``warm`` is set); otherwise it solves cold.  A start
-    basis of the wrong length, or with out-of-range or repeated columns,
-    raises ``ValueError``; a start without a basis is ignored.
+    ``start`` is an optional earlier solution.  When its certificate was
+    issued for this ``c`` and these ``rows`` (no comparison runs when the
+    problem holds the certificate's own arrays) and its basis is primal
+    feasible under these bounds, the solver returns that vertex without
+    pivoting (``warm`` is set, and the solution carries the same
+    certificate).  Any other start solves cold.  Every optimal solution
+    carries the certificate of its basis.
     """
-    if start is not None and start.basis is not None:
-        cert = start.certificate
-        if not (
-            cert is not None
-            and (cert.c is problem.c or np.array_equal(cert.c, problem.c))
-            and (cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows))
-        ):
-            cert = _certify(problem, start.basis)
-        u = None if cert is None else _primal_vertex(cert, problem.bounds)
+    cert = None if start is None else start.certificate
+    if (
+        cert is not None
+        and (cert.c is problem.c or np.array_equal(cert.c, problem.c))
+        and (cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows))
+    ):
+        u = _primal_vertex(cert, problem.bounds)
         if u is not None:
-            return _optimal(problem, u, start.basis, cert)
+            return _optimal(problem, u, cert, warm=True)
     A, c_u = _standard_form(problem)
     b = problem.bounds
     n_u = c_u.size
@@ -322,4 +291,4 @@ def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
     u = np.zeros(n_u + m)
     for r, bv in enumerate(basis):
         u[bv] = tab[r, -1]
-    return _optimal(problem, u[:n_u], basis, pivots=pivots + phase2)
+    return _optimal(problem, u[:n_u], _certificate(problem, A, basis), pivots + phase2)

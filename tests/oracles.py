@@ -5,9 +5,11 @@ enumeration, so it shares no code path with the simplex implementation under
 test; ``dense_pivot`` is the full rank-one tableau update that the solver's
 sparse pivot must reproduce bit for bit, and ``reference_run_simplex`` the
 simplex loop that scans every row and column per pivot, which the solver's
-loop must match pivot for pivot.  ``reference_step`` is the environment step
-that draws the type with ``Generator.choice(p=)`` and computes the reward on
-the domain's arrays.  The posterior oracle is the
+loop must match pivot for pivot.  ``reference_dual_feasible`` proves a
+solution's basis dual feasible on a standard form it builds itself, solving
+for the row duals that the solver never computes.  ``reference_step`` is the
+environment step that draws the type with ``Generator.choice(p=)`` and
+computes the reward on the domain's arrays.  The posterior oracle is the
 estimator's belief table computed cell by cell, with the capability mask and
 fallback rebuilt from the domain.  The planner oracle is the adaptive
 defender's loop re-planning at every scheduled step, with nothing kept
@@ -18,7 +20,7 @@ costs counted from a (state, action, node) table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -85,9 +87,30 @@ def reference_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> Doma
     return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA)
 
 
-def uncertified(solution: LPSolution) -> LPSolution:
-    """``solution`` without its certificate, so a solve started from it certifies its basis."""
-    return replace(solution, certificate=None)
+def reference_dual_feasible(problem: LPProblem, solution: LPSolution) -> bool:
+    """Whether ``solution.basis`` is a basis of ``problem`` that is dual feasible for it.
+
+    The standard form is built here column by column: free x_i splits into
+    column 2i (+x_i) and column 2i+1 (-x_i), followed by one slack column per
+    row.  Rows whose slack is nonbasic are tight; over the basic structural
+    columns J their row duals pi solve A[tight, J]^T pi = c_J.  The basis is
+    dual feasible when pi <= FEAS_TOL (the slacks' reduced costs are -pi) and
+    every structural reduced cost c - A[tight]^T pi is >= -FEAS_TOL.
+    """
+    n, m = problem.n_vars, problem.n_rows
+    var, sign = np.arange(2 * n) // 2, np.tile([1.0, -1.0], n)
+    A, c = problem.rows[:, var] * sign, problem.c[var] * sign
+    basis = set(solution.basis)
+    if len(solution.basis) != m or len(basis) != m or not basis <= set(range(2 * n + m)):
+        return False
+    J = sorted(j for j in basis if j < 2 * n)
+    tight = [r for r in range(m) if 2 * n + r not in basis]
+    try:
+        pi = np.linalg.solve(A[np.ix_(tight, J)].T, c[J])
+    except np.linalg.LinAlgError:
+        return False
+    reduced = c - A[tight].T @ pi
+    return bool((pi <= FEAS_TOL).all() and (reduced >= -FEAS_TOL).all())
 
 
 def dense_pivot(tab: np.ndarray, row: int, col: int) -> None:

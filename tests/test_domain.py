@@ -94,6 +94,15 @@ def test_space_validation():
         FactorSpec("x", ("a", "a"))
     with pytest.raises(DomainError):  # labels x|y|z would name two configurations
         ConfigSpace((FactorSpec("f", ("x|y", "x")), FactorSpec("g", ("z", "y|z"))))
+    with pytest.raises(DomainError, match="values must be a list"):  # not the values a, b
+        FactorSpec("lang", "ab")
+    with pytest.raises(DomainError, match="values must be a list"):
+        FactorSpec("lang", (1, 2))
+    with pytest.raises(DomainError, match="name must be a string"):
+        FactorSpec(3, ("a",))
+    listed = FactorSpec("lang", ["a", "b"])  # kept as a tuple, so the spec hashes
+    assert listed == FactorSpec("lang", ("a", "b"))
+    assert hash(listed) == hash(FactorSpec("lang", ("a", "b")))
 
 
 def test_singleton_space():
@@ -324,6 +333,9 @@ def test_domain_from_dict_rejects_factor_values_that_are_not_a_list(web):
     # tuple("PY") would read as the two values "P" and "Y".
     data = domain_to_dict(web)
     data["factors"][0]["values"] = "PY"
+    with pytest.raises(DomainError, match="values must be a list"):
+        domain_from_dict(data)
+    data["factors"][0]["values"] = ["PHP", 7]
     with pytest.raises(DomainError, match="values must be a list"):
         domain_from_dict(data)
 

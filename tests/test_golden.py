@@ -49,7 +49,6 @@ from mtdsim.harness import (
     run_experiment,
 )
 from mtdsim.lp import solve_lp
-from oracles import uncertified
 
 GOLDEN_STEPS_SHA256 = {
     "net-evolving": "00bf2e629d48d6060b1ceb0cd79fe39bece7616624d7f4991a3709e998f51111",
@@ -282,10 +281,10 @@ def _solver_pin_problem(case: str):
 
 @cache
 def _pinned_solutions(case: str):
-    """The cold solve of ``case`` and the warm re-solve started from its basis."""
+    """The cold solve of ``case`` and the re-solve started from its certificate."""
     cold_lp, perturbed_lp = _solver_pin_problem(case)
     cold = solve_lp(cold_lp)
-    return cold, solve_lp(perturbed_lp, start=uncertified(cold))
+    return cold, solve_lp(perturbed_lp, start=cold)
 
 
 def _solution_digest(solution) -> str:

@@ -36,7 +36,9 @@ from mtdsim.harness import (
     ExperimentConfig,
     LinearityReport,
     avg_regret_bound_check,
+    check_alp_vs_value_iteration,
     check_estimator_recovery,
+    check_linear_regret,
     check_value_loss_bound,
     cold_posterior_table,
     hindsight_bounds,
@@ -379,6 +381,36 @@ def test_punishing_adversary_validation():
             theorem1_regret_experiment(horizons=horizons)
     with pytest.raises(DomainError, match="horizon must be an integer"):
         theorem1_regret_experiment(horizons=(10.5, 20))
+    with pytest.raises(DomainError, match="n_configs must be an integer"):  # not p = 0.4
+        theorem1_regret_experiment(n_configs=2.5)
+    for switch_cost in (True, float("nan")):  # True is no cost of 1.0
+        with pytest.raises(DomainError, match="switch.cost"):
+            theorem1_regret_experiment(switch_cost=switch_cost)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_alp_vs_value_iteration,
+        check_estimator_recovery,
+        check_value_loss_bound,
+        check_linear_regret,
+        theorem1_regret_experiment,
+    ],
+)
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed must be an integer"),
+        (1.5, "seed must be an integer"),
+        (-1, "seed must be >= 0"),
+    ],
+    ids=["bool", "float", "negative"],
+)
+def test_property_checks_share_the_run_seed_rule(check, seed, message):
+    # The rule resolve_run applies; numpy would take True as 1 and fail on -1 or 1.5.
+    with pytest.raises(DomainError, match=message):
+        check(seed=seed)
 
 
 def test_value_loss_bound_check_needs_a_perturbation():

@@ -1,10 +1,13 @@
 """Unit tests for the two-phase simplex solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mtdsim import alp as alp_module
 from mtdsim import lp
-from mtdsim.alp import build_alp, build_state_basis
+from mtdsim.alp import build_alp, build_state_basis, solve_alp
 from mtdsim.environments import make_network_domain, make_web_app_domain
 from mtdsim.harness import cold_posterior_table, perturb_posterior_table, random_posterior_table
 from mtdsim.lp import (
@@ -22,8 +25,8 @@ from oracles import (
     dense_pivot,
     enumerate_vertices,
     random_box_lp,
+    reference_dual_feasible,
     reference_run_simplex,
-    uncertified,
 )
 
 def test_single_variable_upper_bound():
@@ -73,7 +76,7 @@ def test_no_rows_and_no_cost_is_optimal_at_the_origin():
     sol = solve_lp(problem)
     assert sol.status == OPTIMAL and sol.basis == ()
     assert sol.x == pytest.approx([0.0, 0.0]) and sol.objective_value == 0.0
-    assert solve_lp(problem, start=uncertified(sol)).warm
+    assert solve_lp(problem, start=sol).warm
 
 
 def test_no_rows_with_finite_bounds_sits_at_best_corner():
@@ -253,8 +256,24 @@ def test_solution_dataclass_defaults():
 
 
 # ---------------------------------------------------------------------------
-# warm start from an earlier solution's basis
+# warm start from an earlier solution's certificate
 # ---------------------------------------------------------------------------
+
+
+def assert_same_solution(got, want):
+    """Bitwise equal: status, x, objective, basis and warm."""
+    assert got.status == want.status
+    assert (got.x is None) == (want.x is None)
+    if want.x is not None:
+        assert got.x.tobytes() == want.x.tobytes()
+    assert got.objective_value == want.objective_value
+    assert got.basis == want.basis and got.warm == want.warm
+
+
+def assert_optimal_vertex(problem, sol):
+    """``sol`` is optimal for ``problem``: its basis is dual feasible and its x primal feasible."""
+    assert sol.status == OPTIMAL and reference_dual_feasible(problem, sol)
+    assert np.all(problem.rows @ sol.x <= problem.bounds + 1e-7)
 
 
 def test_optimal_solution_reports_its_standard_form_basis():
@@ -262,7 +281,7 @@ def test_optimal_solution_reports_its_standard_form_basis():
     sol = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]))
     assert sol.basis == (1,)  # the "minus" half of x is basic, the slack is not
     assert not sol.warm
-    again = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]), start=uncertified(sol))
+    again = solve_lp(LPProblem(c=[1.0], rows=[[-1.0]], bounds=[7.0]), start=sol)
     assert again.warm and again.basis == sol.basis
     assert again.x == pytest.approx(sol.x, abs=1e-12)
 
@@ -277,7 +296,7 @@ def test_warm_start_after_bound_changes_matches_cold_solve_and_vertices():
             continue
         bounds = problem.bounds + rng.uniform(-0.1, 0.1, problem.n_rows)
         moved = LPProblem(problem.c, problem.rows, bounds)
-        warm = solve_lp(moved, start=uncertified(first))
+        warm = solve_lp(moved, start=first)
         cold = solve_lp(moved)
         oracle = enumerate_vertices(moved)
         compared += 1
@@ -286,12 +305,13 @@ def test_warm_start_after_bound_changes_matches_cold_solve_and_vertices():
         if oracle.status == OPTIMAL:
             assert warm.objective_value == pytest.approx(oracle.objective_value, abs=1e-7)
             assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
-            assert np.all(moved.rows @ warm.x <= moved.bounds + 1e-7)
+            assert_optimal_vertex(moved, warm)
     # Small moves keep most bases optimal; the rest must have fallen back.
     assert 0 < warm_hits < compared
 
 
 def test_warm_start_that_lost_dual_feasibility_falls_back_to_cold():
+    # Flipping c voids the certificate, so every start solves cold.
     rng = np.random.default_rng(22)
     fallbacks = 0
     for _ in range(40):
@@ -300,9 +320,10 @@ def test_warm_start_that_lost_dual_feasibility_falls_back_to_cold():
         if first.status != OPTIMAL:
             continue
         flipped = LPProblem(-problem.c, problem.rows, problem.bounds)
-        sol = solve_lp(flipped, start=uncertified(first))
-        fallbacks += not sol.warm
-        assert sol.status == OPTIMAL
+        sol = solve_lp(flipped, start=first)
+        fallbacks += 1
+        assert_same_solution(sol, solve_lp(flipped))
+        assert sol.status == OPTIMAL and not sol.warm
         assert sol.objective_value == pytest.approx(
             enumerate_vertices(flipped).objective_value, abs=1e-7
         )
@@ -319,45 +340,25 @@ def test_warm_start_with_a_cheaper_nonbasic_column_falls_back_to_cold():
     assert first.status == OPTIMAL and first.x == pytest.approx([-1.0, 0.0])
     assert 2 not in first.basis and 3 not in first.basis
     cheaper = LPProblem([1.0, -10.0], rows, bounds)
-    sol = solve_lp(cheaper, start=uncertified(first))
+    sol = solve_lp(cheaper, start=first)
     assert sol.status == OPTIMAL and not sol.warm
     assert sol.x == pytest.approx([-1.0, 2.0])
     assert sol.objective_value == pytest.approx(-21.0)
 
 
 def test_singular_start_falls_back_to_cold():
-    # Both halves of the split free variable are linearly dependent columns.
+    # A start without a certificate solves cold; its basis, here both halves
+    # of the split free variable (linearly dependent columns), is never read.
     problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
     sol = solve_lp(problem, start=LPSolution(OPTIMAL, basis=(0, 1)))
     assert sol.status == OPTIMAL and not sol.warm
     assert sol.x[0] == pytest.approx(-7.0)
-
-
-@pytest.mark.parametrize(
-    "basis",
-    [(0,), (0, 1, 2), (0, 4), (-1, 2), (2, 2), np.array([0.0, 2.0])],
-    ids=["short", "long", "out-of-range", "negative", "duplicate", "not-integer"],
-)
-def test_malformed_start_raises(basis):
-    # Two rows over one free variable: 2 split columns + 2 slacks, basis size 2.
-    problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
-    with pytest.raises(ValueError):
-        solve_lp(problem, start=LPSolution(OPTIMAL, basis=basis))
+    assert_same_solution(sol, solve_lp(problem))
 
 
 # ---------------------------------------------------------------------------
-# certified re-check: a warm solution as the start of the next solve
+# certified re-check: a solution as the start of the next solve
 # ---------------------------------------------------------------------------
-
-
-def assert_same_solution(got, want):
-    """Bitwise equal: status, x, objective, basis and warm."""
-    assert got.status == want.status
-    assert (got.x is None) == (want.x is None)
-    if want.x is not None:
-        assert got.x.tobytes() == want.x.tobytes()
-    assert got.objective_value == want.objective_value
-    assert got.basis == want.basis and got.warm == want.warm
 
 
 def test_certified_recheck_matches_the_full_check_and_vertices_on_random_boxes():
@@ -373,18 +374,19 @@ def test_certified_recheck_matches_the_full_check_and_vertices_on_random_boxes()
                 problem.c, problem.rows, problem.bounds + rng.uniform(-0.4, 0.4, problem.n_rows)
             )
             got = solve_lp(problem, start=prev)
-            assert_same_solution(got, solve_lp(problem, start=uncertified(prev)))
             oracle = enumerate_vertices(problem)
             assert got.status == oracle.status
             if got.status != OPTIMAL:
                 break
             assert got.objective_value == pytest.approx(oracle.objective_value, abs=1e-7)
+            assert_optimal_vertex(problem, got)
             compared += 1
-            if prev.warm and got.warm:
+            if got.warm:
                 rechecked += 1
-                assert got.certificate is prev.certificate  # re-checked, not re-certified
-            elif prev.warm:
+                assert got.certificate is prev.certificate and got.basis == prev.basis
+            else:
                 fallbacks += 1
+                assert_same_solution(got, solve_lp(problem))
             prev = got
     assert rechecked > 0 and fallbacks > 0
 
@@ -408,8 +410,12 @@ def test_certified_recheck_matches_the_full_check_on_replanned_alps(name):
             posterior = perturb_posterior_table(posterior, rng, scale=0.01)
         alp = build_alp(domain, posterior, previous=alp)  # new views of the same c and rows
         got = solve_lp(alp.lp, start=prev)
-        assert_same_solution(got, solve_lp(alp.lp, start=uncertified(prev)))
-        rechecked += prev.warm and got.certificate is prev.certificate
+        assert_optimal_vertex(alp.lp, got)
+        if got.warm:
+            rechecked += 1
+            assert got.certificate is prev.certificate and got.basis == prev.basis
+        else:
+            assert_same_solution(got, solve_lp(alp.lp))
         prev = got
     assert rechecked > 0
 
@@ -418,22 +424,20 @@ def test_a_certificate_for_another_c_or_rows_is_not_rechecked():
     # min x over x >= -1, |y| <= 2 (the cheaper-column example above).
     rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
     first = solve_lp(LPProblem([1.0, 0.0], rows, bounds))
-    sol = solve_lp(LPProblem([1.0, 0.0], rows, bounds + 0.5), start=uncertified(first))
+    sol = solve_lp(LPProblem([1.0, 0.0], rows, bounds + 0.5), start=first)
     assert sol.warm
     # Another c: the bounds alone would pass the primal re-check, but the
     # basis is no longer dual feasible.
     cheaper = LPProblem([1.0, -10.0], rows, bounds)
-    got = solve_lp(cheaper, start=sol)
-    assert not got.warm
-    assert_same_solution(got, solve_lp(cheaper, start=uncertified(sol)))
-    # Other rows (one scaled, same region): certified afresh, not re-checked.
+    # Other rows (one scaled, same region), where the basis would still be optimal.
     scaled = LPProblem([1.0, 0.0], rows * [[2.0], [1.0], [1.0]], bounds * [2.0, 1.0, 1.0])
-    got = solve_lp(scaled, start=sol)
-    assert got.warm and got.certificate is not sol.certificate
-    assert_same_solution(got, solve_lp(scaled, start=uncertified(sol)))
-    # Another shape: certifying the basis rejects the start.
-    with pytest.raises(ValueError):
-        solve_lp(LPProblem([1.0, 0.0], rows[:2], bounds[:2]), start=sol)
+    # Other shapes: one row fewer, and one variable more.
+    fewer = LPProblem([1.0, 0.0], rows[:2], bounds[:2])
+    wider = LPProblem([1.0, 0.0, 0.0], np.hstack([rows, np.zeros((3, 1))]), bounds)
+    for problem in [cheaper, scaled, fewer, wider]:
+        got = solve_lp(problem, start=sol)
+        assert not got.warm and got.certificate is not sol.certificate
+        assert_same_solution(got, solve_lp(problem))
 
 
 def test_a_failed_recheck_ends_on_the_cold_solution():
@@ -442,26 +446,39 @@ def test_a_failed_recheck_ends_on_the_cold_solution():
     rows, bounds = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0])
     c = [-1.0, -2.0]
     first = solve_lp(LPProblem(c, rows, bounds))
-    sol = solve_lp(LPProblem(c, rows, bounds * 2.0), start=uncertified(first))
+    sol = solve_lp(LPProblem(c, rows, bounds * 2.0), start=first)
     assert sol.warm and sol.x == pytest.approx([0.0, 2.0])
     moved = LPProblem(c, rows, [1.0, -0.5, 0.0])  # x >= 0.5
     got = solve_lp(moved, start=sol)
     assert not got.warm and got.x == pytest.approx([0.5, 0.5])
-    assert_same_solution(got, solve_lp(moved, start=uncertified(sol)))
     assert_same_solution(got, solve_lp(moved))
 
 
-def test_a_cold_solve_carries_no_certificate():
+def test_a_cold_solve_carries_a_certificate():
     problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
     cold = solve_lp(problem)
-    assert cold.status == OPTIMAL and cold.certificate is None and not cold.warm
-    # Starting from it certifies its basis, and the warm solution carries that certificate.
+    cert = cold.certificate
+    assert cold.status == OPTIMAL and not cold.warm and cert.basis == cold.basis
+    assert cert.c is not problem.c and cert.rows is not problem.rows
+    np.testing.assert_array_equal(cert.c, problem.c)
+    np.testing.assert_array_equal(cert.rows, problem.rows)
+    assert not (cert.c.flags.writeable or cert.rows.flags.writeable)
+    assert reference_dual_feasible(problem, cold)
+    # Starting from it re-checks that certificate, and the warm solution carries it on.
     again = solve_lp(problem, start=cold)
-    assert again.warm and again.certificate is not None
-    assert_same_solution(again, solve_lp(problem, start=uncertified(cold)))
-    assert solve_lp(problem, start=again).certificate is again.certificate
-    # A solution without a basis starts nothing.
-    assert_same_solution(solve_lp(problem, start=LPSolution(UNBOUNDED)), cold)
+    assert again.warm and again.certificate is cert and again.pivots == 0
+    assert solve_lp(problem, start=again).certificate is cert
+    # A start without a certificate solves cold, with or without a basis.
+    for start in [LPSolution(UNBOUNDED), replace(cold, certificate=None)]:
+        assert_same_solution(solve_lp(problem, start=start), cold)
+
+
+def test_a_warm_result_reports_the_certificates_basis():
+    problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[7.0, 2.0])
+    cold = solve_lp(problem)
+    for basis in [(0, 1, 2, 3), (-1, 9), None]:  # the start's own basis is never read
+        got = solve_lp(problem, start=replace(cold, basis=basis))
+        assert got.warm and got.basis == cold.certificate.basis == cold.basis
 
 
 def test_a_problem_on_the_certificates_own_arrays_is_rechecked_without_comparing(monkeypatch):
@@ -484,7 +501,8 @@ def test_a_problem_on_the_certificates_own_arrays_is_rechecked_without_comparing
 
 def test_rows_mutated_in_place_after_certification_are_certified_afresh():
     # min x over x >= -1, |y| <= 2; scaling the first row in place keeps the
-    # region, so the basis stays optimal but its certificate no longer applies.
+    # region, so the basis stays optimal, but its certificate no longer
+    # applies: the solve runs cold and issues a new one.
     rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
     problem = LPProblem([1.0, 0.0], rows, bounds)
     sol = solve_lp(problem, start=solve_lp(problem))
@@ -492,6 +510,60 @@ def test_rows_mutated_in_place_after_certification_are_certified_afresh():
     problem.rows[0] *= 2.0
     problem.bounds[0] *= 2.0
     got = solve_lp(problem, start=sol)
-    assert got.warm and got.certificate is not sol.certificate
+    assert not got.warm and got.certificate is not sol.certificate
     np.testing.assert_array_equal(got.certificate.rows, problem.rows)
-    assert_same_solution(got, solve_lp(problem, start=uncertified(sol)))
+    assert_same_solution(got, solve_lp(problem))
+
+
+def _recorded_alp_solves(monkeypatch, name: str) -> list:
+    """Every ``(problem, solution)`` of ``solve_alp`` on ``name``'s ALP over a chain of beliefs.
+
+    The chain starts at the cold belief, drifts by small perturbations and
+    jumps to a random belief twice, each re-plan built on the last problem.
+    """
+    rng = np.random.default_rng(5)
+    if name.startswith("web"):
+        domain = make_web_app_domain()
+        basis = build_state_basis(domain.space) if name == "web-state" else None
+    else:
+        domain, basis = make_network_domain(np.random.default_rng(0), n_nodes=int(name[-1])), None
+    solves = []
+
+    def recorded(problem, start=None):
+        solves.append((problem, solve_lp(problem, start=start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(alp_module, "solve_lp", recorded)
+    posterior, problem = cold_posterior_table(domain), None
+    for step in range(8):
+        if step % 4 == 3:
+            posterior = random_posterior_table(domain, rng)
+        elif step:
+            posterior = perturb_posterior_table(posterior, rng, scale=0.02)
+        problem = build_alp(domain, posterior, basis, previous=problem)
+        solve_alp(problem)
+    return solves
+
+
+def test_every_optimal_basis_is_dual_feasible(monkeypatch):
+    # The solver issues a certificate without solving for the row duals; the
+    # oracle solves for them on a standard form of its own.
+    rng = np.random.default_rng(29)
+    checked = {False: 0, True: 0}  # by warm
+    for _ in range(150):
+        problem = random_box_lp(rng)
+        sol = solve_lp(problem)
+        for _ in range(4):  # a chain of bound moves, cold and warm solves alike
+            if sol.status != OPTIMAL:
+                break
+            assert reference_dual_feasible(problem, sol)
+            checked[sol.warm] += 1
+            problem = LPProblem(
+                problem.c, problem.rows, problem.bounds + rng.uniform(-0.2, 0.2, problem.n_rows)
+            )
+            sol = solve_lp(problem, start=sol)
+    for name in ["web-factored", "web-state", "net2", "net3", "net4", "net5"]:
+        for problem, sol in _recorded_alp_solves(monkeypatch, name):
+            assert sol.status == OPTIMAL and reference_dual_feasible(problem, sol), name
+            checked[sol.warm] += 1
+    assert min(checked.values()) > 50, checked
