@@ -31,10 +31,14 @@ different optimal vertices, at one objective, whose greedy policies differ.
 
 Re-planning reuses the previous program: under an equal belief ``build_alp``
 hands back the previous problem itself, whose weights and policy
-``solve_alp`` and ``extract_policy`` keep, so nothing is rebuilt or solved;
-under a new belief only the bounds are rebuilt, and the solve starts on the
-previous working set from its last solution, whose certified basis then
-needs only a primal feasibility re-check (see ``lp``) before one scan.
+``solve_alp`` and ``extract_policy`` keep, so nothing is rebuilt or solved.
+The estimator hands back the very table it was asked for last until its
+belief moves (see ``estimator``), and a problem keeps that read-only table
+itself, so an unmoved re-plan is recognised by identity and compares
+nothing.  Under a new belief only the bounds are rebuilt, and the solve
+starts on the previous working set from its last solution, whose certified
+basis then needs only a primal feasibility re-check (see ``lp``) before one
+scan.
 
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
@@ -52,7 +56,7 @@ from .domain import ConfigSpace, DomainError, DomainInfo, expected_reward_table
 
 # Not called here; the benchmark's tracer wraps these names in this module.
 from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
-from .lp import FEAS_TOL, INFEASIBLE, LPProblem, LPSolution, UNBOUNDED, solve_lp
+from .lp import FEAS_TOL, INFEASIBLE, LPProblem, LPSolution, NumericalError, UNBOUNDED, solve_lp
 
 TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
 VI_TOL = 1e-10  # value iteration stops once no value moves by this much
@@ -104,7 +108,7 @@ class ALProblem:
     basis: Basis
     lp: LPProblem
     rewards: np.ndarray  # (S, A) expected rewards R(s, a); lp.bounds is -rewards
-    posterior: np.ndarray | None = None  # read-only copy of the belief the rewards come from
+    posterior: np.ndarray | None = None  # read-only belief the rewards come from
     working_set: np.ndarray | None = None  # read-only rows of lp that lp_solution solved
     lp_solution: LPSolution | None = None  # solution over working_set; the next solve starts there
     weights: np.ndarray | None = None  # set by solve_alp
@@ -114,6 +118,22 @@ class ALProblem:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """``table`` itself if it is a read-only float array owning its data, else a read-only copy.
+
+    A writeable array, or a view of one, is copied, so a caller that changes
+    it in place cannot make a later belief look equal to this one.
+    """
+    if (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.float64
+        and table.base is None
+        and not table.flags.writeable
+    ):
+        return table
+    return _read_only(np.array(table, dtype=float))
 
 
 def build_alp(
@@ -129,15 +149,19 @@ def build_alp(
     function by its mean activation over configurations (uniform theta).
 
     ``previous``, a problem built for the same domain and basis, is returned
-    itself when ``posterior_table`` equals the belief it was built from: the
-    same belief gives the same program.  Otherwise it lends its basis, rows,
-    objective, working set and last LP solution, so only the rewards and the
-    bounds are computed.
+    itself when ``posterior_table`` is or equals the belief it was built
+    from: the same belief gives the same program.  Otherwise it lends its
+    basis, rows, objective, working set and last LP solution, so only the
+    rewards and the bounds are computed.  A read-only float table is kept as
+    ``ALProblem.posterior`` itself, so handing the same table back costs one
+    identity test; any other table is kept as a read-only copy.
     """
     if previous is not None:
         if previous.domain is not domain or basis not in (None, previous.basis):
             raise DomainError("previous problem was built for another domain or basis")
-        if np.array_equal(posterior_table, previous.posterior):
+        if posterior_table is previous.posterior or np.array_equal(
+            posterior_table, previous.posterior
+        ):
             return previous
         basis, objective, rows = previous.basis, previous.lp.c, previous.lp.rows
         working_set, start = previous.working_set, previous.lp_solution
@@ -149,7 +173,7 @@ def build_alp(
         rows = (domain.gamma * B[None, :, :] - B[:, None, :]).reshape(S * S, k)
         objective = np.full(S, 1.0 / S) @ B  # E_theta[beta_i] per basis function
         working_set = start = None
-    posterior = _read_only(np.array(posterior_table, dtype=float))
+    posterior = _frozen(posterior_table)
     rewards = expected_reward_table(domain, posterior)
     lp = LPProblem(c=objective, rows=rows, bounds=-rewards.reshape(-1))
     return ALProblem(domain, basis, lp, rewards, posterior, working_set, start)
@@ -166,7 +190,9 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
     unbounded round is followed by one over every row.  ``alp.working_set``
     and ``alp.lp_solution`` keep the final set and its solution for the next
     re-plan.  A solved problem is not solved again: later calls return the
-    same read-only ``alp.weights``.  Raises if the program is degenerate.
+    same read-only ``alp.weights``.  Raises ``RuntimeError`` if the program
+    is infeasible or unbounded, and lets a ``NumericalError`` of the solver
+    through with the program's size.
     """
     if alp.weights is not None:
         return alp.weights
@@ -181,7 +207,15 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
             program = LPProblem(start.certificate.c, start.certificate.rows, full.bounds[rows])
         else:
             program = LPProblem(full.c, full.rows[rows], full.bounds[rows])
-        sol = solve_lp(program, start=start)
+        try:
+            sol = solve_lp(program, start=start)
+        except NumericalError as err:
+            raise NumericalError(
+                f"approximate LP: {err} ({rows.size} of {full.n_rows} rows, "
+                f"{full.n_vars} basis functions)",
+                err.pivots,
+                err.residual,
+            ) from err
         if sol.status == INFEASIBLE:
             raise RuntimeError("approximate LP infeasible - constraint assembly bug")
         if sol.status == UNBOUNDED:

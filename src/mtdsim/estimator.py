@@ -10,11 +10,27 @@ The belief over types at a pair (s, a) normalizes the success counts against
 each type's success rate: a type that succeeds often relative to how often it
 *would* succeed is likely the one attacking.  The unknown catch-all type has
 no catalogued rate and scores with rate 1.
+
+The estimator keeps its last posterior table, read-only, and hands back that
+same object until an update moves the belief.  Decay divides every count by
+the same beta and the belief is a ratio of counts, so an update moves it only
+
+- on a credited success;
+- when a count snaps to zero.  The estimator keeps the smallest nonzero
+  count, which decays bitwise as every count does; correctly rounded division
+  is monotone, so no count snaps unless that one does;
+- when beta is not a power of two and some cell holds two or more nonzero
+  types, whose scores and totals may then round differently.
+
+In every other case a rebuild gives the same bytes: a power-of-two beta
+scales every score and total exactly, and a cell with one nonzero type reads
+exactly 1.0 for it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -31,14 +47,21 @@ def check_beta(beta: float) -> None:
 
 
 class ThreatEstimator:
-    """Decayed success counts and the derived attacker-type posterior."""
+    """Decayed success counts and the derived attacker-type posterior.
+
+    ``counts`` is read-only to callers: only ``update`` and ``from_dict``
+    write it, and both reset what the estimator keeps.
+    """
 
     def __init__(self, domain: DomainInfo, beta: float = DEFAULT_BETA):
         check_beta(beta)
         self.domain = domain
         self.beta = float(beta)
+        self._exact_decay = math.frexp(self.beta)[0] == 0.5  # beta is a power of two
         n, s = domain.n_types, domain.n_configs
-        self.counts = np.zeros((n, s, s))
+        self._counts = np.zeros((n, s, s))
+        self._counts_view = self._counts.view()
+        self._counts_view.flags.writeable = False
         # Scoring rates: catalogued types use their true success rate, the
         # unknown type scores with rate 1 (no catalogue entry to compare to).
         eff = domain.mu_table.copy()
@@ -51,22 +74,52 @@ class ThreatEstimator:
         n_capable = capable.sum(axis=0)  # (A,)
         with np.errstate(divide="ignore", invalid="ignore"):
             self._fallback = np.where(n_capable > 0, capable / n_capable, 0.0)  # (n_types, A)
+        self._recount()
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The (n_types, S, A) decayed success counts, as a read-only view."""
+        return self._counts_view
+
+    def _recount(self) -> None:
+        """Re-derive what is kept from the counts, and drop the kept table."""
+        live = self._counts > 0.0
+        self._least = float(np.min(self._counts, where=live, initial=np.inf))
+        # Whether a decay alone moves the belief (see the module docstring).
+        self._decay_moves = not self._exact_decay and bool((live.sum(axis=0) >= 2).any())
+        self._table = None  # built by posterior_table on demand
+
+    def _check_cell(self, state: int, action: int) -> None:
+        # A negative index would read or credit state S-1 silently.
+        S = self.domain.n_configs
+        if not (0 <= state < S and 0 <= action < S):
+            raise DomainError(f"cell ({state}, {action}) out of range")
 
     def update(self, tau: int, state: int, action: int, phi: int) -> None:
         """Decay all counts by beta, then credit the cell on a success.
 
         Decayed counts below a tiny floor are snapped to zero so that
         abandoned cells genuinely forget (a pure ratio would otherwise stay
-        concentrated forever regardless of decay).
+        concentrated forever regardless of decay).  The kept posterior table
+        is dropped only when the update moves the belief.
         """
-        self.counts /= self.beta
-        self.counts[self.counts < COUNT_FLOOR] = 0.0
         if phi:
             if not 0 <= tau < self.domain.n_types:
                 raise DomainError(f"type index {tau} out of range")
-            if not (0 <= state < self.domain.n_configs and 0 <= action < self.domain.n_configs):
-                raise DomainError(f"cell ({state}, {action}) out of range")
-            self.counts[tau, state, action] += 1.0
+            self._check_cell(state, action)
+        self._counts /= self.beta
+        least = self._least / self.beta  # bitwise the smallest count after the decay
+        snapped = least < COUNT_FLOOR
+        if snapped:
+            self._counts[self._counts < COUNT_FLOOR] = 0.0
+        if phi:
+            self._counts[tau, state, action] += 1.0
+        if phi or snapped:
+            self._recount()
+        else:
+            self._least = least
+            if self._decay_moves:
+                self._table = None
 
     def posterior(self, state: int, action: int) -> np.ndarray:
         """Belief over attacker types for the pair (state, action).
@@ -76,15 +129,23 @@ class ThreatEstimator:
         score is zero the belief falls back to uniform over the types capable
         of succeeding against the target — or all zeros if none are.
         """
+        self._check_cell(state, action)
         return self.posterior_table()[:, state, action]
 
     def posterior_table(self) -> np.ndarray:
-        """Full (n_types, S, A) belief table; see :meth:`posterior`."""
-        eff = self._eff_mu[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(eff > 0.0, self.counts / eff, 0.0)
-            totals = scores.sum(axis=0)  # (S, A)
-            return np.where(totals > 0.0, scores / totals, self._fallback[:, None, :])
+        """Full (n_types, S, A) belief table, read-only; see :meth:`posterior`.
+
+        The same object is returned until an update moves the belief.
+        """
+        if self._table is None:
+            eff = self._eff_mu[:, None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scores = np.where(eff > 0.0, self._counts / eff, 0.0)
+                totals = scores.sum(axis=0)  # (S, A)
+                table = np.where(totals > 0.0, scores / totals, self._fallback[:, None, :])
+            table.flags.writeable = False
+            self._table = table
+        return self._table
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +174,8 @@ class ThreatEstimator:
             raise DomainError("estimator checkpoint count table has the wrong shape")
         if np.any(counts < 0) or np.any(~np.isfinite(counts)):
             raise DomainError("estimator checkpoint counts must be finite and >= 0")
-        est.counts = counts
+        est._counts[...] = counts
+        est._recount()
         return est
 
     @classmethod

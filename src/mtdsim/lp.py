@@ -23,6 +23,12 @@ tight system is solved for the current bounds, and the vertex is returned if
 its basic values and every slack are nonnegative.  Any other start (no
 certificate, another objective, other or differently shaped rows), or a
 failed primal check, solves with the two-phase method.
+
+Phase 1 minimises the sum of the artificial variables, which is bounded
+below by 0, so it cannot be unbounded.  When its ratio test nonetheless
+finds no pivot row, the tableau has broken down numerically and the solver
+cannot tell the problem's status: it raises ``NumericalError`` with the pivot
+count and the phase-1 residual instead of guessing one.
 """
 
 from __future__ import annotations
@@ -38,6 +44,19 @@ MAX_ITER = 100_000  # pivots per simplex phase before giving up
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+class NumericalError(RuntimeError):
+    """The simplex broke down numerically, so the problem's status is unknown.
+
+    ``pivots`` counts the pivots run before the breakdown and ``residual`` is
+    the phase-1 objective, the summed artificial values, where it stopped.
+    """
+
+    def __init__(self, message: str, pivots: int, residual: float):
+        super().__init__(message)
+        self.pivots = pivots
+        self.residual = residual
 
 
 @dataclass
@@ -215,6 +234,9 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
 def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
     """Two-phase simplex; returns status optimal/infeasible/unbounded.
 
+    Raises ``NumericalError`` when phase 1 breaks down (see the module
+    docstring).
+
     ``start`` is an optional earlier solution.  When its certificate was
     issued for this ``c`` and these ``rows`` (no comparison runs when the
     problem holds the certificate's own arrays) and its basis is primal
@@ -261,9 +283,15 @@ def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
     pivots = 0
     if n_art:
         status, pivots = _run_simplex(tab, basis, MAX_ITER)
-        if status != OPTIMAL:  # phase 1 cannot be unbounded; defensive
-            return LPSolution(INFEASIBLE)
-        if -tab[-1, -1] > SOL_TOL:
+        residual = float(-tab[-1, -1])
+        if status != OPTIMAL:  # phase 1 is bounded below by 0
+            raise NumericalError(
+                f"phase 1 stopped {status} after {pivots} pivots "
+                f"at a residual of {residual:.3g}",
+                pivots,
+                residual,
+            )
+        if residual > SOL_TOL:
             return LPSolution(INFEASIBLE)
         # Drive surviving artificials out of the basis (degenerate rows).  The
         # slack columns make [A | I] full row rank, so each such row has a

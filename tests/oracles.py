@@ -12,10 +12,11 @@ environment step that draws the type with ``Generator.choice(p=)`` and
 computes the reward on the domain's arrays.  The posterior oracle is the
 estimator's belief table computed cell by cell, with the capability mask and
 fallback rebuilt from the domain.  The planner oracle is the adaptive
-defender's loop re-planning at every scheduled step, with nothing kept
-between re-plans but the last LP solution.  ``reference_network_domain``
-builds the network domain configuration by configuration, with the switching
-costs counted from a (state, action, node) table.
+defender's loop re-planning at every scheduled step from that posterior
+oracle, with nothing kept between re-plans but the last LP solution.
+``reference_network_domain`` builds the network domain configuration by
+configuration, with the switching costs counted from a (state, action, node)
+table.
 """
 
 from __future__ import annotations
@@ -295,18 +296,20 @@ def reference_ata_fmdp_run(
 ) -> list[StepRecord]:
     """``strategies.ata_fmdp_run`` re-planning at every scheduled step, moved belief or not.
 
-    Each re-plan rebuilds the rewards and bounds from the posterior table,
-    solves the LP starting from the last ``LPSolution`` and scores the greedy
-    policy; only the objective, rows and basis of the first program are reused.
+    Each re-plan rebuilds the belief from the counts with
+    ``reference_posterior_table``, never reading the table the estimator
+    keeps, then the rewards and bounds; it solves the LP starting from the
+    last ``LPSolution`` and scores the greedy policy.  Only the objective,
+    rows and basis of the first program are reused.
     """
     estimator = ThreatEstimator(domain, beta=beta)
-    program = build_alp(domain, estimator.posterior_table())
+    program = build_alp(domain, reference_posterior_table(estimator))
     solution: LPSolution | None = None
     policy: np.ndarray | None = None
     records: list[StepRecord] = []
     for t in range(T):
         if policy is None or (reopt_period is not None and t % reopt_period == 0):
-            rewards = expected_reward_table(domain, estimator.posterior_table())
+            rewards = expected_reward_table(domain, reference_posterior_table(estimator))
             lp = LPProblem(program.lp.c, program.lp.rows, -rewards.reshape(-1))
             solution = solve_lp(lp, start=solution)
             values = program.basis.activations @ solution.x

@@ -14,6 +14,7 @@ import pytest
 from mtdsim import alp as alp_module
 from mtdsim.alp import (
     ALProblem,
+    Basis,
     alp_to_dict,
     build_alp,
     build_basis,
@@ -32,6 +33,7 @@ from mtdsim.domain import (
     DomainError,
     DomainInfo,
     FactorSpec,
+    expected_attack_loss_table,
     expected_reward_table,
 )
 from mtdsim.environments import make_network_domain, make_web_app_domain
@@ -41,7 +43,7 @@ from mtdsim.harness import (
     random_posterior_table,
 )
 from mtdsim.estimator import ThreatEstimator
-from mtdsim.lp import FEAS_TOL, OPTIMAL, LPProblem, solve_lp
+from mtdsim.lp import FEAS_TOL, OPTIMAL, SOL_TOL, LPProblem, NumericalError, solve_lp
 
 
 def small_space(sizes=(2, 3, 2)) -> ConfigSpace:
@@ -249,6 +251,37 @@ def test_solve_alp_raises_on_degenerate_programs():
     )
     with pytest.raises(RuntimeError, match="infeasible"):
         solve_alp(ALProblem(web, basis, infeasible, np.zeros((4, 4))))
+
+
+def test_a_phase_1_breakdown_is_never_reported_infeasible():
+    # A 7-node network under the cold belief, with the factored basis plus a
+    # column of each configuration's cold expected loss.  Phase 1 on the stay
+    # rows pivots on entries just above FEAS_TOL and stops with no pivot row
+    # after 762 pivots, at a residual of 5.3e-11.  The program is feasible:
+    # w0 = max R / (1 - gamma), with every other weight 0, satisfies every row.
+    domain = make_network_domain(np.random.default_rng(0), n_nodes=7)
+    cold = cold_posterior_table(domain)
+    loss = expected_attack_loss_table(domain, cold)[0]  # the loss depends on the target only
+    factored = build_basis(domain.space)
+    basis = Basis(
+        factored.names + ("cold loss",), np.column_stack([factored.activations, loss])
+    )
+    problem = build_alp(domain, cold, basis)
+    S = domain.n_configs
+    stay = np.arange(0, S * S, S + 1)
+    program = LPProblem(problem.lp.c, problem.lp.rows[stay], problem.lp.bounds[stay])
+    try:
+        solution = solve_lp(program)
+    except NumericalError as err:
+        assert err.pivots > 0 and 0.0 <= err.residual <= SOL_TOL
+    else:
+        assert solution.status == OPTIMAL
+    try:
+        weights = solve_alp(problem)
+    except NumericalError as err:
+        assert f"({S} of {S * S} rows, {len(basis.names)} basis functions)" in str(err)
+    else:
+        assert np.max(problem.lp.rows @ weights - problem.lp.bounds) <= FEAS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +501,36 @@ def test_mutating_the_callers_posterior_in_place_misses_the_memo(lp_solves):
     assert len(lp_solves) > solved
 
 
+def test_a_writeable_posterior_is_kept_as_a_copy():
+    web = make_web_app_domain()
+    posterior = random_posterior_table(web, np.random.default_rng(7))
+    problem = build_alp(web, posterior)
+    assert problem.posterior is not posterior
+    assert not np.shares_memory(problem.posterior, posterior)
+    np.testing.assert_array_equal(problem.posterior, posterior)
+    # A read-only view of a writeable array can still change under it.
+    view = posterior.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(build_alp(web, view).posterior, posterior)
+
+
+def test_the_estimators_unmoved_table_is_handed_back_without_a_comparison(monkeypatch):
+    web = make_web_app_domain()
+    estimator = ThreatEstimator(web)
+    estimator.update(1, 2, 3, phi=1)
+    table = estimator.posterior_table()
+    first = build_alp(web, table)
+    assert first.posterior is table  # read-only and owning its data: kept, not copied
+    estimator.update(0, 2, 3, phi=0)  # a power-of-two decay of a one-type cell
+    assert estimator.posterior_table() is table
+
+    def no_comparison(*args, **kwargs):
+        raise AssertionError("an identical table was compared")
+
+    monkeypatch.setattr(np, "array_equal", no_comparison)
+    assert build_alp(web, estimator.posterior_table(), previous=first) is first
+
+
 def test_kept_weights_policy_and_posterior_are_read_only():
     web = make_web_app_domain()
     problem = build_alp(web, cold_posterior_table(web))
@@ -528,12 +591,13 @@ def oracle_domain(name: str, seed: int = 0) -> DomainInfo:
 
 def sparse_posterior_table(domain: DomainInfo, rng: np.random.Generator) -> np.ndarray:
     """A belief as a run holds it: a few credited (type, state, action) cells."""
-    estimator = ThreatEstimator(domain)
     S = domain.n_configs
+    counts = np.zeros((domain.n_types, S, S))
     for _ in range(8):
         cell = rng.integers(domain.n_types), rng.integers(S), rng.integers(S)
-        estimator.counts[cell] += rng.uniform(0.1, 2.0)
-    return estimator.posterior_table()
+        counts[cell] += rng.uniform(0.1, 2.0)
+    data = {**ThreatEstimator(domain).to_dict(), "counts": counts.tolist()}
+    return ThreatEstimator.from_dict(domain, data).posterior_table()
 
 
 @pytest.mark.parametrize("name", ["web", "net2", "net3", "net4", "net5"])

@@ -27,6 +27,12 @@ def one_cell_domain():
     return DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9)
 
 
+def with_counts(domain, counts, beta=2.0):
+    """An estimator holding ``counts``, set the way a checkpoint sets them."""
+    data = {**ThreatEstimator(domain, beta=beta).to_dict(), "counts": np.asarray(counts).tolist()}
+    return ThreatEstimator.from_dict(domain, data)
+
+
 def test_beta_validation():
     for beta in (0.5, np.inf, np.nan):
         with pytest.raises(DomainError):
@@ -35,19 +41,20 @@ def test_beta_validation():
 
 
 def test_update_decays_then_credits():
-    est = ThreatEstimator(one_cell_domain(), beta=2.0)
-    est.counts[0, 0, 0] = 4.0
+    four = np.array([4.0, 0.0, 0.0]).reshape(3, 1, 1)
+    est = with_counts(one_cell_domain(), four, beta=2.0)
     est.update(0, 0, 0, phi=0)
     assert est.counts[0, 0, 0] == pytest.approx(2.0)
-    est.counts[0, 0, 0] = 4.0
+    est = with_counts(one_cell_domain(), four, beta=2.0)
     est.update(0, 0, 0, phi=1)
     assert est.counts[0, 0, 0] == pytest.approx(3.0)  # 4/2 + 1
 
 
 def test_decay_is_global_across_cells():
     web = make_web_app_domain()
-    est = ThreatEstimator(web, beta=2.0)
-    est.counts[1, 0, 0] = 4.0
+    counts = np.zeros((3, 4, 4))
+    counts[1, 0, 0] = 4.0
+    est = with_counts(web, counts, beta=2.0)
     est.update(1, 0, 1, phi=1)
     assert est.counts[1, 0, 0] == pytest.approx(2.0)  # decayed though untouched
     assert est.counts[1, 0, 1] == pytest.approx(1.0)
@@ -76,20 +83,43 @@ def test_update_rejects_a_credited_cell_out_of_range(state, action):
     assert not est.counts.any()
 
 
+@pytest.mark.parametrize("state, action", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+def test_posterior_rejects_a_cell_out_of_range(state, action):
+    est = ThreatEstimator(make_web_app_domain())
+    with pytest.raises(DomainError, match="out of range"):
+        est.posterior(state, action)  # -1 would read state S-1 by negative indexing
+
+
+def test_counts_are_read_only_to_callers():
+    est = ThreatEstimator(make_web_app_domain())
+    est.update(0, 1, 2, phi=1)
+    with pytest.raises(ValueError, match="read-only"):
+        est.counts[0, 1, 2] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        est.counts[...] *= 2.0
+    with pytest.raises(AttributeError):
+        est.counts = np.zeros((3, 4, 4))
+    assert est.counts[0, 1, 2] == 1.0
+    table = est.posterior_table()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1.0
+
+
 def test_posterior_normalizes_capability_scores():
-    est = ThreatEstimator(one_cell_domain())
-    est.counts[0, 0, 0] = 2.0  # score 2 / 0.5 = 4
-    est.counts[1, 0, 0] = 1.0  # unknown scores with rate 1 -> 1
-    est.counts[2, 0, 0] = 3.0  # incapable: excluded no matter the count
+    counts = np.zeros((3, 1, 1))
+    counts[0, 0, 0] = 2.0  # score 2 / 0.5 = 4
+    counts[1, 0, 0] = 1.0  # unknown scores with rate 1 -> 1
+    counts[2, 0, 0] = 3.0  # incapable: excluded no matter the count
+    est = with_counts(one_cell_domain(), counts)
     np.testing.assert_allclose(est.posterior(0, 0), [0.8, 0.2, 0.0])
 
 
 def test_posterior_scale_invariance():
-    est = ThreatEstimator(one_cell_domain())
-    est.counts[0, 0, 0] = 2.0
-    est.counts[1, 0, 0] = 1.0
-    before = est.posterior(0, 0)
-    est.counts *= 17.0
+    counts = np.zeros((3, 1, 1))
+    counts[0, 0, 0] = 2.0
+    counts[1, 0, 0] = 1.0
+    before = with_counts(one_cell_domain(), counts).posterior(0, 0)
+    est = with_counts(one_cell_domain(), counts * 17.0)
     np.testing.assert_allclose(est.posterior(0, 0), before)
 
 
@@ -153,6 +183,42 @@ def test_posterior_table_is_bitwise_the_reference_formula(name, beta):
         tau, state, action = (int(v) for v in rng.integers((n, s, s)))
         est.update(tau, state, action, int(rng.random() < 0.6))
         assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
+    # Bursts of credits on three cells, each followed by a quiet stretch long
+    # enough for every count to snap at beta = 1.2 (1.2**160 > 1e12).
+    domain = REFERENCE_DOMAINS[name]()
+    est = ThreatEstimator(domain, beta=beta)
+    rng = np.random.default_rng(11)
+    n, S = domain.n_types, domain.n_configs
+    cells = [tuple(int(v) for v in rng.integers(S, size=2)) for _ in range(3)]
+    seen = {"credit": 0, "snap": 0, "multi-type decay": 0, "kept": 0}
+    table = est.posterior_table()
+    for step in range(3 * 220):
+        before = est.counts.copy()
+        phi = step % 220 < 60 and rng.random() < 0.5
+        tau = int(rng.integers(n))
+        state, action = cells[int(rng.integers(3))]
+        est.update(tau, state, action, phi)
+        snap = bool(np.any((before > 0.0) & (before / beta < COUNT_FLOOR)))
+        # Only a power of two divides every score and total exactly.
+        multi = beta not in (1.0, 2.0, 4.0) and bool(np.any((before > 0.0).sum(axis=0) >= 2))
+        moved = phi or snap or multi
+        seen["credit"] += phi
+        seen["snap"] += snap
+        seen["multi-type decay"] += multi and not (phi or snap)
+        last, table = table, est.posterior_table()
+        assert table.tobytes() == reference_posterior_table(est).tobytes()
+        assert (table is last) == (not moved)
+        seen["kept"] += table is last
+    assert seen["credit"] and seen["kept"]
+    if beta > 1.0:
+        assert seen["snap"]
+    if beta == 1.2:
+        assert seen["multi-type decay"]
 
 
 def test_posterior_table_of_a_checkpoint_is_bitwise_the_reference_formula():

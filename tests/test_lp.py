@@ -66,6 +66,21 @@ def test_unbounded_ray():
     assert sol.status == UNBOUNDED
 
 
+def test_a_phase_1_breakdown_raises_with_its_pivots_and_residual(monkeypatch):
+    # Phase 1 is bounded below by 0; a ratio test that finds no row is a breakdown.
+    run_simplex = lp._run_simplex
+
+    def breaks_down(tab, basis, max_iter):
+        status, pivots = run_simplex(tab, basis, max_iter)
+        return UNBOUNDED, pivots
+
+    monkeypatch.setattr(lp, "_run_simplex", breaks_down)
+    problem = LPProblem(c=[1.0], rows=[[-1.0], [1.0]], bounds=[-2.0, 3.0])  # 2 <= x <= 3
+    with pytest.raises(lp.NumericalError, match="stopped unbounded after 1 pivots") as info:
+        solve_lp(problem)
+    assert info.value.pivots == 1 and info.value.residual == 0.0
+
+
 def test_unbounded_without_rows():
     sol = solve_lp(LPProblem(c=[-1.0], rows=np.zeros((0, 1)), bounds=np.zeros(0)))
     assert sol.status == UNBOUNDED
