@@ -129,9 +129,10 @@ class AttackerTypeSpec:
         object.__setattr__(self, "loss", loss)
         if mu.shape != loss.shape:
             raise DomainError(f"type {self.id!r}: mu and loss shapes differ")
-        if np.any(~np.isfinite(mu)) or np.any((mu < 0) | (mu > 1)):
+        # One min and one max per array; a NaN makes them NaN, which fails every comparison.
+        if not (mu.min(initial=0.0) >= 0.0 and mu.max(initial=1.0) <= 1.0):
             raise DomainError(f"type {self.id!r}: mu must lie in [0, 1]")
-        if np.any(~np.isfinite(loss)) or np.any(loss < 0):
+        if not (loss.min(initial=0.0) >= 0.0 and loss.max(initial=0.0) < np.inf):
             raise DomainError(f"type {self.id!r}: losses must be finite and >= 0")
 
     @classmethod

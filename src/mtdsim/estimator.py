@@ -107,7 +107,8 @@ class ThreatEstimator:
             if not 0 <= tau < self.domain.n_types:
                 raise DomainError(f"type index {tau} out of range")
             self._check_cell(state, action)
-        self._counts /= self.beta
+        if self._least < math.inf:  # an all-zero table decays to itself: +0 / beta is +0
+            self._counts /= self.beta
         least = self._least / self.beta  # bitwise the smallest count after the decay
         snapped = least < COUNT_FLOOR
         if snapped:

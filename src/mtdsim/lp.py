@@ -1,4 +1,4 @@
-"""Small dense linear programs via the two-phase simplex method.
+"""Small dense linear programs via the simplex method: two-phase, or a dual restart.
 
 Problems are stated as: minimize ``c @ x`` subject to ``rows @ x <= bounds``
 with every variable free; a bound on a variable is one more row.  Pivoting
@@ -14,21 +14,36 @@ only have +-0 subtracted, which leaves its values unchanged: at most a -0.0
 would have become +0.0.  The solver divides only by entries above
 ``FEAS_TOL``, so the sign of a zero never reaches a nonzero value.
 
-Every optimal two-phase solve issues a ``Certificate`` for its final basis.
-Phase 2 stops only once every reduced cost is >= -``FEAS_TOL``, so that basis
+Every optimal solve issues a ``Certificate`` for its final basis.  The
+simplex stops only once every reduced cost is >= -``FEAS_TOL``, so that basis
 is dual feasible for the problem's ``c`` and ``rows``, which does not depend
-on the bounds.  A later solve may start from the solution: when the problem's
-``c`` and ``rows`` equal the certified ones, one primal check decides.  The
-tight system is solved for the current bounds, and the vertex is returned if
-its basic values and every slack are nonnegative.  Any other start (no
-certificate, another objective, other or differently shaped rows), or a
-failed primal check, solves with the two-phase method.
+on the bounds.  A later solve may start from the solution in two ways:
+
+- Same rows, new bounds: when the problem's ``c`` and ``rows`` equal the
+  certified ones, one primal check decides.  The tight system is solved for
+  the current bounds, and the vertex is returned if its basic values and
+  every slack are nonnegative.
+- Added rows (``kept`` names where the certified rows sit among the
+  problem's): the certified basis plus the new rows' slacks is still dual
+  feasible, since a new row's dual is 0.  Its tableau takes one pivot per
+  basic structural column, on the certificate's tight rows, and a dual
+  simplex (Bland's dual rule: the lowest-index infeasible basic variable
+  leaves, the minimum ratio enters, lowest column on ties) pivots until the
+  new rows hold.  It ends on a
+  primal pass that confirms every reduced cost, as phase 2 does.  When a
+  leaving row has no entering column, its multipliers must check as a
+  Farkas proof on the problem's own rows and bounds for the solver to
+  report the problem infeasible; otherwise it raises ``NumericalError``.
+
+Any other start (no certificate, another objective, other or differently
+shaped rows), or a failed primal check, solves with the two-phase method.
 
 Phase 1 minimises the sum of the artificial variables, which is bounded
 below by 0, so it cannot be unbounded.  When its ratio test nonetheless
 finds no pivot row, the tableau has broken down numerically and the solver
 cannot tell the problem's status: it raises ``NumericalError`` with the pivot
-count and the phase-1 residual instead of guessing one.
+count and the phase-1 residual instead of guessing one.  The dual simplex
+raises it the same way, with the infeasibility of its leaving row.
 """
 
 from __future__ import annotations
@@ -50,7 +65,9 @@ class NumericalError(RuntimeError):
     """The simplex broke down numerically, so the problem's status is unknown.
 
     ``pivots`` counts the pivots run before the breakdown and ``residual`` is
-    the phase-1 objective, the summed artificial values, where it stopped.
+    the infeasibility where it stopped: the phase-1 objective (the summed
+    artificial values), or the negated value of the dual simplex's leaving
+    basic variable.
     """
 
     def __init__(self, message: str, pivots: int, residual: float):
@@ -96,7 +113,7 @@ class LPProblem:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """The optimal basis of a two-phase solve, dual feasible for its ``c`` and ``rows``.
+    """The optimal basis of a solve, dual feasible for its ``c`` and ``rows``.
 
     Holds read-only copies of the ``c`` and ``rows`` it was solved for, the
     basis, and the parts of the standard form (see ``_standard_form``) that
@@ -124,7 +141,7 @@ class LPSolution:
     basis: tuple[int, ...] | None = None
     # The basis's certificate; set on every optimal solution.
     certificate: Certificate | None = field(default=None, repr=False, compare=False)
-    # Phase-1 plus phase-2 pivots of the solve; 0 for a warm start.
+    # Pivots of the solve: phase 1 plus phase 2, or the dual restart's; 0 for a warm start.
     pivots: int = 0
     # Set when the start's certificate held under these bounds and no pivot ran.
     warm: bool = False
@@ -197,6 +214,56 @@ def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str,
     raise RuntimeError("simplex exceeded its iteration limit")
 
 
+def _run_dual_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int, int]:
+    """Dual simplex on a dual-feasible tableau laid out as for ``_run_simplex``.
+
+    Returns (status, pivots, row): ``OPTIMAL`` once every rhs is
+    >= -``FEAS_TOL``, or ``INFEASIBLE`` with the leaving row whose ratio
+    test found no entering column (its row is then a candidate Farkas
+    proof).  Bland's dual rule: the infeasible row with the lowest basis
+    index leaves, and the column of minimum ratio reduced cost / -entry
+    among the entries below -``FEAS_TOL`` enters, the lowest on ties.
+    """
+    m = len(basis)
+    rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
+    rows = np.array(basis, dtype=np.intp)
+    try:
+        for pivots in range(max_iter):
+            below = (rhs < -FEAS_TOL).nonzero()[0]
+            if below.size == 0:
+                return OPTIMAL, pivots, -1
+            leave = int(below[rows[below].argmin()])  # Bland: lowest basis index leaves
+            rowvals = tab[leave, :-1]
+            neg = (rowvals < -FEAS_TOL).nonzero()[0]
+            if neg.size == 0:
+                return INFEASIBLE, pivots, leave
+            ratios = rc[neg] / -rowvals[neg]
+            best = float(ratios.min())
+            col = int(neg[(ratios <= best + FEAS_TOL * (1.0 + abs(best))).argmax()])  # lowest tie
+            _pivot(tab, leave, col)
+            rows[leave] = col
+    finally:
+        basis[:] = rows.tolist()
+    raise RuntimeError("dual simplex exceeded its iteration limit")
+
+
+def _is_farkas_proof(problem: LPProblem, y: np.ndarray) -> bool:
+    """Whether multipliers ``y`` prove ``rows @ x <= bounds`` infeasible.
+
+    Within tolerance: y >= 0, y @ rows = 0 (every x is free) and
+    y @ bounds < 0, each scaled by the magnitudes it sums.
+    """
+    if (y < -FEAS_TOL).any():
+        return False
+    y = np.maximum(y, 0.0)
+    combined = y @ problem.rows
+    scale = y @ np.abs(problem.rows)
+    return bool(
+        (np.abs(combined) <= FEAS_TOL * (1.0 + scale)).all()
+        and y @ problem.bounds < -FEAS_TOL * (1.0 + y @ np.abs(problem.bounds))
+    )
+
+
 def _certificate(problem: LPProblem, A: np.ndarray, basis: list[int]) -> Certificate:
     """The certificate of ``basis``, an optimal basis of ``problem`` in standard form ``A``.
 
@@ -231,29 +298,91 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     return u
 
 
-def solve_lp(problem: LPProblem, start: LPSolution | None = None) -> LPSolution:
-    """Two-phase simplex; returns status optimal/infeasible/unbounded.
+def _dual_restart(problem: LPProblem, cert: Certificate, kept: np.ndarray) -> LPSolution | None:
+    """Solve ``problem`` from ``cert``'s basis, whose rows sit at positions ``kept``.
 
-    Raises ``NumericalError`` when phase 1 breaks down (see the module
-    docstring).
+    The starting basis is the certified one plus the slack of every row not
+    in ``kept``.  Its tableau comes from the all-slack tableau in one pivot
+    per basic structural column J, each on the still unused tight row
+    (kept[tight]) with the largest entry: Gauss-Jordan with partial pivoting
+    on the tight system, at most one pivot per variable.  Building it is not
+    counted in ``LPSolution.pivots``.  Returns None when the tight system is
+    singular.
+    """
+    A, c_u = _standard_form(problem)
+    n_u, m = c_u.size, problem.n_rows
+    tab = np.zeros((m + 1, n_u + m + 1))
+    tab[:m, :n_u] = A
+    tab[np.arange(m), n_u + np.arange(m)] = 1.0
+    tab[:m, -1] = problem.bounds
+    tab[-1, :n_u] = c_u
+    basis = list(range(n_u, n_u + m))
+    tight = kept[cert.tight].tolist()
+    for j in cert.J.tolist():
+        entries = np.abs(tab[tight, j])
+        best = int(entries.argmax())
+        if not entries[best] > FEAS_TOL:
+            return None
+        row = tight.pop(best)
+        _pivot(tab, row, j)
+        basis[row] = j
 
-    ``start`` is an optional earlier solution.  When its certificate was
-    issued for this ``c`` and these ``rows`` (no comparison runs when the
-    problem holds the certificate's own arrays) and its basis is primal
-    feasible under these bounds, the solver returns that vertex without
-    pivoting (``warm`` is set, and the solution carries the same
-    certificate).  Any other start solves cold.  Every optimal solution
-    carries the certificate of its basis.
+    status, pivots, row = _run_dual_simplex(tab, basis, MAX_ITER)
+    if status == INFEASIBLE:
+        if _is_farkas_proof(problem, tab[row, n_u:-1]):
+            return LPSolution(INFEASIBLE)
+        raise NumericalError(
+            f"dual simplex found no entering column after {pivots} pivots, "
+            "and its row is no proof of infeasibility",
+            pivots,
+            float(-tab[row, -1]),
+        )
+    status, primal = _run_simplex(tab, basis, MAX_ITER)  # confirms the reduced costs
+    if status == UNBOUNDED:
+        return LPSolution(UNBOUNDED)
+    u = np.zeros(n_u + m)
+    u[basis] = tab[:m, -1]
+    return _optimal(problem, u[:n_u], _certificate(problem, A, basis), pivots + primal)
+
+
+def solve_lp(
+    problem: LPProblem, start: LPSolution | None = None, kept: np.ndarray | None = None
+) -> LPSolution:
+    """Simplex from ``start``, or two-phase; returns status optimal/infeasible/unbounded.
+
+    Raises ``NumericalError`` when phase 1 or the dual simplex breaks down
+    (see the module docstring).
+
+    ``start`` is an optional earlier solution and ``kept`` the positions in
+    ``problem`` of the rows its certificate was issued for, in order; the
+    default is every row.  When the certificate was issued for this ``c``:
+
+    - with every row kept, and the same ``rows`` (no comparison runs when the
+      problem holds the certificate's own arrays), a basis that is primal
+      feasible under these bounds is returned as it is (``warm`` is set, and
+      the solution carries the same certificate);
+    - with ``rows[kept]`` equal to the certified rows and further rows added,
+      the dual simplex restarts from the certified basis.
+
+    Any other start solves cold.  Every optimal solution carries the
+    certificate of its basis.
     """
     cert = None if start is None else start.certificate
-    if (
-        cert is not None
-        and (cert.c is problem.c or np.array_equal(cert.c, problem.c))
-        and (cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows))
-    ):
-        u = _primal_vertex(cert, problem.bounds)
-        if u is not None:
-            return _optimal(problem, u, cert, warm=True)
+    if cert is not None and (cert.c is problem.c or np.array_equal(cert.c, problem.c)):
+        if kept is None or len(kept) == problem.n_rows:
+            if cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows):
+                u = _primal_vertex(cert, problem.bounds)
+                if u is not None:
+                    return _optimal(problem, u, cert, warm=True)
+        else:
+            kept = np.asarray(kept, dtype=np.intp)
+            # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
+            if (kept < 0).any() or np.bincount(kept).max(initial=0) > 1:
+                raise ValueError("kept must name distinct rows of the problem")
+            if np.array_equal(cert.rows, problem.rows[kept]):
+                sol = _dual_restart(problem, cert, kept)
+                if sol is not None:
+                    return sol
     A, c_u = _standard_form(problem)
     b = problem.bounds
     n_u = c_u.size

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mtdsim import alp as alp_module
+from mtdsim import lp as lp_module
 from mtdsim.alp import (
     ALProblem,
     Basis,
@@ -448,9 +449,9 @@ def lp_solves(monkeypatch):
     solves = []
     solve = alp_module.solve_lp
 
-    def counted(problem, start=None):
+    def counted(problem, start=None, kept=None):
         solves.append(problem)
-        return solve(problem, start=start)
+        return solve(problem, start=start, kept=kept)
 
     monkeypatch.setattr(alp_module, "solve_lp", counted)
     return solves
@@ -668,3 +669,33 @@ def test_an_unbounded_round_is_followed_by_one_over_every_row(lp_solves):
     np.testing.assert_allclose(solve_alp(problem), [0.0])
     assert [p.n_rows for p in lp_solves] == [1, 2]
     np.testing.assert_array_equal(problem.working_set, [0, 1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_cold_four_node_plan_restarts_every_round_after_the_first(monkeypatch, seed):
+    # A deterministic guard on the cost of a cold plan: only the first round
+    # runs two-phase (16 pivots), and each later round restarts from the last
+    # optimal basis with a few dual pivots.  Solved cold, the later rounds
+    # took 44-65 pivots each and the plan 122-130.
+    rounds = []  # per solve_lp call: [program, widths of the tableaux pivoted, solution]
+    solve, run = alp_module.solve_lp, lp_module._run_simplex
+
+    def recorded(problem, start=None, kept=None):
+        rounds.append([problem, []])
+        rounds[-1].append(solve(problem, start=start, kept=kept))
+        return rounds[-1][2]
+
+    def widths(tab, basis, max_iter):
+        rounds[-1][1].append(tab.shape[1])
+        return run(tab, basis, max_iter)
+
+    monkeypatch.setattr(alp_module, "solve_lp", recorded)
+    monkeypatch.setattr(lp_module, "_run_simplex", widths)
+    domain = oracle_domain("net4", seed)
+    solve_alp(build_alp(domain, cold_posterior_table(domain)))
+    assert len(rounds) == 3 and sum(sol.pivots for _, _, sol in rounds) == 29
+    assert rounds[0][2].pivots == 16
+    for program, seen, sol in rounds[1:]:
+        # No phase 1: no tableau wider than the structural and slack columns plus the rhs.
+        assert sol.status == OPTIMAL and seen
+        assert max(seen) == 2 * program.n_vars + program.n_rows + 1

@@ -139,6 +139,25 @@ def test_type_validation(space):
         AttackerTypeSpec("bad", "yes", np.zeros(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+def test_type_rejects_each_bad_success_rate(bad):
+    mu = np.array([0.0, 1.0, bad, 0.5])
+    with pytest.raises(DomainError, match=r"^type 'bad': mu must lie in \[0, 1\]$"):
+        AttackerTypeSpec("bad", False, mu, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_type_rejects_each_bad_loss(bad):
+    loss = np.array([0.0, 2.0, bad, 1.0])
+    with pytest.raises(DomainError, match=r"^type 'bad': losses must be finite and >= 0$"):
+        AttackerTypeSpec("bad", False, np.zeros(4), loss)
+
+
+def test_type_with_no_configurations_is_accepted():
+    spec = AttackerTypeSpec("empty", False, np.zeros(0), np.zeros(0))
+    assert spec.mu.shape == spec.loss.shape == (0,)
+
+
 def test_domain_validation(space):
     ok = AttackerTypeSpec("t", False, np.full(4, 0.5), np.full(4, 10.0))
     good = dict(space=space, types=(ok,), sc=np.zeros((4, 4)), M=200.0, gamma=0.9)

@@ -188,21 +188,34 @@ def test_posterior_table_is_bitwise_the_reference_formula(name, beta):
 @pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
 @pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
 def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
-    # Bursts of credits on three cells, each followed by a quiet stretch long
-    # enough for every count to snap at beta = 1.2 (1.2**160 > 1e12).
+    # A quiet start on the all-zero table, then bursts of credits on three
+    # cells, each followed by a quiet stretch long enough for every count to
+    # snap at beta = 1.2 (1.2**160 > 1e12).  The counts are compared bitwise
+    # with a table that decays on every step, also where it is all zero.
     domain = REFERENCE_DOMAINS[name]()
     est = ThreatEstimator(domain, beta=beta)
+    reference = np.zeros_like(est.counts)
     rng = np.random.default_rng(11)
     n, S = domain.n_types, domain.n_configs
     cells = [tuple(int(v) for v in rng.integers(S, size=2)) for _ in range(3)]
-    seen = {"credit": 0, "snap": 0, "multi-type decay": 0, "kept": 0}
     table = est.posterior_table()
+    for _ in range(20):
+        est.update(0, 0, 0, 0)
+        reference /= beta
+        assert est.counts.tobytes() == reference.tobytes()
+        assert est.posterior_table() is table
+    seen = {"credit": 0, "snap": 0, "multi-type decay": 0, "kept": 0}
     for step in range(3 * 220):
         before = est.counts.copy()
         phi = step % 220 < 60 and rng.random() < 0.5
         tau = int(rng.integers(n))
         state, action = cells[int(rng.integers(3))]
         est.update(tau, state, action, phi)
+        reference /= beta
+        reference[reference < COUNT_FLOOR] = 0.0
+        if phi:
+            reference[tau, state, action] += 1.0
+        assert est.counts.tobytes() == reference.tobytes()
         snap = bool(np.any((before > 0.0) & (before / beta < COUNT_FLOOR)))
         # Only a power of two divides every score and total exactly.
         multi = beta not in (1.0, 2.0, 4.0) and bool(np.any((before > 0.0).sum(axis=0) >= 2))

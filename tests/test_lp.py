@@ -1,4 +1,4 @@
-"""Unit tests for the two-phase simplex solver."""
+"""Unit tests for the simplex solver: two-phase solves, warm starts and dual restarts."""
 
 from dataclasses import replace
 
@@ -544,8 +544,8 @@ def _recorded_alp_solves(monkeypatch, name: str) -> list:
         domain, basis = make_network_domain(np.random.default_rng(0), n_nodes=int(name[-1])), None
     solves = []
 
-    def recorded(problem, start=None):
-        solves.append((problem, solve_lp(problem, start=start)))
+    def recorded(problem, start=None, kept=None):
+        solves.append((problem, solve_lp(problem, start=start, kept=kept)))
         return solves[-1][1]
 
     monkeypatch.setattr(alp_module, "solve_lp", recorded)
@@ -582,3 +582,82 @@ def test_every_optimal_basis_is_dual_feasible(monkeypatch):
             assert sol.status == OPTIMAL and reference_dual_feasible(problem, sol), name
             checked[sol.warm] += 1
     assert min(checked.values()) > 50, checked
+
+
+# ---------------------------------------------------------------------------
+# dual restart after added rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def dual_restarts(monkeypatch):
+    """Counts the dual simplex runs, so a test can tell a restart from a cold solve."""
+    runs = []
+    run = lp._run_dual_simplex
+
+    def counted(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(lp, "_run_dual_simplex", counted)
+    return runs
+
+
+def test_a_restart_with_added_rows_matches_a_cold_solve_and_vertices(dual_restarts):
+    rng = np.random.default_rng(37)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    pivoted = 0
+    for _ in range(400):
+        problem = random_box_lp(rng)
+        m = problem.n_rows
+        kept = np.sort(rng.choice(m, size=int(rng.integers(1, m)), replace=False))
+        first = solve_lp(LPProblem(problem.c, problem.rows[kept], problem.bounds[kept]))
+        if first.status != OPTIMAL:
+            continue
+        restarts = len(dual_restarts)
+        got = solve_lp(problem, start=first, kept=kept)
+        assert len(dual_restarts) == restarts + 1  # restarted, not solved cold
+        cold, oracle = solve_lp(problem), enumerate_vertices(problem)
+        assert got.status == cold.status == oracle.status
+        seen[got.status] += 1
+        if got.status == OPTIMAL:
+            assert got.objective_value == pytest.approx(oracle.objective_value, rel=1e-9, abs=1e-12)
+            assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-12)
+            assert reference_dual_feasible(problem, got)
+            assert np.all(problem.rows @ got.x <= problem.bounds + FEAS_TOL)
+            assert not got.warm and got.certificate.basis == got.basis
+            pivoted += got.pivots > 0
+    assert seen[OPTIMAL] > 100 and seen[INFEASIBLE] > 10 and pivoted > 50, (seen, pivoted)
+
+
+def test_a_restart_checks_an_infeasible_row_as_a_farkas_proof(dual_restarts, monkeypatch):
+    # min -x over x <= 1, then -x <= -2 added: the rows sum to 0 <= -1.
+    first = solve_lp(LPProblem([-1.0], [[1.0]], [1.0]))
+    contradicted = LPProblem([-1.0], [[1.0], [-1.0]], [1.0, -2.0])
+    got = solve_lp(contradicted, start=first, kept=[0])
+    assert got.status == INFEASIBLE and dual_restarts[-1][0] == INFEASIBLE
+    assert lp._is_farkas_proof(contradicted, np.array([1.0, 1.0]))
+    assert not lp._is_farkas_proof(contradicted, np.array([1.0, 0.5]))  # 0.5 x left over
+    assert not lp._is_farkas_proof(LPProblem([-1.0], [[1.0], [-1.0]], [1.0, -0.5]), np.ones(2))
+    # A row that does not check is a numerical breakdown, never a status.
+    monkeypatch.setattr(lp, "_is_farkas_proof", lambda problem, y: False)
+    with pytest.raises(lp.NumericalError, match="no proof of infeasibility") as info:
+        solve_lp(contradicted, start=first, kept=[0])
+    assert info.value.pivots == 0 and info.value.residual == pytest.approx(1.0)
+
+
+def test_a_restart_needs_the_certified_rows_at_the_kept_positions(dual_restarts):
+    rows, bounds = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.ones(4)
+    c = [-1.0, -1.0]
+    first = solve_lp(LPProblem(c, rows[:2], bounds[:2]))
+    added = LPProblem(c, np.vstack([rows, [[1.0, 1.0]]]), np.append(bounds, 1.5))
+    got = solve_lp(added, start=first, kept=[0, 1])
+    assert len(dual_restarts) == 1 and got.objective_value == pytest.approx(-1.5)
+    # Swapped positions, or another objective: a cold solve.
+    cheaper = LPProblem([-1.0, -2.0], added.rows, added.bounds)
+    for problem, kept in [(added, [1, 0]), (cheaper, [0, 1])]:
+        got = solve_lp(problem, start=first, kept=kept)
+        assert len(dual_restarts) == 1
+        assert_same_solution(got, solve_lp(problem))
+    with pytest.raises(ValueError, match="distinct rows"):
+        solve_lp(added, start=first, kept=[0, 0])
