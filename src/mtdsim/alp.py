@@ -159,14 +159,17 @@ def build_alp(
     basis, rows, objective, working set and last LP solution, so only the
     rewards and the bounds are computed.  A read-only float table is kept as
     ``ALProblem.posterior`` itself, so handing the same table back costs one
-    identity test; any other table is kept as a read-only copy.
+    identity test; any other table is kept as a read-only copy.  An equal
+    table replaces the one ``previous`` kept in the same way, so a belief
+    handed back as a new object is compared once, not on every re-plan.
     """
     if previous is not None:
         if previous.domain is not domain or basis not in (None, previous.basis):
             raise DomainError("previous problem was built for another domain or basis")
-        if posterior_table is previous.posterior or np.array_equal(
-            posterior_table, previous.posterior
-        ):
+        if posterior_table is previous.posterior:
+            return previous
+        if np.array_equal(posterior_table, previous.posterior):
+            previous.posterior = _frozen(posterior_table)  # the next hand-back is identical
             return previous
         basis, objective, rows = previous.basis, previous.lp.c, previous.lp.rows
         working_set, start = previous.working_set, previous.lp_solution

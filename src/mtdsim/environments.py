@@ -11,6 +11,14 @@ the realized reward
 
 Attackers observe the defender's past (state, action) history only — the
 current step's action is simultaneous and hidden.
+
+A step draws its uniforms from what it is handed as ``rng``: a generator, or
+the ``Uniforms`` that ``MTDEnvironment.uniforms(k, rng)`` draws for the next
+``k`` steps in one ``rng.random(n)`` call.  ``Generator.random(n)`` returns
+the doubles of ``n`` scalar ``random()`` calls and leaves the generator in
+the same state, so both give bitwise the same records and generator.  The
+drawn block holds at most two doubles a step, so its memory grows with ``k``
+as the step records' does.
 """
 
 from __future__ import annotations
@@ -230,6 +238,25 @@ class StepRecord(NamedTuple):
     reward: float
 
 
+def _is_index(value) -> bool:
+    """A Python or numpy integer, not a boolean: the rule for actions, start states and
+    step counts."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+class Uniforms:
+    """Uniforms drawn ahead for a run of steps; ``random()`` hands out the next.
+
+    ``MTDEnvironment.step`` takes one in place of the generator.  A call past
+    the last drawn value raises ``StopIteration``; it never returns a value.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, values: np.ndarray):
+        self.random = iter(values.tolist()).__next__
+
+
 class MTDEnvironment:
     """Stateful simulator: one iteration of a domain played against a scenario.
 
@@ -254,8 +281,7 @@ class MTDEnvironment:
     """
 
     def __init__(self, domain: DomainInfo, scenario: Scenario, start_state: int = 0):
-        index = not isinstance(start_state, bool) and isinstance(start_state, (int, np.integer))
-        if not (index and 0 <= start_state < domain.n_configs):  # as step checks an action
+        if not (_is_index(start_state) and 0 <= start_state < domain.n_configs):
             raise DomainError(f"start state {start_state!r} is not a configuration index")
         self._labels, self._type_ids = domain.space.labels(), domain.type_ids()
         self._mu, self._loss = domain.mu_table.tolist(), domain.loss_table.tolist()
@@ -284,7 +310,29 @@ class MTDEnvironment:
         self.state = start_state
         self.t = 0
 
-    def step(self, action: int, rng: np.random.Generator) -> StepRecord:
+    def uniforms(self, k: int, rng: np.random.Generator) -> Uniforms:
+        """The uniforms the next ``k`` steps draw, in one ``rng.random(n)`` call.
+
+        A ``static_dist`` step draws two (the type, then the success flag) and
+        a ``most_adverse`` step one, so ``n`` follows from the steps' times
+        alone, whatever actions they take.  A ``k`` that is not an integer
+        >= 0, or that runs past the horizon, is rejected before anything is
+        drawn.
+        """
+        if not _is_index(k) or k < 0:
+            raise DomainError(f"step count must be an integer >= 0, got {k!r}")
+        stop = self.t + k
+        if stop > self.scenario.horizon:
+            raise DomainError("scenario horizon exhausted")
+        n, start = 0, 0
+        for end, draws in zip(self._phase_ends, self._phase_draws):
+            steps = min(end, stop) - max(start, self.t)
+            if steps > 0:
+                n += steps if draws is None else 2 * steps
+            start = end
+        return Uniforms(rng.random(n))
+
+    def step(self, action: int, rng: np.random.Generator | Uniforms) -> StepRecord:
         if self.t >= self.scenario.horizon:
             raise DomainError("scenario horizon exhausted")
         if isinstance(action, bool) or not isinstance(action, (int, np.integer)):

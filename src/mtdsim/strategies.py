@@ -4,6 +4,14 @@ All strategies consume an :class:`~mtdsim.environments.MTDEnvironment` and a
 seeded generator, and produce the environment's step records.  The adaptive
 defender re-plans from its threat estimate; the baselines treat the problem
 as a bandit over configurations.
+
+``ata_fmdp_run`` and ``run_static`` draw from their generator only inside
+``MTDEnvironment.step``, so each draws all its step uniforms up front with one
+``env.uniforms(T, rng)`` call and steps on those.  The records and the
+generator's final state are bitwise those of drawing step by step (see
+``environments``); the drawn block grows with T, as the records do.  ``fpl``,
+``eps-greedy`` and ``urs`` draw between steps and hand the generator itself
+to every step.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ def ata_fmdp_run(
     outcome.
     """
     check_reopt_period(reopt_period)
+    draws = env.uniforms(T, rng)
     estimator = ThreatEstimator(domain, beta=beta)
     problem: ALProblem | None = None
     policy: np.ndarray | None = None
@@ -84,7 +93,7 @@ def ata_fmdp_run(
             policy = extract_policy(problem, solve_alp(problem))
         state = env.state
         action = int(policy[state])
-        record = env.step(action, rng)
+        record = env.step(action, draws)
         tau = domain.type_index(record.attacker_type)
         estimator.update(tau, state, action, record.phi)
         records.append(record)
@@ -219,7 +228,8 @@ def run_urs(
 def run_static(
     domain: DomainInfo, env: MTDEnvironment, T: int, rng: np.random.Generator, config_index: int
 ) -> list[StepRecord]:
-    return [env.step(config_index, rng) for _ in range(T)]
+    draws = env.uniforms(T, rng)
+    return [env.step(config_index, draws) for _ in range(T)]
 
 
 STRATEGY_NAMES = ("ata-fmdp", "fpl", "eps-greedy", "urs")

@@ -532,6 +532,22 @@ def test_the_estimators_unmoved_table_is_handed_back_without_a_comparison(monkey
     assert build_alp(web, estimator.posterior_table(), previous=first) is first
 
 
+def test_an_equal_table_replaces_the_kept_one_so_it_is_compared_once(monkeypatch):
+    web = make_web_app_domain()
+    posterior = random_posterior_table(web, np.random.default_rng(7))
+    first = build_alp(web, posterior)
+    table = posterior.copy()
+    table.flags.writeable = False  # a new read-only object, as an estimator rebuild hands out
+    assert build_alp(web, table, previous=first) is first
+    assert first.posterior is table
+
+    def no_comparison(*args, **kwargs):
+        raise AssertionError("a table already kept was compared")
+
+    monkeypatch.setattr(np, "array_equal", no_comparison)
+    assert build_alp(web, table, previous=first) is first
+
+
 def test_kept_weights_policy_and_posterior_are_read_only():
     web = make_web_app_domain()
     problem = build_alp(web, cold_posterior_table(web))

@@ -532,10 +532,9 @@ def _random_scenario(rng, domain, horizon: int, seen: set[str]) -> Scenario:
     return Scenario("random", horizon, tuple(phases), sc_multiplier=float(rng.choice([0.5, 1, 3])))
 
 
-def test_step_matches_the_choice_reference_bitwise(tmp_path):
-    rng = np.random.default_rng(2024)
-    seen: set[str] = set()
-    path = str(tmp_path / "domain.json")
+def _random_env_pairs(rng, seen: set[str], path: str):
+    """90 pairs of equal environments on web, 2- and 3-node network domains weighted as a
+    run's domain is, each with a seed for the pair's two generators."""
     for case in range(90):
         kind, alpha = ("web", "net2", "net3")[case % 3], float(rng.choice([0.0, 0.5, 1.0, 2.5]))
         if kind == "web":
@@ -544,21 +543,87 @@ def test_step_matches_the_choice_reference_bitwise(tmp_path):
             domain = make_network_domain(rng, n_nodes=int(kind[-1]))
         scenario = _random_scenario(rng, domain, int(rng.integers(2, 60)), seen)
         save_domain(domain, path)
-        domain = resolve_domain(path, scenario, alpha, 0)  # weighted as a run's domain is
+        domain = resolve_domain(path, scenario, alpha, 0)
         start = int(rng.integers(domain.n_configs))
         env, ref = MTDEnvironment(domain, scenario, start), MTDEnvironment(domain, scenario, start)
-        seed = int(rng.integers(2**32))
+        yield env, ref, int(rng.integers(2**32))
+
+
+SCENARIO_FEATURES = {
+    "single type", "zero weight", "most adverse", "per-state override", "phase boundary"
+}
+
+
+def test_step_matches_the_choice_reference_bitwise(tmp_path):
+    rng = np.random.default_rng(2024)
+    seen: set[str] = set()
+    for env, ref, seed in _random_env_pairs(rng, seen, str(tmp_path / "domain.json")):
         env_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for t in range(scenario.horizon):
-            action = int(rng.integers(domain.n_configs))
+        for t in range(env.scenario.horizon):
+            action = int(rng.integers(env.domain.n_configs))
             action = np.int64(action) if t % 2 else action
             got, want = env.step(action, env_rng), reference_step(ref, action, ref_rng)
             assert got == want and got.reward.hex() == want.reward.hex()
             assert env_rng.bit_generator.state == ref_rng.bit_generator.state
         np.testing.assert_array_equal(env.moves, ref.moves)
-    assert seen == {
-        "single type", "zero weight", "most adverse", "per-state override", "phase boundary"
-    }
+    assert seen == SCENARIO_FEATURES
+
+
+def test_pre_drawn_uniforms_match_the_choice_reference_bitwise(tmp_path):
+    rng = np.random.default_rng(2025)
+    seen: set[str] = set()
+    for env, ref, seed in _random_env_pairs(rng, seen, str(tmp_path / "domain.json")):
+        env_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        horizon = env.scenario.horizon
+        while env.t < horizon:  # runs of random length, from t = 0 and after
+            k = int(rng.integers(0, horizon - env.t + 1))
+            seen.add("k = 0" if k == 0 else "from t > 0" if env.t else "from t = 0")
+            draws = env.uniforms(k, env_rng)
+            for _ in range(k):
+                action = int(rng.integers(env.domain.n_configs))
+                got, want = env.step(action, draws), reference_step(ref, action, ref_rng)
+                assert got == want and got.reward.hex() == want.reward.hex()
+            assert env_rng.bit_generator.state == ref_rng.bit_generator.state
+            np.testing.assert_array_equal(env.moves, ref.moves)
+            with pytest.raises(StopIteration):  # every drawn uniform was used
+                draws.random()
+    assert seen == SCENARIO_FEATURES | {"k = 0", "from t = 0", "from t > 0"}
+
+
+def test_uniforms_rejects_a_step_count_that_is_not_an_integer_before_drawing():
+    env = MTDEnvironment(make_web_app_domain(), unknown_only_scenario(horizon=4))
+    rng = np.random.default_rng(0)
+    drawn = rng.bit_generator.state
+    for k in (-1, 1.5, np.float64(2.0), True, np.bool_(True), "2", None):
+        with pytest.raises(DomainError, match="step count must be an integer >= 0"):
+            env.uniforms(k, rng)
+    assert rng.bit_generator.state == drawn
+    assert (env.t, env.state, env.moves.any()) == (0, 0, False)
+    draws = env.uniforms(np.int64(4), rng)  # a numpy integer passes, as for actions
+    assert [draws.random() for _ in range(8)] == np.random.default_rng(0).random(8).tolist()
+
+
+def test_uniforms_rejects_a_step_count_past_the_horizon_before_drawing():
+    env = MTDEnvironment(make_web_app_domain(), unknown_only_scenario(horizon=5))
+    rng = np.random.default_rng(0)
+    draws = env.uniforms(2, rng)
+    for _ in range(2):
+        env.step(3, draws)
+    drawn = rng.bit_generator.state
+    with pytest.raises(DomainError, match="scenario horizon exhausted"):
+        env.uniforms(4, rng)
+    assert rng.bit_generator.state == drawn
+    assert (env.t, env.state, int(env.moves.sum())) == (2, 3, 2)
+    env.uniforms(3, rng)  # exactly to the horizon
+
+
+def test_a_step_past_the_drawn_uniforms_raises():
+    env = MTDEnvironment(make_web_app_domain(), unknown_only_scenario(horizon=5))
+    draws = env.uniforms(1, np.random.default_rng(0))
+    env.step(3, draws)
+    with pytest.raises(StopIteration):
+        env.step(3, draws)
+    assert (env.t, int(env.moves.sum())) == (1, 1)
 
 
 def _untemper(y: int) -> int:

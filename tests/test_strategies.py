@@ -12,6 +12,7 @@ import pytest
 from mtdsim import alp
 from mtdsim.domain import DomainError
 from mtdsim.environments import (
+    MOST_ADVERSE,
     MTDEnvironment,
     Scenario,
     ScenarioPhase,
@@ -28,6 +29,7 @@ from mtdsim.strategies import (
     EpsGreedyStrategy,
     FplMtdStrategy,
     ata_fmdp_run,
+    run_static,
     run_strategy,
     urs_select,
 )
@@ -279,6 +281,57 @@ def test_dispatcher_handles_static_labels_and_rejects_unknown_names():
     with pytest.raises(DomainError):
         run_strategy("softmax", web, env, 5, np.random.default_rng(0))
     assert STRATEGY_NAMES == ("ata-fmdp", "fpl", "eps-greedy", "urs")
+
+
+class CountingGenerator:
+    """A generator that records the size of each ``random`` call; it offers nothing else."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.sizes: list = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+def mixed_scenario(horizon: int) -> Scenario:
+    """A static phase (two uniforms a step), then a most-adverse one (one a step)."""
+    return Scenario("mixed", horizon, (
+        ScenarioPhase(0, 4, dist={"mainstream-hacker": 0.5, "unknown": 0.5}),
+        ScenarioPhase(4, horizon, MOST_ADVERSE),
+    ))
+
+
+PRE_DRAWN_RUNS = [
+    lambda web, env, T, rng: run_static(web, env, T, rng, 2),
+    lambda web, env, T, rng: ata_fmdp_run(web, env, T, rng),
+]
+
+
+@pytest.mark.parametrize("play", PRE_DRAWN_RUNS, ids=["static", "ata-fmdp"])
+def test_static_and_ata_runs_draw_their_step_uniforms_in_one_call(play):
+    web, T = make_web_app_domain(), 12
+    spy = CountingGenerator(3)
+    records = play(web, MTDEnvironment(web, mixed_scenario(T)), T, spy)
+    assert spy.sizes == [2 * 4 + (T - 4)]
+    # Bitwise the run that hands the generator to every step.
+    rng = np.random.default_rng(3)
+    env = MTDEnvironment(web, mixed_scenario(T))
+    actions = [web.space.index_of_label(r.action) for r in records]
+    assert [env.step(a, rng) for a in actions] == records
+    assert rng.bit_generator.state == spy._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("play", PRE_DRAWN_RUNS, ids=["static", "ata-fmdp"])
+def test_a_run_past_the_horizon_fails_before_its_first_step(play):
+    web = make_web_app_domain()
+    env = MTDEnvironment(web, mixed_scenario(8))
+    rng = np.random.default_rng(0)
+    drawn = rng.bit_generator.state
+    with pytest.raises(DomainError, match="scenario horizon exhausted"):
+        play(web, env, 9, rng)
+    assert rng.bit_generator.state == drawn and env.t == 0
 
 
 @pytest.mark.xfail(
