@@ -263,7 +263,7 @@ def greedy_actions(scores: np.ndarray) -> np.ndarray:
     action.
     """
     best = scores.max(axis=1, keepdims=True)
-    return np.argmax(scores >= best - TIE_TOL * (1.0 + np.abs(best)), axis=1)
+    return (scores >= best - TIE_TOL * (1.0 + np.abs(best))).argmax(axis=1)
 
 
 def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
     if alp.policy is not None and weights is alp.weights:
         return alp.policy
     values = alp.basis.activations @ weights  # (A,) successor values, successor == action
-    policy = greedy_actions(alp.rewards + alp.domain.gamma * values[None, :])
+    policy = greedy_actions(alp.rewards + alp.domain.gamma * values)
     if weights is alp.weights:
         alp.policy = _read_only(policy)
     return policy

@@ -138,12 +138,16 @@ def make_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> DomainInf
     )
     # online[c, i]: node i is online in configuration c; every table derives from it.
     online = np.array([[v == NODE_ONLINE for v in config] for config in space.configs])
+    # One call draws, for each source and each target, the rate and then the
+    # loss: the same doubles, in the same order, as one scalar draw each.
+    local = np.eye(n_nodes, dtype=bool)[:, :, None]  # (src, tgt, 1)
+    low = np.where(local, (0.5, 60.0), (0.2, 60.0))  # (src, tgt, [rate, loss])
+    high = np.where(local, (0.6, 70.0), (0.3, 70.0))
+    params = rng.uniform(low, high).tolist()
     types = []
     for src in range(n_nodes):
         for tgt in range(n_nodes):
-            low, high = (0.5, 0.6) if src == tgt else (0.2, 0.3)
-            rate = float(rng.uniform(low, high))
-            loss = float(rng.uniform(60.0, 70.0))
+            rate, loss = params[src][tgt]
             hit = online[:, tgt]  # the type lands only where its target is online
             types.append(AttackerTypeSpec(f"src{src}-tgt{tgt}", False, rate * hit, loss * hit))
     types.append(AttackerTypeSpec("unknown", True, 1.0 * online[:, 0], 100.0 * online[:, 0]))
@@ -249,6 +253,8 @@ class Uniforms:
 
     ``MTDEnvironment.step`` takes one in place of the generator.  A call past
     the last drawn value raises ``StopIteration``; it never returns a value.
+    A step that makes that call raises ``DomainError`` instead and changes
+    neither the time, the state nor the move counts.
     """
 
     __slots__ = ("random",)
@@ -304,11 +310,22 @@ class MTDEnvironment:
                 draws[domain.space.index_of_label(label)] = draw_table(dist)
             self._phase_draws.append(draws)
         self._phase = 0
-        self.moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
+        self._moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
+        # A step counts through this view: a memoryview item update, unlike a
+        # numpy one, makes no numpy scalar.  It writes through to ``_moves``.
+        self._move_counts = memoryview(self._moves)
         self.domain = domain
         self.scenario = scenario
         self.state = start_state
         self.t = 0
+
+    @property
+    def moves(self) -> np.ndarray:
+        """The (S, A) counts of the defender's past (state, action) pairs.
+
+        The array itself, which every step updates in place; it cannot be rebound.
+        """
+        return self._moves
 
     def uniforms(self, k: int, rng: np.random.Generator) -> Uniforms:
         """The uniforms the next ``k`` steps draw, in one ``rng.random(n)`` call.
@@ -343,19 +360,23 @@ class MTDEnvironment:
         if self.t == self._phase_ends[self._phase]:
             self._phase += 1
         draws = self._phase_draws[self._phase]
-        if draws is None:
-            smoothed = self.moves[s] + 1.0
-            tau = int(np.argmax(self.domain.damage_table @ (smoothed / smoothed.sum())))
-        else:
-            types, cdf = draws[s]
-            tau = types[bisect_right(cdf, rng.random())]
-        phi = int(rng.random() < self._mu[tau][action])
+        try:
+            if draws is None:
+                smoothed = self._moves[s] + 1.0
+                tau = int(np.argmax(self.domain.damage_table @ (smoothed / smoothed.sum())))
+            else:
+                types, cdf = draws[s]
+                tau = types[bisect_right(cdf, rng.random())]
+            phi = int(rng.random() < self._mu[tau][action])
+        except StopIteration:
+            # Let through, it would end a calling ``map`` or generator as if it had run out.
+            raise DomainError("pre-drawn uniforms exhausted") from None
         loss = self._loss[tau][action] if phi else 0.0
         reward = float(self._M - loss - self._sc[s][action])
         record = StepRecord(
             self.t, self._labels[s], self._labels[action], self._type_ids[tau], phi, reward
         )
-        self.moves[s, action] += 1
+        self._move_counts[s, action] += 1
         self.state = action
         self.t += 1
         return record

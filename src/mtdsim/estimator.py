@@ -11,6 +11,11 @@ each type's success rate: a type that succeeds often relative to how often it
 *would* succeed is likely the one attacking.  The unknown catch-all type has
 no catalogued rate and scores with rate 1.
 
+The table is built without an ``np.errstate`` context, since it evaluates
+no 0 / 0 and no x / 0: a type that cannot score holds the rate +inf, and a
+count over +inf is +0.0; a cell where no type scores is not divided at all
+and keeps the fallback belief.
+
 The estimator keeps its last posterior table, read-only, and hands back that
 same object until an update moves the belief.  Decay divides every count by
 the same beta and the belief is a ratio of counts, so an update moves it only
@@ -67,13 +72,15 @@ class ThreatEstimator:
         eff = domain.mu_table.copy()
         if domain.unknown_index is not None:
             eff[domain.unknown_index, :] = 1.0
-        self._eff_mu = eff  # (n_types, A); rate against the pair's target a
+        capable = eff > 0.0
+        # Rates against the pair's target a, +inf for a type that cannot
+        # score: a count divided by +inf is +0.0, so such a type scores 0.
+        self._rates = np.where(capable, eff, np.inf)[:, None, :]  # (n_types, 1, A)
         # The belief where no type scores: uniform over the types capable
         # against the target a, or all zeros if none is.
-        capable = eff > 0.0
         n_capable = capable.sum(axis=0)  # (A,)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._fallback = np.where(n_capable > 0, capable / n_capable, 0.0)  # (n_types, A)
+        fallback = np.divide(capable, n_capable, out=np.zeros(eff.shape), where=n_capable > 0)
+        self._fallback = np.repeat(fallback[:, None, :], s, axis=1)  # (n_types, S, A)
         self._recount()
 
     @property
@@ -84,7 +91,8 @@ class ThreatEstimator:
     def _recount(self) -> None:
         """Re-derive what is kept from the counts, and drop the kept table."""
         live = self._counts > 0.0
-        self._least = float(np.min(self._counts, where=live, initial=np.inf))
+        nonzero = self._counts[live]
+        self._least = float(nonzero.min()) if nonzero.size else math.inf
         # Whether a decay alone moves the belief (see the module docstring).
         self._decay_moves = not self._exact_decay and bool((live.sum(axis=0) >= 2).any())
         self._table = None  # built by posterior_table on demand
@@ -139,11 +147,9 @@ class ThreatEstimator:
         The same object is returned until an update moves the belief.
         """
         if self._table is None:
-            eff = self._eff_mu[:, None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.where(eff > 0.0, self._counts / eff, 0.0)
-                totals = scores.sum(axis=0)  # (S, A)
-                table = np.where(totals > 0.0, scores / totals, self._fallback[:, None, :])
+            scores = self._counts / self._rates
+            totals = scores.sum(axis=0)  # (S, A)
+            table = np.divide(scores, totals, out=self._fallback.copy(), where=totals > 0.0)
             table.flags.writeable = False
             self._table = table
         return self._table

@@ -76,20 +76,43 @@ class NumericalError(RuntimeError):
         self.residual = residual
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float_array(value, ndim: int) -> np.ndarray:
+    """``value`` itself if it is a float64 ndarray of rank ``ndim``, else converted.
+
+    The test costs three attribute reads, where ``np.asarray`` and
+    ``np.atleast_1d`` would cost about a microsecond to hand back the same array.
+    """
+    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == ndim:
+        return value
+    array = np.asarray(value, dtype=float)
+    return np.atleast_1d(array) if ndim == 1 else array
+
+
 @dataclass
 class LPProblem:
-    """minimize c @ x  s.t.  rows @ x <= bounds,  x free."""
+    """minimize c @ x  s.t.  rows @ x <= bounds,  x free.
+
+    A float64 ``np.ndarray`` of the right rank (1 for ``c`` and ``bounds``, 2
+    for ``rows``) is kept as it is handed in, by identity; ``solve_lp``
+    re-checks a problem that holds a certificate's own arrays without
+    comparing them.  Anything else is converted as
+    ``np.asarray(value, dtype=float)`` does, with a 0-d ``c`` or ``bounds``
+    raised to 1-D.
+    """
 
     c: np.ndarray
     rows: np.ndarray
     bounds: np.ndarray
 
     def __post_init__(self) -> None:
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        self.rows = np.asarray(self.rows, dtype=float)
+        self.c = _float_array(self.c, 1)
+        self.rows = _float_array(self.rows, 2)
         if self.rows.ndim != 2 or self.rows.shape[1] != self.c.shape[0]:
             raise ValueError("rows must be an (m, n) array, one column per variable")
-        self.bounds = np.atleast_1d(np.asarray(self.bounds, dtype=float))
+        self.bounds = _float_array(self.bounds, 1)
         if self.bounds.shape != (self.rows.shape[0],):
             raise ValueError("one bound per constraint row required")
 
@@ -291,7 +314,8 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     slack = b - cert.columns @ u_J
-    if not ((u_J >= -FEAS_TOL).all() and (slack >= -FEAS_TOL).all()):  # a NaN fails too
+    # A NaN is the minimum of an array that holds one, and fails the test too.
+    if not (u_J.min(initial=np.inf) >= -FEAS_TOL and slack.min(initial=np.inf) >= -FEAS_TOL):
         return None
     u = np.zeros(2 * cert.c.size)
     u[cert.J] = u_J

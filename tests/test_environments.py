@@ -174,7 +174,8 @@ def test_network_three_nodes_scale_out():
 
 @pytest.mark.parametrize("n_nodes", range(1, 9))
 def test_network_domain_is_bitwise_the_per_configuration_builder(n_nodes):
-    for seed in (0, 7, 42):
+    # The domain draws its parameters in one call, the oracle one scalar at a time.
+    for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         net = make_network_domain(rng, n_nodes=n_nodes)
         ref = reference_network_domain(ref_rng, n_nodes=n_nodes)
@@ -184,7 +185,7 @@ def test_network_domain_is_bitwise_the_per_configuration_builder(n_nodes):
             ours, theirs = getattr(net, name), getattr(ref, name)
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
             assert ours.tobytes() == theirs.tobytes(), name
-        assert rng.random() == ref_rng.random()  # the same draws, in the same order
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +622,31 @@ def test_a_step_past_the_drawn_uniforms_raises():
     env = MTDEnvironment(make_web_app_domain(), unknown_only_scenario(horizon=5))
     draws = env.uniforms(1, np.random.default_rng(0))
     env.step(3, draws)
-    with pytest.raises(StopIteration):
+    with pytest.raises(DomainError, match="pre-drawn uniforms exhausted"):
         env.step(3, draws)
-    assert (env.t, int(env.moves.sum())) == (1, 1)
+    assert (env.t, env.state, int(env.moves.sum())) == (1, 3, 1)
+    with pytest.raises(StopIteration):  # the draws themselves still just run out
+        draws.random()
+
+
+@pytest.mark.parametrize("mode", [STATIC_DIST, MOST_ADVERSE])
+def test_a_map_over_steps_past_the_drawn_uniforms_raises(mode):
+    # A StopIteration out of the step would end the map after three records.
+    dist = {"unknown": 1.0} if mode == STATIC_DIST else None
+    env = MTDEnvironment(make_web_app_domain(), single_phase_scenario(10, mode, dist))
+    draws = env.uniforms(3, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="pre-drawn uniforms exhausted"):
+        list(map(lambda _: env.step(0, draws), range(10)))
+    assert (env.t, env.state, int(env.moves.sum())) == (3, 0, 3)
+
+
+def test_moves_cannot_be_rebound():
+    env = MTDEnvironment(make_web_app_domain(), unknown_only_scenario(horizon=5))
+    moves = env.moves
+    with pytest.raises(AttributeError):
+        env.moves = np.zeros((4, 4), dtype=int)
+    env.step(3, np.random.default_rng(0))
+    assert env.moves is moves and moves[0, 3] == 1  # a step counts in the same array
 
 
 def _untemper(y: int) -> int:

@@ -234,16 +234,51 @@ def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
         assert seen["multi-type decay"]
 
 
+def harmless_target_domain():
+    """Two configurations and no unknown type; none of the types can hit the second."""
+    space = ConfigSpace((FactorSpec("cfg", ("a", "b")),))
+    types = (
+        AttackerTypeSpec("capable", False, np.array([0.5, 0.0]), np.array([10.0, 0.0])),
+        AttackerTypeSpec("harmless", False, np.array([0.0, 0.0]), np.array([0.0, 0.0])),
+    )
+    return DomainInfo(space, types, np.zeros((2, 2)), 200.0, 0.9)
+
+
+CHECKPOINT_DOMAINS = {
+    **REFERENCE_DOMAINS,
+    "net2": lambda: make_network_domain(np.random.default_rng(0), n_nodes=2),
+    "one-cell": one_cell_domain,
+    "harmless-target": harmless_target_domain,
+}
+
+
 def test_posterior_table_of_a_checkpoint_is_bitwise_the_reference_formula():
-    # Counts in every cell, where a type is not capable too, and some empty cells.
-    domain = make_web_app_domain(unknown_variant="pg-only-dh")
-    assert np.any(domain.mu_table == 0.0)
+    # Cell by cell, no type, one type or several types hold counts, of any
+    # type: also of a type that cannot score there (rate 0) and of the unknown
+    # type.  Any 0 / 0 or x / 0 left in the rebuild raises here.
+    seen = {"empty": 0, "one type": 0, "several types": 0, "cannot score": 0, "no fallback": 0}
     rng = np.random.default_rng(10)
-    counts = rng.random((domain.n_types, domain.n_configs, domain.n_configs))
-    counts[:, 0, :] = 0.0
-    data = {**ThreatEstimator(domain).to_dict(), "counts": counts.tolist()}
-    est = ThreatEstimator.from_dict(domain, data)
-    assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
+    with np.errstate(all="raise"):
+        for name, make in sorted(CHECKPOINT_DOMAINS.items()):
+            domain = make()
+            n, S = domain.n_types, domain.n_configs
+            rates = domain.mu_table.copy()
+            if domain.unknown_index is not None:
+                rates[domain.unknown_index] = 1.0
+            for beta in (1.0, 1.2, 2.0, 4.0):
+                counts = np.zeros((n, S, S))
+                for s, a in np.ndindex(S, S):
+                    k = int(rng.integers(min(n, 3) + 1))
+                    counts[rng.choice(n, size=k, replace=False), s, a] = 1.0 + rng.random(k)
+                est = with_counts(domain, counts, beta=beta)
+                assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
+                held = (counts > 0.0).sum(axis=0)
+                seen["empty"] += int((held == 0).sum())
+                seen["one type"] += int((held == 1).sum())
+                seen["several types"] += int((held >= 2).sum())
+                seen["cannot score"] += int(((counts > 0.0) & (rates[:, None, :] == 0.0)).sum())
+                seen["no fallback"] += int((rates == 0.0).all(axis=0).sum())
+    assert all(seen.values()), seen
 
 
 def test_web_cold_posterior_counts_unknown_everywhere():

@@ -258,10 +258,41 @@ def test_problem_shape_validation():
         ([1.0, 2.0], np.ones((3, 4)), np.ones(6)),  # a reshape would read 6 rows of 2
         ([1.0, 2.0, 3.0], np.ones((3, 2)), np.ones(2)),  # ... or 2 scrambled rows of 3
         ([1.0], [1.0], [1.0]),  # one row, but not a 2-D array
+        (np.ones(2), np.ones((1, 2)), np.ones(2)),  # float64 arrays: two bounds for one row
+        (np.ones(1), np.ones(1), np.ones(1)),  # ... and a 1-D rows array
+        (np.ones(2), np.ones((3, 2)), np.ones((3, 1))),  # ... and a 2-D bounds array
     ]
     for c, rows, bounds in cases:
         with pytest.raises(ValueError):
             LPProblem(c=c, rows=rows, bounds=bounds)
+
+
+def test_problem_keeps_float64_arrays_and_converts_the_rest_as_asarray_does():
+    c, rows, bounds = np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2)
+    problem = LPProblem(c, rows, bounds)
+    # Kept by identity: a problem on a certificate's own arrays is re-checked
+    # without comparing them.
+    assert problem.c is c and problem.rows is rows and problem.bounds is bounds
+
+    class Tagged(np.ndarray):
+        pass
+
+    cases = [
+        ([1, 2], [[1, 0], [0, 1]], [1, 1]),  # lists
+        (np.array([1, 2]), np.array([[1, 0], [0, 1]]), np.array([1, 1])),  # ints
+        (c.astype(np.float32), rows.astype(np.float32), bounds.astype(np.float32)),
+        (c.view(Tagged), rows.view(Tagged), bounds.view(Tagged)),  # subclasses
+        (np.array(3.0), [[1.0], [-1.0]], [1.0, 1.0]),  # a 0-d c
+        (np.float64(3.0), [[1.0]], np.float64(1.0)),  # numpy scalars
+    ]
+    for case in cases:
+        problem = LPProblem(*case)
+        for got, given in zip((problem.c, problem.rows, problem.bounds), case):
+            want = np.asarray(given, dtype=float)
+            want = want if want.ndim else want.reshape(1)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got is not given
 
 
 def test_solution_dataclass_defaults():
@@ -453,6 +484,22 @@ def test_a_certificate_for_another_c_or_rows_is_not_rechecked():
         got = solve_lp(problem, start=sol)
         assert not got.warm and got.certificate is not sol.certificate
         assert_same_solution(got, solve_lp(problem))
+
+
+def test_a_nan_bound_fails_the_recheck():
+    # min x over x >= -1, |y| <= 2: row 0 is tight, rows 1 and 2 are not.
+    rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
+    first = solve_lp(LPProblem([1.0, 0.0], rows, bounds))
+    cert = first.certificate
+    assert cert.tight.tolist() == [0] and lp._primal_vertex(cert, bounds) is not None
+    for row in range(3):  # a NaN basic value (row 0) or a NaN slack (rows 1, 2)
+        nan = bounds.copy()
+        nan[row] = np.nan
+        assert lp._primal_vertex(cert, nan) is None
+    nan = LPProblem([1.0, 0.0], rows, [1.0, np.nan, 2.0])
+    got = solve_lp(nan, start=first)
+    assert not got.warm
+    assert_same_solution(got, solve_lp(nan))
 
 
 def test_a_failed_recheck_ends_on_the_cold_solution():
