@@ -27,23 +27,23 @@ for it.  Every round adds a row, so the loop ends, at worst on the full
 program.  A round after the first restarts from the last round's solution:
 its rows are ``kept`` in the grown set, and the added rows leave that
 optimal basis dual feasible, so ``lp``'s dual simplex pivots only the new
-rows feasible.  An unbounded round proves nothing about the full program, so
-the next round takes every row, solved two-phase.  A cold 4-node network
+rows feasible.  Every working set holds the stay rows, so no round is
+unbounded; one that is reports a malformed program.  A cold 4-node network
 solve takes 3 rounds, 48 of its 256 rows and 29 pivots, 16 of them in the
 two-phase first round.  The optimum need not be a unique vertex: under some
 beliefs the generated and the full solve end on different optimal vertices,
 at one objective, whose greedy policies differ.
 
-Re-planning reuses the previous program: under an equal belief ``build_alp``
-hands back the previous problem itself, whose weights and policy
-``solve_alp`` and ``extract_policy`` keep, so nothing is rebuilt or solved.
-The estimator hands back the very table it was asked for last until its
-belief moves (see ``estimator``), and a problem keeps that read-only table
-itself, so an unmoved re-plan is recognised by identity and compares
-nothing.  Under a new belief only the bounds are rebuilt, and the solve
-starts on the previous working set from its last solution, whose certified
-basis then needs only a primal feasibility re-check (see ``lp``) before one
-scan.  When the re-check fails, that round solves two-phase.
+Re-planning reuses the previous program.  Whether the belief moved is the
+estimator's call: it hands back the very table it handed out last until the
+belief moves (see ``estimator``).  ``build_alp`` hands back the previous
+problem, whose weights and policy ``solve_alp`` and ``extract_policy``
+keep, only for that same object, so an unmoved re-plan compares, rebuilds
+and solves nothing.  Under any other table, an equal copy included, only
+the bounds are rebuilt, and the solve starts on the previous working set
+from its last solution, whose certified basis then needs only a primal
+feasibility re-check (see ``lp``) before one scan.  When the re-check
+fails, that round solves two-phase.
 
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
@@ -113,7 +113,9 @@ class ALProblem:
     basis: Basis
     lp: LPProblem
     rewards: np.ndarray  # (S, A) expected rewards R(s, a); lp.bounds is -rewards
-    posterior: np.ndarray | None = None  # read-only belief the rewards come from
+    # The belief the rewards come from, when it is a read-only array owning
+    # its data; None otherwise.  build_alp hands the problem back for it alone.
+    posterior: np.ndarray | None = None
     working_set: np.ndarray | None = None  # read-only rows of lp that lp_solution solved
     lp_solution: LPSolution | None = None  # solution over working_set; the next solve starts there
     weights: np.ndarray | None = None  # set by solve_alp
@@ -123,22 +125,6 @@ class ALProblem:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _frozen(table: np.ndarray) -> np.ndarray:
-    """``table`` itself if it is a read-only float array owning its data, else a read-only copy.
-
-    A writeable array, or a view of one, is copied, so a caller that changes
-    it in place cannot make a later belief look equal to this one.
-    """
-    if (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.float64
-        and table.base is None
-        and not table.flags.writeable
-    ):
-        return table
-    return _read_only(np.array(table, dtype=float))
 
 
 def build_alp(
@@ -154,22 +140,19 @@ def build_alp(
     function by its mean activation over configurations (uniform theta).
 
     ``previous``, a problem built for the same domain and basis, is returned
-    itself when ``posterior_table`` is or equals the belief it was built
-    from: the same belief gives the same program.  Otherwise it lends its
-    basis, rows, objective, working set and last LP solution, so only the
-    rewards and the bounds are computed.  A read-only float table is kept as
-    ``ALProblem.posterior`` itself, so handing the same table back costs one
-    identity test; any other table is kept as a read-only copy.  An equal
-    table replaces the one ``previous`` kept in the same way, so a belief
-    handed back as a new object is compared once, not on every re-plan.
+    itself when ``posterior_table`` is ``previous.posterior``: the same
+    belief gives the same program.  Otherwise it lends its basis, rows,
+    objective, working set and last LP solution, so only the rewards and the
+    bounds are computed.  A read-only ndarray that owns its data is kept as
+    ``ALProblem.posterior``; any other table (writeable, or a view of one)
+    can change under the problem, so it is neither kept nor copied, and the
+    key is None.  No table is compared: deciding whether the belief moved is
+    the estimator's job.
     """
     if previous is not None:
         if previous.domain is not domain or basis not in (None, previous.basis):
             raise DomainError("previous problem was built for another domain or basis")
         if posterior_table is previous.posterior:
-            return previous
-        if np.array_equal(posterior_table, previous.posterior):
-            previous.posterior = _frozen(posterior_table)  # the next hand-back is identical
             return previous
         basis, objective, rows = previous.basis, previous.lp.c, previous.lp.rows
         working_set, start = previous.working_set, previous.lp_solution
@@ -181,10 +164,12 @@ def build_alp(
         rows = (domain.gamma * B[None, :, :] - B[:, None, :]).reshape(S * S, k)
         objective = np.full(S, 1.0 / S) @ B  # E_theta[beta_i] per basis function
         working_set = start = None
-    posterior = _frozen(posterior_table)
-    rewards = expected_reward_table(domain, posterior)
+    rewards = expected_reward_table(domain, posterior_table)
     lp = LPProblem(c=objective, rows=rows, bounds=-rewards.reshape(-1))
-    return ALProblem(domain, basis, lp, rewards, posterior, working_set, start)
+    # Only a read-only array that owns its data cannot change under the problem.
+    owned = isinstance(posterior_table, np.ndarray) and posterior_table.base is None
+    key = posterior_table if owned and not posterior_table.flags.writeable else None
+    return ALProblem(domain, basis, lp, rewards, key, working_set, start)
 
 
 def solve_alp(alp: ALProblem) -> np.ndarray:
@@ -196,11 +181,11 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
     rows outside the set.  Rows violated by more than ``FEAS_TOL`` join the
     set, at most S per round and the most violated first; the loop ends when
     none is violated.  The set starts at the S stay rows (s, s), which bound
-    the objective, and an unbounded round is followed by a cold one over
-    every row.  ``alp.working_set`` and ``alp.lp_solution`` keep the final
-    set and its solution for the next re-plan.  A solved problem is not
+    the objective, so no round is unbounded.  ``alp.working_set`` and
+    ``alp.lp_solution`` keep the final set and its solution for the next
+    re-plan.  A solved problem is not
     solved again: later calls return the same read-only ``alp.weights``.
-    Raises ``RuntimeError`` if the program is infeasible or unbounded, and
+    Raises ``RuntimeError`` if a round is infeasible or unbounded, and
     lets a ``NumericalError`` of the solver through with the program's size.
     """
     if alp.weights is not None:
@@ -228,13 +213,10 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
         if sol.status == INFEASIBLE:
             raise RuntimeError("approximate LP infeasible - constraint assembly bug")
         if sol.status == UNBOUNDED:
-            if rows.size == full.n_rows:
-                raise RuntimeError(
-                    "approximate LP unbounded - the constraint system is malformed "
-                    f"({full.n_rows} rows, {full.n_vars} basis functions)"
-                )
-            rows, start, kept = np.arange(full.n_rows), None, None
-            continue
+            raise RuntimeError(
+                "approximate LP unbounded - the constraint system is malformed "
+                f"({rows.size} of {full.n_rows} rows, {full.n_vars} basis functions)"
+            )
         violation = full.rows @ sol.x - full.bounds
         violation[rows] = -np.inf
         violated = (violation > FEAS_TOL).nonzero()[0]

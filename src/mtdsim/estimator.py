@@ -16,20 +16,22 @@ no 0 / 0 and no x / 0: a type that cannot score holds the rate +inf, and a
 count over +inf is +0.0; a cell where no type scores is not divided at all
 and keeps the fallback belief.
 
-The estimator keeps its last posterior table, read-only, and hands back that
-same object until an update moves the belief.  Decay divides every count by
-the same beta and the belief is a ratio of counts, so an update moves it only
+The estimator alone decides whether an update moved the belief.  It keeps
+the posterior table it last handed out, read-only, and an update marks that
+table stale only when the belief may have moved:
 
 - on a credited success;
 - when a count snaps to zero.  The estimator keeps the smallest nonzero
   count, which decays bitwise as every count does; correctly rounded division
   is monotone, so no count snaps unless that one does;
-- when beta is not a power of two and some cell holds two or more nonzero
-  types, whose scores and totals may then round differently.
+- on any decay when beta is not a power of two, since scores and totals of a
+  cell with two or more nonzero types may then round differently.
 
-In every other case a rebuild gives the same bytes: a power-of-two beta
-scales every score and total exactly, and a cell with one nonzero type reads
-exactly 1.0 for it.
+A power-of-two beta scales every score and total exactly, so its decays
+leave the bytes of the table as they were.  ``posterior_table`` rebuilds a
+stale table and, when the rebuild equals the table it last handed out, keeps
+and returns that same object.  The table holds no NaN and no -0.0, so equal
+values are equal bytes: the object changes exactly when the bytes do.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class ThreatEstimator:
         n_capable = capable.sum(axis=0)  # (A,)
         fallback = np.divide(capable, n_capable, out=np.zeros(eff.shape), where=n_capable > 0)
         self._fallback = np.repeat(fallback[:, None, :], s, axis=1)  # (n_types, S, A)
+        self._table: np.ndarray | None = None  # the table last handed out
         self._recount()
 
     @property
@@ -89,13 +92,10 @@ class ThreatEstimator:
         return self._counts_view
 
     def _recount(self) -> None:
-        """Re-derive what is kept from the counts, and drop the kept table."""
-        live = self._counts > 0.0
-        nonzero = self._counts[live]
+        """Re-derive the smallest nonzero count, and mark the kept table stale."""
+        nonzero = self._counts[self._counts > 0.0]
         self._least = float(nonzero.min()) if nonzero.size else math.inf
-        # Whether a decay alone moves the belief (see the module docstring).
-        self._decay_moves = not self._exact_decay and bool((live.sum(axis=0) >= 2).any())
-        self._table = None  # built by posterior_table on demand
+        self._stale = True  # posterior_table rebuilds on demand
 
     def _check_cell(self, state: int, action: int) -> None:
         # A negative index would read or credit state S-1 silently.
@@ -109,7 +109,8 @@ class ThreatEstimator:
         Decayed counts below a tiny floor are snapped to zero so that
         abandoned cells genuinely forget (a pure ratio would otherwise stay
         concentrated forever regardless of decay).  The kept posterior table
-        is dropped only when the update moves the belief.
+        is marked stale only when the update may move the belief (see the
+        module docstring).
         """
         if phi:
             if not 0 <= tau < self.domain.n_types:
@@ -127,8 +128,8 @@ class ThreatEstimator:
             self._recount()
         else:
             self._least = least
-            if self._decay_moves:
-                self._table = None
+            if least < math.inf and not self._exact_decay:
+                self._stale = True
 
     def posterior(self, state: int, action: int) -> np.ndarray:
         """Belief over attacker types for the pair (state, action).
@@ -144,14 +145,18 @@ class ThreatEstimator:
     def posterior_table(self) -> np.ndarray:
         """Full (n_types, S, A) belief table, read-only; see :meth:`posterior`.
 
-        The same object is returned until an update moves the belief.
+        The same object is returned until an update moves the belief: a
+        stale table is rebuilt, and a rebuild equal to the table last handed
+        out is dropped in favour of that table.
         """
-        if self._table is None:
+        if self._stale:
             scores = self._counts / self._rates
             totals = scores.sum(axis=0)  # (S, A)
             table = np.divide(scores, totals, out=self._fallback.copy(), where=totals > 0.0)
-            table.flags.writeable = False
-            self._table = table
+            if self._table is None or not np.array_equal(table, self._table):
+                table.flags.writeable = False
+                self._table = table
+            self._stale = False
         return self._table
 
     def to_dict(self) -> dict:

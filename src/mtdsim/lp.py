@@ -389,24 +389,31 @@ def solve_lp(
       the dual simplex restarts from the certified basis.
 
     Any other start solves cold.  Every optimal solution carries the
-    certificate of its basis.
+    certificate of its basis.  Past a warm re-check, which fails on a NaN
+    bound, a non-finite entry in ``c``, ``rows`` or ``bounds`` raises
+    ``ValueError``.
     """
     cert = None if start is None else start.certificate
-    if cert is not None and (cert.c is problem.c or np.array_equal(cert.c, problem.c)):
-        if kept is None or len(kept) == problem.n_rows:
-            if cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows):
-                u = _primal_vertex(cert, problem.bounds)
-                if u is not None:
-                    return _optimal(problem, u, cert, warm=True)
-        else:
-            kept = np.asarray(kept, dtype=np.intp)
-            # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
-            if (kept < 0).any() or np.bincount(kept).max(initial=0) > 1:
-                raise ValueError("kept must name distinct rows of the problem")
-            if np.array_equal(cert.rows, problem.rows[kept]):
-                sol = _dual_restart(problem, cert, kept)
-                if sol is not None:
-                    return sol
+    if cert is not None and not (cert.c is problem.c or np.array_equal(cert.c, problem.c)):
+        cert = None
+    if cert is not None and (kept is None or len(kept) == problem.n_rows):
+        if cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows):
+            u = _primal_vertex(cert, problem.bounds)
+            if u is not None:
+                return _optimal(problem, u, cert, warm=True)
+        cert = None
+    for name in ("c", "rows", "bounds"):
+        if not np.isfinite(getattr(problem, name)).all():
+            raise ValueError(f"LP {name} holds a non-finite entry")
+    if cert is not None:
+        kept = np.asarray(kept, dtype=np.intp)
+        # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
+        if (kept < 0).any() or np.bincount(kept).max(initial=0) > 1:
+            raise ValueError("kept must name distinct rows of the problem")
+        if np.array_equal(cert.rows, problem.rows[kept]):
+            sol = _dual_restart(problem, cert, kept)
+            if sol is not None:
+                return sol
     A, c_u = _standard_form(problem)
     b = problem.bounds
     n_u = c_u.size

@@ -67,16 +67,14 @@ def ata_fmdp_run(
 
     Every ``reopt_period`` steps (``None`` = plan once at t=0 and never
     again) the current attacker-type belief is frozen into an approximate LP,
-    solved, and turned into a greedy policy.  A re-plan under a belief that
-    has not moved computes no table and compares nothing: the estimator
-    hands back the table it kept, ``build_alp`` recognises it by identity and
-    returns the previous problem, and ``solve_alp`` and ``extract_policy``
-    return the weights and policy that problem keeps.  The belief moves on a
-    credited success, on a count snapped to zero, and, when beta is not a
-    power of two, on every decay while some cell holds two or more nonzero
-    types (see ``estimator``).  A re-plan under a moved belief rebuilds only
-    the bounds of the previous program and starts on its working set of rows,
-    from its last LP solution.
+    solved, and turned into a greedy policy.  The estimator alone decides
+    whether the belief moved, and hands back the table it handed out last
+    until it does (see ``estimator``).  A re-plan under that same table
+    computes nothing: ``build_alp`` recognises it by identity and returns the
+    previous problem, and ``solve_alp`` and ``extract_policy`` return the
+    weights and policy that problem keeps.  A re-plan under a new table
+    rebuilds only the bounds of the previous program and starts on its
+    working set of rows, from its last LP solution.
     After each step the belief is updated with the observed (type, success)
     outcome.
     """

@@ -16,7 +16,8 @@ defender's loop re-planning at every scheduled step from that posterior
 oracle, with nothing kept between re-plans but the last LP solution.
 ``reference_network_domain`` builds the network domain configuration by
 configuration, with the switching costs counted from a (state, action, node)
-table.
+table.  ``recording`` makes an array that records every numpy call it takes
+part in, so a test can tell that nothing compared it.
 """
 
 from __future__ import annotations
@@ -259,6 +260,37 @@ def compare_simplex_to_vertices(n_cases: int, seed: int, tol: float = 1e-6) -> l
             if np.any(problem.rows @ got.x > problem.bounds + 1e-7):
                 mismatches.append(f"case {idx}: reported optimum violates constraints")
     return mismatches
+
+
+class RecordingArray(np.ndarray):
+    """An array that records, in ``calls``, every numpy function and ufunc it takes part in.
+
+    Any comparison of its values, ``np.array_equal`` or ``(a == b).all()``
+    alike, goes through numpy's dispatch and is recorded; an identity test
+    is not.  The call itself runs on plain arrays, and a view or copy
+    records into the list of the array it came from.
+    """
+
+    def __array_finalize__(self, obj):
+        self.calls: list[str] = getattr(obj, "calls", [])
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls.append(ufunc.__name__)
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, RecordingArray) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        self.calls.append(func.__name__)
+        args = tuple(x.view(np.ndarray) if isinstance(x, RecordingArray) else x for x in args)
+        return func(*args, **kwargs)
+
+
+def recording(table: np.ndarray) -> RecordingArray:
+    """A read-only ``RecordingArray`` copy of ``table`` that owns its data."""
+    array = RecordingArray(table.shape)
+    array[...] = table
+    array.flags.writeable = False
+    return array
 
 
 def reference_posterior_table(estimator: ThreatEstimator) -> np.ndarray:

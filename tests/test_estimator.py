@@ -13,7 +13,7 @@ from mtdsim.domain import (
 )
 from mtdsim.environments import make_network_domain, make_web_app_domain
 from mtdsim.estimator import COUNT_FLOOR, ThreatEstimator
-from oracles import reference_posterior_table
+from oracles import recording, reference_posterior_table
 
 
 def one_cell_domain():
@@ -191,7 +191,9 @@ def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
     # A quiet start on the all-zero table, then bursts of credits on three
     # cells, each followed by a quiet stretch long enough for every count to
     # snap at beta = 1.2 (1.2**160 > 1e12).  The counts are compared bitwise
-    # with a table that decays on every step, also where it is all zero.
+    # with a table that decays on every step, also where it is all zero.  The
+    # estimator hands back the same object exactly when the bytes are the
+    # same, whichever of its rules marked the table stale.
     domain = REFERENCE_DOMAINS[name]()
     est = ThreatEstimator(domain, beta=beta)
     reference = np.zeros_like(est.counts)
@@ -204,7 +206,7 @@ def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
         reference /= beta
         assert est.counts.tobytes() == reference.tobytes()
         assert est.posterior_table() is table
-    seen = {"credit": 0, "snap": 0, "multi-type decay": 0, "kept": 0}
+    seen = {"credit": 0, "snap": 0, "multi-type decay": 0, "kept": 0, "moved": 0}
     for step in range(3 * 220):
         before = est.counts.copy()
         phi = step % 220 < 60 and rng.random() < 0.5
@@ -217,21 +219,36 @@ def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
             reference[tau, state, action] += 1.0
         assert est.counts.tobytes() == reference.tobytes()
         snap = bool(np.any((before > 0.0) & (before / beta < COUNT_FLOOR)))
-        # Only a power of two divides every score and total exactly.
-        multi = beta not in (1.0, 2.0, 4.0) and bool(np.any((before > 0.0).sum(axis=0) >= 2))
-        moved = phi or snap or multi
+        multi = bool(np.any((before > 0.0).sum(axis=0) >= 2))
         seen["credit"] += phi
         seen["snap"] += snap
         seen["multi-type decay"] += multi and not (phi or snap)
         last, table = table, est.posterior_table()
         assert table.tobytes() == reference_posterior_table(est).tobytes()
-        assert (table is last) == (not moved)
+        assert (table is last) == (table.tobytes() == last.tobytes())
         seen["kept"] += table is last
-    assert seen["credit"] and seen["kept"]
+        seen["moved"] += table is not last
+    assert seen["credit"] and seen["kept"] and seen["moved"]
     if beta > 1.0:
         assert seen["snap"]
     if beta == 1.2:
         assert seen["multi-type decay"]
+
+
+def test_a_rebuild_equal_to_the_kept_table_is_compared_once_and_dropped():
+    # At beta = 1.2 every decay marks the table stale, but a cell with one
+    # nonzero type still reads exactly 1.0, so the rebuild equals the table
+    # handed out last.  That table records every numpy call it takes part in.
+    est = ThreatEstimator(make_web_app_domain(), beta=1.2)
+    est.update(1, 2, 3, phi=1)
+    est._table = watched = recording(est.posterior_table())
+    est.update(0, 2, 3, phi=0)
+    watched.calls.clear()
+    assert est.posterior_table() is watched
+    assert watched.calls  # the rebuild was compared with it ...
+    watched.calls.clear()
+    assert est.posterior_table() is watched
+    assert watched.calls == []  # ... once: until the next update, nothing is
 
 
 def harmless_target_domain():

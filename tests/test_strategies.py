@@ -9,7 +9,7 @@ that re-plans at every scheduled step (``oracles.reference_ata_fmdp_run``).
 import numpy as np
 import pytest
 
-from mtdsim import alp
+from mtdsim import alp, strategies
 from mtdsim.domain import DomainError
 from mtdsim.environments import (
     MOST_ADVERSE,
@@ -253,6 +253,32 @@ def test_skipping_unmoved_beliefs_matches_replanning_every_step(
     assert play(ata_fmdp_run) == play(reference_ata_fmdp_run)
     # The skip ran: fewer real solves than scheduled re-plans.
     assert len(solves) < -(-run.timesteps // reopt_period)
+
+
+@pytest.mark.parametrize("scenario,beta", [("web-evolving", 2.0), ("web-dh-postgres", 1.2)])
+def test_build_alp_hands_back_exactly_when_the_estimator_does(monkeypatch, scenario, beta):
+    # Over a whole run: the previous problem comes back exactly on the
+    # re-plans that get the previous table object, and the estimator hands
+    # out a new object exactly when the bytes of its table change.
+    run = resolve_run(ExperimentConfig(domain="web", scenario=scenario))
+    replans = []  # (table, previous problem, problem); holding them keeps every id unique
+    build_alp = strategies.build_alp
+
+    def recorded(domain, table, previous=None):
+        problem = build_alp(domain, table, previous=previous)
+        replans.append((table, previous, problem))
+        return problem
+
+    monkeypatch.setattr(strategies, "build_alp", recorded)
+    env = MTDEnvironment(run.domain, run.scenario, run.start_state)
+    ata_fmdp_run(run.domain, env, run.timesteps, np.random.default_rng(10), beta=beta)
+    assert len(replans) == run.timesteps
+    kept = 0
+    for (last, _, _), (table, previous, problem) in zip(replans, replans[1:]):
+        assert (problem is previous) == (table is last)
+        assert (table is last) == (table.tobytes() == last.tobytes())
+        kept += table is last
+    assert 0 < kept < run.timesteps - 1
 
 
 @pytest.mark.parametrize("name,kwargs", [
