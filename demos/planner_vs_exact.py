@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Compare the approximate-LP planner against exact value iteration.
+"""Compare the approximate-LP planner against exact policy iteration.
 
-With one indicator per configuration the LP reproduces value iteration to
+With one indicator per configuration the LP reproduces policy iteration to
 numerical precision; with the factored basis (one indicator per factor
 value) the values are upper bounds and the greedy policy usually agrees.
 The demo prints both value tables, the policies, and one assembled
@@ -17,9 +17,9 @@ from mtdsim.alp import (
     build_basis,
     build_state_basis,
     extract_policy,
+    policy_iteration,
     solve_alp,
     value_estimates,
-    value_iteration,
 )
 from mtdsim.environments import make_web_app_domain
 from mtdsim.harness import cold_posterior_table, random_posterior_table
@@ -27,10 +27,10 @@ from mtdsim.harness import cold_posterior_table, random_posterior_table
 
 def show(domain, posterior, title):
     space = domain.space
-    v_star, pi_star = value_iteration(domain, posterior)
+    v_star, pi_star = policy_iteration(domain, posterior)
 
     print(f"--- {title} ---")
-    print(f"{'config':<16} {'V (exact)':>12} {'V (state)':>12} {'V (factored)':>13}")
+    print(f"{'config':<16} {'V (PI)':>12} {'V (state)':>12} {'V (factored)':>13}")
     values, policies = {}, {}
     for name, basis in (("state", build_state_basis(space)), ("factored", build_basis(space))):
         alp = build_alp(domain, posterior, basis)
@@ -42,11 +42,12 @@ def show(domain, posterior, title):
             f"{space.label(s):<16} {v_star[s]:>12.4f} {values['state'][s]:>12.4f} "
             f"{values['factored'][s]:>13.4f}"
         )
-    print(f"state-basis max error vs exact: {np.max(np.abs(values['state'] - v_star)):.2e}")
+    error = np.max(np.abs(values["state"] - v_star))
+    print(f"state-basis max error vs policy iteration: {error:.2e}")
     for name in ("state", "factored"):
         labels = [space.label(a) for a in policies[name]]
-        match = "matches VI" if np.array_equal(policies[name], pi_star) else "differs from VI"
-        print(f"{name} policy: {labels} ({match})")
+        match = "matches" if np.array_equal(policies[name], pi_star) else "differs from"
+        print(f"{name} policy: {labels} ({match} policy iteration)")
     print()
 
 

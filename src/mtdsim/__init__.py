@@ -12,9 +12,9 @@ from .alp import (
     build_basis,
     build_state_basis,
     extract_policy,
+    policy_iteration,
     solve_alp,
     value_estimates,
-    value_iteration,
 )
 from .domain import DomainError, attacker_types_from_cvss_csv, save_domain
 from .environments import make_web_app_domain, save_scenario
@@ -40,6 +40,7 @@ __all__ = [
     "cold_posterior_table",
     "extract_policy",
     "make_web_app_domain",
+    "policy_iteration",
     "random_posterior_table",
     "run_experiment",
     "save_domain",
@@ -48,5 +49,4 @@ __all__ = [
     "solve_lp",
     "theorem1_regret_experiment",
     "value_estimates",
-    "value_iteration",
 ]

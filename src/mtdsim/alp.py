@@ -64,8 +64,6 @@ from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
 from .lp import FEAS_TOL, INFEASIBLE, LPProblem, LPSolution, NumericalError, UNBOUNDED, solve_lp
 
 TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
-VI_TOL = 1e-10  # value iteration stops once no value moves by this much
-VI_MAX_SWEEPS = 100_000  # ... or after this many sweeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,36 +262,42 @@ def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
     return policy
 
 
+def _policy_value(domain: DomainInfo, rewards: np.ndarray, policy: np.ndarray) -> np.ndarray:
+    """Solve (I - gamma P) V = R_pi for a valid policy under reward table ``rewards``."""
+    S = domain.n_configs
+    P = np.zeros((S, S))
+    P[np.arange(S), policy] = 1.0
+    return np.linalg.solve(np.eye(S) - domain.gamma * P, rewards[np.arange(S), policy])
+
+
 def exact_value(domain: DomainInfo, policy: np.ndarray, posterior_table: np.ndarray) -> np.ndarray:
     """Exact discounted value of a deterministic policy on the belief MDP.
 
     The policy chain is deterministic, so (I - gamma P) V = R_pi solves it
-    exactly.
+    exactly.  Raises ``DomainError`` unless ``policy`` holds S integer
+    configuration indices.
     """
-    policy = np.asarray(policy, dtype=int)
-    S = domain.n_configs
-    R = expected_reward_table(domain, posterior_table)
-    r_pi = R[np.arange(S), policy]
-    P = np.zeros((S, S))
-    P[np.arange(S), policy] = 1.0
-    return np.linalg.solve(np.eye(S) - domain.gamma * P, r_pi)
+    policy, S = np.asarray(policy), domain.n_configs
+    malformed = policy.shape != (S,) or policy.dtype.kind not in "iu"
+    if malformed or policy.min() < 0 or policy.max() >= S:
+        raise DomainError(f"policy must hold {S} integer configuration indices")
+    return _policy_value(domain, expected_reward_table(domain, posterior_table), policy)
 
 
-def value_iteration(
+def policy_iteration(
     domain: DomainInfo, posterior_table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact optimal values and greedy policy (lowest action index on ties)."""
+    """Exact optimal values and greedy policy (lowest action index on ties).
+
+    From the myopic policy, each policy is evaluated exactly and improved
+    greedily until one repeats: ties within ``TIE_TOL`` need not raise V.
+    """
     R = expected_reward_table(domain, posterior_table)
-    V = np.zeros(domain.n_configs)
-    for _ in range(VI_MAX_SWEEPS):
-        Q = R + domain.gamma * V[None, :]
-        V_new = Q.max(axis=1)
-        if np.max(np.abs(V_new - V)) < VI_TOL:
-            V = V_new
-            break
-        V = V_new
-    Q = R + domain.gamma * V[None, :]
-    return V, greedy_actions(Q)
+    values, policy = {}, greedy_actions(R)
+    while (key := policy.tobytes()) not in values:
+        values[key] = _policy_value(domain, R, policy)
+        policy = greedy_actions(R + domain.gamma * values[key][None, :])
+    return values[key], policy
 
 
 def alp_to_dict(alp: ALProblem) -> dict:

@@ -16,7 +16,7 @@ from .harness import (
     CHECK_SAMPLES,
     CHECK_SEED,
     ExperimentConfig,
-    check_alp_vs_value_iteration,
+    check_alp_vs_policy_iteration,
     check_estimator_recovery,
     check_linear_regret,
     check_value_loss_bound,
@@ -108,7 +108,7 @@ def cmd_hindsight(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = [
-        check_alp_vs_value_iteration(args.seed),
+        check_alp_vs_policy_iteration(args.seed),
         check_estimator_recovery(args.seed, args.samples),
         check_value_loss_bound(args.seed, args.perturbations),
         check_linear_regret(args.seed, args.runs),

@@ -24,9 +24,9 @@ from .alp import (
     build_state_basis,
     exact_value,
     extract_policy,
+    policy_iteration,
     solve_alp,
     value_estimates,
-    value_iteration,
 )
 from .domain import (
     AttackerTypeSpec,
@@ -367,11 +367,11 @@ def avg_regret_bound_check(
     r_true = expected_reward_table(domain, posterior_true)
     r_est = expected_reward_table(domain, posterior_est)
     epsilon = float(np.max(np.abs(r_true - r_est)))
-    v_true, _ = value_iteration(domain, posterior_true)
-    _, policy_est = value_iteration(domain, posterior_est)
+    v_true, _ = policy_iteration(domain, posterior_true)
+    _, policy_est = policy_iteration(domain, posterior_est)
     v_policy = exact_value(domain, policy_est, posterior_true)
     gap = float(np.max(v_true - v_policy))
-    bound = 2.0 * epsilon / (1.0 - domain.gamma) + 1e-8
+    bound = 2.0 * epsilon / (1.0 - domain.gamma)
     return gap, bound, gap <= bound
 
 
@@ -411,11 +411,11 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
-def check_alp_vs_value_iteration(seed: int = CHECK_SEED) -> CheckResult:
-    """The exact-basis planner reproduces value iteration on the web domain.
+def check_alp_vs_policy_iteration(seed: int = CHECK_SEED) -> CheckResult:
+    """The exact-basis planner reproduces policy iteration on the web domain.
 
-    With the per-state-indicator basis, the ALP's values must match value
-    iteration to 1e-5 and its policy must be value iteration's.  Posteriors:
+    With the per-state-indicator basis, the ALP's values must match policy
+    iteration to 1e-5 and its policy must be policy iteration's.  Posteriors:
     the cold one plus three random ones drawn from ``seed``.
     """
     check_seed(seed)
@@ -429,12 +429,12 @@ def check_alp_vs_value_iteration(seed: int = CHECK_SEED) -> CheckResult:
     for table in posteriors:
         alp = build_alp(web, table, basis)
         weights = solve_alp(alp)
-        v_vi, policy_vi = value_iteration(web, table)
-        errors.append(np.max(np.abs(value_estimates(alp, weights) - v_vi)))
-        all_match = all_match and np.array_equal(extract_policy(alp, weights), policy_vi)
+        v_pi, policy_pi = policy_iteration(web, table)
+        errors.append(np.max(np.abs(value_estimates(alp, weights) - v_pi)))
+        all_match = all_match and np.array_equal(extract_policy(alp, weights), policy_pi)
     worst = float(np.max(errors))  # a NaN error propagates and fails the check
     return CheckResult(
-        "alp-vs-value-iteration",
+        "alp-vs-policy-iteration",
         worst <= 1e-5 and all_match,
         f"max value error {worst:.2e} (tol 1e-5) over {len(posteriors)} posteriors, "
         f"policies {'match' if all_match else 'differ'}",

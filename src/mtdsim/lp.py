@@ -307,14 +307,18 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     """The structural values u of the certificate's basis under bounds ``b``, if feasible.
 
     The basic structural columns J solve A[tight, J] u_J = b[tight]; the
-    vertex is returned only when u_J and every slack are >= -FEAS_TOL.
+    vertex is returned only when every bound is finite, and u_J and every
+    slack are >= -FEAS_TOL.
     """
+    # b . b is finite only when every bound is (one BLAS call, run on every
+    # warm solve), so a non-finite bound never meets a 0 in a product below.
+    if not b.dot(b) < np.inf:
+        return None
     try:
         u_J = np.linalg.solve(cert.square, b[cert.tight])
     except np.linalg.LinAlgError:
         return None
     slack = b - cert.columns @ u_J
-    # A NaN is the minimum of an array that holds one, and fails the test too.
     if not (u_J.min(initial=np.inf) >= -FEAS_TOL and slack.min(initial=np.inf) >= -FEAS_TOL):
         return None
     u = np.zeros(2 * cert.c.size)
@@ -389,9 +393,9 @@ def solve_lp(
       the dual simplex restarts from the certified basis.
 
     Any other start solves cold.  Every optimal solution carries the
-    certificate of its basis.  Past a warm re-check, which fails on a NaN
-    bound, a non-finite entry in ``c``, ``rows`` or ``bounds`` raises
-    ``ValueError``.
+    certificate of its basis.  A non-finite entry in ``c``, ``rows`` or
+    ``bounds`` raises ``ValueError``, with or without a start: the warm
+    re-check fails on a non-finite bound.
     """
     cert = None if start is None else start.certificate
     if cert is not None and not (cert.c is problem.c or np.array_equal(cert.c, problem.c)):

@@ -17,7 +17,7 @@ import numpy as np
 
 from mtdsim.harness import (
     ExperimentConfig,
-    check_alp_vs_value_iteration,
+    check_alp_vs_policy_iteration,
     check_estimator_recovery,
     check_linear_regret,
     check_value_loss_bound,
@@ -156,9 +156,9 @@ def test_criterion_05_tripled_switching_costs_separate_urs():
     assert _line(ok, "criterion-05 tripled-sc separation", detail)
 
 
-def test_criterion_06_alp_matches_value_iteration():
+def test_criterion_06_alp_matches_policy_iteration():
     start = time.perf_counter()
-    check = check_alp_vs_value_iteration()
+    check = check_alp_vs_policy_iteration()
     elapsed = time.perf_counter() - start
     detail = f"{check.detail}, {elapsed*1e3:.0f} ms (need <1s)"
     assert _line(check.ok and elapsed < 1.0, "criterion-06 exact-basis planner", detail)

@@ -1,7 +1,7 @@
 """Tests for the approximate-linear-programming planner.
 
 Covers basis construction, constraint assembly against hand-computed rows,
-agreement with value iteration where the basis is complete, and structural
+agreement with policy iteration where the basis is complete, and structural
 invariants of the approximate solution (upper bound on the optimal values,
 shift covariance, feasibility of the returned weights).
 """
@@ -23,9 +23,9 @@ from mtdsim.alp import (
     exact_value,
     extract_policy,
     greedy_actions,
+    policy_iteration,
     solve_alp,
     value_estimates,
-    value_iteration,
 )
 from mtdsim.cli import main
 from mtdsim.domain import (
@@ -184,7 +184,7 @@ def test_single_state_value_is_geometric_series():
     np.testing.assert_allclose(value_estimates(alp, w), [500.0], rtol=1e-9)
 
 
-def test_state_basis_reproduces_value_iteration():
+def test_state_basis_reproduces_policy_iteration():
     web = make_web_app_domain()
     basis = build_state_basis(web.space)
     for posterior in (
@@ -193,7 +193,7 @@ def test_state_basis_reproduces_value_iteration():
     ):
         alp = build_alp(web, posterior, basis=basis)
         w = solve_alp(alp)
-        V_star, pi_star = value_iteration(web, posterior)
+        V_star, pi_star = policy_iteration(web, posterior)
         np.testing.assert_allclose(value_estimates(alp, w), V_star, atol=1e-6)
         np.testing.assert_array_equal(extract_policy(alp, w), pi_star)
 
@@ -207,7 +207,7 @@ def test_approximate_values_upper_bound_the_optimum():
     w_f = solve_alp(alp_f)
     alp_s = build_alp(web, cold, basis=build_state_basis(web.space))
     w_s = solve_alp(alp_s)
-    V_star, _ = value_iteration(web, cold)
+    V_star, _ = policy_iteration(web, cold)
     assert np.all(value_estimates(alp_f, w_f) >= V_star - 1e-7)
     obj_f = float(alp_f.lp.c @ w_f)
     obj_s = float(alp_s.lp.c @ w_s)
@@ -298,7 +298,7 @@ def test_policy_flees_to_the_resistant_config_under_unknown_pressure():
     alp = build_alp(web, post)
     w = solve_alp(alp)
     np.testing.assert_array_equal(extract_policy(alp, w), [3, 3, 3, 3])
-    _, pi_star = value_iteration(web, post)
+    _, pi_star = policy_iteration(web, post)
     np.testing.assert_array_equal(pi_star, [3, 3, 3, 3])
 
 
@@ -355,16 +355,79 @@ def test_exact_value_matches_long_discounted_rollout():
         np.testing.assert_allclose(values[start], total, rtol=1e-8)
 
 
-def test_value_iteration_fixed_point_satisfies_bellman_equation():
+def twin_config_domain() -> DomainInfo:
+    """Three configurations, of which c0 and c1 are identical: every tie is exact."""
+    space = ConfigSpace((FactorSpec("slot", ("c0", "c1", "c2")),))
+    attacker = AttackerTypeSpec("a", False, [0.1, 0.1, 0.5], [10.0, 10.0, 10.0])
+    sc = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
+    return DomainInfo(space, (attacker,), sc, 20.0, 0.9)
+
+
+def bellman_cases():
     web = make_web_app_domain()
-    posterior = cold_posterior_table(web)
-    V, policy = value_iteration(web, posterior)
-    R = expected_reward_table(web, posterior)
-    Q = R + web.gamma * V[None, :]
-    np.testing.assert_allclose(V, Q.max(axis=1), atol=1e-9)
-    np.testing.assert_array_equal(policy, np.argmax(Q, axis=1))
-    # The greedy policy's exact value equals the fixed point.
-    np.testing.assert_allclose(exact_value(web, policy, posterior), V, atol=1e-8)
+    yield "web-cold", web, cold_posterior_table(web)
+    for n_nodes in (2, 3, 4):
+        rng = np.random.default_rng(n_nodes)
+        net = make_network_domain(rng, n_nodes=n_nodes)
+        yield f"net{n_nodes}-random", net, random_posterior_table(net, rng)
+    twins = twin_config_domain()
+    yield "twins", twins, ones_posterior(twins)
+
+
+@pytest.mark.parametrize("case", list(bellman_cases()), ids=lambda case: case[0])
+def test_policy_iteration_fixed_point_satisfies_bellman_equation(case):
+    _, domain, posterior = case
+    V, policy = policy_iteration(domain, posterior)
+    R = expected_reward_table(domain, posterior)
+    Q = R + domain.gamma * V[None, :]
+    np.testing.assert_allclose(V, Q.max(axis=1), rtol=1e-12)
+    np.testing.assert_array_equal(policy, greedy_actions(Q))
+    # The returned values are the policy's own exact value, bit for bit.
+    np.testing.assert_array_equal(exact_value(domain, policy, posterior), V)
+    alp = build_alp(domain, posterior, basis=build_state_basis(domain.space))
+    np.testing.assert_array_equal(extract_policy(alp, solve_alp(alp)), policy)
+
+
+def test_policy_iteration_breaks_exact_ties_to_the_lowest_index():
+    # c0 and c1 tie as actions from every state; staying in c2 is worse.
+    twins = twin_config_domain()
+    R = expected_reward_table(twins, ones_posterior(twins))
+    np.testing.assert_array_equal(R[:, 0], R[:, 1])
+    _, policy = policy_iteration(twins, ones_posterior(twins))
+    np.testing.assert_array_equal(policy, [0, 0, 0])
+
+
+@pytest.mark.parametrize("gamma", [0.99, 0.999, 0.9999])
+def test_state_basis_alp_matches_policy_iteration_at_high_gamma(gamma):
+    web = make_web_app_domain()
+    domain = DomainInfo(web.space, web.types, web.sc, web.M, gamma)
+    rng = np.random.default_rng(26)
+    basis = build_state_basis(domain.space)
+    for _ in range(5):
+        posterior = random_posterior_table(domain, rng)
+        V, policy = policy_iteration(domain, posterior)
+        alp = build_alp(domain, posterior, basis=basis)
+        weights = solve_alp(alp)
+        np.testing.assert_allclose(value_estimates(alp, weights), V, rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(extract_policy(alp, weights), policy)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        [-1, -1, -1, -1],  # would index from the end
+        [4, 0, 0, 0],
+        [1.7, 0.0, 0.0, 0.0],  # would truncate to [1, 0, 0, 0]
+        [1.0, 0.0, 0.0, 0.0],
+        [True, False, False, False],
+        [0, 0, 0],
+        [[0, 1, 2, 3]],
+    ],
+)
+def test_exact_value_rejects_a_malformed_policy(policy):
+    web = make_web_app_domain()
+    with pytest.raises(DomainError, match="policy must hold 4 integer configuration indices"):
+        exact_value(web, np.array(policy), cold_posterior_table(web))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +689,7 @@ def test_generated_solve_matches_the_full_program(name, state_basis):
         np.testing.assert_allclose(problem.lp.c @ weights, full.objective_value, rtol=1e-7)
         assert np.max(problem.lp.rows @ weights - problem.lp.bounds) <= FEAS_TOL
         if state_basis:
-            V_star, _ = value_iteration(domain, posterior)
+            V_star, _ = policy_iteration(domain, posterior)
             np.testing.assert_allclose(value_estimates(problem, weights), V_star, atol=1e-6)
 
 

@@ -501,6 +501,22 @@ def test_a_nan_bound_fails_the_recheck():
         solve_lp(nan, start=first)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_an_infinite_bound_fails_the_recheck(value):
+    # min x over x >= -1, |y| <= 2: an infinite bound on the slack rows 1 and 2
+    # (+inf would leave the vertex (-1, 0) feasible) or on the tight row 0.
+    rows, bounds = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 2.0, 2.0])
+    first = solve_lp(LPProblem([1.0, 0.0], rows, bounds))
+    cert = first.certificate
+    for row in range(3):
+        broken = bounds.copy()
+        broken[row] = value
+        assert lp._primal_vertex(cert, broken) is None
+        # The certificate's own arrays: the warm path compares nothing.
+        with pytest.raises(ValueError, match="LP bounds holds a non-finite entry"):
+            solve_lp(LPProblem(cert.c, cert.rows, broken), start=first)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_entry_raises_naming_its_array(value):
     # min x over x >= -1, |y| <= 2; row 0 ends tight.  Cold, and in a dual
