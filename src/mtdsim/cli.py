@@ -30,24 +30,9 @@ from .harness import (
 DEFAULTS = ExperimentConfig()
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return parse
-
-
 def _parse_reopt_period(text: str) -> int | None:
-    """A period of at least 1, or 'never' (also 'none'/'inf') to plan only once."""
-    return None if text.lower() in ("never", "none", "inf") else _int_at_least(1)(text)
+    """An integer period, or 'never' (also 'none'/'inf') to plan only once."""
+    return None if text.lower() in ("never", "none", "inf") else int(text)
 
 
 def _add_selector_args(parser: argparse.ArgumentParser) -> None:
@@ -57,7 +42,7 @@ def _add_selector_args(parser: argparse.ArgumentParser) -> None:
                         help="built-in scenario name or a scenario JSON file")
     parser.add_argument("--alpha", type=float, default=DEFAULTS.alpha,
                         help="switching-cost weight (default: %(default)s)")
-    parser.add_argument("--seed", type=_int_at_least(0), default=DEFAULTS.seed)
+    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
 
 def _add_episode_args(parser: argparse.ArgumentParser) -> None:
@@ -167,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_hind.set_defaults(func=cmd_hindsight)
 
     p_verify = sub.add_parser("verify", help="run the property-check suite")
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=CHECK_SEED)
-    p_verify.add_argument("--samples", type=_int_at_least(1), default=CHECK_SAMPLES,
+    p_verify.add_argument("--seed", type=int, default=CHECK_SEED)
+    p_verify.add_argument("--samples", type=int, default=CHECK_SAMPLES,
                           help="estimator Monte-Carlo samples")
-    p_verify.add_argument("--perturbations", type=_int_at_least(1), default=CHECK_PERTURBATIONS,
+    p_verify.add_argument("--perturbations", type=int, default=CHECK_PERTURBATIONS,
                           help="posterior perturbations for the value-loss bound")
-    p_verify.add_argument("--runs", type=_int_at_least(1), default=CHECK_RUNS,
+    p_verify.add_argument("--runs", type=int, default=CHECK_RUNS,
                           help="runs per horizon for the linear-regret fit")
     p_verify.set_defaults(func=cmd_verify)
 

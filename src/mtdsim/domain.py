@@ -335,6 +335,12 @@ def write_json(path: str, data, **json_options) -> None:
         fh.write(text + "\n")
 
 
+def read_json(path: str, what: str):
+    """The JSON in the UTF-8 file ``path``; a malformed ``what`` raises ``DomainError``."""
+    with open(path, encoding="utf-8") as fh, input_errors(what):
+        return json.load(fh)
+
+
 def json_number(value, what: str) -> float:
     """A JSON number as a float; float() would also take true and "0.9"."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -347,6 +353,11 @@ def json_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def is_index(value) -> bool:
+    """A Python or numpy integer, not a boolean: the rule for every index into a table."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool  # bool is final
 
 
 @contextmanager
@@ -395,6 +406,4 @@ def save_domain(domain: DomainInfo, path: str) -> None:
 
 
 def load_domain(path: str) -> DomainInfo:
-    with open(path, encoding="utf-8") as fh, input_errors("domain JSON"):
-        data = json.load(fh)
-    return domain_from_dict(data)
+    return domain_from_dict(read_json(path, "domain JSON"))

@@ -23,7 +23,6 @@ as the step records' does.
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -38,8 +37,10 @@ from .domain import (
     DomainInfo,
     FactorSpec,
     input_errors,
+    is_index,
     json_integer,
     json_number,
+    read_json,
     write_json,
 )
 
@@ -242,12 +243,6 @@ class StepRecord(NamedTuple):
     reward: float
 
 
-def _is_index(value) -> bool:
-    """A Python or numpy integer, not a boolean: the rule for actions, start states and
-    step counts."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
 class Uniforms:
     """Uniforms drawn ahead for a run of steps; ``random()`` hands out the next.
 
@@ -287,7 +282,7 @@ class MTDEnvironment:
     """
 
     def __init__(self, domain: DomainInfo, scenario: Scenario, start_state: int = 0):
-        if not (_is_index(start_state) and 0 <= start_state < domain.n_configs):
+        if not (is_index(start_state) and 0 <= start_state < domain.n_configs):
             raise DomainError(f"start state {start_state!r} is not a configuration index")
         self._labels, self._type_ids = domain.space.labels(), domain.type_ids()
         self._mu, self._loss = domain.mu_table.tolist(), domain.loss_table.tolist()
@@ -336,7 +331,7 @@ class MTDEnvironment:
         >= 0, or that runs past the horizon, is rejected before anything is
         drawn.
         """
-        if not _is_index(k) or k < 0:
+        if not is_index(k) or k < 0:
             raise DomainError(f"step count must be an integer >= 0, got {k!r}")
         stop = self.t + k
         if stop > self.scenario.horizon:
@@ -352,11 +347,9 @@ class MTDEnvironment:
     def step(self, action: int, rng: np.random.Generator | Uniforms) -> StepRecord:
         if self.t >= self.scenario.horizon:
             raise DomainError("scenario horizon exhausted")
-        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
-            raise DomainError(f"action must be an integer configuration index, got {action!r}")
+        if not (is_index(action) and 0 <= action < len(self._labels)):
+            raise DomainError(f"action {action!r} is not a configuration index")
         s = self.state
-        if not 0 <= action < len(self._labels):
-            raise DomainError(f"action index {action} out of range")
         if self.t == self._phase_ends[self._phase]:
             self._phase += 1
         draws = self._phase_draws[self._phase]
@@ -479,9 +472,7 @@ def scenario_from_dict(data: dict, name: str = "custom") -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     name = os.path.splitext(os.path.basename(path))[0]
-    with open(path, encoding="utf-8") as fh, input_errors("scenario JSON"):
-        data = json.load(fh)
-    return scenario_from_dict(data, name=name)
+    return scenario_from_dict(read_json(path, "scenario JSON"), name=name)
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:

@@ -4,7 +4,9 @@ The defender keeps a count ``n[tau, s, a]`` of successful attacks by type
 ``tau`` observed while taking action ``a`` in state ``s``.  Every update
 first divides all counts by a decay factor ``beta >= 1`` (older observations
 weigh less) and then increments the matching cell when the step's attack
-succeeded.
+succeeded.  Types, states and actions are indices by ``domain.is_index`` (a
+Python or numpy integer, not a boolean) in range; a credited update or a
+posterior read raises ``DomainError`` for anything else.
 
 The belief over types at a pair (s, a) normalizes the success counts against
 each type's success rate: a type that succeeds often relative to how often it
@@ -36,12 +38,13 @@ values are equal bytes: the object changes exactly when the bytes do.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-from .domain import DomainError, DomainInfo, input_errors, json_number, write_json
+from .domain import (
+    DomainError, DomainInfo, input_errors, is_index, json_number, read_json, write_json
+)
 
 COUNT_FLOOR = 1e-12
 DEFAULT_BETA = 2.0
@@ -98,10 +101,10 @@ class ThreatEstimator:
         self._stale = True  # posterior_table rebuilds on demand
 
     def _check_cell(self, state: int, action: int) -> None:
-        # A negative index would read or credit state S-1 silently.
+        # A negative index would read or credit state S-1, and a boolean every state.
         S = self.domain.n_configs
-        if not (0 <= state < S and 0 <= action < S):
-            raise DomainError(f"cell ({state}, {action}) out of range")
+        if not (is_index(state) and is_index(action) and 0 <= state < S and 0 <= action < S):
+            raise DomainError(f"cell ({state!r}, {action!r}) out of range")
 
     def update(self, tau: int, state: int, action: int, phi: int) -> None:
         """Decay all counts by beta, then credit the cell on a success.
@@ -113,8 +116,8 @@ class ThreatEstimator:
         module docstring).
         """
         if phi:
-            if not 0 <= tau < self.domain.n_types:
-                raise DomainError(f"type index {tau} out of range")
+            if not (is_index(tau) and 0 <= tau < self.domain.n_types):
+                raise DomainError(f"type index {tau!r} out of range")
             self._check_cell(state, action)
         if self._least < math.inf:  # an all-zero table decays to itself: +0 / beta is +0
             self._counts /= self.beta
@@ -192,6 +195,4 @@ class ThreatEstimator:
 
     @classmethod
     def load(cls, domain: DomainInfo, path: str) -> "ThreatEstimator":
-        with open(path, encoding="utf-8") as fh, input_errors("estimator JSON"):
-            data = json.load(fh)
-        return cls.from_dict(domain, data)
+        return cls.from_dict(domain, read_json(path, "estimator JSON"))

@@ -29,11 +29,14 @@ on the bounds.  A later solve may start from the solution in two ways:
   basic structural column, on the certificate's tight rows, and a dual
   simplex (Bland's dual rule: the lowest-index infeasible basic variable
   leaves, the minimum ratio enters, lowest column on ties) pivots until the
-  new rows hold.  It ends on a
-  primal pass that confirms every reduced cost, as phase 2 does.  When a
+  new rows hold, then runs the primal pass that ends phase 2 too.  When a
   leaving row has no entering column, its multipliers must check as a
   Farkas proof on the problem's own rows and bounds for the solver to
   report the problem infeasible; otherwise it raises ``NumericalError``.
+
+A given ``kept`` must be a 1-D integer array (not a boolean mask) of
+distinct row positions in [0, m) for a problem of m rows, or empty;
+``solve_lp`` checks it before it tries either start, else ``ValueError``.
 
 Any other start (no certificate, another objective, other or differently
 shaped rows), or a failed primal check, solves with the two-phase method.
@@ -326,6 +329,32 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     return u
 
 
+def _kept_positions(kept, m: int) -> np.ndarray:
+    """``kept`` as ``intp`` positions of an ``m``-row problem, by the rule above."""
+    kept = np.asarray(kept)
+    if kept.ndim == 1 and (kept.dtype.kind in "iu" or kept.size == 0):
+        kept = kept.astype(np.intp)
+        in_range = kept.min(initial=0) >= 0 and kept.max(initial=-1) < m
+        # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
+        if in_range and np.bincount(kept).max(initial=0) <= 1:
+            return kept
+    raise ValueError("kept must name distinct rows of the problem")
+
+
+def _finish(
+    problem: LPProblem, A: np.ndarray, tab: np.ndarray, basis: list[int], pivots: int
+) -> LPSolution:
+    """End a solve: a primal pass on ``tab`` (``A``, slacks, rhs) after ``pivots`` pivots,
+    then the solution and its certificate."""
+    status, primal = _run_simplex(tab, basis, MAX_ITER)
+    if status == UNBOUNDED:
+        return LPSolution(UNBOUNDED)
+    m, n_u = A.shape
+    u = np.zeros(n_u + m)
+    u[basis] = tab[:m, -1]
+    return _optimal(problem, u[:n_u], _certificate(problem, A, basis), pivots + primal)
+
+
 def _dual_restart(problem: LPProblem, cert: Certificate, kept: np.ndarray) -> LPSolution | None:
     """Solve ``problem`` from ``cert``'s basis, whose rows sit at positions ``kept``.
 
@@ -365,12 +394,7 @@ def _dual_restart(problem: LPProblem, cert: Certificate, kept: np.ndarray) -> LP
             pivots,
             float(-tab[row, -1]),
         )
-    status, primal = _run_simplex(tab, basis, MAX_ITER)  # confirms the reduced costs
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED)
-    u = np.zeros(n_u + m)
-    u[basis] = tab[:m, -1]
-    return _optimal(problem, u[:n_u], _certificate(problem, A, basis), pivots + primal)
+    return _finish(problem, A, tab, basis, pivots)  # the primal pass confirms the reduced costs
 
 
 def solve_lp(
@@ -382,8 +406,9 @@ def solve_lp(
     (see the module docstring).
 
     ``start`` is an optional earlier solution and ``kept`` the positions in
-    ``problem`` of the rows its certificate was issued for, in order; the
-    default is every row.  When the certificate was issued for this ``c``:
+    ``problem`` of the rows its certificate was issued for, in order (by the
+    module docstring's rule); the default is every row.  When the certificate
+    was issued for this ``c``:
 
     - with every row kept, and the same ``rows`` (no comparison runs when the
       problem holds the certificate's own arrays), a basis that is primal
@@ -397,6 +422,7 @@ def solve_lp(
     ``bounds`` raises ``ValueError``, with or without a start: the warm
     re-check fails on a non-finite bound.
     """
+    kept = None if kept is None else _kept_positions(kept, problem.n_rows)
     cert = None if start is None else start.certificate
     if cert is not None and not (cert.c is problem.c or np.array_equal(cert.c, problem.c)):
         cert = None
@@ -409,19 +435,13 @@ def solve_lp(
     for name in ("c", "rows", "bounds"):
         if not np.isfinite(getattr(problem, name)).all():
             raise ValueError(f"LP {name} holds a non-finite entry")
-    if cert is not None:
-        kept = np.asarray(kept, dtype=np.intp)
-        # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
-        if (kept < 0).any() or np.bincount(kept).max(initial=0) > 1:
-            raise ValueError("kept must name distinct rows of the problem")
-        if np.array_equal(cert.rows, problem.rows[kept]):
-            sol = _dual_restart(problem, cert, kept)
-            if sol is not None:
-                return sol
+    if cert is not None and np.array_equal(cert.rows, problem.rows[kept]):
+        sol = _dual_restart(problem, cert, kept)
+        if sol is not None:
+            return sol
     A, c_u = _standard_form(problem)
     b = problem.bounds
-    n_u = c_u.size
-    m = A.shape[0]
+    m, n_u = A.shape
 
     # Phase-1 tableau [A | I | artificials | b] with b >= 0: a row with a
     # negative bound is flipped and starts on an artificial, any other on its slack.
@@ -476,11 +496,4 @@ def solve_lp(
             zrow -= c_full[bv] * tab[r]
     tab[-1] = zrow
 
-    status, phase2 = _run_simplex(tab, basis, MAX_ITER)
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED)
-
-    u = np.zeros(n_u + m)
-    for r, bv in enumerate(basis):
-        u[bv] = tab[r, -1]
-    return _optimal(problem, u[:n_u], _certificate(problem, A, basis), pivots + phase2)
+    return _finish(problem, A, tab, basis, pivots)

@@ -5,7 +5,6 @@ one subprocess test covers the installed console script, or ``python -m
 mtdsim`` where the package is importable but not installed.
 """
 
-import argparse
 import dataclasses
 import json
 import os
@@ -27,15 +26,18 @@ from mtdsim.harness import ExperimentConfig
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def test_reopt_period_parsing():
+def test_reopt_period_parsing(capsys):
     assert _parse_reopt_period("never") is None
     assert _parse_reopt_period("NONE") is None
     assert _parse_reopt_period("inf") is None
     assert _parse_reopt_period("7") == 7
-    with pytest.raises(argparse.ArgumentTypeError):
-        _parse_reopt_period("0")
-    with pytest.raises(argparse.ArgumentTypeError):
+    assert _parse_reopt_period("0") == 0  # the harness rejects it, as in the API
+    with pytest.raises(ValueError):
         _parse_reopt_period("sometimes")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--reopt-period", "sometimes"])
+    assert exc.value.code == 2
+    assert "error: argument --reopt-period: invalid" in capsys.readouterr().err
 
 
 def test_run_writes_outputs_and_prints_the_summary(tmp_path, capsys):
@@ -322,21 +324,29 @@ def test_hindsight_rejects_sizes_that_run_rejects(sizes, capsys):
     assert capsys.readouterr().err == run_error
 
 
-def test_bad_reopt_period_is_an_argparse_error(capsys):
-    for argv in (
-        ["run", "--reopt-period", "0"],
-        ["run", "--seed", "-1"],
-        ["hindsight", "--seed", "-1"],
-        ["dump-lp", "--seed", "-1"],
-        ["verify", "--seed", "-1"],
-        ["verify", "--samples", "0"],
-        ["verify", "--perturbations", "0"],
-        ["verify", "--runs", "-1"],
+def test_bad_run_sizes_exit_with_the_harness_error(capsys):
+    # Parsed as plain integers; the harness checks the API applies reject them.
+    sizes = ["--timesteps", "1", "--iterations", "1"]
+    for argv, message in (
+        (["run", "--reopt-period", "0", *sizes], "reopt_period must be >= 1"),
+        (["run", "--seed", "-1", *sizes], "seed must be >= 0"),
+        (["hindsight", "--seed", "-1", *sizes], "seed must be >= 0"),
+        (["dump-lp", "--seed", "-1"], "seed must be >= 0"),
+        (["verify", "--seed", "-1"], "seed must be >= 0"),
+        (["verify", "--samples", "0"], "samples must be >= 1"),
+        (["verify", "--perturbations", "0"], "perturbations must be >= 1"),
+        (["verify", "--runs", "-1"], "n_runs >= 1"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
-        assert f"error: argument {argv[1]}:" in capsys.readouterr().err, argv
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and message in err, argv
+        assert "PASS" not in out and "FAIL" not in out, argv
+
+
+def test_verify_with_no_runs_exits_before_printing_a_verdict(capsys):
+    assert main(["verify", "--runs", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "n_runs >= 1" in err
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,9 @@ from mtdsim.domain import (
     domain_to_dict,
     expected_attack_loss_table,
     expected_reward_table,
+    is_index,
     load_domain,
+    read_json,
     save_domain,
     success_prob_table,
 )
@@ -331,6 +333,25 @@ def test_domain_json_round_trip(web, tmp_path):
     np.testing.assert_allclose(loaded.loss_table, web.loss_table)
     assert loaded.M == web.M and loaded.gamma == web.gamma
     assert loaded.unknown_index == web.unknown_index
+
+
+def test_read_json_maps_malformed_input_to_a_domain_error(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"a": [1, 2.5]}', encoding="utf-8")
+    assert read_json(str(path), "test JSON") == {"a": [1, 2.5]}
+    for content in (b"{", b"\xff\xfe{}", b""):  # truncated, not UTF-8, empty
+        path.write_bytes(content)
+        with pytest.raises(DomainError, match="malformed test JSON"):
+            read_json(str(path), "test JSON")
+    with pytest.raises(FileNotFoundError):  # an unusable path stays an OSError
+        read_json(str(tmp_path / "missing.json"), "test JSON")
+
+
+def test_is_index_takes_python_and_numpy_integers_only():
+    for value in (0, 3, -1, np.int64(2), np.uint8(1), np.intp(0)):
+        assert is_index(value), value
+    for value in (True, False, np.bool_(True), 1.0, np.float64(2.0), "1", None, [0]):
+        assert not is_index(value), value
 
 
 def test_domain_from_dict_reports_missing_fields(web):

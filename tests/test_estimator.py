@@ -90,6 +90,20 @@ def test_posterior_rejects_a_cell_out_of_range(state, action):
         est.posterior(state, action)  # -1 would read state S-1 by negative indexing
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), 1.0, np.float64(0.0), "0", None])
+def test_update_and_posterior_take_only_integer_indices(bad):
+    est = ThreatEstimator(make_web_app_domain())
+    for args in ((bad, 0, 2), (0, bad, 2), (0, 2, bad)):
+        with pytest.raises(DomainError, match="out of range"):
+            est.update(*args, phi=1)  # a boolean would credit every cell of its mask
+    for args in ((bad, 0), (0, bad)):
+        with pytest.raises(DomainError, match="out of range"):
+            est.posterior(*args)  # a boolean would return a (3, 1, 4) block
+    assert not est.counts.any()
+    est.update(np.int64(0), np.int64(2), np.uint8(1), phi=1)
+    assert est.counts[0, 2, 1] == 1.0 and est.posterior(np.int64(2), np.uint8(1)).shape == (3,)
+
+
 def test_counts_are_read_only_to_callers():
     est = ThreatEstimator(make_web_app_domain())
     est.update(0, 1, 2, phi=1)

@@ -753,3 +753,38 @@ def test_a_restart_needs_the_certified_rows_at_the_kept_positions(dual_restarts)
         assert_same_solution(got, solve_lp(problem))
     with pytest.raises(ValueError, match="distinct rows"):
         solve_lp(added, start=first, kept=[0, 0])
+
+
+@pytest.mark.parametrize(
+    "kept",
+    [
+        [5, 7, 9],  # full length: read as every row, warm, before the rule
+        [-1, -2, -3],
+        [0, 0, 0],
+        [0.2, 1.9],  # truncated to [0, 1], restarted
+        [True, False, True],  # a boolean mask, read as every row
+        [0, 3],  # past the end: an IndexError
+        [[0, 1]],
+        "01",
+    ],
+    ids=["past-end", "negative", "repeated", "float", "mask", "short-past-end", "2-d", "str"],
+)
+def test_kept_must_name_distinct_rows_by_integer_position(kept):
+    rows, bounds = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 1.5])
+    problem = LPProblem([-1.0, -1.0], rows, bounds)
+    first = solve_lp(problem)
+    for start in (first, None):
+        with pytest.raises(ValueError, match="kept must name distinct rows"):
+            solve_lp(problem, start=start, kept=kept)
+
+
+def test_an_empty_or_integer_kept_of_any_width_is_valid(dual_restarts):
+    rows, bounds = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 1.5])
+    problem = LPProblem([-1.0, -2.0], rows, bounds)  # optimal at (0.5, 1) alone
+    first = solve_lp(LPProblem(problem.c, rows[:2], bounds[:2]))
+    for kept in (np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=np.int32), (0, 1)):
+        assert_same_solution(solve_lp(problem, start=first, kept=kept), solve_lp(problem))
+    assert len(dual_restarts) == 3
+    free = LPProblem([0.0, 0.0], np.zeros((0, 2)), [])
+    assert solve_lp(free, start=solve_lp(free), kept=[]).warm
+    assert solve_lp(problem, start=first, kept=[]).status == OPTIMAL  # other rows: cold
