@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConfigSpace, DomainError, DomainInfo, expected_reward_table
+from .domain import ConfigSpace, DomainError, DomainInfo, expected_reward_table, is_index_array
 
 # Not called here; the benchmark's tracer wraps these names in this module.
 from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
@@ -278,8 +278,7 @@ def exact_value(domain: DomainInfo, policy: np.ndarray, posterior_table: np.ndar
     configuration indices.
     """
     policy, S = np.asarray(policy), domain.n_configs
-    malformed = policy.shape != (S,) or policy.dtype.kind not in "iu"
-    if malformed or policy.min() < 0 or policy.max() >= S:
+    if policy.shape != (S,) or not is_index_array(policy, S):
         raise DomainError(f"policy must hold {S} integer configuration indices")
     return _policy_value(domain, expected_reward_table(domain, posterior_table), policy)
 

@@ -8,7 +8,7 @@ import json
 import sys
 
 from .alp import alp_to_dict, build_alp, build_state_basis
-from .domain import DomainError, write_json
+from .domain import DomainError, json_integer, write_json
 from .estimator import ThreatEstimator
 from .harness import (
     CHECK_PERTURBATIONS,
@@ -19,6 +19,7 @@ from .harness import (
     check_alp_vs_policy_iteration,
     check_estimator_recovery,
     check_linear_regret,
+    check_seed,
     check_value_loss_bound,
     cold_posterior_table,
     hindsight_bounds,
@@ -92,6 +93,11 @@ def cmd_hindsight(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Every size is checked before the first check runs, so a bad one fails at once.
+    check_seed(args.seed)
+    json_integer(args.samples, "samples", least=1)
+    json_integer(args.perturbations, "perturbations", least=1)
+    json_integer(args.runs, "n_runs", least=1)
     results = [
         check_alp_vs_policy_iteration(args.seed),
         check_estimator_recovery(args.seed, args.samples),

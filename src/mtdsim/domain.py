@@ -89,6 +89,8 @@ class ConfigSpace:
         return len(self.configs)
 
     def label(self, index: int) -> str:
+        if not (is_index(index) and 0 <= index < len(self._labels)):
+            raise DomainError(f"{index!r} is not a configuration index")
         return self._labels[index]
 
     def index_of_label(self, label: str) -> int:
@@ -348,16 +350,25 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
-def json_integer(value, what: str) -> int:
-    """A JSON integer; int() would also truncate 10.9 and take true and "10"."""
+def json_integer(value, what: str, least: int | None = None) -> int:
+    """A JSON integer, >= ``least`` if given; int() would truncate 10.9 and take true and "10"."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be >= {least}")
     return value
 
 
 def is_index(value) -> bool:
     """A Python or numpy integer, not a boolean: the rule for every index into a table."""
     return isinstance(value, (int, np.integer)) and type(value) is not bool  # bool is final
+
+
+def is_index_array(values: np.ndarray, n: int) -> bool:
+    """The array form of ``is_index``: 1-D, of an integer (not boolean) dtype, in [0, n)."""
+    if values.ndim != 1 or values.dtype.kind not in "iu":
+        return False
+    return values.size == 0 or bool(values.min() >= 0 and values.max() < n)
 
 
 @contextmanager

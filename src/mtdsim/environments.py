@@ -133,7 +133,10 @@ def make_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> DomainInf
 
     Taking a node offline costs 50: sc(s, a) = 50 * (number of nodes online in
     ``s`` and offline in ``a``) at weight 1.  Parameters are drawn once, at construction.
+    ``n_nodes`` is an integer by ``is_index``.
     """
+    if not (is_index(n_nodes) and n_nodes >= 1):
+        raise DomainError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
     space = ConfigSpace(
         tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
     )
@@ -179,11 +182,11 @@ class ScenarioPhase:
     per_state_dist: dict[str, dict[str, float]] | None = None
 
     def __post_init__(self) -> None:
-        json_integer(self.t_start, "scenario phase start")
+        json_integer(self.t_start, "scenario phase start", least=0)
         json_integer(self.t_end, "scenario phase end")
         if self.mode not in (STATIC_DIST, MOST_ADVERSE):
             raise DomainError(f"unknown phase mode {self.mode!r}")
-        if self.t_end <= self.t_start or self.t_start < 0:
+        if self.t_end <= self.t_start:
             raise DomainError(f"bad phase window [{self.t_start}, {self.t_end})")
         if self.mode == STATIC_DIST:
             if not self.dist:
@@ -214,8 +217,7 @@ class Scenario:
     domain_variant: str | None = None
 
     def __post_init__(self) -> None:
-        if json_integer(self.horizon, "scenario T") <= 0:
-            raise DomainError("scenario horizon must be positive")
+        json_integer(self.horizon, "scenario T", least=1)
         if not 0.0 <= json_number(self.sc_multiplier, "scenario sc_multiplier") < np.inf:
             raise DomainError(
                 f"scenario sc_multiplier must be finite and >= 0, got {self.sc_multiplier!r}"

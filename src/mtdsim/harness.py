@@ -201,8 +201,7 @@ def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> Dom
 
 def check_seed(seed) -> None:
     """A run's or a property check's seed must be a JSON integer >= 0."""
-    if json_integer(seed, "seed") < 0:
-        raise DomainError("seed must be >= 0")
+    json_integer(seed, "seed", least=0)
 
 
 def resolve_run(config: ExperimentConfig) -> RunResult:
@@ -223,8 +222,7 @@ def resolve_run(config: ExperimentConfig) -> RunResult:
         raise DomainError(f"include_hindsight must be a bool, got {config.include_hindsight!r}")
     scenario = resolve_scenario(config.scenario)
     check_seed(config.seed)
-    if json_integer(config.iterations, "iterations") < 1:
-        raise DomainError("iterations must be >= 1")
+    json_integer(config.iterations, "iterations", least=1)
     timesteps = config.timesteps
     timesteps = scenario.horizon if timesteps is None else json_integer(timesteps, "timesteps")
     if not 1 <= timesteps <= scenario.horizon:
@@ -320,13 +318,14 @@ def theorem1_regret_experiment(
     ``switch_cost`` must stay well below 1).
     """
     check_seed(seed)
-    if json_integer(n_configs, "n_configs") < 2:
-        raise DomainError("the punishing adversary needs at least two configurations")
+    json_integer(n_configs, "n_configs", least=2)
     if not 0.0 < json_number(switch_cost, "switch_cost") <= 1.0:
         raise DomainError("switch cost must lie in (0, 1]")
-    positive = all(json_integer(h, "horizon") >= 1 for h in horizons)
-    if json_integer(n_runs, "n_runs") < 1 or len(set(horizons)) < 2 or not positive:
-        raise DomainError("the linear fit needs n_runs >= 1 and two distinct horizons >= 1")
+    for horizon in horizons:
+        json_integer(horizon, "horizon", least=1)
+    json_integer(n_runs, "n_runs", least=1)
+    if len(set(horizons)) < 2:
+        raise DomainError("the linear fit needs two distinct horizons")
     rng = np.random.default_rng(seed)
     mean_regrets = np.zeros(len(horizons))
     for idx, horizon in enumerate(horizons):
@@ -453,8 +452,7 @@ def check_estimator_recovery(
     match the mix componentwise within 0.05.
     """
     check_seed(seed)
-    if json_integer(samples, "samples") < 1:
-        raise DomainError("samples must be >= 1")
+    json_integer(samples, "samples", least=1)
     mix, rates = np.array(CHECK_TYPE_MIX), np.array(CHECK_SUCCESS_RATES)
     space = ConfigSpace((FactorSpec("cfg", ("only",)),))
     types = [AttackerTypeSpec(f"type{k}", False, [mu], [0.0]) for k, mu in enumerate(rates)]
@@ -482,8 +480,7 @@ def check_value_loss_bound(
     posterior; both draw from ``seed``.
     """
     check_seed(seed)
-    if json_integer(perturbations, "perturbations") < 1:
-        raise DomainError("perturbations must be >= 1")
+    json_integer(perturbations, "perturbations", least=1)
     web = make_web_app_domain()
     rng = np.random.default_rng(seed)
     base = cold_posterior_table(web)

@@ -55,6 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import is_index_array
+
 FEAS_TOL = 1e-9  # pivot / feasibility tolerance
 SOL_TOL = 1e-7  # phase-1 residual above this means infeasible
 MAX_ITER = 100_000  # pivots per simplex phase before giving up
@@ -206,41 +208,37 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[:, nz] = cols
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int]:
+def _run_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
     """Iterate on a tableau whose last row holds reduced costs; returns (status, pivots).
 
     ``tab`` is (m+1, n+1): constraint rows with the rhs in the last column,
-    then the reduced-cost row (objective negated in its last cell).  ``tab``
-    and ``basis`` are updated in place.  The ratio test looks only at the rows
-    whose pivot-column entry exceeds ``FEAS_TOL``.
+    then the reduced-cost row (objective negated in its last cell).  ``tab`` and
+    ``basis`` (``intp``, each row's basic column) are updated in place.  The
+    ratio test looks only at the rows whose pivot-column entry exceeds ``FEAS_TOL``.
     """
     m = len(basis)
     rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
     if rc.size == 0:  # no column can enter (and ``argmax`` needs one)
         return OPTIMAL, 0
-    rows = np.array(basis, dtype=np.intp)
-    try:
-        for pivots in range(max_iter):
-            below = rc < -FEAS_TOL
-            col = int(below.argmax())  # Bland: lowest eligible index enters
-            if not below[col]:
-                return OPTIMAL, pivots
-            colvals = tab[:m, col]
-            pos = (colvals > FEAS_TOL).nonzero()[0]
-            if pos.size == 0:
-                return UNBOUNDED, pivots
-            ratios = rhs[pos] / colvals[pos]
-            best = float(ratios.min())
-            ties = pos[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
-            leave = int(ties[rows[ties].argmin()])  # Bland: lowest basis index leaves
-            _pivot(tab, leave, col)
-            rows[leave] = col
-    finally:
-        basis[:] = rows.tolist()
+    for pivots in range(max_iter):
+        below = rc < -FEAS_TOL
+        col = int(below.argmax())  # Bland: lowest eligible index enters
+        if not below[col]:
+            return OPTIMAL, pivots
+        colvals = tab[:m, col]
+        pos = (colvals > FEAS_TOL).nonzero()[0]
+        if pos.size == 0:
+            return UNBOUNDED, pivots
+        ratios = rhs[pos] / colvals[pos]
+        best = float(ratios.min())
+        ties = pos[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
+        leave = int(ties[basis[ties].argmin()])  # Bland: lowest basis index leaves
+        _pivot(tab, leave, col)
+        basis[leave] = col
     raise RuntimeError("simplex exceeded its iteration limit")
 
 
-def _run_dual_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int, int]:
+def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int, int]:
     """Dual simplex on a dual-feasible tableau laid out as for ``_run_simplex``.
 
     Returns (status, pivots, row): ``OPTIMAL`` once every rhs is
@@ -252,24 +250,20 @@ def _run_dual_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple
     """
     m = len(basis)
     rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
-    rows = np.array(basis, dtype=np.intp)
-    try:
-        for pivots in range(max_iter):
-            below = (rhs < -FEAS_TOL).nonzero()[0]
-            if below.size == 0:
-                return OPTIMAL, pivots, -1
-            leave = int(below[rows[below].argmin()])  # Bland: lowest basis index leaves
-            rowvals = tab[leave, :-1]
-            neg = (rowvals < -FEAS_TOL).nonzero()[0]
-            if neg.size == 0:
-                return INFEASIBLE, pivots, leave
-            ratios = rc[neg] / -rowvals[neg]
-            best = float(ratios.min())
-            col = int(neg[(ratios <= best + FEAS_TOL * (1.0 + abs(best))).argmax()])  # lowest tie
-            _pivot(tab, leave, col)
-            rows[leave] = col
-    finally:
-        basis[:] = rows.tolist()
+    for pivots in range(max_iter):
+        below = (rhs < -FEAS_TOL).nonzero()[0]
+        if below.size == 0:
+            return OPTIMAL, pivots, -1
+        leave = int(below[basis[below].argmin()])  # Bland: lowest basis index leaves
+        rowvals = tab[leave, :-1]
+        neg = (rowvals < -FEAS_TOL).nonzero()[0]
+        if neg.size == 0:
+            return INFEASIBLE, pivots, leave
+        ratios = rc[neg] / -rowvals[neg]
+        best = float(ratios.min())
+        col = int(neg[(ratios <= best + FEAS_TOL * (1.0 + abs(best))).argmax()])  # lowest tie
+        _pivot(tab, leave, col)
+        basis[leave] = col
     raise RuntimeError("dual simplex exceeded its iteration limit")
 
 
@@ -290,7 +284,7 @@ def _is_farkas_proof(problem: LPProblem, y: np.ndarray) -> bool:
     )
 
 
-def _certificate(problem: LPProblem, A: np.ndarray, basis: list[int]) -> Certificate:
+def _certificate(problem: LPProblem, A: np.ndarray, basis: np.ndarray) -> Certificate:
     """The certificate of ``basis``, an optimal basis of ``problem`` in standard form ``A``.
 
     Rows whose slack is nonbasic are tight, and the basic structural columns
@@ -303,7 +297,7 @@ def _certificate(problem: LPProblem, A: np.ndarray, basis: list[int]) -> Certifi
     tight = np.nonzero(~basic[n_u:])[0]
     c, rows = problem.c.copy(), problem.rows.copy()
     c.flags.writeable = rows.flags.writeable = False
-    return Certificate(c, rows, tuple(sorted(basis)), J, tight, A[tight][:, J], A[:, J])
+    return Certificate(c, rows, tuple(sorted(basis.tolist())), J, tight, A[tight][:, J], A[:, J])
 
 
 def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
@@ -332,17 +326,16 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
 def _kept_positions(kept, m: int) -> np.ndarray:
     """``kept`` as ``intp`` positions of an ``m``-row problem, by the rule above."""
     kept = np.asarray(kept)
-    if kept.ndim == 1 and (kept.dtype.kind in "iu" or kept.size == 0):
+    if is_index_array(kept, m) or kept.shape == (0,):  # ``[]`` reads as a float array
         kept = kept.astype(np.intp)
-        in_range = kept.min(initial=0) >= 0 and kept.max(initial=-1) < m
         # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
-        if in_range and np.bincount(kept).max(initial=0) <= 1:
+        if np.bincount(kept).max(initial=0) <= 1:
             return kept
     raise ValueError("kept must name distinct rows of the problem")
 
 
 def _finish(
-    problem: LPProblem, A: np.ndarray, tab: np.ndarray, basis: list[int], pivots: int
+    problem: LPProblem, A: np.ndarray, tab: np.ndarray, basis: np.ndarray, pivots: int
 ) -> LPSolution:
     """End a solve: a primal pass on ``tab`` (``A``, slacks, rhs) after ``pivots`` pivots,
     then the solution and its certificate."""
@@ -373,7 +366,7 @@ def _dual_restart(problem: LPProblem, cert: Certificate, kept: np.ndarray) -> LP
     tab[np.arange(m), n_u + np.arange(m)] = 1.0
     tab[:m, -1] = problem.bounds
     tab[-1, :n_u] = c_u
-    basis = list(range(n_u, n_u + m))
+    basis = np.arange(n_u, n_u + m)
     tight = kept[cert.tight].tolist()
     for j in cert.J.tolist():
         entries = np.abs(tab[tight, j])
@@ -462,7 +455,6 @@ def solve_lp(
     tab[-1, basis[flip]] = 1.0
     basis[flip] = np.arange(n_u + m, n_u + m + n_art)
     tab[flip, basis[flip]] = 1.0
-    basis = basis.tolist()
 
     pivots = 0
     if n_art:
@@ -480,20 +472,18 @@ def solve_lp(
         # Drive surviving artificials out of the basis (degenerate rows).  The
         # slack columns make [A | I] full row rank, so each such row has a
         # nonzero structural or slack entry to pivot on.
-        for r in range(m):
-            if basis[r] >= n_u + m:
-                col = int(np.nonzero(np.abs(tab[r, : n_u + m]) > FEAS_TOL)[0][0])
-                _pivot(tab, r, col)
-                basis[r] = col
-                pivots += 1
+        for r in np.flatnonzero(basis >= n_u + m):
+            col = int(np.nonzero(np.abs(tab[r, : n_u + m]) > FEAS_TOL)[0][0])
+            _pivot(tab, r, col)
+            basis[r] = col
+            pivots += 1
 
     # Phase 2: real objective over structural + slack columns.
     tab = np.hstack([tab[:, : n_u + m], tab[:, -1:]])
     c_full = np.concatenate([c_u, np.zeros(m)])
     zrow = np.concatenate([c_full, [0.0]])
-    for r, bv in enumerate(basis):
-        if c_full[bv] != 0.0:
-            zrow -= c_full[bv] * tab[r]
+    for r in np.flatnonzero(c_full[basis]):
+        zrow -= c_full[basis[r]] * tab[r]
     tab[-1] = zrow
 
     return _finish(problem, A, tab, basis, pivots)

@@ -37,8 +37,8 @@ RESAMPLE_CHUNK = 32
 
 
 def check_reopt_period(reopt_period: int | None) -> None:
-    if reopt_period is not None and json_integer(reopt_period, "reopt_period") < 1:
-        raise DomainError("reopt_period must be >= 1 (or None to plan only once)")
+    if reopt_period is not None:  # None plans only once
+        json_integer(reopt_period, "reopt_period", least=1)
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -50,9 +50,9 @@ def check_fpl(explore_prob: float, perturb_rate: float, l_max: int) -> None:
     if not 0.0 <= json_number(explore_prob, "exploration probability") <= 1.0:
         raise DomainError("exploration probability must lie in [0, 1]")
     # Written so that a NaN rate fails too; json_number and json_integer reject booleans.
-    rate = json_number(perturb_rate, "perturbation rate")
-    if not 0 < rate < np.inf or json_integer(l_max, "the resample cap") < 1:
-        raise DomainError("perturbation rate must be finite and > 0, and the cap >= 1")
+    if not 0 < json_number(perturb_rate, "perturbation rate") < np.inf:
+        raise DomainError("perturbation rate must be finite and > 0")
+    json_integer(l_max, "the resample cap", least=1)
 
 
 def ata_fmdp_run(

@@ -335,7 +335,7 @@ def test_bad_run_sizes_exit_with_the_harness_error(capsys):
         (["verify", "--seed", "-1"], "seed must be >= 0"),
         (["verify", "--samples", "0"], "samples must be >= 1"),
         (["verify", "--perturbations", "0"], "perturbations must be >= 1"),
-        (["verify", "--runs", "-1"], "n_runs >= 1"),
+        (["verify", "--runs", "-1"], "n_runs must be >= 1"),
     ):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
@@ -346,7 +346,33 @@ def test_bad_run_sizes_exit_with_the_harness_error(capsys):
 def test_verify_with_no_runs_exits_before_printing_a_verdict(capsys):
     assert main(["verify", "--runs", "0"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "n_runs >= 1" in err
+    assert out == "" and err.startswith("error:") and "n_runs must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--seed", "-1"],
+        ["--samples", "0"],
+        ["--perturbations", "0"],
+        ["--runs", "0"],
+        ["--samples", "200000", "--runs", "0"],
+    ],
+)
+def test_verify_rejects_a_bad_size_before_running_any_check(bad, monkeypatch, capsys):
+    def not_called(*args):
+        raise AssertionError("a check ran before the sizes were checked")
+
+    for name in (
+        "check_alp_vs_policy_iteration",
+        "check_estimator_recovery",
+        "check_value_loss_bound",
+        "check_linear_regret",
+    ):
+        monkeypatch.setattr(f"mtdsim.cli.{name}", not_called)
+    assert main(["verify", *bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "must be >= " in err
 
 
 @pytest.mark.parametrize(

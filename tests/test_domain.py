@@ -19,6 +19,8 @@ from mtdsim.domain import (
     expected_attack_loss_table,
     expected_reward_table,
     is_index,
+    is_index_array,
+    json_integer,
     load_domain,
     read_json,
     save_domain,
@@ -83,6 +85,13 @@ def test_space_rejects_bad_lookups(space):
         space.index_of_label("PHP|Oracle")
     with pytest.raises(DomainError):
         space.index_of_label("PHP")
+
+
+def test_space_labels_only_an_index_in_range(space):
+    assert space.label(np.int64(3)) == space.label(3)
+    for index in (-1, 4, True, 1.0, "0", None):  # -1 and True would index a label
+        with pytest.raises(DomainError, match="is not a configuration index"):
+            space.label(index)
 
 
 def test_space_validation():
@@ -352,6 +361,33 @@ def test_is_index_takes_python_and_numpy_integers_only():
         assert is_index(value), value
     for value in (True, False, np.bool_(True), 1.0, np.float64(2.0), "1", None, [0]):
         assert not is_index(value), value
+
+
+def test_is_index_array_is_the_rule_for_a_whole_array():
+    for values in ([0, 3, 1], np.array([2], dtype=np.uint8), np.zeros(0, dtype=np.int32)):
+        assert is_index_array(np.asarray(values), 4), values
+    bad = (
+        [0, 4],  # past the end
+        [-1, 0],  # would index from the end
+        [1.0, 0.0],
+        [True, False],  # a mask, not positions
+        [[0, 1]],
+        3,
+        [],  # reads as a float array
+    )
+    for values in bad:
+        assert not is_index_array(np.asarray(values), 4), values
+    assert not is_index_array(np.array([0, 1], dtype=np.uint64), 1)
+
+
+def test_json_integer_checks_its_least_value():
+    assert json_integer(3, "size", least=3) == 3
+    assert json_integer(-5, "size") == -5  # no least, no range
+    with pytest.raises(DomainError, match="^size must be >= 1$"):
+        json_integer(0, "size", least=1)
+    for value in (True, 2.0, "2", None):  # the type is checked before the range
+        with pytest.raises(DomainError, match="size must be an integer"):
+            json_integer(value, "size", least=1)
 
 
 def test_domain_from_dict_reports_missing_fields(web):

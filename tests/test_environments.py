@@ -172,6 +172,13 @@ def test_network_three_nodes_scale_out():
     assert net.sc[net.space.index_of_label("1|1|1"), net.space.index_of_label("0|0|0")] == 150.0
 
 
+def test_network_size_is_an_integer_of_at_least_one_node():
+    assert make_network_domain(np.random.default_rng(7), n_nodes=np.int64(3)).n_configs == 8
+    for n_nodes in (True, 2.0, 0, -1, "2", None):
+        with pytest.raises(DomainError, match="n_nodes must be an integer >= 1"):
+            make_network_domain(np.random.default_rng(7), n_nodes=n_nodes)
+
+
 @pytest.mark.parametrize("n_nodes", range(1, 9))
 def test_network_domain_is_bitwise_the_per_configuration_builder(n_nodes):
     # The domain draws its parameters in one call, the oracle one scalar at a time.

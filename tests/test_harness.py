@@ -39,6 +39,7 @@ from mtdsim.harness import (
     check_alp_vs_policy_iteration,
     check_estimator_recovery,
     check_linear_regret,
+    check_seed,
     check_value_loss_bound,
     cold_posterior_table,
     hindsight_bounds,
@@ -51,6 +52,7 @@ from mtdsim.harness import (
     theorem1_regret_experiment,
     write_outputs,
 )
+from mtdsim.strategies import check_fpl, check_reopt_period
 
 
 def unknown_only_scenario(horizon: int) -> Scenario:
@@ -366,6 +368,26 @@ def test_punishing_adversary_regret_matches_the_analytic_mean():
         assert abs(mean - expected) <= 4 * sigma
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_seed(-1), "seed must be >= 0"),
+        (lambda: theorem1_regret_experiment(n_configs=1), "n_configs must be >= 2"),
+        (lambda: theorem1_regret_experiment(n_runs=0), "n_runs must be >= 1"),
+        (lambda: theorem1_regret_experiment(horizons=(5, -5)), "horizon must be >= 1"),
+        (lambda: check_estimator_recovery(samples=0), "samples must be >= 1"),
+        (lambda: check_value_loss_bound(perturbations=-2), "perturbations must be >= 1"),
+        (lambda: check_reopt_period(0), "reopt_period must be >= 1"),
+        (lambda: check_fpl(0.1, 1.0, 0), "the resample cap must be >= 1"),
+        (lambda: ScenarioPhase(-1, 5, dist={"a": 1.0}), "scenario phase start must be >= 0"),
+        (lambda: Scenario("empty", 0, ()), "scenario T must be >= 1"),
+    ],
+)
+def test_every_integer_minimum_reads_the_same(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_punishing_adversary_validation():
     with pytest.raises(DomainError):
         theorem1_regret_experiment(n_configs=1)
@@ -373,11 +395,13 @@ def test_punishing_adversary_validation():
         theorem1_regret_experiment(switch_cost=0.0)
     with pytest.raises(DomainError):
         theorem1_regret_experiment(switch_cost=1.5)
-    with pytest.raises(DomainError, match="n_runs >= 1"):
+    with pytest.raises(DomainError, match="n_runs must be >= 1"):
         theorem1_regret_experiment(n_runs=0)
-    for horizons in ((), (100,), (100, 100), (0, 100)):  # a line needs two distinct points
-        with pytest.raises(DomainError, match="two distinct horizons >= 1"):
+    for horizons in ((), (100,), (100, 100)):  # a line needs two distinct points
+        with pytest.raises(DomainError, match="two distinct horizons"):
             theorem1_regret_experiment(horizons=horizons)
+    with pytest.raises(DomainError, match="horizon must be >= 1"):
+        theorem1_regret_experiment(horizons=(0, 100))
     with pytest.raises(DomainError, match="horizon must be an integer"):
         theorem1_regret_experiment(horizons=(10.5, 20))
     with pytest.raises(DomainError, match="n_configs must be an integer"):  # not p = 0.4

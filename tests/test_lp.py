@@ -81,6 +81,14 @@ def test_a_phase_1_breakdown_raises_with_its_pivots_and_residual(monkeypatch):
     assert info.value.pivots == 1 and info.value.residual == 0.0
 
 
+def test_an_lp_with_no_variables_and_no_rows_is_optimal_at_the_empty_point():
+    empty = LPProblem(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
+    sol = solve_lp(empty)  # no column can enter, so the simplex stops at once
+    assert sol.status == OPTIMAL and sol.x.shape == (0,) and sol.objective_value == 0.0
+    assert sol.basis == () and sol.pivots == 0 and not sol.warm
+    assert solve_lp(empty, start=sol).warm
+
+
 def test_unbounded_without_rows():
     sol = solve_lp(LPProblem(c=[-1.0], rows=np.zeros((0, 1)), bounds=np.zeros(0)))
     assert sol.status == UNBOUNDED
@@ -234,11 +242,11 @@ def test_simplex_loop_matches_the_reference_loop_bitwise(monkeypatch):
     run_simplex, phases = lp._run_simplex, []
 
     def checked(tab, basis, max_iter):
-        want_tab, want_basis = tab.copy(), list(basis)
+        assert basis.dtype == np.intp and basis.ndim == 1
+        want_tab, want_basis = tab.copy(), basis.tolist()
         want = reference_run_simplex(want_tab, want_basis, max_iter)
         got = run_simplex(tab, basis, max_iter)
-        assert got == want and basis == want_basis
-        assert all(type(col) is int for col in basis)
+        assert got == want and basis.tolist() == want_basis
         assert tab.tobytes() == want_tab.tobytes()
         phases[-1] += 1
         return got
@@ -501,6 +509,29 @@ def test_a_nan_bound_fails_the_recheck():
         solve_lp(nan, start=first)
 
 
+def _singular_start():
+    """min x + y in the box |x|, |y| <= 1 (rows x, y, -x, -y), where -x and -y are
+    tight, with its certificate's tight rows swapped for x and -x, which cannot fix
+    y: a singular tight system."""
+    problem = LPProblem([1.0, 1.0], *box_rows([-1.0, -1.0], [1.0, 1.0]))
+    first = solve_lp(problem)
+    cert = first.certificate
+    assert cert.tight.tolist() == [2, 3] and cert.J.tolist() == [1, 3]
+    A, _ = lp._standard_form(problem)
+    singular = replace(cert, tight=np.array([0, 2]), square=A[[0, 2]][:, cert.J])
+    return replace(first, certificate=singular)
+
+
+def test_a_singular_tight_system_fails_the_recheck_and_solves_cold():
+    start = _singular_start()
+    cert = start.certificate
+    assert lp._primal_vertex(cert, np.ones(4)) is None
+    problem = LPProblem(cert.c, cert.rows, np.full(4, 0.5))  # the certificate's own arrays
+    got, cold = solve_lp(problem, start=start), solve_lp(problem)
+    assert_same_solution(got, cold)
+    assert got.pivots == cold.pivots > 0 and got.certificate is not cert
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_an_infinite_bound_fails_the_recheck(value):
     # min x over x >= -1, |y| <= 2: an infinite bound on the slack rows 1 and 2
@@ -736,6 +767,24 @@ def test_a_restart_checks_an_infeasible_row_as_a_farkas_proof(dual_restarts, mon
     with pytest.raises(lp.NumericalError, match="no proof of infeasibility") as info:
         solve_lp(contradicted, start=first, kept=[0])
     assert info.value.pivots == 0 and info.value.residual == pytest.approx(1.0)
+
+
+def test_a_farkas_proof_has_no_negative_multiplier():
+    # x <= 1 and x >= 2 contradict each other; the third row, x <= 5, does not take part.
+    problem = LPProblem([-1.0], [[1.0], [-1.0], [1.0]], [1.0, -2.0, 5.0])
+    assert lp._is_farkas_proof(problem, np.array([1.0, 1.0, 0.0]))
+    # Its clipped form is the proof above, but a multiplier < 0 reverses its row.
+    assert not lp._is_farkas_proof(problem, np.array([1.0, 1.0, -0.5]))
+
+
+def test_a_restart_from_a_singular_tight_system_solves_cold(dual_restarts):
+    start = _singular_start()
+    rows, bounds = box_rows([-1.0, -1.0], [1.0, 1.0])
+    added = LPProblem([1.0, 1.0], np.vstack([rows, [[1.0, 1.0]]]), np.append(bounds, 0.5))
+    got, cold = solve_lp(added, start=start, kept=np.arange(4)), solve_lp(added)
+    assert not dual_restarts  # the restart gave up before its dual simplex
+    assert_same_solution(got, cold)
+    assert got.pivots == cold.pivots > 0
 
 
 def test_a_restart_needs_the_certified_rows_at_the_kept_positions(dual_restarts):
