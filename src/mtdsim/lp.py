@@ -41,12 +41,20 @@ distinct row positions in [0, m) for a problem of m rows, or empty;
 Any other start (no certificate, another objective, other or differently
 shaped rows), or a failed primal check, solves with the two-phase method.
 
-Phase 1 minimises the sum of the artificial variables, which is bounded
-below by 0, so it cannot be unbounded.  When its ratio test nonetheless
-finds no pivot row, the tableau has broken down numerically and the solver
-cannot tell the problem's status: it raises ``NumericalError`` with the pivot
-count and the phase-1 residual instead of guessing one.  The dual simplex
-raises it the same way, with the infeasibility of its leaving row.
+The solver reports ``INFEASIBLE`` only with a proof: multipliers y >= 0
+with y @ rows = 0 and y @ bounds < 0, which ``_is_farkas_proof`` checks on
+the problem's own rows and bounds.  Two exits hand it multipliers.  Phase 1
+minimises the sum of the artificial variables; when it stops unbounded (it
+is bounded below by 0, so only a breakdown does) or ends above ``SOL_TOL``
+of its starting residual, its multipliers are the slack columns' reduced
+costs, the duals of its rows (Bertsimas & Tsitsiklis, *Introduction to
+Linear Optimization*, 1997, sections 3.5 and 4.6).  When a dual restart's
+leaving row finds no entering column, they are that row's slack entries.
+If the check fails, the tableau has broken down numerically and the solver
+cannot tell the problem's status: it raises ``NumericalError`` with the
+pivot count and the residual instead of guessing one.  So does a simplex
+whose least ratio is not finite (an overflow), or that runs ``MAX_ITER``
+pivots.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ import numpy as np
 from .domain import is_index_array
 
 FEAS_TOL = 1e-9  # pivot / feasibility tolerance
-SOL_TOL = 1e-7  # phase-1 residual above this means infeasible
+SOL_TOL = 1e-7  # phase 1 is feasible when it ends within this fraction of its start
 MAX_ITER = 100_000  # pivots per simplex phase before giving up
 
 OPTIMAL = "optimal"
@@ -71,8 +79,9 @@ class NumericalError(RuntimeError):
 
     ``pivots`` counts the pivots run before the breakdown and ``residual`` is
     the infeasibility where it stopped: the phase-1 objective (the summed
-    artificial values), or the negated value of the dual simplex's leaving
-    basic variable.
+    artificial values; a primal pass past phase 1 gives its objective), or
+    the negated value of the dual simplex's leaving basic variable (at its
+    iteration limit, of its most infeasible one).
     """
 
     def __init__(self, message: str, pivots: int, residual: float):
@@ -215,6 +224,8 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str
     then the reduced-cost row (objective negated in its last cell).  ``tab`` and
     ``basis`` (``intp``, each row's basic column) are updated in place.  The
     ratio test looks only at the rows whose pivot-column entry exceeds ``FEAS_TOL``.
+    Raises ``NumericalError`` when the least ratio is not finite, or after
+    ``max_iter`` pivots.
     """
     m = len(basis)
     rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
@@ -231,11 +242,13 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str
             return UNBOUNDED, pivots
         ratios = rhs[pos] / colvals[pos]
         best = float(ratios.min())
+        if not abs(best) < np.inf:  # an overflow (or NaN) leaves no ratio to compare
+            raise NumericalError(f"simplex met a ratio of {best}", pivots, float(-tab[-1, -1]))
         ties = pos[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
         leave = int(ties[basis[ties].argmin()])  # Bland: lowest basis index leaves
         _pivot(tab, leave, col)
         basis[leave] = col
-    raise RuntimeError("simplex exceeded its iteration limit")
+    raise NumericalError(f"simplex ran out of {max_iter} pivots", max_iter, float(-tab[-1, -1]))
 
 
 def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int, int]:
@@ -246,7 +259,8 @@ def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tupl
     test found no entering column (its row is then a candidate Farkas
     proof).  Bland's dual rule: the infeasible row with the lowest basis
     index leaves, and the column of minimum ratio reduced cost / -entry
-    among the entries below -``FEAS_TOL`` enters, the lowest on ties.
+    among the entries below -``FEAS_TOL`` enters, the lowest on ties.  Raises
+    ``NumericalError`` as ``_run_simplex`` does.
     """
     m = len(basis)
     rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
@@ -261,10 +275,12 @@ def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tupl
             return INFEASIBLE, pivots, leave
         ratios = rc[neg] / -rowvals[neg]
         best = float(ratios.min())
+        if not abs(best) < np.inf:  # an overflow (or NaN) leaves no ratio to compare
+            raise NumericalError(f"dual simplex met a ratio of {best}", pivots, float(-rhs[leave]))
         col = int(neg[(ratios <= best + FEAS_TOL * (1.0 + abs(best))).argmax()])  # lowest tie
         _pivot(tab, leave, col)
         basis[leave] = col
-    raise RuntimeError("dual simplex exceeded its iteration limit")
+    raise NumericalError(f"dual simplex ran out of {max_iter} pivots", max_iter, float(-rhs.min()))
 
 
 def _is_farkas_proof(problem: LPProblem, y: np.ndarray) -> bool:
@@ -281,6 +297,23 @@ def _is_farkas_proof(problem: LPProblem, y: np.ndarray) -> bool:
     return bool(
         (np.abs(combined) <= FEAS_TOL * (1.0 + scale)).all()
         and y @ problem.bounds < -FEAS_TOL * (1.0 + y @ np.abs(problem.bounds))
+    )
+
+
+def _no_optimum(
+    problem: LPProblem, y: np.ndarray, stop: str, pivots: int, residual: float
+) -> LPSolution:
+    """``INFEASIBLE`` if multipliers ``y`` prove it, else ``NumericalError``.
+
+    ``stop`` says where the simplex stopped, for the error message.
+    """
+    if _is_farkas_proof(problem, y):
+        return LPSolution(INFEASIBLE)
+    raise NumericalError(
+        f"{stop} after {pivots} pivots at a residual of {residual:.3g}, "
+        "and its multipliers are no proof of infeasibility",
+        pivots,
+        residual,
     )
 
 
@@ -379,14 +412,8 @@ def _dual_restart(problem: LPProblem, cert: Certificate, kept: np.ndarray) -> LP
 
     status, pivots, row = _run_dual_simplex(tab, basis, MAX_ITER)
     if status == INFEASIBLE:
-        if _is_farkas_proof(problem, tab[row, n_u:-1]):
-            return LPSolution(INFEASIBLE)
-        raise NumericalError(
-            f"dual simplex found no entering column after {pivots} pivots, "
-            "and its row is no proof of infeasibility",
-            pivots,
-            float(-tab[row, -1]),
-        )
+        stop = "dual simplex found no entering column"
+        return _no_optimum(problem, tab[row, n_u:-1], stop, pivots, float(-tab[row, -1]))
     return _finish(problem, A, tab, basis, pivots)  # the primal pass confirms the reduced costs
 
 
@@ -395,7 +422,7 @@ def solve_lp(
 ) -> LPSolution:
     """Simplex from ``start``, or two-phase; returns status optimal/infeasible/unbounded.
 
-    Raises ``NumericalError`` when phase 1 or the dual simplex breaks down
+    Raises ``NumericalError`` whenever the solver cannot tell the status
     (see the module docstring).
 
     ``start`` is an optional earlier solution and ``kept`` the positions in
@@ -456,27 +483,21 @@ def solve_lp(
     basis[flip] = np.arange(n_u + m, n_u + m + n_art)
     tab[flip, basis[flip]] = 1.0
 
-    pivots = 0
-    if n_art:
-        status, pivots = _run_simplex(tab, basis, MAX_ITER)
-        residual = float(-tab[-1, -1])
-        if status != OPTIMAL:  # phase 1 is bounded below by 0
-            raise NumericalError(
-                f"phase 1 stopped {status} after {pivots} pivots "
-                f"at a residual of {residual:.3g}",
-                pivots,
-                residual,
-            )
-        if residual > SOL_TOL:
-            return LPSolution(INFEASIBLE)
-        # Drive surviving artificials out of the basis (degenerate rows).  The
-        # slack columns make [A | I] full row rank, so each such row has a
-        # nonzero structural or slack entry to pivot on.
-        for r in np.flatnonzero(basis >= n_u + m):
-            col = int(np.nonzero(np.abs(tab[r, : n_u + m]) > FEAS_TOL)[0][0])
-            _pivot(tab, r, col)
-            basis[r] = col
-            pivots += 1
+    # Without a negative bound the cost row is 0, and phase 1 stops at once.
+    start = float(-tab[-1, -1])
+    status, pivots = _run_simplex(tab, basis, MAX_ITER)
+    residual = float(-tab[-1, -1])
+    if status != OPTIMAL or not residual <= SOL_TOL * start:  # a NaN residual proves nothing
+        stop = f"phase 1 stopped {status}"
+        return _no_optimum(problem, tab[-1, n_u : n_u + m], stop, pivots, residual)
+    # Drive surviving artificials out of the basis (degenerate rows).  The
+    # slack columns make [A | I] full row rank, so each such row has a
+    # nonzero structural or slack entry to pivot on.
+    for r in np.flatnonzero(basis >= n_u + m):
+        col = int(np.nonzero(np.abs(tab[r, : n_u + m]) > FEAS_TOL)[0][0])
+        _pivot(tab, r, col)
+        basis[r] = col
+        pivots += 1
 
     # Phase 2: real objective over structural + slack columns.
     tab = np.hstack([tab[:, : n_u + m], tab[:, -1:]])

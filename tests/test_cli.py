@@ -279,6 +279,8 @@ def _malformed_inputs():
         ),
         "domain-M-not-a-number": ("run", "--domain", {**domain, "M": "abc"}),
         "domain-M-boolean": ("run", "--domain", {**domain, "M": True}),
+        "domain-M-infinite": ("run", "--domain", {**domain, "M": float("inf")}),  # Infinity
+        "domain-rewards-past-float-range": ("run", "--domain", {**domain, "M": -1e308}),
         "domain-gamma-string": ("run", "--domain", {**domain, "gamma": "0.9"}),
         "domain-mu-boolean": ("run", "--domain", first_mu(True)),
         "domain-switching-cost-boolean": ("run", "--domain", first_switching_cost(True)),
@@ -306,6 +308,15 @@ def test_malformed_json_input_exits_with_a_domain_error(case, tmp_path, capsys):
     sizes = ["--timesteps", "1", "--iterations", "1"] if command == "run" else []
     assert main([command, option, str(path), *extra, *sizes]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_web_domain_with_large_rewards_plans(tmp_path):
+    # Rewards near 2e9: phase 1 of the first ALP starts at a residual of 8e9
+    # and ends at 4.8e-7, which is rounding, not infeasibility.
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({**domain_to_dict(make_web_app_domain()), "M": 2e9}))
+    sizes = ["--iterations", "1", "--timesteps", "20"]
+    assert main(["run", "--domain", str(path), "--scenario", "web-evolving", *sizes]) == 0
 
 
 def test_nan_fpl_rate_exits_with_a_domain_error(capsys):

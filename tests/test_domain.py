@@ -25,6 +25,7 @@ from mtdsim.domain import (
     read_json,
     save_domain,
     success_prob_table,
+    write_json,
 )
 from mtdsim.environments import builtin_scenario, make_web_app_domain
 from mtdsim.harness import resolve_domain
@@ -184,6 +185,9 @@ def test_domain_validation(space):
     for name in ("M", "gamma"):
         with pytest.raises(DomainError, match=f"{name} must be a number"):
             DomainInfo(**{**good, name: True})
+    short = AttackerTypeSpec("short", False, np.full(3, 0.5), np.full(3, 10.0))
+    with pytest.raises(DomainError, match="'short': tables must cover all 4 configurations"):
+        DomainInfo(**{**good, "types": (ok, short)})
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "types": (ok, ok)})  # duplicate ids
     with pytest.raises(DomainError):
@@ -354,6 +358,13 @@ def test_read_json_maps_malformed_input_to_a_domain_error(tmp_path):
             read_json(str(path), "test JSON")
     with pytest.raises(FileNotFoundError):  # an unusable path stays an OSError
         read_json(str(tmp_path / "missing.json"), "test JSON")
+
+
+def test_write_json_refuses_nan_before_opening_the_file(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(DomainError, match="cannot write .*out.json: Out of range float"):
+        write_json(str(path), {"M": float("nan")})
+    assert not path.exists()
 
 
 def test_is_index_takes_python_and_numpy_integers_only():

@@ -237,6 +237,21 @@ def test_file_domains_reject_variants_and_apply_sc_multiplier(tmp_path):
         resolve_domain(str(path), variant, alpha=1.0, seed=10)
 
 
+def test_rewards_past_float_range_are_a_domain_error(tmp_path):
+    # |M| and |M - max damage - max scaled cost| over 1 - gamma must be finite.
+    scen = Scenario("scaled", 5, (ScenarioPhase(0, 5, dist={"ghost": 1.0}),))
+
+    def resolved(M, gamma, alpha):
+        path = tmp_path / "domain.json"
+        save_domain(replace(harmless_domain(), M=M, gamma=gamma), str(path))
+        return resolve_domain(str(path), scen, alpha, seed=10)
+
+    assert resolved(1e307, 0.5, 1.0).M == 1e307  # 2e307
+    for M, gamma, alpha in [(1e308, 0.9, 1.0), (1e307, 0.5, 1.7e308 / 7.0)]:  # 1e309, -3.2e308
+        with pytest.raises(DomainError, match="over 1 - gamma .* are not finite"):
+            resolved(M, gamma, alpha)
+
+
 def test_file_domain_round_trip_with_harmless_attacker(tmp_path):
     dom_path = tmp_path / "harmless.json"
     save_domain(harmless_domain(), str(dom_path))

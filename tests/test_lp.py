@@ -66,6 +66,20 @@ def test_unbounded_ray():
     assert sol.status == UNBOUNDED
 
 
+def test_phase_1_reports_infeasible_only_with_a_checked_proof(monkeypatch):
+    # x <= -1 and x >= 0: phase 1 ends at a residual of 1, and its multipliers
+    # (the slack columns' reduced costs) add the two rows to 0 <= -1.
+    problem = LPProblem(c=[1.0], rows=[[1.0], [-1.0]], bounds=[-1.0, 0.0])
+    checked, is_proof = [], lp._is_farkas_proof
+    monkeypatch.setattr(lp, "_is_farkas_proof", lambda p, y: checked.append(y) or is_proof(p, y))
+    assert solve_lp(problem).status == INFEASIBLE
+    assert checked[0].tolist() == [1.0, 1.0]
+    monkeypatch.setattr(lp, "_is_farkas_proof", lambda problem, y: False)
+    with pytest.raises(lp.NumericalError, match="no proof of infeasibility") as info:
+        solve_lp(problem)
+    assert info.value.pivots == 1 and info.value.residual == 1.0
+
+
 def test_a_phase_1_breakdown_raises_with_its_pivots_and_residual(monkeypatch):
     # Phase 1 is bounded below by 0; a ratio test that finds no row is a breakdown.
     run_simplex = lp._run_simplex
@@ -148,22 +162,55 @@ def test_negative_lower_bound_shift():
     assert sol.objective_value == pytest.approx(-7.0, abs=1e-9)
 
 
+# A classic degenerate program that cycles under naive pivoting.
+BEALE = LPProblem(
+    c=[-0.75, 150.0, -0.02, 6.0],
+    rows=[
+        [0.25, -60.0, -0.04, 9.0],
+        [0.5, -90.0, -0.02, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+        *-np.eye(4),  # x >= 0
+    ],
+    bounds=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+)
+
+
 def test_beale_cycling_example_terminates():
-    # A classic degenerate program that cycles under naive pivoting; Bland's
-    # rule must terminate at objective -1/20.
-    problem = LPProblem(
-        c=[-0.75, 150.0, -0.02, 6.0],
-        rows=[
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-            *-np.eye(4),  # x >= 0
-        ],
-        bounds=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-    )
-    sol = solve_lp(problem)
+    # Bland's rule must terminate at objective -1/20.
+    sol = solve_lp(BEALE)
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
+
+
+def test_each_simplex_raises_at_its_iteration_limit(monkeypatch):
+    # Beale's program takes 22 pivots cold; restarted from rows 0, 1, 2 and 6, 3 dual pivots.
+    kept = np.array([0, 1, 2, 6])
+    first = solve_lp(LPProblem(BEALE.c, BEALE.rows[kept], BEALE.bounds[kept]))
+    monkeypatch.setattr(lp, "MAX_ITER", 2)
+    with pytest.raises(lp.NumericalError, match="^simplex ran out of 2 pivots") as info:
+        solve_lp(BEALE)
+    assert info.value.pivots == 2 and isinstance(info.value, RuntimeError)
+    with pytest.raises(lp.NumericalError, match="^dual simplex ran out of 2 pivots") as info:
+        solve_lp(BEALE, start=first, kept=kept)
+    assert info.value.pivots == 2
+
+
+def test_a_ratio_that_overflows_raises_instead_of_pivoting():
+    # 1.7e308 / 0.5 overflows to inf (numpy warns).  Pivoting on it ended at
+    # x = nan, and on the dual side at an objective of inf, both "optimal".
+    with (
+        pytest.warns(RuntimeWarning, match="overflow encountered in divide"),
+        pytest.raises(lp.NumericalError, match="^simplex met a ratio of inf") as info,
+    ):
+        solve_lp(LPProblem([-1.0], [[0.5]], [1.7e308]))
+    assert info.value.pivots == 0
+    first = solve_lp(LPProblem([1.7e308], [[-1.0]], [0.0]))
+    added = LPProblem([1.7e308], [[-1.0], [-0.5]], [0.0, -1.0])  # x >= 2 joins x >= 0
+    with (
+        pytest.warns(RuntimeWarning, match="overflow encountered in divide"),
+        pytest.raises(lp.NumericalError, match="^dual simplex met a ratio of inf"),
+    ):
+        solve_lp(added, start=first, kept=[0])
 
 
 def test_duplicate_rows_are_harmless():
