@@ -45,10 +45,11 @@ The solver reports ``INFEASIBLE`` only with a proof: multipliers y >= 0
 with y @ rows = 0 and y @ bounds < 0, which ``_is_farkas_proof`` checks on
 the problem's own rows and bounds.  Two exits hand it multipliers.  Phase 1
 minimises the sum of the artificial variables; when it stops unbounded (it
-is bounded below by 0, so only a breakdown does) or ends above ``SOL_TOL``
-of its starting residual, its multipliers are the slack columns' reduced
-costs, the duals of its rows (Bertsimas & Tsitsiklis, *Introduction to
-Linear Optimization*, 1997, sections 3.5 and 4.6).  When a dual restart's
+is bounded below by 0, so only a breakdown does), ends above ``SOL_TOL``
+times the larger of 1 and its starting residual, or started from an
+overflowed residual, its multipliers are the slack columns' reduced costs,
+the duals of its rows (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, 1997, sections 3.5 and 4.6).  When a dual restart's
 leaving row finds no entering column, they are that row's slack entries.
 If the check fails, the tableau has broken down numerically and the solver
 cannot tell the problem's status: it raises ``NumericalError`` with the
@@ -66,7 +67,7 @@ import numpy as np
 from .domain import is_index_array
 
 FEAS_TOL = 1e-9  # pivot / feasibility tolerance
-SOL_TOL = 1e-7  # phase 1 is feasible when it ends within this fraction of its start
+SOL_TOL = 1e-7  # phase 1 is feasible when it ends within this fraction of max(1, its start)
 MAX_ITER = 100_000  # pivots per simplex phase before giving up
 
 OPTIMAL = "optimal"
@@ -484,10 +485,12 @@ def solve_lp(
     tab[flip, basis[flip]] = 1.0
 
     # Without a negative bound the cost row is 0, and phase 1 stops at once.
-    start = float(-tab[-1, -1])
+    # Its tolerance scales with the starting residual, floored at 1; a start
+    # that overflowed, or a NaN residual, proves nothing.
+    initial = float(-tab[-1, -1])
     status, pivots = _run_simplex(tab, basis, MAX_ITER)
     residual = float(-tab[-1, -1])
-    if status != OPTIMAL or not residual <= SOL_TOL * start:  # a NaN residual proves nothing
+    if status != OPTIMAL or not residual <= SOL_TOL * max(1.0, initial) < np.inf:
         stop = f"phase 1 stopped {status}"
         return _no_optimum(problem, tab[-1, n_u : n_u + m], stop, pivots, residual)
     # Drive surviving artificials out of the basis (degenerate rows).  The

@@ -78,6 +78,27 @@ def test_phase_1_reports_infeasible_only_with_a_checked_proof(monkeypatch):
     with pytest.raises(lp.NumericalError, match="no proof of infeasibility") as info:
         solve_lp(problem)
     assert info.value.pivots == 1 and info.value.residual == 1.0
+    # x <= -1e308 and x >= 1e308: the starting residual overflows to inf, every
+    # reduced cost is 0 and phase 1 stops at once; this proves nothing either
+    # way, and y @ bounds = -inf is no proof.
+    monkeypatch.setattr(lp, "_is_farkas_proof", is_proof)
+    overflowing = LPProblem(c=[0.0], rows=[[1.0], [-1.0]], bounds=[-1e308, -1e308])
+    with (
+        pytest.warns(RuntimeWarning, match="overflow encountered"),
+        pytest.raises(lp.NumericalError, match="no proof of infeasibility") as info,
+    ):
+        solve_lp(overflowing)
+    assert info.value.pivots == 0 and info.value.residual == np.inf
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-9])
+def test_phase_1_forgives_a_residual_below_its_absolute_floor(gap):
+    # x <= -gap and x >= 0 miss each other by far less than FEAS_TOL; phase 1
+    # ends at a residual of gap, within SOL_TOL of 1, and the solve is optimal
+    # at a point that holds both rows within FEAS_TOL.
+    sol = solve_lp(LPProblem(c=[0.0], rows=[[1.0], [-1.0]], bounds=[-gap, 0.0]))
+    assert sol.status == OPTIMAL
+    assert (np.array([[1.0], [-1.0]]) @ sol.x <= np.array([-gap, 0.0]) + lp.FEAS_TOL).all()
 
 
 def test_a_phase_1_breakdown_raises_with_its_pivots_and_residual(monkeypatch):
