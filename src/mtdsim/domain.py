@@ -347,7 +347,10 @@ def json_number(value, what: str) -> float:
     """A JSON number as a float; float() would also take true and "0.9"."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer with too many digits for a float
+        raise DomainError(f"{what} is past float range") from None
 
 
 def json_integer(value, what: str, least: int | None = None) -> int:
@@ -380,7 +383,7 @@ def input_errors(what: str):
         raise
     except KeyError as exc:
         raise DomainError(f"{what} missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed {what}: {exc}") from None
 
 

@@ -306,7 +306,9 @@ class MTDEnvironment:
             for label, dist in (phase.per_state_dist or {}).items():
                 draws[domain.space.index_of_label(label)] = draw_table(dist)
             self._phase_draws.append(draws)
-        self._phase = 0
+        # The step reads these as attributes: the current phase's end and draws.
+        self._phase, self._phase_end, self._draws = 0, self._phase_ends[0], self._phase_draws[0]
+        self._horizon, self._n = scenario.horizon, domain.n_configs
         self._moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
         # A step counts through this view: a memoryview item update, unlike a
         # numpy one, makes no numpy scalar.  It writes through to ``_moves``.
@@ -336,7 +338,7 @@ class MTDEnvironment:
         if not is_index(k) or k < 0:
             raise DomainError(f"step count must be an integer >= 0, got {k!r}")
         stop = self.t + k
-        if stop > self.scenario.horizon:
+        if stop > self._horizon:
             raise DomainError("scenario horizon exhausted")
         n, start = 0, 0
         for end, draws in zip(self._phase_ends, self._phase_draws):
@@ -347,33 +349,37 @@ class MTDEnvironment:
         return Uniforms(rng.random(n))
 
     def step(self, action: int, rng: np.random.Generator | Uniforms) -> StepRecord:
-        if self.t >= self.scenario.horizon:
+        t = self.t
+        if t >= self._horizon:
             raise DomainError("scenario horizon exhausted")
-        if not (is_index(action) and 0 <= action < len(self._labels)):
+        if not ((type(action) is int or is_index(action)) and 0 <= action < self._n):
             raise DomainError(f"action {action!r} is not a configuration index")
         s = self.state
-        if self.t == self._phase_ends[self._phase]:
+        if t == self._phase_end:
             self._phase += 1
-        draws = self._phase_draws[self._phase]
+            self._phase_end = self._phase_ends[self._phase]
+            self._draws = self._phase_draws[self._phase]
         try:
-            if draws is None:
+            if self._draws is None:
                 smoothed = self._moves[s] + 1.0
-                tau = int(np.argmax(self.domain.damage_table @ (smoothed / smoothed.sum())))
+                tau = int((self.domain.damage_table @ (smoothed / smoothed.sum())).argmax())
             else:
-                types, cdf = draws[s]
+                types, cdf = self._draws[s]
                 tau = types[bisect_right(cdf, rng.random())]
-            phi = int(rng.random() < self._mu[tau][action])
+            phi = 1 if rng.random() < self._mu[tau][action] else 0
         except StopIteration:
             # Let through, it would end a calling ``map`` or generator as if it had run out.
             raise DomainError("pre-drawn uniforms exhausted") from None
-        loss = self._loss[tau][action] if phi else 0.0
-        reward = float(self._M - loss - self._sc[s][action])
-        record = StepRecord(
-            self.t, self._labels[s], self._labels[action], self._type_ids[tau], phi, reward
+        # Python floats throughout, so the reward is a float without a float() call.
+        reward = self._M - (self._loss[tau][action] if phi else 0.0) - self._sc[s][action]
+        labels = self._labels
+        # The record's fields as a tuple: NamedTuple's own __new__ costs twice as much.
+        record = tuple.__new__(
+            StepRecord, (t, labels[s], labels[action], self._type_ids[tau], phi, reward)
         )
         self._move_counts[s, action] += 1
         self.state = action
-        self.t += 1
+        self.t = t + 1
         return record
 
 

@@ -54,8 +54,8 @@ leaving row finds no entering column, they are that row's slack entries.
 If the check fails, the tableau has broken down numerically and the solver
 cannot tell the problem's status: it raises ``NumericalError`` with the
 pivot count and the residual instead of guessing one.  So does a simplex
-whose least ratio is not finite (an overflow), or that runs ``MAX_ITER``
-pivots.
+whose least ratio is not finite (an overflow), or that is neither optimal
+nor unbounded after ``MAX_ITER`` pivots.
 """
 
 from __future__ import annotations
@@ -225,14 +225,14 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str
     then the reduced-cost row (objective negated in its last cell).  ``tab`` and
     ``basis`` (``intp``, each row's basic column) are updated in place.  The
     ratio test looks only at the rows whose pivot-column entry exceeds ``FEAS_TOL``.
-    Raises ``NumericalError`` when the least ratio is not finite, or after
-    ``max_iter`` pivots.
+    Raises ``NumericalError`` when the least ratio is not finite, or when
+    ``max_iter`` pivots leave it neither optimal nor unbounded.
     """
     m = len(basis)
     rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
     if rc.size == 0:  # no column can enter (and ``argmax`` needs one)
         return OPTIMAL, 0
-    for pivots in range(max_iter):
+    for pivots in range(max_iter + 1):  # the last pass only reads the tableau's status
         below = rc < -FEAS_TOL
         col = int(below.argmax())  # Bland: lowest eligible index enters
         if not below[col]:
@@ -241,6 +241,8 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str
         pos = (colvals > FEAS_TOL).nonzero()[0]
         if pos.size == 0:
             return UNBOUNDED, pivots
+        if pivots == max_iter:
+            break
         ratios = rhs[pos] / colvals[pos]
         best = float(ratios.min())
         if not abs(best) < np.inf:  # an overflow (or NaN) leaves no ratio to compare
@@ -265,7 +267,7 @@ def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tupl
     """
     m = len(basis)
     rc, rhs = tab[-1, :-1], tab[:m, -1]  # views: pivots write into ``tab`` in place
-    for pivots in range(max_iter):
+    for pivots in range(max_iter + 1):  # the last pass only reads the tableau's status
         below = (rhs < -FEAS_TOL).nonzero()[0]
         if below.size == 0:
             return OPTIMAL, pivots, -1
@@ -274,6 +276,8 @@ def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tupl
         neg = (rowvals < -FEAS_TOL).nonzero()[0]
         if neg.size == 0:
             return INFEASIBLE, pivots, leave
+        if pivots == max_iter:
+            break
         ratios = rc[neg] / -rowvals[neg]
         best = float(ratios.min())
         if not abs(best) < np.inf:  # an overflow (or NaN) leaves no ratio to compare

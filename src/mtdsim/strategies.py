@@ -116,11 +116,12 @@ class EpsGreedyStrategy:
     def select(self, rng: np.random.Generator) -> int:
         if rng.random() < self.epsilon:
             return int(rng.integers(self.means.size))
-        return int(np.argmax(self.means))  # ties: lowest action index
+        return int(self.means.argmax())  # ties: lowest action index
 
     def update(self, action: int, reward: float) -> None:
-        n = self.pulls[action]
-        self.means[action] = (self.means[action] * n + reward) / (n + 1)
+        # As Python numbers: the same IEEE double arithmetic as on numpy scalars.
+        n = self.pulls.item(action)
+        self.means[action] = (self.means.item(action) * n + reward) / (n + 1)
         self.pulls[action] = n + 1
 
 
@@ -149,7 +150,7 @@ class FplMtdStrategy:
         self.cumulative = np.zeros(domain.n_configs)
 
     def _leader(self, z: np.ndarray) -> int:
-        return int(np.argmax(self.cumulative + z))
+        return int((self.cumulative + z).argmax())
 
     def select(self, rng: np.random.Generator) -> int:
         n = self.cumulative.shape[0]
@@ -164,10 +165,11 @@ class FplMtdStrategy:
         while trials < self.l_max:
             chunk = min(RESAMPLE_CHUNK, self.l_max - trials)
             z = rng.exponential(scale=1.0 / self.perturb_rate, size=(chunk, n))
-            winners = np.argmax(self.cumulative[None, :] + z, axis=1)
-            hits = np.nonzero(winners == action)[0]
-            if hits.size:
-                return trials + int(hits[0]) + 1
+            z += self.cumulative  # in place: IEEE addition commutes, so the same bits
+            hits = z.argmax(axis=1) == action
+            first = int(hits.argmax())  # the first hit, or 0 if there is none
+            if hits[first]:
+                return trials + first + 1
             trials += chunk
         return self.l_max
 
@@ -220,7 +222,8 @@ def run_fpl_mtd(
 def run_urs(
     domain: DomainInfo, env: MTDEnvironment, T: int, rng: np.random.Generator
 ) -> list[StepRecord]:
-    return [env.step(urs_select(domain.n_configs, rng), rng) for _ in range(T)]
+    n = domain.n_configs
+    return [env.step(urs_select(n, rng), rng) for _ in range(T)]
 
 
 def run_static(

@@ -17,7 +17,9 @@ oracle, with nothing kept between re-plans but the last LP solution.
 ``reference_network_domain`` builds the network domain configuration by
 configuration, with the switching costs counted from a (state, action, node)
 table.  ``recording`` makes an array that records every numpy call it takes
-part in, so a test can tell that nothing compared it.
+part in, so a test can tell that nothing compared it.  The bandit oracles are
+the ``fpl`` and ``eps-greedy`` selections and updates written with numpy's
+function wrappers, whole-array hit searches and numpy-scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from mtdsim.environments import (
     StepRecord,
 )
 from mtdsim.estimator import DEFAULT_BETA, ThreatEstimator
+from mtdsim.strategies import RESAMPLE_CHUNK, EpsGreedyStrategy, FplMtdStrategy
 from mtdsim.lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, LPSolution, solve_lp
 
 
@@ -131,7 +134,7 @@ def reference_run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> t
     one with the lowest basis index leaves.  Pivots with ``lp._pivot``.
     """
     m = len(basis)
-    for pivots in range(max_iter):
+    for pivots in range(max_iter + 1):
         rc = tab[-1, :-1]
         eligible = np.nonzero(rc < -FEAS_TOL)[0]
         if eligible.size == 0:
@@ -141,6 +144,8 @@ def reference_run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> t
         positive = colvals > FEAS_TOL
         if not np.any(positive):
             return UNBOUNDED, pivots
+        if pivots == max_iter:
+            break
         ratios = np.full(m, np.inf)
         ratios[positive] = tab[:m, -1][positive] / colvals[positive]
         best = float(ratios.min())
@@ -180,6 +185,46 @@ def reference_step(env: MTDEnvironment, action: int, rng: np.random.Generator) -
     env.state = action
     env.t += 1
     return record
+
+
+def reference_fpl_select(strat: FplMtdStrategy, rng: np.random.Generator) -> int:
+    """``strat.select(rng)``: explore, or the leader under fresh exponential perturbations."""
+    n = strat.cumulative.shape[0]
+    if rng.random() < strat.explore_prob:
+        return int(rng.integers(n))
+    z = rng.exponential(scale=1.0 / strat.perturb_rate, size=n)
+    return int(np.argmax(strat.cumulative + z))
+
+
+def reference_fpl_resample_count(
+    strat: FplMtdStrategy, action: int, rng: np.random.Generator
+) -> int:
+    """``strat.resample_count(action, rng)``, finding the hits of a block with ``nonzero``."""
+    n = strat.cumulative.shape[0]
+    trials = 0
+    while trials < strat.l_max:
+        chunk = min(RESAMPLE_CHUNK, strat.l_max - trials)
+        z = rng.exponential(scale=1.0 / strat.perturb_rate, size=(chunk, n))
+        winners = np.argmax(strat.cumulative[None, :] + z, axis=1)
+        hits = np.nonzero(winners == action)[0]
+        if hits.size:
+            return trials + int(hits[0]) + 1
+        trials += chunk
+    return strat.l_max
+
+
+def reference_eps_select(strat: EpsGreedyStrategy, rng: np.random.Generator) -> int:
+    """``strat.select(rng)``: explore uniformly, or the first best running mean."""
+    if rng.random() < strat.epsilon:
+        return int(rng.integers(strat.means.size))
+    return int(np.argmax(strat.means))
+
+
+def reference_eps_update(strat: EpsGreedyStrategy, action: int, reward: float) -> None:
+    """``strat.update(action, reward)`` on numpy scalars."""
+    n = strat.pulls[action]
+    strat.means[action] = (strat.means[action] * n + reward) / (n + 1)
+    strat.pulls[action] = n + 1
 
 
 @dataclass

@@ -281,6 +281,9 @@ def _malformed_inputs():
         "domain-M-boolean": ("run", "--domain", {**domain, "M": True}),
         "domain-M-infinite": ("run", "--domain", {**domain, "M": float("inf")}),  # Infinity
         "domain-rewards-past-float-range": ("run", "--domain", {**domain, "M": -1e308}),
+        # Integers that Python reads exactly but float() cannot hold.
+        "domain-M-integer-past-float-range": ("run", "--domain", {**domain, "M": 10**400}),
+        "domain-mu-integer-past-float-range": ("run", "--domain", first_mu(10**399)),
         "domain-gamma-string": ("run", "--domain", {**domain, "gamma": "0.9"}),
         "domain-mu-boolean": ("run", "--domain", first_mu(True)),
         "domain-switching-cost-boolean": ("run", "--domain", first_switching_cost(True)),

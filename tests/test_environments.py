@@ -19,6 +19,7 @@ from mtdsim.environments import (
     MTDEnvironment,
     Scenario,
     ScenarioPhase,
+    StepRecord,
     builtin_scenario,
     load_scenario,
     make_network_domain,
@@ -571,6 +572,8 @@ def test_step_matches_the_choice_reference_bitwise(tmp_path):
             action = int(rng.integers(env.domain.n_configs))
             action = np.int64(action) if t % 2 else action
             got, want = env.step(action, env_rng), reference_step(ref, action, ref_rng)
+            assert type(got) is StepRecord
+            assert (type(got.phi), type(got.reward)) == (int, float)
             assert got == want and got.reward.hex() == want.reward.hex()
             assert env_rng.bit_generator.state == ref_rng.bit_generator.state
         np.testing.assert_array_equal(env.moves, ref.moves)
@@ -634,6 +637,30 @@ def test_a_step_past_the_drawn_uniforms_raises():
     assert (env.t, env.state, int(env.moves.sum())) == (1, 3, 1)
     with pytest.raises(StopIteration):  # the draws themselves still just run out
         draws.random()
+
+
+def test_a_step_that_fails_at_a_phase_boundary_resumes_in_the_next_phase():
+    phases = (
+        ScenarioPhase(0, 3, STATIC_DIST, {"unknown": 1.0}),
+        ScenarioPhase(3, 5, STATIC_DIST, {"mainstream-hacker": 1.0}),
+        ScenarioPhase(5, 7, MOST_ADVERSE),
+    )
+    scenario = Scenario("three-phases", 7, phases)
+    env, ref = (MTDEnvironment(make_web_app_domain(), scenario) for _ in "ab")
+    env_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for k in (3, 2, 2):  # each run of draws ends at a phase boundary
+        draws = env.uniforms(k, env_rng)
+        for _ in range(k):
+            action = (env.t * 3) % 4
+            got, want = env.step(action, draws), reference_step(ref, action, ref_rng)
+            assert got == want and got.reward.hex() == want.reward.hex()
+        before = (env.t, env.state, env.moves.tolist())
+        with pytest.raises(DomainError):
+            env.step(1, draws)
+        with pytest.raises(DomainError):
+            env.step(4, env_rng)
+        assert (env.t, env.state, env.moves.tolist()) == before
+    assert env_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("mode", [STATIC_DIST, MOST_ADVERSE])

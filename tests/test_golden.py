@@ -2,8 +2,9 @@
 
 Each hash in ``GOLDEN_STEPS_SHA256`` pins ``steps.csv`` of an ``ata-fmdp`` run
 (seed 10, 2 iterations, no hindsight) on one built-in scenario;
-``GOLDEN_CUSTOM_STEPS_SHA256`` pins the same file for ``ata-fmdp`` and ``fpl``
-on ``CUSTOM_SCENARIO``, a scenario JSON the test writes.
+``GOLDEN_CUSTOM_STEPS_SHA256`` pins the same file for ``ata-fmdp``, ``fpl``,
+``eps-greedy``, ``urs`` and one ``static:<label>`` run on ``CUSTOM_SCENARIO``,
+a scenario JSON the test writes.
 ``GOLDEN_CLI_SHA256`` pins every file that ``mtdsim run`` and
 ``mtdsim hindsight`` write for one baseline run with a non-default start
 state; ``GOLDEN_ALPHA_RUN_SHA256`` pins ``steps.csv``, ``summary.csv`` and
@@ -105,6 +106,9 @@ CUSTOM_SCENARIO = {
 GOLDEN_CUSTOM_STEPS_SHA256 = {
     "ata-fmdp": "dafdd156212ad22fab918ff4f8d0af471ccae8a4a56dfc5e2dc905ea606539ec",
     "fpl": "9e034c7a0217f0583ebafb8a56f5df9302a233f1f7b0a65e421508ad538d4c2c",
+    "eps-greedy": "9defb41c07b77ddb517a07d1bd300d1aea74d4e8e1bacca1962fc81cf3701efb",
+    "urs": "f69b69164dd2b089751672e203a992f1d0af1f380982cb0fb9d3274bc1891772",
+    "static:PHP|Postgres": "bb11a8934daf075f52a7097232b5de3a2dfe1df94c1ce4d0358c48dfe98e51d1",
 }
 
 

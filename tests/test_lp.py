@@ -216,6 +216,25 @@ def test_each_simplex_raises_at_its_iteration_limit(monkeypatch):
     assert info.value.pivots == 2
 
 
+def test_a_phase_optimal_after_exactly_its_limit_returns_the_optimum(monkeypatch):
+    kept = np.array([0, 1, 2, 6])
+    first = solve_lp(LPProblem(BEALE.c, BEALE.rows[kept], BEALE.bounds[kept]))
+    cold, warm = solve_lp(BEALE), solve_lp(BEALE, start=first, kept=kept)
+    assert (cold.pivots, warm.pivots) == (22, 3)
+    monkeypatch.setattr(lp, "MAX_ITER", 22)
+    got = solve_lp(BEALE)
+    assert (got.status, got.pivots, got.x.tobytes()) == (OPTIMAL, 22, cold.x.tobytes())
+    monkeypatch.setattr(lp, "MAX_ITER", 21)
+    with pytest.raises(lp.NumericalError, match="^simplex ran out of 21 pivots"):
+        solve_lp(BEALE)
+    monkeypatch.setattr(lp, "MAX_ITER", 3)
+    got = solve_lp(BEALE, start=first, kept=kept)
+    assert (got.status, got.pivots, got.x.tobytes()) == (OPTIMAL, 3, warm.x.tobytes())
+    monkeypatch.setattr(lp, "MAX_ITER", 2)
+    with pytest.raises(lp.NumericalError, match="^dual simplex ran out of 2 pivots"):
+        solve_lp(BEALE, start=first, kept=kept)
+
+
 def test_a_ratio_that_overflows_raises_instead_of_pivoting():
     # 1.7e308 / 0.5 overflows to inf (numpy warns).  Pivoting on it ended at
     # x = nan, and on the dual side at an objective of inf, both "optimal".

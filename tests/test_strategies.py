@@ -25,6 +25,7 @@ from mtdsim.strategies import (
     DEFAULT_FPL_EXPLORE,
     DEFAULT_FPL_LMAX,
     DEFAULT_FPL_RATE,
+    RESAMPLE_CHUNK,
     STRATEGY_NAMES,
     EpsGreedyStrategy,
     FplMtdStrategy,
@@ -33,7 +34,13 @@ from mtdsim.strategies import (
     run_strategy,
     urs_select,
 )
-from oracles import reference_ata_fmdp_run
+from oracles import (
+    reference_ata_fmdp_run,
+    reference_eps_select,
+    reference_eps_update,
+    reference_fpl_resample_count,
+    reference_fpl_select,
+)
 
 
 def unknown_only_scenario(horizon: int) -> Scenario:
@@ -128,6 +135,64 @@ def test_fpl_resample_count_caps_when_the_action_cannot_lead():
     strat.update(0, 2.0, rng)
     assert strat.cumulative[0] == pytest.approx(2.0 * 57)
     assert DEFAULT_FPL_LMAX == 1000
+
+
+def test_fpl_matches_the_reference_bitwise():
+    rng = np.random.default_rng(31)
+    seen: set[str] = set()
+    for case in range(60):
+        n = int(rng.integers(2, 7))
+        l_max = int(rng.choice([1, RESAMPLE_CHUNK - 1, RESAMPLE_CHUNK, 57, 100, DEFAULT_FPL_LMAX]))
+        explore, rate = float(rng.choice([0.0, 0.3, 1.0])), float(rng.uniform(0.02, 2.0))
+        cumulative = rng.normal(scale=float(rng.choice([1.0, 30.0, 1e3])), size=n)
+        if case % 3 == 0:  # tied leaders that no perturbation can part
+            cumulative[rng.permutation(n)[:2]] = 1e20
+            seen.add("tied leaders")
+        strat, ref = (FplMtdStrategy(make_web_app_domain(), explore, rate, l_max) for _ in "ab")
+        strat.cumulative, ref.cumulative = cumulative.copy(), cumulative.copy()
+        seed = int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(8):
+            action = strat.select(got_rng)
+            assert action == reference_fpl_select(ref, want_rng) and type(action) is int
+            probe = int(rng.integers(n))
+            k = strat.resample_count(probe, got_rng)
+            assert k == reference_fpl_resample_count(ref, probe, want_rng)
+            assert type(k) is int
+            seen.add("cap hit" if k == l_max else "hit")
+            if l_max % RESAMPLE_CHUNK and k > l_max - l_max % RESAMPLE_CHUNK:
+                seen.add("hit in a short last block")
+            reward = float(rng.normal(scale=50.0))
+            strat.update(action, reward, got_rng)
+            ref.cumulative[action] += reward * reference_fpl_resample_count(ref, action, want_rng)
+            assert strat.cumulative.tobytes() == ref.cumulative.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert seen == {"tied leaders", "cap hit", "hit", "hit in a short last block"}
+
+
+def test_eps_greedy_matches_the_reference_bitwise():
+    rng = np.random.default_rng(32)
+    for case in range(60):
+        n = int(rng.integers(2, 7))
+        epsilon = float(rng.choice([0.0, 0.2, 1.0]))
+        strat, ref = (EpsGreedyStrategy(make_web_app_domain(), epsilon) for _ in "ab")
+        means = rng.normal(scale=100.0, size=n)
+        if case % 3 == 0:  # tied best means go to the lowest index
+            means[rng.permutation(n)[:2]] = means.max() + 1.0
+        pulls = rng.integers(0, 1000, size=n)
+        strat.means, ref.means = means.copy(), means.copy()
+        strat.pulls, ref.pulls = pulls.copy(), pulls.copy()
+        seed = int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(8):
+            action = strat.select(got_rng)
+            assert action == reference_eps_select(ref, want_rng) and type(action) is int
+            reward = float(rng.normal(loc=150.0, scale=60.0))
+            strat.update(action, reward)
+            reference_eps_update(ref, action, reward)
+            assert strat.means.tobytes() == ref.means.tobytes()
+            np.testing.assert_array_equal(strat.pulls, ref.pulls)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_fpl_constructor_validation():
