@@ -16,23 +16,24 @@ fix the program, and the belief moves only the right-hand side.
 
 The program has S^2 rows but only as many variables as basis functions, so
 ``solve_alp`` solves it by constraint generation over a working set of rows,
-kept in ascending row order.  The set starts at the S stay rows (s, s),
-V(s) >= R(s, s) / (1 - gamma), which bound the objective (the mean of V)
-from the first round.  Each round solves the working-set program with
-``lp.solve_lp`` and scans every row outside the set; a row whose
-``rows @ w - bounds`` exceeds ``lp.FEAS_TOL`` is violated, and up to S of the
-most violated (ties to the lowest row) join the set.  The loop stops when no
-row is violated, so the weights satisfy the whole program and are optimal
-for it.  Every round adds a row, so the loop ends, at worst on the full
-program.  A round after the first restarts from the last round's solution:
-its rows are ``kept`` in the grown set, and the added rows leave that
-optimal basis dual feasible, so ``lp``'s dual simplex pivots only the new
-rows feasible.  Every working set holds the stay rows, so no round is
-unbounded; one that is reports a malformed program.  A cold 4-node network
-solve takes 3 rounds, 48 of its 256 rows and 29 pivots, 16 of them in the
-two-phase first round.  The optimum need not be a unique vertex: under some
-beliefs the generated and the full solve end on different optimal vertices,
-at one objective, whose greedy policies differ.
+kept in ascending row order, in the domain's unit 2^e (``DomainInfo``).  A
+power-of-two scaling rounds nothing, so a power-of-two change of the reward
+unit scales the weights by that power and changes no decision.  The set starts
+at the S stay rows (s, s), V(s) >= R(s, s) / (1 - gamma), which bound the
+objective (the mean of V) from the first round, so no round is unbounded; one
+that is reports a malformed program.  Each round solves the working-set
+program with ``lp.solve_lp`` and scans every row outside the set; a row whose
+``rows @ w - bounds`` exceeds ``lp.FEAS_TOL`` in the unit is violated, and up
+to S of the most violated (ties to the lowest row) join the set.  The loop
+stops when no row is violated, so the weights satisfy the whole program and
+are optimal for it.  Every round adds a row, so the loop ends, at worst on the
+full program.  A round after the first restarts from the last round's
+solution: its rows are ``kept`` in the grown set, and the added rows leave
+that optimal basis dual feasible, so ``lp``'s dual simplex pivots only the new
+rows feasible.  A cold 4-node network solve takes 3 rounds, 48 of its 256 rows
+and 29 pivots, 16 of them in the two-phase first round.  The optimum need not
+be a unique vertex: under some beliefs the generated and the full solve end on
+different optimal vertices, at one objective, whose greedy policies differ.
 
 Re-planning reuses the previous program.  Whether the belief moved is the
 estimator's call: it hands back the very table it handed out last until the
@@ -48,7 +49,7 @@ fails, that round solves two-phase.
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
 the bounds were built from (``ALProblem.rewards``), ties broken by the lowest
-action index; scores within ``TIE_TOL`` (relative) of the best count as tied.
+action index; scores within ``TIE_TOL * |best|`` of the best count as tied.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class ALProblem:
     # its data; None otherwise.  build_alp hands the problem back for it alone.
     posterior: np.ndarray | None = None
     working_set: np.ndarray | None = None  # read-only rows of lp that lp_solution solved
-    lp_solution: LPSolution | None = None  # solution over working_set; the next solve starts there
+    lp_solution: LPSolution | None = None  # over working_set, x and bounds in the unit 2^e
     weights: np.ndarray | None = None  # set by solve_alp
     policy: np.ndarray | None = None  # set by extract_policy from ``weights``
 
@@ -173,32 +174,34 @@ def build_alp(
 def solve_alp(alp: ALProblem) -> np.ndarray:
     """Solve ``alp.lp`` for the basis weights by constraint generation.
 
-    Each round solves the program over the working set of rows, starting the
-    first round from ``alp.lp_solution`` and every later one from the round
-    before it (``kept``: where its rows sit in the grown set), then scans the
-    rows outside the set.  Rows violated by more than ``FEAS_TOL`` join the
-    set, at most S per round and the most violated first; the loop ends when
-    none is violated.  The set starts at the S stay rows (s, s), which bound
-    the objective, so no round is unbounded.  ``alp.working_set`` and
-    ``alp.lp_solution`` keep the final set and its solution for the next
-    re-plan.  A solved problem is not
-    solved again: later calls return the same read-only ``alp.weights``.
-    Raises ``RuntimeError`` if a round is infeasible or unbounded, and
-    lets a ``NumericalError`` of the solver through with the program's size.
+    ``solve_lp`` gets the bounds times 2^-e, in the domain's unit 2^e, and
+    the weights are its solution times 2^e.  Each round solves the program
+    over the working set of rows, starting the first round from
+    ``alp.lp_solution`` and every later one from the round before it
+    (``kept``: where its rows sit in the grown set), then scans the rows
+    outside the set.  Rows violated by more than ``FEAS_TOL`` in the unit
+    join the set, at most S per round and the most violated first; the loop
+    ends when none is violated.  The set starts at the S stay rows (s, s),
+    which bound the objective, so no round is unbounded.  ``alp.working_set``
+    and ``alp.lp_solution`` keep the final set and its solution for the next
+    re-plan.  A solved problem is not solved again: later calls return the
+    same read-only ``alp.weights``.  Raises ``RuntimeError`` if a round is
+    infeasible or unbounded, and lets a ``NumericalError`` of the solver
+    through with the program's size.
     """
     if alp.weights is not None:
         return alp.weights
-    full = alp.lp
-    S = alp.domain.n_configs
+    full, S, e = alp.lp, alp.domain.n_configs, alp.domain.unit_exponent
+    bounds = np.ldexp(full.bounds, -e)  # exact: a power-of-two scaling
     rows = alp.working_set
     if rows is None:
         rows = np.arange(0, full.n_rows, S + 1)  # row s * S + s is the pair (s, s)
     start, kept = alp.lp_solution, None
     while True:
         if start is not None and kept is None:  # the carried set's own arrays: no comparison
-            program = LPProblem(start.certificate.c, start.certificate.rows, full.bounds[rows])
+            program = LPProblem(start.certificate.c, start.certificate.rows, bounds[rows])
         else:
-            program = LPProblem(full.c, full.rows[rows], full.bounds[rows])
+            program = LPProblem(full.c, full.rows[rows], bounds[rows])
         try:
             sol = solve_lp(program, start=start, kept=kept)
         except NumericalError as err:
@@ -215,7 +218,7 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
                 "approximate LP unbounded - the constraint system is malformed "
                 f"({rows.size} of {full.n_rows} rows, {full.n_vars} basis functions)"
             )
-        violation = full.rows @ sol.x - full.bounds
+        violation = full.rows @ sol.x - bounds
         violation[rows] = -np.inf
         violated = (violation > FEAS_TOL).nonzero()[0]
         if not violated.size:
@@ -226,7 +229,7 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
         rows, start, kept = grown, sol, np.searchsorted(grown, rows)
     alp.working_set = _read_only(rows)
     alp.lp_solution = sol
-    alp.weights = _read_only(sol.x)
+    alp.weights = _read_only(np.ldexp(sol.x, e))
     return alp.weights
 
 
@@ -238,12 +241,12 @@ def value_estimates(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
 def greedy_actions(scores: np.ndarray) -> np.ndarray:
     """Row-wise argmax that takes the lowest index among tied actions.
 
-    Actions whose score lies within ``TIE_TOL * (1 + |max|)`` of the row
-    maximum count as tied, so rounding noise in the scores never picks the
-    action.
+    Actions whose score lies within ``TIE_TOL * |max|`` of the row maximum
+    count as tied, so rounding noise never picks the action; the band is
+    purely relative, and a maximum of 0 ties only exact zeros.
     """
     best = scores.max(axis=1, keepdims=True)
-    return (scores >= best - TIE_TOL * (1.0 + np.abs(best))).argmax(axis=1)
+    return (scores >= best - TIE_TOL * np.abs(best)).argmax(axis=1)
 
 
 def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
@@ -160,8 +161,9 @@ class DomainInfo:
 
     Immutable by convention after construction.  ``sc[s, a]`` is the switching
     cost of taking action ``a`` in state ``s``, as the reward charges it.
-    ``gamma`` is the discount used by planning components.  The type ids and
-    the id -> index map are built once, here.
+    ``gamma`` is the discount used by planning components.  The type ids, the
+    id -> index map and ``unit_exponent``, the ``math.frexp`` exponent e of the
+    largest reward size (the planner's unit 2^e), are built once, here.
     """
 
     space: ConfigSpace
@@ -200,6 +202,14 @@ class DomainInfo:
         self.damage_table = self.mu_table * self.loss_table
         unknowns = [i for i, t in enumerate(self.types) if t.is_unknown]
         self.unknown_index = unknowns[0] if unknowns else None
+        low = self.M - float(self.damage_table.max(initial=0.0)) - float(self.sc.max(initial=0.0))
+        reach = max(abs(self.M), abs(low))
+        if not reach / (1.0 - self.gamma) < np.inf:
+            raise DomainError(
+                f"rewards from M {self.M!r} less damage and scaled switching costs, "
+                f"over 1 - gamma ({self.gamma!r}), are not finite"
+            )
+        self.unit_exponent = math.frexp(reach)[1]
 
     @property
     def n_types(self) -> int:

@@ -189,22 +189,12 @@ def resolve_domain(ref: str, scenario: Scenario, alpha: float, seed: int) -> Dom
         raise DomainError(f"unknown domain {ref!r}; expected 'web', 'network', or a file path")
     if ref != WEB_DOMAIN and scenario.domain_variant is not None:
         raise DomainError(f"only the web domain has variants, not {scenario.domain_variant!r}")
-    # Costs are >= 0, so the largest scaled cost is the product of the largest
-    # cost and the two scalings; Python floats overflow to inf without a warning.
+    # Costs are >= 0; Python floats overflow to inf without a warning.
     sc_max = alpha * (float(domain.sc.max(initial=0.0)) * scenario.sc_multiplier)
     if not np.isfinite(sc_max):
         raise DomainError(
             f"alpha {alpha!r} times the switching costs scaled by sc_multiplier "
             f"{scenario.sc_multiplier!r} is not finite"
-        )
-    # Rewards lie in [M - max damage - max cost, M], and a value is at most
-    # the largest of them in size over 1 - gamma; past float range the
-    # planner's LP overflows.
-    low = domain.M - float(domain.damage_table.max(initial=0.0)) - sc_max
-    if not max(abs(domain.M), abs(low)) / (1.0 - domain.gamma) < np.inf:
-        raise DomainError(
-            f"rewards from M {domain.M!r} less damage and scaled switching costs, "
-            f"over 1 - gamma ({domain.gamma!r}), are not finite"
         )
     return replace(domain, sc=alpha * (domain.sc * scenario.sc_multiplier))
 

@@ -468,6 +468,26 @@ def test_greedy_actions_treat_rounding_noise_as_a_tie():
     np.testing.assert_array_equal(greedy_actions(scores), [0, 1, 0])
 
 
+def test_greedy_actions_tie_only_exact_zeros_when_the_best_is_zero():
+    # The tie band is relative: at a best of 0 it is empty, where an absolute
+    # band would let -1e-12 tie and win by its lower index.
+    scores = np.array([[-1e-12, 0.0, 0.0], [-1e-300, -0.0, -5.0], [-1e-12, -1.0, 0.0]])
+    np.testing.assert_array_equal(greedy_actions(scores), [1, 1, 2])
+
+
+@pytest.mark.parametrize("j", [-1000, 1000])
+def test_greedy_actions_pick_the_same_action_under_a_power_of_two(j):
+    scores = np.array(
+        [
+            [1.0, 5.0, 5.0 + 2.3e-13],  # noise: the lowest of the tied pair
+            [5.0, 5.0 + 1e-6, 1.0],  # a real gap
+            [-3.0, -3.0 - 1e-6, -3.0 + 1e-14],
+        ]
+    )
+    np.testing.assert_array_equal(greedy_actions(np.ldexp(scores, j)), [1, 1, 0])
+    np.testing.assert_array_equal(greedy_actions(scores), [1, 1, 0])
+
+
 def test_build_alp_rows_are_the_belief_free_bracket_coefficients():
     web = make_web_app_domain()
     alp = build_alp(web, random_posterior_table(web, np.random.default_rng(4)))
@@ -549,10 +569,12 @@ def test_a_posterior_one_ulp_away_is_a_new_problem(lp_solves):
     again = build_alp(web, moved, previous=first)
     assert again is not first and again.weights is None and again.policy is None
     solve_alp(again)
-    # The re-solve starts on the carried working set, under the new bounds.
+    # The re-solve starts on the carried working set, under the new bounds in
+    # the domain's unit 2^e.
     assert len(lp_solves) > solved
+    bounds = np.ldexp(again.lp.bounds, -web.unit_exponent)
     np.testing.assert_array_equal(lp_solves[solved].rows, again.lp.rows[first.working_set])
-    np.testing.assert_array_equal(lp_solves[solved].bounds, again.lp.bounds[first.working_set])
+    np.testing.assert_array_equal(lp_solves[solved].bounds, bounds[first.working_set])
 
 
 def test_mutating_the_callers_posterior_in_place_misses_the_memo(lp_solves):
@@ -711,16 +733,18 @@ def test_generation_starts_on_the_stay_rows_and_adds_the_most_violated(lp_solves
     domain = oracle_domain("net3")
     problem = build_alp(domain, cold_posterior_table(domain))
     weights = solve_alp(problem)
-    full = problem.lp
+    full, e = problem.lp, domain.unit_exponent
     S = domain.n_configs
-    # Replay the rounds: each solved program is the expected working set, and
-    # the next adds the S rows outside it that its solution violates most.
+    # Replay the rounds: each solved program is the expected working set, in
+    # the domain's unit 2^e, and the next adds the S rows outside it that its
+    # solution violates most.
+    bounds = np.ldexp(full.bounds, -e)
     expected = [s * S + s for s in range(S)]
     crowded = 0
     for program in lp_solves:
         np.testing.assert_array_equal(program.rows, full.rows[expected])
-        np.testing.assert_array_equal(program.bounds, full.bounds[expected])
-        violation = full.rows @ solve_lp(program).x - full.bounds
+        np.testing.assert_array_equal(program.bounds, bounds[expected])
+        violation = full.rows @ solve_lp(program).x - bounds
         outside = [i for i in range(full.n_rows) if i not in expected]
         violated = sorted((i for i in outside if violation[i] > FEAS_TOL),
                           key=lambda i: -violation[i])
@@ -729,7 +753,7 @@ def test_generation_starts_on_the_stay_rows_and_adds_the_most_violated(lp_solves
     assert not violated and crowded
     np.testing.assert_array_equal(problem.working_set, expected)
     assert problem.working_set.size < full.n_rows and not problem.working_set.flags.writeable
-    np.testing.assert_array_equal(weights, problem.lp_solution.x)
+    np.testing.assert_array_equal(weights, np.ldexp(problem.lp_solution.x, e))
 
 
 def test_an_unbounded_round_raises(lp_solves):

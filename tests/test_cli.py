@@ -322,6 +322,15 @@ def test_a_web_domain_with_large_rewards_plans(tmp_path):
     assert main(["run", "--domain", str(path), "--scenario", "web-evolving", *sizes]) == 0
 
 
+def test_a_domain_whose_values_pass_float_range_exits_with_a_domain_error(tmp_path, capsys):
+    # M 1e308 at gamma 0.9: values up to 1e309, which the domain rejects.
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({**domain_to_dict(make_web_app_domain()), "M": 1e308}))
+    sizes = ["--iterations", "1", "--timesteps", "1"]
+    assert main(["run", "--strategy", "urs", "--domain", str(path), *sizes]) == 2
+    assert "over 1 - gamma (0.9), are not finite" in capsys.readouterr().err
+
+
 def test_nan_fpl_rate_exits_with_a_domain_error(capsys):
     argv = ["run", "--strategy", "fpl", "--fpl-rate", "nan", "--timesteps", "1"]
     assert main([*argv, "--iterations", "1"]) == 2

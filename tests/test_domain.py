@@ -1,5 +1,6 @@
 """Unit tests for configuration spaces, attacker types, and the reward model."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -196,6 +197,32 @@ def test_domain_validation(space):
     unk2 = AttackerTypeSpec("u2", True, np.zeros(4), np.zeros(4))
     with pytest.raises(DomainError):
         DomainInfo(**{**good, "types": (ok, unk, unk2)})  # two unknowns
+
+
+def test_values_past_float_range_are_rejected_by_the_domain(web, tmp_path):
+    # max(|M|, |M - max damage - max cost|) / (1 - gamma) must be finite, for
+    # a domain built or loaded (test_harness checks the weighted costs).
+    message = r"rewards from M 1e\+308 .* over 1 - gamma \(0\.9\), are not finite"
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(web, M=1e308)
+    path = tmp_path / "domain.json"
+    write_json(str(path), {**domain_to_dict(web), "M": 1e308})
+    with pytest.raises(DomainError, match=message):
+        load_domain(str(path))
+    write_json(str(path), {**domain_to_dict(web), "M": 1e307})  # 1e308 over 1 - gamma
+    assert load_domain(str(path)).M == 1e307
+
+
+def test_the_unit_exponent_bounds_every_reward_and_follows_a_power_of_two(web):
+    # The planner's unit 2^e is the frexp exponent of the largest reward size.
+    rewards = expected_reward_table(web, np.ones((web.n_types, 4, 4)) / web.n_types)
+    assert np.abs(rewards).max() < 2.0**web.unit_exponent == 256.0  # M = 200
+    for j in (-1000, -1, 0, 3, 900):
+        types = tuple(dataclasses.replace(t, loss=np.ldexp(t.loss, j)) for t in web.types)
+        scaled = dataclasses.replace(web, types=types, M=np.ldexp(web.M, j), sc=np.ldexp(web.sc, j))
+        assert scaled.unit_exponent == web.unit_exponent + j
+    ghost = AttackerTypeSpec("ghost", False, np.zeros(4), np.zeros(4))
+    assert dataclasses.replace(web, types=(ghost,), M=0.0, sc=np.zeros((4, 4))).unit_exponent == 0
 
 
 def test_domain_dense_tables_follow_declaration_order(web):

@@ -18,8 +18,10 @@ from mtdsim.domain import (
     DomainError,
     DomainInfo,
     FactorSpec,
+    domain_to_dict,
     expected_reward_table,
     save_domain,
+    write_json,
 )
 from mtdsim.environments import (
     BUILTIN_SCENARIOS,
@@ -238,12 +240,13 @@ def test_file_domains_reject_variants_and_apply_sc_multiplier(tmp_path):
 
 
 def test_rewards_past_float_range_are_a_domain_error(tmp_path):
-    # |M| and |M - max damage - max scaled cost| over 1 - gamma must be finite.
+    # |M| and |M - max damage - max scaled cost| over 1 - gamma must be finite:
+    # the domain checks it when the file loads and again on the weighted costs.
     scen = Scenario("scaled", 5, (ScenarioPhase(0, 5, dist={"ghost": 1.0}),))
 
     def resolved(M, gamma, alpha):
         path = tmp_path / "domain.json"
-        save_domain(replace(harmless_domain(), M=M, gamma=gamma), str(path))
+        write_json(str(path), {**domain_to_dict(harmless_domain()), "M": M, "gamma": gamma})
         return resolve_domain(str(path), scen, alpha, seed=10)
 
     assert resolved(1e307, 0.5, 1.0).M == 1e307  # 2e307

@@ -4,16 +4,25 @@ One generator, seeded with ``SEED``, draws every case: M log-uniform over
 10^3..10^300, switching costs kept or scaled with M, gamma in
 {0.5, 0.9, 0.99, 0.999}, the web domain or a 2-5-node network, and the cold
 belief or a random one.  Each case writes its domain to a file and resolves
-it as a run does, so the harness's reward-scale check applies, then plans.
-That check never fires here: the largest max(|M|, |M - max damage - max sc|)
-/ (1 - gamma) drawn is about 1.6e301, so every case must plan, and a
-``DomainError`` or ``NumericalError`` fails it.  A plan's weights satisfy
-every row of the full ALP within ``FEAS_TOL`` of the largest bound; on web,
-the state basis picks ``policy_iteration``'s policy; and a rerun gives the
-same bytes.  Small rewards (M of 1e-3 and 1e-9, where the ALP's few
-negative bounds are tiny beside its positive ones) must plan the same way.
-"""
+it as a run does, so the domain's value-range check applies, then plans;
+every case must plan, and a ``DomainError`` or ``NumericalError`` fails it.
+A plan's weights satisfy every row of the full ALP within the planner's own
+guarantee, ``FEAS_TOL`` in its unit 2^e; on web, the state basis picks
+``policy_iteration``'s policy; and a rerun gives the same bytes.  Small
+rewards (M of 1e-3 and 1e-9, where the ALP's few negative bounds are tiny
+beside its positive ones) must plan the same way.
 
+Optimal policies do not change when every reward is multiplied by a positive
+constant (Puterman 1994, section 6.1), and the planner solves in a
+power-of-two unit, which rounds nothing.  So each case also plans a copy
+with M, every loss and every switching cost scaled by 2^j, j drawn from
+-1000..1000 by a second generator (``SCALE_SEED``) and lowered where the
+values would pass float range.  Its weights must be 2^j times the case's,
+bitwise, and its policies the same.  The smallest drawn input, M 1e-9 at
+j -990, stays a normal float.  The metamorphic test below runs the same
+relation over a fixed list of j on every built-in domain size.
+"""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +35,7 @@ from mtdsim.harness import cold_posterior_table, random_posterior_table, resolve
 from mtdsim.lp import FEAS_TOL
 
 SEED = 29
+SCALE_SEED = 31
 N_CASES = 200
 
 
@@ -46,13 +56,21 @@ def _draw_cases() -> list[dict]:
 CASES = _draw_cases()
 
 
-def _plan(case: dict, path: str):
-    """Resolve the case's domain from ``path`` and plan; the plan's bytes."""
+def _scaled(domain, j: int):
+    """The domain with M, every loss and every switching cost scaled by 2^j."""
+    types = tuple(replace(t, loss=np.ldexp(t.loss, j)) for t in domain.types)
+    return replace(domain, types=types, M=float(np.ldexp(domain.M, j)), sc=np.ldexp(domain.sc, j))
+
+
+def _plan(case: dict, path: str, j: int = 0):
+    """Resolve the case's domain, with M, every loss and every switching cost
+    scaled by 2^j, from ``path`` and plan: the domain, the weights and the
+    policies."""
     if case["nodes"] == 1:
         base = make_web_app_domain()
     else:
         base = make_network_domain(np.random.default_rng(0), n_nodes=case["nodes"])
-    save_domain(replace(base, M=case["M"], gamma=case["gamma"]), path)
+    save_domain(_scaled(replace(base, M=case["M"], gamma=case["gamma"]), j), path)
     alpha = case["M"] / base.M if case["scale_sc"] else 1.0
     scenario = Scenario("stress", 1, (ScenarioPhase(0, 1, dist={"unknown": 1.0}),))
     domain = resolve_domain(path, scenario, alpha, seed=0)
@@ -62,16 +80,15 @@ def _plan(case: dict, path: str):
         posterior = random_posterior_table(domain, np.random.default_rng(case["belief"]))
     alp = build_alp(domain, posterior)
     weights = solve_alp(alp)
-    bounds = alp.lp.bounds
-    slack = FEAS_TOL * (1.0 + np.abs(bounds).max())
-    assert (alp.lp.rows @ weights <= bounds + slack).all(), "a row of the full ALP is violated"
-    plan = [weights.tobytes(), extract_policy(alp, weights).tobytes()]
+    slack = np.ldexp(FEAS_TOL, domain.unit_exponent)  # FEAS_TOL in the planner's unit
+    assert (alp.lp.rows @ weights <= alp.lp.bounds + slack).all(), "a row of the full ALP is violated"
+    plan = [weights, extract_policy(alp, weights)]
     if case["nodes"] == 1:
         exact = build_alp(domain, posterior, build_state_basis(domain.space))
         policy = extract_policy(exact, solve_alp(exact))
         np.testing.assert_array_equal(policy, policy_iteration(domain, posterior)[1])
-        plan.append(policy.tobytes())
-    return plan
+        plan.append(policy)
+    return domain, plan
 
 
 SMALL_CASES = [
@@ -84,9 +101,51 @@ SMALL_CASES = [
 
 
 IDS = [f"case{i}" for i in range(N_CASES)] + [f"small{i}" for i in range(len(SMALL_CASES))]
+# A second generator draws each case's power of two, so the cases above are
+# drawn as they were before it.
+SCALES = np.random.default_rng(SCALE_SEED).integers(-1000, 1001, size=len(IDS)).tolist()
 
 
-@pytest.mark.parametrize("case", CASES + SMALL_CASES, ids=IDS)
-def test_a_case_plans_and_reruns_byte_identically(case, tmp_path):
-    first = _plan(case, str(tmp_path / "first.json"))
-    assert _plan(case, str(tmp_path / "rerun.json")) == first
+@pytest.mark.parametrize("case, j", list(zip(CASES + SMALL_CASES, SCALES)), ids=IDS)
+def test_a_case_plans_and_reruns_byte_identically(case, j, tmp_path):
+    domain, first = _plan(case, str(tmp_path / "first.json"))
+    _, rerun = _plan(case, str(tmp_path / "rerun.json"))
+    assert [a.tobytes() for a in rerun] == [a.tobytes() for a in first]
+    # Values stay below 2^(e + top): keep them finite at 2^j times that.
+    top = math.ceil(-math.log2(1.0 - domain.gamma))
+    j = min(j, 1020 - domain.unit_exponent - top)
+    _, (weights, *policies) = _plan(case, str(tmp_path / "scaled.json"), j)
+    assert weights.tobytes() == np.ldexp(first[0], j).tobytes()
+    assert [p.tobytes() for p in policies] == [p.tobytes() for p in first[1:]]
+
+
+J = (-1000, -600, -200, -40, -30, -10, 10, 30, 200, 600, 1000)
+
+
+def _plan_and_optimum(domain, posterior):
+    alp = build_alp(domain, posterior)
+    weights = solve_alp(alp)
+    return weights, extract_policy(alp, weights), policy_iteration(domain, posterior)[1]
+
+
+@pytest.mark.parametrize("belief", [None, 5], ids=["cold", "random"])
+@pytest.mark.parametrize("nodes", range(1, 7), ids=["web", *(f"net{n}" for n in range(2, 7))])
+def test_a_power_of_two_change_of_reward_unit_scales_the_weights_and_keeps_the_policies(
+    nodes, belief
+):
+    # Before the planner solved in its unit, 63 of these 132 cases differed:
+    # at 2^-40 and below every domain changed its policies.
+    if nodes == 1:
+        domain = make_web_app_domain()
+    else:
+        domain = make_network_domain(np.random.default_rng(0), n_nodes=nodes)
+    if belief is None:
+        posterior = cold_posterior_table(domain)
+    else:
+        posterior = random_posterior_table(domain, np.random.default_rng(belief))
+    weights, policy, optimum = _plan_and_optimum(domain, posterior)
+    for j in J:
+        scaled_weights, *policies = _plan_and_optimum(_scaled(domain, j), posterior)
+        assert scaled_weights.tobytes() == np.ldexp(weights, j).tobytes(), j
+        np.testing.assert_array_equal(policies[0], policy, err_msg=f"ALP at 2^{j}")
+        np.testing.assert_array_equal(policies[1], optimum, err_msg=f"policy iteration at 2^{j}")
