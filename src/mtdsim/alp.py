@@ -218,7 +218,8 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
                 "approximate LP unbounded - the constraint system is malformed "
                 f"({rows.size} of {full.n_rows} rows, {full.n_vars} basis functions)"
             )
-        violation = full.rows @ sol.x - bounds
+        violation = full.rows @ sol.x
+        violation -= bounds
         violation[rows] = -np.inf
         violated = (violation > FEAS_TOL).nonzero()[0]
         if not violated.size:
@@ -245,7 +246,7 @@ def greedy_actions(scores: np.ndarray) -> np.ndarray:
     count as tied, so rounding noise never picks the action; the band is
     purely relative, and a maximum of 0 ties only exact zeros.
     """
-    best = scores.max(axis=1, keepdims=True)
+    best = np.maximum.reduce(scores, axis=1, keepdims=True)  # ndarray.max, without its wrapper
     return (scores >= best - TIE_TOL * np.abs(best)).argmax(axis=1)
 
 

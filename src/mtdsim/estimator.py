@@ -25,7 +25,8 @@ table stale only when the belief may have moved:
 - on a credited success;
 - when a count snaps to zero.  The estimator keeps the smallest nonzero
   count, which decays bitwise as every count does; correctly rounded division
-  is monotone, so no count snaps unless that one does;
+  is monotone, so no count snaps unless that one does.  Only a snap or a
+  credit to its cell recounts it; other credits keep it or lower it to 1.0;
 - on any decay when beta is not a power of two, since scores and totals of a
   cell with two or more nonzero types may then round differently.
 
@@ -68,7 +69,7 @@ class ThreatEstimator:
         self.domain = domain
         self.beta = float(beta)
         self._exact_decay = math.frexp(self.beta)[0] == 0.5  # beta is a power of two
-        n, s = domain.n_types, domain.n_configs
+        self._n_types, self._n_configs = n, s = domain.n_types, domain.n_configs
         self._counts = np.zeros((n, s, s))
         self._counts_view = self._counts.view()
         self._counts_view.flags.writeable = False
@@ -95,15 +96,18 @@ class ThreatEstimator:
         return self._counts_view
 
     def _recount(self) -> None:
-        """Re-derive the smallest nonzero count, and mark the kept table stale."""
+        """Re-derive the smallest nonzero count, and mark the kept table stale.
+
+        ``update`` calls it only after a snap or a credit to that count's cell."""
         nonzero = self._counts[self._counts > 0.0]
-        self._least = float(nonzero.min()) if nonzero.size else math.inf
+        self._least = float(np.minimum.reduce(nonzero, initial=math.inf))
         self._stale = True  # posterior_table rebuilds on demand
 
     def _check_cell(self, state: int, action: int) -> None:
         # A negative index would read or credit state S-1, and a boolean every state.
-        S = self.domain.n_configs
-        if not (is_index(state) and is_index(action) and 0 <= state < S and 0 <= action < S):
+        S, int_state = self._n_configs, type(state) is int or is_index(state)
+        if not (int_state and (type(action) is int or is_index(action))
+                and 0 <= state < S and 0 <= action < S):
             raise DomainError(f"cell ({state!r}, {action!r}) out of range")
 
     def update(self, tau: int, state: int, action: int, phi: int) -> None:
@@ -116,7 +120,7 @@ class ThreatEstimator:
         module docstring).
         """
         if phi:
-            if not (is_index(tau) and 0 <= tau < self.domain.n_types):
+            if not ((type(tau) is int or is_index(tau)) and 0 <= tau < self._n_types):
                 raise DomainError(f"type index {tau!r} out of range")
             self._check_cell(state, action)
         if self._least < math.inf:  # an all-zero table decays to itself: +0 / beta is +0
@@ -126,9 +130,12 @@ class ThreatEstimator:
         if snapped:
             self._counts[self._counts < COUNT_FLOOR] = 0.0
         if phi:
-            self._counts[tau, state, action] += 1.0
-        if phi or snapped:
+            held = self._counts.item(tau, state, action)
+            self._counts[tau, state, action] = held + 1.0
+        if snapped or phi and held == least:  # the least count may now sit in another cell
             self._recount()
+        elif phi:  # any other cell held more than least, or was empty and holds 1.0 now
+            self._least, self._stale = min(least, held + 1.0), True
         else:
             self._least = least
             if least < math.inf and not self._exact_decay:
@@ -154,9 +161,10 @@ class ThreatEstimator:
         """
         if self._stale:
             scores = self._counts / self._rates
-            totals = scores.sum(axis=0)  # (S, A)
+            totals = np.add.reduce(scores, axis=0)  # (S, A)
             table = np.divide(scores, totals, out=self._fallback.copy(), where=totals > 0.0)
-            if self._table is None or not np.array_equal(table, self._table):
+            # The table holds no NaN, so == decides what np.array_equal would.
+            if self._table is None or not (table == self._table).all():
                 table.flags.writeable = False
                 self._table = table
             self._stale = False

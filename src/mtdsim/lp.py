@@ -55,7 +55,8 @@ If the check fails, the tableau has broken down numerically and the solver
 cannot tell the problem's status: it raises ``NumericalError`` with the
 pivot count and the residual instead of guessing one.  So does a simplex
 whose least ratio is not finite (an overflow), or that is neither optimal
-nor unbounded after ``MAX_ITER`` pivots.
+nor unbounded after ``MAX_ITER`` pivots.  Phase 2 and a dual restart report
+``UNBOUNDED`` only with a ray that checks on the problem's rows and cost.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .domain import is_index_array
 
@@ -338,6 +340,10 @@ def _certificate(problem: LPProblem, A: np.ndarray, basis: np.ndarray) -> Certif
     return Certificate(c, rows, tuple(sorted(basis.tolist())), J, tight, A[tight][:, J], A[:, J])
 
 
+def _singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     """The structural values u of the certificate's basis under bounds ``b``, if feasible.
 
@@ -345,16 +351,20 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     vertex is returned only when every bound is finite, and u_J and every
     slack are >= -FEAS_TOL.
     """
-    # b . b is finite only when every bound is (one BLAS call, run on every
-    # warm solve), so a non-finite bound never meets a 0 in a product below.
+    # b . b is finite only when every bound is, so no non-finite bound meets a 0 below.
     if not b.dot(b) < np.inf:
         return None
+    # np.linalg.solve's LAPACK gufunc and errstate; its wrapper costs more than a 3x3 solve.
     try:
-        u_J = np.linalg.solve(cert.square, b[cert.tight])
+        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            u_J = _solve1(cert.square, b[cert.tight], signature="dd->d")
     except np.linalg.LinAlgError:
         return None
-    slack = b - cert.columns @ u_J
-    if not (u_J.min(initial=np.inf) >= -FEAS_TOL and slack.min(initial=np.inf) >= -FEAS_TOL):
+    excess = cert.columns @ u_J
+    excess -= b  # the negated slack, bitwise
+    if not (np.minimum.reduce(u_J, initial=np.inf) >= -FEAS_TOL
+            and np.maximum.reduce(excess, initial=-np.inf) <= FEAS_TOL):
         return None
     u = np.zeros(2 * cert.c.size)
     u[cert.J] = u_J
@@ -372,14 +382,34 @@ def _kept_positions(kept, m: int) -> np.ndarray:
     raise ValueError("kept must name distinct rows of the problem")
 
 
+def _unbounded(problem: LPProblem, tab: np.ndarray, basis: np.ndarray, pivots: int) -> LPSolution:
+    """``UNBOUNDED`` if the ray of the final tableau ``tab`` checks, else ``NumericalError``.
+
+    The entering column (Bland's rule again) and minus its basic entries give
+    the standard-form ray d_u, and d = d_u[0::2] - d_u[1::2] must hold
+    rows @ d <= FEAS_TOL * (1 + |rows| @ |d|) and c @ d < 0.
+    """
+    n_u, below = 2 * problem.n_vars, tab[-1, :-1] < -FEAS_TOL
+    col = int(below.argmax())
+    ray = np.zeros(below.size)
+    ray[basis] = -tab[:-1, col]
+    ray[col] = 1.0
+    d, rows = ray[0:n_u:2] - ray[1:n_u:2], problem.rows
+    keeps_rows = (rows @ d <= FEAS_TOL * (1.0 + np.abs(rows) @ np.abs(d))).all()
+    if below[col] and keeps_rows and problem.c @ d < 0.0:
+        return LPSolution(UNBOUNDED)
+    stop = f"simplex stopped unbounded after {pivots} pivots, and its ray does not check"
+    raise NumericalError(stop, pivots, float(-tab[-1, -1]))
+
+
 def _finish(
     problem: LPProblem, A: np.ndarray, tab: np.ndarray, basis: np.ndarray, pivots: int
 ) -> LPSolution:
     """End a solve: a primal pass on ``tab`` (``A``, slacks, rhs) after ``pivots`` pivots,
-    then the solution and its certificate."""
+    then the solution and its certificate, or a checked ray."""
     status, primal = _run_simplex(tab, basis, MAX_ITER)
     if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED)
+        return _unbounded(problem, tab, basis, pivots + primal)
     m, n_u = A.shape
     u = np.zeros(n_u + m)
     u[basis] = tab[:m, -1]

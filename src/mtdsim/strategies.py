@@ -90,7 +90,7 @@ def ata_fmdp_run(
             problem = build_alp(domain, posterior, previous=problem)
             policy = extract_policy(problem, solve_alp(problem))
         state = env.state
-        action = int(policy[state])
+        action = policy.item(state)
         record = env.step(action, draws)
         tau = domain.type_index(record.attacker_type)
         estimator.update(tau, state, action, record.phi)

@@ -1,5 +1,7 @@
 """Unit tests for the decayed-count attacker-type estimator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,75 @@ def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
         assert seen["snap"]
     if beta == 1.2:
         assert seen["multi-type decay"]
+
+
+ORACLE_DOMAINS = {"web": make_web_app_domain, "net3": REFERENCE_DOMAINS["net3"]}
+
+
+def dense_least(counts: np.ndarray) -> float:
+    """The smallest nonzero count, recounted over the whole table."""
+    nonzero = counts[counts > 0.0]
+    return float(nonzero.min()) if nonzero.size else math.inf
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_update_streams_match_a_dense_recount_and_the_reference_table(name, beta):
+    # Bursts of credits (to the cell holding the least count, to empty cells,
+    # by the unknown type, or anywhere), each followed by a quiet stretch
+    # long enough for a count of 1 to snap, with a rare credit inside it so
+    # that some counts snap while others live on.  Indices come as Python or
+    # numpy integers.  The estimator keeps its least count without a dense
+    # recount; after every update it must equal one, and the table must be
+    # the reference formula's, handed out anew exactly when its bytes change.
+    domain = ORACLE_DOMAINS[name]()
+    est = ThreatEstimator(domain, beta=beta)
+    reference = np.zeros_like(est.counts)
+    rng = np.random.default_rng(12)
+    n, S = domain.n_types, domain.n_configs
+    quiet = 10 if beta == 1.0 else math.ceil(math.log(1.0 / COUNT_FLOOR, beta)) + 2
+    seen = dict.fromkeys(["least", "empty", "unknown", "numpy", "snap", "kept", "moved"], 0)
+    table = est.posterior_table()
+    for step in range(3 * (30 + quiet)):
+        kind = "burst" if step % (30 + quiet) < 30 else "quiet"
+        draw = rng.random()
+        tau, state, action = (int(v) for v in rng.integers((n, S, S)))
+        phi = kind == "burst" or draw < 0.02
+        if kind == "burst" and draw < 0.3 and reference.any():
+            least = np.where(reference > 0.0, reference, np.inf)
+            tau, state, action = np.unravel_index(int(least.argmin()), reference.shape)
+            seen["least"] += 1
+        elif kind == "burst" and draw < 0.6:
+            tau, state, action = (int(v) for v in rng.choice(np.argwhere(reference == 0.0)))
+            seen["empty"] += 1
+        elif kind == "burst" and draw < 0.75:
+            tau = domain.unknown_index
+            seen["unknown"] += 1
+        if rng.random() < 0.5:
+            tau, state, action = np.int64(tau), np.intp(state), np.uint8(action)
+            seen["numpy"] += phi
+        before = reference.copy()
+        est.update(tau, state, action, int(phi))
+        reference /= beta
+        reference[reference < COUNT_FLOOR] = 0.0
+        if phi:
+            reference[tau, state, action] += 1.0
+        seen["snap"] += bool(np.any((before > 0.0) & (before / beta < COUNT_FLOOR)))
+        assert est.counts.tobytes() == reference.tobytes()
+        assert est._least == dense_least(reference)
+        last, table = table, est.posterior_table()
+        assert table.tobytes() == reference_posterior_table(est).tobytes()
+        assert (table is last) == (table.tobytes() == last.tobytes())
+        seen["kept" if table is last else "moved"] += 1
+    assert all(seen[k] for k in ("least", "empty", "unknown", "numpy", "kept", "moved")), seen
+    assert bool(seen["snap"]) == (beta > 1.0), seen
+    # A bad index still raises, before the update decays or credits anything.
+    counts, least = est.counts.copy(), est._least
+    for bad in (True, np.bool_(False), -1, 1.0, np.float64(0.0), n + S):
+        for args in ((bad, 0, 1), (0, bad, 1), (0, 1, bad)):
+            with pytest.raises(DomainError, match="out of range"):
+                est.update(*args, phi=1)
+    assert est.counts.tobytes() == counts.tobytes() and est._least == least
 
 
 def test_a_rebuild_equal_to_the_kept_table_is_compared_once_and_dropped():

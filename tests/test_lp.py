@@ -1,5 +1,6 @@
 """Unit tests for the simplex solver: two-phase solves, warm starts and dual restarts."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,16 @@ import pytest
 
 from mtdsim import alp as alp_module
 from mtdsim import lp
-from mtdsim.alp import build_alp, build_state_basis, solve_alp
-from mtdsim.environments import make_network_domain, make_web_app_domain
-from mtdsim.harness import cold_posterior_table, perturb_posterior_table, random_posterior_table
+from mtdsim.alp import build_alp, build_state_basis, extract_policy, solve_alp
+from mtdsim.environments import MTDEnvironment, make_network_domain, make_web_app_domain
+from mtdsim.estimator import ThreatEstimator
+from mtdsim.harness import (
+    ExperimentConfig,
+    cold_posterior_table,
+    perturb_posterior_table,
+    random_posterior_table,
+    resolve_run,
+)
 from mtdsim.lp import (
     FEAS_TOL,
     INFEASIBLE,
@@ -19,6 +27,7 @@ from mtdsim.lp import (
     LPSolution,
     solve_lp,
 )
+from mtdsim.strategies import ata_fmdp_run
 from oracles import (
     box_rows,
     compare_simplex_to_vertices,
@@ -127,6 +136,65 @@ def test_an_lp_with_no_variables_and_no_rows_is_optimal_at_the_empty_point():
 def test_unbounded_without_rows():
     sol = solve_lp(LPProblem(c=[-1.0], rows=np.zeros((0, 1)), bounds=np.zeros(0)))
     assert sol.status == UNBOUNDED
+
+
+def _boxed_status(problem: LPProblem, half_width: float) -> tuple[str, float | None]:
+    """``enumerate_vertices`` on ``problem`` inside the box |x_i| <= half_width."""
+    n = problem.n_vars
+    box, box_bounds = box_rows(np.full(n, -half_width), np.full(n, half_width))
+    boxed = LPProblem(problem.c, np.vstack([problem.rows, box]),
+                      np.concatenate([problem.bounds, box_bounds]))
+    oracle = enumerate_vertices(boxed)
+    return oracle.status, oracle.objective_value
+
+
+def test_unbounded_comes_only_with_a_checked_ray(monkeypatch):
+    # Random LPs without their box rows; the oracle bounds each by a box of
+    # half-width 1e3 and 2e3, and an unbounded one is cheaper in the larger box.
+    rng, rays, unbounded = np.random.default_rng(41), [], 0
+    checked = lp._unbounded
+    monkeypatch.setattr(lp, "_unbounded", lambda *args: rays.append(checked(*args)) or rays[-1])
+    seen = Counter()
+    for _ in range(80):
+        boxed = random_box_lp(rng)
+        n = boxed.n_vars
+        problem = LPProblem(boxed.c, boxed.rows[: -2 * n], boxed.bounds[: -2 * n])
+        got = solve_lp(problem)
+        status, near = _boxed_status(problem, 1e3)
+        if status == OPTIMAL and _boxed_status(problem, 2e3)[1] < near - 1e-6 * (1 + abs(near)):
+            status = UNBOUNDED
+        assert got.status == status
+        if status == OPTIMAL:
+            assert got.objective_value == pytest.approx(near, rel=1e-7, abs=1e-7)
+        seen[status] += 1
+        unbounded += got.status == UNBOUNDED
+    assert seen[UNBOUNDED] > 30 and seen[OPTIMAL] > 15 and seen[INFEASIBLE] > 5, seen
+    assert len(rays) == unbounded and all(sol.status == UNBOUNDED for sol in rays)
+
+
+def test_a_ray_that_does_not_check_raises(monkeypatch):
+    # 0 <= x <= 3, min x: phase 1 has nothing to do, and phase 2 is made to
+    # stop "unbounded": at once, where it offers the ray of x's minus half,
+    # which breaks x >= 0, or after its pivots, where no column can enter.
+    # A dual restart's primal pass is the last call of its solve.
+    problem = LPProblem(c=[1.0], rows=[[1.0], [-1.0]], bounds=[3.0, 0.0])
+    first = solve_lp(LPProblem([1.0], [[-1.0]], [0.0]))
+    run_simplex = lp._run_simplex
+    for start, kept, last_call, pivot, pivots in [
+        (None, None, 2, False, 0), (None, None, 2, True, 1), (first, [1], 1, True, 0)
+    ]:
+        calls = []
+
+        def stops_unbounded(tab, basis, max_iter):
+            calls.append(None)
+            if len(calls) < last_call:
+                return run_simplex(tab, basis, max_iter)
+            return UNBOUNDED, run_simplex(tab, basis, max_iter)[1] if pivot else 0
+
+        monkeypatch.setattr(lp, "_run_simplex", stops_unbounded)
+        with pytest.raises(lp.NumericalError, match="ray does not check") as info:
+            solve_lp(problem, start=start, kept=kept)
+        assert info.value.pivots == pivots and info.value.residual == 0.0
 
 
 def test_no_rows_and_no_cost_is_optimal_at_the_origin():
@@ -738,6 +806,100 @@ def test_rows_mutated_in_place_after_certification_are_certified_afresh():
     assert not got.warm and got.certificate is not sol.certificate
     np.testing.assert_array_equal(got.certificate.rows, problem.rows)
     assert_same_solution(got, solve_lp(problem))
+
+
+# ---------------------------------------------------------------------------
+# the warm path of real moved re-plans against numpy's public wrappers
+# ---------------------------------------------------------------------------
+
+
+def reference_warm_solve(problem: LPProblem, start: LPSolution) -> LPSolution | None:
+    """The primal re-check of ``start``'s certificate through numpy's public
+    wrappers (``np.linalg.solve``, ``u[0::2] - u[1::2]``, ``ndarray.min``); the
+    warm solution, or None where the re-check fails."""
+    cert, b = start.certificate, problem.bounds
+    if not b.dot(b) < np.inf:
+        return None
+    try:
+        u_J = np.linalg.solve(cert.square, b[cert.tight])
+    except np.linalg.LinAlgError:
+        return None
+    slack = b - cert.columns @ u_J
+    if not (u_J.min(initial=np.inf) >= -FEAS_TOL and slack.min(initial=np.inf) >= -FEAS_TOL):
+        return None
+    u = np.zeros(2 * cert.c.size)
+    u[cert.J] = u_J
+    x = u[0::2] - u[1::2]
+    return LPSolution(OPTIMAL, x, float(problem.c @ x), cert.basis, cert, 0, True)
+
+
+def _moved_replans(monkeypatch) -> list[tuple[str, LPProblem, LPSolution]]:
+    """``(case, problem, start)`` of every solve of a moved re-plan that may start warm.
+
+    The web cases are ``ata_fmdp_run`` on two built-in scenarios at seeds 0-2.
+    A network run's belief does not move past its first plan (all nodes
+    offline earns M, so no attack succeeds), so each 2-4-node network at
+    seeds 0-2 re-plans with the run loop's own trio after each update of a
+    seeded stream of estimator updates that credits a random cell.
+    """
+    solves, case = [], ""
+
+    def recorded(problem, start=None, kept=None):
+        if start is not None and kept is None:  # the carried set's own rows
+            solves.append((case, problem, start))
+        return solve_lp(problem, start=start, kept=kept)
+
+    monkeypatch.setattr(alp_module, "solve_lp", recorded)
+    for scenario in ("web-evolving", "web-dh-postgres"):
+        for seed in range(3):
+            case = f"{scenario} seed {seed}"
+            run = resolve_run(ExperimentConfig(domain="web", scenario=scenario, seed=seed))
+            env = MTDEnvironment(run.domain, run.scenario, run.start_state)
+            ata_fmdp_run(run.domain, env, run.timesteps, np.random.default_rng(seed))
+    for n_nodes in (2, 3, 4):
+        for seed in range(3):
+            case = f"net{n_nodes} seed {seed}"
+            rng = np.random.default_rng(seed)
+            domain = make_network_domain(rng, n_nodes=n_nodes)
+            estimator, problem = ThreatEstimator(domain), None
+            n, S = domain.n_types, domain.n_configs
+            for _ in range(40):
+                problem = build_alp(domain, estimator.posterior_table(), previous=problem)
+                extract_policy(problem, solve_alp(problem))
+                tau, state, action = (int(v) for v in rng.integers((n, S, S)))
+                estimator.update(tau, state, action, int(rng.random() < 0.5))
+    return solves
+
+
+def test_the_warm_path_of_moved_replans_is_bitwise_the_public_wrappers(monkeypatch):
+    # _primal_vertex calls the LAPACK gufunc behind np.linalg.solve, a private
+    # numpy name, directly; this test guards that call for as long as it stays.
+    hits, misses = Counter(), Counter()
+    for case, problem, start in _moved_replans(monkeypatch):
+        want, got = reference_warm_solve(problem, start), solve_lp(problem, start=start)
+        assert got.warm == (want is not None), case
+        if want is None:
+            misses[case.split()[0]] += 1
+            continue
+        hits[case.split()[0]] += 1
+        assert got.x.tobytes() == want.x.tobytes(), case
+        assert got.objective_value.hex() == want.objective_value.hex(), case
+        assert got.basis == want.basis and got.certificate is start.certificate, case
+        u = lp._primal_vertex(start.certificate, problem.bounds)
+        assert (u[0::2] - u[1::2]).tobytes() == want.x.tobytes()
+    assert set(hits) == {"web-evolving", "web-dh-postgres", "net2", "net3", "net4"}, hits
+    assert hits["web-evolving"] > 800 and misses["web-dh-postgres"] > 0, (hits, misses)
+    # A singular square and a non-finite bound fail the re-check without a
+    # warning (pytest turns warnings into errors).
+    cert, b = start.certificate, problem.bounds
+    square = cert.square.copy()
+    square[-1] = square[0]
+    assert lp._primal_vertex(replace(cert, square=square), b) is None
+    for value in (np.inf, -np.inf, np.nan):
+        for row in (cert.tight[0], np.setdiff1d(np.arange(b.size), cert.tight)[0]):
+            broken = b.copy()
+            broken[row] = value
+            assert lp._primal_vertex(cert, broken) is None
 
 
 def _recorded_alp_solves(monkeypatch, name: str) -> list:

@@ -290,12 +290,22 @@ def digest_lines(records) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("reopt_period", [1, 3])
-@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
-@pytest.mark.parametrize("domain,scenario", [
-    ("web", "web-evolving"),
-    ("web", "web-dh-postgres"),
-    ("network", "net-evolving"),
+# Every phase kind: the static mixes of the first three, and the most
+# adverse attacker of the last two, which re-plan at every step.
+@pytest.mark.parametrize("domain,scenario,beta,reopt_period", [
+    *(
+        (domain, scenario, beta, reopt_period)
+        for domain, scenario in [
+            ("web", "web-evolving"), ("web", "web-dh-postgres"), ("network", "net-evolving")
+        ]
+        for beta in [1.0, 1.2, 2.0, 4.0]
+        for reopt_period in [1, 3]
+    ),
+    *(
+        (domain, scenario, beta, 1)
+        for domain, scenario in [("web", "web-most-adverse"), ("network", "net-most-adverse")]
+        for beta in [1.2, 2.0]
+    ),
 ])
 def test_skipping_unmoved_beliefs_matches_replanning_every_step(
     monkeypatch, domain, scenario, beta, reopt_period
