@@ -218,7 +218,7 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
                 "approximate LP unbounded - the constraint system is malformed "
                 f"({rows.size} of {full.n_rows} rows, {full.n_vars} basis functions)"
             )
-        violation = full.rows @ sol.x
+        violation = full.rows.dot(sol.x)
         violation -= bounds
         violation[rows] = -np.inf
         violated = (violation > FEAS_TOL).nonzero()[0]

@@ -206,7 +206,7 @@ def _optimal(
     problem: LPProblem, u: np.ndarray, cert: Certificate, pivots: int = 0, warm: bool = False
 ) -> LPSolution:
     x = u[0::2] - u[1::2]
-    return LPSolution(OPTIMAL, x, float(problem.c @ x), cert.basis, cert, pivots, warm)
+    return LPSolution(OPTIMAL, x, float(problem.c.dot(x)), cert.basis, cert, pivots, warm)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -361,7 +361,7 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
             u_J = _solve1(cert.square, b[cert.tight], signature="dd->d")
     except np.linalg.LinAlgError:
         return None
-    excess = cert.columns @ u_J
+    excess = cert.columns.dot(u_J)  # the BLAS call of @, without the ufunc's overhead
     excess -= b  # the negated slack, bitwise
     if not (np.minimum.reduce(u_J, initial=np.inf) >= -FEAS_TOL
             and np.maximum.reduce(excess, initial=-np.inf) <= FEAS_TOL):
