@@ -27,6 +27,7 @@ from .harness import (
     run_experiment,
     write_hindsight_csv,
 )
+from .lp import NumericalError
 
 DEFAULTS = ExperimentConfig()
 
@@ -183,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, OSError) as exc:
+    except (DomainError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

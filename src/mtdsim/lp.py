@@ -41,13 +41,24 @@ distinct row positions in [0, m) for a problem of m rows, or empty;
 Any other start (no certificate, another objective, other or differently
 shaped rows), or a failed primal check, solves with the two-phase method.
 
+Primal feasibility has one tolerance, ``FEAS_TOL``: the warm re-check, the
+dual simplex and phase 1 all accept a vertex within it.  Phase 1 scales it
+by the larger of 1 and its starting residual (the sum it minimises).  The
+floor keeps a conflict far inside the tolerance optimal: x <= -1e-12 and
+x >= 0 end phase 1 at a residual of 1e-12, and no proof checks for a gap
+that small.
+
 The solver reports ``INFEASIBLE`` only with a proof: multipliers y >= 0
 with y @ rows = 0 and y @ bounds < 0, which ``_is_farkas_proof`` checks on
-the problem's own rows and bounds.  Two exits hand it multipliers.  Phase 1
-minimises the sum of the artificial variables; when it stops unbounded (it
-is bounded below by 0, so only a breakdown does), ends above ``SOL_TOL``
-times the larger of 1 and its starting residual, or started from an
-overflowed residual, its multipliers are the slack columns' reduced costs,
+the problem's own rows and bounds.  Any positive multiple of a proof is one
+too, so each of its three tolerances scales with y and has no absolute
+floor: ``FEAS_TOL`` times y's largest entry, plus, for the two sums, the
+magnitudes they add.  A proof is judged as a direction, whatever its size,
+as a ray is.  Two exits hand it multipliers.
+Phase 1 minimises the sum of the artificial variables; when it stops
+unbounded (it is bounded below by 0, so only a breakdown does), ends above
+``FEAS_TOL`` times the larger of 1 and its starting residual, or started from
+an overflowed residual, its multipliers are the slack columns' reduced costs,
 the duals of its rows (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, 1997, sections 3.5 and 4.6).  When a dual restart's
 leaving row finds no entering column, they are that row's slack entries.
@@ -69,7 +80,6 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 from .domain import is_index_array
 
 FEAS_TOL = 1e-9  # pivot / feasibility tolerance
-SOL_TOL = 1e-7  # phase 1 is feasible when it ends within this fraction of max(1, its start)
 MAX_ITER = 100_000  # pivots per simplex phase before giving up
 
 OPTIMAL = "optimal"
@@ -294,16 +304,18 @@ def _is_farkas_proof(problem: LPProblem, y: np.ndarray) -> bool:
     """Whether multipliers ``y`` prove ``rows @ x <= bounds`` infeasible.
 
     Within tolerance: y >= 0, y @ rows = 0 (every x is free) and
-    y @ bounds < 0, each scaled by the magnitudes it sums.
+    y @ bounds < 0, each relative to y's largest entry plus the magnitudes it
+    sums, so that ``y`` and any power-of-two multiple of it get one verdict.
     """
-    if (y < -FEAS_TOL).any():
+    top = y.max(initial=0.0)
+    if (y < -FEAS_TOL * top).any():
         return False
     y = np.maximum(y, 0.0)
     combined = y @ problem.rows
     scale = y @ np.abs(problem.rows)
     return bool(
-        (np.abs(combined) <= FEAS_TOL * (1.0 + scale)).all()
-        and y @ problem.bounds < -FEAS_TOL * (1.0 + y @ np.abs(problem.bounds))
+        (np.abs(combined) <= FEAS_TOL * (top + scale)).all()
+        and y @ problem.bounds < -FEAS_TOL * (top + y @ np.abs(problem.bounds))
     )
 
 
@@ -524,7 +536,7 @@ def solve_lp(
     initial = float(-tab[-1, -1])
     status, pivots = _run_simplex(tab, basis, MAX_ITER)
     residual = float(-tab[-1, -1])
-    if status != OPTIMAL or not residual <= SOL_TOL * max(1.0, initial) < np.inf:
+    if status != OPTIMAL or not residual <= FEAS_TOL * max(1.0, initial) < np.inf:
         stop = f"phase 1 stopped {status}"
         return _no_optimum(problem, tab[-1, n_u : n_u + m], stop, pivots, residual)
     # Drive surviving artificials out of the basis (degenerate rows).  The

@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from mtdsim import lp
-from mtdsim.alp import build_alp, greedy_actions
+from mtdsim.alp import TIE_TOL, build_alp
 from mtdsim.domain import (
     AttackerTypeSpec,
     ConfigSpace,
@@ -363,6 +363,20 @@ def reference_posterior_table(estimator: ThreatEstimator) -> np.ndarray:
     return out
 
 
+def reference_greedy_actions(scores: np.ndarray) -> np.ndarray:
+    """``alp.greedy_actions`` as a loop over each row's Python floats.
+
+    Each row takes the lowest action whose score is at least its best minus
+    ``TIE_TOL`` times the best's size.
+    """
+    policy = []
+    for row in scores.tolist():
+        best = max(row)
+        floor = best - TIE_TOL * abs(best)
+        policy.append(next(a for a, score in enumerate(row) if score >= floor))
+    return np.array(policy, dtype=np.intp)
+
+
 def reference_ata_fmdp_run(
     domain: DomainInfo,
     env: MTDEnvironment,
@@ -376,8 +390,15 @@ def reference_ata_fmdp_run(
     Each re-plan rebuilds the belief from the counts with
     ``reference_posterior_table``, never reading the table the estimator
     keeps, then the rewards and bounds; it solves the LP starting from the
-    last ``LPSolution`` and scores the greedy policy.  Only the objective,
-    rows and basis of the first program are reused.
+    last ``LPSolution`` and takes its policy from
+    ``reference_greedy_actions``.  Only the objective, rows and basis of the
+    first program are reused.
+
+    Two layers are still the package's own, so a bitwise change inside them
+    does not show here: ``lp.solve_lp``, which the warm-path replay and the
+    simplex oracles of ``tests/test_lp.py`` and the ``solve_lp`` pins of
+    ``tests/test_golden.py`` cover, and ``domain.expected_reward_table``,
+    which ``tests/test_domain.py`` checks against its scalar helpers.
     """
     estimator = ThreatEstimator(domain, beta=beta)
     program = build_alp(domain, reference_posterior_table(estimator))
@@ -390,7 +411,7 @@ def reference_ata_fmdp_run(
             lp = LPProblem(program.lp.c, program.lp.rows, -rewards.reshape(-1))
             solution = solve_lp(lp, start=solution)
             values = program.basis.activations @ solution.x
-            policy = greedy_actions(rewards + domain.gamma * values[None, :])
+            policy = reference_greedy_actions(rewards + domain.gamma * values[None, :])
         state = env.state
         action = int(policy[state])
         record = env.step(action, rng)

@@ -14,6 +14,7 @@ import pytest
 from mtdsim import alp as alp_module
 from mtdsim import lp as lp_module
 from mtdsim.alp import (
+    TIE_TOL,
     ALProblem,
     Basis,
     alp_to_dict,
@@ -44,8 +45,8 @@ from mtdsim.harness import (
     random_posterior_table,
 )
 from mtdsim.estimator import ThreatEstimator
-from mtdsim.lp import FEAS_TOL, OPTIMAL, SOL_TOL, LPProblem, NumericalError, solve_lp
-from oracles import recording
+from mtdsim.lp import FEAS_TOL, OPTIMAL, LPProblem, NumericalError, solve_lp
+from oracles import recording, reference_greedy_actions
 
 
 def small_space(sizes=(2, 3, 2)) -> ConfigSpace:
@@ -273,7 +274,7 @@ def test_a_phase_1_breakdown_is_never_reported_infeasible():
     try:
         solution = solve_lp(program)
     except NumericalError as err:
-        assert err.pivots > 0 and 0.0 <= err.residual <= SOL_TOL
+        assert err.pivots > 0 and 0.0 <= err.residual <= FEAS_TOL
     else:
         assert solution.status == OPTIMAL
     try:
@@ -473,6 +474,32 @@ def test_greedy_actions_tie_only_exact_zeros_when_the_best_is_zero():
     # band would let -1e-12 tie and win by its lower index.
     scores = np.array([[-1e-12, 0.0, 0.0], [-1e-300, -0.0, -5.0], [-1e-12, -1.0, 0.0]])
     np.testing.assert_array_equal(greedy_actions(scores), [1, 1, 2])
+
+
+def test_greedy_actions_match_the_reference_loop_on_planted_ties():
+    # Each row holds its best, one planted score inside the tie band, on its
+    # edge or one float below it, and others at least 1e-6 of the best below.
+    # Rows whose best is 0 (or -0) tie only zeros.
+    rng, rows, want = np.random.default_rng(43), [], []
+    kinds = ["inside", "edge", "outside"]
+    for i in range(3000):
+        size = 0.0 if i % 5 == 0 else np.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-60, 61)))
+        best = float(rng.choice([-1.0, 1.0]) * size)
+        floor = best - TIE_TOL * abs(best)
+        kind = kinds[i % 3]
+        planted = {
+            "inside": best - TIE_TOL * abs(best) * rng.random(),
+            "edge": floor,
+            "outside": float(np.nextafter(floor, -np.inf)),
+        }[kind]
+        row = best - (abs(best) + 1.0) * rng.uniform(1e-6, 1.0, 6)
+        at_best, at_planted = rng.choice(6, size=2, replace=False)
+        row[at_best], row[at_planted] = best, planted
+        rows.append(row)
+        want.append(at_best if kind == "outside" else min(at_best, at_planted))
+    scores = np.array(rows)
+    np.testing.assert_array_equal(greedy_actions(scores), want)
+    np.testing.assert_array_equal(reference_greedy_actions(scores), want)
 
 
 @pytest.mark.parametrize("j", [-1000, 1000])

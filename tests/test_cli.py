@@ -17,11 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mtdsim import alp as alp_module
 from mtdsim.cli import _parse_reopt_period, build_parser, main
 from mtdsim.domain import domain_to_dict
 from mtdsim.environments import builtin_scenario, make_web_app_domain, scenario_to_dict
 from mtdsim.estimator import ThreatEstimator
 from mtdsim.harness import ExperimentConfig
+from mtdsim.lp import NumericalError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -188,6 +190,16 @@ def test_unknown_scenario_exits_with_a_domain_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "no-such-scenario" in err
+
+
+def test_a_solver_that_cannot_tell_exits_with_an_error_line(monkeypatch, capsys):
+    def breaks_down(*args, **kwargs):
+        raise NumericalError("phase 1 stopped unbounded after 3 pivots", 3, 0.5)
+
+    monkeypatch.setattr(alp_module, "solve_lp", breaks_down)
+    assert main(["run", "--iterations", "1", "--timesteps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "phase 1 stopped unbounded" in err
 
 
 def test_run_plays_a_network_scenario_on_the_network_domain_by_default(tmp_path, capsys):
@@ -439,3 +451,31 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "strategy=urs" in proc.stdout
+
+
+def test_the_readme_command_block_runs(tmp_path):
+    # The sh block under "Command line", each command as a shell reads it,
+    # with run and hindsight cut to one short iteration (argparse keeps the
+    # last value of a repeated option).
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    short = " --timesteps 50 --iterations 1"
+    script = "\n".join(
+        ['mtdsim() { "$PYTHON" -m mtdsim "$@"; }']
+        + [line + short if line.split()[:2] in (["mtdsim", "run"], ["mtdsim", "hindsight"])
+           else line for line in lines]
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        ["bash", "-e", "-c", script],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHON": sys.executable},
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "results" / "steps.csv").is_file() and (tmp_path / "statics.csv").is_file()

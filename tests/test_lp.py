@@ -102,9 +102,9 @@ def test_phase_1_reports_infeasible_only_with_a_checked_proof(monkeypatch):
 
 @pytest.mark.parametrize("gap", [1e-12, 1e-9])
 def test_phase_1_forgives_a_residual_below_its_absolute_floor(gap):
-    # x <= -gap and x >= 0 miss each other by far less than FEAS_TOL; phase 1
-    # ends at a residual of gap, within SOL_TOL of 1, and the solve is optimal
-    # at a point that holds both rows within FEAS_TOL.
+    # x <= -gap and x >= 0 miss each other by at most FEAS_TOL; phase 1
+    # ends at a residual of gap, within FEAS_TOL times its floor of 1, and the
+    # solve is optimal at a point that holds both rows within FEAS_TOL.
     sol = solve_lp(LPProblem(c=[0.0], rows=[[1.0], [-1.0]], bounds=[-gap, 0.0]))
     assert sol.status == OPTIMAL
     assert (np.array([[1.0], [-1.0]]) @ sol.x <= np.array([-gap, 0.0]) + lp.FEAS_TOL).all()
@@ -1024,6 +1024,102 @@ def test_a_farkas_proof_has_no_negative_multiplier():
     assert lp._is_farkas_proof(problem, np.array([1.0, 1.0, 0.0]))
     # Its clipped form is the proof above, but a multiplier < 0 reverses its row.
     assert not lp._is_farkas_proof(problem, np.array([1.0, 1.0, -0.5]))
+
+
+def _random_lp_multipliers(monkeypatch) -> list[tuple[LPProblem, np.ndarray]]:
+    """Every ``(problem, y)`` handed to ``_is_farkas_proof`` by the random LPs here.
+
+    They are the cold solves of random boxes (seed 31), the same LPs without
+    their box rows (seed 41), and dual restarts with added rows (seed 37).
+    """
+    seen, is_proof = [], lp._is_farkas_proof
+    monkeypatch.setattr(lp, "_is_farkas_proof", lambda p, y: seen.append((p, y)) or is_proof(p, y))
+    rng = np.random.default_rng(31)
+    for _ in range(600):
+        solve_lp(random_box_lp(rng))
+    rng = np.random.default_rng(41)
+    for _ in range(80):
+        boxed = random_box_lp(rng)
+        n = boxed.n_vars
+        solve_lp(LPProblem(boxed.c, boxed.rows[: -2 * n], boxed.bounds[: -2 * n]))
+    rng, cold = np.random.default_rng(37), len(seen)
+    for _ in range(400):
+        problem = random_box_lp(rng)
+        kept = np.sort(rng.choice(problem.n_rows, int(rng.integers(1, problem.n_rows)), False))
+        first = solve_lp(LPProblem(problem.c, problem.rows[kept], problem.bounds[kept]))
+        if first.status == OPTIMAL:
+            solve_lp(problem, start=first, kept=kept)
+    monkeypatch.setattr(lp, "_is_farkas_proof", is_proof)
+    assert cold > 50 and len(seen) - cold > 10, (cold, len(seen))
+    return seen
+
+
+def _net5_phase_1_multipliers(monkeypatch) -> tuple[LPProblem, np.ndarray]:
+    """The net5 pin program of ``test_golden`` and its duals where phase 1 ends.
+
+    The program is feasible (its solve is optimal), and phase 1 ends at a
+    residual of 3.2e-9 from a start of 1.2e5 with six tiny multipliers.
+    """
+    domain = make_network_domain(np.random.default_rng(0), n_nodes=5)
+    problem = build_alp(domain, cold_posterior_table(domain)).lp
+    run_simplex, ends = lp._run_simplex, []
+
+    def recorded(tab, basis, max_iter):
+        result = run_simplex(tab, basis, max_iter)
+        ends.append(tab[-1].copy())
+        return result
+
+    monkeypatch.setattr(lp, "_run_simplex", recorded)
+    assert solve_lp(problem).status == OPTIMAL
+    n_u = 2 * problem.n_vars
+    return problem, ends[0][n_u : n_u + problem.n_rows]
+
+
+def test_a_farkas_proof_is_judged_whatever_its_size(monkeypatch):
+    # Any positive multiple of a proof is a proof (a power of two scales y
+    # exactly), so the verdict cannot depend on the multipliers' size.
+    cases = _random_lp_multipliers(monkeypatch)
+    net5, y5 = _net5_phase_1_multipliers(monkeypatch)
+    assert 0.0 < y5.max() < 1e-10 and np.count_nonzero(y5) == 6
+    assert not lp._is_farkas_proof(net5, y5)  # tiny duals of a feasible program prove nothing
+    for problem, y in cases + [(net5, y5)]:
+        verdict = lp._is_farkas_proof(problem, y)
+        for j in (-60, -20, 20, 60):
+            assert lp._is_farkas_proof(problem, np.ldexp(y, j)) == verdict, j
+    assert not lp._is_farkas_proof(net5, np.zeros(net5.n_rows))  # no multipliers, no proof
+
+
+def test_no_optimal_answer_breaks_a_row_beyond_the_tolerance(monkeypatch):
+    # x <= -s - g and x >= -s conflict by g.  Phase 1 starts at a residual of
+    # s + g; each solve is infeasible with a proof that checked, optimal within
+    # FEAS_TOL of the larger of 1 and that start, or a NumericalError in the
+    # band between the two, where the gap is about FEAS_TOL times the start.
+    verdicts, is_proof = [], lp._is_farkas_proof
+
+    def recorded(problem, y):
+        verdicts.append(is_proof(problem, y))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lp, "_is_farkas_proof", recorded)
+    rows, seen = np.array([[1.0], [-1.0]]), Counter()
+    for s in (0.0, 1e-6, 1.0, 1e3):
+        for gap in np.geomspace(1e-12, 1e-1, 45):
+            bounds = np.array([-s - gap, s])
+            tol = FEAS_TOL * max(1.0, s + gap)
+            verdicts.clear()
+            try:
+                sol = solve_lp(LPProblem([0.0], rows, bounds))
+            except lp.NumericalError:
+                assert verdicts == [False] and 0.5 * tol < gap < 4 * tol, (s, gap)
+                seen["error"] += 1
+                continue
+            if sol.status == INFEASIBLE:
+                assert verdicts == [True], (s, gap)
+            else:
+                assert sol.status == OPTIMAL and not verdicts
+                assert (rows @ sol.x - bounds).max() <= tol, (s, gap)
+            seen[sol.status] += 1
+    assert seen[OPTIMAL] > 40 and seen[INFEASIBLE] > 100 and seen["error"] <= 8, seen
 
 
 def test_a_restart_from_a_singular_tight_system_solves_cold(dual_restarts):
