@@ -20,8 +20,10 @@ kept in ascending row order, in the domain's unit 2^e (``DomainInfo``).  A
 power-of-two scaling rounds nothing, so a power-of-two change of the reward
 unit scales the weights by that power and changes no decision.  The set starts
 at the S stay rows (s, s), V(s) >= R(s, s) / (1 - gamma), which bound the
-objective (the mean of V) from the first round, so no round is unbounded; one
-that is reports a malformed program.  Each round solves the working-set
+objective (the mean of V) from the first round; the bias weight alone,
+max R / (1 - gamma), satisfies every row.  So every round of a program that
+``build_alp`` assembles has an optimum, and one that ``lp`` proves infeasible
+or unbounded reports a malformed program.  Each round solves the working-set
 program with ``lp.solve_lp`` and scans every row outside the set; a row whose
 ``rows @ w - bounds`` exceeds ``lp.FEAS_TOL`` in the unit is violated, and up
 to S of the most violated (ties to the lowest row) join the set.  The loop
@@ -62,7 +64,7 @@ from .domain import ConfigSpace, DomainError, DomainInfo, expected_reward_table,
 
 # Not called here; the benchmark's tracer wraps these names in this module.
 from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
-from .lp import FEAS_TOL, INFEASIBLE, LPProblem, LPSolution, NumericalError, UNBOUNDED, solve_lp
+from .lp import FEAS_TOL, OPTIMAL, LPProblem, LPSolution, NumericalError, solve_lp
 
 TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
 
@@ -185,9 +187,10 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
     which bound the objective, so no round is unbounded.  ``alp.working_set``
     and ``alp.lp_solution`` keep the final set and its solution for the next
     re-plan.  A solved problem is not solved again: later calls return the
-    same read-only ``alp.weights``.  Raises ``RuntimeError`` if a round is
-    infeasible or unbounded, and lets a ``NumericalError`` of the solver
-    through with the program's size.
+    same read-only ``alp.weights``.  A round that ``solve_lp`` proves
+    infeasible or unbounded raises one ``RuntimeError`` naming the status and
+    the program's size (only a hand-built program has one), and a
+    ``NumericalError`` of the solver passes through with the program's size.
     """
     if alp.weights is not None:
         return alp.weights
@@ -211,12 +214,10 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
                 err.pivots,
                 err.residual,
             ) from err
-        if sol.status == INFEASIBLE:
-            raise RuntimeError("approximate LP infeasible - constraint assembly bug")
-        if sol.status == UNBOUNDED:
+        if sol.status != OPTIMAL:  # proven, so the program is malformed: build_alp's is not
             raise RuntimeError(
-                "approximate LP unbounded - the constraint system is malformed "
-                f"({rows.size} of {full.n_rows} rows, {full.n_vars} basis functions)"
+                f"approximate LP {sol.status} ({rows.size} of {full.n_rows} rows, "
+                f"{full.n_vars} basis functions)"
             )
         violation = full.rows.dot(sol.x)
         violation -= bounds

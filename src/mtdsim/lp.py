@@ -50,11 +50,16 @@ that small.
 
 The solver reports ``INFEASIBLE`` only with a proof: multipliers y >= 0
 with y @ rows = 0 and y @ bounds < 0, which ``_is_farkas_proof`` checks on
-the problem's own rows and bounds.  Any positive multiple of a proof is one
-too, so each of its three tolerances scales with y and has no absolute
-floor: ``FEAS_TOL`` times y's largest entry, plus, for the two sums, the
-magnitudes they add.  A proof is judged as a direction, whatever its size,
-as a ray is.  Two exits hand it multipliers.
+the problem's own rows and bounds.  Phase 2 and a dual restart report
+``UNBOUNDED`` only with a ray d, rows @ d <= 0 and c @ d < 0, which
+``_is_ray`` checks on the problem's own rows and cost.  Each certificate
+is judged by the sizes it combines, with no absolute floor: a proof's two
+sums against ``FEAS_TOL`` times the magnitudes they add, a ray's product
+with a row against ``FEAS_TOL`` times that row's largest entry times d's.
+Any positive multiple of a certificate is one too, and multiplying a row
+and its bound by a power of two changes neither the problem nor, since it
+rounds nothing, a verdict.  Only phase 1's tolerance keeps its floor of 1,
+for the gap-1e-12 conflict above.  Two exits hand the proof check multipliers.
 Phase 1 minimises the sum of the artificial variables; when it stops
 unbounded (it is bounded below by 0, so only a breakdown does), ends above
 ``FEAS_TOL`` times the larger of 1 and its starting residual, or started from
@@ -66,8 +71,8 @@ If the check fails, the tableau has broken down numerically and the solver
 cannot tell the problem's status: it raises ``NumericalError`` with the
 pivot count and the residual instead of guessing one.  So does a simplex
 whose least ratio is not finite (an overflow), or that is neither optimal
-nor unbounded after ``MAX_ITER`` pivots.  Phase 2 and a dual restart report
-``UNBOUNDED`` only with a ray that checks on the problem's rows and cost.
+nor unbounded after ``MAX_ITER`` pivots, and so does an unbounded stop whose
+ray does not check.
 """
 
 from __future__ import annotations
@@ -303,19 +308,19 @@ def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tupl
 def _is_farkas_proof(problem: LPProblem, y: np.ndarray) -> bool:
     """Whether multipliers ``y`` prove ``rows @ x <= bounds`` infeasible.
 
-    Within tolerance: y >= 0, y @ rows = 0 (every x is free) and
-    y @ bounds < 0, each relative to y's largest entry plus the magnitudes it
-    sums, so that ``y`` and any power-of-two multiple of it get one verdict.
+    Within tolerance: y >= -``FEAS_TOL`` times y's largest entry, and, with
+    y clipped at 0, |y @ rows| <= ``FEAS_TOL`` * (y @ |rows|) (every x is
+    free) and y @ bounds < -``FEAS_TOL`` * (y @ |bounds|).  Each sum is judged
+    by the magnitudes it combines, with no absolute floor, so ``y`` and the
+    problem's rows and bounds may each be scaled by a power of two without
+    changing the verdict.
     """
-    top = y.max(initial=0.0)
-    if (y < -FEAS_TOL * top).any():
+    if (y < -FEAS_TOL * y.max(initial=0.0)).any():
         return False
     y = np.maximum(y, 0.0)
-    combined = y @ problem.rows
-    scale = y @ np.abs(problem.rows)
     return bool(
-        (np.abs(combined) <= FEAS_TOL * (top + scale)).all()
-        and y @ problem.bounds < -FEAS_TOL * (top + y @ np.abs(problem.bounds))
+        (np.abs(y @ problem.rows) <= FEAS_TOL * (y @ np.abs(problem.rows))).all()
+        and y @ problem.bounds < -FEAS_TOL * (y @ np.abs(problem.bounds))
     )
 
 
@@ -394,21 +399,33 @@ def _kept_positions(kept, m: int) -> np.ndarray:
     raise ValueError("kept must name distinct rows of the problem")
 
 
+def _is_ray(problem: LPProblem, d: np.ndarray) -> bool:
+    """Whether ``d`` is a ray along which ``problem``'s cost falls without end.
+
+    c @ d < 0 and, for each row, rows @ d <= ``FEAS_TOL`` times that row's
+    largest |entry| times d's largest |entry|.  Like a Farkas proof, the ray
+    is judged by the sizes it combines, with no absolute floor, so ``d`` and
+    the problem's rows may each be scaled by a power of two without changing
+    the verdict.  The product of the two largest entries, not |rows| @ |d|,
+    absorbs the tableau's residue in an entry of d that should be 0.
+    """
+    size = np.abs(problem.rows).max(axis=1, initial=0.0) * np.abs(d).max(initial=0.0)
+    return bool((problem.rows @ d <= FEAS_TOL * size).all() and problem.c @ d < 0.0)
+
+
 def _unbounded(problem: LPProblem, tab: np.ndarray, basis: np.ndarray, pivots: int) -> LPSolution:
     """``UNBOUNDED`` if the ray of the final tableau ``tab`` checks, else ``NumericalError``.
 
     The entering column (Bland's rule again) and minus its basic entries give
-    the standard-form ray d_u, and d = d_u[0::2] - d_u[1::2] must hold
-    rows @ d <= FEAS_TOL * (1 + |rows| @ |d|) and c @ d < 0.
+    the standard-form ray d_u, and d = d_u[0::2] - d_u[1::2] must pass
+    ``_is_ray``.
     """
     n_u, below = 2 * problem.n_vars, tab[-1, :-1] < -FEAS_TOL
     col = int(below.argmax())
     ray = np.zeros(below.size)
     ray[basis] = -tab[:-1, col]
     ray[col] = 1.0
-    d, rows = ray[0:n_u:2] - ray[1:n_u:2], problem.rows
-    keeps_rows = (rows @ d <= FEAS_TOL * (1.0 + np.abs(rows) @ np.abs(d))).all()
-    if below[col] and keeps_rows and problem.c @ d < 0.0:
+    if below[col] and _is_ray(problem, ray[0:n_u:2] - ray[1:n_u:2]):
         return LPSolution(UNBOUNDED)
     stop = f"simplex stopped unbounded after {pivots} pivots, and its ray does not check"
     raise NumericalError(stop, pivots, float(-tab[-1, -1]))

@@ -254,6 +254,30 @@ def test_solve_alp_raises_on_degenerate_programs():
         solve_alp(ALProblem(web, basis, infeasible, np.zeros((4, 4))))
 
 
+def _web_at_gamma(gamma: float) -> ALProblem:
+    web = make_web_app_domain()
+    domain = DomainInfo(web.space, web.types, web.sc, web.M, gamma)
+    return build_alp(domain, cold_posterior_table(domain))
+
+
+def test_a_web_plan_at_gamma_one_minus_1e_8_is_feasible():
+    # The last decade of 1 - gamma at which the web plans (see below).
+    problem = _web_at_gamma(1.0 - 1e-8)
+    weights = solve_alp(problem)
+    excess = problem.lp.rows @ weights - problem.lp.bounds
+    assert excess.max() <= np.ldexp(FEAS_TOL, problem.domain.unit_exponent)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-10, 1e-12])
+def test_a_web_plan_past_the_edge_of_gamma_raises_a_numerical_error(gap):
+    # From gamma = 1 - 1e-9 on, the stay rows' coefficients (gamma - 1) * beta
+    # fall below FEAS_TOL, so phase 1 cannot pivot, and its multipliers prove
+    # nothing: the planner says it cannot tell, never that the (feasible and
+    # bounded) program is malformed.
+    with pytest.raises(NumericalError, match="^approximate LP: phase 1 stopped .* no proof"):
+        solve_alp(_web_at_gamma(1.0 - gap))
+
+
 def test_a_phase_1_breakdown_is_never_reported_infeasible():
     # A 7-node network under the cold belief, with the factored basis plus a
     # column of each configuration's cold expected loss.  Phase 1 on the stay

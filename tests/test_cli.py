@@ -334,6 +334,18 @@ def test_a_web_domain_with_large_rewards_plans(tmp_path):
     assert main(["run", "--domain", str(path), "--scenario", "web-evolving", *sizes]) == 0
 
 
+def test_a_web_domain_past_the_edge_of_gamma_exits_with_an_error_line(tmp_path, capsys):
+    # At gamma = 1 - 1e-10 the stay rows' coefficients fall below FEAS_TOL,
+    # so the solver cannot tell the first ALP's status.
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({**domain_to_dict(make_web_app_domain()), "gamma": 1.0 - 1e-10}))
+    sizes = ["--iterations", "1", "--timesteps", "1"]
+    assert main(["run", "--domain", str(path), *sizes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: approximate LP: phase 1 stopped optimal after 0 pivots")
+    assert "no proof of infeasibility (4 of 16 rows, 5 basis functions)" in err
+
+
 def test_a_domain_whose_values_pass_float_range_exits_with_a_domain_error(tmp_path, capsys):
     # M 1e308 at gamma 0.9: values up to 1e309, which the domain rejects.
     path = tmp_path / "web.json"
