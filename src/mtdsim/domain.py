@@ -25,6 +25,11 @@ from itertools import product
 
 import numpy as np
 
+try:  # einsum's C entry point, which np.einsum(..., optimize=False) calls
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 LABEL_SEP = "|"
 
 
@@ -282,14 +287,19 @@ def attacker_types_from_cvss_csv(space: ConfigSpace, path: str) -> list[Attacker
 # ---------------------------------------------------------------------------
 
 
-def expected_attack_loss_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
-    """al(s, a) = sum_t P(t|s,a) mu(t, a) l(t, a) for a full (n_types, S, A) belief table."""
-    p = np.asarray(posterior_table, dtype=float)
+def _belief_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
+    """``posterior_table`` as a float64 array (by ``float_array``) of shape (n_types, S, A)."""
+    p = float_array(posterior_table, 3)
     n, s = domain.n_types, domain.n_configs
     if p.shape != (n, s, s):
         raise DomainError(f"posterior table must have shape ({n}, {s}, {s})")
+    return p
+
+
+def expected_attack_loss_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
+    """al(s, a) = sum_t P(t|s,a) mu(t, a) l(t, a) for a full (n_types, S, A) belief table."""
     # target configuration of (s, a) is a, so weight by the damage at column a
-    return np.einsum("tsa,ta->sa", p, domain.damage_table)
+    return _c_einsum("tsa,ta->sa", _belief_table(domain, posterior_table), domain.damage_table)
 
 
 def expected_reward_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
@@ -301,8 +311,8 @@ def expected_reward_table(domain: DomainInfo, posterior_table: np.ndarray) -> np
 # alp.success_prob_table (bench/tracing.py).
 def success_prob_table(domain: DomainInfo, posterior_table: np.ndarray) -> np.ndarray:
     """Attack success probability sum_t P(t|s,a) mu(t, a), clamped to [0, 1]."""
-    p = np.asarray(posterior_table, dtype=float)
-    return np.clip(np.einsum("tsa,ta->sa", p, domain.mu_table), 0.0, 1.0)
+    p = _belief_table(domain, posterior_table)
+    return np.clip(_c_einsum("tsa,ta->sa", p, domain.mu_table), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +380,23 @@ def json_integer(value, what: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise DomainError(f"{what} must be >= {least}")
     return value
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def float_array(value, ndim: int) -> np.ndarray:
+    """``value`` itself if it is a float64 ndarray of rank ``ndim``, else converted.
+
+    The test costs three attribute reads, where ``np.asarray`` and
+    ``np.atleast_1d`` would cost about a microsecond to hand back the same
+    array.  A conversion is ``np.asarray(value, dtype=float)``, raised to 1-D
+    when ``ndim`` is 1; its rank is the caller's to check.
+    """
+    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == ndim:
+        return value
+    array = np.asarray(value, dtype=float)
+    return np.atleast_1d(array) if ndim == 1 else array
 
 
 def is_index(value) -> bool:

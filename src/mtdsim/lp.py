@@ -78,11 +78,12 @@ ray does not check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .domain import is_index_array
+from .domain import float_array, is_index_array
 
 FEAS_TOL = 1e-9  # pivot / feasibility tolerance
 MAX_ITER = 100_000  # pivots per simplex phase before giving up
@@ -108,21 +109,6 @@ class NumericalError(RuntimeError):
         self.residual = residual
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _float_array(value, ndim: int) -> np.ndarray:
-    """``value`` itself if it is a float64 ndarray of rank ``ndim``, else converted.
-
-    The test costs three attribute reads, where ``np.asarray`` and
-    ``np.atleast_1d`` would cost about a microsecond to hand back the same array.
-    """
-    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == ndim:
-        return value
-    array = np.asarray(value, dtype=float)
-    return np.atleast_1d(array) if ndim == 1 else array
-
-
 @dataclass
 class LPProblem:
     """minimize c @ x  s.t.  rows @ x <= bounds,  x free.
@@ -140,11 +126,11 @@ class LPProblem:
     bounds: np.ndarray
 
     def __post_init__(self) -> None:
-        self.c = _float_array(self.c, 1)
-        self.rows = _float_array(self.rows, 2)
+        self.c = float_array(self.c, 1)
+        self.rows = float_array(self.rows, 2)
         if self.rows.ndim != 2 or self.rows.shape[1] != self.c.shape[0]:
             raise ValueError("rows must be an (m, n) array, one column per variable")
-        self.bounds = _float_array(self.bounds, 1)
+        self.bounds = float_array(self.bounds, 1)
         if self.bounds.shape != (self.rows.shape[0],):
             raise ValueError("one bound per constraint row required")
 
@@ -175,6 +161,10 @@ class Certificate:
     the primal re-check reads.  A problem built on those very arrays needs no
     comparison to be re-checked; one with arrays of its own is compared entry
     by entry.
+
+    Whether LAPACK factors ``square`` depends on ``square`` alone, so the
+    certificate decides it once, at its first re-check (``factors``); a copy
+    made by ``dataclasses.replace`` decides again.
     """
 
     c: np.ndarray
@@ -184,6 +174,21 @@ class Certificate:
     tight: np.ndarray  # rows whose slack is nonbasic
     square: np.ndarray  # A[tight, J]
     columns: np.ndarray  # A[:, J]
+
+    @cached_property
+    def factors(self) -> bool:
+        """Whether LAPACK's solve factors ``square``: False when it is singular.
+
+        The gufunc behind ``np.linalg.solve`` flags a singular system as an
+        invalid operation, which ``_singular`` turns into ``LinAlgError``; it
+        clears every other flag itself.
+        """
+        try:
+            with np.errstate(call=_singular, invalid="call"):
+                _solve1(self.square, np.zeros(len(self.square)), signature="dd->d")
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
 
 @dataclass
@@ -365,23 +370,23 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     """The structural values u of the certificate's basis under bounds ``b``, if feasible.
 
     The basic structural columns J solve A[tight, J] u_J = b[tight]; the
-    vertex is returned only when every bound is finite, and u_J and every
-    slack are >= -FEAS_TOL.
+    vertex is returned only when every bound is finite, the certificate's
+    square factors, u_J is finite, and u_J and every slack are >= -FEAS_TOL.
     """
     # b . b is finite only when every bound is, so no non-finite bound meets a 0 below.
-    if not b.dot(b) < np.inf:
+    if not (b.dot(b) < np.inf and cert.factors):
         return None
-    # np.linalg.solve's LAPACK gufunc and errstate; its wrapper costs more than a 3x3 solve.
-    try:
-        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                         under="ignore"):
-            u_J = _solve1(cert.square, b[cert.tight], signature="dd->d")
-    except np.linalg.LinAlgError:
+    # np.linalg.solve's LAPACK gufunc, whose wrapper costs more than a 3x3 solve.  On
+    # a square it factors, the gufunc clears every floating-point flag it raised (an
+    # overflow too), so no errstate context is needed.
+    u_J = _solve1(cert.square, b[cert.tight], signature="dd->d")
+    # A u_J past float range fails before the dot below could meet 0 * inf.
+    if not (np.minimum.reduce(u_J, initial=np.inf) >= -FEAS_TOL
+            and np.maximum.reduce(u_J, initial=0.0) < np.inf):
         return None
     excess = cert.columns.dot(u_J)  # the BLAS call of @, without the ufunc's overhead
     excess -= b  # the negated slack, bitwise
-    if not (np.minimum.reduce(u_J, initial=np.inf) >= -FEAS_TOL
-            and np.maximum.reduce(excess, initial=-np.inf) <= FEAS_TOL):
+    if not np.maximum.reduce(excess, initial=-np.inf) <= FEAS_TOL:
         return None
     u = np.zeros(2 * cert.c.size)
     u[cert.J] = u_J

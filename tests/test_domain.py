@@ -28,7 +28,7 @@ from mtdsim.domain import (
     success_prob_table,
     write_json,
 )
-from mtdsim.environments import builtin_scenario, make_web_app_domain
+from mtdsim.environments import builtin_scenario, make_network_domain, make_web_app_domain
 from mtdsim.harness import resolve_domain
 
 
@@ -355,6 +355,31 @@ def test_posterior_shape_is_checked(web):
         expected_attack_loss_table(web, table[:2])
     with pytest.raises(DomainError):
         expected_reward_table(web, table[:, :2])
+
+
+@pytest.mark.parametrize("name", ["web", "net2", "net3", "net4"])
+def test_belief_tables_are_bitwise_np_einsum(name):
+    # Both tables call einsum's C entry point, a private numpy name, directly;
+    # this test guards that call for as long as it stays.
+    if name == "web":
+        domain = make_web_app_domain()
+    else:
+        domain = make_network_domain(np.random.default_rng(0), n_nodes=int(name[-1]))
+    n, S = domain.n_types, domain.n_configs
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        table = rng.random((n, S, S))
+        table[rng.random(table.shape) < 0.4] = 0.0
+        loss = np.einsum("tsa,ta->sa", table, domain.damage_table)
+        prob = np.clip(np.einsum("tsa,ta->sa", table, domain.mu_table), 0.0, 1.0)
+        for given in (table, np.asfortranarray(table), table.tolist()):
+            assert expected_attack_loss_table(domain, given).tobytes() == loss.tobytes()
+            assert success_prob_table(domain, given).tobytes() == prob.tobytes()
+    for wrong in (table[:1], table[:, :1], table[:, :, :1], table[0], table.tolist()[:1]):
+        with pytest.raises(DomainError, match="posterior table must have shape"):
+            expected_attack_loss_table(domain, wrong)
+        with pytest.raises(DomainError, match="posterior table must have shape"):
+            success_prob_table(domain, wrong)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the decayed-count attacker-type estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -180,11 +181,44 @@ def test_posterior_table_matches_cellwise_posterior():
             np.testing.assert_allclose(est.posterior(s, a), table[:, s, a])
 
 
+def faint_web_domain():
+    """The web domain with the first type's rates scaled by 1e-290.
+
+    Its scores reach about 1e290: in range, but past it under a scale of 2^100."""
+    web = make_web_app_domain()
+    faint = dataclasses.replace(web.types[0], mu=web.types[0].mu * 1e-290)
+    return dataclasses.replace(web, types=(faint, *web.types[1:]))
+
+
 REFERENCE_DOMAINS = {
     "web": make_web_app_domain,
     "pg-only-dh": lambda: make_web_app_domain(unknown_variant="pg-only-dh"),
     "net3": lambda: make_network_domain(np.random.default_rng(0), n_nodes=3),
+    "faint-web": faint_web_domain,
 }
+
+# Power-of-two betas keep the counts under a scale; 2^511 and up fold it back
+# into the table every step or every other step.
+STREAM_BETAS = [1.0, 1.2, 2.0, 4.0, 2.0**511, 2.0**512, 2.0**1023]
+
+
+def folds_twice(name: str, beta: float) -> bool:
+    """Whether a stream folds the scale back at least twice: at the three
+    largest betas, and on faint-web, whose credits pass ``_safe_entry`` under
+    a scale of about 2^57, at betas 2 and 4."""
+    return beta >= 2.0**511 or name == "faint-web" and beta in (2.0, 4.0)
+
+
+def counted_folds(est: ThreatEstimator) -> list[float]:
+    """The scale at each fold of ``est`` from now on, recorded as it folds."""
+    folds, fold = [], est._fold
+
+    def recorded():
+        folds.append(est._scale)
+        fold()
+
+    est._fold = recorded
+    return folds
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
@@ -201,17 +235,24 @@ def test_posterior_table_is_bitwise_the_reference_formula(name, beta):
         assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
 
 
-@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
+def dense_least(counts: np.ndarray) -> float:
+    """The smallest nonzero count, recounted over the whole table."""
+    nonzero = counts[counts > 0.0]
+    return float(nonzero.min()) if nonzero.size else math.inf
+
+
+@pytest.mark.parametrize("beta", STREAM_BETAS)
 @pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
 def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
     # A quiet start on the all-zero table, then bursts of credits on three
     # cells, each followed by a quiet stretch long enough for every count to
-    # snap at beta = 1.2 (1.2**160 > 1e12).  The counts are compared bitwise
-    # with a table that decays on every step, also where it is all zero.  The
-    # estimator hands back the same object exactly when the bytes are the
-    # same, whichever of its rules marked the table stale.
+    # snap at beta = 1.2 (1.2**160 > 1e12).  The counts and the least count are
+    # compared bitwise with a table that decays on every step, also where it
+    # is all zero.  The estimator hands back the same object exactly when the
+    # bytes are the same, whichever of its rules marked the table stale.
     domain = REFERENCE_DOMAINS[name]()
     est = ThreatEstimator(domain, beta=beta)
+    folds = counted_folds(est)
     reference = np.zeros_like(est.counts)
     rng = np.random.default_rng(11)
     n, S = domain.n_types, domain.n_configs
@@ -234,6 +275,7 @@ def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
         if phi:
             reference[tau, state, action] += 1.0
         assert est.counts.tobytes() == reference.tobytes()
+        assert est._least == dense_least(reference)
         snap = bool(np.any((before > 0.0) & (before / beta < COUNT_FLOOR)))
         multi = bool(np.any((before > 0.0).sum(axis=0) >= 2))
         seen["credit"] += phi
@@ -249,18 +291,13 @@ def test_the_table_is_kept_exactly_while_the_belief_has_not_moved(name, beta):
         assert seen["snap"]
     if beta == 1.2:
         assert seen["multi-type decay"]
+    assert (len(folds) >= 2) == folds_twice(name, beta), folds
 
 
-ORACLE_DOMAINS = {"web": make_web_app_domain, "net3": REFERENCE_DOMAINS["net3"]}
+ORACLE_DOMAINS = {name: REFERENCE_DOMAINS[name] for name in ("web", "net3", "faint-web")}
 
 
-def dense_least(counts: np.ndarray) -> float:
-    """The smallest nonzero count, recounted over the whole table."""
-    nonzero = counts[counts > 0.0]
-    return float(nonzero.min()) if nonzero.size else math.inf
-
-
-@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0, 4.0])
+@pytest.mark.parametrize("beta", STREAM_BETAS)
 @pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
 def test_update_streams_match_a_dense_recount_and_the_reference_table(name, beta):
     # Bursts of credits (to the cell holding the least count, to empty cells,
@@ -272,6 +309,7 @@ def test_update_streams_match_a_dense_recount_and_the_reference_table(name, beta
     # the reference formula's, handed out anew exactly when its bytes change.
     domain = ORACLE_DOMAINS[name]()
     est = ThreatEstimator(domain, beta=beta)
+    folds = counted_folds(est)
     reference = np.zeros_like(est.counts)
     rng = np.random.default_rng(12)
     n, S = domain.n_types, domain.n_configs
@@ -311,6 +349,7 @@ def test_update_streams_match_a_dense_recount_and_the_reference_table(name, beta
         seen["kept" if table is last else "moved"] += 1
     assert all(seen[k] for k in ("least", "empty", "unknown", "numpy", "kept", "moved")), seen
     assert bool(seen["snap"]) == (beta > 1.0), seen
+    assert (len(folds) >= 2) == folds_twice(name, beta), folds
     # A bad index still raises, before the update decays or credits anything.
     counts, least = est.counts.copy(), est._least
     for bad in (True, np.bool_(False), -1, 1.0, np.float64(0.0), n + S):
@@ -318,6 +357,80 @@ def test_update_streams_match_a_dense_recount_and_the_reference_table(name, beta
             with pytest.raises(DomainError, match="out of range"):
                 est.update(*args, phi=1)
     assert est.counts.tobytes() == counts.tobytes() and est._least == least
+
+
+def faint_target_domain(rate):
+    """Two configurations and one type, with success rate ``rate`` against the first."""
+    space = ConfigSpace((FactorSpec("cfg", ("a", "b")),))
+    types = (AttackerTypeSpec("faint", False, np.array([rate, 0.5]), np.array([10.0, 10.0])),)
+    return DomainInfo(space, types, np.zeros((2, 2)), 200.0, 0.9)
+
+
+def test_a_count_over_a_rate_too_small_to_score_raises():
+    # 1 / 1e-320 overflows: the rebuilt total of cell (1, 0) is +inf, which
+    # would leave a NaN belief there for the planner to read.
+    est = ThreatEstimator(faint_target_domain(1e-320), beta=2.0)
+    est.update(0, 1, 0, phi=1)
+    with pytest.raises(DomainError, match=r"'faint'.* success rate 1e-320 against 'a'"):
+        est.posterior_table()
+    with pytest.raises(DomainError, match=r"belief at \(1, 0\) past float range"):
+        est.posterior(1, 0)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1e-308])
+def test_a_long_stream_matches_the_dense_counts_and_belief(rate):
+    # A count at (0, 1), credited every 20 steps, lives through 2199 decays by
+    # 2, and the scale folds back at least twice.  At rate 1e-308 a score of
+    # 1 / 1e-308 = 1e308 is in range only unscaled, so the table scales only
+    # while its entries stay below about 0.45, and the last credit, at (1, 0),
+    # lands unscaled.  Its belief is the dense formula's either way.
+    est = ThreatEstimator(faint_target_domain(rate), beta=2.0)
+    folds = counted_folds(est)
+    reference = np.zeros_like(est.counts)
+    for step in range(2200):
+        est.update(0, 0, 1, phi=step % 20 == 0)
+        reference /= 2.0
+        reference[0, 0, 1] += step % 20 == 0
+        assert est.counts.tobytes() == reference.tobytes()
+        assert est._least == dense_least(reference)
+    assert len(folds) >= 2, folds
+    est.update(0, 1, 0, phi=1)
+    table = est.posterior_table()
+    assert table.tobytes() == reference_posterior_table(est).tobytes()
+    assert table[0, 1, 0] == 1.0
+
+
+def test_a_credit_past_the_safe_entry_under_the_scale_folds_it_back_first():
+    # A checkpoint count of 2^1000 decays by 2^1022 to 2^-22 under a scale of
+    # 2^1022, where a credit of 1 would hold an entry past 2^1021, the safe
+    # entry of a rate of 0.5.
+    counts = np.zeros((1, 2, 2))
+    counts[0, 0, 0] = 2.0**1000
+    est = with_counts(faint_target_domain(0.5), counts, beta=2.0**1022)
+    folds = counted_folds(est)
+    est.update(0, 1, 1, phi=1)
+    assert folds == [2.0**1022] and est._scale == 1.0
+    assert est.counts.tolist() == [[[2.0**-22, 0.0], [0.0, 1.0]]] and est._least == 2.0**-22
+    assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
+
+
+def test_a_count_too_large_to_scale_divides_until_it_can_be():
+    # Two types of rate 1 make 2^1021 the safe entry.  A checkpoint count of
+    # 1.75e308 is past it, so decays divide the table until it is not.  Under
+    # a scale from the first decay, the count and a credit of 2^1021 after
+    # 1021 decays would score past float range, where the dense belief is
+    # in range.
+    space = ConfigSpace((FactorSpec("cfg", ("only",)),))
+    types = tuple(AttackerTypeSpec(t, False, np.ones(1), np.ones(1)) for t in ("x", "y"))
+    counts = np.array([1.75e308, 0.0]).reshape(2, 1, 1)
+    est = with_counts(DomainInfo(space, types, np.zeros((1, 1)), 200.0, 0.9), counts)
+    for _ in range(1020):
+        est.update(0, 0, 0, phi=0)
+    est.update(1, 0, 0, phi=1)
+    reference = counts / 2.0**1021
+    reference[1] += 1.0
+    assert est.counts.tobytes() == reference.tobytes()
+    assert est.posterior_table().tobytes() == reference_posterior_table(est).tobytes()
 
 
 def test_a_rebuild_equal_to_the_kept_table_is_compared_once_and_dropped():

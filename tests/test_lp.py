@@ -758,6 +758,52 @@ def test_a_singular_tight_system_fails_the_recheck_and_solves_cold():
     assert got.pivots == cold.pivots > 0 and got.certificate is not cert
 
 
+def test_a_certificate_decides_once_whether_lapack_factors_its_square(monkeypatch):
+    # min x + y in the box |x|, |y| <= 1; any larger box keeps its corner optimal.
+    problem = LPProblem([1.0, 1.0], *box_rows([-1.0, -1.0], [1.0, 1.0]))
+    first = solve_lp(problem)
+    cert, solve1 = first.certificate, lp._solve1
+    guarded = []  # per _solve1 call: whether it ran under the errstate that catches singularity
+
+    def spy(*args, **kwargs):
+        guarded.append(np.geterrcall() is lp._singular)
+        return solve1(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve1", spy)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        bounds = problem.bounds + rng.uniform(0.0, 2.0, size=4)
+        assert solve_lp(LPProblem(cert.c, cert.rows, bounds), start=first).warm
+    assert guarded == [True] + [False] * 50
+    # A copy with a singular square decides again, and fails the re-check
+    # without solving; the original keeps its decision.
+    guarded.clear()
+    singular = replace(cert, square=np.ones((2, 2)))
+    assert lp._primal_vertex(singular, problem.bounds) is None
+    assert lp._primal_vertex(singular, problem.bounds) is None
+    assert guarded == [True]
+    got = solve_lp(problem, start=replace(first, certificate=singular))
+    assert not got.warm and got.certificate is not singular
+    assert_same_solution(got, solve_lp(problem))
+    assert lp._primal_vertex(cert, problem.bounds) is not None and guarded[-1] is False
+
+
+def test_a_recheck_whose_solve_overflows_fails_without_a_warning():
+    # min x over |x| <= 1 and 0 x <= 1: x = -1, on the tight row -x <= 1.  Its
+    # tight system scaled by 2^-1000 still factors, but bounds of +-2^30 put
+    # u_J at +-inf.  The gufunc clears the overflow flag itself, and +inf fails
+    # before the dot product meets the zero row (pytest turns a warning into
+    # an error).
+    problem = LPProblem([1.0], [[1.0], [-1.0], [0.0]], [1.0, 1.0, 1.0])
+    cert = solve_lp(problem).certificate
+    assert cert.tight.tolist() == [1] and cert.J.tolist() == [1]
+    tiny = replace(cert, square=np.ldexp(cert.square, -1000))
+    for sign in (1.0, -1.0):
+        bounds = np.full(3, sign * 2.0**30)
+        assert lp._primal_vertex(tiny, bounds) is None and tiny.factors
+        assert (lp._primal_vertex(cert, bounds) is None) == (sign < 0)  # -2^30 empties it
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_an_infinite_bound_fails_the_recheck(value):
     # min x over x >= -1, |y| <= 2: an infinite bound on the slack rows 1 and 2
