@@ -51,7 +51,7 @@ fails, that round solves two-phase.
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
 the bounds were built from (``ALProblem.rewards``), ties broken by the lowest
-action index; scores within ``TIE_TOL * |best|`` of the best count as tied.
+action index (see ``greedy_actions`` for the tie band).
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ from .domain import ConfigSpace, DomainError, DomainInfo, expected_reward_table,
 from .domain import expected_attack_loss_table, success_prob_table  # noqa: F401
 from .lp import FEAS_TOL, OPTIMAL, LPProblem, LPSolution, NumericalError, solve_lp
 
-TIE_TOL = 1e-9  # relative score gap under which greedy actions count as tied
+TIE_TOL = 1e-9  # share of a row's score spread under which greedy actions count as tied
+TIE_ULPS = 64  # the tie band's rounding floor, in ulps of the row's best score
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,12 +244,20 @@ def value_estimates(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
 def greedy_actions(scores: np.ndarray) -> np.ndarray:
     """Row-wise argmax that takes the lowest index among tied actions.
 
-    Actions whose score lies within ``TIE_TOL * |max|`` of the row maximum
-    count as tied, so rounding noise never picks the action; the band is
-    purely relative, and a maximum of 0 ties only exact zeros.
+    Actions whose score lies within ``TIE_TOL`` times the row's spread (max -
+    min) plus ``TIE_ULPS`` ulps of |max| of the row maximum count as tied, so
+    rounding noise never picks the action.  The band follows the gaps
+    between actions, not the size of the scores: as gamma -> 1 a row's
+    values grow like 1 / (1 - gamma), while its spread stays within the
+    largest loss plus the largest switching cost.  The ulps cover the
+    rounding of the scores themselves, where the spread is small beside
+    them.  Both terms scale by exactly 2^j with the scores.
     """
     best = np.maximum.reduce(scores, axis=1, keepdims=True)  # ndarray.max, without its wrapper
-    return (scores >= best - TIE_TOL * np.abs(best)).argmax(axis=1)
+    band = best - np.minimum.reduce(scores, axis=1, keepdims=True)
+    band *= TIE_TOL
+    band += TIE_ULPS * np.spacing(np.abs(best))
+    return (scores >= best - band).argmax(axis=1)
 
 
 def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
@@ -294,7 +303,8 @@ def policy_iteration(
     """Exact optimal values and greedy policy (lowest action index on ties).
 
     From the myopic policy, each policy is evaluated exactly and improved
-    greedily until one repeats: ties within ``TIE_TOL`` need not raise V.
+    greedily until one repeats: ties within ``greedy_actions``' band need not
+    raise V.
     """
     R = expected_reward_table(domain, posterior_table)
     values, policy = {}, greedy_actions(R)

@@ -264,7 +264,11 @@ class ThreatEstimator:
 
     @classmethod
     def from_dict(cls, domain: DomainInfo, data: dict) -> "ThreatEstimator":
-        """Map a checkpoint onto an estimator; the constructor checks ``beta``."""
+        """Map a checkpoint onto an estimator; the constructor checks ``beta``.
+
+        The belief is built at the load, so counts that cannot give one (see
+        ``posterior_table``) raise ``DomainError`` here, not at a later read.
+        """
         with input_errors("estimator JSON"):
             est = cls(domain, beta=data["beta"])
             if data.get("type_ids") != domain.type_ids():
@@ -281,6 +285,7 @@ class ThreatEstimator:
         est._scaled[...] = counts  # a fresh estimator's scale is 1
         est._top = float(counts.max(initial=0.0))
         est._recount()
+        est.posterior_table()  # counts whose belief passes float range fail here
         return est
 
     @classmethod

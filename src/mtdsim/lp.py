@@ -14,15 +14,18 @@ only have +-0 subtracted, which leaves its values unchanged: at most a -0.0
 would have become +0.0.  The solver divides only by entries above
 ``FEAS_TOL``, so the sign of a zero never reaches a nonzero value.
 
-Every optimal solve issues a ``Certificate`` for its final basis.  The
-simplex stops only once every reduced cost is >= -``FEAS_TOL``, so that basis
-is dual feasible for the problem's ``c`` and ``rows``, which does not depend
-on the bounds.  A later solve may start from the solution in two ways:
+Every optimal solve issues a ``Certificate`` for its final basis, and every
+optimal x comes from it: the basic values solve the certificate's tight
+system at the problem's bounds (``_tight_values``), never read off a tableau,
+so a warm re-check, a dual restart and a cold solve that end on one basis
+return bitwise one x.  The simplex stops only once every reduced cost is
+>= -``FEAS_TOL``, so that basis is dual feasible for the problem's ``c`` and
+``rows``, which does not depend on the bounds.  A later solve may start from
+the solution in two ways:
 
 - Same rows, new bounds: when the problem's ``c`` and ``rows`` equal the
-  certified ones, one primal check decides.  The tight system is solved for
-  the current bounds, and the vertex is returned if its basic values and
-  every slack are nonnegative.
+  certified ones, one primal check decides: the vertex is returned if its
+  basic values and every slack are nonnegative.
 - Added rows (``kept`` names where the certified rows sit among the
   problem's): the certified basis plus the new rows' slacks is still dual
   feasible, since a new row's dual is 0.  Its tableau takes one pivot per
@@ -71,8 +74,8 @@ If the check fails, the tableau has broken down numerically and the solver
 cannot tell the problem's status: it raises ``NumericalError`` with the
 pivot count and the residual instead of guessing one.  So does a simplex
 whose least ratio is not finite (an overflow), or that is neither optimal
-nor unbounded after ``MAX_ITER`` pivots, and so does an unbounded stop whose
-ray does not check.
+nor unbounded after ``MAX_ITER`` pivots, an unbounded stop whose ray does
+not check, and an optimal stop whose final basis LAPACK cannot factor.
 """
 
 from __future__ import annotations
@@ -163,8 +166,13 @@ class Certificate:
     by entry.
 
     Whether LAPACK factors ``square`` depends on ``square`` alone, so the
-    certificate decides it once, at its first re-check (``factors``); a copy
-    made by ``dataclasses.replace`` decides again.
+    certificate decides it once, when it is made (``factors``), and so does a
+    copy made by ``dataclasses.replace``; the gufunc behind ``np.linalg.solve``
+    flags a singular system as an invalid operation and clears every other
+    flag itself.  ``u_limit`` is worked out once, at the first re-check: while
+    every |u_J| is below it, no partial sum of ``columns @ u_J`` passes 2^1023
+    (none exceeds len(J) times the largest |entry| of ``columns`` times the
+    largest |u_J|).
     """
 
     c: np.ndarray
@@ -174,21 +182,20 @@ class Certificate:
     tight: np.ndarray  # rows whose slack is nonbasic
     square: np.ndarray  # A[tight, J]
     columns: np.ndarray  # A[:, J]
+    factors: bool = field(init=False)  # False when ``square`` is singular
 
     @cached_property
-    def factors(self) -> bool:
-        """Whether LAPACK's solve factors ``square``: False when it is singular.
+    def u_limit(self) -> float:
+        size = float(np.abs(self.columns).max(initial=0.0)) * len(self.J)  # inf past range
+        return 2.0**1023 / size if size else np.inf
 
-        The gufunc behind ``np.linalg.solve`` flags a singular system as an
-        invalid operation, which ``_singular`` turns into ``LinAlgError``; it
-        clears every other flag itself.
-        """
+    def __post_init__(self) -> None:
         try:
-            with np.errstate(call=_singular, invalid="call"):
+            with np.errstate(invalid="raise"):
                 _solve1(self.square, np.zeros(len(self.square)), signature="dd->d")
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        except FloatingPointError:
+            return object.__setattr__(self, "factors", False)
+        object.__setattr__(self, "factors", True)
 
 
 @dataclass
@@ -223,8 +230,11 @@ def _standard_form(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _optimal(
-    problem: LPProblem, u: np.ndarray, cert: Certificate, pivots: int = 0, warm: bool = False
+    problem: LPProblem, cert: Certificate, u_J: np.ndarray, pivots: int = 0, warm: bool = False
 ) -> LPSolution:
+    """The solution at ``cert``'s basis whose basic structural values are ``u_J``."""
+    u = np.zeros(2 * problem.n_vars)
+    u[cert.J] = u_J
     x = u[0::2] - u[1::2]
     return LPSolution(OPTIMAL, x, float(problem.c.dot(x)), cert.basis, cert, pivots, warm)
 
@@ -362,35 +372,33 @@ def _certificate(problem: LPProblem, A: np.ndarray, basis: np.ndarray) -> Certif
     return Certificate(c, rows, tuple(sorted(basis.tolist())), J, tight, A[tight][:, J], A[:, J])
 
 
-def _singular(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("Singular matrix")
+def _tight_values(cert: Certificate, b: np.ndarray) -> np.ndarray:
+    """u_J, the basic structural values of ``cert``'s basis under bounds ``b``.
+
+    They solve A[tight, J] u_J = b[tight], so a basis has one vertex whatever
+    path reached it.  On a square that ``cert.factors``, np.linalg.solve's
+    gufunc (without its costly wrapper) clears every flag it raised, overflow too.
+    """
+    return _solve1(cert.square, b[cert.tight], signature="dd->d")
 
 
 def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
-    """The structural values u of the certificate's basis under bounds ``b``, if feasible.
-
-    The basic structural columns J solve A[tight, J] u_J = b[tight]; the
-    vertex is returned only when every bound is finite, the certificate's
-    square factors, u_J is finite, and u_J and every slack are >= -FEAS_TOL.
-    """
+    """``_tight_values(cert, b)`` if every bound is finite, the certificate's square
+    factors, u_J is below ``cert.u_limit``, and u_J and every slack are >= -FEAS_TOL."""
     # b . b is finite only when every bound is, so no non-finite bound meets a 0 below.
     if not (b.dot(b) < np.inf and cert.factors):
         return None
-    # np.linalg.solve's LAPACK gufunc, whose wrapper costs more than a 3x3 solve.  On
-    # a square it factors, the gufunc clears every floating-point flag it raised (an
-    # overflow too), so no errstate context is needed.
-    u_J = _solve1(cert.square, b[cert.tight], signature="dd->d")
-    # A u_J past float range fails before the dot below could meet 0 * inf.
+    u_J = _tight_values(cert, b)
+    # A u_J at or past the limit (inf and NaN too) fails before the dot below could
+    # overflow or meet 0 * inf; a nonzero limit is at least 0.5, so |u_J| stays below it.
     if not (np.minimum.reduce(u_J, initial=np.inf) >= -FEAS_TOL
-            and np.maximum.reduce(u_J, initial=0.0) < np.inf):
+            and np.maximum.reduce(u_J, initial=0.0) < cert.u_limit):
         return None
     excess = cert.columns.dot(u_J)  # the BLAS call of @, without the ufunc's overhead
     excess -= b  # the negated slack, bitwise
     if not np.maximum.reduce(excess, initial=-np.inf) <= FEAS_TOL:
         return None
-    u = np.zeros(2 * cert.c.size)
-    u[cert.J] = u_J
-    return u
+    return u_J
 
 
 def _kept_positions(kept, m: int) -> np.ndarray:
@@ -440,14 +448,16 @@ def _finish(
     problem: LPProblem, A: np.ndarray, tab: np.ndarray, basis: np.ndarray, pivots: int
 ) -> LPSolution:
     """End a solve: a primal pass on ``tab`` (``A``, slacks, rhs) after ``pivots`` pivots,
-    then the solution and its certificate, or a checked ray."""
+    then the final basis's certificate and its ``_tight_values``, or a checked ray."""
     status, primal = _run_simplex(tab, basis, MAX_ITER)
+    pivots += primal
     if status == UNBOUNDED:
-        return _unbounded(problem, tab, basis, pivots + primal)
-    m, n_u = A.shape
-    u = np.zeros(n_u + m)
-    u[basis] = tab[:m, -1]
-    return _optimal(problem, u[:n_u], _certificate(problem, A, basis), pivots + primal)
+        return _unbounded(problem, tab, basis, pivots)
+    cert = _certificate(problem, A, basis)
+    if not cert.factors:
+        stop = f"the basis after {pivots} pivots has a singular tight system"
+        raise NumericalError(stop, pivots, float(-tab[-1, -1]))
+    return _optimal(problem, cert, _tight_values(cert, problem.bounds), pivots)
 
 
 def _dual_restart(problem: LPProblem, cert: Certificate, kept: np.ndarray) -> LPSolution | None:
@@ -517,9 +527,9 @@ def solve_lp(
         cert = None
     if cert is not None and (kept is None or len(kept) == problem.n_rows):
         if cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows):
-            u = _primal_vertex(cert, problem.bounds)
-            if u is not None:
-                return _optimal(problem, u, cert, warm=True)
+            u_J = _primal_vertex(cert, problem.bounds)
+            if u_J is not None:
+                return _optimal(problem, cert, u_J, warm=True)
         cert = None
     for name in ("c", "rows", "bounds"):
         if not np.isfinite(getattr(problem, name)).all():

@@ -7,7 +7,10 @@ sparse pivot must reproduce bit for bit, and ``reference_run_simplex`` the
 simplex loop that scans every row and column per pivot, which the solver's
 loop must match pivot for pivot.  ``reference_dual_feasible`` proves a
 solution's basis dual feasible on a standard form it builds itself, solving
-for the row duals that the solver never computes.  ``reference_step`` is the
+for the row duals that the solver never computes, and ``certified_x`` solves
+a solution's certificate for its vertex through ``np.linalg.solve``.
+``audit_solves`` sets another solver path beside each failed warm re-check
+of ``ata-fmdp`` runs and reports where the two part.  ``reference_step`` is the
 environment step that draws the type with ``Generator.choice(p=)`` and
 computes the reward on the domain's arrays.  The posterior oracle is the
 estimator's belief table computed cell by cell, with the capability mask and
@@ -24,13 +27,14 @@ function wrappers, whole-array hit searches and numpy-scalar arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from mtdsim import lp
-from mtdsim.alp import TIE_TOL, build_alp
+from mtdsim import alp, lp
+from mtdsim.alp import TIE_TOL, TIE_ULPS, build_alp
 from mtdsim.domain import (
     AttackerTypeSpec,
     ConfigSpace,
@@ -50,7 +54,8 @@ from mtdsim.environments import (
     StepRecord,
 )
 from mtdsim.estimator import DEFAULT_BETA, ThreatEstimator
-from mtdsim.strategies import RESAMPLE_CHUNK, EpsGreedyStrategy, FplMtdStrategy
+from mtdsim.harness import ExperimentConfig, resolve_run
+from mtdsim.strategies import RESAMPLE_CHUNK, EpsGreedyStrategy, FplMtdStrategy, ata_fmdp_run
 from mtdsim.lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, LPSolution, solve_lp
 
 
@@ -116,6 +121,19 @@ def reference_dual_feasible(problem: LPProblem, solution: LPSolution) -> bool:
         return False
     reduced = c - A[tight].T @ pi
     return bool((pi <= FEAS_TOL).all() and (reduced >= -FEAS_TOL).all())
+
+
+def certified_x(problem: LPProblem, solution: LPSolution) -> np.ndarray:
+    """The vertex of ``solution.certificate``'s basis at ``problem``'s bounds.
+
+    The basic structural columns J solve the tight rows through numpy's public
+    ``np.linalg.solve``; every other structural column is 0, and x_i is column
+    2i minus column 2i+1.
+    """
+    cert = solution.certificate
+    u = np.zeros(2 * problem.n_vars)
+    u[cert.J] = np.linalg.solve(cert.square, problem.bounds[cert.tight])
+    return u[0::2] - u[1::2]
 
 
 def dense_pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -367,12 +385,13 @@ def reference_greedy_actions(scores: np.ndarray) -> np.ndarray:
     """``alp.greedy_actions`` as a loop over each row's Python floats.
 
     Each row takes the lowest action whose score is at least its best minus
-    ``TIE_TOL`` times the best's size.
+    ``TIE_TOL`` times its spread (best minus worst) and ``TIE_ULPS`` ulps of
+    the best's size.
     """
     policy = []
     for row in scores.tolist():
         best = max(row)
-        floor = best - TIE_TOL * abs(best)
+        floor = best - (TIE_TOL * (best - min(row)) + TIE_ULPS * math.ulp(abs(best)))
         policy.append(next(a for a, score in enumerate(row) if score >= floor))
     return np.array(policy, dtype=np.intp)
 
@@ -418,3 +437,87 @@ def reference_ata_fmdp_run(
         estimator.update(domain.type_index(record.attacker_type), state, action, record.phi)
         records.append(record)
     return records
+
+
+@dataclass
+class SolveAudit:
+    """One audited ``solve_lp`` call of a run, beside the alternative path on its program.
+
+    ``verdict`` is "same x" (the same basis and bitwise the same x), "same
+    basis, other x", "other vertex" (another basis), or "no answer" when the
+    alternative returned None or no optimum.  ``gap`` is the objectives'
+    difference relative to the larger of them (0 when they are equal), and
+    ``pivots`` the run's pivots, then the alternative's.
+    """
+
+    verdict: str
+    gap: float
+    pivots: tuple[int, int | None]
+
+
+@dataclass
+class RunAudit:
+    """The audited solves of one ``ata-fmdp`` run, and the first step whose
+    ``steps.csv`` row changes when the alternative answers them (None if none does)."""
+
+    scenario: str
+    seed: int
+    alpha: float
+    solves: list[SolveAudit]
+    diverges_at: int | None
+
+
+def _compare(solution: LPSolution, other: LPSolution | None) -> SolveAudit:
+    pivots = (solution.pivots, None if other is None else other.pivots)
+    if other is None or other.status != OPTIMAL:
+        return SolveAudit("no answer", np.inf, pivots)
+    a, b = solution.objective_value, other.objective_value
+    gap = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+    if other.basis != solution.basis:
+        return SolveAudit("other vertex", gap, pivots)
+    same = other.x.tobytes() == solution.x.tobytes()
+    return SolveAudit("same x" if same else "same basis, other x", gap, pivots)
+
+
+def audit_solves(scenarios, seeds, alphas, alternative) -> list[RunAudit]:
+    """Every failed warm re-check of ``ata-fmdp`` runs, beside ``alternative``.
+
+    Each run is the first iteration of a built-in scenario on its own domain
+    at a seed and a switching-cost weight alpha: ``ata_fmdp_run`` with
+    ``default_rng(seed)``, as the harness plays it.  A failed re-check is a
+    planner's ``solve_lp`` call that starts from the certificate of its own
+    rows (no ``kept``) and is not answered warm, so the solver went
+    two-phase.  At each, ``alternative(problem, certificate)`` solves the same
+    program from the start's certificate, and the answers are compared
+    (``SolveAudit``).  The run is then played again with the alternative's
+    optimal answers in place of those calls, and the two runs' step records,
+    the rows of their ``steps.csv``, are compared.
+    """
+    audits = []
+    for scenario, seed, alpha in product(scenarios, seeds, alphas):
+        run = resolve_run(ExperimentConfig(scenario=scenario, seed=seed, alpha=alpha))
+        solves: list[SolveAudit] = []
+
+        def play(replay: bool) -> list[StepRecord]:
+            def audited(problem, start=None, kept=None):
+                solution = solve_lp(problem, start=start, kept=kept)
+                if start is None or kept is not None or solution.warm:
+                    return solution  # not a failed re-check
+                other = alternative(problem, start.certificate)
+                if not replay:
+                    solves.append(_compare(solution, other))
+                elif other is not None and other.status == OPTIMAL:
+                    return other
+                return solution
+
+            env = MTDEnvironment(run.domain, run.scenario, run.start_state)
+            alp.solve_lp = audited
+            try:
+                return ata_fmdp_run(run.domain, env, run.timesteps, np.random.default_rng(seed))
+            finally:
+                alp.solve_lp = solve_lp
+
+        pairs = enumerate(zip(play(False), play(True)))
+        diverges_at = next((t for t, (mine, theirs) in pairs if mine != theirs), None)
+        audits.append(RunAudit(scenario, seed, alpha, solves, diverges_at))
+    return audits

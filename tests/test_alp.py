@@ -7,6 +7,7 @@ shift covariance, feasibility of the returned weights).
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mtdsim import alp as alp_module
 from mtdsim import lp as lp_module
 from mtdsim.alp import (
     TIE_TOL,
+    TIE_ULPS,
     ALProblem,
     Basis,
     alp_to_dict,
@@ -266,6 +268,13 @@ def test_a_web_plan_at_gamma_one_minus_1e_8_is_feasible():
     weights = solve_alp(problem)
     excess = problem.lp.rows @ weights - problem.lp.bounds
     assert excess.max() <= np.ldexp(FEAS_TOL, problem.domain.unit_exponent)
+    # Its greedy policy is optimal too.  A tie band of 1e-9 |best| (about
+    # 18.6 here, where rewards span 128) lost 15.2% of max |V| at the worst
+    # state; the band of the row's spread loses nothing.
+    domain, cold = problem.domain, cold_posterior_table(problem.domain)
+    got = exact_value(domain, extract_policy(problem, weights), cold)
+    want = policy_iteration(domain, cold)[0]
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("gap", [1e-9, 1e-10, 1e-12])
@@ -493,32 +502,36 @@ def test_greedy_actions_treat_rounding_noise_as_a_tie():
     np.testing.assert_array_equal(greedy_actions(scores), [0, 1, 0])
 
 
-def test_greedy_actions_tie_only_exact_zeros_when_the_best_is_zero():
-    # The tie band is relative: at a best of 0 it is empty, where an absolute
-    # band would let -1e-12 tie and win by its lower index.
+def test_greedy_actions_tie_by_the_rows_spread_when_the_best_is_zero():
+    # The tie band follows the row's spread, not its best: at a best of 0 a
+    # spread of 1e-12 ties -1e-12 with nothing (its ulps of 0 are subnormal),
+    # while spreads of 5 and 1 tie -1e-300 and -1e-12, which win by their
+    # lower index.
     scores = np.array([[-1e-12, 0.0, 0.0], [-1e-300, -0.0, -5.0], [-1e-12, -1.0, 0.0]])
-    np.testing.assert_array_equal(greedy_actions(scores), [1, 1, 2])
+    np.testing.assert_array_equal(greedy_actions(scores), [1, 0, 0])
 
 
 def test_greedy_actions_match_the_reference_loop_on_planted_ties():
     # Each row holds its best, one planted score inside the tie band, on its
     # edge or one float below it, and others at least 1e-6 of the best below.
-    # Rows whose best is 0 (or -0) tie only zeros.
+    # The band is TIE_TOL times the spread the others and the best make, plus
+    # TIE_ULPS ulps of |best|; rows whose best is 0 (or -0) tie by the spread.
     rng, rows, want = np.random.default_rng(43), [], []
     kinds = ["inside", "edge", "outside"]
     for i in range(3000):
         size = 0.0 if i % 5 == 0 else np.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-60, 61)))
         best = float(rng.choice([-1.0, 1.0]) * size)
-        floor = best - TIE_TOL * abs(best)
+        row = best - (abs(best) + 1.0) * rng.uniform(1e-6, 1.0, 6)
+        at_best, at_planted = rng.choice(6, size=2, replace=False)
+        row[at_best] = best
+        band = TIE_TOL * (best - np.delete(row, at_planted).min()) + TIE_ULPS * math.ulp(abs(best))
+        floor = best - band
         kind = kinds[i % 3]
-        planted = {
-            "inside": best - TIE_TOL * abs(best) * rng.random(),
+        row[at_planted] = {
+            "inside": best - band * rng.random(),
             "edge": floor,
             "outside": float(np.nextafter(floor, -np.inf)),
         }[kind]
-        row = best - (abs(best) + 1.0) * rng.uniform(1e-6, 1.0, 6)
-        at_best, at_planted = rng.choice(6, size=2, replace=False)
-        row[at_best], row[at_planted] = best, planted
         rows.append(row)
         want.append(at_best if kind == "outside" else min(at_best, at_planted))
     scores = np.array(rows)

@@ -13,7 +13,9 @@ from mtdsim.domain import (
     DomainInfo,
     FactorSpec,
     success_prob_table,
+    write_json,
 )
+from mtdsim.cli import main
 from mtdsim.environments import make_network_domain, make_web_app_domain
 from mtdsim.estimator import COUNT_FLOOR, ThreatEstimator
 from oracles import recording, reference_posterior_table
@@ -494,6 +496,22 @@ def test_posterior_table_of_a_checkpoint_is_bitwise_the_reference_formula():
                 seen["cannot score"] += int(((counts > 0.0) & (rates[:, None, :] == 0.0)).sum())
                 seen["no fallback"] += int((rates == 0.0).all(axis=0).sum())
     assert all(seen.values()), seen
+
+
+def test_a_checkpoint_whose_belief_passes_float_range_fails_at_the_load(tmp_path, capsys):
+    # 1e308 over mainstream-hacker's rate of 0.32 against Python|MySQL.
+    web = make_web_app_domain()
+    data = ThreatEstimator(web).to_dict()
+    counts = np.zeros((web.n_types, web.n_configs, web.n_configs))
+    counts[web.type_index("mainstream-hacker"), 1, 0] = 1e308
+    data["counts"] = counts.tolist()
+    message = r"'mainstream-hacker': count 1e\+308 over success rate 0.32 .* at \(1, 0\) past"
+    with pytest.raises(DomainError, match=message):
+        ThreatEstimator.from_dict(web, data)
+    path = tmp_path / "estimator.json"
+    write_json(str(path), data)
+    assert main(["dump-lp", "--estimator", str(path)]) == 2
+    assert "past float range" in capsys.readouterr().err
 
 
 def test_web_cold_posterior_counts_unknown_everywhere():

@@ -50,6 +50,7 @@ from mtdsim.harness import (
     run_experiment,
 )
 from mtdsim.lp import solve_lp
+from oracles import certified_x
 
 GOLDEN_STEPS_SHA256 = {
     "net-evolving": "00bf2e629d48d6060b1ceb0cd79fe39bece7616624d7f4991a3709e998f51111",
@@ -299,31 +300,32 @@ def _solution_digest(solution) -> str:
     return h.hexdigest()
 
 
+# Every optimal x is solved from its basis's tight system, so a digest moves
+# with the final basis, not with the pivots that reached it.
 GOLDEN_SOLVE_LP_SHA256 = {
     "net2": [
-        "a0bcb9e449768678ee12fc2057bff73302e2a065898ca9f1fb1d365de0700f5c",
+        "70e0184b180623adc9f2f1ce779ff8b4f1e6a52ec0cf52f3a876c8771bd23590",
         "6a07a784886ec2cac2daf19355c06a60fd30414e23e9f40328640c4b8c9bb679",
     ],
     "net3": [
-        "95696dbd79e3b249630397331470a15209baabae4908d71abbfb6000a803a7b4",
+        "5c90e28ad520ae922ba629b5483e36e7679659a21d90ce01673201bce530fe30",
         "dbd66fd752693a23772875d0f2a5c1537c3ed1d21686d90837f86ddcaac52214",
     ],
     "net4": [
-        "6f0a919daac483bca8cfceea45fb61314a1b85724fd53ff601bba3714b3bb646",
-        "cbd9f8ac70b3ca44e4bd21c346ee22274258ae583730844ecc2bf2da30b1e408",
+        "4c303f57ea5154f992ef9d5b641ca4b42b55137979d940d515649d3f88462d22",
+        "40c1f24b2c6deed759734dd300764fbbeedfb0ef8221142f5ac1790e3aff66f1",
     ],
-    # Recorded with the dense rank-one pivot, before pivots went sparse.
     "net5": [
-        "16ea8791979d7f8c3444d27b846ddcad0f297b12ed145650a1d9cc72ed73b20a",
-        "38dbed07f22fc4ef5f9d7fae6075ab8037262d451e0901cf0b5cbc0e4022b912",
+        "8a49e2092b37efd670ed55d95de2668356961cc757d57508e84e415f5a288277",
+        "7de497bd6e8ca6a358abd36b94368be513b2c329499f9e0189474a10bf4ff548",
     ],
     "web-factored": [
-        "fdf077cc235373dc4fe6e82f332c55a5ed65cf77f7666d1079e6192ade3e681b",
+        "9afa9b289d1a924855fd496e2240e832c5411294d6660f5b71c2057cab03c2ac",
         "ababc41a3c482a07bfefc6a31084d9aeee3d03887654fc28269f07e03f594b3e",
     ],
     "web-state": [
-        "8461cf1e1d9b1328f34af9332e33a341beb146b60b3141a4418581dfa1be338a",
-        "6b74e51feb135ad8cb6862475c4f12caddecad71a45ff60e6a7650f578b8e781",
+        "bd8694ef6ef5f533fc965db8d25693b727d4d5b5bd2a3cc7610663d402fa426e",
+        "bce644fd942dc1d8baa8945c8a8f93d9505ad221fbcf62dd40e5b111f5db3160",
     ],
 }
 
@@ -332,6 +334,12 @@ GOLDEN_SOLVE_LP_SHA256 = {
 def test_solve_lp_solutions_are_byte_identical(case):
     cold, warm = _pinned_solutions(case)
     assert [_solution_digest(cold), _solution_digest(warm)] == GOLDEN_SOLVE_LP_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLVE_LP_SHA256))
+def test_pinned_solutions_are_their_certificates_vertices(case):
+    for problem, solution in zip(_solver_pin_problem(case), _pinned_solutions(case)):
+        assert solution.x.tobytes() == certified_x(problem, solution).tobytes()
 
 
 # Pivots of the cold solve and of the warm re-solve (0 when the start basis

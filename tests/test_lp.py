@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mtdsim import alp as alp_module
+from mtdsim import domain as domain_module
 from mtdsim import lp
 from mtdsim.alp import build_alp, build_state_basis, extract_policy, solve_alp
 from mtdsim.domain import DomainInfo
@@ -31,7 +32,9 @@ from mtdsim.lp import (
 )
 from mtdsim.strategies import ata_fmdp_run
 from oracles import (
+    audit_solves,
     box_rows,
+    certified_x,
     compare_simplex_to_vertices,
     dense_pivot,
     enumerate_vertices,
@@ -761,22 +764,24 @@ def test_a_singular_tight_system_fails_the_recheck_and_solves_cold():
 def test_a_certificate_decides_once_whether_lapack_factors_its_square(monkeypatch):
     # min x + y in the box |x|, |y| <= 1; any larger box keeps its corner optimal.
     problem = LPProblem([1.0, 1.0], *box_rows([-1.0, -1.0], [1.0, 1.0]))
-    first = solve_lp(problem)
-    cert, solve1 = first.certificate, lp._solve1
+    solve1 = lp._solve1
     guarded = []  # per _solve1 call: whether it ran under the errstate that catches singularity
 
     def spy(*args, **kwargs):
-        guarded.append(np.geterrcall() is lp._singular)
+        guarded.append(np.geterr()["invalid"] == "raise")
         return solve1(*args, **kwargs)
 
     monkeypatch.setattr(lp, "_solve1", spy)
+    first = solve_lp(problem)
+    cert = first.certificate
+    assert guarded == [True, False]  # the decision as the certificate is made, then its x
     rng = np.random.default_rng(5)
     for _ in range(50):
         bounds = problem.bounds + rng.uniform(0.0, 2.0, size=4)
         assert solve_lp(LPProblem(cert.c, cert.rows, bounds), start=first).warm
-    assert guarded == [True] + [False] * 50
-    # A copy with a singular square decides again, and fails the re-check
-    # without solving; the original keeps its decision.
+    assert guarded == [True, False] + [False] * 50
+    # A copy with a singular square decides again as it is made, and fails
+    # the re-check without solving; the original keeps its decision.
     guarded.clear()
     singular = replace(cert, square=np.ones((2, 2)))
     assert lp._primal_vertex(singular, problem.bounds) is None
@@ -786,6 +791,26 @@ def test_a_certificate_decides_once_whether_lapack_factors_its_square(monkeypatc
     assert not got.warm and got.certificate is not singular
     assert_same_solution(got, solve_lp(problem))
     assert lp._primal_vertex(cert, problem.bounds) is not None and guarded[-1] is False
+
+
+def test_a_final_basis_that_lapack_cannot_factor_raises(monkeypatch, dual_restarts):
+    # A cold solve and a dual restart whose final certificate is made singular:
+    # x comes only from the tight system, so neither falls back to the tableau.
+    # min x + y in the box |x|, |y| <= 1, then with x + y >= -1 added.
+    rows, bounds = box_rows([-1.0, -1.0], [1.0, 1.0])
+    first = solve_lp(LPProblem([1.0, 1.0], rows, bounds))
+    problem = LPProblem([1.0, 1.0], np.vstack([rows, [[-1.0, -1.0]]]), np.append(bounds, 1.0))
+    certificate = lp._certificate
+
+    def singular(*args):
+        return replace(certificate(*args), square=np.zeros((2, 2)))
+
+    monkeypatch.setattr(lp, "_certificate", singular)
+    for kept in (None, np.arange(4)):
+        with pytest.raises(lp.NumericalError, match="singular tight system") as info:
+            solve_lp(problem, start=first, kept=kept)
+        assert info.value.pivots > 0
+    assert len(dual_restarts) == 1
 
 
 def test_a_recheck_whose_solve_overflows_fails_without_a_warning():
@@ -802,6 +827,22 @@ def test_a_recheck_whose_solve_overflows_fails_without_a_warning():
         bounds = np.full(3, sign * 2.0**30)
         assert lp._primal_vertex(tiny, bounds) is None and tiny.factors
         assert (lp._primal_vertex(cert, bounds) is None) == (sign < 0)  # -2^30 empties it
+
+
+def test_a_recheck_whose_product_with_a_row_could_overflow_fails_without_a_warning():
+    # min x over |x| <= 1 and 2^600 x <= 1: x = -1, on the tight row -x <= 1.
+    # Its tight system scaled by 2^-500 solves to a finite u_J = 2^500 at bounds
+    # of 1, whose product with the row 2^600 x would overflow in the dot product
+    # (pytest turns the warning into an error); the certificate's bound rejects
+    # it first.
+    problem = LPProblem([1.0], [[1.0], [-1.0], [2.0**600]], [1.0, 1.0, 1.0])
+    cert = solve_lp(problem).certificate
+    assert cert.tight.tolist() == [1] and cert.J.tolist() == [1]
+    tiny = replace(cert, square=np.ldexp(cert.square, -500))
+    assert tiny.factors and tiny.u_limit == cert.u_limit == 2.0**423
+    assert np.isfinite(lp._tight_values(tiny, np.ones(3))).all()
+    assert lp._primal_vertex(tiny, np.ones(3)) is None
+    np.testing.assert_array_equal(lp._primal_vertex(cert, np.ones(3)), [1.0])
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
@@ -1002,8 +1043,8 @@ def test_the_warm_path_of_moved_replans_is_bitwise_the_public_wrappers(monkeypat
         assert got.x.tobytes() == want.x.tobytes(), case
         assert got.objective_value.hex() == want.objective_value.hex(), case
         assert got.basis == want.basis and got.certificate is start.certificate, case
-        u = lp._primal_vertex(start.certificate, problem.bounds)
-        assert (u[0::2] - u[1::2]).tobytes() == want.x.tobytes()
+        u_J = lp._primal_vertex(start.certificate, problem.bounds)
+        assert lp._optimal(problem, start.certificate, u_J).x.tobytes() == want.x.tobytes()
     assert set(hits) == {"web-evolving", "web-dh-postgres", "net2", "net3", "net4"}, hits
     assert hits["web-evolving"] > 800 and misses["web-dh-postgres"] > 0, (hits, misses)
     # A singular square and a non-finite bound fail the re-check without a
@@ -1346,3 +1387,98 @@ def test_an_empty_or_integer_kept_of_any_width_is_valid(dual_restarts):
     free = LPProblem([0.0, 0.0], np.zeros((0, 2)), [])
     assert solve_lp(free, start=solve_lp(free), kept=[]).warm
     assert solve_lp(problem, start=first, kept=[]).status == OPTIMAL  # other rows: cold
+
+
+# ---------------------------------------------------------------------------
+# one vertex per basis, whichever path reached it
+# ---------------------------------------------------------------------------
+
+
+def test_every_optimal_x_is_solved_from_its_certificate(monkeypatch, dual_restarts):
+    # Cold, warm and restarted solves all read x from the final basis: it is
+    # bitwise the vertex that numpy's public solve gives for the certificate's
+    # tight rows at the problem's bounds, and vertex enumeration agrees.
+    paths, rng = Counter(), np.random.default_rng(47)
+
+    def check(problem, sol, restarts=None):
+        """``restarts``: the dual simplex runs before the solve; None for an ALP's
+        recorded solve, too large to enumerate."""
+        if sol.status != OPTIMAL:
+            return
+        assert sol.x.tobytes() == certified_x(problem, sol).tobytes()
+        if restarts is None:
+            paths["alp"] += 1
+            return
+        want = enumerate_vertices(problem).objective_value
+        assert sol.objective_value == pytest.approx(want, rel=1e-9, abs=1e-9)
+        paths["warm" if sol.warm else "restart" if len(dual_restarts) > restarts else "cold"] += 1
+
+    for boxed, _, _ in _box_lps():
+        sol = solve_lp(boxed)
+        check(boxed, sol, len(dual_restarts))
+        for _ in range(2):  # bound moves, each from the last solution
+            if sol.status != OPTIMAL:
+                break
+            moved = boxed.bounds + rng.uniform(-0.4, 0.4, boxed.n_rows)
+            boxed = LPProblem(boxed.c, boxed.rows, moved)
+            restarts, sol = len(dual_restarts), solve_lp(boxed, start=sol)
+            check(boxed, sol, restarts)
+        kept = np.sort(rng.choice(boxed.n_rows, int(rng.integers(1, boxed.n_rows)), False))
+        first = solve_lp(LPProblem(boxed.c, boxed.rows[kept], boxed.bounds[kept]))
+        if first.status == OPTIMAL:
+            restarts = len(dual_restarts)
+            check(boxed, solve_lp(boxed, start=first, kept=kept), restarts)
+    for name in ["web-factored", "web-state", "net2", "net3", "net4", "net5"]:
+        for problem, sol in _recorded_alp_solves(monkeypatch, name):
+            check(problem, sol)
+    assert min(paths.values()) > 20 and len(paths) == 4, paths
+    print(dict(paths))
+
+
+def test_a_failed_recheck_and_its_dual_restart_give_one_x_per_basis():
+    # Only the bounds moved, so the carried basis of a failed warm re-check is
+    # still dual feasible, and a dual restart from it reaches an optimum too.
+    # On web-dh-postgres it ends on the two-phase solve's basis, with bitwise
+    # its x, or at another optimal vertex at the same objective.
+    def restart(problem, cert):
+        return lp._dual_restart(problem, cert, np.arange(problem.n_rows))
+
+    audits = audit_solves(["web-dh-postgres"], range(3), [1.0, 0.5], restart)
+    solves = [solve for audit in audits for solve in audit.solves]
+    verdicts = Counter(solve.verdict for solve in solves)
+    assert set(verdicts) <= {"same x", "other vertex"}, verdicts
+    assert max(solve.gap for solve in solves) <= 1e-9
+    assert verdicts["same x"] > 1000 and verdicts["other vertex"] > 0, verdicts
+    pivots = [sum(solve.pivots[i] for solve in solves) for i in (0, 1)]
+    print(f"audit: {dict(verdicts)}; pivots two-phase {pivots[0]}, restart {pivots[1]}; "
+          f"first divergent step per run {[audit.diverges_at for audit in audits]}")
+
+
+# ---------------------------------------------------------------------------
+# numpy's private entry points against their public wrappers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["web-factored", "net4"])
+def test_the_private_numpy_entry_points_are_bitwise_their_public_wrappers(monkeypatch, name):
+    # lp calls the LAPACK gufunc behind np.linalg.solve, and domain the C
+    # function behind np.einsum(optimize=False), without their wrappers.  A
+    # numpy that changes either entry point fails here, on the tight systems
+    # of a planner's solves and on its belief tables.
+    solves = _recorded_alp_solves(monkeypatch, name)
+    rng = np.random.default_rng(3)
+    for problem, sol in solves:
+        cert = sol.certificate
+        for b in (problem.bounds[cert.tight], rng.normal(size=len(cert.tight))):
+            got = lp._solve1(cert.square, b, signature="dd->d")
+            assert got.tobytes() == np.linalg.solve(cert.square, b).tobytes()
+    domain = make_web_app_domain() if name == "web-factored" else (
+        make_network_domain(np.random.default_rng(0), n_nodes=4)
+    )
+    tables = [cold_posterior_table(domain)] + [random_posterior_table(domain, rng) for _ in range(5)]
+    for table in tables:
+        for rates in (domain.damage_table, domain.mu_table):
+            got = domain_module._c_einsum("tsa,ta->sa", table, rates)
+            want = np.einsum("tsa,ta->sa", table, rates, optimize=False)
+            assert got.tobytes() == want.tobytes()
+    assert len(solves) > 5

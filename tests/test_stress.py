@@ -21,18 +21,27 @@ values would pass float range.  Its weights must be 2^j times the case's,
 bitwise, and its policies the same.  The smallest drawn input, M 1e-9 at
 j -990, stays a normal float.  The metamorphic test below runs the same
 relation over a fixed list of j on every built-in domain size.
+
+Near gamma = 1 the values grow like 1 / (1 - gamma) while the gaps between
+actions do not, so each of a recorded list of seeds draws one more case with
+gamma up to 1 - 1e-8, where a ``DomainError`` or ``NumericalError`` is an
+answer; a case that plans must lose nothing to its greedy policy's tie band
+against the strict argmax of the same scores.
 """
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mtdsim.alp import build_alp, build_state_basis, extract_policy, policy_iteration, solve_alp
-from mtdsim.domain import save_domain
+from mtdsim.alp import (
+    build_alp, build_state_basis, exact_value, extract_policy, policy_iteration, solve_alp
+)
+from mtdsim.domain import DomainError, save_domain
 from mtdsim.environments import Scenario, ScenarioPhase, make_network_domain, make_web_app_domain
 from mtdsim.harness import cold_posterior_table, random_posterior_table, resolve_domain
-from mtdsim.lp import FEAS_TOL
+from mtdsim.lp import FEAS_TOL, NumericalError
 
 SEED = 29
 SCALE_SEED = 31
@@ -62,10 +71,9 @@ def _scaled(domain, j: int):
     return replace(domain, types=types, M=float(np.ldexp(domain.M, j)), sc=np.ldexp(domain.sc, j))
 
 
-def _plan(case: dict, path: str, j: int = 0):
-    """Resolve the case's domain, with M, every loss and every switching cost
-    scaled by 2^j, from ``path`` and plan: the domain, the weights and the
-    policies."""
+def _resolve(case: dict, path: str, j: int = 0):
+    """The case's domain, with M, every loss and every switching cost scaled by
+    2^j, written to ``path`` and resolved as a run does, and its belief."""
     if case["nodes"] == 1:
         base = make_web_app_domain()
     else:
@@ -75,9 +83,13 @@ def _plan(case: dict, path: str, j: int = 0):
     scenario = Scenario("stress", 1, (ScenarioPhase(0, 1, dist={"unknown": 1.0}),))
     domain = resolve_domain(path, scenario, alpha, seed=0)
     if case["belief"] < 0:
-        posterior = cold_posterior_table(domain)
-    else:
-        posterior = random_posterior_table(domain, np.random.default_rng(case["belief"]))
+        return domain, cold_posterior_table(domain)
+    return domain, random_posterior_table(domain, np.random.default_rng(case["belief"]))
+
+
+def _plan(case: dict, path: str, j: int = 0):
+    """Resolve the case (``_resolve``) and plan: the domain, the weights and the policies."""
+    domain, posterior = _resolve(case, path, j)
     alp = build_alp(domain, posterior)
     weights = solve_alp(alp)
     slack = np.ldexp(FEAS_TOL, domain.unit_exponent)  # FEAS_TOL in the planner's unit
@@ -149,3 +161,44 @@ def test_a_power_of_two_change_of_reward_unit_scales_the_weights_and_keeps_the_p
         assert scaled_weights.tobytes() == np.ldexp(weights, j).tobytes(), j
         np.testing.assert_array_equal(policies[0], policy, err_msg=f"ALP at 2^{j}")
         np.testing.assert_array_equal(policies[1], optimum, err_msg=f"policy iteration at 2^{j}")
+
+
+# Discounts up to 1 - 1e-8, where values reach 1e8 times the rewards: each
+# recorded seed draws one case as above, with gamma = 1 - 10^-u for u drawn
+# from 3..8.
+NEAR_ONE_SEEDS = list(range(100, 300))
+
+
+def _near_one_case(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    return {
+        "nodes": int(rng.integers(1, 6)),
+        "M": float(10.0 ** rng.uniform(0.0, 300.0)),
+        "scale_sc": bool(rng.integers(2)),
+        "gamma": 1.0 - 10.0 ** -float(rng.integers(3, 9)),
+        "belief": int(rng.integers(-1, 2**31)),
+    }
+
+
+def test_a_plan_near_gamma_one_loses_nothing_to_its_tie_band(tmp_path):
+    # A case whose values pass float range raises DomainError, and one the
+    # simplex cannot tell raises NumericalError; both are answers.  A case
+    # that plans must score its greedy policy, exactly, no worse than the
+    # strict argmax of its own scores, within 1e-6 of max |V|.
+    outcomes = Counter()
+    for seed in NEAR_ONE_SEEDS:
+        case = _near_one_case(seed)
+        try:
+            domain, posterior = _resolve(case, str(tmp_path / f"{seed}.json"))
+            alp = build_alp(domain, posterior)
+            weights = solve_alp(alp)
+        except (DomainError, NumericalError) as err:
+            outcomes[type(err).__name__] += 1
+            continue
+        scores = alp.rewards + domain.gamma * (alp.basis.activations @ weights)
+        greedy = exact_value(domain, extract_policy(alp, weights), posterior)
+        strict = exact_value(domain, scores.argmax(axis=1), posterior)
+        assert (greedy >= strict - 1e-6 * np.abs(strict).max()).all(), (seed, case)
+        outcomes["planned"] += 1
+    print(dict(outcomes))
+    assert outcomes["planned"] >= len(NEAR_ONE_SEEDS) // 2, outcomes
