@@ -269,7 +269,7 @@ def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:
     """
     if alp.policy is not None and weights is alp.weights:
         return alp.policy
-    values = alp.basis.activations @ weights  # (A,) successor values, successor == action
+    values = alp.basis.activations.dot(weights)  # (A,) successor values, successor == action
     policy = greedy_actions(alp.rewards + alp.domain.gamma * values)
     if weights is alp.weights:
         alp.policy = _read_only(policy)

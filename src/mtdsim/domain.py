@@ -137,10 +137,11 @@ class AttackerTypeSpec:
         object.__setattr__(self, "loss", loss)
         if mu.shape != loss.shape:
             raise DomainError(f"type {self.id!r}: mu and loss shapes differ")
-        # One min and one max per array; a NaN makes them NaN, which fails every comparison.
-        if not (mu.min(initial=0.0) >= 0.0 and mu.max(initial=1.0) <= 1.0):
+        # One least and one greatest entry per array; a NaN gives NaN, which fails
+        # every comparison.
+        if not (extremum(mu, 0.0) >= 0.0 and extremum(mu, 1.0, greatest=True) <= 1.0):
             raise DomainError(f"type {self.id!r}: mu must lie in [0, 1]")
-        if not (loss.min(initial=0.0) >= 0.0 and loss.max(initial=0.0) < np.inf):
+        if not (extremum(loss, 0.0) >= 0.0 and extremum(loss, 0.0, greatest=True) < np.inf):
             raise DomainError(f"type {self.id!r}: losses must be finite and >= 0")
 
     @classmethod
@@ -183,7 +184,8 @@ class DomainInfo:
         self.sc = np.asarray(self.sc, dtype=float)
         if self.sc.shape != (n, n):
             raise DomainError(f"switching cost table must be {n}x{n}")
-        if np.any(~np.isfinite(self.sc)) or np.any(self.sc < 0):
+        largest_sc = extremum(self.sc, 0.0, greatest=True)
+        if not (extremum(self.sc, 0.0) >= 0.0 and largest_sc < np.inf):
             raise DomainError("switching costs must be finite and >= 0")
         if not np.isfinite(json_number(self.M, "M")):
             raise DomainError("M must be finite")
@@ -207,7 +209,7 @@ class DomainInfo:
         self.damage_table = self.mu_table * self.loss_table
         unknowns = [i for i, t in enumerate(self.types) if t.is_unknown]
         self.unknown_index = unknowns[0] if unknowns else None
-        low = self.M - float(self.damage_table.max(initial=0.0)) - float(self.sc.max(initial=0.0))
+        low = self.M - extremum(self.damage_table, 0.0, greatest=True) - largest_sc
         reach = max(abs(self.M), abs(low))
         if not reach / (1.0 - self.gamma) < np.inf:
             raise DomainError(
@@ -399,6 +401,23 @@ def float_array(value, ndim: int) -> np.ndarray:
     return np.atleast_1d(array) if ndim == 1 else array
 
 
+def extremum(values: np.ndarray, empty, greatest: bool = False):
+    """The least entry of ``values`` (the greatest if ``greatest``), or ``empty`` if it has none.
+
+    Read by index, ``argmin``/``argmax`` then ``.item``: on the planner's
+    arrays of a few dozen entries that costs less than half of a ufunc
+    reduction (``np.minimum.reduce``, ``ndarray.min``), and gives the same
+    value.  A NaN entry gives NaN, as in the reduction, since the index
+    stops at the first NaN; otherwise the entry equals the reduction's
+    extreme, and may differ from it only in the sign of a zero.  A
+    multi-dimensional array is read flat.  The entry comes back as a Python
+    scalar: a float from a float array, an int from an integer one.
+    """
+    if not values.size:
+        return empty
+    return values.item(values.argmax() if greatest else values.argmin())
+
+
 def is_index(value) -> bool:
     """A Python or numpy integer, not a boolean: the rule for every index into a table."""
     return isinstance(value, (int, np.integer)) and type(value) is not bool  # bool is final
@@ -408,7 +427,9 @@ def is_index_array(values: np.ndarray, n: int) -> bool:
     """The array form of ``is_index``: 1-D, of an integer (not boolean) dtype, in [0, n)."""
     if values.ndim != 1 or values.dtype.kind not in "iu":
         return False
-    return values.size == 0 or bool(values.min() >= 0 and values.max() < n)
+    if values.size == 0:
+        return True
+    return extremum(values, 0) >= 0 and extremum(values, 0, greatest=True) < n
 
 
 @contextmanager

@@ -280,7 +280,10 @@ class MTDEnvironment:
     policy at the current state with add-one smoothing,
     pi_hat(a|s) = (n(s, a) + 1) / (n(s) + S), and plays the type with the most
     expected damage sum_a pi_hat(a|s) * mu(t, a) * l(t, a); ties go to the
-    earliest declared type.
+    earliest declared type.  The visit totals n(s) are kept as Python ints,
+    recounted from ``moves`` when a ``most_adverse`` phase begins and counted
+    by its steps: n(s) + S is the exact sum of the smoothed counts, so the
+    estimate divides by it without summing them.
     """
 
     def __init__(self, domain: DomainInfo, scenario: Scenario, start_state: int = 0):
@@ -310,6 +313,8 @@ class MTDEnvironment:
         self._phase, self._phase_end, self._draws = 0, self._phase_ends[0], self._phase_draws[0]
         self._horizon, self._n = scenario.horizon, domain.n_configs
         self._moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
+        self._visits = [0] * domain.n_configs  # n(s), read only in a most_adverse phase
+        self._damage = domain.damage_table
         # A step counts through this view: a memoryview item update, unlike a
         # numpy one, makes no numpy scalar.  It writes through to ``_moves``.
         self._move_counts = memoryview(self._moves)
@@ -322,7 +327,9 @@ class MTDEnvironment:
     def moves(self) -> np.ndarray:
         """The (S, A) counts of the defender's past (state, action) pairs.
 
-        The array itself, which every step updates in place; it cannot be rebound.
+        The array itself, which every step updates in place; it cannot be
+        rebound.  Write nothing into it: a ``most_adverse`` phase keeps its row
+        sums from the phase's start on.
         """
         return self._moves
 
@@ -359,14 +366,20 @@ class MTDEnvironment:
             self._phase += 1
             self._phase_end = self._phase_ends[self._phase]
             self._draws = self._phase_draws[self._phase]
+            if self._draws is None:
+                self._visits = self._moves.sum(axis=1).tolist()
         try:
             if self._draws is None:
+                draw = rng.random()  # first: a step that fails must count no visit
                 smoothed = self._moves[s] + 1.0
-                tau = int((self.domain.damage_table @ (smoothed / smoothed.sum())).argmax())
+                smoothed /= self._visits[s] + self._n
+                tau = int(self._damage.dot(smoothed).argmax())  # the BLAS call of @
+                self._visits[s] += 1
             else:
                 types, cdf = self._draws[s]
                 tau = types[bisect_right(cdf, rng.random())]
-            phi = 1 if rng.random() < self._mu[tau][action] else 0
+                draw = rng.random()
+            phi = 1 if draw < self._mu[tau][action] else 0
         except StopIteration:
             # Let through, it would end a calling ``map`` or generator as if it had run out.
             raise DomainError("pre-drawn uniforms exhausted") from None

@@ -60,7 +60,7 @@ import math
 import numpy as np
 
 from .domain import (
-    DomainError, DomainInfo, input_errors, is_index, json_number, read_json, write_json
+    DomainError, DomainInfo, extremum, input_errors, is_index, json_number, read_json, write_json
 )
 
 COUNT_FLOOR = 1e-12
@@ -100,7 +100,7 @@ class ThreatEstimator:
         # While every entry of the table is at most this, no score or total can
         # pass float range: n_types scores of at most 2^1022 / n_types each sum
         # below 2^1023.
-        least_rate = float(eff[capable].min(initial=1.0))
+        least_rate = extremum(eff[capable], 1.0)
         self._safe_entry = least_rate * (2.0**1022 / n)
         self._top = 0.0  # at least every entry of the table
         # The belief where no type scores: uniform over the types capable
@@ -122,8 +122,7 @@ class ThreatEstimator:
         """Re-derive the smallest nonzero count, and mark the kept table stale.
 
         ``update`` calls it only after a snap or a credit to that count's cell."""
-        nonzero = self._scaled[self._scaled > 0.0]
-        self._least = float(np.minimum.reduce(nonzero, initial=math.inf)) / self._scale
+        self._least = extremum(self._scaled[self._scaled > 0.0], math.inf) / self._scale
         self._stale = True  # posterior_table rebuilds on demand
 
     def _fold(self) -> None:
@@ -216,13 +215,11 @@ class ThreatEstimator:
             else:  # a score or a total may pass float range; the scale is 1 here
                 with np.errstate(over="ignore"):
                     scores, totals = self._scores()
-                if not np.maximum.reduce(totals, axis=None) < math.inf:
+                if not extremum(totals, 0.0, greatest=True) < math.inf:
                     self._overflowed(scores, totals)
             table = np.divide(scores, totals, out=self._fallback.copy(), where=totals > 0.0)
-            # The table holds no NaN, so == decides what np.array_equal would.
-            if self._table is None or not np.logical_and.reduce(
-                table == self._table, axis=None
-            ):
+            # The table holds no NaN and no -0.0, so its bytes decide what == would.
+            if self._table is None or table.tobytes() != self._table.tobytes():
                 table.flags.writeable = False
                 self._table = table
             self._stale = False
@@ -282,8 +279,9 @@ class ThreatEstimator:
             raise DomainError("estimator checkpoint count table has the wrong shape")
         if np.any(counts < 0) or np.any(~np.isfinite(counts)):
             raise DomainError("estimator checkpoint counts must be finite and >= 0")
+        counts += 0.0  # a count of -0.0 becomes +0.0, so the table holds no -0.0
         est._scaled[...] = counts  # a fresh estimator's scale is 1
-        est._top = float(counts.max(initial=0.0))
+        est._top = extremum(counts, 0.0, greatest=True)
         est._recount()
         est.posterior_table()  # counts whose belief passes float range fail here
         return est

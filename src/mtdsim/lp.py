@@ -4,8 +4,10 @@ Problems are stated as: minimize ``c @ x`` subject to ``rows @ x <= bounds``
 with every variable free; a bound on a variable is one more row.  Pivoting
 follows Bland's rule (lowest eligible index enters; ties in the ratio test
 leave by lowest basis index), which makes the solver deterministic and immune
-to cycling.  Intended for the small programs produced by the planners here,
-not for large-scale use.
+to cycling.  The least ratio is read by index (``domain.extremum``), bitwise a
+reduction's but for the sign of a zero, which the tie band cannot see.
+Intended for the small programs produced by the planners here, not for
+large-scale use.
 
 A pivot updates only the tableau columns in which the normalised pivot row is
 nonzero.  The ALP's rows are sparse (a pivot row of the 4-node network ALP has
@@ -86,7 +88,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .domain import float_array, is_index_array
+from .domain import extremum, float_array, is_index_array
 
 FEAS_TOL = 1e-9  # pivot / feasibility tolerance
 MAX_ITER = 100_000  # pivots per simplex phase before giving up
@@ -186,7 +188,7 @@ class Certificate:
 
     @cached_property
     def u_limit(self) -> float:
-        size = float(np.abs(self.columns).max(initial=0.0)) * len(self.J)  # inf past range
+        size = extremum(np.abs(self.columns), 0.0, greatest=True) * len(self.J)  # inf past range
         return 2.0**1023 / size if size else np.inf
 
     def __post_init__(self) -> None:
@@ -276,7 +278,7 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str
         if pivots == max_iter:
             break
         ratios = rhs[pos] / colvals[pos]
-        best = float(ratios.min())
+        best = extremum(ratios, np.inf)
         if not abs(best) < np.inf:  # an overflow (or NaN) leaves no ratio to compare
             raise NumericalError(f"simplex met a ratio of {best}", pivots, float(-tab[-1, -1]))
         ties = pos[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
@@ -311,7 +313,7 @@ def _run_dual_simplex(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tupl
         if pivots == max_iter:
             break
         ratios = rc[neg] / -rowvals[neg]
-        best = float(ratios.min())
+        best = extremum(ratios, np.inf)
         if not abs(best) < np.inf:  # an overflow (or NaN) leaves no ratio to compare
             raise NumericalError(f"dual simplex met a ratio of {best}", pivots, float(-rhs[leave]))
         col = int(neg[(ratios <= best + FEAS_TOL * (1.0 + abs(best))).argmax()])  # lowest tie
@@ -389,14 +391,14 @@ def _primal_vertex(cert: Certificate, b: np.ndarray) -> np.ndarray | None:
     if not (b.dot(b) < np.inf and cert.factors):
         return None
     u_J = _tight_values(cert, b)
-    # A u_J at or past the limit (inf and NaN too) fails before the dot below could
-    # overflow or meet 0 * inf; a nonzero limit is at least 0.5, so |u_J| stays below it.
-    if not (np.minimum.reduce(u_J, initial=np.inf) >= -FEAS_TOL
-            and np.maximum.reduce(u_J, initial=0.0) < cert.u_limit):
+    # A |u_J| at or past the limit (inf and NaN too) fails before the dot below could
+    # overflow or meet 0 * inf.
+    low, limit = extremum(u_J, np.inf), cert.u_limit
+    if not (low >= -FEAS_TOL and -low < limit and extremum(u_J, 0.0, greatest=True) < limit):
         return None
     excess = cert.columns.dot(u_J)  # the BLAS call of @, without the ufunc's overhead
     excess -= b  # the negated slack, bitwise
-    if not np.maximum.reduce(excess, initial=-np.inf) <= FEAS_TOL:
+    if not extremum(excess, -np.inf, greatest=True) <= FEAS_TOL:
         return None
     return u_J
 
@@ -407,7 +409,7 @@ def _kept_positions(kept, m: int) -> np.ndarray:
     if is_index_array(kept, m) or kept.shape == (0,):  # ``[]`` reads as a float array
         kept = kept.astype(np.intp)
         # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
-        if np.bincount(kept).max(initial=0) <= 1:
+        if extremum(np.bincount(kept), 0, greatest=True) <= 1:
             return kept
     raise ValueError("kept must name distinct rows of the problem")
 

@@ -326,16 +326,21 @@ def compare_simplex_to_vertices(n_cases: int, seed: int, tol: float = 1e-6) -> l
 
 
 class RecordingArray(np.ndarray):
-    """An array that records, in ``calls``, every numpy function and ufunc it takes part in.
+    """An array that records, in ``calls``, every numpy function and ufunc it
+    takes part in, and every ``tobytes`` call.
 
-    Any comparison of its values, ``np.array_equal`` or ``(a == b).all()``
-    alike, goes through numpy's dispatch and is recorded; an identity test
-    is not.  The call itself runs on plain arrays, and a view or copy
-    records into the list of the array it came from.
+    Any comparison of its values, ``np.array_equal``, ``(a == b).all()`` or
+    ``a.tobytes() == b.tobytes()`` alike, is recorded; an identity test is
+    not.  The call itself runs on plain arrays, and a view or copy records
+    into the list of the array it came from.
     """
 
     def __array_finalize__(self, obj):
         self.calls: list[str] = getattr(obj, "calls", [])
+
+    def tobytes(self, order="C"):
+        self.calls.append("tobytes")
+        return self.view(np.ndarray).tobytes(order)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         self.calls.append(ufunc.__name__)

@@ -19,6 +19,7 @@ from mtdsim.domain import (
     domain_to_dict,
     expected_attack_loss_table,
     expected_reward_table,
+    extremum,
     is_index,
     is_index_array,
     json_integer,
@@ -441,6 +442,44 @@ def test_is_index_array_is_the_rule_for_a_whole_array():
     for values in bad:
         assert not is_index_array(np.asarray(values), 4), values
     assert not is_index_array(np.array([0, 1], dtype=np.uint64), 1)
+
+
+def same_extreme(got, want) -> bool:
+    """``got`` is ``want`` as a Python scalar, NaN for NaN, but for the sign of a zero."""
+    if type(got) is not type(want.item()):
+        return False
+    if np.isnan(want):
+        return np.isnan(got)
+    return got == want and (want == 0 or np.asarray(got, want.dtype).tobytes() == want.tobytes())
+
+
+def test_extremum_is_the_ufunc_reduction_read_by_index():
+    # Every caller compares the extreme with a threshold, so only the sign of a
+    # zero may differ from np.minimum.reduce / np.maximum.reduce.
+    big, tiny, nan, inf = 2.0**1000, 2.0**-1000, np.nan, np.inf
+    int64 = np.iinfo(np.int64)
+    cases = [
+        np.array(v) for v in (
+            [3.0, -1.5, 2.0], [nan, 1.0, -1.0], [1.0, -1.0, nan], [2.0, nan, -3.0, nan],
+            [nan], [inf, -inf, 0.5], [-inf, -inf], [inf], [big, -big, 1.5 * big, -tiny],
+            [tiny, -tiny, 3 * tiny, 5e-324, -5e-324], [-0.0, 0.0, -0.0], [0.0, -0.0],
+            [[1.0, nan], [-big, inf]], [3, -7, 2**62], [int64.min, 0, int64.max], [5],
+        )
+    ] + [np.array([0, 255, 7], dtype=np.uint8), np.array([2**64 - 1, 0], dtype=np.uint64)]
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        values = rng.normal(size=int(rng.integers(1, 49))) * 2.0 ** rng.integers(-1000, 1000)
+        for special in (nan, inf, -inf):
+            if rng.random() < 0.2:
+                values[rng.integers(values.size)] = special
+        cases.append(values)
+    for values in cases:
+        for greatest, reduce in ((False, np.minimum.reduce), (True, np.maximum.reduce)):
+            got, want = extremum(values, None, greatest=greatest), reduce(values, axis=None)
+            assert same_extreme(got, want), (values, greatest, got, want)
+    for dtype in (float, np.int64, np.uint8):
+        empty = np.zeros((0,), dtype=dtype)
+        assert extremum(empty, "none") == extremum(empty, "none", greatest=True) == "none"
 
 
 def test_json_integer_checks_its_least_value():

@@ -7,11 +7,14 @@ Monte-Carlo against analytic probabilities.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mtdsim.domain import DomainError, save_domain
+from mtdsim.domain import (
+    AttackerTypeSpec, ConfigSpace, DomainError, DomainInfo, FactorSpec, save_domain
+)
 from mtdsim.environments import (
     BUILTIN_SCENARIOS,
     MOST_ADVERSE,
@@ -527,7 +530,7 @@ def _random_scenario(rng, domain, horizon: int, seen: set[str]) -> Scenario:
     phases = []
     for start, end in zip(edges, edges[1:]):
         if rng.random() < 0.25:
-            seen.add("most adverse")
+            seen.add("most adverse" if start == 0 else "most adverse after t = 0")
             phases.append(ScenarioPhase(start, end, MOST_ADVERSE))
             continue
         overridden = rng.permutation(len(labels))[: int(rng.integers(0, len(labels) + 1))]
@@ -559,7 +562,8 @@ def _random_env_pairs(rng, seen: set[str], path: str):
 
 
 SCENARIO_FEATURES = {
-    "single type", "zero weight", "most adverse", "per-state override", "phase boundary"
+    "single type", "zero weight", "most adverse", "most adverse after t = 0",
+    "per-state override", "phase boundary",
 }
 
 
@@ -599,6 +603,49 @@ def test_pre_drawn_uniforms_match_the_choice_reference_bitwise(tmp_path):
             with pytest.raises(StopIteration):  # every drawn uniform was used
                 draws.random()
     assert seen == SCENARIO_FEATURES | {"k = 0", "from t = 0", "from t > 0"}
+
+
+def permuted_loss_domain(rng: np.random.Generator) -> DomainInfo:
+    """3 to 5 configurations and three types whose losses are one another's
+    permutations, at one success rate: their expected damages tie wherever the
+    estimated policy weighs the permuted entries alike, and rounding decides."""
+    S = int(rng.integers(3, 6))
+    space = ConfigSpace((FactorSpec("cfg", tuple(f"c{i}" for i in range(S))),))
+    loss, mu = rng.integers(1, 100, S).astype(float), np.full(S, 0.5)
+    losses = (loss, loss[::-1].copy(), loss[rng.permutation(S)])
+    types = tuple(AttackerTypeSpec(f"t{i}", False, mu, row) for i, row in enumerate(losses))
+    return DomainInfo(space, types, np.zeros((S, S)), 200.0, 0.9)
+
+
+def test_most_adverse_ties_match_the_reference_bitwise():
+    # The step divides the smoothed counts by n(s) + S, kept as Python ints and
+    # recounted when a most-adverse phase begins, where the reference sums
+    # them.  A wrong total only rescales the estimate, so it shows only where
+    # rounding breaks a tie: here, after a static phase of random length.
+    rng = np.random.default_rng(37)
+    ties = 0
+    for _ in range(40):
+        domain = permuted_loss_domain(rng)
+        cut = int(rng.integers(1, 60))
+        phases = (
+            ScenarioPhase(0, cut, STATIC_DIST, {"t0": 0.5, "t1": 0.5}),
+            ScenarioPhase(cut, 150, MOST_ADVERSE),
+        )
+        scenario = Scenario("ties", 150, phases)
+        env, ref = MTDEnvironment(domain, scenario), MTDEnvironment(domain, scenario)
+        seed = int(rng.integers(2**32))
+        env_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t, action in enumerate(rng.integers(domain.n_configs, size=150).tolist()):
+            if t >= cut:  # the exact expected damages of the step's estimate
+                counts = ref.moves[ref.state] + 1
+                exact = [
+                    sum(Fraction(d) * int(c) for d, c in zip(row, counts))
+                    for row in domain.damage_table
+                ]
+                ties += exact.count(max(exact)) > 1
+            got, want = env.step(action, env_rng), reference_step(ref, action, ref_rng)
+            assert got == want
+    assert ties > 500, ties
 
 
 def test_uniforms_rejects_a_step_count_that_is_not_an_integer_before_drawing():

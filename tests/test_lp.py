@@ -1,5 +1,6 @@
 """Unit tests for the simplex solver: two-phase solves, warm starts and dual restarts."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -10,7 +11,7 @@ import pytest
 from mtdsim import alp as alp_module
 from mtdsim import domain as domain_module
 from mtdsim import lp
-from mtdsim.alp import build_alp, build_state_basis, extract_policy, solve_alp
+from mtdsim.alp import build_alp, build_basis, build_state_basis, extract_policy, solve_alp
 from mtdsim.domain import DomainInfo
 from mtdsim.environments import MTDEnvironment, make_network_domain, make_web_app_domain
 from mtdsim.estimator import ThreatEstimator
@@ -1462,9 +1463,12 @@ def test_a_failed_recheck_and_its_dual_restart_give_one_x_per_basis():
 @pytest.mark.parametrize("name", ["web-factored", "net4"])
 def test_the_private_numpy_entry_points_are_bitwise_their_public_wrappers(monkeypatch, name):
     # lp calls the LAPACK gufunc behind np.linalg.solve, and domain the C
-    # function behind np.einsum(optimize=False), without their wrappers.  A
-    # numpy that changes either entry point fails here, on the tight systems
-    # of a planner's solves and on its belief tables.
+    # function behind np.einsum(optimize=False), without their wrappers; the
+    # policy's successor values and the most-adverse attacker's damage take
+    # ndarray.dot, the BLAS call behind @ without the matmul ufunc.  A numpy
+    # that changes any of these entry points fails here, on the tight
+    # systems and weights of a planner's solves, on its belief tables, and on
+    # the attacker's smoothed estimates of the defender's policy.
     solves = _recorded_alp_solves(monkeypatch, name)
     rng = np.random.default_rng(3)
     for problem, sol in solves:
@@ -1475,6 +1479,17 @@ def test_the_private_numpy_entry_points_are_bitwise_their_public_wrappers(monkey
     domain = make_web_app_domain() if name == "web-factored" else (
         make_network_domain(np.random.default_rng(0), n_nodes=4)
     )
+    activations = build_basis(domain.space).activations
+    for weights in [sol.x for _, sol in solves] + [rng.normal(size=activations.shape[1])]:
+        assert activations.dot(weights).tobytes() == (activations @ weights).tobytes()
+    networks = [make_network_domain(np.random.default_rng(0), n_nodes=k) for k in (2, 3, 4, 5)]
+    for attacked in [domain] if name == "web-factored" else networks:
+        damage, S = attacked.damage_table, attacked.n_configs
+        for moves in rng.integers(0, np.repeat([1, 3, 50, 1000], 25)[:, None], size=(100, S)):
+            smoothed = moves + 1.0
+            estimate = smoothed / (int(moves.sum()) + S)
+            assert estimate.tobytes() == (smoothed / smoothed.sum()).tobytes()
+            assert damage.dot(estimate).tobytes() == (damage @ estimate).tobytes()
     tables = [cold_posterior_table(domain)] + [random_posterior_table(domain, rng) for _ in range(5)]
     for table in tables:
         for rates in (domain.damage_table, domain.mu_table):
@@ -1482,3 +1497,51 @@ def test_the_private_numpy_entry_points_are_bitwise_their_public_wrappers(monkey
             want = np.einsum("tsa,ta->sa", table, rates, optimize=False)
             assert got.tobytes() == want.tobytes()
     assert len(solves) > 5
+
+
+# ---------------------------------------------------------------------------
+# ufunc reductions on the re-plan path, counted without a clock
+# ---------------------------------------------------------------------------
+
+
+def ufunc_reductions(call, *args) -> tuple[object, list[str]]:
+    """``call(*args)``, and the ufuncs whose ``reduce`` it runs, in order.
+
+    ``sys.setprofile`` reports each call of a builtin method as a ``c_call``
+    event, also one made inside numpy's Python code (``ndarray.min`` calls
+    ``np.minimum.reduce``), so the count needs no clock.
+    """
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "reduce":
+            if isinstance(getattr(arg, "__self__", None), np.ufunc):
+                names.append(arg.__self__.__name__)
+
+    sys.setprofile(profile)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(None)
+    return result, names
+
+
+def test_the_replan_path_reads_extremes_by_index_not_by_ufunc_reduction(monkeypatch):
+    # A reduction costs about 1 us on these arrays of a few dozen entries, its
+    # value read by index less than half of that (domain.extremum).  A warm
+    # re-check makes none, the first on a certificate (which works out
+    # u_limit) included, and a moved belief table only the sum of its scores.
+    warm = [(p, sol) for p, sol in _recorded_alp_solves(monkeypatch, "web-factored") if sol.warm]
+    assert len(warm) >= 2
+    for problem, sol in warm:
+        cert = replace(sol.certificate)  # a copy, whose u_limit is not worked out yet
+        for _ in range(2):
+            u_J, reductions = ufunc_reductions(lp._primal_vertex, cert, problem.bounds)
+            assert reductions == []
+            assert lp._optimal(problem, cert, u_J).x.tobytes() == sol.x.tobytes()
+    est = ThreatEstimator(make_web_app_domain())
+    for tau, state, action in ((0, 1, 2), (2, 3, 0), (1, 1, 2)):
+        kept = est.posterior_table()
+        est.update(tau, state, action, phi=1)
+        table, reductions = ufunc_reductions(est.posterior_table)
+        assert reductions == ["add"] and table is not kept
