@@ -245,6 +245,11 @@ class StepRecord(NamedTuple):
     reward: float
 
 
+# A step builds its record's fields as a tuple: NamedTuple's own __new__ costs
+# twice as much, and a module-level name saves the attribute lookup.
+_new_tuple = tuple.__new__
+
+
 class Uniforms:
     """Uniforms drawn ahead for a run of steps; ``random()`` hands out the next.
 
@@ -315,9 +320,10 @@ class MTDEnvironment:
         self._moves = np.zeros((domain.n_configs, domain.n_configs), dtype=int)
         self._visits = [0] * domain.n_configs  # n(s), read only in a most_adverse phase
         self._damage = domain.damage_table
-        # A step counts through this view: a memoryview item update, unlike a
-        # numpy one, makes no numpy scalar.  It writes through to ``_moves``.
-        self._move_counts = memoryview(self._moves)
+        # A step counts through these views, one 1-D view per row: a memoryview
+        # item update, unlike a numpy one, makes no numpy scalar, and an int
+        # index is cheaper than a tuple.  They write through to ``_moves``.
+        self._move_rows = [memoryview(row) for row in self._moves]
         self.domain = domain
         self.scenario = scenario
         self.state = start_state
@@ -357,28 +363,28 @@ class MTDEnvironment:
 
     def step(self, action: int, rng: np.random.Generator | Uniforms) -> StepRecord:
         t = self.t
-        if t >= self._horizon:
-            raise DomainError("scenario horizon exhausted")
-        if not ((type(action) is int or is_index(action)) and 0 <= action < self._n):
-            raise DomainError(f"action {action!r} is not a configuration index")
-        s = self.state
-        if t == self._phase_end:
+        if t == self._phase_end:  # the last phase ends at the horizon
+            if t == self._horizon:
+                raise DomainError("scenario horizon exhausted")
             self._phase += 1
             self._phase_end = self._phase_ends[self._phase]
             self._draws = self._phase_draws[self._phase]
             if self._draws is None:
                 self._visits = self._moves.sum(axis=1).tolist()
+        if not ((type(action) is int or is_index(action)) and 0 <= action < self._n):
+            raise DomainError(f"action {action!r} is not a configuration index")
+        s, draws, random = self.state, self._draws, rng.random
         try:
-            if self._draws is None:
-                draw = rng.random()  # first: a step that fails must count no visit
+            if draws is None:
+                draw = random()  # first: a step that fails must count no visit
                 smoothed = self._moves[s] + 1.0
                 smoothed /= self._visits[s] + self._n
                 tau = int(self._damage.dot(smoothed).argmax())  # the BLAS call of @
                 self._visits[s] += 1
             else:
-                types, cdf = self._draws[s]
-                tau = types[bisect_right(cdf, rng.random())]
-                draw = rng.random()
+                types, cdf = draws[s]
+                tau = types[bisect_right(cdf, random())]
+                draw = random()
             phi = 1 if draw < self._mu[tau][action] else 0
         except StopIteration:
             # Let through, it would end a calling ``map`` or generator as if it had run out.
@@ -386,11 +392,10 @@ class MTDEnvironment:
         # Python floats throughout, so the reward is a float without a float() call.
         reward = self._M - (self._loss[tau][action] if phi else 0.0) - self._sc[s][action]
         labels = self._labels
-        # The record's fields as a tuple: NamedTuple's own __new__ costs twice as much.
-        record = tuple.__new__(
+        record = _new_tuple(
             StepRecord, (t, labels[s], labels[action], self._type_ids[tau], phi, reward)
         )
-        self._move_counts[s, action] += 1
+        self._move_rows[s][action] += 1
         self.state = action
         self.t = t + 1
         return record

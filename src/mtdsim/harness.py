@@ -16,6 +16,8 @@ import csv
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -123,8 +125,10 @@ class RunResult:
     @property
     def avg_rewards(self) -> np.ndarray:
         """The average reward of each iteration, shape (iterations,)."""
-        rewards = [[rec.reward for rec in records] for records in self.iteration_records]
-        return np.array(rewards).mean(axis=1)
+        runs = self.iteration_records
+        # One pass into the (iterations, T) array a list of lists would make.
+        rewards = np.fromiter(map(attrgetter("reward"), chain.from_iterable(runs)), float)
+        return rewards.reshape(len(runs), -1).mean(axis=1)
 
     @property
     def mean_avg_reward(self) -> float:

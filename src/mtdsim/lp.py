@@ -521,10 +521,12 @@ def solve_lp(
     Any other start solves cold.  Every optimal solution carries the
     certificate of its basis.  A non-finite entry in ``c``, ``rows`` or
     ``bounds`` raises ``ValueError``, with or without a start: the warm
-    re-check fails on a non-finite bound.
+    re-check fails on a non-finite bound.  A start certificate's own ``c``
+    and ``rows`` are not checked again: they passed when it was issued.
     """
     kept = None if kept is None else _kept_positions(kept, problem.n_rows)
     cert = None if start is None else start.certificate
+    held = () if cert is None else (cert.c, cert.rows)
     if cert is not None and not (cert.c is problem.c or np.array_equal(cert.c, problem.c)):
         cert = None
     if cert is not None and (kept is None or len(kept) == problem.n_rows):
@@ -534,7 +536,8 @@ def solve_lp(
                 return _optimal(problem, cert, u_J, warm=True)
         cert = None
     for name in ("c", "rows", "bounds"):
-        if not np.isfinite(getattr(problem, name)).all():
+        value = getattr(problem, name)
+        if not any(value is own for own in held) and not np.isfinite(value).all():
             raise ValueError(f"LP {name} holds a non-finite entry")
     if cert is not None and np.array_equal(cert.rows, problem.rows[kept]):
         sol = _dual_restart(problem, cert, kept)

@@ -12,6 +12,17 @@ generator's final state are bitwise those of drawing step by step (see
 ``environments``); the drawn block grows with T, as the records do.  ``fpl``,
 ``eps-greedy`` and ``urs`` draw between steps and hand the generator itself
 to every step.
+
+``fpl`` resamples in chunks of ``RESAMPLE_CHUNK`` perturbation rows: an
+update draws chunk after chunk, the last one cut at the cap ``l_max``, and
+stops at the end of the first chunk in which the played configuration leads.
+Only that schedule is fixed; how it is drawn is not.  After a first chunk
+without a hit the rest of the cap is drawn in blocks of whole chunks, each of
+at most ``RESAMPLE_BLOCK`` entries.  A hit in a block restores the generator
+state saved before it and redraws the block up to the end of the hit's chunk.
+One ``exponential`` call of r rows gives the doubles of its consecutive
+chunks, so the trial count and the generator's end state are those of the
+chunk-by-chunk loop.
 """
 
 from __future__ import annotations
@@ -30,6 +41,9 @@ DEFAULT_FPL_LMAX = 1000
 # Perturbation rows drawn per geometric-resampling round; it sets the RNG draw
 # pattern, so changing it changes every fpl run.
 RESAMPLE_CHUNK = 32
+# Perturbation entries drawn at most at once past the first chunk (256 KiB of
+# doubles), in whole chunks; it bounds memory and changes no draw.
+RESAMPLE_BLOCK = 2**15
 
 
 # Each hyperparameter has one check: the strategy that reads it runs it, and
@@ -156,21 +170,32 @@ class FplMtdStrategy:
         n = self.cumulative.shape[0]
         if rng.random() < self.explore_prob:
             return int(rng.integers(n))
-        return self._leader(rng.exponential(scale=1.0 / self.perturb_rate, size=n))
+        return self._leader(rng.exponential(1.0 / self.perturb_rate, n))
 
     def resample_count(self, action: int, rng: np.random.Generator) -> int:
-        """Trials of fresh perturbations until ``action`` leads again (capped)."""
+        """Trials of fresh perturbations until ``action`` leads again (capped).
+
+        Draws by the schedule in the module docstring: a first chunk, then
+        blocks, rewound to the end of the hit's chunk.
+        """
         n = self.cumulative.shape[0]
-        trials = 0
+        scale = 1.0 / self.perturb_rate
+        trials, rows = 0, RESAMPLE_CHUNK
         while trials < self.l_max:
-            chunk = min(RESAMPLE_CHUNK, self.l_max - trials)
-            z = rng.exponential(scale=1.0 / self.perturb_rate, size=(chunk, n))
+            rows = min(rows, self.l_max - trials)
+            saved = rng.bit_generator.state if rows > RESAMPLE_CHUNK else None
+            z = rng.exponential(scale, (rows, n))
             z += self.cumulative  # in place: IEEE addition commutes, so the same bits
-            hits = z.argmax(axis=1) == action
-            first = int(hits.argmax())  # the first hit, or 0 if there is none
-            if hits[first]:
+            leaders = z.argmax(axis=1).tolist()
+            if action in leaders:
+                first = leaders.index(action)
+                end = (first // RESAMPLE_CHUNK + 1) * RESAMPLE_CHUNK  # its chunk's end
+                if end < rows:  # the chunks drew no further: redraw up to there
+                    rng.bit_generator.state = saved
+                    rng.exponential(scale, (end, n))
                 return trials + first + 1
-            trials += chunk
+            trials += rows
+            rows = max(1, RESAMPLE_BLOCK // (RESAMPLE_CHUNK * n)) * RESAMPLE_CHUNK
         return self.l_max
 
     def update(self, action: int, reward: float, rng: np.random.Generator) -> None:

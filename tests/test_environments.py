@@ -496,8 +496,13 @@ def test_step_range_and_horizon_errors():
     assert (env.t, env.state, env.moves.any()) == (0, 0, False)
     env.step(np.int64(3), rng)  # the strategies pass numpy integers
     env.step(3, rng)
-    with pytest.raises(DomainError):
-        env.step(3, rng)
+    drawn = rng.bit_generator.state
+    # At the horizon the horizon is named first, whatever the action.
+    for action in (3, 7, -1, 1.5, True, None):
+        with pytest.raises(DomainError, match="scenario horizon exhausted"):
+            env.step(action, rng)
+    assert rng.bit_generator.state == drawn
+    assert (env.t, env.state, int(env.moves.sum())) == (2, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +727,25 @@ def test_a_map_over_steps_past_the_drawn_uniforms_raises(mode):
 
 
 def test_moves_cannot_be_rebound():
-    env = MTDEnvironment(make_web_app_domain(), unknown_only_scenario(horizon=5))
+    phases = (
+        ScenarioPhase(0, 1, STATIC_DIST, {"unknown": 1.0}),
+        ScenarioPhase(1, 20, MOST_ADVERSE),
+    )
+    env = MTDEnvironment(make_web_app_domain(), Scenario("two-phases", 20, phases))
     moves = env.moves
     with pytest.raises(AttributeError):
         env.moves = np.zeros((4, 4), dtype=int)
     env.step(3, np.random.default_rng(0))
     assert env.moves is moves and moves[0, 3] == 1  # a step counts in the same array
+    # Every row's counts land in that array, in a most_adverse phase too.
+    rng, want = np.random.default_rng(1), np.zeros((4, 4), dtype=int)
+    want[0, 3] = 1
+    for t in range(1, 20):
+        state, action = env.state, (t * 7) % 4
+        env.step(action, rng)
+        want[state, action] += 1
+    assert env.moves is moves and moves.tolist() == want.tolist()
+    assert (want > 0).any(axis=1).all()  # each row was counted
 
 
 def _untemper(y: int) -> int:

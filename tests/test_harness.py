@@ -88,6 +88,16 @@ def test_single_step_average_is_the_step_reward():
     assert result.best_static is None and result.static_table == {}
 
 
+def test_avg_rewards_are_bitwise_the_mean_of_the_reward_rows():
+    config = ExperimentConfig(
+        strategy="eps-greedy", timesteps=97, iterations=3, seed=5, include_hindsight=False
+    )
+    result = run_experiment(config)
+    rows = np.array([[r.reward for r in records] for records in result.iteration_records])
+    assert rows.shape == (3, 97)
+    assert result.avg_rewards.tobytes() == rows.mean(axis=1).tobytes()
+
+
 def test_iterations_use_consecutive_seeds():
     config = ExperimentConfig(
         strategy="urs", timesteps=25, iterations=3, seed=30, include_hindsight=False

@@ -737,6 +737,9 @@ def test_a_nan_bound_fails_the_recheck():
     nan = LPProblem([1.0, 0.0], rows, [1.0, np.nan, 2.0])
     with pytest.raises(ValueError, match="LP bounds holds a non-finite entry"):
         solve_lp(nan, start=first)
+    # On the certificate's own c and rows, which are not checked again.
+    with pytest.raises(ValueError, match="LP bounds holds a non-finite entry"):
+        solve_lp(LPProblem(cert.c, cert.rows, nan.bounds), start=first)
 
 
 def _singular_start():
@@ -898,6 +901,40 @@ def test_a_failed_recheck_ends_on_the_cold_solution():
     got = solve_lp(moved, start=sol)
     assert not got.warm and got.x == pytest.approx([0.5, 0.5])
     assert_same_solution(got, solve_lp(moved))
+
+
+def finiteness_checks(problem: LPProblem, start: LPSolution) -> list[str]:
+    """The arrays of ``problem`` that ``solve_lp(problem, start)`` checks for finiteness.
+
+    Each check ends in an ``ndarray.all`` call, a builtin method that
+    ``sys.setprofile`` reports as a ``c_call`` from ``solve_lp``'s frame,
+    where ``name`` names the array; so the count needs no clock.
+    """
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is solve_lp.__code__:
+            if getattr(arg, "__name__", None) == "all":
+                names.append(frame.f_locals["name"])
+
+    sys.setprofile(profile)
+    try:
+        sol = solve_lp(problem, start=start)
+    finally:
+        sys.setprofile(None)
+    assert sol.status == OPTIMAL and not sol.warm
+    return names
+
+
+def test_a_failed_recheck_checks_only_the_bounds_of_the_certificates_own_arrays():
+    # The failed re-check of test_a_failed_recheck_ends_on_the_cold_solution:
+    # the certificate's c and rows passed the check when it was issued.
+    rows, bounds = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0])
+    first = solve_lp(LPProblem([-1.0, -2.0], rows, bounds))
+    cert, moved = first.certificate, [1.0, -0.5, 0.0]
+    assert finiteness_checks(LPProblem(cert.c, cert.rows, moved), first) == ["bounds"]
+    own = LPProblem(cert.c.copy(), cert.rows.copy(), moved)
+    assert finiteness_checks(own, first) == ["c", "rows", "bounds"]
 
 
 def test_a_cold_solve_carries_a_certificate():

@@ -6,6 +6,8 @@ argument validation, its cold-start behaviour, and against a reference loop
 that re-plans at every scheduled step (``oracles.reference_ata_fmdp_run``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,11 @@ def test_fpl_matches_the_reference_bitwise():
         if case % 3 == 0:  # tied leaders that no perturbation can part
             cumulative[rng.permutation(n)[:2]] = 1e20
             seen.add("tied leaders")
+        # The probe trails by a few perturbation scales, so it rarely leads.
+        trailing = case % 3 == 1
+        if trailing:
+            cumulative = rng.normal(scale=0.1 / rate, size=n)
+            cumulative[0] -= float(rng.uniform(3.0, 6.0)) / rate
         strat, ref = (FplMtdStrategy(make_web_app_domain(), explore, rate, l_max) for _ in "ab")
         strat.cumulative, ref.cumulative = cumulative.copy(), cumulative.copy()
         seed = int(rng.integers(2**32))
@@ -155,19 +162,69 @@ def test_fpl_matches_the_reference_bitwise():
         for _ in range(8):
             action = strat.select(got_rng)
             assert action == reference_fpl_select(ref, want_rng) and type(action) is int
-            probe = int(rng.integers(n))
+            probe = 0 if trailing else int(rng.integers(n))
             k = strat.resample_count(probe, got_rng)
             assert k == reference_fpl_resample_count(ref, probe, want_rng)
             assert type(k) is int
             seen.add("cap hit" if k == l_max else "hit")
             if l_max % RESAMPLE_CHUNK and k > l_max - l_max % RESAMPLE_CHUNK:
                 seen.add("hit in a short last block")
+            if RESAMPLE_CHUNK < k and -(-k // RESAMPLE_CHUNK) * RESAMPLE_CHUNK < l_max:
+                seen.add("hit after the first chunk")  # its block is rewound and redrawn
             reward = float(rng.normal(scale=50.0))
             strat.update(action, reward, got_rng)
             ref.cumulative[action] += reward * reference_fpl_resample_count(ref, action, want_rng)
             assert strat.cumulative.tobytes() == ref.cumulative.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert seen == {"tied leaders", "cap hit", "hit", "hit in a short last block"}
+    assert seen == {
+        "tied leaders", "cap hit", "hit", "hit in a short last block", "hit after the first chunk"
+    }
+
+
+class ExponentialCounter:
+    """Forwards ``exponential`` and ``bit_generator`` to a generator, counting the draws."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.exponential_calls = rng, 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def exponential(self, *args):
+        self.exponential_calls += 1
+        return self.rng.exponential(*args)
+
+
+def capped_fpl(l_max: int) -> FplMtdStrategy:
+    """FPL on web whose configuration 0 never leads, so resampling for it runs to the cap."""
+    strat = FplMtdStrategy(make_web_app_domain(), l_max=l_max)
+    strat.cumulative = np.array([-1e6, 0.0, 0.0, 0.0])  # 10^5 perturbation scales
+    return strat
+
+
+def test_a_capped_fpl_update_draws_the_first_chunk_then_one_block():
+    # The chunk-by-chunk loop made 32 calls here; their doubles are the block's.
+    rng = ExponentialCounter(np.random.default_rng(3))
+    strat = capped_fpl(DEFAULT_FPL_LMAX)
+    strat.update(0, 1.0, rng)
+    assert rng.exponential_calls == 2
+    want = np.random.default_rng(3)
+    assert reference_fpl_resample_count(capped_fpl(DEFAULT_FPL_LMAX), 0, want) == DEFAULT_FPL_LMAX
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert strat.cumulative[0] == -1e6 + DEFAULT_FPL_LMAX
+
+
+def test_a_capped_fpl_update_draws_in_bounded_blocks():
+    rng = np.random.default_rng(4)
+    strat = capped_fpl(10**6)
+    tracemalloc.start()
+    try:
+        assert strat.resample_count(0, rng) == 10**6
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_eps_greedy_matches_the_reference_bitwise():
