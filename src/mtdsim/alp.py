@@ -46,7 +46,8 @@ and solves nothing.  Under any other table, an equal copy included, only
 the bounds are rebuilt, and the solve starts on the previous working set
 from its last solution, whose certified basis then needs only a primal
 feasibility re-check (see ``lp``) before one scan.  When the re-check
-fails, that round solves two-phase.
+fails, that round restarts the dual simplex from the carried basis, which
+only the bounds moved away from.
 
 The greedy policy of a solved program is
 pi(s) = argmax_a [ R(s, a) + gamma * V(a; w) ], scored with the reward table
@@ -56,6 +57,7 @@ action index (see ``greedy_actions`` for the tie band).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +70,7 @@ from .lp import FEAS_TOL, OPTIMAL, LPProblem, LPSolution, NumericalError, solve_
 
 TIE_TOL = 1e-9  # share of a row's score spread under which greedy actions count as tied
 TIE_ULPS = 64  # the tie band's rounding floor, in ulps of the row's best score
+SMALL_TABLE = 64  # score tables of fewer entries take their greedy actions on Python floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +255,42 @@ def greedy_actions(scores: np.ndarray) -> np.ndarray:
     largest loss plus the largest switching cost.  The ulps cover the
     rounding of the scores themselves, where the spread is small beside
     them.  Both terms scale by exactly 2^j with the scores.
+
+    A table of fewer than ``SMALL_TABLE`` entries is scored row by row on
+    Python floats, a larger one with numpy's row reductions; both give
+    bitwise the same ``intp`` actions.  The loop costs per entry, numpy
+    mostly per call.  Best of 7 x 10 000 calls, numpy against the loop
+    (Python 3.11, numpy 2.4.6, 2-core x86-64 Xeon): 2x2 7.1 against 2.3 us,
+    4x4 7.3 against 4.6, 6x6 8.0 against 7.2, 7x7 8.3 against 8.9, 8x8 8.6
+    against 10.2, 16x16 10.3 against 29.6.  The web domain and the 2-node
+    network score 16 entries, a 3-node network 64.  A row whose band is NaN
+    in numpy (one holding a NaN or +inf) ties nothing, so action 0 wins; a
+    -inf beside finite scores ties everything, so action 0 wins too.
     """
-    best = np.maximum.reduce(scores, axis=1, keepdims=True)  # ndarray.max, without its wrapper
-    band = best - np.minimum.reduce(scores, axis=1, keepdims=True)
-    band *= TIE_TOL
-    band += TIE_ULPS * np.spacing(np.abs(best))
-    return (scores >= best - band).argmax(axis=1)
+    if not 0 < scores.size < SMALL_TABLE:
+        best = np.maximum.reduce(scores, axis=1, keepdims=True)  # ndarray.max, without its wrapper
+        band = best - np.minimum.reduce(scores, axis=1, keepdims=True)
+        band *= TIE_TOL
+        band += TIE_ULPS * np.spacing(np.abs(best))
+        return (scores >= best - band).argmax(axis=1)
+    actions = []
+    for row in scores.tolist():
+        total = sum(row)
+        if total != total:  # a NaN, or +inf beside -inf, where max and min are not numpy's
+            actions.append(0)
+            continue
+        best = max(row)
+        top = abs(best)
+        # np.spacing(top) to the bit: the gap up to the next float, inf past the largest.
+        band = TIE_TOL * (best - min(row)) + TIE_ULPS * (math.nextafter(top, math.inf) - top)
+        floor = best - band
+        for action, score in enumerate(row):
+            if score >= floor:
+                break
+        else:  # a NaN floor: +inf, or -inf throughout
+            action = 0
+        actions.append(action)
+    return np.array(actions, dtype=np.intp)
 
 
 def extract_policy(alp: ALProblem, weights: np.ndarray) -> np.ndarray:

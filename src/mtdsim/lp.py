@@ -27,7 +27,9 @@ the solution in two ways:
 
 - Same rows, new bounds: when the problem's ``c`` and ``rows`` equal the
   certified ones, one primal check decides: the vertex is returned if its
-  basic values and every slack are nonnegative.
+  basic values and every slack are nonnegative.  Otherwise the basis is
+  still dual feasible, since only the bounds moved, and the dual simplex
+  restarts from it, as below with every row kept.
 - Added rows (``kept`` names where the certified rows sit among the
   problem's): the certified basis plus the new rows' slacks is still dual
   feasible, since a new row's dual is 0.  Its tableau takes one pivot per
@@ -44,7 +46,8 @@ distinct row positions in [0, m) for a problem of m rows, or empty;
 ``solve_lp`` checks it before it tries either start, else ``ValueError``.
 
 Any other start (no certificate, another objective, other or differently
-shaped rows), or a failed primal check, solves with the two-phase method.
+shaped rows), or a restart whose tight system is singular, solves with the
+two-phase method.
 
 Primal feasibility has one tolerance, ``FEAS_TOL``: the warm re-check, the
 dual simplex and phase 1 all accept a vertex within it.  Phase 1 scales it
@@ -514,15 +517,17 @@ def solve_lp(
     - with every row kept, and the same ``rows`` (no comparison runs when the
       problem holds the certificate's own arrays), a basis that is primal
       feasible under these bounds is returned as it is (``warm`` is set, and
-      the solution carries the same certificate);
+      the solution carries the same certificate), and one that is not
+      restarts the dual simplex;
     - with ``rows[kept]`` equal to the certified rows and further rows added,
       the dual simplex restarts from the certified basis.
 
-    Any other start solves cold.  Every optimal solution carries the
-    certificate of its basis.  A non-finite entry in ``c``, ``rows`` or
-    ``bounds`` raises ``ValueError``, with or without a start: the warm
-    re-check fails on a non-finite bound.  A start certificate's own ``c``
-    and ``rows`` are not checked again: they passed when it was issued.
+    Any other start, or a restart whose tight system is singular, solves
+    cold.  Every optimal solution carries the certificate of its basis.  A
+    non-finite entry in ``c``, ``rows`` or ``bounds`` raises ``ValueError``,
+    with or without a start: the warm re-check fails on a non-finite bound.
+    A start certificate's own ``c`` and ``rows`` are not checked again: they
+    passed when it was issued.
     """
     kept = None if kept is None else _kept_positions(kept, problem.n_rows)
     cert = None if start is None else start.certificate
@@ -530,17 +535,19 @@ def solve_lp(
     if cert is not None and not (cert.c is problem.c or np.array_equal(cert.c, problem.c)):
         cert = None
     if cert is not None and (kept is None or len(kept) == problem.n_rows):
-        if cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows):
+        if not (cert.rows is problem.rows or np.array_equal(cert.rows, problem.rows)):
+            cert = None
+        else:
             u_J = _primal_vertex(cert, problem.bounds)
             if u_J is not None:
                 return _optimal(problem, cert, u_J, warm=True)
-        cert = None
+            kept = None  # only the bounds moved: every row restarts at its own position
     for name in ("c", "rows", "bounds"):
         value = getattr(problem, name)
         if not any(value is own for own in held) and not np.isfinite(value).all():
             raise ValueError(f"LP {name} holds a non-finite entry")
-    if cert is not None and np.array_equal(cert.rows, problem.rows[kept]):
-        sol = _dual_restart(problem, cert, kept)
+    if cert is not None and (kept is None or np.array_equal(cert.rows, problem.rows[kept])):
+        sol = _dual_restart(problem, cert, np.arange(problem.n_rows) if kept is None else kept)
         if sol is not None:
             return sol
     A, c_u = _standard_form(problem)

@@ -28,6 +28,7 @@ function wrappers, whole-array hit searches and numpy-scalar arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -391,13 +392,20 @@ def reference_greedy_actions(scores: np.ndarray) -> np.ndarray:
 
     Each row takes the lowest action whose score is at least its best minus
     ``TIE_TOL`` times its spread (best minus worst) and ``TIE_ULPS`` ulps of
-    the best's size.
+    the best's size, where the ulp of the largest float is infinite, as
+    ``np.spacing`` has it.  A row with a NaN has a NaN best in numpy, so
+    nothing ties and action 0 wins; so does a row whose floor is NaN.
     """
     policy = []
     for row in scores.tolist():
+        if any(math.isnan(score) for score in row):
+            policy.append(0)
+            continue
         best = max(row)
-        floor = best - (TIE_TOL * (best - min(row)) + TIE_ULPS * math.ulp(abs(best)))
-        policy.append(next(a for a, score in enumerate(row) if score >= floor))
+        top = abs(best)
+        ulp = math.ulp(top) if top < sys.float_info.max else math.inf
+        floor = best - (TIE_TOL * (best - min(row)) + TIE_ULPS * ulp)
+        policy.append(next((a for a, score in enumerate(row) if score >= floor), 0))
     return np.array(policy, dtype=np.intp)
 
 
@@ -452,12 +460,14 @@ class SolveAudit:
     basis, other x", "other vertex" (another basis), or "no answer" when the
     alternative returned None or no optimum.  ``gap`` is the objectives'
     difference relative to the larger of them (0 when they are equal), and
-    ``pivots`` the run's pivots, then the alternative's.
+    ``pivots`` the run's pivots, then the alternative's; ``step`` is the step
+    whose re-plan made the call.
     """
 
     verdict: str
     gap: float
     pivots: tuple[int, int | None]
+    step: int
 
 
 @dataclass
@@ -472,16 +482,16 @@ class RunAudit:
     diverges_at: int | None
 
 
-def _compare(solution: LPSolution, other: LPSolution | None) -> SolveAudit:
+def _compare(solution: LPSolution, other: LPSolution | None, step: int) -> SolveAudit:
     pivots = (solution.pivots, None if other is None else other.pivots)
     if other is None or other.status != OPTIMAL:
-        return SolveAudit("no answer", np.inf, pivots)
+        return SolveAudit("no answer", np.inf, pivots, step)
     a, b = solution.objective_value, other.objective_value
     gap = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
     if other.basis != solution.basis:
-        return SolveAudit("other vertex", gap, pivots)
+        return SolveAudit("other vertex", gap, pivots, step)
     same = other.x.tobytes() == solution.x.tobytes()
-    return SolveAudit("same x" if same else "same basis, other x", gap, pivots)
+    return SolveAudit("same x" if same else "same basis, other x", gap, pivots, step)
 
 
 def audit_solves(scenarios, seeds, alphas, alternative) -> list[RunAudit]:
@@ -491,8 +501,9 @@ def audit_solves(scenarios, seeds, alphas, alternative) -> list[RunAudit]:
     at a seed and a switching-cost weight alpha: ``ata_fmdp_run`` with
     ``default_rng(seed)``, as the harness plays it.  A failed re-check is a
     planner's ``solve_lp`` call that starts from the certificate of its own
-    rows (no ``kept``) and is not answered warm, so the solver went
-    two-phase.  At each, ``alternative(problem, certificate)`` solves the same
+    rows (no ``kept``) and is not answered warm, so the solver restarted
+    the dual simplex from that basis (two-phase, if its tight system is
+    singular).  At each, ``alternative(problem, certificate)`` solves the same
     program from the start's certificate, and the answers are compared
     (``SolveAudit``).  The run is then played again with the alternative's
     optimal answers in place of those calls, and the two runs' step records,
@@ -510,7 +521,7 @@ def audit_solves(scenarios, seeds, alphas, alternative) -> list[RunAudit]:
                     return solution  # not a failed re-check
                 other = alternative(problem, start.certificate)
                 if not replay:
-                    solves.append(_compare(solution, other))
+                    solves.append(_compare(solution, other, env.t))
                 elif other is not None and other.status == OPTIMAL:
                     return other
                 return solution

@@ -8,6 +8,7 @@ shift covariance, feasibility of the returned weights).
 
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -511,18 +512,20 @@ def test_greedy_actions_tie_by_the_rows_spread_when_the_best_is_zero():
     np.testing.assert_array_equal(greedy_actions(scores), [1, 0, 0])
 
 
-def test_greedy_actions_match_the_reference_loop_on_planted_ties():
-    # Each row holds its best, one planted score inside the tie band, on its
-    # edge or one float below it, and others at least 1e-6 of the best below.
-    # The band is TIE_TOL times the spread the others and the best make, plus
-    # TIE_ULPS ulps of |best|; rows whose best is 0 (or -0) tie by the spread.
-    rng, rows, want = np.random.default_rng(43), [], []
-    kinds = ["inside", "edge", "outside"]
-    for i in range(3000):
-        size = 0.0 if i % 5 == 0 else np.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-60, 61)))
+def planted_tie_rows(rng: np.random.Generator, n_rows: int, width: int, exponents: int):
+    """Rows that each hold their best, one score planted inside the tie band, on
+    its edge or one float below it, and others at least 1e-6 of the best below;
+    the best's size is 0 or 2^k with |k| <= ``exponents``.  Returns the rows and
+    each row's expected action."""
+    rows, want, kinds = [], [], ["inside", "edge", "outside"]
+    for i in range(n_rows):
+        size = 0.0
+        if i % 5:
+            mantissa = rng.uniform(0.5, 1.0)
+            size = np.ldexp(mantissa, int(rng.integers(-exponents, exponents + 1)))
         best = float(rng.choice([-1.0, 1.0]) * size)
-        row = best - (abs(best) + 1.0) * rng.uniform(1e-6, 1.0, 6)
-        at_best, at_planted = rng.choice(6, size=2, replace=False)
+        row = best - (abs(best) + 1.0) * rng.uniform(1e-6, 1.0, width)
+        at_best, at_planted = rng.choice(width, size=2, replace=False)
         row[at_best] = best
         band = TIE_TOL * (best - np.delete(row, at_planted).min()) + TIE_ULPS * math.ulp(abs(best))
         floor = best - band
@@ -534,7 +537,15 @@ def test_greedy_actions_match_the_reference_loop_on_planted_ties():
         }[kind]
         rows.append(row)
         want.append(at_best if kind == "outside" else min(at_best, at_planted))
-    scores = np.array(rows)
+    return np.array(rows), want
+
+
+def test_greedy_actions_match_the_reference_loop_on_planted_ties():
+    # Each row holds its best, one planted score inside the tie band, on its
+    # edge or one float below it, and others at least 1e-6 of the best below.
+    # The band is TIE_TOL times the spread the others and the best make, plus
+    # TIE_ULPS ulps of |best|; rows whose best is 0 (or -0) tie by the spread.
+    scores, want = planted_tie_rows(np.random.default_rng(43), 3000, 6, 60)
     np.testing.assert_array_equal(greedy_actions(scores), want)
     np.testing.assert_array_equal(reference_greedy_actions(scores), want)
 
@@ -550,6 +561,77 @@ def test_greedy_actions_pick_the_same_action_under_a_power_of_two(j):
     )
     np.testing.assert_array_equal(greedy_actions(np.ldexp(scores, j)), [1, 1, 0])
     np.testing.assert_array_equal(greedy_actions(scores), [1, 1, 0])
+
+
+def greedy_by_both_paths(monkeypatch, scores: np.ndarray) -> np.ndarray:
+    """``greedy_actions(scores)`` on the Python row loop and on numpy, which must
+    agree bitwise; returns their ``intp`` actions."""
+    got = {}
+    for path, size in (("python", np.inf), ("numpy", 0)):
+        with monkeypatch.context() as m:
+            m.setattr(alp_module, "SMALL_TABLE", size)
+            got[path] = greedy_actions(scores)
+    assert got["python"].dtype == got["numpy"].dtype == np.intp
+    assert got["python"].tobytes() == got["numpy"].tobytes(), scores
+    return got["python"]
+
+
+def test_small_greedy_tables_score_bitwise_as_numpy_and_the_reference(monkeypatch):
+    # Tables under SMALL_TABLE entries take the Python row loop; it must give
+    # the numpy path's actions, bit for bit, and the reference loop's.
+    rng, tables = np.random.default_rng(61), []
+    for r in range(1, 9):
+        for c in range(1, 9):
+            for _ in range(4):
+                scale = np.ldexp(1.0, int(rng.integers(-40, 41)))
+                tables.append(rng.normal(size=(r, c)) * scale)
+                tables.append(np.round(rng.normal(size=(r, c)), 1))  # exact ties
+    # Both sides of the boundary: 63, 64 and 65 entries, as one row, one column or a block.
+    for shape in [(7, 9), (9, 7), (1, 63), (63, 1), (8, 8), (1, 64), (64, 1), (4, 16), (5, 13)]:
+        tables.append(rng.normal(size=shape))
+    for _ in range(200):  # planted ties in 4x4 tables, the web planner's size
+        scores, want = planted_tie_rows(rng, 4, 4, 60)
+        np.testing.assert_array_equal(greedy_by_both_paths(monkeypatch, scores), want)
+        tables.append(scores)
+    for scores in tables:
+        small = greedy_by_both_paths(monkeypatch, scores)
+        assert small.tobytes() == greedy_actions(scores).tobytes()
+        assert small.tobytes() == reference_greedy_actions(scores).tobytes()
+    assert alp_module.SMALL_TABLE == 64
+
+
+def test_small_greedy_tables_hold_signed_zeros_infinities_and_nans(monkeypatch):
+    # numpy's band is NaN in a row that holds a NaN or +inf, so nothing ties
+    # and action 0 wins; a -inf beside finite scores makes the band infinite,
+    # so everything ties.  Signed zeros tie with each other.
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324, np.finfo(float).max]
+    rng = np.random.default_rng(67)
+    rows = [list(row) for row in product(specials, repeat=2)]
+    rows += [list(rng.choice(specials, size=4)) for _ in range(600)]
+    rows += [[1.0, np.nan, 2.0, 3.0], [3.0, 2.0, np.nan, 1.0], [-0.0, 0.0, -0.0, 0.0]]
+    rows += [[1.0, 2.0, np.inf, -np.inf], [0.0, 2.0**1023, np.finfo(float).max, 1.0]]
+    with np.errstate(invalid="ignore", over="ignore"):  # numpy warns where the loop does not
+        for width in (2, 4):
+            table = np.array([row for row in rows if len(row) == width])
+            for start in range(0, len(table), 16 // width):
+                scores = table[start : start + 16 // width]
+                small = greedy_by_both_paths(monkeypatch, scores)
+                assert small.tobytes() == reference_greedy_actions(scores).tobytes(), scores
+        for row in ([1.0, np.nan, 2.0], [2.0, 1.0, np.inf], [2.0, -np.inf, 3.0]):
+            assert greedy_actions(np.array([row])).tolist() == [0]
+    assert greedy_actions(np.array([[-0.0, 0.0, -1e-320]])).tolist() == [0]
+
+
+@pytest.mark.parametrize("j", [-1000, -1, 1, 1000])
+def test_both_greedy_paths_pick_the_same_actions_under_a_power_of_two(monkeypatch, j):
+    rng = np.random.default_rng(71)
+    for _ in range(100):
+        shape = tuple(rng.integers(1, 9, size=2))
+        scores = np.round(rng.normal(size=shape) * 2.0 ** int(rng.integers(-10, 11)), 2)
+        tied, _ = planted_tie_rows(rng, 4, 4, 10)
+        for table in (scores, tied, np.tile(tied, (5, 1))):  # the last one 80 entries
+            want = greedy_by_both_paths(monkeypatch, table)
+            assert greedy_by_both_paths(monkeypatch, np.ldexp(table, j)).tobytes() == want.tobytes()
 
 
 def test_build_alp_rows_are_the_belief_free_bracket_coefficients():

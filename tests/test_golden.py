@@ -56,7 +56,7 @@ GOLDEN_STEPS_SHA256 = {
     "net-evolving": "00bf2e629d48d6060b1ceb0cd79fe39bece7616624d7f4991a3709e998f51111",
     "net-evolving-3xsc": "ec2662f2a1ccc45874dbfe3d30dae6e461750e8fa68eaff8489cef15592574d3",
     "net-most-adverse": "8a637e4c8646c2321fa263f71748ce417c8df20149454a7ded6b2abe7656484f",
-    "web-dh-postgres": "7035ffab61209c3327a07087a4e730b8392b0f74cefe4e19d07d63ef91b2549f",
+    "web-dh-postgres": "bff24b23802f7d9c17d50d79e3a7c5d0747102dcab7db0aefc65294508fe315e",
     "web-evolving": "f49085ee682db14492ec41cde07bb6060a96d16035d29e814a2635fd3e76dd42",
     "web-evolving-3xsc": "c29d710a066640ed0483426e86876ba10027f6f52d6544ff402ac16a4a254314",
     "web-most-adverse": "6b99e823018579c7fc3277d1e33b356968115725df7f9c9705214cbe4c23793f",
@@ -269,8 +269,9 @@ def test_saved_files_are_byte_identical(tmp_path, capsys, case):
 def _solver_pin_problem(case: str):
     """The cold-posterior ALP of ``case`` and the same ALP under a perturbed posterior.
 
-    The perturbation keeps the cold optimal basis on three cases and forces a
-    cold fallback on web-state and net4, so both paths of a warm solve are pinned.
+    The perturbation keeps the cold optimal basis on three cases and fails its
+    re-check on net4, net5 and web-state, which restart the dual simplex from
+    it, so both paths of a warm solve are pinned.
     """
     if case.startswith("web-"):
         domain = make_web_app_domain()
@@ -313,7 +314,7 @@ GOLDEN_SOLVE_LP_SHA256 = {
     ],
     "net4": [
         "4c303f57ea5154f992ef9d5b641ca4b42b55137979d940d515649d3f88462d22",
-        "40c1f24b2c6deed759734dd300764fbbeedfb0ef8221142f5ac1790e3aff66f1",
+        "59ced817087b4e3b90005b8f00643e4a3a950e6fc8d7d0dc90afe8fbba69b4f6",
     ],
     "net5": [
         "8a49e2092b37efd670ed55d95de2668356961cc757d57508e84e415f5a288277",
@@ -343,15 +344,15 @@ def test_pinned_solutions_are_their_certificates_vertices(case):
 
 
 # Pivots of the cold solve and of the warm re-solve (0 when the start basis
-# held), counted with the dense rank-one pivot: equal counts mean the pivot
-# path did not move.
+# held, else the dual restart's), counted with the dense rank-one pivot: equal
+# counts mean the pivot path did not move.
 GOLDEN_SOLVE_LP_PIVOTS = {
     "net2": [23, 0],
     "net3": [77, 0],
-    "net4": [291, 280],
-    "net5": [1051, 1092],
+    "net4": [291, 20],
+    "net5": [1051, 55],
     "web-factored": [20, 0],
-    "web-state": [29, 29],
+    "web-state": [29, 1],
 }
 
 

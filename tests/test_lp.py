@@ -11,6 +11,7 @@ import pytest
 from mtdsim import alp as alp_module
 from mtdsim import domain as domain_module
 from mtdsim import lp
+from mtdsim import strategies as strategies_module
 from mtdsim.alp import build_alp, build_basis, build_state_basis, extract_policy, solve_alp
 from mtdsim.domain import DomainInfo
 from mtdsim.environments import MTDEnvironment, make_network_domain, make_web_app_domain
@@ -699,7 +700,12 @@ def test_certified_recheck_matches_the_full_check_on_replanned_alps(name):
             rechecked += 1
             assert got.certificate is prev.certificate and got.basis == prev.basis
         else:
-            assert_same_solution(got, solve_lp(alp.lp))
+            # A dual restart from the carried basis: the two-phase optimum, at
+            # its vertex when it ends on its basis.
+            cold = solve_lp(alp.lp)
+            assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+            if got.basis == cold.basis:
+                assert_same_solution(got, cold)
         prev = got
     assert rechecked > 0
 
@@ -935,6 +941,36 @@ def test_a_failed_recheck_checks_only_the_bounds_of_the_certificates_own_arrays(
     assert finiteness_checks(LPProblem(cert.c, cert.rows, moved), first) == ["bounds"]
     own = LPProblem(cert.c.copy(), cert.rows.copy(), moved)
     assert finiteness_checks(own, first) == ["c", "rows", "bounds"]
+
+
+def test_a_failed_recheck_restarts_the_dual_simplex_and_builds_no_phase_1_tableau(monkeypatch):
+    # Only the bounds moved, so every failed re-check of a web-dh-postgres run
+    # restarts the dual simplex from the carried basis and closes with the
+    # primal pass; a two-phase solve would run the primal simplex twice, on
+    # its phase-1 tableau first, and the dual simplex never.
+    calls = []
+    for name in ("_run_simplex", "_run_dual_simplex"):
+
+        def spy(*args, run=getattr(lp, name), name=name):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(lp, name, spy)
+    failed = []
+
+    def planner_solve(problem, start=None, kept=None):
+        calls.clear()
+        solution = solve_lp(problem, start=start, kept=kept)
+        if start is not None and kept is None and not solution.warm:
+            failed.append(tuple(calls))
+        return solution
+
+    monkeypatch.setattr(alp_module, "solve_lp", planner_solve)
+    run = resolve_run(ExperimentConfig(scenario="web-dh-postgres", seed=0))
+    env = MTDEnvironment(run.domain, run.scenario, run.start_state)
+    ata_fmdp_run(run.domain, env, run.timesteps, np.random.default_rng(0))
+    assert len(failed) > 100
+    assert Counter(failed) == {("_run_dual_simplex", "_run_simplex"): len(failed)}
 
 
 def test_a_cold_solve_carries_a_certificate():
@@ -1475,20 +1511,25 @@ def test_every_optimal_x_is_solved_from_its_certificate(monkeypatch, dual_restar
 
 def test_a_failed_recheck_and_its_dual_restart_give_one_x_per_basis():
     # Only the bounds moved, so the carried basis of a failed warm re-check is
-    # still dual feasible, and a dual restart from it reaches an optimum too.
+    # still dual feasible, and the dual restart from it reaches an optimum.
     # On web-dh-postgres it ends on the two-phase solve's basis, with bitwise
-    # its x, or at another optimal vertex at the same objective.
-    def restart(problem, cert):
-        return lp._dual_restart(problem, cert, np.arange(problem.n_rows))
+    # its x, or at another optimal vertex at the same objective; a run's
+    # steps.csv rows change only from a re-plan that ended at another vertex.
+    def two_phase(problem, cert):
+        return solve_lp(problem)
 
-    audits = audit_solves(["web-dh-postgres"], range(3), [1.0, 0.5], restart)
+    audits = audit_solves(["web-dh-postgres"], range(3), [1.0, 0.5], two_phase)
     solves = [solve for audit in audits for solve in audit.solves]
     verdicts = Counter(solve.verdict for solve in solves)
     assert set(verdicts) <= {"same x", "other vertex"}, verdicts
     assert max(solve.gap for solve in solves) <= 1e-9
     assert verdicts["same x"] > 1000 and verdicts["other vertex"] > 0, verdicts
+    for audit in audits:
+        if audit.diverges_at is not None:
+            first = next(solve for solve in audit.solves if solve.verdict != "same x")
+            assert first.step <= audit.diverges_at
     pivots = [sum(solve.pivots[i] for solve in solves) for i in (0, 1)]
-    print(f"audit: {dict(verdicts)}; pivots two-phase {pivots[0]}, restart {pivots[1]}; "
+    print(f"audit: {dict(verdicts)}; pivots restart {pivots[0]}, two-phase {pivots[1]}; "
           f"first divergent step per run {[audit.diverges_at for audit in audits]}")
 
 
@@ -1582,3 +1623,23 @@ def test_the_replan_path_reads_extremes_by_index_not_by_ufunc_reduction(monkeypa
         est.update(tau, state, action, phi=1)
         table, reductions = ufunc_reductions(est.posterior_table)
         assert reductions == ["add"] and table is not kept
+
+
+def test_a_moved_replan_scores_its_greedy_policy_without_a_ufunc_reduction(monkeypatch):
+    # The web planner's 4x4 score table is under alp.SMALL_TABLE entries, so
+    # greedy_actions takes its row loop on Python floats, with none of the two
+    # row reductions' per-call cost.
+    reductions = []
+
+    def profiled(problem, weights):
+        moved = problem.policy is None
+        policy, names = ufunc_reductions(extract_policy, problem, weights)
+        if moved:
+            reductions.append(names)
+        return policy
+
+    monkeypatch.setattr(strategies_module, "extract_policy", profiled)
+    run = resolve_run(ExperimentConfig(scenario="web-evolving", seed=0))
+    env = MTDEnvironment(run.domain, run.scenario, run.start_state)
+    ata_fmdp_run(run.domain, env, run.timesteps, np.random.default_rng(0))
+    assert len(reductions) > 100 and all(names == [] for names in reductions)
