@@ -88,13 +88,14 @@ class Basis:
 
 def build_basis(space: ConfigSpace) -> Basis:
     """Default factored basis: one bias plus one indicator per (factor, value)."""
-    names = ["bias"]
-    columns = [np.ones(space.n_configs)]
-    for f, factor in enumerate(space.factors):
-        for value in factor.values:
-            names.append(f"{factor.name}={value}")
-            columns.append(np.array([float(config[f] == value) for config in space.configs]))
-    return Basis(tuple(names), np.column_stack(columns))
+    names = ["bias"] + [f"{f.name}={value}" for f in space.factors for value in f.values]
+    sizes = [len(f.values) for f in space.factors]
+    # Factor f's value index in each configuration (C order), offset to its first column.
+    values = np.indices(sizes).reshape(len(sizes), -1).T + np.cumsum([1] + sizes[:-1])
+    activations = np.zeros((space.n_configs, len(names)))
+    activations[:, 0] = 1.0
+    activations[np.arange(space.n_configs)[:, None], values] = 1.0
+    return Basis(tuple(names), activations)
 
 
 def build_state_basis(space: ConfigSpace) -> Basis:
@@ -230,9 +231,10 @@ def solve_alp(alp: ALProblem) -> np.ndarray:
         if not violated.size:
             break
         # The S most violated; a stable sort keeps the lowest of tied rows first.
-        violated = violated[np.argsort(-violation[violated], kind="stable")[:S]]
-        grown = np.sort(np.concatenate([rows, violated]))  # disjoint: rows were masked
-        rows, start, kept = grown, sol, np.searchsorted(grown, rows)
+        violated = violated[(-violation[violated]).argsort(kind="stable")[:S]]
+        grown = np.concatenate([rows, violated])  # disjoint: rows were masked
+        grown.sort()
+        rows, start, kept = grown, sol, grown.searchsorted(rows)
     alp.working_set = _read_only(rows)
     alp.lp_solution = sol
     alp.weights = _read_only(np.ldexp(sol.x, e))
@@ -269,10 +271,12 @@ def greedy_actions(scores: np.ndarray) -> np.ndarray:
     """
     if not 0 < scores.size < SMALL_TABLE:
         best = np.maximum.reduce(scores, axis=1, keepdims=True)  # ndarray.max, without its wrapper
-        band = best - np.minimum.reduce(scores, axis=1, keepdims=True)
-        band *= TIE_TOL
-        band += TIE_ULPS * np.spacing(np.abs(best))
-        return (scores >= best - band).argmax(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as the loop is
+            band = best - np.minimum.reduce(scores, axis=1, keepdims=True)
+            band *= TIE_TOL
+            band += TIE_ULPS * np.spacing(np.abs(best))
+            floor = best - band
+        return (scores >= floor).argmax(axis=1)
     actions = []
     for row in scores.tolist():
         total = sum(row)

@@ -140,22 +140,24 @@ def make_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> DomainInf
     space = ConfigSpace(
         tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
     )
-    # online[c, i]: node i is online in configuration c; every table derives from it.
-    online = np.array([[v == NODE_ONLINE for v in config] for config in space.configs])
+    # online[c, i]: node i is online in configuration c (value 0 of its factor, in
+    # the C-order enumeration); every table derives from it.
+    online = np.indices((2,) * n_nodes).reshape(n_nodes, -1).T == 0
     # One call draws, for each source and each target, the rate and then the
     # loss: the same doubles, in the same order, as one scalar draw each.
     local = np.eye(n_nodes, dtype=bool)[:, :, None]  # (src, tgt, 1)
     low = np.where(local, (0.5, 60.0), (0.2, 60.0))  # (src, tgt, [rate, loss])
     high = np.where(local, (0.6, 70.0), (0.3, 70.0))
-    params = rng.uniform(low, high).tolist()
-    types = []
-    for src in range(n_nodes):
-        for tgt in range(n_nodes):
-            rate, loss = params[src][tgt]
-            hit = online[:, tgt]  # the type lands only where its target is online
-            types.append(AttackerTypeSpec(f"src{src}-tgt{tgt}", False, rate * hit, loss * hit))
-    types.append(AttackerTypeSpec("unknown", True, 1.0 * online[:, 0], 100.0 * online[:, 0]))
+    params = rng.uniform(low, high).reshape(n_nodes * n_nodes, 2)
     on = online.astype(float)
+    # Row src * n + tgt: a type lands only where its target is online.
+    hits = np.tile(on.T, (n_nodes, 1))
+    mu, loss = params[:, :1] * hits, params[:, 1:] * hits
+    types = [
+        AttackerTypeSpec(f"src{i // n_nodes}-tgt{i % n_nodes}", False, mu[i], loss[i])
+        for i in range(n_nodes * n_nodes)
+    ]
+    types.append(AttackerTypeSpec("unknown", True, on[:, 0], 100.0 * on[:, 0]))
     sc = OFFLINE_COST * (on @ (1.0 - on).T)  # nodes online in s and offline in a
     return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA)
 

@@ -9,8 +9,11 @@ loop must match pivot for pivot.  ``reference_dual_feasible`` proves a
 solution's basis dual feasible on a standard form it builds itself, solving
 for the row duals that the solver never computes, and ``certified_x`` solves
 a solution's certificate for its vertex through ``np.linalg.solve``.
-``audit_solves`` sets another solver path beside each failed warm re-check
-of ``ata-fmdp`` runs and reports where the two part.  ``reference_step`` is the
+``reference_restart_tableau`` builds a dual restart's starting tableau by
+one Gauss-Jordan pivot per basic structural column, which the solver's
+block elimination must match, and ``reference_dual_restart`` restarts from
+it.  ``audit_solves`` sets another solver path beside each failed warm
+re-check of ``ata-fmdp`` runs and reports where the two part.  ``reference_step`` is the
 environment step that draws the type with ``Generator.choice(p=)`` and
 computes the reward on the domain's arrays.  The posterior oracle is the
 estimator's belief table computed cell by cell, with the capability mask and
@@ -143,6 +146,44 @@ def dense_pivot(tab: np.ndarray, row: int, col: int) -> None:
     factors = tab[:, col].copy()
     factors[row] = 0.0
     tab -= np.outer(factors, tab[row])
+
+
+def reference_restart_tableau(
+    problem: LPProblem, cert: lp.Certificate, kept: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``lp._restart_tableau`` by pivoting: ``(A, tab, basis)``, or None.
+
+    From the all-slack tableau, one ``lp._pivot`` per basic structural column
+    of ``cert``, in ascending order, each on the still unused tight row
+    (kept[cert.tight]) with the largest entry: Gauss-Jordan with partial
+    pivoting on the tight system.  None when no such entry exceeds
+    ``FEAS_TOL``.  A row's basic column may differ from the solver's; the
+    tableau's rows, read by their basic columns, may not.
+    """
+    A, c_u = lp._standard_form(problem)
+    n_u, m = c_u.size, problem.n_rows
+    tab = np.zeros((m + 1, n_u + m + 1))
+    tab[:m, :n_u] = A
+    tab[np.arange(m), n_u + np.arange(m)] = 1.0
+    tab[:m, -1] = problem.bounds
+    tab[-1, :n_u] = c_u
+    basis = np.arange(n_u, n_u + m)
+    tight = kept[cert.tight].tolist()
+    for j in cert.J.tolist():
+        entries = np.abs(tab[tight, j])
+        best = int(entries.argmax())
+        if not entries[best] > FEAS_TOL:
+            return None
+        row = tight.pop(best)
+        lp._pivot(tab, row, j)
+        basis[row] = j
+    return A, tab, basis
+
+
+def reference_dual_restart(problem: LPProblem, cert: lp.Certificate, kept: np.ndarray):
+    """``lp._dual_restart`` from ``reference_restart_tableau``'s tableau."""
+    start = reference_restart_tableau(problem, cert, kept)
+    return None if start is None else lp._dual_simplex_from(problem, *start)
 
 
 def reference_run_simplex(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int]:

@@ -107,6 +107,19 @@ def test_basis_describe_names_factor_and_value():
     assert build_state_basis(web.space).names[:2] == ("bias", "language=PHP,database=MySQL")
 
 
+@pytest.mark.parametrize("sizes", [(1,), (4,), (2, 2), (2, 3, 2), (3, 1, 2), (2,) * 6])
+def test_factored_basis_is_bitwise_the_per_value_loop(sizes):
+    space = small_space(sizes)
+    names, columns = ["bias"], [np.ones(space.n_configs)]
+    for f, factor in enumerate(space.factors):
+        for value in factor.values:
+            names.append(f"{factor.name}={value}")
+            columns.append(np.array([float(config[f] == value) for config in space.configs]))
+    basis, want = build_basis(space), np.column_stack(columns)
+    assert basis.names == tuple(names)
+    assert basis.activations.shape == want.shape and basis.activations.tobytes() == want.tobytes()
+
+
 def test_activation_matrix_rows_mark_matching_factor_values():
     web = make_web_app_domain()
     B = build_basis(web.space).activations
@@ -610,15 +623,15 @@ def test_small_greedy_tables_hold_signed_zeros_infinities_and_nans(monkeypatch):
     rows += [list(rng.choice(specials, size=4)) for _ in range(600)]
     rows += [[1.0, np.nan, 2.0, 3.0], [3.0, 2.0, np.nan, 1.0], [-0.0, 0.0, -0.0, 0.0]]
     rows += [[1.0, 2.0, np.inf, -np.inf], [0.0, 2.0**1023, np.finfo(float).max, 1.0]]
-    with np.errstate(invalid="ignore", over="ignore"):  # numpy warns where the loop does not
-        for width in (2, 4):
-            table = np.array([row for row in rows if len(row) == width])
-            for start in range(0, len(table), 16 // width):
-                scores = table[start : start + 16 // width]
-                small = greedy_by_both_paths(monkeypatch, scores)
-                assert small.tobytes() == reference_greedy_actions(scores).tobytes(), scores
-        for row in ([1.0, np.nan, 2.0], [2.0, 1.0, np.inf], [2.0, -np.inf, 3.0]):
-            assert greedy_actions(np.array([row])).tolist() == [0]
+    # Both paths are silent (pytest turns a warning into an error).
+    for width in (2, 4):
+        table = np.array([row for row in rows if len(row) == width])
+        for start in range(0, len(table), 16 // width):
+            scores = table[start : start + 16 // width]
+            small = greedy_by_both_paths(monkeypatch, scores)
+            assert small.tobytes() == reference_greedy_actions(scores).tobytes(), scores
+    for row in ([1.0, np.nan, 2.0], [2.0, 1.0, np.inf], [2.0, -np.inf, 3.0]):
+        assert greedy_actions(np.array([row])).tolist() == [0]
     assert greedy_actions(np.array([[-0.0, 0.0, -1e-320]])).tolist() == [0]
 
 

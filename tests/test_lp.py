@@ -42,6 +42,8 @@ from oracles import (
     enumerate_vertices,
     random_box_lp,
     reference_dual_feasible,
+    reference_dual_restart,
+    reference_restart_tableau,
     reference_run_simplex,
 )
 
@@ -1534,13 +1536,216 @@ def test_a_failed_recheck_and_its_dual_restart_give_one_x_per_basis():
 
 
 # ---------------------------------------------------------------------------
+# a restart's tableau by block elimination, against Gauss-Jordan pivots
+# ---------------------------------------------------------------------------
+
+
+def _pivot_path(monkeypatch, problem: LPProblem, start) -> tuple[list, object]:
+    """The dual simplex and primal pass from ``start``, ``(A, tab, basis)``: each
+    pivot's leaving and entering column, and the solution or the error raised."""
+    path, current, pivot = [], start[2].copy(), lp._pivot
+
+    def recorded(tab, row, col):
+        path.append((int(current[row]), col))
+        current[row] = col
+        pivot(tab, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", recorded)
+    try:
+        return path, lp._dual_simplex_from(problem, *start)
+    except lp.NumericalError as err:
+        return path, str(err)
+    finally:
+        monkeypatch.setattr(lp, "_pivot", pivot)
+
+
+def assert_restarts_agree(monkeypatch, problem: LPProblem, cert, kept: np.ndarray) -> int:
+    """The block-eliminated and the Gauss-Jordan restart tableau agree, row by basic
+    column, within 1e-12 of each column's largest entry, and the simplex from each
+    takes the same pivots to one answer, bitwise one x; returns the pivots."""
+    ours = lp._restart_tableau(problem, cert, kept)
+    theirs = reference_restart_tableau(problem, cert, kept)
+    assert ours is not None and theirs is not None
+    (_, tab, basis), (_, ref, ref_basis) = ours, theirs
+    assert sorted(basis.tolist()) == sorted(ref_basis.tolist())
+    mine, want = tab[np.append(basis.argsort(), -1)], ref[np.append(ref_basis.argsort(), -1)]
+    scale = np.maximum(np.abs(mine).max(axis=0), np.abs(want).max(axis=0))
+    assert (np.abs(mine - want) <= 1e-12 * scale).all()
+    (path, sol), (ref_path, ref_sol) = [_pivot_path(monkeypatch, problem, s) for s in (ours, theirs)]
+    assert path == ref_path
+    if isinstance(ref_sol, str):
+        assert sol == ref_sol
+    else:
+        assert (sol.status, sol.basis, sol.pivots) == (ref_sol.status, ref_sol.basis, ref_sol.pivots)
+        assert (sol.x is None and ref_sol.x is None) or sol.x.tobytes() == ref_sol.x.tobytes()
+    return len(path)
+
+
+def test_a_restart_tableau_is_the_gauss_jordan_one_on_random_lps(monkeypatch):
+    # Rows added to a solved subset, and bounds moved past a failed re-check.
+    rng, cases, pivots = np.random.default_rng(37), Counter(), Counter()
+    for _ in range(400):
+        problem = random_box_lp(rng)
+        m = problem.n_rows
+        kept = np.sort(rng.choice(m, size=int(rng.integers(1, m)), replace=False))
+        first = solve_lp(LPProblem(problem.c, problem.rows[kept], problem.bounds[kept]))
+        if first.status == OPTIMAL:
+            cases["added"] += 1
+            pivots["added"] += assert_restarts_agree(monkeypatch, problem, first.certificate, kept)
+        full = solve_lp(problem)
+        moved = LPProblem(problem.c, problem.rows, problem.bounds + rng.uniform(-0.5, 0.5, m))
+        if full.status == OPTIMAL and lp._primal_vertex(full.certificate, moved.bounds) is None:
+            cases["moved"] += 1
+            pivots["moved"] += assert_restarts_agree(monkeypatch, moved, full.certificate, np.arange(m))
+    assert min(cases.values()) > 100 and min(pivots.values()) > 100, (cases, pivots)
+
+
+def test_a_restart_tableau_is_the_gauss_jordan_one_on_cold_network_plans(monkeypatch):
+    restarts, restart = [], lp._dual_restart
+
+    def recorded(problem, cert, kept):
+        restarts.append((problem, cert, kept))
+        return restart(problem, cert, kept)
+
+    monkeypatch.setattr(lp, "_dual_restart", recorded)
+    for n_nodes in range(2, 7):
+        for seed in range(2):
+            domain = make_network_domain(np.random.default_rng(seed), n_nodes=n_nodes)
+            solve_alp(build_alp(domain, cold_posterior_table(domain)))
+    monkeypatch.setattr(lp, "_dual_restart", restart)
+    pivots = [assert_restarts_agree(monkeypatch, *case) for case in restarts]
+    assert len(restarts) >= 15 and sum(pivots) > 100, (len(restarts), sum(pivots))
+
+
+def test_a_restart_tableau_is_the_gauss_jordan_one_on_failed_rechecks(monkeypatch):
+    # Every failed re-check of web-dh-postgres, both constructions side by
+    # side, and the audit with the Gauss-Jordan restart as the alternative:
+    # each re-plan ends on the same basis with bitwise the same x, so no
+    # run's steps.csv rows change.
+    def gauss_jordan(problem, cert):
+        kept = np.arange(problem.n_rows)
+        assert_restarts_agree(monkeypatch, problem, cert, kept)
+        return reference_dual_restart(problem, cert, kept)
+
+    audits = audit_solves(["web-dh-postgres"], range(3), [1.0, 0.5], gauss_jordan)
+    solves = [solve for audit in audits for solve in audit.solves]
+    verdicts = Counter(solve.verdict for solve in solves)
+    assert verdicts == {"same x": len(solves)} and len(solves) > 1000, verdicts
+    assert all(solve.pivots[0] == solve.pivots[1] for solve in solves)
+    assert [audit.diverges_at for audit in audits] == [None] * 6
+    print(f"audit: {dict(verdicts)} over {len(audits)} runs; "
+          f"pivots {sum(solve.pivots[0] for solve in solves)} each way")
+
+
+def test_a_restart_builds_its_tableau_with_one_solve_and_no_pivot(monkeypatch):
+    # A deterministic work count for a cold 4-node plan (seed 0-2): every
+    # lp._pivot call, the restart's construction included, and the solve
+    # calls.  Each of the two restarts makes one solve and no pivot before its
+    # dual simplex; built by one Gauss-Jordan pivot per basic column, the
+    # plans over seeds 0-9 took 41.4 pivots on average, against 30.4.
+    counts = {}
+    for seed in range(3):
+        events = []
+        for name in ("_pivot", "_solve", "_restart_tableau", "_run_dual_simplex"):
+
+            def spy(*args, run=getattr(lp, name), name=name, **kwargs):
+                events.append(name)
+                return run(*args, **kwargs)
+
+            monkeypatch.setattr(lp, name, spy)
+        domain = make_network_domain(np.random.default_rng(seed), n_nodes=4)
+        solve_alp(build_alp(domain, cold_posterior_table(domain)))
+        monkeypatch.undo()
+        starts = [i for i, event in enumerate(events) if event == "_restart_tableau"]
+        assert len(starts) == 2
+        for i in starts:
+            assert events[i + 1 : events.index("_run_dual_simplex", i)] == ["_solve"]
+        counts[seed] = events.count("_pivot")
+    assert counts == {0: 29, 1: 29, 2: 29}
+
+
+# ---------------------------------------------------------------------------
+# per-solve assembly against its loop forms, bitwise
+# ---------------------------------------------------------------------------
+
+
+def _mixed_scale_lps(rng: np.random.Generator, count: int) -> list[LPProblem]:
+    """Random box LPs whose rows, costs and bounds hold +0.0 and -0.0, and whose
+    other entries span 2^-20..2^20."""
+    problems = []
+    for _ in range(count):
+        lp_ = random_box_lp(rng)
+        arrays = []
+        for value in (lp_.c, lp_.rows, lp_.bounds):
+            value = value * np.exp2(rng.integers(-20, 21, size=value.shape))
+            zeros = rng.random(value.shape) < 0.15
+            value[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            arrays.append(value)
+        problems.append(LPProblem(*arrays))
+    return problems
+
+
+def test_the_standard_form_is_bitwise_its_strided_update_form():
+    for problem in _mixed_scale_lps(np.random.default_rng(53), 300):
+        A, c = lp._standard_form(problem)
+        want_A = np.repeat(problem.rows, 2, axis=1)
+        want_A[:, 1::2] *= -1.0
+        want_c = np.repeat(problem.c, 2)
+        want_c[1::2] *= -1.0
+        assert A.shape == want_A.shape and A.tobytes() == want_A.tobytes()
+        assert c.shape == want_c.shape and c.tobytes() == want_c.tobytes()
+
+
+def test_both_phases_price_their_cost_rows_bitwise_as_the_row_loops(monkeypatch):
+    # The phase-1 cost row subtracts the flipped rows from 0, the phase-2 one
+    # each costed basic row's multiple from the costs, one row at a time;
+    # both are a single ordered reduction.  Checked on the tableaux as the
+    # simplex receives them.
+    entries, run = [], lp._run_simplex
+
+    def captured(tab, basis, max_iter):
+        entries.append((tab.copy(), basis.copy()))
+        return run(tab, basis, max_iter)
+
+    monkeypatch.setattr(lp, "_run_simplex", captured)
+    phases = Counter()
+    for problem in _mixed_scale_lps(np.random.default_rng(59), 300):
+        entries.clear()
+        try:
+            solve_lp(problem)
+        except lp.NumericalError:
+            pass
+        A, c_u = lp._standard_form(problem)
+        m, n_u = A.shape
+        tab, basis = entries[0]
+        flip = np.flatnonzero(basis >= n_u + m)
+        want = np.zeros(tab.shape[1])
+        for r in flip:
+            want[:n_u] -= tab[r, :n_u]
+            want[-1] -= tab[r, -1]
+        want[n_u + flip] = 1.0
+        assert tab[-1].tobytes() == want.tobytes()
+        phases[1] += flip.size > 1
+        if len(entries) == 2:
+            tab, basis = entries[1]
+            c_full = np.concatenate([c_u, np.zeros(m)])
+            zrow = np.concatenate([c_full, [0.0]])
+            for r in np.flatnonzero(c_full[basis]):
+                zrow -= c_full[basis[r]] * tab[r]
+            assert tab[-1].tobytes() == zrow.tobytes()
+            phases[2] += np.count_nonzero(c_full[basis]) > 1
+    assert min(phases.values()) > 50, phases
+
+
+# ---------------------------------------------------------------------------
 # numpy's private entry points against their public wrappers
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["web-factored", "net4"])
 def test_the_private_numpy_entry_points_are_bitwise_their_public_wrappers(monkeypatch, name):
-    # lp calls the LAPACK gufunc behind np.linalg.solve, and domain the C
+    # lp calls the LAPACK gufuncs behind np.linalg.solve (one right-hand
+    # side for an x, a block of them for a restart), and domain the C
     # function behind np.einsum(optimize=False), without their wrappers; the
     # policy's successor values and the most-adverse attacker's damage take
     # ndarray.dot, the BLAS call behind @ without the matmul ufunc.  A numpy
@@ -1553,6 +1758,11 @@ def test_the_private_numpy_entry_points_are_bitwise_their_public_wrappers(monkey
         cert = sol.certificate
         for b in (problem.bounds[cert.tight], rng.normal(size=len(cert.tight))):
             got = lp._solve1(cert.square, b, signature="dd->d")
+            assert got.tobytes() == np.linalg.solve(cert.square, b).tobytes()
+        k, A = len(cert.tight), lp._standard_form(problem)[0]
+        block = np.column_stack([A[cert.tight], np.eye(k), problem.bounds[cert.tight]])
+        for b in (block, rng.normal(size=block.shape)):  # a restart's block, and another
+            got = lp._solve(cert.square, b, signature="dd->d")
             assert got.tobytes() == np.linalg.solve(cert.square, b).tobytes()
     domain = make_web_app_domain() if name == "web-factored" else (
         make_network_domain(np.random.default_rng(0), n_nodes=4)
