@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +72,7 @@ from .lp import FEAS_TOL, OPTIMAL, LPProblem, LPSolution, NumericalError, solve_
 TIE_TOL = 1e-9  # share of a row's score spread under which greedy actions count as tied
 TIE_ULPS = 64  # the tie band's rounding floor, in ulps of the row's best score
 SMALL_TABLE = 64  # score tables of fewer entries take their greedy actions on Python floats
+BASIS_CACHE_SIZE = 32  # configuration spaces whose factored basis build_basis keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +81,29 @@ class Basis:
 
     ``activations[s, i]`` is 1 when function ``i`` is active at configuration
     ``s`` and 0 otherwise; ``names[i]`` describes function ``i``.  Function 0
-    is the constant bias.
+    is the constant bias.  ``build_basis`` shares one read-only basis between
+    equal configuration spaces.
     """
 
     names: tuple[str, ...]
     activations: np.ndarray  # (S, k)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def build_basis(space: ConfigSpace) -> Basis:
-    """Default factored basis: one bias plus one indicator per (factor, value)."""
+    """Default factored basis: one bias plus one indicator per (factor, value).
+
+    The basis follows from the factors alone, so it is built once per
+    configuration space and shared: every call with an equal space (equal
+    factors) returns the same ``Basis``, whose activations are read-only.
+    The last ``BASIS_CACHE_SIZE`` spaces are kept; a basis holds S * k
+    floats, never S^2.
+    """
     names = ["bias"] + [f"{f.name}={value}" for f in space.factors for value in f.values]
     sizes = [len(f.values) for f in space.factors]
     # Factor f's value index in each configuration (C order), offset to its first column.
@@ -95,7 +111,7 @@ def build_basis(space: ConfigSpace) -> Basis:
     activations = np.zeros((space.n_configs, len(names)))
     activations[:, 0] = 1.0
     activations[np.arange(space.n_configs)[:, None], values] = 1.0
-    return Basis(tuple(names), activations)
+    return Basis(tuple(names), _read_only(activations))
 
 
 def build_state_basis(space: ConfigSpace) -> Basis:
@@ -126,11 +142,6 @@ class ALProblem:
     lp_solution: LPSolution | None = None  # over working_set, x and bounds in the unit 2^e
     weights: np.ndarray | None = None  # set by solve_alp
     policy: np.ndarray | None = None  # set by extract_policy from ``weights``
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def build_alp(

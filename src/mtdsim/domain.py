@@ -70,11 +70,12 @@ class ConfigSpace:
 
     Configurations are enumerated in C order (last factor varies fastest);
     the flat index of a configuration is its position in that enumeration.
-    The labels and the label -> index map are built once, here.
+    The labels and the label -> index map are built once, here.  Two spaces
+    are equal, and hash alike, when their factors are: the rest follows.
     """
 
     factors: tuple[FactorSpec, ...]
-    configs: tuple[tuple[str, ...], ...] = field(init=False)
+    configs: tuple[tuple[str, ...], ...] = field(init=False, compare=False)
     _labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _label_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -137,12 +138,28 @@ class AttackerTypeSpec:
         object.__setattr__(self, "loss", loss)
         if mu.shape != loss.shape:
             raise DomainError(f"type {self.id!r}: mu and loss shapes differ")
-        # One least and one greatest entry per array; a NaN gives NaN, which fails
-        # every comparison.
-        if not (extremum(mu, 0.0) >= 0.0 and extremum(mu, 1.0, greatest=True) <= 1.0):
-            raise DomainError(f"type {self.id!r}: mu must lie in [0, 1]")
-        if not (extremum(loss, 0.0) >= 0.0 and extremum(loss, 0.0, greatest=True) < np.inf):
-            raise DomainError(f"type {self.id!r}: losses must be finite and >= 0")
+        _check_type_tables((self.id,), mu, loss)
+
+    @classmethod
+    def from_tables(
+        cls, ids: tuple[str, ...], unknown: tuple[bool, ...], mu: np.ndarray, loss: np.ndarray
+    ) -> tuple["AttackerTypeSpec", ...]:
+        """One type per row of the float64 (k, S) tables ``mu`` and ``loss``.
+
+        The tables get the range checks of a type's own construction once,
+        whole (``_check_type_tables``), and each type then holds its rows,
+        views of the tables, unchecked; ``ids`` must be strings and
+        ``unknown`` booleans, as the constructor would require.
+        """
+        if not (mu.ndim == 2 and mu.shape == loss.shape and len(mu) == len(ids) == len(unknown)):
+            raise DomainError("type tables must hold one row per type, mu and loss alike")
+        _check_type_tables(ids, mu, loss)
+        types = []
+        for type_id, is_unknown, mu_row, loss_row in zip(ids, unknown, mu, loss):
+            spec = object.__new__(cls)  # the frozen fields, without __post_init__'s checks
+            spec.__dict__.update(id=type_id, is_unknown=is_unknown, mu=mu_row, loss=loss_row)
+            types.append(spec)
+        return tuple(types)
 
     @classmethod
     def from_maps(
@@ -159,6 +176,30 @@ class AttackerTypeSpec:
             for label, value in values.items():
                 table[space.index_of_label(label)] = json_number(value, f"{type_id} {name}")
         return cls(type_id, is_unknown, mu, loss)
+
+
+def _check_type_tables(ids: tuple[str, ...], mu: np.ndarray, loss: np.ndarray) -> None:
+    """Raise ``DomainError`` for the first type whose rates leave [0, 1] or whose
+    losses are not finite and >= 0; a type whose rates fail is named for them.
+
+    ``mu`` and ``loss`` hold one row per id (any shape for one id).  Four
+    whole-array extremes decide; a NaN gives NaN, which fails every
+    comparison.  Only tables that fail are searched row by row for the type.
+    """
+    if (
+        extremum(mu, 0.0) >= 0.0
+        and extremum(mu, 1.0, greatest=True) <= 1.0
+        and extremum(loss, 0.0) >= 0.0
+        and extremum(loss, 0.0, greatest=True) < np.inf
+    ):
+        return
+    k = len(ids)
+    bad_mu = ~((mu >= 0.0) & (mu <= 1.0)).reshape(k, -1).all(axis=1)
+    bad_loss = ~((loss >= 0.0) & (loss < np.inf)).reshape(k, -1).all(axis=1)
+    first = int((bad_mu | bad_loss).argmax())
+    if bad_mu[first]:
+        raise DomainError(f"type {ids[first]!r}: mu must lie in [0, 1]")
+    raise DomainError(f"type {ids[first]!r}: losses must be finite and >= 0")
 
 
 @dataclass

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +123,52 @@ NODE_OFFLINE = "0"
 OFFLINE_COST = 50.0
 
 
+# Node counts whose network structure ``make_network_domain`` keeps; each entry
+# is O(n^2 * 2^n) floats, about 4.8 MB at 12 nodes and nothing S^2-sized.
+NETWORK_CACHE_SIZES = 16
+
+
+class _NetworkStructure(NamedTuple):
+    """What the n-node network domain takes from its node count alone; arrays read-only."""
+
+    space: ConfigSpace
+    low: np.ndarray  # (src, tgt, [rate, loss]): the draws' lower bounds
+    high: np.ndarray  # and upper bounds
+    hits: np.ndarray  # (n^2 + 1, S): 1.0 where the type can land, the unknown's row last
+    online: np.ndarray  # (S, n): 1.0 where node i is online in configuration c
+    offline: np.ndarray  # (n, S): 1.0 where node i is offline in configuration c
+    ids: tuple[str, ...]
+    unknown: tuple[bool, ...]
+
+
+@lru_cache(maxsize=NETWORK_CACHE_SIZES)
+def _network_structure(n_nodes: int) -> _NetworkStructure:
+    space = ConfigSpace(
+        tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
+    )
+    # online[c, i]: node i is online in configuration c (value 0 of its factor, in
+    # the C-order enumeration); every table derives from it.
+    online = np.indices((2,) * n_nodes).reshape(n_nodes, -1).T == 0
+    local = np.eye(n_nodes, dtype=bool)[:, :, None]  # (src, tgt, 1)
+    low = np.where(local, (0.5, 60.0), (0.2, 60.0))  # (src, tgt, [rate, loss])
+    high = np.where(local, (0.6, 70.0), (0.3, 70.0))
+    on = online.astype(float)
+    # Row src * n + tgt: a type lands only where its target is online; the
+    # unknown type wherever node 0 is.
+    hits = np.vstack((np.tile(on.T, (n_nodes, 1)), on[:, 0]))
+    offline = (1.0 - on).T
+    for array in (low, high, hits, on, offline):
+        array.flags.writeable = False
+    ids = tuple(f"src{i // n_nodes}-tgt{i % n_nodes}" for i in range(n_nodes * n_nodes))
+    return _NetworkStructure(
+        space, low, high, hits, on, offline, (*ids, "unknown"), (False,) * len(ids) + (True,)
+    )
+
+
+# The unknown type's rate and loss where it lands, after the drawn (rate, loss) rows.
+_UNKNOWN_DRAW = np.array([[1.0, 100.0]])
+
+
 def make_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> DomainInfo:
     """A network of binary nodes (online/offline) under source/target attackers.
 
@@ -134,32 +181,26 @@ def make_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> DomainInf
     Taking a node offline costs 50: sc(s, a) = 50 * (number of nodes online in
     ``s`` and offline in ``a``) at weight 1.  Parameters are drawn once, at construction.
     ``n_nodes`` is an integer by ``is_index``.
+
+    What follows from ``n_nodes`` alone is built once per node count and
+    shared: every n-node domain holds the same ``ConfigSpace`` object, and
+    the node masks, the pattern of configurations each type can hit and the
+    draws' bounds are kept, read-only, for the last ``NETWORK_CACHE_SIZES``
+    node counts.  A call computes only its draws, the rate and loss tables
+    (checked once, whole, by ``AttackerTypeSpec.from_tables``) and ``sc``,
+    which is S^2 and never kept.
     """
     if not (is_index(n_nodes) and n_nodes >= 1):
         raise DomainError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
-    space = ConfigSpace(
-        tuple(FactorSpec(f"node{i}", (NODE_ONLINE, NODE_OFFLINE)) for i in range(n_nodes))
-    )
-    # online[c, i]: node i is online in configuration c (value 0 of its factor, in
-    # the C-order enumeration); every table derives from it.
-    online = np.indices((2,) * n_nodes).reshape(n_nodes, -1).T == 0
+    net = _network_structure(int(n_nodes))
     # One call draws, for each source and each target, the rate and then the
     # loss: the same doubles, in the same order, as one scalar draw each.
-    local = np.eye(n_nodes, dtype=bool)[:, :, None]  # (src, tgt, 1)
-    low = np.where(local, (0.5, 60.0), (0.2, 60.0))  # (src, tgt, [rate, loss])
-    high = np.where(local, (0.6, 70.0), (0.3, 70.0))
-    params = rng.uniform(low, high).reshape(n_nodes * n_nodes, 2)
-    on = online.astype(float)
-    # Row src * n + tgt: a type lands only where its target is online.
-    hits = np.tile(on.T, (n_nodes, 1))
-    mu, loss = params[:, :1] * hits, params[:, 1:] * hits
-    types = [
-        AttackerTypeSpec(f"src{i // n_nodes}-tgt{i % n_nodes}", False, mu[i], loss[i])
-        for i in range(n_nodes * n_nodes)
-    ]
-    types.append(AttackerTypeSpec("unknown", True, on[:, 0], 100.0 * on[:, 0]))
-    sc = OFFLINE_COST * (on @ (1.0 - on).T)  # nodes online in s and offline in a
-    return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA)
+    draws = np.concatenate((rng.uniform(net.low, net.high).reshape(-1, 2), _UNKNOWN_DRAW))
+    mu, loss = draws[:, :1] * net.hits, draws[:, 1:] * net.hits
+    types = AttackerTypeSpec.from_tables(net.ids, net.unknown, mu, loss)
+    sc = net.online.dot(net.offline)  # nodes online in s and offline in a
+    sc *= OFFLINE_COST
+    return DomainInfo(net.space, types, sc, WEB_M, WEB_GAMMA)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,9 @@ class ThreatEstimator:
         n_capable = capable.sum(axis=0)  # (A,)
         fallback = np.divide(capable, n_capable, out=np.zeros(eff.shape), where=n_capable > 0)
         self._fallback = np.repeat(fallback[:, None, :], s, axis=1)  # (n_types, S, A)
+        self._fallback.flags.writeable = False  # handed out as the table while no count lives
         self._table: np.ndarray | None = None  # the table last handed out
-        self._recount()
+        self._least, self._stale = math.inf, True  # no live count: _recount's result, unscanned
 
     @property
     def counts(self) -> np.ndarray:
@@ -206,24 +207,34 @@ class ThreatEstimator:
 
         The same object is returned until an update moves the belief: a
         stale table is rebuilt, and a rebuild equal to the table last handed
-        out is dropped in favour of that table.  Raises ``DomainError`` when
+        out is dropped in favour of that table.  While no count is live (a
+        fresh estimator, or every count snapped to zero) every cell falls
+        back, and the table is the fallback itself, built once at
+        construction and never written: no count is scored, and it is
+        bitwise the table scoring would give.  Raises ``DomainError`` when
         the scores of a cell sum past float range.
         """
         if self._stale:
-            if self._top <= self._safe_entry:
-                scores, totals = self._scores()
-            else:  # a score or a total may pass float range; the scale is 1 here
-                with np.errstate(over="ignore"):
-                    scores, totals = self._scores()
-                if not extremum(totals, 0.0, greatest=True) < math.inf:
-                    self._overflowed(scores, totals)
-            table = np.divide(scores, totals, out=self._fallback.copy(), where=totals > 0.0)
+            table = self._fallback if self._least == math.inf else self._rebuild()
             # The table holds no NaN and no -0.0, so its bytes decide what == would.
-            if self._table is None or table.tobytes() != self._table.tobytes():
+            if self._table is None or (
+                table is not self._table and table.tobytes() != self._table.tobytes()
+            ):
                 table.flags.writeable = False
                 self._table = table
             self._stale = False
         return self._table
+
+    def _rebuild(self) -> np.ndarray:
+        """The belief table of live counts: scores over totals, the fallback where none scores."""
+        if self._top <= self._safe_entry:
+            scores, totals = self._scores()
+        else:  # a score or a total may pass float range; the scale is 1 here
+            with np.errstate(over="ignore"):
+                scores, totals = self._scores()
+            if not extremum(totals, 0.0, greatest=True) < math.inf:
+                self._overflowed(scores, totals)
+        return np.divide(scores, totals, out=self._fallback.copy(), where=totals > 0.0)
 
     def _scores(self) -> tuple[np.ndarray, np.ndarray]:
         """The (n_types, S, A) scores n / rate and their (S, A) totals over the types.

@@ -22,7 +22,8 @@ defender's loop re-planning at every scheduled step from that posterior
 oracle, with nothing kept between re-plans but the last LP solution.
 ``reference_network_domain`` builds the network domain configuration by
 configuration, with the switching costs counted from a (state, action, node)
-table.  ``recording`` makes an array that records every numpy call it takes
+table, and ``reference_basis`` the factored basis column by column, afresh
+on every call.  ``recording`` makes an array that records every numpy call it takes
 part in, so a test can tell that nothing compared it.  The bandit oracles are
 the ``fpl`` and ``eps-greedy`` selections and updates written with numpy's
 function wrappers, whole-array hit searches and numpy-scalar arithmetic.
@@ -99,6 +100,20 @@ def reference_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> Doma
     going_offline = online[:, None, :] & ~online[None, :, :]  # (S, A, nodes)
     sc = OFFLINE_COST * going_offline.sum(axis=2).astype(float)
     return DomainInfo(space, tuple(types), sc, WEB_M, WEB_GAMMA)
+
+
+def reference_basis(space: ConfigSpace) -> alp.Basis:
+    """``alp.build_basis`` built afresh, one column per (factor, value), never cached.
+
+    Column 0 is the bias; the column of value v of factor f is 1.0 at the
+    configurations whose f-th entry is v.  The activations stay writeable.
+    """
+    names, columns = ["bias"], [np.ones(space.n_configs)]
+    for f, factor in enumerate(space.factors):
+        for value in factor.values:
+            names.append(f"{factor.name}={value}")
+            columns.append(np.array([float(config[f] == value) for config in space.configs]))
+    return alp.Basis(tuple(names), np.column_stack(columns))
 
 
 def reference_dual_feasible(problem: LPProblem, solution: LPSolution) -> bool:

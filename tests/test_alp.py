@@ -6,6 +6,7 @@ invariants of the approximate solution (upper bound on the optimal values,
 shift covariance, feasibility of the returned weights).
 """
 
+import dataclasses
 import json
 import math
 from itertools import product
@@ -49,7 +50,7 @@ from mtdsim.harness import (
 )
 from mtdsim.estimator import ThreatEstimator
 from mtdsim.lp import FEAS_TOL, OPTIMAL, LPProblem, NumericalError, solve_lp
-from oracles import recording, reference_greedy_actions
+from oracles import recording, reference_basis, reference_greedy_actions
 
 
 def small_space(sizes=(2, 3, 2)) -> ConfigSpace:
@@ -110,14 +111,49 @@ def test_basis_describe_names_factor_and_value():
 @pytest.mark.parametrize("sizes", [(1,), (4,), (2, 2), (2, 3, 2), (3, 1, 2), (2,) * 6])
 def test_factored_basis_is_bitwise_the_per_value_loop(sizes):
     space = small_space(sizes)
-    names, columns = ["bias"], [np.ones(space.n_configs)]
-    for f, factor in enumerate(space.factors):
-        for value in factor.values:
-            names.append(f"{factor.name}={value}")
-            columns.append(np.array([float(config[f] == value) for config in space.configs]))
-    basis, want = build_basis(space), np.column_stack(columns)
-    assert basis.names == tuple(names)
-    assert basis.activations.shape == want.shape and basis.activations.tobytes() == want.tobytes()
+    basis, want = build_basis(space), reference_basis(space)
+    assert basis.names == want.names
+    assert basis.activations.shape == want.activations.shape
+    assert basis.activations.tobytes() == want.activations.tobytes()
+
+
+def test_equal_spaces_share_one_read_only_basis():
+    webs = (make_web_app_domain(), make_web_app_domain(unknown_variant="pg-only-dh"))
+    nets = tuple(make_network_domain(np.random.default_rng(seed), n_nodes=4) for seed in (0, 1))
+    for first, second in (webs, nets):
+        basis = build_basis(first.space)
+        assert build_basis(second.space) is basis
+        assert build_basis(ConfigSpace(first.space.factors)) is basis  # equal, not the same
+        assert not basis.activations.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis.activations[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.activations = basis.activations.copy()
+    assert build_basis(webs[0].space) is not build_basis(nets[0].space)
+    assert build_basis(small_space()) is not build_basis(small_space((2, 3, 3)))
+
+
+@pytest.mark.parametrize("domain_name", ["web", "pg-only-dh", "net4-seed0", "net4-seed1"])
+def test_an_alp_on_the_shared_basis_is_bitwise_one_on_a_fresh_basis(domain_name):
+    domain = {
+        "web": make_web_app_domain,
+        "pg-only-dh": lambda: make_web_app_domain(unknown_variant="pg-only-dh"),
+        "net4-seed0": lambda: make_network_domain(np.random.default_rng(0), n_nodes=4),
+        "net4-seed1": lambda: make_network_domain(np.random.default_rng(1), n_nodes=4),
+    }[domain_name]()
+    rng = np.random.default_rng(5)
+    for posterior in (cold_posterior_table(domain), random_posterior_table(domain, rng)):
+        shared = build_alp(domain, posterior)
+        fresh = build_alp(domain, posterior, reference_basis(domain.space))
+        assert shared.basis is build_basis(domain.space)
+        assert shared.basis.names == fresh.basis.names
+        for name in ("c", "rows", "bounds"):
+            ours, theirs = getattr(shared.lp, name), getattr(fresh.lp, name)
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+        assert json.dumps(alp_to_dict(shared)) == json.dumps(alp_to_dict(fresh))  # dump-lp's text
+        weights, want = solve_alp(shared), solve_alp(fresh)
+        assert weights.tobytes() == want.tobytes()
+        assert extract_policy(shared, weights).tobytes() == extract_policy(fresh, want).tobytes()
 
 
 def test_activation_matrix_rows_mark_matching_factor_values():

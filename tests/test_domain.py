@@ -167,6 +167,89 @@ def test_type_rejects_each_bad_loss(bad):
         AttackerTypeSpec("bad", False, np.zeros(4), loss)
 
 
+def per_type_error(ids, mu, loss) -> str | None:
+    """The text of the first ``DomainError`` that constructing the types one by one raises."""
+    for type_id, mu_row, loss_row in zip(ids, mu, loss):
+        try:
+            AttackerTypeSpec(type_id, False, mu_row, loss_row)
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+class FixedDraws:
+    """Stands in for ``make_network_domain``'s generator: ``uniform`` hands back fixed draws."""
+
+    def __init__(self, draws: np.ndarray):
+        self.draws = draws
+
+    def uniform(self, low, high):
+        return self.draws.copy()
+
+
+# case -> (column of the drawn (rate, loss) pair, bad value, expected message tail)
+BAD_DRAWS = {
+    "rate above 1": (0, 1.5, "mu must lie in [0, 1]"),
+    "negative rate": (0, -0.25, "mu must lie in [0, 1]"),
+    "NaN rate": (0, np.nan, "mu must lie in [0, 1]"),
+    "negative loss": (1, -1.0, "losses must be finite and >= 0"),
+    "infinite loss": (1, np.inf, "losses must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DRAWS))
+def test_whole_tables_raise_the_per_type_text_for_the_first_offending_type(case):
+    column, bad, message = BAD_DRAWS[case]
+    n = 3
+    draws = np.random.default_rng(0).uniform((0.2, 60.0), (0.6, 70.0), size=(n, n, 2))
+    draws[1, 2, column] = bad  # type 5, src1-tgt2, is the first to offend
+    draws[2, 0, 1 - column] = -3.0  # type 6 offends in the other table too
+    # The network path: its tables checked whole, as make_network_domain checks its draws.
+    with np.errstate(invalid="ignore"):  # an infinite loss times an offline target is NaN
+        with pytest.raises(DomainError) as raised:
+            make_network_domain(FixedDraws(draws), n_nodes=n)
+    expected = f"type 'src1-tgt2': {message}"
+    assert str(raised.value) == expected
+    # The same tables checked whole and type by type.
+    net = make_network_domain(np.random.default_rng(0), n_nodes=n)
+    hits = net.mu_table > 0.0
+    with np.errstate(invalid="ignore"):
+        rates = np.append(draws[..., 0].reshape(-1), 1.0)[:, None] * hits
+        losses = np.append(draws[..., 1].reshape(-1), 100.0)[:, None] * hits
+    ids = tuple(net.type_ids())
+    flags = tuple(t.is_unknown for t in net.types)
+    with pytest.raises(DomainError) as whole:
+        AttackerTypeSpec.from_tables(ids, flags, rates, losses)
+    assert str(whole.value) == per_type_error(ids, rates, losses) == expected
+
+
+def test_a_type_bad_in_both_tables_is_named_for_its_rates_as_the_constructor_names_it():
+    ids, flags = ("fine", "both", "loss-only"), (False, False, False)
+    mu = np.array([[0.5, 0.0], [1.5, 0.2], [0.1, 0.1]])
+    loss = np.array([[1.0, 0.0], [-1.0, 2.0], [-5.0, 1.0]])
+    with pytest.raises(DomainError) as whole:
+        AttackerTypeSpec.from_tables(ids, flags, mu, loss)
+    assert str(whole.value) == per_type_error(ids, mu, loss) == "type 'both': mu must lie in [0, 1]"
+
+
+def test_whole_tables_of_good_rows_make_types_that_hold_their_rows():
+    net = make_network_domain(np.random.default_rng(4), n_nodes=3)
+    ids, flags = tuple(net.type_ids()), tuple(t.is_unknown for t in net.types)
+    types = AttackerTypeSpec.from_tables(ids, flags, net.mu_table, net.loss_table)
+    assert per_type_error(ids, net.mu_table, net.loss_table) is None
+    assert [t.id for t in types] == list(ids) and [t.is_unknown for t in types] == list(flags)
+    for i, spec in enumerate(types):
+        assert spec.mu.base is net.mu_table and spec.loss.base is net.loss_table
+        checked = dataclasses.replace(spec)  # through the constructor's own checks
+        assert spec.mu.tobytes() == checked.mu.tobytes() == net.types[i].mu.tobytes()
+        assert spec.loss.tobytes() == checked.loss.tobytes() == net.types[i].loss.tobytes()
+    for bad in ((ids[:-1], flags), (ids, flags[:-1])):
+        with pytest.raises(DomainError, match="one row per type"):
+            AttackerTypeSpec.from_tables(*bad, net.mu_table, net.loss_table)
+    with pytest.raises(DomainError, match="one row per type"):
+        AttackerTypeSpec.from_tables(ids, flags, net.mu_table, net.loss_table[:, :-1])
+
+
 def test_type_with_no_configurations_is_accepted():
     spec = AttackerTypeSpec("empty", False, np.zeros(0), np.zeros(0))
     assert spec.mu.shape == spec.loss.shape == (0,)

@@ -15,9 +15,11 @@ import pytest
 from mtdsim.domain import (
     AttackerTypeSpec, ConfigSpace, DomainError, DomainInfo, FactorSpec, save_domain
 )
+from mtdsim import environments
 from mtdsim.environments import (
     BUILTIN_SCENARIOS,
     MOST_ADVERSE,
+    NETWORK_CACHE_SIZES,
     STATIC_DIST,
     MTDEnvironment,
     Scenario,
@@ -186,10 +188,15 @@ def test_network_size_is_an_integer_of_at_least_one_node():
 @pytest.mark.parametrize("n_nodes", range(1, 9))
 def test_network_domain_is_bitwise_the_per_configuration_builder(n_nodes):
     # The domain draws its parameters in one call, the oracle one scalar at a time.
+    # After the first seed every build takes its structure from the warm cache.
+    space = None
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         net = make_network_domain(rng, n_nodes=n_nodes)
         ref = reference_network_domain(ref_rng, n_nodes=n_nodes)
+        space = net.space if space is None else space
+        assert net.space is space and net.space == ref.space  # one shared space per size
+        assert net.space.configs == ref.space.configs
         assert net.type_ids() == ref.type_ids()
         assert [t.is_unknown for t in net.types] == [t.is_unknown for t in ref.types]
         for name in ("mu_table", "loss_table", "sc"):
@@ -197,6 +204,19 @@ def test_network_domain_is_bitwise_the_per_configuration_builder(n_nodes):
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
             assert ours.tobytes() == theirs.tobytes(), name
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
+
+
+def test_network_domains_of_one_size_share_only_read_only_structure():
+    a, b = (make_network_domain(np.random.default_rng(seed), n_nodes=3) for seed in (0, 1))
+    assert a.space is b.space
+    assert not np.shares_memory(a.sc, b.sc)  # S^2: built per call, never kept
+    for x, y in zip(a.types, b.types):
+        assert not np.shares_memory(x.mu, y.mu) and not np.shares_memory(x.loss, y.loss)
+    structure = environments._network_structure(3)
+    for array in (structure.low, structure.high, structure.hits, structure.online,
+                  structure.offline):
+        assert not array.flags.writeable
+    assert environments._network_structure.cache_info().maxsize == NETWORK_CACHE_SIZES
 
 
 # ---------------------------------------------------------------------------

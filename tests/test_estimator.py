@@ -168,6 +168,64 @@ def test_floor_snap_restores_the_fallback_after_forty_halvings():
     np.testing.assert_allclose(est.posterior(0, 0), [0.5, 0.5, 0.0])
 
 
+def mixed_capability_domain():
+    """Three configurations and no unknown type: one type capable nowhere, and
+    configuration ``c`` hit by no type, so its belief is all zeros."""
+    space = ConfigSpace((FactorSpec("cfg", ("a", "b", "c")),))
+    types = (
+        AttackerTypeSpec("wide", False, np.array([0.5, 0.2, 0.0]), np.array([10.0, 20.0, 0.0])),
+        AttackerTypeSpec("never", False, np.zeros(3), np.zeros(3)),
+        AttackerTypeSpec("narrow", False, np.array([0.3, 0.0, 0.0]), np.array([5.0, 0.0, 0.0])),
+    )
+    return DomainInfo(space, types, np.zeros((3, 3)), 200.0, 0.9)
+
+
+ZERO_COUNT_DOMAINS = {
+    "web": make_web_app_domain,
+    "pg-only-dh": lambda: make_web_app_domain(unknown_variant="pg-only-dh"),
+    "mixed": mixed_capability_domain,
+    **{
+        f"net{n}": lambda n=n: make_network_domain(np.random.default_rng(n), n_nodes=n)
+        for n in range(1, 7)
+    },
+}
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.2, 2.0])
+@pytest.mark.parametrize("name", sorted(ZERO_COUNT_DOMAINS))
+def test_the_zero_count_table_is_the_fallback_bitwise_the_reference(name, beta):
+    domain = ZERO_COUNT_DOMAINS[name]()
+    est = ThreatEstimator(domain, beta=beta)
+
+    def unscored():
+        raise AssertionError("zero counts were scored")
+
+    est._scores = unscored
+    cold = est.posterior_table()
+    want = reference_posterior_table(est)
+    assert cold.dtype == want.dtype and cold.shape == want.shape
+    assert cold.tobytes() == want.tobytes()
+    assert not cold.flags.writeable and cold.base is None  # owned, so build_alp keys on it
+    with pytest.raises(ValueError, match="read-only"):
+        cold[0, 0, 0] = 0.5
+    fallback = cold.tobytes()
+    est.update(0, 0, 0, phi=0)  # a decay of no count moves nothing
+    assert est.posterior_table() is cold
+    del est._scores
+    est.update(0, 0, 0, phi=1)  # type 0 is capable against configuration 0 in every domain
+    credited = est.posterior_table()
+    assert credited is not cold and credited.tobytes() != fallback
+    assert credited.tobytes() == reference_posterior_table(est).tobytes()
+    assert cold.tobytes() == fallback
+    if beta > 1.0:  # decay until the count snaps back to zero
+        while est.counts.any():
+            est.update(0, 0, 0, phi=0)
+        back = est.posterior_table()
+        assert back.tobytes() == fallback == reference_posterior_table(est).tobytes()
+        assert back is cold
+    assert cold.tobytes() == fallback
+
+
 def test_posterior_table_matches_cellwise_posterior():
     web = make_web_app_domain()
     est = ThreatEstimator(web)
