@@ -2,7 +2,8 @@
 
 The value function is approximated as a weighted sum of indicator basis
 functions, V(s; w) = sum_i w_i * beta_i(s): a bias plus one indicator per
-factor value (``build_basis``) or per configuration (``build_state_basis``).
+factor value (``build_basis``) or per configuration (``build_state_basis``),
+leaving out the first, which the bias and the others span.
 With theta uniform over configurations the weights solve
 
     min_w   sum_i w_i * E_theta[beta_i]
@@ -32,10 +33,11 @@ are optimal for it.  Every round adds a row, so the loop ends, at worst on the
 full program.  A round after the first restarts from the last round's
 solution: its rows are ``kept`` in the grown set, and the added rows leave
 that optimal basis dual feasible, so ``lp``'s dual simplex pivots only the new
-rows feasible.  A cold 4-node network solve takes 3 rounds, 48 of its 256 rows
-and 29 pivots, 16 of them in the two-phase first round.  The optimum need not
-be a unique vertex: under some beliefs the generated and the full solve end on
-different optimal vertices, at one objective, whose greedy policies differ.
+rows feasible.  A cold 4-node network solve (5 weights) takes 3 rounds, 48 of
+its 256 rows and 29 pivots, 16 of them in the two-phase first round.  The
+optimum need not be a unique vertex: under some beliefs the generated and the
+full solve end on different optimal vertices, at one objective, whose greedy
+policies differ.
 
 Re-planning reuses the previous program.  Whether the belief moved is the
 estimator's call: it hands back the very table it handed out last until the
@@ -81,8 +83,11 @@ class Basis:
 
     ``activations[s, i]`` is 1 when function ``i`` is active at configuration
     ``s`` and 0 otherwise; ``names[i]`` describes function ``i``.  Function 0
-    is the constant bias.  ``build_basis`` shares one read-only basis between
-    equal configuration spaces.
+    is the constant bias.  The columns are linearly independent (full column
+    rank): the ALP depends on the basis only through its span, so a dependent
+    column would add a weight that no decision depends on.  ``build_alp``
+    refuses a caller's basis that breaks the rule.  ``build_basis`` shares one
+    read-only basis between equal configuration spaces.
     """
 
     names: tuple[str, ...]
@@ -96,7 +101,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def build_basis(space: ConfigSpace) -> Basis:
-    """Default factored basis: one bias plus one indicator per (factor, value).
+    """Default factored basis: a bias plus one indicator per (factor, value)
+    but each factor's first, which the bias and the factor's others span.
 
     The basis follows from the factors alone, so it is built once per
     configuration space and shared: every call with an equal space (equal
@@ -104,23 +110,38 @@ def build_basis(space: ConfigSpace) -> Basis:
     The last ``BASIS_CACHE_SIZE`` spaces are kept; a basis holds S * k
     floats, never S^2.
     """
-    names = ["bias"] + [f"{f.name}={value}" for f in space.factors for value in f.values]
+    names = ["bias"] + [f"{f.name}={value}" for f in space.factors for value in f.values[1:]]
     sizes = [len(f.values) for f in space.factors]
-    # Factor f's value index in each configuration (C order), offset to its first column.
-    values = np.indices(sizes).reshape(len(sizes), -1).T + np.cumsum([1] + sizes[:-1])
+    # Factor f's value index in each configuration (C order); value v > 0 of
+    # factor f is column v plus the columns of the factors before it.
+    values = np.indices(sizes).reshape(len(sizes), -1).T
+    configs, factors = values.nonzero()
+    columns = values[configs, factors] + np.cumsum([0] + [n - 1 for n in sizes[:-1]])[factors]
     activations = np.zeros((space.n_configs, len(names)))
     activations[:, 0] = 1.0
-    activations[np.arange(space.n_configs)[:, None], values] = 1.0
+    activations[configs, columns] = 1.0
     return Basis(tuple(names), _read_only(activations))
 
 
 def build_state_basis(space: ConfigSpace) -> Basis:
-    """Exact basis: one bias plus one indicator per full configuration."""
+    """Exact basis: one bias plus one indicator per configuration but the first."""
     names = ["bias"]
-    for config in space.configs:
+    for config in space.configs[1:]:
         names.append(",".join(f"{f.name}={v}" for f, v in zip(space.factors, config)))
     S = space.n_configs
-    return Basis(tuple(names), np.hstack([np.ones((S, 1)), np.eye(S)]))
+    return Basis(tuple(names), np.hstack([np.ones((S, 1)), np.eye(S)[:, 1:]]))
+
+
+def _checked(basis: Basis, S: int) -> Basis:
+    """``basis``, if its activations are a finite (S, k) array of rank k >= 1; else DomainError."""
+    B = basis.activations
+    if not (isinstance(B, np.ndarray) and B.ndim == 2 and B.shape[0] == S and B.shape[1] >= 1):
+        raise DomainError(f"basis activations must be an ({S}, k) array, k >= 1, not {np.shape(B)}")
+    if not np.isfinite(B).all():
+        raise DomainError("basis activations must be finite")
+    if (rank := np.linalg.matrix_rank(B)) < B.shape[1]:
+        raise DomainError(f"basis activations must have full column rank {B.shape[1]}, not {rank}")
+    return basis
 
 
 @dataclass
@@ -165,6 +186,10 @@ def build_alp(
     can change under the problem, so it is neither kept nor copied, and the
     key is None.  No table is compared: deciding whether the belief moved is
     the estimator's job.
+
+    A caller's ``basis`` that is not a finite (S, k) array of full column
+    rank k >= 1 raises ``DomainError``; the default is full rank by
+    construction, so it is not checked.
     """
     if previous is not None:
         if previous.domain is not domain or basis not in (None, previous.basis):
@@ -174,7 +199,7 @@ def build_alp(
         basis, objective, rows = previous.basis, previous.lp.c, previous.lp.rows
         working_set, start = previous.working_set, previous.lp_solution
     else:
-        basis = build_basis(domain.space) if basis is None else basis
+        basis = build_basis(domain.space) if basis is None else _checked(basis, domain.n_configs)
         B = basis.activations  # (S, k)
         S, k = B.shape
         # The successor of (s, a) is a: D(s, a) = gamma * beta(a) - beta(s).

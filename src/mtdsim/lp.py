@@ -11,7 +11,7 @@ large-scale use.
 
 A pivot updates only the tableau columns in which the normalised pivot row is
 nonzero.  The ALP's rows are sparse (a pivot row of the 4-node network ALP has
-at most 19 nonzeros of 530), and a column whose pivot-row entry is zero would
+at most 13 nonzeros of 522), and a column whose pivot-row entry is zero would
 only have +-0 subtracted, which leaves its values unchanged: at most a -0.0
 would have become +0.0.  The solver divides only by entries above
 ``FEAS_TOL``, so the sign of a zero never reaches a nonzero value.

@@ -23,10 +23,15 @@ oracle, with nothing kept between re-plans but the last LP solution.
 ``reference_network_domain`` builds the network domain configuration by
 configuration, with the switching costs counted from a (state, action, node)
 table, and ``reference_basis`` the factored basis column by column, afresh
-on every call.  ``recording`` makes an array that records every numpy call it takes
+on every call.  ``dependent_basis`` and ``dependent_state_basis`` are the
+bases with a column more per factor (or configuration), whose span is the
+same, and ``dependent_alp`` assembles their programs, which ``build_alp``
+refuses.  ``recording`` makes an array that records every numpy call it takes
 part in, so a test can tell that nothing compared it.  The bandit oracles are
 the ``fpl`` and ``eps-greedy`` selections and updates written with numpy's
-function wrappers, whole-array hit searches and numpy-scalar arithmetic.
+function wrappers, whole-array hit searches and numpy-scalar arithmetic, and
+the ``fpl``, ``eps-greedy`` and ``urs`` loops built from them and
+``reference_step``.
 """
 
 from __future__ import annotations
@@ -60,7 +65,16 @@ from mtdsim.environments import (
 )
 from mtdsim.estimator import DEFAULT_BETA, ThreatEstimator
 from mtdsim.harness import ExperimentConfig, resolve_run
-from mtdsim.strategies import RESAMPLE_CHUNK, EpsGreedyStrategy, FplMtdStrategy, ata_fmdp_run
+from mtdsim.strategies import (
+    DEFAULT_EPSILON,
+    DEFAULT_FPL_EXPLORE,
+    DEFAULT_FPL_LMAX,
+    DEFAULT_FPL_RATE,
+    RESAMPLE_CHUNK,
+    EpsGreedyStrategy,
+    FplMtdStrategy,
+    ata_fmdp_run,
+)
 from mtdsim.lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, LPSolution, solve_lp
 
 
@@ -105,8 +119,24 @@ def reference_network_domain(rng: np.random.Generator, n_nodes: int = 2) -> Doma
 def reference_basis(space: ConfigSpace) -> alp.Basis:
     """``alp.build_basis`` built afresh, one column per (factor, value), never cached.
 
-    Column 0 is the bias; the column of value v of factor f is 1.0 at the
-    configurations whose f-th entry is v.  The activations stay writeable.
+    Column 0 is the bias; the column of value v of factor f, for every value
+    but the factor's first, is 1.0 at the configurations whose f-th entry is
+    v.  The activations stay writeable.
+    """
+    names, columns = ["bias"], [np.ones(space.n_configs)]
+    for f, factor in enumerate(space.factors):
+        for value in factor.values[1:]:
+            names.append(f"{factor.name}={value}")
+            columns.append(np.array([float(config[f] == value) for config in space.configs]))
+    return alp.Basis(tuple(names), np.column_stack(columns))
+
+
+def dependent_basis(space: ConfigSpace) -> alp.Basis:
+    """The factored basis with every factor's first-value column kept as well.
+
+    A bias plus one indicator per (factor, value): 1 + sum(n_f) columns of
+    rank 1 + sum(n_f - 1), since each factor's indicators sum to the bias.
+    ``build_alp`` refuses it; ``dependent_alp`` assembles its program.
     """
     names, columns = ["bias"], [np.ones(space.n_configs)]
     for f, factor in enumerate(space.factors):
@@ -114,6 +144,30 @@ def reference_basis(space: ConfigSpace) -> alp.Basis:
             names.append(f"{factor.name}={value}")
             columns.append(np.array([float(config[f] == value) for config in space.configs]))
     return alp.Basis(tuple(names), np.column_stack(columns))
+
+
+def dependent_state_basis(space: ConfigSpace) -> alp.Basis:
+    """A bias plus one indicator per configuration: S + 1 columns of rank S."""
+    S = space.n_configs
+    names = ["bias"]
+    for config in space.configs:
+        names.append(",".join(f"{f.name}={v}" for f, v in zip(space.factors, config)))
+    return alp.Basis(tuple(names), np.column_stack([np.ones(S), np.eye(S)]))
+
+
+def dependent_alp(
+    domain: DomainInfo, posterior_table: np.ndarray, basis: alp.Basis
+) -> alp.ALProblem:
+    """The approximate LP of ``basis`` assembled row by row, with no check on its rank.
+
+    Row s * S + a is gamma * beta(a) - beta(s) with bound -R(s, a), and the
+    objective is the basis's mean activation, as ``build_alp`` states them.
+    """
+    B, S = basis.activations, domain.n_configs
+    rows = np.array([domain.gamma * B[a] - B[s] for s in range(S) for a in range(S)])
+    rewards = expected_reward_table(domain, posterior_table)
+    program = LPProblem(B.sum(axis=0) / S, rows, -rewards.reshape(-1))
+    return alp.ALProblem(domain, basis, program, rewards)
 
 
 def reference_dual_feasible(problem: LPProblem, solution: LPSolution) -> bool:
@@ -300,6 +354,54 @@ def reference_eps_update(strat: EpsGreedyStrategy, action: int, reward: float) -
     n = strat.pulls[action]
     strat.means[action] = (strat.means[action] * n + reward) / (n + 1)
     strat.pulls[action] = n + 1
+
+
+def reference_fpl_run(
+    domain: DomainInfo,
+    env: MTDEnvironment,
+    T: int,
+    rng: np.random.Generator,
+    explore_prob: float = DEFAULT_FPL_EXPLORE,
+    perturb_rate: float = DEFAULT_FPL_RATE,
+    l_max: int = DEFAULT_FPL_LMAX,
+) -> list[StepRecord]:
+    """``strategies.run_fpl_mtd`` from ``reference_fpl_select``, ``reference_step``
+    and ``reference_fpl_resample_count``; the strategy object only holds the
+    parameters and the cumulative rewards."""
+    strat = FplMtdStrategy(domain, explore_prob, perturb_rate, l_max)
+    records = []
+    for _ in range(T):
+        action = reference_fpl_select(strat, rng)
+        record = reference_step(env, action, rng)
+        strat.cumulative[action] += record.reward * reference_fpl_resample_count(strat, action, rng)
+        records.append(record)
+    return records
+
+
+def reference_eps_greedy_run(
+    domain: DomainInfo,
+    env: MTDEnvironment,
+    T: int,
+    rng: np.random.Generator,
+    epsilon: float = DEFAULT_EPSILON,
+) -> list[StepRecord]:
+    """``strategies.run_eps_greedy`` from ``reference_eps_select``, ``reference_step``
+    and ``reference_eps_update``."""
+    strat = EpsGreedyStrategy(domain, epsilon)
+    records = []
+    for _ in range(T):
+        action = reference_eps_select(strat, rng)
+        record = reference_step(env, action, rng)
+        reference_eps_update(strat, action, record.reward)
+        records.append(record)
+    return records
+
+
+def reference_urs_run(
+    domain: DomainInfo, env: MTDEnvironment, T: int, rng: np.random.Generator
+) -> list[StepRecord]:
+    """``strategies.run_urs``: a uniform action from ``rng.integers``, then ``reference_step``."""
+    return [reference_step(env, int(rng.integers(domain.n_configs)), rng) for _ in range(T)]
 
 
 @dataclass

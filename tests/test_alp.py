@@ -50,7 +50,14 @@ from mtdsim.harness import (
 )
 from mtdsim.estimator import ThreatEstimator
 from mtdsim.lp import FEAS_TOL, OPTIMAL, LPProblem, NumericalError, solve_lp
-from oracles import recording, reference_basis, reference_greedy_actions
+from oracles import (
+    dependent_alp,
+    dependent_basis,
+    dependent_state_basis,
+    recording,
+    reference_basis,
+    reference_greedy_actions,
+)
 
 
 def small_space(sizes=(2, 3, 2)) -> ConfigSpace:
@@ -81,31 +88,27 @@ def ones_posterior(domain: DomainInfo) -> np.ndarray:
 
 
 def test_factored_basis_counts_one_indicator_per_factor_value():
+    # Every value but each factor's first, whose indicator the bias spans.
     web = make_web_app_domain()
-    assert build_basis(web.space).activations.shape == (4, 1 + 2 + 2)
+    assert build_basis(web.space).activations.shape == (4, 1 + 1 + 1)
     basis = build_basis(small_space())
-    assert len(basis.names) == 1 + 2 + 3 + 2
+    assert len(basis.names) == 1 + 1 + 2 + 1
     assert basis.activations.shape == (12, len(basis.names))
 
 
 def test_state_basis_counts_one_indicator_per_configuration():
     web = make_web_app_domain()
-    assert build_state_basis(web.space).activations.shape == (4, 1 + 4)
+    # Every configuration but the first, whose indicator the bias spans.
+    assert build_state_basis(web.space).activations.shape == (4, 1 + 3)
     basis = build_state_basis(small_space())
-    assert len(basis.names) == 1 + 12
+    assert len(basis.names) == 1 + 11
     assert basis.activations.shape == (12, len(basis.names))
 
 
 def test_basis_describe_names_factor_and_value():
     web = make_web_app_domain()
-    assert build_basis(web.space).names == (
-        "bias",
-        "language=PHP",
-        "language=Python",
-        "database=MySQL",
-        "database=Postgres",
-    )
-    assert build_state_basis(web.space).names[:2] == ("bias", "language=PHP,database=MySQL")
+    assert build_basis(web.space).names == ("bias", "language=Python", "database=Postgres")
+    assert build_state_basis(web.space).names[:2] == ("bias", "language=PHP,database=Postgres")
 
 
 @pytest.mark.parametrize("sizes", [(1,), (4,), (2, 2), (2, 3, 2), (3, 1, 2), (2,) * 6])
@@ -159,19 +162,134 @@ def test_an_alp_on_the_shared_basis_is_bitwise_one_on_a_fresh_basis(domain_name)
 def test_activation_matrix_rows_mark_matching_factor_values():
     web = make_web_app_domain()
     B = build_basis(web.space).activations
-    assert B.shape == (4, 5)
-    # PHP|MySQL activates bias, language=PHP, database=MySQL.
-    np.testing.assert_array_equal(B[0], [1, 1, 0, 1, 0])
-    np.testing.assert_array_equal(B[3], [1, 0, 1, 0, 1])
-    # Every row activates the bias plus exactly one value per factor.
-    np.testing.assert_array_equal(B.sum(axis=1), np.full(4, 3))
+    assert B.shape == (4, 3)
+    # PHP|MySQL, every factor at its first value, activates the bias alone.
+    np.testing.assert_array_equal(B[0], [1, 0, 0])
+    # Python|Postgres activates bias, language=Python, database=Postgres.
+    np.testing.assert_array_equal(B[3], [1, 1, 1])
+    # Every row activates the bias plus one column per factor off its first value.
+    np.testing.assert_array_equal(B.sum(axis=1), [1, 2, 2, 3])
 
 
 def test_state_basis_activation_matrix_is_identity_plus_bias():
     web = make_web_app_domain()
     B = build_state_basis(web.space).activations
     np.testing.assert_array_equal(B[:, 0], np.ones(4))
-    np.testing.assert_array_equal(B[:, 1:], np.eye(4))
+    np.testing.assert_array_equal(B[:, 1:], np.eye(4)[:, 1:])
+
+
+def test_every_built_basis_has_full_column_rank():
+    # A dependent column would carry a weight that no decision depends on.
+    spaces = [make_web_app_domain().space, small_space(), small_space((3, 1, 2))]
+    spaces += [make_network_domain(np.random.default_rng(0), n_nodes=n).space for n in range(1, 11)]
+    for space in spaces:
+        B = build_basis(space).activations
+        assert B.shape == (space.n_configs, 1 + sum(len(f.values) - 1 for f in space.factors))
+        assert np.linalg.matrix_rank(B) == B.shape[1], space.factors
+        if space.n_configs <= 64:  # up to 6 nodes
+            B = build_state_basis(space).activations
+            assert B.shape == (space.n_configs,) * 2
+            assert np.linalg.matrix_rank(B) == space.n_configs, space.factors
+
+
+def _with_activations(activations) -> Basis:
+    return Basis(tuple(f"f{i}" for i in range(np.shape(activations)[-1])), activations)
+
+
+def test_build_alp_rejects_a_basis_of_the_wrong_row_count():
+    # One row short of the web's four configurations.
+    web = make_web_app_domain()
+    basis = _with_activations(build_basis(web.space).activations[:3])
+    with pytest.raises(DomainError, match=r"must be an \(4, k\) array, k >= 1, not \(3, 3\)"):
+        build_alp(web, cold_posterior_table(web), basis)
+
+
+def test_build_alp_rejects_a_basis_without_columns():
+    web = make_web_app_domain()
+    for activations in (np.zeros((4, 0)), np.ones(4), np.ones((4, 1, 1))):
+        with pytest.raises(DomainError, match=r"must be an \(4, k\) array, k >= 1, not"):
+            build_alp(web, cold_posterior_table(web), _with_activations(activations))
+
+
+def test_build_alp_rejects_a_basis_with_a_duplicated_column():
+    web = make_web_app_domain()
+    B = build_basis(web.space).activations
+    basis = _with_activations(B[:, [0, 1, 2, 1]])
+    with pytest.raises(DomainError, match="full column rank 4, not 3"):
+        build_alp(web, cold_posterior_table(web), basis)
+    # So are the dependent bases of the past: each factor's indicators, and
+    # all the configurations' indicators, sum to the bias.
+    for dependent, message in (
+        (dependent_basis(web.space), "rank 5, not 3"),
+        (dependent_state_basis(web.space), "rank 5, not 4"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            build_alp(web, cold_posterior_table(web), dependent)
+
+
+def test_build_alp_rejects_a_basis_with_a_non_finite_activation():
+    web = make_web_app_domain()
+    B = build_basis(web.space).activations.copy()
+    B[2, 1] = np.nan
+    with pytest.raises(DomainError, match="must be finite"):
+        build_alp(web, cold_posterior_table(web), _with_activations(B))
+
+
+def _plan_counting_pivots(monkeypatch, problem: ALProblem) -> tuple[np.ndarray, int]:
+    """``solve_alp(problem)`` and the pivots of all its rounds."""
+    pivots = []
+
+    def counted(program, start=None, kept=None):
+        solution = lp_module.solve_lp(program, start=start, kept=kept)
+        pivots.append(solution.pivots)
+        return solution
+
+    monkeypatch.setattr(alp_module, "solve_lp", counted)
+    return solve_alp(problem), sum(pivots)
+
+
+def _equivalence_cases():
+    for n in range(2, 7):
+        for seed in range(6):
+            yield f"net{n}-seed{seed}", "cold"
+    for name in ("web", "pg-only-dh", "net2-seed0"):
+        for belief in ("cold", "random0", "random1", "random2"):
+            if (name, belief) != ("net2-seed0", "cold"):  # a cold plan above
+                yield name, belief
+
+
+@pytest.mark.parametrize("domain_name, belief", list(_equivalence_cases()))
+def test_the_full_rank_bases_plan_as_the_dependent_ones(monkeypatch, domain_name, belief):
+    # The ALP constrains V = Phi w, so it depends on Phi only through its span
+    # (de Farias & Van Roy, 2003): the old bases, with each factor's first
+    # value (or the first configuration) as a column of its own, give the
+    # same values and policy.  The factored bases also take the same pivots;
+    # the state bases' pivot paths part under Bland's rule (the web's cold
+    # plan takes 12 against 10).  build_alp refuses the old bases, so their
+    # programs are assembled by hand.
+    if domain_name.startswith("net"):
+        nodes, seed = (int(part) for part in domain_name[3:].split("-seed"))
+        domain = make_network_domain(np.random.default_rng(seed), n_nodes=nodes)
+    else:
+        domain = make_web_app_domain(None if domain_name == "web" else domain_name)
+    if belief == "cold":
+        posterior = cold_posterior_table(domain)
+    else:
+        posterior = random_posterior_table(domain, np.random.default_rng(int(belief[-1])))
+    pairs = [(build_basis, dependent_basis)]
+    if domain.n_configs <= 16:  # the state basis: the web and 2- to 4-node networks
+        pairs.append((build_state_basis, dependent_state_basis))
+    for build, old_build in pairs:
+        new = build_alp(domain, posterior, build(domain.space))
+        old = dependent_alp(domain, posterior, old_build(domain.space))
+        assert old.basis.activations.shape[1] > new.basis.activations.shape[1]
+        w_new, pivots_new = _plan_counting_pivots(monkeypatch, new)
+        w_old, pivots_old = _plan_counting_pivots(monkeypatch, old)
+        v_new, v_old = value_estimates(new, w_new), value_estimates(old, w_old)
+        assert np.max(np.abs(v_new - v_old)) <= 1e-9 * np.max(np.abs(v_old)), build.__name__
+        assert extract_policy(new, w_new).tolist() == extract_policy(old, w_old).tolist()
+        if build is build_basis:
+            assert pivots_new == pivots_old
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +300,10 @@ def test_state_basis_activation_matrix_is_identity_plus_bias():
 def test_build_alp_one_row_per_state_action_pair():
     web = make_web_app_domain()
     alp = build_alp(web, cold_posterior_table(web))
-    assert alp.lp.rows.shape == (16, 5)
+    assert alp.lp.rows.shape == (16, 3)
     assert alp.lp.bounds.shape == (16,)
     # Objective is the mean activation of each basis function (uniform theta).
-    np.testing.assert_allclose(alp.lp.c, [1.0, 0.5, 0.5, 0.5, 0.5])
+    np.testing.assert_allclose(alp.lp.c, [1.0, 0.5, 0.5])
 
 
 def test_build_alp_row_matches_hand_computed_constraint():
@@ -199,14 +317,14 @@ def test_build_alp_row_matches_hand_computed_constraint():
     alp = build_alp(web, post)
     row0 = 0 * 4 + 0  # row of the pair (s, a) is s * S + a
     np.testing.assert_allclose(alp.lp.bounds[row0], -169.9)
-    np.testing.assert_allclose(alp.lp.rows[row0], -0.1 * np.array([1, 1, 0, 1, 0]))
+    np.testing.assert_allclose(alp.lp.rows[row0], -0.1 * np.array([1, 0, 0]))
     # A move (0 -> 3) pays sc=100 and faces loss 50 at the target:
     # const = 200 - 100 - 0.65*50 = 67.5, coefficients 0.9*beta(3) - beta(0).
     row3 = 0 * 4 + 3
     np.testing.assert_allclose(alp.lp.bounds[row3], -67.5)
     np.testing.assert_allclose(
         alp.lp.rows[row3],
-        0.9 * np.array([1, 0, 1, 0, 1]) - np.array([1, 1, 0, 1, 0]),
+        0.9 * np.array([1, 1, 1]) - np.array([1, 0, 0]),
     )
 
 
@@ -341,7 +459,7 @@ def test_a_phase_1_breakdown_is_never_reported_infeasible():
     # A 7-node network under the cold belief, with the factored basis plus a
     # column of each configuration's cold expected loss.  Phase 1 on the stay
     # rows pivots on entries just above FEAS_TOL and stops with no pivot row
-    # after 762 pivots, at a residual of 5.3e-11.  The program is feasible:
+    # after 709 pivots, at a residual of 2.7e-11.  The program is feasible:
     # w0 = max R / (1 - gamma), with every other weight 0, satisfies every row.
     domain = make_network_domain(np.random.default_rng(0), n_nodes=7)
     cold = cold_posterior_table(domain)
@@ -526,8 +644,7 @@ def test_alp_dict_round_trips_rows_and_labels(tmp_path, capsys):
     assert main(["dump-lp", "--out", str(path)]) == 0
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"objective", "basis", "theta", "rows"}
-    assert data["basis"][0] == "bias"
-    assert "language=PHP" in data["basis"]
+    assert data["basis"] == ["bias", "language=Python", "database=Postgres"]
     assert len(data["rows"]) == 16
     first = data["rows"][0]
     assert first["state"] == "PHP|MySQL" and first["action"] == "PHP|MySQL"

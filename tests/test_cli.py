@@ -154,8 +154,8 @@ def test_dump_lp_emits_the_program_on_stdout(capsys):
     data = json.loads(capsys.readouterr().out)
     assert set(data) == {"basis", "objective", "rows", "theta"}
     assert len(data["rows"]) == 16
-    assert len(data["objective"]) == 5
-    assert "language=PHP" in data["basis"]
+    assert len(data["objective"]) == 3
+    assert data["basis"] == ["bias", "language=Python", "database=Postgres"]
 
 
 def test_dump_lp_state_basis_to_file(tmp_path, capsys):
@@ -164,7 +164,8 @@ def test_dump_lp_state_basis_to_file(tmp_path, capsys):
     assert code == 0
     assert f"wrote {out}" in capsys.readouterr().out
     data = json.loads(out.read_text(encoding="utf-8"))
-    assert "language=PHP,database=MySQL" in data["basis"]
+    assert "language=PHP,database=Postgres" in data["basis"]
+    assert "language=PHP,database=MySQL" not in data["basis"]  # the bias spans it
     assert len(data["rows"]) == 16
 
 
@@ -343,7 +344,7 @@ def test_a_web_domain_past_the_edge_of_gamma_exits_with_an_error_line(tmp_path, 
     assert main(["run", "--domain", str(path), *sizes]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: approximate LP: phase 1 stopped optimal after 0 pivots")
-    assert "no proof of infeasibility (4 of 16 rows, 5 basis functions)" in err
+    assert "no proof of infeasibility (4 of 16 rows, 3 basis functions)" in err
 
 
 def test_a_domain_whose_values_pass_float_range_exits_with_a_domain_error(tmp_path, capsys):

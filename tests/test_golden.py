@@ -199,12 +199,12 @@ def test_hindsight_with_a_start_state_and_size_is_byte_identical(tmp_path, capsy
 
 
 GOLDEN_DUMP_LP_SHA256 = {
-    "web-factored": "98d7d043a6a7e958da66078e63f1b036bf6080425828648e7f70317cc755753a",
-    "web-state": "8f6351766453a38ac16183cc37af0aeb673dd9149a1ea1100f352adbd9499813",
-    "net-factored": "c3864ad548a66b74d9c94d175e14b474f985504064728d1c8881927c134769a8",
-    "net-state": "4b72eeafb39c03abb9bc791d6c9bbe73d2a49f7d52be6a3867822dc354b83c3f",
-    "web-factored-estimator": "4bbe2f3b038945c9f2951c1dbaf5a81844a5518df7a1dfe451550f869093f8fc",
-    "web-dh-postgres-alpha": "f288eaace4f2ae2f88cf19d025fbe1f0935d7cb4ded8759ea77b11fc8fd939da",
+    "web-factored": "e221e1a695134b1500ab4027dfb7782e19227001b85a047724b10e6425853d87",
+    "web-state": "c329e248985ee06c542d4b57bacc391e91fa2e0c36a593228f3678e2ddb1cf31",
+    "net-factored": "deb6a0c69e7863917a996aa7caffdd9f5adf9b2a1a7c0057d9612e657c2107dc",
+    "net-state": "d0340738ca9635f81def55e6711a2cb68ee0a2d666f66cb944fc444c3f7384c9",
+    "web-factored-estimator": "f26d2db7b5d437f0e5af7b5dd64a11b125ff68dcb84d0424a946d5edbf0bea92",
+    "web-dh-postgres-alpha": "7b2dc9136f4a5f543b995deadaf7339339d6a212097cebde12d8441c43de14fa",
 }
 
 
@@ -252,7 +252,7 @@ SAVERS = {  # case -> writer of the file at the given path
 GOLDEN_SAVED_SHA256 = {
     "domain-net2": "0c95f1dc08005b4e36cc337a5755be73b55719d8e580cef2c6404cfaa083e2bf",
     "domain-web": "255515fa9748c885d6a21655f37431d9f74050e767d0691f74675c574512df20",
-    "dump-lp-out": "98d7d043a6a7e958da66078e63f1b036bf6080425828648e7f70317cc755753a",
+    "dump-lp-out": "e221e1a695134b1500ab4027dfb7782e19227001b85a047724b10e6425853d87",
     "estimator": "c0d0981c4faac7d46f3e18810b04b9dcba33ce8e9a1dd0fe45e756ae2c50dc64",
     "scenario-custom": "80bb0172dede8f4c2cdb720f8d7144ea6e249b6961370457885388dd09d46ca3",
     "scenario-web-dh-postgres": "3556e218719792784828f3dfadddb1e4de0dedbd55abd38c675f23f0acfd3b63",
@@ -305,28 +305,28 @@ def _solution_digest(solution) -> str:
 # with the final basis, not with the pivots that reached it.
 GOLDEN_SOLVE_LP_SHA256 = {
     "net2": [
-        "70e0184b180623adc9f2f1ce779ff8b4f1e6a52ec0cf52f3a876c8771bd23590",
-        "6a07a784886ec2cac2daf19355c06a60fd30414e23e9f40328640c4b8c9bb679",
+        "6692744113a3bc674fa495336806fc6c4ac46039e5591d459ceb7607bfad1dfa",
+        "970b0eeccb5c0e639e7c47ecc0533d15c7c1d623b0b5458de996691946b9586a",
     ],
     "net3": [
-        "5c90e28ad520ae922ba629b5483e36e7679659a21d90ce01673201bce530fe30",
-        "dbd66fd752693a23772875d0f2a5c1537c3ed1d21686d90837f86ddcaac52214",
+        "a82fb2dd5d1f6c4e7c06000b35494af88c14ba3d086b8b3b6477e2c144221445",
+        "d6ef204c907dc5a6eb3150d9f9b2ed60e827a23b798d741fcf978f5f4fd61ddd",
     ],
     "net4": [
-        "4c303f57ea5154f992ef9d5b641ca4b42b55137979d940d515649d3f88462d22",
-        "59ced817087b4e3b90005b8f00643e4a3a950e6fc8d7d0dc90afe8fbba69b4f6",
+        "3d7cf82af1b1ed061f933c24cea6fa77129045b89f064467ce28e47ce87d5435",
+        "717ef4ecb38b1c4c9e8a4f5b5c1f61a52eaf42d70aa80589e7e7254ba598e940",
     ],
     "net5": [
-        "8a49e2092b37efd670ed55d95de2668356961cc757d57508e84e415f5a288277",
-        "7de497bd6e8ca6a358abd36b94368be513b2c329499f9e0189474a10bf4ff548",
+        "6f8914c5d335b558bc83cbf017bb4810c1ecf87dce875308a4ae12b06bb186b7",
+        "9156e81a377a37b3bedba9fd128c29a125468592b7185230dab775fbf570e1e0",
     ],
     "web-factored": [
-        "9afa9b289d1a924855fd496e2240e832c5411294d6660f5b71c2057cab03c2ac",
-        "ababc41a3c482a07bfefc6a31084d9aeee3d03887654fc28269f07e03f594b3e",
+        "413f59157e9960bb84e20ce6df64c38e3aecdf08addea8fe5373ee9bb833dd5a",
+        "010e55fdfa5091cd4e0a1e56914397d80814e77a1ad7bf2ec5c454dfaffbcf9c",
     ],
     "web-state": [
-        "bd8694ef6ef5f533fc965db8d25693b727d4d5b5bd2a3cc7610663d402fa426e",
-        "bce644fd942dc1d8baa8945c8a8f93d9505ad221fbcf62dd40e5b111f5db3160",
+        "4822b8dbb0c1afe1194bf71467ccd24bea8b01f271a691d8a803537ea26a5727",
+        "22f1ad6234b697ca5376ef4530b9a5f1da04a3d0ec356d2c7ef9449fe5c8379e",
     ],
 }
 
@@ -352,7 +352,7 @@ GOLDEN_SOLVE_LP_PIVOTS = {
     "net4": [291, 20],
     "net5": [1051, 55],
     "web-factored": [20, 0],
-    "web-state": [29, 1],
+    "web-state": [30, 1],
 }
 
 
